@@ -76,7 +76,11 @@ struct WakeData {
 // clone live and die on one thread (`Sim` is `!Send`: it holds `Rc`s, and
 // spawned futures are not required to be `Send`). The `Rc` refcount and the
 // `RefCell` ready queue are therefore never touched concurrently.
-const VTABLE: RawWakerVTable = RawWakerVTable::new(clone_w, wake_w, wake_by_ref_w, drop_w);
+//
+// A `static`, not a `const`: every `&VTABLE` must name one address, or a
+// waker and its own clone could carry different promoted copies of the table
+// and `Waker::will_wake` would never recognise them as the same task.
+static VTABLE: RawWakerVTable = RawWakerVTable::new(clone_w, wake_w, wake_by_ref_w, drop_w);
 
 unsafe fn clone_w(p: *const ()) -> RawWaker {
     unsafe { Rc::increment_strong_count(p.cast::<WakeData>()) };
@@ -1233,6 +1237,32 @@ mod tests {
             }
         });
         assert_eq!(more, "reused");
+    }
+
+    /// A task's waker recognises its own clones — across polls too, since the
+    /// waker is built once at spawn — and no other task's. Primitives rely on
+    /// this to skip re-cloning an unchanged waker.
+    #[test]
+    fn waker_will_wake_its_own_clone_only() {
+        let mut sim = Sim::new(1);
+        let ctx = sim.ctx();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let ctx2 = ctx.clone();
+            let seen = seen.clone();
+            ctx.spawn(async move {
+                let first = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+                ctx2.sleep(Duration::from_millis(1)).await;
+                let second = std::future::poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+                seen.borrow_mut().push((first, second));
+            });
+        }
+        sim.run();
+        let seen = seen.borrow();
+        let ((a1, a2), (b1, _)) = (&seen[0], &seen[1]);
+        assert!(a1.will_wake(&a1.clone()), "a waker must match its clone");
+        assert!(a1.will_wake(a2), "one task, two polls: same waker");
+        assert!(!a1.will_wake(b1), "different tasks must not match");
     }
 
     /// run_until across a window boundary keeps firing order intact when

@@ -54,9 +54,11 @@
 //! to the sequential `block_on` loop) is bit-identical to the [`crate::sim`]
 //! backend. DESIGN.md §18 develops the full argument.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
@@ -197,6 +199,9 @@ struct Fleet {
     /// Set when a worker panics so its peers stop instead of waiting on a
     /// frontier that will never move again.
     poisoned: AtomicBool,
+    /// Payload of the first worker panic, re-raised by the caller of the
+    /// partitioned run once every worker has stopped.
+    first_panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Dense `from * partitions + to` mailslot matrix.
     slots: Vec<Mailslot>,
     /// Generation counter + condvar: bumped on every frontier publication,
@@ -217,6 +222,7 @@ impl Fleet {
             sent: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
+            first_panic: Mutex::new(None),
             slots: (0..n * n).map(|_| Mailslot::new()).collect(),
             signal: Mutex::new(0),
             cond: Condvar::new(),
@@ -258,17 +264,22 @@ impl Fleet {
         }
         *gen
     }
-}
 
-/// Marks the fleet poisoned if the owning worker unwinds, so peer workers
-/// panic promptly instead of spinning on a dead frontier.
-struct PoisonGuard<'a>(&'a Fleet);
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.poisoned.store(true, SeqCst);
-            self.0.bump();
+    /// Runs one worker's body. If it panics, keeps the payload (the first
+    /// one wins: it names the root cause) and poisons the fleet, so peer
+    /// workers stop promptly instead of spinning on a dead frontier.
+    fn run_worker<T>(&self, body: impl FnOnce() -> Vec<T>) -> Vec<T> {
+        match catch_unwind(AssertUnwindSafe(body)) {
+            Ok(out) => out,
+            Err(payload) => {
+                self.first_panic
+                    .lock()
+                    .expect("first panic slot poisoned")
+                    .get_or_insert(payload);
+                self.poisoned.store(true, SeqCst);
+                self.bump();
+                Vec::new()
+            }
         }
     }
 }
@@ -701,7 +712,8 @@ impl ParRunner {
     ///
     /// # Panics
     /// Panics if the run stalls (every partition idle, no envelope in
-    /// flight, some root incomplete) or if any partition root panics.
+    /// flight, some root incomplete) or if any partition root panics — with
+    /// the first such panic's own payload, whichever worker thread hit it.
     pub fn run_partitions<R, F>(&mut self, partitions: usize, setup: F) -> Vec<R>
     where
         R: Send + 'static,
@@ -780,14 +792,26 @@ where
         for parts in hosted.iter().skip(1) {
             let fleet = Arc::clone(&fleet);
             let parts = parts.clone();
-            handles.push(s.spawn(move || worker_main(&fleet, &parts, seed, partitions, setup)));
+            handles.push(s.spawn(move || {
+                fleet.run_worker(|| worker_main(&fleet, &parts, seed, partitions, setup))
+            }));
         }
-        let mut out = worker_main(&fleet, &hosted[0], seed, partitions, setup);
+        let mut out = fleet.run_worker(|| worker_main(&fleet, &hosted[0], seed, partitions, setup));
         for h in handles {
-            out.extend(h.join().expect("partition worker panicked"));
+            out.extend(h.join().expect("run_worker catches worker panics"));
         }
         out
     });
+    // A worker that merely saw the fleet poisoned returned early and empty;
+    // the panic worth reporting is the one that poisoned it.
+    let first_panic = fleet
+        .first_panic
+        .lock()
+        .expect("first panic slot poisoned")
+        .take();
+    if let Some(payload) = first_panic {
+        resume_unwind(payload);
+    }
     results.sort_by_key(|&(p, _)| p);
     results.into_iter().map(|(_, r)| r).collect()
 }
@@ -807,7 +831,6 @@ where
     R: Send + 'static,
     F: Fn(Partition) -> PartitionFuture<R> + Send + Sync,
 {
-    let _guard = PoisonGuard(fleet);
     struct Host<R> {
         engine: PartEngine,
         root: hm_sim::JoinHandle<R>,
@@ -873,10 +896,10 @@ where
         if fleet.done.load(SeqCst) == partitions as u64 {
             break;
         }
-        assert!(
-            !fleet.poisoned.load(SeqCst),
-            "a peer partition worker panicked during a partitioned run"
-        );
+        if fleet.poisoned.load(SeqCst) {
+            // A peer panicked; `run_partitioned` re-raises its panic.
+            return Vec::new();
+        }
         if !progressed {
             let idle = fleet.eventless.iter().all(|e| e.load(SeqCst));
             let in_flight = fleet.sent.load(SeqCst) != fleet.delivered.load(SeqCst);

@@ -17,8 +17,10 @@
 //!   batch learns of completion from the same storage acknowledgement.
 //!
 //! The ordering guarantees (FIFO semaphore grants, registration-order gate
-//! release) are part of the substrate contract; `tests/sync_contracts.rs`
-//! is the executable spec every backend must pass.
+//! release and group cancellation) are part of the substrate contract, and so
+//! is the memory bound: a wait list holds at most one entry per live waiter,
+//! owned and released by the waiting future. `tests/sync_contracts.rs` is the
+//! executable spec every backend must pass.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -405,13 +407,180 @@ impl Drop for SemaphoreGuard {
 }
 
 // ---------------------------------------------------------------------------
-// Gate (one-shot broadcast)
+// WaitList / Latch (owner-held waker registrations)
 // ---------------------------------------------------------------------------
 
-struct GateState {
-    open: bool,
-    wakers: Vec<Waker>,
+/// One waiter's entry in a [`WaitList`]; `waker` is `None` while the slot
+/// sits on the free list.
+struct WaitSlot {
+    seq: u64,
+    waker: Option<Waker>,
 }
+
+/// A waiting future's claim on one [`WaitList`] slot. `seq` is never reused
+/// within a list, so once the slot is drained or re-let the ticket simply
+/// stops matching — a stale ticket can neither refresh nor free a slot that
+/// now belongs to someone else.
+#[derive(Clone, Copy)]
+struct Ticket {
+    idx: u32,
+    seq: u64,
+}
+
+/// The wakers of the futures currently parked on one event.
+///
+/// The bound is structural: a slot is created by, refreshed by and released
+/// by the one future holding its [`Ticket`], so the list never holds more
+/// than one entry per live waiter no matter how often each is polled.
+/// `Waker::will_wake` only saves the clone when the waker is unchanged; it is
+/// best-effort (an executor may hand out a fresh waker every poll) and
+/// nothing here relies on it for the bound.
+struct WaitList {
+    slots: Vec<WaitSlot>,
+    free: Vec<u32>,
+    next_seq: u64,
+}
+
+impl WaitList {
+    fn with_capacity(waiters: usize) -> WaitList {
+        WaitList {
+            slots: Vec::with_capacity(waiters),
+            free: Vec::new(),
+            next_seq: 0,
+        }
+    }
+
+    /// Number of parked waiters.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    fn slot_of(&mut self, ticket: Ticket) -> Option<&mut WaitSlot> {
+        self.slots
+            .get_mut(ticket.idx as usize)
+            .filter(|slot| slot.seq == ticket.seq)
+    }
+
+    /// Parks `waker` in the slot `ticket` names, taking a slot (and the next
+    /// sequence number) first if the ticket is absent or stale.
+    fn park(&mut self, ticket: &mut Option<Ticket>, waker: &Waker) {
+        if let Some(slot) = ticket.and_then(|t| self.slot_of(t)) {
+            let held = slot.waker.as_mut().expect("a ticketed slot is occupied");
+            if !held.will_wake(waker) {
+                *held = waker.clone();
+            }
+            return;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let slot = WaitSlot {
+            seq,
+            waker: Some(waker.clone()),
+        };
+        let idx = if let Some(idx) = self.free.pop() {
+            self.slots[idx as usize] = slot;
+            idx
+        } else {
+            self.slots.push(slot);
+            u32::try_from(self.slots.len() - 1).expect("wait list overflow")
+        };
+        *ticket = Some(Ticket { idx, seq });
+    }
+
+    /// Frees the slot `ticket` names, if it still names one.
+    fn release(&mut self, ticket: &mut Option<Ticket>) {
+        let Some(t) = ticket.take() else { return };
+        if let Some(slot) = self.slot_of(t) {
+            slot.waker = None;
+            self.free.push(t.idx);
+        }
+    }
+
+    /// Empties the list and returns the parked waiters in first-registration
+    /// order. Every outstanding ticket goes stale.
+    fn drain(&mut self) -> Vec<WaitSlot> {
+        self.free.clear();
+        let mut parked = std::mem::take(&mut self.slots);
+        parked.retain(|slot| slot.waker.is_some());
+        // Only a slot freed by one waiter and re-let to a later one sits
+        // out of order; otherwise this is one pass over a sorted list.
+        parked.sort_unstable_by_key(|slot| slot.seq);
+        parked
+    }
+}
+
+/// A level-triggered flag and the futures waiting for it to be set — the
+/// state behind both [`Gate`] (flag = open) and [`TaskGroup`] (flag =
+/// cancelled).
+struct Latch {
+    set: bool,
+    waiters: WaitList,
+}
+
+impl Latch {
+    fn with_capacity(waiters: usize) -> Rc<RefCell<Latch>> {
+        Rc::new(RefCell::new(Latch {
+            set: false,
+            waiters: WaitList::with_capacity(waiters),
+        }))
+    }
+
+    /// Sets the flag and wakes each parked waiter once, in the order they
+    /// first parked, so the executor's FIFO ready queue resumes them
+    /// deterministically in that order.
+    fn raise(this: &RefCell<Latch>) {
+        let mut woken = {
+            let mut st = this.borrow_mut();
+            st.set = true;
+            st.waiters.drain()
+        };
+        for slot in woken.drain(..) {
+            if let Some(waker) = slot.waker {
+                waker.wake();
+            }
+        }
+        // Hand the emptied buffer back: nothing parks while the flag is
+        // set, so it sits unused until the flag is lowered again — at which
+        // point the retained capacity makes the next round of waiters
+        // allocation-free.
+        let mut st = this.borrow_mut();
+        if st.waiters.slots.capacity() == 0 {
+            st.waiters.slots = woken;
+        }
+    }
+}
+
+/// Resolves once its latch's flag is set (immediately if it already is):
+/// the future behind [`Gate::wait`] and [`TaskGroup::cancelled`]. Parked, it
+/// holds one registration, which it gives back when dropped.
+pub struct LatchWait {
+    latch: Rc<RefCell<Latch>>,
+    ticket: Option<Ticket>,
+}
+
+impl Future for LatchWait {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        let mut st = this.latch.borrow_mut();
+        if st.set {
+            return Poll::Ready(());
+        }
+        st.waiters.park(&mut this.ticket, cx.waker());
+        Poll::Pending
+    }
+}
+
+impl Drop for LatchWait {
+    fn drop(&mut self) {
+        self.latch.borrow_mut().waiters.release(&mut self.ticket);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Gate (one-shot broadcast)
+// ---------------------------------------------------------------------------
 
 /// A one-shot broadcast gate: any number of tasks [`Gate::wait`] until one
 /// call to [`Gate::open`] releases them all.
@@ -424,7 +593,7 @@ struct GateState {
 /// makes one per batch).
 #[derive(Clone)]
 pub struct Gate {
-    state: Rc<RefCell<GateState>>,
+    state: Rc<RefCell<Latch>>,
 }
 
 impl Default for Gate {
@@ -441,15 +610,12 @@ impl Gate {
     }
 
     /// Creates a closed gate with room for `waiters` parked tasks before
-    /// the waker list reallocates. Use when the waiter count is known up
+    /// the wait list reallocates. Use when the waiter count is known up
     /// front (the shared-log batcher sizes gates to the batch cap).
     #[must_use]
     pub fn with_capacity(waiters: usize) -> Gate {
         Gate {
-            state: Rc::new(RefCell::new(GateState {
-                open: false,
-                wakers: Vec::with_capacity(waiters),
-            })),
+            state: Latch::with_capacity(waiters),
         }
     }
 
@@ -457,88 +623,55 @@ impl Gate {
     /// *last* reference, so no task can ever observe an open gate turning
     /// closed (the one-shot contract holds for every observer). Returns
     /// whether the reset happened; on `false` the caller should allocate a
-    /// fresh gate. Retains the waker list's capacity, which is the point:
+    /// fresh gate. Retains the wait list's capacity, which is the point:
     /// a recycled gate parks its next round of waiters allocation-free.
     #[must_use]
     pub fn try_reset(&self) -> bool {
         if Rc::strong_count(&self.state) != 1 {
             return false;
         }
-        let mut st = self.state.borrow_mut();
-        st.open = false;
-        // Wakers left by waiters whose futures died before the open; with
-        // a strong count of 1 no live future references this gate, so
-        // dropping them is exactly what dropping the gate would have done.
-        st.wakers.clear();
+        self.state.borrow_mut().set = false;
         true
     }
 
     /// Opens the gate, waking every waiter. Idempotent.
     pub fn open(&self) {
-        let mut wakers = {
-            let mut st = self.state.borrow_mut();
-            st.open = true;
-            std::mem::take(&mut st.wakers)
-        };
-        for w in wakers.drain(..) {
-            w.wake();
-        }
-        // Hand the emptied buffer back: waiting on an open gate never
-        // parks, so the buffer sits unused until a [`Gate::try_reset`]
-        // recycles the gate — at which point the retained capacity is what
-        // makes the next round of waiters allocation-free.
-        let mut st = self.state.borrow_mut();
-        if st.wakers.capacity() == 0 {
-            st.wakers = wakers;
-        }
+        Latch::raise(&self.state);
     }
 
     /// True once the gate has been opened.
     #[must_use]
     pub fn is_open(&self) -> bool {
-        self.state.borrow().open
+        self.state.borrow().set
     }
 
-    /// Number of tasks currently parked on the gate (test/introspection
-    /// helper; waiters whose futures were dropped may still be counted).
+    /// Number of live [`Gate::wait`] futures currently parked on the gate
+    /// (test/introspection helper). Exact: a waiter dropped before the open
+    /// takes its registration with it.
     #[must_use]
     pub fn waiters(&self) -> usize {
-        self.state.borrow().wakers.len()
+        self.state.borrow().waiters.len()
     }
 
     /// Resolves once the gate is open (immediately if it already is).
     #[must_use]
     pub fn wait(&self) -> GateWait {
-        GateWait { gate: self.clone() }
+        LatchWait {
+            latch: self.state.clone(),
+            ticket: None,
+        }
     }
 }
 
 impl std::fmt::Debug for Gate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let st = self.state.borrow();
-        write!(f, "Gate(open={}, waiters={})", st.open, st.wakers.len())
+        write!(f, "Gate(open={}, waiters={})", st.set, st.waiters.len())
     }
 }
 
 /// Future returned by [`Gate::wait`].
-pub struct GateWait {
-    gate: Gate,
-}
-
-impl Future for GateWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.gate.state.borrow_mut();
-        if st.open {
-            return Poll::Ready(());
-        }
-        if !st.wakers.iter().any(|w| w.will_wake(cx.waker())) {
-            st.wakers.push(cx.waker().clone());
-        }
-        Poll::Pending
-    }
-}
+pub type GateWait = LatchWait;
 
 // ---------------------------------------------------------------------------
 // TaskGroup (cancellable)
@@ -555,15 +688,6 @@ impl std::fmt::Display for Cancelled {
 }
 impl std::error::Error for Cancelled {}
 
-struct GroupState {
-    cancelled: bool,
-    /// Bumped on [`TaskGroup::reset`]; wakers registered under an older
-    /// epoch are woken on cancel and re-check the flag, so a stale waker
-    /// can never observe a later epoch's cancellation as its own.
-    epoch: u64,
-    wakers: Vec<Waker>,
-}
-
 /// A cancellable group of cooperating futures.
 ///
 /// Futures join the group by running inside [`TaskGroup::run`], which
@@ -576,9 +700,13 @@ struct GroupState {
 /// The wrapper polls the inner future directly on the same task: when the
 /// group is never cancelled, scheduling is bit-identical to running the
 /// future bare (no extra tasks, timers, or RNG draws).
+///
+/// A member costs the group one registration while it is parked and nothing
+/// once it has completed or been dropped, so a long-lived group's footprint
+/// and per-poll cost follow the work in flight, not the work ever served.
 #[derive(Clone)]
 pub struct TaskGroup {
-    state: Rc<RefCell<GroupState>>,
+    state: Rc<RefCell<Latch>>,
 }
 
 impl Default for TaskGroup {
@@ -592,40 +720,44 @@ impl TaskGroup {
     #[must_use]
     pub fn new() -> TaskGroup {
         TaskGroup {
-            state: Rc::new(RefCell::new(GroupState {
-                cancelled: false,
-                epoch: 0,
-                wakers: Vec::new(),
-            })),
+            state: Latch::with_capacity(0),
         }
     }
 
     /// Cancels the group: every future inside [`TaskGroup::run`] resolves to
     /// `Err(Cancelled)` at its next poll, and its inner future is dropped.
-    /// Idempotent; the group stays cancelled until [`TaskGroup::reset`].
+    /// Each parked member is woken exactly once, in the order the members
+    /// first parked. Idempotent; the group stays cancelled until
+    /// [`TaskGroup::reset`].
     pub fn cancel(&self) {
-        let wakers = {
-            let mut st = self.state.borrow_mut();
-            st.cancelled = true;
-            std::mem::take(&mut st.wakers)
-        };
-        for w in wakers {
-            w.wake();
-        }
+        Latch::raise(&self.state);
     }
 
     /// Re-arms a cancelled group (the failure domain recovered).
+    ///
+    /// Cancellation is a level read at poll time, not an event delivered to
+    /// each member: a member that [`TaskGroup::cancel`] woke but that has not
+    /// been polled yet when `reset` runs finds the group live, never observes
+    /// the cancellation, and carries on (parking afresh, behind any member
+    /// that parked in between). To tear work down reliably, let the woken
+    /// members run before resetting — the runtime separates a node's crash
+    /// from its recovery by virtual time.
     pub fn reset(&self) {
-        let mut st = self.state.borrow_mut();
-        st.cancelled = false;
-        st.epoch += 1;
-        st.wakers.clear();
+        self.state.borrow_mut().set = false;
     }
 
     /// True while the group is cancelled.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        self.state.borrow().cancelled
+        self.state.borrow().set
+    }
+
+    /// Number of live [`TaskGroup::run`] / [`TaskGroup::cancelled`] futures
+    /// currently parked in the group (test/introspection helper; the mirror
+    /// of [`Gate::waiters`]).
+    #[must_use]
+    pub fn members(&self) -> usize {
+        self.state.borrow().waiters.len()
     }
 
     /// Runs `fut` under the group: yields `Ok(output)` on completion, or
@@ -635,6 +767,7 @@ impl TaskGroup {
         RunCancellable {
             group: self.clone(),
             fut: Some(Box::pin(fut)),
+            ticket: None,
         }
     }
 
@@ -642,15 +775,9 @@ impl TaskGroup {
     /// it already is).
     #[must_use]
     pub fn cancelled(&self) -> CancelledFut {
-        CancelledFut {
-            group: self.clone(),
-        }
-    }
-
-    fn register(&self, waker: &Waker) {
-        let mut st = self.state.borrow_mut();
-        if !st.wakers.iter().any(|w| w.will_wake(waker)) {
-            st.wakers.push(waker.clone());
+        LatchWait {
+            latch: self.state.clone(),
+            ticket: None,
         }
     }
 }
@@ -660,8 +787,9 @@ impl std::fmt::Debug for TaskGroup {
         let st = self.state.borrow();
         write!(
             f,
-            "TaskGroup(cancelled={}, epoch={})",
-            st.cancelled, st.epoch
+            "TaskGroup(cancelled={}, members={})",
+            st.set,
+            st.waiters.len()
         )
     }
 }
@@ -670,6 +798,21 @@ impl std::fmt::Debug for TaskGroup {
 pub struct RunCancellable<F: Future> {
     group: TaskGroup,
     fut: Option<Pin<Box<F>>>,
+    ticket: Option<Ticket>,
+}
+
+impl<F: Future> RunCancellable<F> {
+    /// Drops the inner future and gives the registration back. Called at
+    /// the completion or cancellation instant — teardown does not wait for
+    /// the wrapper to be dropped — and again, harmlessly, on drop.
+    fn finish(&mut self) {
+        self.fut = None;
+        self.group
+            .state
+            .borrow_mut()
+            .waiters
+            .release(&mut self.ticket);
+    }
 }
 
 impl<F: Future> Future for RunCancellable<F> {
@@ -677,9 +820,7 @@ impl<F: Future> Future for RunCancellable<F> {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         if self.group.is_cancelled() {
-            // Drop the inner future now: teardown happens at the
-            // cancellation instant, not when the wrapper is dropped.
-            self.fut = None;
+            self.finish();
             return Poll::Ready(Err(Cancelled));
         }
         let fut = self
@@ -688,34 +829,27 @@ impl<F: Future> Future for RunCancellable<F> {
             .expect("RunCancellable polled after completion");
         match fut.as_mut().poll(cx) {
             Poll::Ready(v) => {
-                self.fut = None;
+                self.finish();
                 Poll::Ready(Ok(v))
             }
             Poll::Pending => {
-                self.group.register(cx.waker());
+                let this = &mut *self;
+                let mut st = this.group.state.borrow_mut();
+                st.waiters.park(&mut this.ticket, cx.waker());
                 Poll::Pending
             }
         }
     }
 }
 
-/// Future returned by [`TaskGroup::cancelled`].
-pub struct CancelledFut {
-    group: TaskGroup,
-}
-
-impl Future for CancelledFut {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if self.group.is_cancelled() {
-            Poll::Ready(())
-        } else {
-            self.group.register(cx.waker());
-            Poll::Pending
-        }
+impl<F: Future> Drop for RunCancellable<F> {
+    fn drop(&mut self) {
+        self.finish();
     }
 }
+
+/// Future returned by [`TaskGroup::cancelled`].
+pub type CancelledFut = LatchWait;
 
 #[cfg(test)]
 mod tests {

@@ -2,6 +2,10 @@
 # Tier-1 verification plus a bench smoke run.
 #
 # Tier-1 (ROADMAP.md): release build + quiet test suite.
+# Substrate tests: tier-1's `cargo test -q` covers the root package only,
+# so the executor and sync-primitive unit tests and the per-backend
+# contract suite (crates/substrate/tests/sync_contracts.rs: FIFO/ordering
+# contracts and the one-registration-per-live-waiter bound) run here.
 # Lints: clippy across all targets with warnings denied.
 # Bench smoke: runs bench_sim_core at HM_BENCH_SCALE=0.05 (~1 s budget) and
 # asserts it completes and writes parseable JSON with the expected fields.
@@ -87,6 +91,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== substrate: cargo test -q -p hm-sim -p hm-substrate =="
+cargo test -q -p hm-sim -p hm-substrate
 
 echo "== lints: cargo clippy --all-targets -D warnings (+ hot-path clone lints) =="
 cargo clippy -q --all-targets -- -D warnings \
