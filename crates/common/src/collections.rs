@@ -118,8 +118,23 @@ impl<const N: usize> From<[Tag; N]> for TagSet {
 }
 
 impl FromIterator<Tag> for TagSet {
+    /// Fills the inline slots first, so collecting up to
+    /// [`TAGSET_INLINE`] tags never touches the heap.
     fn from_iter<I: IntoIterator<Item = Tag>>(iter: I) -> TagSet {
-        TagSet::from_vec(iter.into_iter().collect())
+        let mut set = TagSet::from_slice(&[]);
+        for tag in iter {
+            let len = set.len as usize;
+            if len < TAGSET_INLINE {
+                set.inline[len] = tag;
+            } else {
+                if len == TAGSET_INLINE {
+                    set.spill.extend_from_slice(&set.inline);
+                }
+                set.spill.push(tag);
+            }
+            set.len += 1;
+        }
+        set
     }
 }
 

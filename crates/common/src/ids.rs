@@ -8,6 +8,7 @@
 //! `(cursorTS, consecutiveW)` version number (§4.2).
 
 use std::fmt;
+use std::rc::Rc;
 
 /// A sequence number assigned by the shared log's sequencer.
 ///
@@ -182,13 +183,24 @@ impl fmt::Debug for StepNum {
 }
 
 /// An object key in the external state store.
+///
+/// The name is a shared `Rc<str>`: keys are cloned into log records, the
+/// store, the recorder and the GC's bookkeeping many times per request,
+/// and every one of those clones is a refcount bump. `Hash`, `Ord` and
+/// `Eq` are `str`'s.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Key(pub String);
+pub struct Key(Rc<str>);
 
 impl Key {
     /// Builds a key from anything string-like.
-    pub fn new(s: impl Into<String>) -> Key {
+    pub fn new(s: impl Into<Rc<str>>) -> Key {
         Key(s.into())
+    }
+
+    /// The key's name.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.0
     }
 
     /// The per-object write-log tag (Halfmoon-read, §4.1).
@@ -230,7 +242,7 @@ impl From<&str> for Key {
 
 impl From<String> for Key {
     fn from(s: String) -> Key {
-        Key(s)
+        Key::new(s)
     }
 }
 

@@ -6,7 +6,6 @@
 //! encoded size so that the storage-overhead experiments (§6.3) can account
 //! for bytes the way DynamoDB would.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -51,8 +50,9 @@ pub enum Value {
     },
     /// Ordered list.
     List(Rc<Vec<Value>>),
-    /// String-keyed map (ordered for deterministic iteration).
-    Map(Rc<BTreeMap<String, Value>>),
+    /// String-keyed map: one shared block of entries, sorted by key and
+    /// free of duplicates (deterministic iteration, one allocation).
+    Map(Rc<[(&'static str, Value)]>),
 }
 
 impl Value {
@@ -63,15 +63,21 @@ impl Value {
         Value::Blob { len, fingerprint }
     }
 
-    /// Builds a map value from key/value pairs.
+    /// Builds a map value from key/value pairs, in any order; of entries
+    /// with the same key the last one wins.
     #[must_use]
-    pub fn map<const N: usize>(entries: [(&str, Value); N]) -> Value {
-        Value::Map(Rc::new(
-            entries
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        ))
+    pub fn map<const N: usize>(mut entries: [(&'static str, Value); N]) -> Value {
+        // Stable, so of entries with equal keys the last given stays last.
+        entries.sort_by_key(|(k, _)| *k);
+        let mut kept = 0;
+        for i in 0..N {
+            if i + 1 == N || entries[i].0 != entries[i + 1].0 {
+                entries.swap(kept, i);
+                kept += 1;
+            }
+        }
+        // The iterator knows its length, so this is one block and no copy.
+        Value::Map(entries.into_iter().take(kept).collect())
     }
 
     /// Builds a list value.
@@ -154,17 +160,19 @@ impl Value {
 
     /// Returns the map payload, if this is a `Map`.
     #[must_use]
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_map(&self) -> Option<&[(&'static str, Value)]> {
         match self {
-            Value::Map(entries) => Some(&**entries),
+            Value::Map(entries) => Some(&entries[..]),
             _ => None,
         }
     }
 
-    /// Looks up a map field.
+    /// Looks up a map field (a scan: maps hold a handful of entries).
     #[must_use]
     pub fn get(&self, field: &str) -> Option<&Value> {
-        self.as_map().and_then(|m| m.get(field))
+        self.as_map()?
+            .iter()
+            .find_map(|(k, v)| (*k == field).then_some(v))
     }
 
     /// True if this is `Null`.
@@ -209,7 +217,10 @@ impl fmt::Debug for Value {
             Value::Bytes(b) => write!(f, "{b:?}"),
             Value::Blob { len, fingerprint } => write!(f, "blob[{len}B;{fingerprint:x}]"),
             Value::List(items) => f.debug_list().entries(items.iter()).finish(),
-            Value::Map(entries) => f.debug_map().entries(entries.iter()).finish(),
+            Value::Map(entries) => f
+                .debug_map()
+                .entries(entries.iter().map(|(k, v)| (k, v)))
+                .finish(),
         }
     }
 }

@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use hm_common::anatomy::{Anatomy, Phase as AnatomyPhase, PhaseSheet};
 use hm_common::trace::{Lane, SpanId, TraceId, Tracer};
-use hm_common::{FxHashMap, HmError, HmResult, InstanceId, Key, NodeId, SeqNum, StepNum, Tag, Value};
+use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, SeqNum, StepNum, Tag, TagSet, Value};
 use hm_sharedlog::{CondAppendOutcome, LogRecord};
 
 use crate::client::{finish_log_tag, init_log_tag, transition_log_tag, Client, OpKind};
@@ -80,8 +80,6 @@ pub struct Env {
     pub init_cursor: SeqNum,
     /// Transition-log resolution, cached after first object access.
     resolved_mode: Option<ObjectMode>,
-    /// Static per-key resolutions (cheap cache of config lookups).
-    resolved_static: FxHashMap<Key, ProtocolKind>,
     /// True when the whole deployment runs the unsafe baseline: no init,
     /// finish, or operation logging at all.
     unlogged: bool,
@@ -214,7 +212,6 @@ impl Env {
             crash_point: 0,
             init_cursor: SeqNum::ZERO,
             resolved_mode: None,
-            resolved_static: FxHashMap::default(),
             unlogged,
             input,
             tracer,
@@ -292,7 +289,7 @@ impl Env {
             None => {
                 let input = env.input.clone();
                 let rec = env
-                    .log_step(vec![init_log_tag()], OpRecord::Init { input })
+                    .log_step(&[init_log_tag()], OpRecord::Init { input })
                     .await
                     .inspect_err(|_| env.op_end(init_span))?;
                 if let OpRecord::Init { input } = &rec.payload.op {
@@ -345,7 +342,7 @@ impl Env {
     /// position, and cursor to the (possibly adopted) record.
     pub(crate) async fn log_step(
         &mut self,
-        extra_tags: Vec<Tag>,
+        extra_tags: &[Tag],
         op: OpRecord,
     ) -> HmResult<Rc<LogRecord<StepRecord>>> {
         let step_tag = self.id.step_log_tag();
@@ -354,8 +351,9 @@ impl Env {
             step: self.step,
             op,
         };
-        let mut tags = vec![step_tag];
-        tags.extend(extra_tags);
+        let tags: TagSet = std::iter::once(step_tag)
+            .chain(extra_tags.iter().copied())
+            .collect();
         self.set_trace_ctx();
         let outcome = self
             .client
@@ -592,12 +590,9 @@ impl Env {
             self.resolved_mode = Some(mode);
             return Ok(mode);
         }
-        if let Some(kind) = self.resolved_static.get(key) {
-            return Ok(ObjectMode::Plain(*kind));
-        }
-        let kind = self.client.with_config(|c| c.static_protocol(key));
-        self.resolved_static.insert(key.clone(), kind);
-        Ok(ObjectMode::Plain(kind))
+        Ok(ObjectMode::Plain(
+            self.client.with_config(|c| c.static_protocol(key)),
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -818,7 +813,7 @@ impl Env {
         let result = invoker.invoke(callee, func, input).await?;
         self.maybe_crash()?;
         let rec = self
-            .log_step(Vec::new(), OpRecord::Invoke { callee, result })
+            .log_step(&[], OpRecord::Invoke { callee, result })
             .await?;
         let OpRecord::Invoke { callee, result } = rec.payload.op.clone() else {
             return Err(self.replay_mismatch("Invoke", &rec.payload));
@@ -857,7 +852,7 @@ impl Env {
             };
         }
         self.maybe_crash()?;
-        self.log_step(Vec::new(), OpRecord::Sync).await?;
+        self.log_step(&[], OpRecord::Sync).await?;
         Ok(())
     }
 
@@ -895,7 +890,7 @@ impl Env {
         self.maybe_crash()?;
         let rec = self
             .log_step(
-                vec![finish_log_tag()],
+                &[finish_log_tag()],
                 OpRecord::Finish {
                     init_seqnum: self.init_cursor,
                     result,

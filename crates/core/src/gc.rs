@@ -105,6 +105,9 @@ impl GarbageCollector {
         // independent, so they run concurrently (a real GC batches them).
         let mut reclaim_handles = Vec::new();
         let mut orphan_deletes: Vec<(Key, VersionNum)> = Vec::new();
+        // One snapshot serves the cycle: a key first written after this
+        // point has no record below the watermark, so step 3 would skip it.
+        let written = self.client.written_keys();
         for init in inits.iter().filter(|r| r.seqnum < watermark) {
             stats.instances_reclaimed += 1;
             let instance = init.payload.instance;
@@ -127,9 +130,9 @@ impl GarbageCollector {
                     if !committed {
                         // The intent's target key is not in the record (it
                         // is implied by program position); scan candidates.
-                        for key in self.client.written_keys() {
-                            if self.client.store().peek_version(&key, version).is_some() {
-                                orphan_deletes.push((key, version));
+                        for key in &written {
+                            if self.client.store().peek_version(key, version).is_some() {
+                                orphan_deletes.push((key.clone(), version));
                                 break;
                             }
                         }
@@ -155,7 +158,7 @@ impl GarbageCollector {
 
         // Step 3: object write logs — conditions (a) and (b).
         let mut version_deletes = Vec::new();
-        for key in self.client.written_keys() {
+        for key in &written {
             let tag = key.object_log_tag();
             let stream = self.client.log().peek_stream(tag);
             // Latest *effective* record strictly below the watermark — an
@@ -164,7 +167,7 @@ impl GarbageCollector {
             let below = stream.partition_point(|sn| *sn < watermark);
             let marked_idx = stream[..below].iter().rposition(|sn| {
                 self.client.log().peek_record(*sn).is_some_and(|rec| {
-                    crate::txn::effective_version(&self.client, &rec.payload, *sn, &key).is_some()
+                    crate::txn::effective_version(&self.client, &rec.payload, *sn, key).is_some()
                 })
             });
             let Some(marked_idx) = marked_idx else {
@@ -177,7 +180,7 @@ impl GarbageCollector {
             let marked_prev = stream[marked_idx - 1];
             for sn in &stream[..marked_idx] {
                 if let Some(rec) = self.client.log().peek_record(*sn) {
-                    if let Some(version) = rec.payload.version_for(&key) {
+                    if let Some(version) = rec.payload.version_for(key) {
                         version_deletes.push((key.clone(), version));
                     }
                 }

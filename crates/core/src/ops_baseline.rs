@@ -46,7 +46,7 @@ impl Env {
         } else {
             let rec = self
                 .log_step(
-                    Vec::new(),
+                    &[],
                     OpRecord::BokiWriteIntent {
                         version: VersionTuple::MIN,
                     },
@@ -82,7 +82,7 @@ impl Env {
             .put_conditional(key, value.clone(), version)
             .await;
         self.maybe_crash()?;
-        self.log_step(Vec::new(), OpRecord::BokiWriteCommit).await?;
+        self.log_step(&[], OpRecord::BokiWriteCommit).await?;
         self.record_event(|| EventKind::CondWrite {
             key: key.clone(),
             fp: value.fingerprint(),

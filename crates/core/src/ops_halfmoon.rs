@@ -85,7 +85,7 @@ impl Env {
         } else {
             let fresh = VersionNum(self.client().ctx().with_rng(|rng| rng.random::<u64>()));
             let rec = self
-                .log_step(Vec::new(), OpRecord::WriteIntent { version: fresh })
+                .log_step(&[], OpRecord::WriteIntent { version: fresh })
                 .await?;
             match rec.payload.op {
                 // On a peer conflict this is the *winner's* version.
@@ -124,7 +124,7 @@ impl Env {
         // write log; its seqnum is the write's logical timestamp.
         let rec = self
             .log_step(
-                vec![key.object_log_tag()],
+                &[key.object_log_tag()],
                 OpRecord::WriteCommit {
                     key: key.clone(),
                     version,
@@ -223,7 +223,7 @@ impl Env {
         self.maybe_crash()?;
         let rec = self
             .log_step(
-                vec![key.object_log_tag()],
+                &[key.object_log_tag()],
                 OpRecord::WriteCommit {
                     key: key.clone(),
                     version,
@@ -273,7 +273,7 @@ impl Env {
         // Lines 14–17: log the result; a losing peer adopts the winner's
         // observed value so all instances continue with identical state.
         let rec = self
-            .log_step(Vec::new(), OpRecord::Read { data: observed })
+            .log_step(&[], OpRecord::Read { data: observed })
             .await?;
         let OpRecord::Read { data } = rec.payload.op.clone() else {
             return Err(self.replay_mismatch("Read", &rec.payload));
@@ -323,7 +323,7 @@ impl Env {
                     _ => return Err(self.replay_mismatch("Sync (write ordering)", &payload)),
                 }
             } else {
-                self.log_step(Vec::new(), OpRecord::Sync).await?;
+                self.log_step(&[], OpRecord::Sync).await?;
             }
         }
         // Lines 2–3: the deterministic version tuple.

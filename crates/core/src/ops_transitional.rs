@@ -67,7 +67,7 @@ impl Env {
         };
         self.maybe_crash()?;
         let rec = self
-            .log_step(Vec::new(), OpRecord::DualRead { data: observed })
+            .log_step(&[], OpRecord::DualRead { data: observed })
             .await?;
         let OpRecord::DualRead { data } = rec.payload.op.clone() else {
             return Err(self.replay_mismatch("DualRead", &rec.payload));
@@ -113,7 +113,7 @@ impl Env {
             .store()
             .get_version(key, version)
             .await
-            .ok_or(hm_common::HmError::MissingVersion { key: key.clone() })
+            .ok_or_else(|| hm_common::HmError::MissingVersion { key: key.clone() })
     }
 
     /// Dual write (§5.2): intent log → install version → conditional LATEST
@@ -133,7 +133,7 @@ impl Env {
         } else {
             let fresh = VersionNum(self.client().ctx().with_rng(|rng| rng.random::<u64>()));
             let rec = self
-                .log_step(Vec::new(), OpRecord::WriteIntent { version: fresh })
+                .log_step(&[], OpRecord::WriteIntent { version: fresh })
                 .await?;
             match rec.payload.op {
                 OpRecord::WriteIntent { version } => version,
@@ -181,7 +181,7 @@ impl Env {
         self.maybe_crash()?;
         let rec = self
             .log_step(
-                vec![key.object_log_tag()],
+                &[key.object_log_tag()],
                 OpRecord::DualWriteCommit {
                     key: key.clone(),
                     version,

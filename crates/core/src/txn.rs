@@ -159,7 +159,7 @@ impl Env {
                 let mut bytes = Vec::with_capacity(20 + key.size_bytes());
                 bytes.extend_from_slice(&self.id.0.to_le_bytes());
                 bytes.extend_from_slice(&step.0.to_le_bytes());
-                bytes.extend_from_slice(key.0.as_bytes());
+                bytes.extend_from_slice(key.as_str().as_bytes());
                 (key.clone(), VersionNum(hm_common::ids::fnv1a(&bytes)))
             })
             .collect();
@@ -205,7 +205,7 @@ impl Env {
             read_set: txn.read_set.iter().cloned().collect(),
             writes: versions.iter().cloned().collect(),
         };
-        let rec = self.log_step(tags, op).await?;
+        let rec = self.log_step(&tags, op).await?;
         let valid = validity(self.client(), &rec.payload, rec.seqnum);
         for (key, _) in &versions {
             self.client().note_written_key(key);
@@ -276,7 +276,7 @@ pub(crate) async fn read_effective_at(
                 .store()
                 .get_version(key, version)
                 .await
-                .ok_or(HmError::MissingVersion { key: key.clone() });
+                .ok_or_else(|| HmError::MissingVersion { key: key.clone() });
         }
         // Aborted transaction commit: invisible — seek past it.
         if rec.seqnum.0 == 0 {

@@ -1332,6 +1332,11 @@ impl<P: Payload> LogService<P> {
             let stream = inner.shards[home].streams.get_mut(&tag).expect("checked above");
             inner.trim_scratch.extend(stream.seqnums.drain(..cut));
             stream.trimmed += cut;
+            if stream.seqnums.is_empty() {
+                // A finished instance's step log stays in the index for
+                // its offset count alone; it must not pin a buffer too.
+                stream.seqnums = Vec::new();
+            }
         }
         inner.freed_scratch.clear();
         inner.freed_scratch.resize(inner.shards.len(), 0);
@@ -1765,6 +1770,25 @@ mod tests {
             // cond_append offsets still count trimmed records.
             let out = l.cond_append(N0, vec![tag], "r5".into(), tag, 5).await;
             assert!(matches!(out, CondAppendOutcome::Appended(_)), "{out:?}");
+            // Trimming the stream empty releases its buffer but not its
+            // offset count: the next record still lands at `trimmed + 0`.
+            l.trim(N0, tag, SeqNum::MAX).await;
+            assert_eq!(l.live_records(), 0);
+            let stream_state = |l: &LogService<String>| {
+                let inner = l.inner.borrow();
+                let home = inner.router.shard_of(tag).0 as usize;
+                let stream = &inner.shards[home].streams[&tag];
+                (stream.trimmed, stream.seqnums.len(), stream.seqnums.capacity())
+            };
+            assert_eq!(stream_state(&l), (6, 0, 0));
+            let stale = l.cond_append(N0, vec![tag], "r6".into(), tag, 5).await;
+            assert!(matches!(stale, CondAppendOutcome::Conflict(_)), "{stale:?}");
+            let out = l.cond_append(N0, vec![tag], "r6".into(), tag, 6).await;
+            let CondAppendOutcome::Appended(sn) = out else {
+                panic!("{out:?}");
+            };
+            assert_eq!(l.peek_stream(tag), vec![sn]);
+            assert_eq!(stream_state(&l).0, 6);
         });
     }
 

@@ -310,12 +310,16 @@ impl TimerWheel {
             if self.occupied[level] & (1 << pos) == 0 {
                 continue;
             }
-            let entries = std::mem::take(&mut self.levels[level][pos]);
+            let mut entries = std::mem::take(&mut self.levels[level][pos]);
             self.occupied[level] &= !(1 << pos);
             self.mins[level][pos] = None;
-            for idx in entries {
+            for idx in entries.drain(..) {
                 self.attach(now_tick, idx);
             }
+            // Every entry went to a finer level, so the bucket is still
+            // empty: hand its buffer back for the next deadline filed here.
+            debug_assert!(self.levels[level][pos].is_empty());
+            self.levels[level][pos] = entries;
         }
     }
 
@@ -952,6 +956,24 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn cascade_keeps_bucket_buffers() {
+        let mut wheel = TimerWheel::new();
+        // 100 ticks ahead is past the near heap: level 1, bucket 1.
+        for _ in 0..8 {
+            wheel.register(0, 100 << TICK_SHIFT);
+        }
+        let capacity = wheel.levels[1][1].capacity();
+        assert_eq!(wheel.levels[1][1].len(), 8);
+        // The clock enters that bucket's window; its timers move to the
+        // near heap and the next timer filed there must not reallocate.
+        wheel.cascade(64);
+        assert_eq!(wheel.near.len(), 8);
+        assert!(wheel.levels[1][1].is_empty());
+        assert_eq!(wheel.levels[1][1].capacity(), capacity);
+        assert_eq!(wheel.occupied[1], 0);
     }
 
     #[test]

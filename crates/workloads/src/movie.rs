@@ -92,13 +92,9 @@ impl Workload for Movie {
                 let stars = input.get("stars").and_then(Value::as_int).unwrap_or(3);
                 let key = Key::new(format!("movie:{movie}:rating"));
                 let current = env.read(&key).await?;
-                let (sum, count) = match current.as_map() {
-                    Some(m) => (
-                        m.get("sum").and_then(Value::as_int).unwrap_or(0),
-                        m.get("count").and_then(Value::as_int).unwrap_or(0),
-                    ),
-                    None => (0, 0),
-                };
+                // A missing rating (Null) reads as zero stars from zero votes.
+                let sum = current.get("sum").and_then(Value::as_int).unwrap_or(0);
+                let count = current.get("count").and_then(Value::as_int).unwrap_or(0);
                 env.write(
                     &key,
                     Value::map([

@@ -10,6 +10,7 @@
 //! The gateway factory pre-samples the whole operation list into the
 //! request input so function bodies stay deterministic.
 
+use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use halfmoon::Client;
@@ -19,9 +20,32 @@ use rand::RngExt;
 
 use crate::Workload;
 
+/// `"o"` and a formatted `i64` are at most 21 bytes.
+#[derive(Default)]
+struct NameBuf {
+    bytes: [u8; 24],
+    len: usize,
+}
+
+impl fmt::Write for NameBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        self.bytes
+            .get_mut(self.len..end)
+            .ok_or(fmt::Error)?
+            .copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
+    }
+}
+
 fn obj_key(i: i64) -> Key {
-    // 8-byte keys, mirroring the paper's setup.
-    Key::new(format!("o{i:07}"))
+    // 8-byte keys, mirroring the paper's setup. Every operation makes one,
+    // so the name is formatted on the stack and copied once, into the
+    // key's shared buffer.
+    let mut name = NameBuf::default();
+    write!(name, "o{i:07}").expect("the name fits");
+    Key::new(std::str::from_utf8(&name.bytes[..name.len]).expect("whole strs were written"))
 }
 
 /// The 1-read-1-write microbenchmark SSF (§6.1).
@@ -179,5 +203,17 @@ impl Workload for SyntheticOps {
                 Value::map([("ops", Value::list(ops))]),
             )
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn obj_key_is_the_zero_padded_name() {
+        for i in [0, 42, 9_999_999, 10_000_000, -5, i64::MIN, i64::MAX] {
+            assert_eq!(obj_key(i).as_str(), format!("o{i:07}"));
+        }
     }
 }

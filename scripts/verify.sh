@@ -143,6 +143,9 @@ echo "== alloc-budget smoke: hot_path_alloc vs scripts/alloc_budget.json =="
 # Full scale: allocation rates amortize pool warmup over the real op count,
 # so the checked-in budget can sit tight (~20%) over the measured steady
 # state instead of leaving smoke-scale slack a regression could hide in.
+# The same file's `request_path` entries (allocations per end-to-end
+# request under each Halfmoon protocol) are held by
+# tests/request_alloc_budget.rs, which tier-1's `cargo test -q` above runs.
 aout="$(mktemp -t bench_alloc.XXXXXX.json)"
 trap 'rm -f "$out" "$aout"' EXIT
 HM_BENCH_OUT="$aout" \

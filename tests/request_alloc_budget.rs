@@ -1,0 +1,93 @@
+//! Allocation budget of the request path: what one open-loop request of
+//! the §6.3 synthetic function costs the host allocator, end to end
+//! (factory, gateway, runtime, protocol, log, store), under each Halfmoon
+//! protocol. A seeded simulation allocates deterministically, so a
+//! reintroduced per-op clone or per-map node shows here as a count, where
+//! wall time on a loaded box would hide it.
+//!
+//! Its own test binary: the counting allocator is process-global, and a
+//! single `#[test]` keeps other threads' allocations out of the count.
+
+use std::time::Duration;
+
+use halfmoon::{Client, ProtocolKind};
+use hm_bench::alloc::{AllocSnapshot, CountingAlloc};
+use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
+use hm_substrate::sim::Sim;
+use hm_workloads::synthetic::SyntheticOps;
+use hm_workloads::Workload;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(requests, allocations)` of ≈2 000 measured requests at 1 000 req/s,
+/// after ≈200 warm-up requests filled the pools and grew the tables.
+fn measure(protocol: ProtocolKind) -> (u64, u64) {
+    let mut sim = Sim::new(20230923);
+    let client = Client::builder(sim.ctx()).protocol(protocol).build();
+    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
+    let workload = SyntheticOps::default();
+    workload.register(&runtime);
+    workload.populate(&client);
+    let gateway = Gateway::new(runtime);
+    let spec = |duration| LoadSpec {
+        rate_per_sec: 1000.0,
+        duration,
+        warmup: Duration::ZERO,
+        factory: workload.factory(),
+    };
+    let (warmup, load) = (
+        spec(Duration::from_millis(200)),
+        spec(Duration::from_secs(2)),
+    );
+    sim.block_on(async move {
+        gateway.run_open_loop(warmup).await;
+        let before = AllocSnapshot::take();
+        let report = gateway.run_open_loop(load).await;
+        let allocs = AllocSnapshot::take().since(&before).allocs;
+        assert_eq!(report.errors, 0);
+        assert_eq!(report.completed, report.generated);
+        (report.generated, allocs)
+    })
+}
+
+/// The `"allocs_per_request"` entry of `request_path.<protocol>` in
+/// `scripts/alloc_budget.json`.
+fn budget(protocol: &str) -> f64 {
+    let json = include_str!("../scripts/alloc_budget.json");
+    let section = &json[json.find("\"request_path\"").expect("request_path section")..];
+    let entry = &section[section
+        .find(&format!("\"{protocol}\""))
+        .expect("protocol entry")..];
+    let field = "\"allocs_per_request\":";
+    let value = &entry[entry.find(field).expect("allocs_per_request field") + field.len()..];
+    let end = value.find(['}', ',']).expect("end of number");
+    value[..end].trim().parse().expect("a number")
+}
+
+#[test]
+fn request_path_stays_within_its_allocation_budget() {
+    for (protocol, name) in [
+        (ProtocolKind::HalfmoonRead, "halfmoon_read"),
+        (ProtocolKind::HalfmoonWrite, "halfmoon_write"),
+    ] {
+        let (requests, allocs) = measure(protocol);
+        assert!(
+            (1800..2200).contains(&requests),
+            "{name}: {requests} requests"
+        );
+        assert_eq!(
+            measure(protocol),
+            (requests, allocs),
+            "{name}: two runs of one seed must allocate identically"
+        );
+        let per_request = allocs as f64 / requests as f64;
+        let cap = budget(name);
+        println!("{name}: {per_request:.2} allocations per request (budget {cap})");
+        assert!(
+            per_request <= cap,
+            "{name}: {per_request:.2} allocations per request exceed the budget of {cap} \
+             (scripts/alloc_budget.json)"
+        );
+    }
+}
