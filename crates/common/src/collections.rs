@@ -377,6 +377,19 @@ impl<K: Hash + Eq + Copy> LruSet<K> {
         true
     }
 
+    /// Removes `key` if present, returning whether it was. Not an eviction
+    /// (the owner dropped the key; nothing was displaced to make room):
+    /// [`LruSet::evictions`] is unchanged, the other keys keep their
+    /// recency order, and the freed slab slot is reused by a later insert.
+    pub fn remove(&mut self, key: &K) -> bool {
+        let Some(idx) = self.map.remove(key) else {
+            return false;
+        };
+        self.unlink(idx);
+        self.free.push(idx);
+        true
+    }
+
     /// Drops every key at once (a cold restart of the cache's owner).
     /// The eviction counter is preserved: cleared keys were lost with
     /// their owner, not evicted to make room.
@@ -489,6 +502,58 @@ mod tests {
         assert_eq!(lru.evictions(), 49);
         // Slab slots are recycled, not leaked.
         assert!(lru.nodes.len() <= 2);
+    }
+
+    /// Keys from most- to least-recently used.
+    fn recency(lru: &LruSet<u64>) -> Vec<u64> {
+        let mut out = Vec::new();
+        let mut idx = lru.head;
+        while idx != NIL {
+            out.push(lru.nodes[idx as usize].key);
+            idx = lru.nodes[idx as usize].next;
+        }
+        out
+    }
+
+    #[test]
+    fn lru_remove_keeps_order_reuses_slots_and_is_not_an_eviction() {
+        let mut lru: LruSet<u64> = LruSet::new(8);
+        for k in 1..=5 {
+            lru.insert(k);
+        }
+        assert_eq!(recency(&lru), vec![5, 4, 3, 2, 1]);
+        assert!(lru.remove(&3), "middle");
+        assert_eq!(recency(&lru), vec![5, 4, 2, 1]);
+        assert!(lru.remove(&5), "head");
+        assert_eq!(recency(&lru), vec![4, 2, 1]);
+        assert!(lru.remove(&1), "tail");
+        assert_eq!(recency(&lru), vec![4, 2]);
+        assert!(!lru.remove(&1), "absent key is a no-op");
+        assert!(!lru.remove(&99));
+        assert_eq!(recency(&lru), vec![4, 2]);
+        assert_eq!((lru.len(), lru.evictions()), (2, 0));
+        assert!(!lru.contains(&3) && lru.contains(&4));
+        // The three freed slots are reused before the slab grows.
+        for k in 10..13 {
+            assert!(lru.insert(k));
+        }
+        assert_eq!(lru.nodes.len(), 5);
+        assert_eq!(recency(&lru), vec![12, 11, 10, 4, 2]);
+        // Eviction still takes the true tail, and removing down to empty
+        // leaves a usable set.
+        let mut small: LruSet<u64> = LruSet::new(2);
+        small.insert(1);
+        small.insert(2);
+        small.remove(&1);
+        small.insert(3);
+        assert_eq!(small.evictions(), 0, "the removed key's room was free");
+        small.insert(4);
+        assert_eq!((recency(&small), small.evictions()), (vec![4, 3], 1));
+        small.remove(&4);
+        small.remove(&3);
+        assert!(small.is_empty() && recency(&small).is_empty());
+        small.insert(7);
+        assert_eq!(recency(&small), vec![7]);
     }
 
     #[test]

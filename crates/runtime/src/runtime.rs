@@ -2,7 +2,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use halfmoon::{Client, Env, InvocationSpec, Invoker, LocalBoxFuture};
 use hm_common::anatomy::{Phase as AnatomyPhase, PhaseSheet};
@@ -123,7 +123,12 @@ impl Runtime {
                 node_crashes: Cell::new(0),
             }),
         };
-        rt.inner.client.register_invoker(Rc::new(rt.clone()));
+        // The client must not keep its own runtime alive: the runtime owns
+        // the client, so a strong handle here would be a cycle that leaks
+        // the whole deployment (log, store, registry) per runtime built.
+        rt.inner
+            .client
+            .register_invoker(Rc::new(ChildInvoker(Rc::downgrade(&rt.inner))));
         rt
     }
 
@@ -502,17 +507,25 @@ impl Runtime {
     }
 }
 
-impl Invoker for Runtime {
+/// What the client holds to run child invocations: the runtime, weakly.
+struct ChildInvoker(Weak<RuntimeInner>);
+
+impl Invoker for ChildInvoker {
     fn invoke(
         &self,
         callee: InstanceId,
         func: &str,
         input: Value,
     ) -> LocalBoxFuture<'static, HmResult<Value>> {
+        let Some(inner) = self.0.upgrade() else {
+            return Box::pin(std::future::ready(Err(HmError::config(
+                "the runtime serving this deployment was dropped",
+            ))));
+        };
         // Child invocations do not re-enter admission control: the parent
         // already holds a request slot, and nesting would deadlock a
         // saturated pool. They still pay dispatch and full retry handling.
-        let rt = self.clone();
+        let rt = Runtime { inner };
         let func = func.to_string();
         Box::pin(async move { rt.execute(callee, &func, input).await })
     }

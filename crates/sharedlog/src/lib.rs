@@ -76,12 +76,14 @@ mod payload;
 mod router;
 mod service;
 mod shard;
+mod slab;
 
 pub use partition::{RemoteAppend, ShardPlacement};
 pub use payload::Payload;
 pub use router::{shard_for_tag, GlobalSeqNum, ShardId, Topology};
 pub use service::{CondAppendOutcome, LogConfig, LogService, ReplayStats};
 pub use shard::{FlushStats, LogRecord, RECORD_META_BYTES};
+pub use slab::SEG as SLAB_SEGMENT_RECORDS;
 
 /// The pre-sharding name for the log handle; an alias for the routed
 /// facade so existing call sites keep compiling unchanged.

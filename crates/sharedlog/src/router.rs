@@ -16,9 +16,10 @@
 //! the next value of a single dense counter. Each shard still has its own
 //! sequencer *lane* (its own admission queue, capacity, and trace lane);
 //! only the counter is shared. The composite [`GlobalSeqNum`] carries the
-//! owning shard alongside the globally comparable position, and the
-//! router's seqnum index maps any seqnum back to its owning shard's slab
-//! slot in O(1).
+//! owning shard alongside the globally comparable position. Because the
+//! counter is dense, it doubles as the address of the record: the
+//! service-wide slab (`slab` module) owns the clock and stores the record
+//! drawn at seqnum `n` in slot `n - 1`.
 //!
 //! Placement is deterministic: `shard(tag) = fxhash(tag) % shards`, so
 //! every node, the GC, and the metrics layer agree on where a sub-stream
@@ -91,7 +92,7 @@ impl Topology {
 /// routing metadata.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct GlobalSeqNum {
-    /// Shard whose slab stores the record.
+    /// Shard whose storage group holds the record.
     pub shard: ShardId,
     /// Position in the shared total order.
     pub seq: SeqNum,
@@ -121,55 +122,6 @@ pub fn shard_for_tag(tag: Tag, shards: u8) -> ShardId {
     h.write_u64(tag.0);
     #[allow(clippy::cast_possible_truncation)]
     ShardId((h.finish() % u64::from(shards)) as u8)
-}
-
-/// The routing core: placement plus the shared clock and the global
-/// seqnum→slot index.
-pub(crate) struct Router {
-    topology: Topology,
-    next_seqnum: SeqNum,
-    /// `seqnum - 1` → `(shard, slot in that shard's slab)`. Seqnums are
-    /// dense across shards, so this is a flat vector, not a map.
-    seq_index: Vec<(u8, u32)>,
-}
-
-impl Router {
-    pub(crate) fn new(topology: Topology) -> Router {
-        Router {
-            topology,
-            next_seqnum: SeqNum(1),
-            seq_index: Vec::new(),
-        }
-    }
-
-    pub(crate) fn shard_of(&self, tag: Tag) -> ShardId {
-        shard_for_tag(tag, self.topology.shards)
-    }
-
-    /// The seqnum the next sequencing decision will receive.
-    pub(crate) fn head(&self) -> SeqNum {
-        self.next_seqnum
-    }
-
-    /// Draws the next value of the shared clock for a record stored at
-    /// `slot` in `shard`'s slab.
-    pub(crate) fn assign(&mut self, shard: u8, slot: u32) -> SeqNum {
-        let seqnum = self.next_seqnum;
-        self.next_seqnum = seqnum.next();
-        debug_assert_eq!(
-            self.seq_index.len() as u64 + 1,
-            seqnum.0,
-            "the shared clock must stay dense"
-        );
-        self.seq_index.push((shard, slot));
-        seqnum
-    }
-
-    /// Maps a seqnum back to `(shard, slot)`, if it was ever assigned.
-    pub(crate) fn locate(&self, sn: SeqNum) -> Option<(u8, u32)> {
-        let idx = sn.0.checked_sub(1)? as usize;
-        self.seq_index.get(idx).copied()
-    }
 }
 
 #[cfg(test)]
@@ -221,19 +173,5 @@ mod tests {
             seq: SeqNum(9),
         };
         assert!(a < b, "ordering ignores the shard component");
-    }
-
-    #[test]
-    fn router_clock_is_dense_and_locatable() {
-        let mut r = Router::new(Topology::sharded(4));
-        let a = r.assign(2, 0);
-        let b = r.assign(0, 0);
-        let c = r.assign(2, 1);
-        assert_eq!((a, b, c), (SeqNum(1), SeqNum(2), SeqNum(3)));
-        assert_eq!(r.locate(a), Some((2, 0)));
-        assert_eq!(r.locate(b), Some((0, 0)));
-        assert_eq!(r.locate(c), Some((2, 1)));
-        assert_eq!(r.locate(SeqNum(4)), None);
-        assert_eq!(r.head(), SeqNum(4));
     }
 }

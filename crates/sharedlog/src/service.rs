@@ -20,9 +20,10 @@
 //! condition tag, so the offset check and the store land on the same
 //! sequencer). Tags routed elsewhere get index-only stream entries —
 //! the seqnum appears in the foreign shard's sub-stream and resolves
-//! through the router back to the home shard's slab, like Boki's index
-//! replication. Bytes are charged exactly once (home shard) and freed
-//! exactly once, when the last stream membership — on any shard — dies.
+//! through the service-wide slab to the record (which names its home
+//! shard), like Boki's index replication. Bytes are charged exactly once
+//! (home shard) and freed exactly once, when the last stream membership —
+//! on any shard — dies.
 //!
 //! With `shards == 1` every operation routes to shard 0 and the service
 //! is behaviorally bit-identical to the old monolith: same RNG draw
@@ -49,6 +50,7 @@
 //! the append path is the pre-batching code, bit for bit.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::pin::pin;
 use std::rc::Rc;
@@ -65,10 +67,9 @@ use hm_substrate::sync::Gate;
 use hm_substrate::Ctx;
 
 use crate::payload::Payload;
-use crate::router::{GlobalSeqNum, Router, ShardId, Topology};
-use crate::shard::{
-    FlushStats, LogRecord, Memberships, RecordSlot, ShardState, Stream, RECORD_META_BYTES,
-};
+use crate::router::{shard_for_tag, GlobalSeqNum, ShardId, Topology};
+use crate::shard::{FlushStats, LogRecord, ShardState, Stream, RECORD_META_BYTES};
+use crate::slab::{Memberships, RecordSlab, RecordSlot};
 
 /// Captured trace context for one in-flight log operation: the tracer plus
 /// the `(trace, span)` this operation's storage-lane span belongs to.
@@ -122,7 +123,9 @@ pub struct LogConfig {
     /// Capacity of each function node's per-shard record cache, in
     /// records. The default is large enough that steady-state benchmark
     /// workloads never evict (memory grows with occupancy, not with this
-    /// bound); shrink it to model cache pressure.
+    /// bound); shrink it to model cache pressure. Only live records
+    /// occupy capacity: when `trim` reclaims a record its entries leave
+    /// the caches that hold it, without counting as evictions.
     pub node_cache_capacity: usize,
     /// Appends per second one shard's sequencer can order. `None` models
     /// an ideal (infinitely fast) sequencer — the pre-sharding behavior,
@@ -261,8 +264,9 @@ impl<P> BatchState<P> {
 }
 
 struct ServiceInner<P> {
-    router: Router,
-    shards: Vec<ShardState<P>>,
+    /// Every live record, addressed by seqnum; owns the shared clock.
+    slab: RecordSlab<P>,
+    shards: Vec<ShardState>,
     /// Per-shard group-commit batchers (idle while batching is off).
     batchers: Vec<BatchState<P>>,
     /// Optional tracing sink, shared by all handle clones.
@@ -298,16 +302,77 @@ struct ServiceInner<P> {
 }
 
 impl<P> ServiceInner<P> {
-    fn locate_slot(&self, sn: SeqNum) -> Option<&RecordSlot<P>> {
-        let (shard, slot) = self.router.locate(sn)?;
-        self.shards[shard as usize].slot(slot)
+    /// Which shard owns `tag`'s sub-stream.
+    #[allow(clippy::cast_possible_truncation)] // `shards` is built from a `u8` count
+    fn shard_of(&self, tag: Tag) -> u8 {
+        shard_for_tag(tag, self.shards.len() as u8).0
     }
 
     /// The record's stored offset under `tag`, when the bound seqnum names
     /// a live record that is a member of that stream.
     fn offset_in_stream(&self, sn: SeqNum, tag: Tag) -> Option<u64> {
-        self.locate_slot(sn)
+        self.slab
+            .get(sn)
             .and_then(|slot| slot.memberships.last_offset_of(tag))
+    }
+
+    /// The live record at `sn`; `None` once it has been reclaimed.
+    fn fetch(&self, sn: SeqNum) -> Option<Rc<LogRecord<P>>> {
+        self.slab.get(sn).map(|slot| slot.record.clone())
+    }
+
+    /// `read_prev`'s pick: the newest entry of `tag`'s stream (on `shard`)
+    /// at or below `max_seqnum`.
+    fn resolve_prev(&self, shard: u8, tag: Tag, max_seqnum: SeqNum) -> Option<SeqNum> {
+        let s = self.shards[shard as usize].streams.get(&tag)?;
+        if max_seqnum == SeqNum::MAX {
+            // Newest record: the common "read the tail" case.
+            s.seqnums.back().copied()
+        } else if let Some(off) = self.offset_in_stream(max_seqnum, tag) {
+            // The bound names a live member of this stream: its stored
+            // offset answers directly (None once trimmed — everything at
+            // or below it is gone from the stream).
+            s.at(off as usize)
+        } else {
+            let idx = s.seqnums.partition_point(|&sn| sn <= max_seqnum);
+            idx.checked_sub(1).and_then(|i| s.seqnums.get(i).copied())
+        }
+    }
+
+    /// `read_next`'s pick: the oldest entry of `tag`'s stream (on `shard`)
+    /// at or above `min_seqnum`.
+    fn resolve_next(&self, shard: u8, tag: Tag, min_seqnum: SeqNum) -> Option<SeqNum> {
+        let s = self.shards[shard as usize].streams.get(&tag)?;
+        let first = s.seqnums.front().copied()?;
+        if min_seqnum <= first {
+            Some(first)
+        } else if let Some(off) = self.offset_in_stream(min_seqnum, tag) {
+            // Live member at or past the trim front: the bound itself is
+            // the answer. Trimmed member: every live entry is newer, so
+            // the front is.
+            s.at(off as usize).or(Some(first))
+        } else {
+            let idx = s.seqnums.partition_point(|&sn| sn < min_seqnum);
+            s.seqnums.get(idx).copied()
+        }
+    }
+
+    /// Removes a just-reclaimed record's seqnum from every node cache that
+    /// may hold it: the nodes its slot remembers, on the shards its tags
+    /// route to (a reclaimed record has tags, and its home shard is one
+    /// of theirs) — O(holders), never a walk over all nodes or shards.
+    /// Two tags on one shard just find the second removal a no-op (skipping
+    /// it measured no faster).
+    fn purge_cached(&mut self, slot: &RecordSlot<P>) {
+        for &(tag, _) in slot.memberships.as_slice() {
+            let shard = self.shard_of(tag) as usize;
+            let caches = &mut self.shards[shard].node_cache;
+            for node in slot.holders(caches.len()) {
+                if let Some(cache) = caches.get_mut(node) {
+                    cache.remove(&slot.record.seqnum);
+                }
+            }
+        }
     }
 }
 
@@ -373,7 +438,7 @@ impl<P: Payload> LogService<P> {
             model,
             config,
             inner: Rc::new(RefCell::new(ServiceInner {
-                router: Router::new(config.topology),
+                slab: RecordSlab::new(),
                 shards: (0..shards)
                     .map(|_| ShardState::new(now, config.node_cache_capacity))
                     .collect(),
@@ -406,17 +471,18 @@ impl<P: Payload> LogService<P> {
     /// Which shard owns `tag`'s sub-stream.
     #[must_use]
     pub fn shard_of(&self, tag: Tag) -> ShardId {
-        self.inner.borrow().router.shard_of(tag)
+        shard_for_tag(tag, self.config.topology.shards)
     }
 
-    /// Maps a seqnum to its composite position, if it was ever assigned.
+    /// Maps the seqnum of a live record to its composite position (`None`
+    /// once the record has been reclaimed).
     #[must_use]
     pub fn locate(&self, sn: SeqNum) -> Option<GlobalSeqNum> {
-        let inner = self.inner.borrow();
-        inner.router.locate(sn).map(|(shard, _)| GlobalSeqNum {
-            shard: ShardId(shard),
-            seq: sn,
-        })
+        self.inner
+            .borrow()
+            .slab
+            .get(sn)
+            .map(|slot| slot.record.global_seqnum())
     }
 
     /// Installs a tracer; every log round-trip then emits a span on the
@@ -488,8 +554,7 @@ impl<P: Payload> LogService<P> {
     /// The home shard for a record with these tags: the shard of the
     /// first tag (tagless records go to shard 0).
     fn home_shard(&self, tags: &[Tag]) -> u8 {
-        tags.first()
-            .map_or(0, |&tag| self.inner.borrow().router.shard_of(tag).0)
+        tags.first().map_or(0, |&tag| self.shard_of(tag).0)
     }
 
     /// FIFO admission at `shard`'s sequencer lane. With a capacity
@@ -688,7 +753,7 @@ impl<P: Payload> LogService<P> {
         );
         let scope = self.trace_begin("log_cond_append");
         let sheet = self.stamp_begin(AnatomyPhase::LogHop);
-        let home = self.inner.borrow().router.shard_of(cond_tag).0;
+        let home = self.shard_of(cond_tag).0;
         let total = self.ctx.with_rng(|rng| self.model.log_append.sample(rng));
         let to_sequencer = total.mul_f64(self.config.sequencer_fraction);
         self.ctx.sleep(to_sequencer).await;
@@ -1099,15 +1164,14 @@ impl<P: Payload> LogService<P> {
     }
 
     /// Sequences and stores a record: draws the shared clock, stores the
-    /// record on `home`'s slab, and pushes index entries into every tag's
-    /// sub-stream (on whichever shard owns it). Bytes and the append
-    /// counter are charged to the home shard only.
+    /// record in the slab under that seqnum, and pushes index entries into
+    /// every tag's sub-stream (on whichever shard owns it). Bytes and the
+    /// append counter are charged to the home shard only.
     fn install(&self, home: u8, node: NodeId, tags: TagSet, payload: P) -> SeqNum {
         let now = self.ctx.now();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let slot_idx = inner.shards[home as usize].slots.len() as u32;
-        let seqnum = inner.router.assign(home, slot_idx);
+        let seqnum = inner.slab.head();
         let bytes = payload.size_bytes() + RECORD_META_BYTES;
         let mut memberships = Memberships::with_capacity(tags.len());
         // Shards touched by this record, home first (dedup'd): each hosts
@@ -1116,31 +1180,26 @@ impl<P: Payload> LogService<P> {
         inner.touched_scratch.clear();
         inner.touched_scratch.push(home);
         for &tag in tags.as_slice() {
-            let shard = inner.router.shard_of(tag).0;
+            let shard = inner.shard_of(tag);
             if !inner.touched_scratch.contains(&shard) {
                 inner.touched_scratch.push(shard);
             }
             let stream = inner.shards[shard as usize].streams.entry(tag).or_default();
             memberships.push(tag, stream.len_total() as u64);
-            stream.seqnums.push(seqnum);
+            stream.seqnums.push_back(seqnum);
         }
-        let live_streams = tags.len() as u32;
         let record = Rc::new(LogRecord {
             seqnum,
             shard: ShardId(home),
             tags,
             payload,
         });
-        let state = &mut inner.shards[home as usize];
-        state.slots.push(Some(RecordSlot {
-            record,
-            memberships,
-            live_streams,
-            bytes,
-        }));
-        state.live += 1;
+        let mut slot = RecordSlot::new(record, memberships, bytes);
         // The appending node caches its own record, on every shard whose
         // streams index it (exactly one insert in a 1-shard topology).
+        slot.mark_cached_by(node);
+        inner.slab.push(slot);
+        inner.shards[home as usize].live += 1;
         for i in 0..inner.touched_scratch.len() {
             let shard = inner.touched_scratch[i];
             inner.shards[shard as usize].cache_for(node).insert(seqnum);
@@ -1161,29 +1220,20 @@ impl<P: Payload> LogService<P> {
     ) -> Option<Rc<LogRecord<P>>> {
         let scope = self.trace_begin("log_read_prev");
         let sheet = self.stamp_begin(AnatomyPhase::LogRead);
-        let (shard, found) = {
-            let inner = self.inner.borrow();
-            let shard = inner.router.shard_of(tag).0;
-            let found = inner.shards[shard as usize].streams.get(&tag).and_then(|s| {
-                if max_seqnum == SeqNum::MAX {
-                    // Newest record: the common "read the tail" case.
-                    s.seqnums.last().copied()
-                } else if let Some(off) = inner.offset_in_stream(max_seqnum, tag) {
-                    // The bound names a live member of this stream: its
-                    // stored offset answers directly (None once trimmed —
-                    // everything at or below it is gone from the stream).
-                    s.at(off as usize)
-                } else {
-                    let idx = s.seqnums.partition_point(|&sn| sn <= max_seqnum);
-                    idx.checked_sub(1).and_then(|i| s.seqnums.get(i).copied())
-                }
-            });
-            (shard, found)
-        };
+        let shard = self.shard_of(tag).0;
+        let found = self.inner.borrow().resolve_prev(shard, tag, max_seqnum);
         self.pay_read(shard, node, found, &scope).await;
         self.trace_end(&scope);
         self.stamp_end(&sheet);
-        found.map(|sn| self.fetch(sn))
+        // A trim may have reclaimed the pick during the read's sleep: it
+        // then re-resolves once against the stream as it is now (whose
+        // entries are all live). No sleep or draw is added, so a read
+        // that does not lose the race is unchanged.
+        let inner = self.inner.borrow();
+        inner.fetch(found?).or_else(|| {
+            let again = inner.resolve_prev(shard, tag, max_seqnum)?;
+            inner.fetch(again)
+        })
     }
 
     /// Reads the earliest record in `tag`'s sub-stream with seqnum ≥
@@ -1196,36 +1246,22 @@ impl<P: Payload> LogService<P> {
     ) -> Option<Rc<LogRecord<P>>> {
         let scope = self.trace_begin("log_read_next");
         let sheet = self.stamp_begin(AnatomyPhase::LogRead);
-        let (shard, found) = {
-            let inner = self.inner.borrow();
-            let shard = inner.router.shard_of(tag).0;
-            let found = inner.shards[shard as usize].streams.get(&tag).and_then(|s| {
-                match s.seqnums.first().copied() {
-                    Some(first) if min_seqnum <= first => Some(first),
-                    Some(_) => {
-                        if let Some(off) = inner.offset_in_stream(min_seqnum, tag) {
-                            // Live member at or past the trim front: the
-                            // bound itself is the answer. Trimmed member:
-                            // every live entry is newer, so the front is.
-                            s.at(off as usize).or_else(|| s.seqnums.first().copied())
-                        } else {
-                            let idx = s.seqnums.partition_point(|&sn| sn < min_seqnum);
-                            s.seqnums.get(idx).copied()
-                        }
-                    }
-                    None => None,
-                }
-            });
-            (shard, found)
-        };
+        let shard = self.shard_of(tag).0;
+        let found = self.inner.borrow().resolve_next(shard, tag, min_seqnum);
         self.pay_read(shard, node, found, &scope).await;
         self.trace_end(&scope);
         self.stamp_end(&sheet);
-        found.map(|sn| self.fetch(sn))
+        // Same race rule as `read_prev`.
+        let inner = self.inner.borrow();
+        inner.fetch(found?).or_else(|| {
+            let again = inner.resolve_next(shard, tag, min_seqnum)?;
+            inner.fetch(again)
+        })
     }
 
     /// Retrieves every live record of a sub-stream (Figure 5's
     /// `getStepLogs`). Costs one read round; Boki batches this scan.
+    /// Records a concurrent trim reclaims during that round are skipped.
     pub async fn read_stream(&self, node: NodeId, tag: Tag) -> Vec<Rc<LogRecord<P>>> {
         let scope = self.trace_begin("log_read_stream");
         let sheet = self.stamp_begin(AnatomyPhase::LogRead);
@@ -1235,20 +1271,21 @@ impl<P: Payload> LogService<P> {
         let (shard, mut seqnums) = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
-            let shard = inner.router.shard_of(tag).0;
+            let shard = inner.shard_of(tag);
             let mut buf = std::mem::take(&mut inner.stream_scratch);
             buf.clear();
             if let Some(s) = inner.shards[shard as usize].streams.get(&tag) {
-                buf.extend_from_slice(&s.seqnums);
+                buf.extend(&s.seqnums);
             }
             (shard, buf)
         };
         self.pay_read(shard, node, seqnums.first().copied(), &scope).await;
         self.trace_end(&scope);
         self.stamp_end(&sheet);
-        let records = seqnums.iter().map(|&sn| self.fetch(sn)).collect();
+        let mut inner = self.inner.borrow_mut();
+        let records = seqnums.iter().filter_map(|&sn| inner.fetch(sn)).collect();
         seqnums.clear();
-        self.inner.borrow_mut().stream_scratch = seqnums;
+        inner.stream_scratch = seqnums;
         records
     }
 
@@ -1272,15 +1309,13 @@ impl<P: Payload> LogService<P> {
     /// [`ReplayStats::replayed`].
     pub async fn replay_stream(&self, node: NodeId, tag: Tag) -> (Vec<Rc<LogRecord<P>>>, ReplayStats) {
         let pending_flushed = if self.batching_enabled() {
-            let shard = self.inner.borrow().router.shard_of(tag).0;
-            self.force_flush(shard).await
+            self.force_flush(self.shard_of(tag).0).await
         } else {
             0
         };
         let trimmed = {
             let inner = self.inner.borrow();
-            let shard = inner.router.shard_of(tag).0;
-            inner.shards[shard as usize]
+            inner.shards[inner.shard_of(tag) as usize]
                 .streams
                 .get(&tag)
                 .map_or(0, |s| s.trimmed as u64)
@@ -1305,7 +1340,7 @@ impl<P: Payload> LogService<P> {
         let now = self.ctx.now();
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let home = inner.router.shard_of(tag).0 as usize;
+        let home = inner.shard_of(tag) as usize;
         inner.shards[home].counters.log_trims += 1;
         if !inner.shards[home].streams.contains_key(&tag) {
             self.trace_end(&scope);
@@ -1314,11 +1349,7 @@ impl<P: Payload> LogService<P> {
         // Cut point: O(1) from the bound record's stored offset when it is
         // a live member of this stream; binary search otherwise.
         let cut = {
-            let bound_offset = inner
-                .router
-                .locate(upto)
-                .and_then(|(s, slot)| inner.shards[s as usize].slot(slot))
-                .and_then(|slot| slot.memberships.last_offset_of(tag));
+            let bound_offset = inner.offset_in_stream(upto, tag);
             let stream = &inner.shards[home].streams[&tag];
             match bound_offset {
                 Some(off) => (off as usize + 1).saturating_sub(stream.trimmed),
@@ -1335,7 +1366,7 @@ impl<P: Payload> LogService<P> {
             if stream.seqnums.is_empty() {
                 // A finished instance's step log stays in the index for
                 // its offset count alone; it must not pin a buffer too.
-                stream.seqnums = Vec::new();
+                stream.seqnums = VecDeque::new();
             }
         }
         inner.freed_scratch.clear();
@@ -1343,22 +1374,23 @@ impl<P: Payload> LogService<P> {
         for i in 0..inner.trim_scratch.len() {
             let sn = inner.trim_scratch[i];
             // Each drained entry is one stream membership dying; the record
-            // is reclaimed — from its *owning* shard's slab — exactly when
-            // its last membership dies, so bytes are freed exactly once per
-            // record, no matter how its tags were routed.
-            let (owner, slot_idx) = inner
-                .router
-                .locate(sn)
-                .expect("stream entry without a clock assignment");
-            let (owner, slot_idx) = (owner as usize, slot_idx as usize);
-            let slot = inner.shards[owner].slots[slot_idx]
-                .as_mut()
+            // is reclaimed — slab slot, its *owning* shard's bytes, and its
+            // copies in node caches — exactly when its last membership
+            // dies, so bytes are freed exactly once per record, no matter
+            // how its tags were routed. A live stream entry always names a
+            // live record (readers, who hold seqnums across sleeps, go
+            // through the fallible `fetch` instead).
+            let slot = inner
+                .slab
+                .get_mut(sn)
                 .expect("stream index referenced a reclaimed record");
             slot.live_streams -= 1;
             if slot.live_streams == 0 {
+                let slot = inner.slab.remove(sn).expect("looked up just above");
+                let owner = slot.record.shard.0 as usize;
                 inner.freed_scratch[owner] += slot.bytes;
-                inner.shards[owner].slots[slot_idx] = None;
                 inner.shards[owner].live -= 1;
+                inner.purge_cached(&slot);
             }
         }
         let freed_total: usize = inner.freed_scratch.iter().sum();
@@ -1421,20 +1453,16 @@ impl<P: Payload> LogService<P> {
         let latency = self.ctx.with_rng(|rng| dist.sample(rng));
         self.ctx.sleep(latency).await;
         let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
         let state = &mut inner.shards[shard as usize];
         state.counters.log_reads += 1;
-        if let Some(sn) = target {
-            // Refreshes recency on hit, fills (and possibly evicts) on miss.
-            state.cache_for(node).insert(sn);
+        // Refreshes recency on hit, fills (and possibly evicts) on miss —
+        // unless a trim reclaimed the record during the sleep: a purged
+        // seqnum is not cached again.
+        if let Some(slot) = target.and_then(|sn| inner.slab.get_mut(sn)) {
+            slot.mark_cached_by(node);
+            state.cache_for(node).insert(slot.record.seqnum);
         }
-    }
-
-    fn fetch(&self, sn: SeqNum) -> Rc<LogRecord<P>> {
-        self.inner
-            .borrow()
-            .locate_slot(sn)
-            .map(|s| s.record.clone())
-            .expect("stream index referenced a reclaimed record")
     }
 
     // ---- zero-latency inspection for tests, checkers, and the GC scan ----
@@ -1442,13 +1470,21 @@ impl<P: Payload> LogService<P> {
     /// The seqnum the next sequencing decision will receive (shared clock).
     #[must_use]
     pub fn head_seqnum(&self) -> SeqNum {
-        self.inner.borrow().router.head()
+        self.inner.borrow().slab.head()
     }
 
     /// Live record count, across all shards.
     #[must_use]
     pub fn live_records(&self) -> usize {
         self.inner.borrow().shards.iter().map(|s| s.live).sum()
+    }
+
+    /// Record slots the slab currently keeps allocated, live or dead —
+    /// what the log's host memory is proportional to. Stays within one
+    /// slab segment per concurrent trimmer of [`LogService::live_records`].
+    #[must_use]
+    pub fn retained_records(&self) -> usize {
+        self.inner.borrow().slab.retained()
     }
 
     /// Current stored bytes, across all shards.
@@ -1550,17 +1586,16 @@ impl<P: Payload> LogService<P> {
     #[must_use]
     pub fn peek_stream(&self, tag: Tag) -> Vec<SeqNum> {
         let inner = self.inner.borrow();
-        let shard = inner.router.shard_of(tag).0 as usize;
-        inner.shards[shard]
+        inner.shards[inner.shard_of(tag) as usize]
             .streams
             .get(&tag)
-            .map_or_else(Vec::new, |s| s.seqnums.clone())
+            .map_or_else(Vec::new, |s| s.seqnums.iter().copied().collect())
     }
 
     /// Zero-latency record fetch by seqnum (checker helper).
     #[must_use]
     pub fn peek_record(&self, sn: SeqNum) -> Option<Rc<LogRecord<P>>> {
-        self.inner.borrow().locate_slot(sn).map(|s| s.record.clone())
+        self.inner.borrow().fetch(sn)
     }
 }
 
@@ -1571,7 +1606,7 @@ impl<P> std::fmt::Debug for LogService<P> {
             f,
             "LogService(shards={}, head={:?}, live={}, streams={})",
             inner.shards.len(),
-            inner.router.head(),
+            inner.slab.head(),
             inner.shards.iter().map(|s| s.live).sum::<usize>(),
             inner.shards.iter().map(|s| s.streams.len()).sum::<usize>(),
         )
@@ -1776,8 +1811,7 @@ mod tests {
             assert_eq!(l.live_records(), 0);
             let stream_state = |l: &LogService<String>| {
                 let inner = l.inner.borrow();
-                let home = inner.router.shard_of(tag).0 as usize;
-                let stream = &inner.shards[home].streams[&tag];
+                let stream = &inner.shards[inner.shard_of(tag) as usize].streams[&tag];
                 (stream.trimmed, stream.seqnums.len(), stream.seqnums.capacity())
             };
             assert_eq!(stream_state(&l), (6, 0, 0));
@@ -2330,7 +2364,7 @@ mod sharding_tests {
     fn cross_shard_multi_tag_record_stored_once_indexed_everywhere() {
         // The documented cross-shard policy: the record is stored (and its
         // bytes charged) once, on the first tag's home shard; foreign tags
-        // get index-only stream entries that resolve through the router.
+        // get index-only stream entries that resolve through the slab.
         let mut sim = Sim::new(22);
         let log = sharded(&sim, 4);
         let a = tag_on_shard(4, 0);

@@ -6,10 +6,15 @@
 //! The simulated log sits under every protocol operation, so its structures
 //! are chosen for O(1) work per op and zero avoidable allocation:
 //!
-//! - **Record slab**: each shard stores its records in a dense
-//!   `Vec<Option<RecordSlot>>` indexed by a per-shard slot; the router's
-//!   seqnum index maps the globally dense seqnums to `(shard, slot)` —
-//!   fetch, install, and reclaim are all O(1), no hashing.
+//! - **Record slab**: records of every shard live in one service-wide,
+//!   seqnum-addressed slab of fixed-size segments (see [`crate::slab`]):
+//!   seqnums are globally dense, so fetch, install and reclaim are index
+//!   arithmetic — no per-shard slot, no seqnum index, no hashing. A
+//!   segment is freed whole when its last record dies and freed segments
+//!   leave the front of the deque, so a seqnum below the base or in a
+//!   freed segment is *trimmed by construction* and slab memory follows
+//!   live records, not total appends. The shard keeps only its counts
+//!   (`live`, `bytes`, counters); the record names its home shard.
 //! - **Membership offsets**: at install time each record learns its absolute
 //!   offset in every sub-stream it joins. `read_prev`/`read_next`/`trim`
 //!   whose bound names a live record resolve positions O(1) from those
@@ -26,12 +31,18 @@
 //! - **Bounded node caches**: each function node's record cache is an
 //!   [`LruSet`] bounded by the configured capacity, per shard (a real
 //!   node caches per ordering lane it talks to), with hit/miss counts
-//!   surfaced in [`OpCounters`].
+//!   surfaced in [`OpCounters`]. A record's slot remembers which nodes
+//!   cached it; when `trim` reclaims the record, its seqnum is removed
+//!   from exactly those caches (not an eviction), so cache memory and
+//!   capacity are spent on live records only.
+//! - **Stream fronts**: a sub-stream's seqnums sit in a `VecDeque`, so
+//!   trimming a prefix is O(removed) and the emptied stream keeps only
+//!   its offset count.
 //!
 //! The tag index (`streams`) uses the deterministic `FxHashMap`; nothing
 //! iterates it in a behavior-affecting order.
 
-use std::rc::Rc;
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use hm_common::collections::{FxHashMap, FxHashSet, LruSet, TagSet};
@@ -72,7 +83,9 @@ impl<P> LogRecord<P> {
 /// which `cond_append` relies on.
 #[derive(Default)]
 pub(crate) struct Stream {
-    pub(crate) seqnums: Vec<SeqNum>,
+    /// A deque, so `trim` drops the front in O(removed) instead of
+    /// shifting the live suffix down.
+    pub(crate) seqnums: VecDeque<SeqNum>,
     pub(crate) trimmed: usize,
 }
 
@@ -87,80 +100,6 @@ impl Stream {
             .checked_sub(self.trimmed)
             .and_then(|i| self.seqnums.get(i).copied())
     }
-}
-
-/// Number of stream memberships stored inline per record.
-const MEMBER_INLINE: usize = 4;
-
-/// A record's stream memberships: `(tag, absolute offset in that stream)`
-/// pairs, assigned once at install. Inline up to [`MEMBER_INLINE`] entries
-/// (records almost always carry one to three tags), heap beyond.
-pub(crate) struct Memberships {
-    len: u32,
-    inline: [(Tag, u64); MEMBER_INLINE],
-    spill: Vec<(Tag, u64)>,
-}
-
-impl Memberships {
-    /// A memberships set expecting `tags` entries: for the spilling case
-    /// (more than [`MEMBER_INLINE`] tags) the spill vector is sized once
-    /// up front instead of growing through doublings.
-    pub(crate) fn with_capacity(tags: usize) -> Memberships {
-        Memberships {
-            len: 0,
-            inline: [(Tag(0), 0); MEMBER_INLINE],
-            spill: if tags > MEMBER_INLINE {
-                Vec::with_capacity(tags)
-            } else {
-                Vec::new()
-            },
-        }
-    }
-
-    pub(crate) fn push(&mut self, tag: Tag, offset: u64) {
-        let i = self.len as usize;
-        if i < MEMBER_INLINE {
-            self.inline[i] = (tag, offset);
-        } else {
-            if i == MEMBER_INLINE {
-                self.spill.extend_from_slice(&self.inline);
-            }
-            self.spill.push((tag, offset));
-        }
-        self.len += 1;
-    }
-
-    pub(crate) fn as_slice(&self) -> &[(Tag, u64)] {
-        if self.len as usize <= MEMBER_INLINE {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// The record's *last* offset under `tag` (a record appended with a
-    /// duplicated tag occupies several consecutive offsets; bounds must
-    /// resolve past all of them).
-    pub(crate) fn last_offset_of(&self, tag: Tag) -> Option<u64> {
-        self.as_slice()
-            .iter()
-            .rev()
-            .find(|&&(t, _)| t == tag)
-            .map(|&(_, off)| off)
-    }
-}
-
-/// Slab entry for one live record.
-pub(crate) struct RecordSlot<P> {
-    pub(crate) record: Rc<LogRecord<P>>,
-    /// Where this record sits in each of its sub-streams.
-    pub(crate) memberships: Memberships,
-    /// Untrimmed stream memberships remaining (duplicate tags counted
-    /// once per occurrence). The record is reclaimed when this hits zero.
-    pub(crate) live_streams: u32,
-    /// Bytes charged to the owning shard's storage gauge at install,
-    /// returned at reclaim.
-    pub(crate) bytes: usize,
 }
 
 /// Group-commit accounting for one shard's sequencer-side batcher.
@@ -211,8 +150,8 @@ impl FlushStats {
 }
 
 /// Mutable state of one shard: everything the pre-sharding `LogInner`
-/// held, minus the clock (shared, in the router).
-pub(crate) struct ShardState<P> {
+/// held, minus the records and the clock (shared, in the slab).
+pub(crate) struct ShardState {
     /// Storage replicas currently down (by index `0..replicas_per_shard`).
     pub(crate) failed_replicas: FxHashSet<u32>,
     /// Appends persisted while fewer than `quorum` replicas were live —
@@ -220,9 +159,8 @@ pub(crate) struct ShardState<P> {
     /// view change, but worth counting). Per-shard: a degraded storage
     /// group on one shard never taints another's accounting.
     pub(crate) degraded_appends: u64,
-    /// This shard's live records, indexed by per-shard slot.
-    pub(crate) slots: Vec<Option<RecordSlot<P>>>,
-    /// Live record count (`slots` keeps tombstones for reclaimed entries).
+    /// Live records homed on this shard (the records themselves sit in
+    /// the service-wide slab).
     pub(crate) live: usize,
     /// Sub-streams of the tags routed to this shard.
     pub(crate) streams: FxHashMap<Tag, Stream>,
@@ -239,12 +177,11 @@ pub(crate) struct ShardState<P> {
     pub(crate) flush: FlushStats,
 }
 
-impl<P> ShardState<P> {
-    pub(crate) fn new(now: Duration, node_cache_capacity: usize) -> ShardState<P> {
+impl ShardState {
+    pub(crate) fn new(now: Duration, node_cache_capacity: usize) -> ShardState {
         ShardState {
             failed_replicas: FxHashSet::default(),
             degraded_appends: 0,
-            slots: Vec::new(),
             live: 0,
             streams: FxHashMap::default(),
             node_cache: Vec::new(),
@@ -254,10 +191,6 @@ impl<P> ShardState<P> {
             sequencer_free_at: Duration::ZERO,
             flush: FlushStats::default(),
         }
-    }
-
-    pub(crate) fn slot(&self, idx: u32) -> Option<&RecordSlot<P>> {
-        self.slots.get(idx as usize).and_then(Option::as_ref)
     }
 
     pub(crate) fn cache_for(&mut self, node: NodeId) -> &mut LruSet<SeqNum> {

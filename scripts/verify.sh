@@ -6,6 +6,9 @@
 # so the executor and sync-primitive unit tests and the per-backend
 # contract suite (crates/substrate/tests/sync_contracts.rs: FIFO/ordering
 # contracts and the one-registration-per-live-waiter bound) run here.
+# Log and collection tests: likewise hm-sharedlog's unit tests (service,
+# record slab, router, partition codec) and hm-common's (LruSet, TagSet,
+# metrics, ...) plus crates/common/tests/representation.rs.
 # Lints: clippy across all targets with warnings denied.
 # Bench smoke: runs bench_sim_core at HM_BENCH_SCALE=0.05 (~1 s budget) and
 # asserts it completes and writes parseable JSON with the expected fields.
@@ -94,6 +97,9 @@ cargo test -q
 
 echo "== substrate: cargo test -q -p hm-sim -p hm-substrate =="
 cargo test -q -p hm-sim -p hm-substrate
+
+echo "== log + collections: cargo test -q -p hm-sharedlog -p hm-common =="
+cargo test -q -p hm-sharedlog -p hm-common
 
 echo "== lints: cargo clippy --all-targets -D warnings (+ hot-path clone lints) =="
 cargo clippy -q --all-targets -- -D warnings \

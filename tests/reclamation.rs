@@ -1,0 +1,300 @@
+//! What is dropped is actually freed: the log's host memory follows its
+//! live records, a reader that loses a race against `trim` gets an answer
+//! instead of a panic, and a dropped deployment takes its log with it.
+
+use std::cell::Cell;
+use std::rc::Rc;
+
+use halfmoon::{Client, Env, InvocationSpec, ProtocolKind};
+use hm_common::ids::TagKind;
+use hm_common::latency::LatencyModel;
+use hm_common::trace::Tracer;
+use hm_common::{HmError, Key, NodeId, SeqNum, Tag, Value};
+use hm_runtime::{Runtime, RuntimeConfig};
+use hm_sharedlog::{LogConfig, LogService, Topology, SLAB_SEGMENT_RECORDS};
+use hm_substrate::sim::Sim;
+use hm_substrate::Ctx;
+use rand::rngs::SmallRng;
+use rand::{RngExt, SeedableRng};
+
+const WRITERS: u64 = 4;
+const NODES: u64 = 4;
+const SHARED_TAGS: u64 = 2;
+const TRIM_EVERY: u64 = 64;
+
+fn own_tag(w: u64) -> Tag {
+    Tag::new(TagKind::StepLog, 0x0E00 + w)
+}
+
+fn shared_tag(i: u64) -> Tag {
+    Tag::new(TagKind::ObjectLog, 0x0F00 + i % SHARED_TAGS)
+}
+
+/// The `log_storm` writer in miniature: two-tag appends, a same-node tail
+/// read, a far-node lookup, and a trim of both streams every
+/// [`TRIM_EVERY`] iterations up to the record from half a period ago, so
+/// live records plateau while appends keep coming.
+async fn storm_writer(log: LogService<u64>, w: u64, iterations: u64) {
+    let node = NodeId((w % NODES) as u32);
+    let far = NodeId(((w + 1) % NODES) as u32);
+    let own = own_tag(w);
+    let mut mine = Vec::new();
+    for i in 0..iterations {
+        let shared = shared_tag(w + i);
+        let sn = log.append(node, [own, shared], i).await;
+        mine.push(sn);
+        if i % 2 == 1 {
+            let tail = log.read_prev(node, own, SeqNum::MAX).await;
+            assert_eq!(tail.map(|r| r.seqnum), Some(sn));
+        }
+        if i % 4 == 3 {
+            let found = log.read_next(far, shared, sn).await;
+            assert_eq!(found.map(|r| r.seqnum), Some(sn));
+        }
+        if i % TRIM_EVERY == TRIM_EVERY - 1 {
+            let upto = mine[mine.len() - (TRIM_EVERY / 2) as usize];
+            log.trim(node, own, upto).await;
+            if w < SHARED_TAGS {
+                log.trim(node, shared_tag(w), upto).await;
+            }
+        }
+    }
+}
+
+/// Slab slots and cache entries the log holds after a storm of
+/// `iterations` per writer, next to its live record count.
+fn storm_footprint(iterations: u64) -> (usize, usize, usize) {
+    let mut sim = Sim::new(0x5107);
+    let log: LogService<u64> = LogService::new(
+        sim.ctx(),
+        LatencyModel::calibrated(),
+        LogConfig {
+            topology: Topology::sharded(4),
+            ..LogConfig::default()
+        },
+    );
+    let ctx = sim.ctx();
+    for w in 0..WRITERS {
+        ctx.spawn(storm_writer(log.clone(), w, iterations));
+    }
+    sim.run();
+    assert_eq!(log.head_seqnum(), SeqNum(WRITERS * iterations + 1));
+    let cached = (0..NODES).map(|n| log.node_cache_len(NodeId(n as u32))).sum();
+    (log.live_records(), log.retained_records(), cached)
+}
+
+#[test]
+fn log_memory_follows_live_records_not_appends() {
+    // Long enough that total appends dwarf the allowed slack at both
+    // lengths (40k and 160k appends against ~16k slots of slack).
+    for iterations in [10_000, 40_000] {
+        let (live, retained, cached) = storm_footprint(iterations);
+        assert!(live > 0 && live < 1_000, "the storm must plateau: {live} live");
+        assert!(
+            retained <= live + WRITERS as usize * SLAB_SEGMENT_RECORDS,
+            "{iterations} iterations: {retained} slab slots retained for {live} live records"
+        );
+        assert!(
+            cached <= live * NODES as usize,
+            "{iterations} iterations: {cached} cache entries for {live} live records"
+        );
+    }
+}
+
+/// A node id past the exactly-tracked range is purged all the same.
+#[test]
+fn reclaimed_records_leave_the_caches_of_high_numbered_nodes() {
+    let mut sim = Sim::new(3);
+    let log: LogService<u64> =
+        LogService::new(sim.ctx(), LatencyModel::uniform_test_model(), LogConfig::default());
+    let l = log.clone();
+    let (near, high) = (NodeId(2), NodeId(70));
+    sim.block_on(async move {
+        let tag = own_tag(0);
+        let first = l.append(near, [tag], 1).await;
+        let second = l.append(high, [tag], 2).await;
+        assert_eq!(l.read_prev(high, tag, first).await.unwrap().seqnum, first);
+        assert_eq!((l.node_cache_len(near), l.node_cache_len(high)), (1, 2));
+        l.trim(near, tag, first).await;
+        assert_eq!((l.node_cache_len(near), l.node_cache_len(high)), (0, 1));
+        l.trim(near, tag, second).await;
+        assert_eq!(l.node_cache_len(high), 0);
+        assert_eq!(l.node_cache_evictions(high), 0, "a purge is not an eviction");
+    });
+    assert_eq!(log.retained_records(), 2, "the filling segment stays allocated");
+}
+
+/// Readers on every read call of one stream while another task trims it
+/// every few appends. A read picks its record, sleeps, then fetches it: a
+/// trim landing in that sleep used to hit an `expect`. Every record handed
+/// back must be live when it is.
+#[test]
+fn reads_racing_trims_return_live_records() {
+    let hot = Tag::new(TagKind::ObjectLog, 0x0A07);
+    let side = Tag::new(TagKind::ObjectLog, 0x0A08);
+
+    async fn reader(ctx: Ctx, log: LogService<u64>, hot: Tag, seed: u64, done: Rc<Cell<bool>>, seen: Rc<Cell<u64>>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let node = NodeId(rng.random_range(0..4));
+        let live_now = |sn: SeqNum| log.peek_record(sn).is_some();
+        while !done.get() {
+            let head = log.head_seqnum().0;
+            let bound = SeqNum(rng.random_range(head.saturating_sub(12)..=head));
+            match rng.random_range(0..4u32) {
+                0 => {
+                    if let Some(r) = log.read_prev(node, hot, SeqNum::MAX).await {
+                        assert!(live_now(r.seqnum), "read_prev(MAX) returned reclaimed {:?}", r.seqnum);
+                        seen.set(seen.get() + 1);
+                    }
+                }
+                1 => {
+                    if let Some(r) = log.read_prev(node, hot, bound).await {
+                        assert!(r.seqnum <= bound);
+                        assert!(live_now(r.seqnum), "read_prev returned reclaimed {:?}", r.seqnum);
+                        seen.set(seen.get() + 1);
+                    }
+                }
+                2 => {
+                    if let Some(r) = log.read_next(node, hot, bound).await {
+                        assert!(r.seqnum >= bound);
+                        assert!(live_now(r.seqnum), "read_next returned reclaimed {:?}", r.seqnum);
+                        seen.set(seen.get() + 1);
+                    }
+                }
+                _ => {
+                    let (records, stats) = log.replay_stream(node, hot).await;
+                    assert_eq!(stats.replayed, records.len() as u64);
+                    assert!(records.windows(2).all(|w| w[0].seqnum < w[1].seqnum));
+                    for r in &records {
+                        assert!(live_now(r.seqnum), "replay returned reclaimed {:?}", r.seqnum);
+                    }
+                    seen.set(seen.get() + records.len() as u64);
+                }
+            }
+            // Desynchronise from the trimmer's rhythm.
+            ctx.sleep(std::time::Duration::from_micros(rng.random_range(0..300))).await;
+        }
+    }
+
+    for seed in 0..48u64 {
+        let mut sim = Sim::new(0x7213 + seed);
+        let log: LogService<u64> = LogService::new(
+            sim.ctx(),
+            LatencyModel::calibrated(),
+            LogConfig {
+                topology: Topology::sharded(2),
+                ..LogConfig::default()
+            },
+        );
+        let done = Rc::new(Cell::new(false));
+        let seen = Rc::new(Cell::new(0u64));
+        let ctx = sim.ctx();
+        for r in 0..4 {
+            ctx.spawn(reader(ctx.clone(), log.clone(), hot, seed * 16 + r, done.clone(), seen.clone()));
+        }
+        // Two appenders keep the stream moving; the trimmer cuts it behind
+        // them every few appends, sometimes all the way to the head.
+        for a in 0..2u64 {
+            let (l, done) = (log.clone(), done.clone());
+            ctx.spawn(async move {
+                for i in 0..300u64 {
+                    // Every third record also lives in an untrimmed stream
+                    // and so survives the hot stream's trims.
+                    if i % 3 == 0 {
+                        l.append(NodeId(a as u32), [hot, side], i).await;
+                    } else {
+                        l.append(NodeId(a as u32), [hot], i).await;
+                    }
+                }
+                if a == 0 {
+                    done.set(true);
+                }
+            });
+        }
+        let (l, d) = (log.clone(), done.clone());
+        let c = ctx.clone();
+        ctx.spawn(async move {
+            let mut rng = SmallRng::seed_from_u64(seed ^ 0x7717);
+            while !d.get() {
+                let stream = l.peek_stream(hot);
+                let upto = match rng.random_range(0..4u32) {
+                    0 => SeqNum::MAX,
+                    _ => stream
+                        .get(rng.random_range(0..stream.len().max(1)))
+                        .copied()
+                        .unwrap_or(SeqNum::ZERO),
+                };
+                l.trim(NodeId(3), hot, upto).await;
+                c.sleep(std::time::Duration::from_micros(rng.random_range(0..800))).await;
+            }
+        });
+        sim.run();
+        assert!(seen.get() > 100, "seed {seed}: readers saw only {} records", seen.get());
+        // Whatever the hot stream still lists is live, and nothing else of
+        // it is.
+        let tail = log.peek_stream(hot);
+        assert!(tail.iter().all(|&sn| log.peek_record(sn).is_some()));
+        assert_eq!(log.live_records(), {
+            let mut live: Vec<SeqNum> = tail;
+            live.extend(log.peek_stream(side));
+            live.sort_unstable();
+            live.dedup();
+            live.len()
+        });
+    }
+}
+
+fn deployment() -> (Sim, Client, Runtime) {
+    let sim = Sim::new(0xD309);
+    let client = Client::builder(sim.ctx())
+        .model(LatencyModel::uniform_test_model())
+        .protocol(ProtocolKind::HalfmoonRead)
+        .build();
+    client.populate(Key::new("C"), Value::Int(0));
+    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
+    runtime.register("bump", |env, _input| {
+        Box::pin(async move {
+            let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
+            env.write(&Key::new("C"), Value::Int(c + 1)).await?;
+            Ok(Value::Int(c + 1))
+        })
+    });
+    runtime.register("parent", |env, _input| {
+        Box::pin(async move { env.invoke("bump", Value::Null).await })
+    });
+    (sim, client, runtime)
+}
+
+/// The client reaches its runtime weakly, so the two do not keep each
+/// other — and the whole deployment — alive.
+#[test]
+fn dropping_a_deployment_drops_its_log() {
+    let (mut sim, client, runtime) = deployment();
+    // Only the log's shared state holds this tracer: it dies with it.
+    let probe = {
+        let tracer = Tracer::new();
+        client.log().set_tracer(tracer.clone());
+        Rc::downgrade(&tracer)
+    };
+    let rt = runtime.clone();
+    let out = sim.block_on(async move { rt.invoke_request("parent", Value::Null).await });
+    assert_eq!(out.unwrap(), Value::Int(1));
+    assert!(client.log().live_records() > 0);
+    assert!(probe.upgrade().is_some());
+    drop(runtime);
+    assert!(probe.upgrade().is_some(), "the client still holds the log");
+    drop(client);
+    assert!(probe.upgrade().is_none(), "the deployment outlived its last handle");
+}
+
+#[test]
+fn child_invoke_after_the_runtime_is_gone_is_a_config_error() {
+    let (mut sim, client, runtime) = deployment();
+    drop(runtime);
+    let id = client.fresh_instance_id();
+    let out = sim.block_on(async move {
+        let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(0))).await?;
+        env.invoke("bump", Value::Null).await
+    });
+    assert!(matches!(out, Err(HmError::Config { .. })), "{out:?}");
+}
