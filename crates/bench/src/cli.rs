@@ -5,7 +5,7 @@
 //! messages identical everywhere. Flags:
 //!
 //! - `--backend <name>` — executor backend; accepted spellings are
-//!   [`BackendKind::HELP`] (`"tokio"` is a documented alias for `"wall"`).
+//!   [`BackendKind::HELP`].
 //! - `--shards <n>` — logging shard count (default 1).
 //! - `--batch <n>` — group-commit batch size (default 1 = off).
 //! - `--workers <n>` — worker threads for the parallel backend
@@ -158,12 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn tokio_alias_parses_to_wall() {
-        assert_eq!(parse(&["--backend", "tokio"]).backend, BackendKind::Wall);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown backend \"threads\" (expected sim | wall (alias: tokio) | parallel)")]
+    #[should_panic(expected = "unknown backend \"threads\" (expected sim | wall | parallel)")]
     fn unknown_backend_message_names_every_spelling() {
         let _ = parse(&["--backend", "threads"]);
     }

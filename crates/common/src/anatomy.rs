@@ -20,19 +20,14 @@
 //! are bit-identical with anatomy on or off, and two seeded runs produce
 //! byte-identical stamp rows ([`Anatomy::rows_jsonl`]).
 //!
-//! Threading mirrors the tracer in [`crate::trace`]: the gateway opens a
-//! sheet per request, binds it to the invocation's [`crate::InstanceId`] so
-//! the runtime and `Env` can find it across the scheduling boundary, and the
-//! `Env` re-arms a context cell immediately before each substrate call so the
-//! shared log and KV store can pick the sheet up without plumbing it through
-//! every signature.
+//! A sheet reaches the layers that stamp it inside the request's
+//! [`crate::observe::OpCtx`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crate::collections::FxHashMap;
 use crate::metrics::Histogram;
 
 /// One slice of the request pipeline. Phases partition an op's lifetime:
@@ -144,6 +139,7 @@ impl Stamp {
     }
 }
 
+#[derive(Debug)]
 struct SheetInner {
     acc: [u64; PHASE_COUNT],
     stack: Vec<Phase>,
@@ -157,6 +153,7 @@ struct SheetInner {
 /// Per-op phase clock. Cheap (`Rc`-shared, `RefCell`-guarded, single
 /// threaded) and tolerant: every operation on a finished sheet is a no-op,
 /// which makes stamps from superseded duplicate attempts harmless.
+#[derive(Debug)]
 pub struct PhaseSheet {
     inner: RefCell<SheetInner>,
 }
@@ -366,7 +363,6 @@ struct AnatomyInner {
     e2e_total_ns: u128,
     ops: u64,
     max_rel_err: f64,
-    bindings: FxHashMap<u128, Rc<PhaseSheet>>,
     rows: VecDeque<StampRow>,
     rows_cap: usize,
     rows_dropped: u64,
@@ -374,11 +370,9 @@ struct AnatomyInner {
 }
 
 /// Session-wide collector: per-phase HDR histograms, exact phase totals,
-/// instance-id bindings (gateway → runtime → `Env` handoff, mirroring the
-/// tracer), a substrate context cell, and a bounded ring of recent stamps.
+/// and a bounded ring of recent stamps.
 pub struct Anatomy {
     inner: RefCell<AnatomyInner>,
-    context: RefCell<Option<Rc<PhaseSheet>>>,
 }
 
 impl Anatomy {
@@ -397,52 +391,17 @@ impl Anatomy {
                 e2e_total_ns: 0,
                 ops: 0,
                 max_rel_err: 0.0,
-                bindings: FxHashMap::default(),
                 rows: VecDeque::new(),
                 rows_cap: rows_cap.max(1),
                 rows_dropped: 0,
                 next_seq: 0,
             }),
-            context: RefCell::new(None),
         })
     }
 
     /// Open a fresh sheet charging [`Phase::Admission`] from `now`.
     pub fn open_sheet(&self, now: Duration) -> Rc<PhaseSheet> {
         PhaseSheet::open(now, Phase::Admission)
-    }
-
-    /// Bind a sheet to an invocation instance id so the runtime and `Env`
-    /// can recover it across the scheduling boundary.
-    pub fn bind(&self, instance: u128, sheet: Rc<PhaseSheet>) {
-        self.inner.borrow_mut().bindings.insert(instance, sheet);
-    }
-
-    /// Look up (and clone) the sheet bound to an instance id.
-    pub fn binding(&self, instance: u128) -> Option<Rc<PhaseSheet>> {
-        self.inner.borrow().bindings.get(&instance).cloned()
-    }
-
-    /// Drop a binding once the invocation has completed.
-    pub fn unbind(&self, instance: u128) {
-        self.inner.borrow_mut().bindings.remove(&instance);
-    }
-
-    /// Arm the substrate context: the next shared-log / KV op started on
-    /// this task charges `sheet`. Call immediately before the substrate
-    /// call, with no awaits in between (same discipline as the tracer).
-    pub fn set_context(&self, sheet: Option<Rc<PhaseSheet>>) {
-        *self.context.borrow_mut() = sheet;
-    }
-
-    /// Current substrate context, if any.
-    pub fn context(&self) -> Option<Rc<PhaseSheet>> {
-        self.context.borrow().clone()
-    }
-
-    /// Clear the substrate context (background tasks call this first).
-    pub fn clear_context(&self) {
-        *self.context.borrow_mut() = None;
     }
 
     /// Finish `sheet` at `now` and fold its accruals into the collector.
@@ -680,20 +639,5 @@ mod tests {
         assert_eq!(dropped, 2);
         assert_eq!(a.lines().count(), 4);
         assert!(a.lines().next().unwrap().starts_with("{\"seq\":2,"));
-    }
-
-    #[test]
-    fn bindings_round_trip() {
-        let anatomy = Anatomy::new();
-        let sheet = anatomy.open_sheet(ms(0));
-        anatomy.bind(42, sheet.clone());
-        assert!(anatomy.binding(42).is_some());
-        assert!(anatomy.binding(7).is_none());
-        anatomy.unbind(42);
-        assert!(anatomy.binding(42).is_none());
-        anatomy.set_context(Some(sheet));
-        assert!(anatomy.context().is_some());
-        anatomy.clear_context();
-        assert!(anatomy.context().is_none());
     }
 }

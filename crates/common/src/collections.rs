@@ -22,7 +22,7 @@ use crate::ids::Tag;
 /// Number of tags a [`TagSet`] holds without heap allocation.
 const TAGSET_INLINE: usize = 4;
 
-/// A record's tag list: inline up to [`TAGSET_INLINE`] entries, heap beyond.
+/// A record's tag list: inline up to `TAGSET_INLINE` (4) entries, heap beyond.
 ///
 /// Order and multiplicity are preserved exactly — a record appended with a
 /// duplicated tag appears twice in that sub-stream, and the set must say so.
@@ -76,7 +76,7 @@ impl std::ops::Deref for TagSet {
 
 impl TagSet {
     /// Builds a tag set by copying from a slice — allocation-free for up
-    /// to [`TAGSET_INLINE`] tags, which is every hot-path record. Callers
+    /// to `TAGSET_INLINE` tags, which is every hot-path record. Callers
     /// holding a long-lived tag list should pass it as a slice instead of
     /// cloning a `Vec` per append.
     #[must_use]
@@ -119,7 +119,7 @@ impl<const N: usize> From<[Tag; N]> for TagSet {
 
 impl FromIterator<Tag> for TagSet {
     /// Fills the inline slots first, so collecting up to
-    /// [`TAGSET_INLINE`] tags never touches the heap.
+    /// `TAGSET_INLINE` tags never touches the heap.
     fn from_iter<I: IntoIterator<Item = Tag>>(iter: I) -> TagSet {
         let mut set = TagSet::from_slice(&[]);
         for tag in iter {

@@ -18,6 +18,7 @@ pub mod flightrec;
 pub mod ids;
 pub mod latency;
 pub mod metrics;
+pub mod observe;
 pub mod trace;
 pub mod value;
 

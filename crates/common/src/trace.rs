@@ -34,16 +34,10 @@
 //! virtual clock (plain [`Duration`]s passed by the caller — this module
 //! has no simulator dependency).
 //!
-//! # Attribution contract
-//!
-//! Substrate calls attribute their spans through a context cell
-//! ([`Tracer::set_context`]) holding the currently executing
-//! `(trace, span)`. On the single-threaded executor this is race-free as
-//! long as every traced substrate call *immediately* follows the context
-//! set with no `await` in between: the callee captures the context at
-//! entry, synchronously within the same task poll.
+//! How an event finds its trace and parent span across layers is
+//! [`crate::observe`]'s business; the tracer only records what it is told.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
@@ -227,19 +221,13 @@ struct TracerInner {
     next_span: u64,
     next_seq: u64,
     lanes: FxHashMap<u32, LaneRing>,
-    /// instance id → (trace, parent span); how identity crosses the
-    /// gateway → runtime → environment boundary.
-    bindings: FxHashMap<u128, (TraceId, SpanId)>,
 }
 
 /// The trace collector. Create with [`Tracer::new`], share via `Rc`, and
-/// install into a `Client` (which threads it through the shared log and the
-/// KV store). All methods take `&self`; interior mutability keeps call
-/// sites free of borrow gymnastics.
+/// hand to `ClientBuilder::tracer`. All methods take `&self`; interior
+/// mutability keeps call sites free of borrow gymnastics.
 pub struct Tracer {
     inner: RefCell<TracerInner>,
-    /// Currently executing `(trace, span)` for substrate attribution.
-    context: Cell<(TraceId, SpanId)>,
 }
 
 /// Default per-lane ring capacity (events). At the calibrated latencies a
@@ -265,9 +253,7 @@ impl Tracer {
                 next_span: 1,
                 next_seq: 0,
                 lanes: FxHashMap::default(),
-                bindings: FxHashMap::default(),
             }),
-            context: Cell::new((TraceId::NONE, SpanId::NONE)),
         })
     }
 
@@ -277,36 +263,6 @@ impl Tracer {
         let id = TraceId(inner.next_trace);
         inner.next_trace += 1;
         id
-    }
-
-    /// Associates an instance id with a `(trace, parent span)` so the
-    /// environment constructed for that instance can attach its attempt
-    /// spans to the right place in the tree.
-    pub fn bind(&self, instance: u128, trace: TraceId, parent: SpanId) {
-        self.inner.borrow_mut().bindings.insert(instance, (trace, parent));
-    }
-
-    /// Looks up the binding installed by [`Tracer::bind`].
-    #[must_use]
-    pub fn binding(&self, instance: u128) -> Option<(TraceId, SpanId)> {
-        self.inner.borrow().bindings.get(&instance).copied()
-    }
-
-    /// Sets the substrate-attribution context. Must immediately precede the
-    /// substrate call it attributes (no `await` in between).
-    pub fn set_context(&self, trace: TraceId, span: SpanId) {
-        self.context.set((trace, span));
-    }
-
-    /// Clears the attribution context (background tasks call this first).
-    pub fn clear_context(&self) {
-        self.context.set((TraceId::NONE, SpanId::NONE));
-    }
-
-    /// The current attribution context.
-    #[must_use]
-    pub fn context(&self) -> (TraceId, SpanId) {
-        self.context.get()
     }
 
     fn push(&self, lane: Lane, event_of: impl FnOnce(u64) -> TraceEvent) {
@@ -877,20 +833,6 @@ mod tests {
             tr.export_jsonl()
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn bindings_route_identity() {
-        let tr = Tracer::new();
-        let trace = tr.new_trace();
-        let span = tr.span_begin(Lane::Gateway, t(0), trace, SpanId::NONE, "request", String::new());
-        tr.bind(42, trace, span);
-        assert_eq!(tr.binding(42), Some((trace, span)));
-        assert_eq!(tr.binding(7), None);
-        tr.set_context(trace, span);
-        assert_eq!(tr.context(), (trace, span));
-        tr.clear_context();
-        assert_eq!(tr.context(), (TraceId::NONE, SpanId::NONE));
     }
 
     #[test]

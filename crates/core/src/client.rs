@@ -7,10 +7,9 @@
 //! keys ever written, the optional history recorder).
 //!
 //! Construction goes through [`ClientBuilder`] (`Client::builder(ctx)`):
-//! topology, fault plan, recorder, and tracer are fixed before the first
-//! operation, replacing the old pile of post-construction `set_*` hooks
-//! (removed after a deprecation cycle). The two hooks that are *inherently*
-//! post-construction remain first-class: [`Client::register_invoker`]
+//! topology, fault plan, recorder, and observers are fixed before the first
+//! operation. The two hooks that are *inherently* post-construction remain
+//! first-class: [`Client::register_invoker`]
 //! (the runtime needs the client to exist first) and
 //! [`Client::set_fault_plan`] (campaigns that target instance ids drawn
 //! after construction).
@@ -25,6 +24,7 @@ use hm_common::anatomy::Anatomy;
 use hm_common::flightrec::FlightRecorder;
 use hm_common::latency::LatencyModel;
 use hm_common::metrics::Histogram;
+use hm_common::observe::{OpCtx, Probe};
 use hm_common::trace::Tracer;
 use hm_common::{HmResult, InstanceId, Key, NodeId, Tag, Value};
 use hm_kvstore::KvStore;
@@ -128,9 +128,8 @@ struct ClientInner {
     faults: RefCell<Rc<FaultPlan>>,
     invoker: RefCell<Option<Rc<dyn Invoker>>>,
     recorder: RefCell<Option<Rc<Recorder>>>,
-    tracer: RefCell<Option<Rc<Tracer>>>,
-    anatomy: RefCell<Option<Rc<Anatomy>>>,
-    flightrec: RefCell<Option<Rc<FlightRecorder>>>,
+    /// The deployment's observation handle; `None` with no observer.
+    probe: Option<Rc<Probe>>,
     op_latencies: RefCell<OpLatencies>,
     recovery: Cell<RecoveryStats>,
     /// Opportunistic checkpoints of log-free reads, per function node
@@ -249,9 +248,9 @@ impl ClientBuilder {
         self
     }
 
-    /// Attaches a black-box flight recorder; the tracer and anatomy handles
-    /// configured on this builder are wired into it automatically so its
-    /// dumps carry recent trace events and phase stamps.
+    /// Attaches a black-box flight recorder; its dumps carry the recent
+    /// trace events and phase stamps of the tracer and anatomy configured
+    /// on this builder.
     #[must_use]
     pub fn flight_recorder(mut self, recorder: Rc<FlightRecorder>) -> ClientBuilder {
         self.flightrec = Some(recorder);
@@ -295,7 +294,12 @@ impl ClientBuilder {
             },
         );
         let store = KvStore::new(self.ctx.clone(), self.model);
-        let client = Client {
+        let probe = Probe::new(self.tracer, self.anatomy, self.flightrec);
+        if let Some(probe) = &probe {
+            log.observe(probe.clone());
+            store.observe(probe.clone());
+        }
+        Client {
             inner: Rc::new(ClientInner {
                 ctx: self.ctx,
                 log,
@@ -305,32 +309,14 @@ impl ClientBuilder {
                 faults: RefCell::new(Rc::new(self.faults)),
                 invoker: RefCell::new(None),
                 recorder: RefCell::new(self.recorder.then(|| Rc::new(Recorder::new()))),
-                tracer: RefCell::new(None),
-                anatomy: RefCell::new(None),
-                flightrec: RefCell::new(None),
+                probe,
                 op_latencies: RefCell::new(OpLatencies::default()),
                 recovery: Cell::new(RecoveryStats::default()),
                 checkpoints: RefCell::new(hm_common::FxHashMap::default()),
                 txn_validity: RefCell::new(hm_common::FxHashMap::default()),
                 written_keys: RefCell::new(BTreeSet::new()),
             }),
-        };
-        if let Some(tracer) = self.tracer {
-            client.install_tracer(tracer);
         }
-        if let Some(anatomy) = self.anatomy {
-            client.install_anatomy(anatomy);
-        }
-        if let Some(fr) = self.flightrec {
-            if let Some(t) = client.tracer() {
-                fr.attach_tracer(t);
-            }
-            if let Some(a) = client.anatomy() {
-                fr.attach_anatomy(a);
-            }
-            *client.inner.flightrec.borrow_mut() = Some(fr);
-        }
-        client
     }
 }
 
@@ -388,10 +374,25 @@ impl Client {
         &self.inner.ctx
     }
 
-    /// The shared log.
+    /// The shared log. A call made through this accessor is observed as
+    /// background work; code acting for a request uses [`Client::log_as`].
     #[must_use]
     pub fn log(&self) -> &LogService<StepRecord> {
         &self.inner.log
+    }
+
+    /// The shared log, with `octx` armed as the context of the call about
+    /// to be made on it (which must follow with no `await` in between).
+    #[must_use]
+    pub fn log_as(&self, octx: &OpCtx) -> &LogService<StepRecord> {
+        self.arm(octx);
+        &self.inner.log
+    }
+
+    fn arm(&self, octx: &OpCtx) {
+        if let Some(probe) = &self.inner.probe {
+            probe.arm(octx);
+        }
     }
 
     /// The logging topology this deployment runs.
@@ -400,9 +401,17 @@ impl Client {
         self.inner.log.topology()
     }
 
-    /// The external state store.
+    /// The external state store; background work, like [`Client::log`].
     #[must_use]
     pub fn store(&self) -> &KvStore {
+        &self.inner.store
+    }
+
+    /// The external state store, with `octx` armed for the call about to
+    /// be made on it; see [`Client::log_as`].
+    #[must_use]
+    pub fn store_as(&self, octx: &OpCtx) -> &KvStore {
+        self.arm(octx);
         &self.inner.store
     }
 
@@ -462,40 +471,10 @@ impl Client {
         self.inner.recorder.borrow().clone()
     }
 
-    /// The causal tracer, if tracing is enabled.
+    /// The observation handle, if any observer is attached.
     #[must_use]
-    pub fn tracer(&self) -> Option<Rc<Tracer>> {
-        self.inner.tracer.borrow().clone()
-    }
-
-    /// Wires a tracer into the deployment: spans from the environment and
-    /// protocol ops, plus substrate spans from the shared log and the
-    /// state store (DESIGN.md §11).
-    fn install_tracer(&self, tracer: Rc<Tracer>) {
-        self.log().set_tracer(tracer.clone());
-        self.store().set_tracer(tracer.clone());
-        *self.inner.tracer.borrow_mut() = Some(tracer);
-    }
-
-    /// The anatomy collector, if phase stamping is enabled.
-    #[must_use]
-    pub fn anatomy(&self) -> Option<Rc<Anatomy>> {
-        self.inner.anatomy.borrow().clone()
-    }
-
-    /// The flight recorder, if one is attached.
-    #[must_use]
-    pub fn flight_recorder(&self) -> Option<Rc<FlightRecorder>> {
-        self.inner.flightrec.borrow().clone()
-    }
-
-    /// Wires the anatomy collector into the deployment: the shared log and
-    /// the state store pick up phase sheets from its context cell, and the
-    /// runtime/environment stamp scheduling, protocol, and replay phases.
-    fn install_anatomy(&self, anatomy: Rc<Anatomy>) {
-        self.log().set_anatomy(anatomy.clone());
-        self.store().set_anatomy(anatomy.clone());
-        *self.inner.anatomy.borrow_mut() = Some(anatomy);
+    pub fn probe(&self) -> Option<&Rc<Probe>> {
+        self.inner.probe.as_ref()
     }
 
     /// Notes that `key` received a multi-version write (GC bookkeeping;

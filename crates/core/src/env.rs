@@ -21,10 +21,11 @@
 
 use std::rc::Rc;
 
-use hm_common::anatomy::{Anatomy, Phase as AnatomyPhase, PhaseSheet};
-use hm_common::trace::{Lane, SpanId, TraceId, Tracer};
+use hm_common::observe::{Lane, OpCtx, Phase};
+use hm_common::trace::SpanId;
 use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, SeqNum, StepNum, Tag, TagSet, Value};
-use hm_sharedlog::{CondAppendOutcome, LogRecord};
+use hm_kvstore::KvStore;
+use hm_sharedlog::{CondAppendOutcome, LogRecord, LogService};
 
 use crate::client::{finish_log_tag, init_log_tag, transition_log_tag, Client, OpKind};
 use crate::history::{Event, EventKind};
@@ -87,24 +88,13 @@ pub struct Env {
     /// exists (Figure 5 logs the input precisely so re-executions and peer
     /// instances agree on it), otherwise the caller-supplied value.
     input: Value,
-    /// Tracer handle, cloned from the client at init (None when disabled).
-    tracer: Option<Rc<Tracer>>,
-    /// Trace this attempt belongs to (bound by the invoking runtime, or
-    /// fresh when the attempt is the trace root).
-    trace: TraceId,
-    /// The "attempt" span covering this whole execution attempt.
+    /// Where this attempt's observations belong: its trace, the span now
+    /// on the critical path (the open op's, else the attempt's) and the
+    /// request's phase sheet. Armed on every log and store access.
+    pub(crate) octx: OpCtx,
+    /// The "attempt" span, open until finish or drop; `NONE` when untraced
+    /// or closed.
     attempt_span: SpanId,
-    /// The op span currently on the critical path (parent for substrate
-    /// spans via the tracer context).
-    cur_span: SpanId,
-    /// Whether the attempt span has been closed (finish or Drop).
-    attempt_ended: bool,
-    /// Anatomy collector, cloned from the client at init (None when
-    /// phase stamping is disabled).
-    anatomy: Option<Rc<Anatomy>>,
-    /// This invocation's phase sheet, recovered from the anatomy binding
-    /// the runtime installed (None when unbound or anatomy is off).
-    sheet: Option<Rc<PhaseSheet>>,
 }
 
 /// What [`Env::init`] needs to start one execution attempt, named instead
@@ -121,7 +111,7 @@ pub struct Env {
 ///     .input(Value::Int(5));
 /// assert_eq!(spec.attempt, 2);
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct InvocationSpec {
     /// The instance group identifier (shared with peers and retries).
     pub id: InstanceId,
@@ -132,6 +122,9 @@ pub struct InvocationSpec {
     /// Caller-supplied invocation input (overridden by a logged init
     /// record on replay).
     pub input: Value,
+    /// Where the attempt's observations belong. The default is unbound:
+    /// a traced attempt then roots a trace of its own.
+    pub octx: OpCtx,
 }
 
 impl InvocationSpec {
@@ -143,6 +136,7 @@ impl InvocationSpec {
             node,
             attempt: 0,
             input: Value::Null,
+            octx: OpCtx::default(),
         }
     }
 
@@ -159,6 +153,13 @@ impl InvocationSpec {
         self.input = input;
         self
     }
+
+    /// Runs the attempt under `octx` (the invoking runtime's context).
+    #[must_use]
+    pub fn under(mut self, octx: OpCtx) -> InvocationSpec {
+        self.octx = octx;
+        self
+    }
 }
 
 /// Maps an op-span name to the anatomy phase charged while it runs.
@@ -166,11 +167,11 @@ impl InvocationSpec {
 /// everything else (init/sync/finish/invoke/transition bookkeeping)
 /// `ProtoTxn`. Substrate phases (log/store round-trips) nest inside and
 /// take precedence, so these are the protocol *residuals*.
-fn op_phase(name: &str) -> AnatomyPhase {
+fn op_phase(name: &str) -> Phase {
     match name {
-        "read" | "read_snapshot" => AnatomyPhase::ProtoRead,
-        "write" => AnatomyPhase::ProtoWrite,
-        _ => AnatomyPhase::ProtoTxn,
+        "read" | "read_snapshot" => Phase::ProtoRead,
+        "write" => Phase::ProtoWrite,
+        _ => Phase::ProtoTxn,
     }
 }
 
@@ -191,12 +192,14 @@ impl Env {
             node,
             attempt,
             input,
+            mut octx,
         } = spec;
         let unlogged = client.with_config(|c| {
             c.default == ProtocolKind::Unsafe && c.per_key.is_empty() && !c.switching_enabled
         });
-        let tracer = client.tracer();
-        let anatomy = client.anatomy();
+        if let Some(probe) = client.probe() {
+            octx = probe.attempt(octx, Lane::Node(node.0), client.ctx().now(), attempt);
+        }
         let mut env = Env {
             client: client.clone(),
             id,
@@ -214,61 +217,23 @@ impl Env {
             resolved_mode: None,
             unlogged,
             input,
-            tracer,
-            trace: TraceId::NONE,
-            attempt_span: SpanId::NONE,
-            cur_span: SpanId::NONE,
-            attempt_ended: true,
-            anatomy,
-            sheet: None,
+            attempt_span: octx.parent,
+            octx,
         };
-        if let Some(a) = env.anatomy.clone() {
-            // Like the trace binding below: invocations started by the
-            // runtime carry their request's phase sheet via the instance
-            // binding. Entering the attempt flips the sheet's base phase
-            // (Dispatch on first execution, Recovery on a retry) over to
-            // Execution.
-            env.sheet = a.binding(id.0);
-            if let Some(sheet) = &env.sheet {
-                sheet.begin_attempt(client.ctx().now());
-            }
-        }
-        if let Some(t) = env.tracer.clone() {
-            // Attempts started by the runtime inherit the request's trace
-            // via the instance binding; unbound attempts root a new trace.
-            let (trace, parent) = t
-                .binding(id.0)
-                .unwrap_or_else(|| (t.new_trace(), SpanId::NONE));
-            env.trace = trace;
-            env.attempt_span = t.span_begin(
-                Lane::Node(node.0),
-                client.ctx().now(),
-                trace,
-                parent,
-                "attempt",
-                format!("attempt {attempt}"),
-            );
-            env.attempt_ended = false;
-        }
         if unlogged {
             return Ok(env);
         }
-        let init_span = env.op_begin("init");
-        env.set_trace_ctx();
+        env.op_begin("init", String::new);
         let replaying = attempt > 0;
         if replaying {
             // §5 recovery: the whole step-log re-fetch is charged to the
             // (opaque) Replay phase — nested log-read stamps are swallowed
             // so the waterfall shows replay cost as one line.
-            if let Some(sheet) = &env.sheet {
-                sheet.enter(client.ctx().now(), AnatomyPhase::Replay);
-            }
+            env.octx.enter(|| client.ctx().now(), Phase::Replay);
         }
-        let (prior, replay) = client.log().replay_stream(node, id.step_log_tag()).await;
+        let (prior, replay) = env.log().replay_stream(node, id.step_log_tag()).await;
         if replaying {
-            if let Some(sheet) = &env.sheet {
-                sheet.exit(client.ctx().now());
-            }
+            env.octx.exit(|| client.ctx().now());
         }
         env.prior = prior;
         if attempt > 0 {
@@ -276,7 +241,7 @@ impl Env {
             // paid purely because the previous attempt died.
             client.note_recovery(replay);
         }
-        env.maybe_crash().inspect_err(|_| env.op_end(init_span))?;
+        env.maybe_crash().inspect_err(|_| env.op_end())?;
         match env.peek_prior() {
             Some(rec) => {
                 debug_assert!(matches!(rec.payload.op, OpRecord::Init { .. }));
@@ -291,7 +256,7 @@ impl Env {
                 let rec = env
                     .log_step(&[init_log_tag()], OpRecord::Init { input })
                     .await
-                    .inspect_err(|_| env.op_end(init_span))?;
+                    .inspect_err(|_| env.op_end())?;
                 if let OpRecord::Init { input } = &rec.payload.op {
                     // A racing peer's init may have won with its input.
                     env.input = input.clone();
@@ -299,7 +264,7 @@ impl Env {
                 env.init_cursor = rec.seqnum;
             }
         }
-        env.op_end(init_span);
+        env.op_end();
         Ok(env)
     }
 
@@ -314,6 +279,17 @@ impl Env {
     #[must_use]
     pub fn client(&self) -> &Client {
         &self.client
+    }
+
+    /// The shared log, armed with this attempt's current context. Every
+    /// log access of the attempt goes through here.
+    pub(crate) fn log(&self) -> &LogService<StepRecord> {
+        self.client.log_as(&self.octx)
+    }
+
+    /// The state store, armed like [`Env::log`].
+    pub(crate) fn store(&self) -> &KvStore {
+        self.client.store_as(&self.octx)
     }
 
     // ------------------------------------------------------------------
@@ -354,9 +330,7 @@ impl Env {
         let tags: TagSet = std::iter::once(step_tag)
             .chain(extra_tags.iter().copied())
             .collect();
-        self.set_trace_ctx();
         let outcome = self
-            .client
             .log()
             .cond_append(self.node, tags, rec, step_tag, self.pos)
             .await;
@@ -368,9 +342,7 @@ impl Env {
                 .ok_or_else(|| HmError::config("appended record missing from log"))?,
             CondAppendOutcome::Conflict(winner) => {
                 // Adopt the peer's record at our expected offset.
-                self.set_trace_ctx();
-                self.client
-                    .log()
+                self.log()
                     .read_next(self.node, step_tag, winner)
                     .await
                     .ok_or_else(|| HmError::config("conflict winner record missing"))?
@@ -460,99 +432,43 @@ impl Env {
     }
 
     // ------------------------------------------------------------------
-    // Tracing (all no-ops when no tracer is attached)
+    // Observation (all no-ops when the deployment has no probe)
     // ------------------------------------------------------------------
 
-    /// Opens an op span (child of the attempt span) and makes it the
-    /// tracer context, so substrate spans attach under it.
-    pub(crate) fn op_begin(&mut self, name: &'static str) -> SpanId {
-        self.op_begin_with(name, String::new)
-    }
-
-    /// [`Env::op_begin`] with a detail string, built only when tracing.
-    pub(crate) fn op_begin_with(
-        &mut self,
-        name: &'static str,
-        detail: impl FnOnce() -> String,
-    ) -> SpanId {
-        if let Some(sheet) = &self.sheet {
-            sheet.enter(self.client.ctx().now(), op_phase(name));
-        }
-        if let Some(a) = &self.anatomy {
-            a.set_context(self.sheet.clone());
-        }
-        let Some(t) = self.tracer.clone() else {
-            return SpanId::NONE;
-        };
-        let span = t.span_begin(
-            Lane::Node(self.node.0),
-            self.client.ctx().now(),
-            self.trace,
-            self.attempt_span,
-            name,
-            detail(),
-        );
-        self.cur_span = span;
-        t.set_context(self.trace, span);
-        span
-    }
-
-    /// Closes an op span and restores the attempt span as context parent.
-    pub(crate) fn op_end(&mut self, span: SpanId) {
-        if let Some(sheet) = &self.sheet {
-            sheet.exit(self.client.ctx().now());
-        }
-        let Some(t) = self.tracer.clone() else {
-            return;
-        };
-        if span != SpanId::NONE {
-            t.span_end(Lane::Node(self.node.0), self.client.ctx().now(), self.trace, span);
-        }
-        self.cur_span = self.attempt_span;
-    }
-
-    /// Re-arms the tracer context to this attempt's current op span. Must
-    /// be called immediately before a traced substrate call whenever an
-    /// `await` may have run since the last context set (other tasks share
-    /// the single context cell).
-    pub(crate) fn set_trace_ctx(&self) {
-        if let Some(t) = &self.tracer {
-            t.set_context(self.trace, self.cur_span);
-        }
-        if let Some(a) = &self.anatomy {
-            a.set_context(self.sheet.clone());
+    /// Opens an op: a span under the attempt's, which becomes the parent of
+    /// the log and store calls made until [`Env::op_end`], charging the
+    /// op's residual phase. Ops do not nest. The detail string is built
+    /// only when tracing.
+    pub(crate) fn op_begin(&mut self, name: &'static str, detail: impl FnOnce() -> String) {
+        if let Some(probe) = self.client.probe() {
+            let now = self.client.ctx().now();
+            let attempt = std::mem::take(&mut self.octx);
+            self.octx = probe.span_under(attempt, Lane::Node(self.node.0), now, name, detail);
+            self.octx.enter(|| now, op_phase(name));
         }
     }
 
-    /// The tracer handle, if tracing is enabled.
-    pub(crate) fn tracer(&self) -> Option<&Rc<Tracer>> {
-        self.tracer.as_ref()
-    }
-
-    /// The trace this attempt belongs to.
-    pub(crate) fn trace_id(&self) -> TraceId {
-        self.trace
-    }
-
-    /// The current op span (parent for substrate and subtask spans).
-    pub(crate) fn cur_span(&self) -> SpanId {
-        self.cur_span
+    /// Closes the open op; the attempt span is the parent again.
+    pub(crate) fn op_end(&mut self) {
+        if let Some(probe) = self.client.probe() {
+            let now = self.client.ctx().now();
+            probe.span_end(&self.octx, Lane::Node(self.node.0), now);
+            self.octx.exit(|| now);
+            self.octx.parent = self.attempt_span;
+        }
     }
 
     /// Closes the attempt span; idempotent. Called by [`Env::finish`] and
-    /// by `Drop` (covering crash/error exits).
+    /// by `Drop` (covering crash/error exits). A drop during the backend's
+    /// own teardown has no clock left to stamp the End with and skips it.
     fn end_attempt(&mut self) {
-        if self.attempt_ended {
+        // A crash exit leaves an op's span in `octx.parent`.
+        self.octx.parent = std::mem::take(&mut self.attempt_span);
+        if self.octx.parent == SpanId::NONE {
             return;
         }
-        self.attempt_ended = true;
-        if let Some(t) = self.tracer.clone() {
-            t.span_end(
-                Lane::Node(self.node.0),
-                self.client.ctx().now(),
-                self.trace,
-                self.attempt_span,
-            );
+        if let (Some(probe), Some(now)) = (self.client.probe(), self.client.ctx().try_now()) {
+            probe.span_end(&self.octx, Lane::Node(self.node.0), now);
         }
     }
 
@@ -570,9 +486,7 @@ impl Env {
             // One transition-log lookup per SSF, bounded by the *initial*
             // cursor so retries resolve identically (§4.7: "both the
             // cursorTS and the transition log are persistent").
-            self.set_trace_ctx();
             let rec = self
-                .client
                 .log()
                 .read_prev(self.node, transition_log_tag(), self.init_cursor)
                 .await;
@@ -606,9 +520,9 @@ impl Env {
     pub async fn read(&mut self, key: &Key) -> HmResult<Value> {
         self.bump_pc();
         let started = self.client.ctx().now();
-        let span = self.op_begin_with("read", || format!("{key:?}"));
+        self.op_begin("read", || format!("{key:?}"));
         let result = self.read_dispatch(key).await;
-        self.op_end(span);
+        self.op_end();
         if result.is_ok() {
             self.client
                 .record_op_latency(OpKind::Read, self.client.ctx().now() - started);
@@ -622,7 +536,7 @@ impl Env {
         // under every protocol.
         if self.client.with_config(|c| c.read_only_keys.contains(key)) {
             self.maybe_crash()?;
-            let value = self.client.store().get(key).await.unwrap_or(Value::Null);
+            let value = self.store().get(key).await.unwrap_or(Value::Null);
             self.record_event(|| EventKind::Read {
                 key: key.clone(),
                 fp: value.fingerprint(),
@@ -664,9 +578,9 @@ impl Env {
     pub async fn write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.bump_pc();
         let started = self.client.ctx().now();
-        let span = self.op_begin_with("write", || format!("{key:?}"));
+        self.op_begin("write", || format!("{key:?}"));
         let result = self.write_dispatch(key, value).await;
-        self.op_end(span);
+        self.op_end();
         if result.is_ok() {
             self.client
                 .record_op_latency(OpKind::Write, self.client.ctx().now() - started);
@@ -728,9 +642,9 @@ impl Env {
             }
         }
         if all_hmread {
-            let span = self.op_begin_with("read_snapshot", || format!("{} keys", keys.len()));
+            self.op_begin("read_snapshot", || format!("{} keys", keys.len()));
             let result = self.hmread_read_snapshot(keys).await;
-            self.op_end(span);
+            self.op_end();
             return result;
         }
         let mut out = Vec::with_capacity(keys.len());
@@ -748,14 +662,24 @@ impl Env {
     pub async fn invoke(&mut self, func: &str, input: Value) -> HmResult<Value> {
         self.bump_pc();
         let started = self.client.ctx().now();
-        let span = self.op_begin_with("invoke", || func.to_string());
+        self.op_begin("invoke", || func.to_string());
         let result = self.invoke_dispatch(func, input).await;
-        self.op_end(span);
+        self.op_end();
         if result.is_ok() {
             self.client
                 .record_op_latency(OpKind::Invoke, self.client.ctx().now() - started);
         }
         result
+    }
+
+    /// Leaves this attempt's context for the runtime about to execute
+    /// `callee`: its attempts join this trace under the invoke op and
+    /// charge this request's sheet. The `invoker.invoke` call must follow
+    /// directly.
+    fn hand_off_to(&self, callee: InstanceId) {
+        if let Some(probe) = self.client.probe() {
+            probe.hand_off(callee.0, self.octx.clone());
+        }
     }
 
     async fn invoke_dispatch(&mut self, func: &str, input: Value) -> HmResult<Value> {
@@ -768,12 +692,7 @@ impl Env {
                 .invoker()
                 .ok_or_else(|| HmError::config("no invoker registered"))?;
             self.maybe_crash()?;
-            if let Some(t) = &self.tracer {
-                t.bind(callee.0, self.trace, self.cur_span);
-            }
-            if let (Some(a), Some(sheet)) = (&self.anatomy, &self.sheet) {
-                a.bind(callee.0, sheet.clone());
-            }
+            self.hand_off_to(callee);
             let result = invoker.invoke(callee, func, input).await?;
             self.record_event(|| EventKind::Invoke {
                 callee,
@@ -803,13 +722,7 @@ impl Env {
             .invoker()
             .ok_or_else(|| HmError::config("no invoker registered"))?;
         self.maybe_crash()?;
-        // The callee's attempts join this trace, parented to the invoke op.
-        if let Some(t) = &self.tracer {
-            t.bind(callee.0, self.trace, self.cur_span);
-        }
-        if let (Some(a), Some(sheet)) = (&self.anatomy, &self.sheet) {
-            a.bind(callee.0, sheet.clone());
-        }
+        self.hand_off_to(callee);
         let result = invoker.invoke(callee, func, input).await?;
         self.maybe_crash()?;
         let rec = self
@@ -834,9 +747,9 @@ impl Env {
         if self.unlogged {
             return Ok(());
         }
-        let span = self.op_begin("sync");
+        self.op_begin("sync", String::new);
         let result = self.sync_inner().await;
-        self.op_end(span);
+        self.op_end();
         result
     }
 
@@ -867,9 +780,9 @@ impl Env {
             self.end_attempt();
             return Ok(result);
         }
-        let span = self.op_begin("finish");
+        self.op_begin("finish", String::new);
         let out = self.finish_inner(result).await;
-        self.op_end(span);
+        self.op_end();
         if out.is_ok() {
             self.end_attempt();
         }

@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 
-use hm_common::trace::{Lane, SpanId, TraceId};
+use hm_common::observe::{Lane, OpCtx};
 use hm_common::{Key, NodeId, SeqNum, VersionNum};
 
 use crate::client::{finish_log_tag, init_log_tag, Client};
@@ -55,36 +55,23 @@ impl GarbageCollector {
     pub async fn collect(&self) -> GcStats {
         let mut stats = GcStats::default();
         // GC work is background: its spans live on the dedicated GC lane
-        // under the unattributed trace, so request critical paths never
-        // include them. The context cell is shared, so it is re-armed
-        // before every substrate call, like any other traced task.
-        let tracer = self.client.tracer();
-        let gc_span = tracer.as_ref().map_or(SpanId::NONE, |t| {
-            t.span_begin(
-                Lane::Gc,
-                self.client.ctx().now(),
-                TraceId::NONE,
-                SpanId::NONE,
-                "gc_cycle",
-                String::new(),
-            )
+        // under trace 0 and charge no request, so request critical paths
+        // and waterfalls never include them. Every log and store call of
+        // the cycle, its trim tasks included, is made as `octx`.
+        let probe = self.client.probe();
+        let octx = probe.map_or_else(OpCtx::default, |p| {
+            let now = self.client.ctx().now();
+            p.span_under(OpCtx::default(), Lane::Gc, now, "gc_cycle", String::new)
         });
-        let rearm = || {
-            if let Some(t) = &tracer {
-                t.set_context(TraceId::NONE, gc_span);
-            }
-        };
         // Step 1: watermark from the init/finish scan (two paid reads).
-        rearm();
         let inits = self
             .client
-            .log()
+            .log_as(&octx)
             .read_stream(self.node, init_log_tag())
             .await;
-        rearm();
         let fins = self
             .client
-            .log()
+            .log_as(&octx)
             .read_stream(self.node, finish_log_tag())
             .await;
         let finished: HashSet<SeqNum> = fins
@@ -141,17 +128,18 @@ impl GarbageCollector {
             }
             let client = self.client.clone();
             let node = self.node;
-            let tracer = tracer.clone();
+            let octx = octx.clone();
             reclaim_handles.push(self.client.ctx().spawn(async move {
-                if let Some(t) = &tracer {
-                    t.set_context(TraceId::NONE, gc_span);
-                }
-                client.log().trim(node, step_tag, SeqNum::MAX).await;
+                client.log_as(&octx).trim(node, step_tag, SeqNum::MAX).await;
             }));
         }
         for (key, version) in orphan_deletes {
-            rearm();
-            if self.client.store().delete_version(&key, version).await {
+            if self
+                .client
+                .store_as(&octx)
+                .delete_version(&key, version)
+                .await
+            {
                 stats.orphans_deleted += 1;
             }
         }
@@ -187,17 +175,18 @@ impl GarbageCollector {
             }
             let client = self.client.clone();
             let node = self.node;
-            let tracer = tracer.clone();
+            let octx = octx.clone();
             reclaim_handles.push(self.client.ctx().spawn(async move {
-                if let Some(t) = &tracer {
-                    t.set_context(TraceId::NONE, gc_span);
-                }
-                client.log().trim(node, tag, marked_prev).await;
+                client.log_as(&octx).trim(node, tag, marked_prev).await;
             }));
         }
         for (key, version) in version_deletes {
-            rearm();
-            if self.client.store().delete_version(&key, version).await {
+            if self
+                .client
+                .store_as(&octx)
+                .delete_version(&key, version)
+                .await
+            {
                 stats.versions_deleted += 1;
             }
         }
@@ -207,20 +196,20 @@ impl GarbageCollector {
             let upto = SeqNum(watermark.0 - 1);
             let client = self.client.clone();
             let node = self.node;
-            let tracer = tracer.clone();
+            let octx = octx.clone();
             reclaim_handles.push(self.client.ctx().spawn(async move {
-                if let Some(t) = &tracer {
-                    t.set_context(TraceId::NONE, gc_span);
-                }
-                client.log().trim(node, init_log_tag(), upto).await;
-                client.log().trim(node, finish_log_tag(), upto).await;
+                client.log_as(&octx).trim(node, init_log_tag(), upto).await;
+                client
+                    .log_as(&octx)
+                    .trim(node, finish_log_tag(), upto)
+                    .await;
             }));
         }
         for handle in reclaim_handles {
             handle.await;
         }
-        if let Some(t) = &tracer {
-            t.span_end(Lane::Gc, self.client.ctx().now(), TraceId::NONE, gc_span);
+        if let Some(p) = probe {
+            p.span_end(&octx, Lane::Gc, self.client.ctx().now());
         }
         stats
     }

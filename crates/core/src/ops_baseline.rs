@@ -75,9 +75,7 @@ impl Env {
             };
         }
         self.maybe_crash()?;
-        self.set_trace_ctx();
         let applied = self
-            .client()
             .store()
             .put_conditional(key, value.clone(), version)
             .await;
@@ -95,8 +93,7 @@ impl Env {
     /// Unsafe read: the raw operation, no logging, no idempotence.
     pub(crate) async fn unsafe_read(&mut self, key: &Key) -> HmResult<Value> {
         self.maybe_crash()?;
-        self.set_trace_ctx();
-        let value = self.client().store().get(key).await.unwrap_or(Value::Null);
+        let value = self.store().get(key).await.unwrap_or(Value::Null);
         self.record_event(|| EventKind::Read {
             key: key.clone(),
             fp: value.fingerprint(),
@@ -119,8 +116,7 @@ impl Env {
     /// configuration but honestly reports the one-op `wr-1s` as passing.
     pub(crate) async fn unsafe_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.maybe_crash()?;
-        self.set_trace_ctx();
-        self.client().store().put(key, value.clone()).await;
+        self.store().put(key, value.clone()).await;
         self.maybe_crash()?;
         self.record_event(|| EventKind::RawWrite {
             key: key.clone(),

@@ -43,8 +43,9 @@ impl Env {
         // precisely so that exposed versions are available (§4.1), and the
         // GC only removes versions no live cursor can reach (§4.5). With
         // no effective write, the immutable base state is returned.
-        self.set_trace_ctx();
-        let value = crate::txn::read_effective_at(self.client(), self.node, key, cursor).await?;
+        let value =
+            crate::txn::read_effective_at(self.client(), &self.octx, self.node, key, cursor)
+                .await?;
         if checkpointing {
             self.client()
                 .set_checkpoint(self.node, self.id, self.pc(), value.clone());
@@ -114,11 +115,7 @@ impl Env {
         self.maybe_crash()?;
         // DBWrite (line 21): multi-version put under the fixed version
         // number. Idempotent — a crash retry rewrites identical content.
-        self.set_trace_ctx();
-        self.client()
-            .store()
-            .put_version(key, version, value.clone())
-            .await;
+        self.store().put_version(key, version, value.clone()).await;
         self.maybe_crash()?;
         // Commit (line 22): tagged with the step log *and* the object's
         // write log; its seqnum is the write's logical timestamp.
@@ -151,22 +148,13 @@ impl Env {
         self.maybe_crash()?;
         let cursor = self.cursor;
         let mut handles = Vec::with_capacity(keys.len());
-        let tracer = self.tracer().cloned();
-        let trace = self.trace_id();
-        let span = self.cur_span();
         for key in keys {
             let client = self.client().clone();
+            let octx = self.octx.clone();
             let node = self.node;
             let key = key.clone();
-            let tracer = tracer.clone();
             handles.push(self.client().ctx().spawn(async move {
-                // Subtasks re-arm the shared context cell themselves: the
-                // spawning attempt's context is long gone by the time the
-                // executor polls this task.
-                if let Some(t) = &tracer {
-                    t.set_context(trace, span);
-                }
-                crate::txn::read_effective_at(&client, node, &key, cursor).await
+                crate::txn::read_effective_at(&client, &octx, node, &key, cursor).await
             }));
         }
         let mut out = Vec::with_capacity(keys.len());
@@ -215,11 +203,7 @@ impl Env {
             };
         }
         self.maybe_crash()?;
-        self.set_trace_ctx();
-        self.client()
-            .store()
-            .put_version(key, version, value.clone())
-            .await;
+        self.store().put_version(key, version, value.clone()).await;
         self.maybe_crash()?;
         let rec = self
             .log_step(
@@ -265,8 +249,7 @@ impl Env {
             };
         }
         // Line 13: read the latest state.
-        self.set_trace_ctx();
-        let observed = self.client().store().get(key).await.unwrap_or(Value::Null);
+        let observed = self.store().get(key).await.unwrap_or(Value::Null);
         let observed_at = self.client().ctx().now();
         let observed_fp = observed.fingerprint();
         self.maybe_crash()?;
@@ -334,9 +317,7 @@ impl Env {
         // version is smaller. On a crash retry the tuple is identical, so
         // the update is applied at most once; if a fresher write landed in
         // between, this write is effectively ordered before it (§4.2).
-        self.set_trace_ctx();
         let applied = self
-            .client()
             .store()
             .put_conditional(key, value.clone(), version)
             .await;

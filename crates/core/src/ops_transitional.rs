@@ -45,8 +45,7 @@ impl Env {
             };
         }
         // Halfmoon-write side: the LATEST row and its version tuple.
-        self.set_trace_ctx();
-        let latest = self.client().store().get_with_version(key).await;
+        let latest = self.store().get_with_version(key).await;
         // Halfmoon-read side: the freshest *effective* committed record at
         // our cursor (skipping aborted transaction commits).
         let wrec = self.effective_prev(key, self.cursor).await;
@@ -90,9 +89,7 @@ impl Env {
     ) -> Option<(hm_common::SeqNum, VersionNum)> {
         let mut bound = bound;
         loop {
-            self.set_trace_ctx();
             let rec = self
-                .client()
                 .log()
                 .read_prev(self.node, key.object_log_tag(), bound)
                 .await?;
@@ -108,9 +105,7 @@ impl Env {
     async fn fetch_version(&self, key: &Key, version: Option<VersionNum>) -> HmResult<Value> {
         let version = version
             .ok_or_else(|| hm_common::HmError::config("write-log record without version"))?;
-        self.set_trace_ctx();
-        self.client()
-            .store()
+        self.store()
             .get_version(key, version)
             .await
             .ok_or_else(|| hm_common::HmError::MissingVersion { key: key.clone() })
@@ -165,16 +160,10 @@ impl Env {
         self.maybe_crash()?;
         // Multi-version side first (same ordering as Halfmoon-read: the
         // version must exist before its write-log record is visible).
-        self.set_trace_ctx();
-        self.client()
-            .store()
-            .put_version(key, version, value.clone())
-            .await;
+        self.store().put_version(key, version, value.clone()).await;
         self.maybe_crash()?;
         // Single-version side: conditional update, idempotent by tuple.
-        self.set_trace_ctx();
         let applied = self
-            .client()
             .store()
             .put_conditional(key, value.clone(), version_tuple)
             .await;

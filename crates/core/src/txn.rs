@@ -39,6 +39,7 @@
 
 use std::collections::BTreeMap;
 
+use hm_common::observe::OpCtx;
 use hm_common::{HmError, HmResult, Key, SeqNum, Value, VersionNum};
 
 use crate::client::Client;
@@ -113,9 +114,10 @@ impl Env {
         if !txn.read_set.contains(key) {
             txn.read_set.push(key.clone());
         }
-        let span = self.op_begin_with("txn_read", || format!("{key:?}"));
-        let value = read_effective_at(self.client(), self.node, key, txn.snapshot).await;
-        self.op_end(span);
+        self.op_begin("txn_read", || format!("{key:?}"));
+        let value =
+            read_effective_at(self.client(), &self.octx, self.node, key, txn.snapshot).await;
+        self.op_end();
         let value = value?;
         self.record_event(|| EventKind::Read {
             key: key.clone(),
@@ -143,9 +145,9 @@ impl Env {
     pub async fn txn_commit(&mut self, txn: Transaction) -> HmResult<TxnOutcome> {
         self.bump_pc();
         self.maybe_crash()?;
-        let span = self.op_begin_with("txn_commit", || format!("{} writes", txn.writes.len()));
+        self.op_begin("txn_commit", || format!("{} writes", txn.writes.len()));
         let out = self.txn_commit_inner(txn).await;
-        self.op_end(span);
+        self.op_end();
         out
     }
 
@@ -188,11 +190,7 @@ impl Env {
                 .get(key)
                 .expect("version for buffered key")
                 .clone();
-            self.set_trace_ctx();
-            self.client()
-                .store()
-                .put_version(key, *version, value)
-                .await;
+            self.store().put_version(key, *version, value).await;
         }
         self.maybe_crash()?;
         // One commit record, tagged into every written object's write log.
@@ -242,46 +240,34 @@ impl Env {
 
 /// Reads the effective value of `key` at logical time `bound`: the newest
 /// *effective* write-log record at or before `bound` (skipping aborted
-/// transaction commits), or the immutable base value.
+/// transaction commits), or the immutable base value. Every round-trip is
+/// made as `octx`, the caller's context.
 pub(crate) async fn read_effective_at(
     client: &Client,
+    octx: &OpCtx,
     node: hm_common::NodeId,
     key: &Key,
     bound: SeqNum,
 ) -> HmResult<Value> {
-    // Capture the caller's trace context once; every substrate call below
-    // re-arms it, since awaits in the loop let other tasks overwrite the
-    // shared context cell.
-    let tracer = client.tracer();
-    let saved = tracer.as_ref().map(|t| t.context());
-    let rearm = || {
-        if let (Some(t), Some((trace, span))) = (&tracer, saved) {
-            t.set_context(trace, span);
-        }
-    };
     let mut bound = bound;
     loop {
-        rearm();
         let Some(rec) = client
-            .log()
+            .log_as(octx)
             .read_prev(node, key.object_log_tag(), bound)
             .await
         else {
-            rearm();
-            return Ok(client.store().get(key).await.unwrap_or(Value::Null));
+            return Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null));
         };
         if let Some(version) = effective_version(client, &rec.payload, rec.seqnum, key) {
-            rearm();
             return client
-                .store()
+                .store_as(octx)
                 .get_version(key, version)
                 .await
                 .ok_or_else(|| HmError::MissingVersion { key: key.clone() });
         }
         // Aborted transaction commit: invisible — seek past it.
         if rec.seqnum.0 == 0 {
-            rearm();
-            return Ok(client.store().get(key).await.unwrap_or(Value::Null));
+            return Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null));
         }
         bound = SeqNum(rec.seqnum.0 - 1);
     }

@@ -356,3 +356,39 @@ fn checkpoints_do_not_leak_across_nodes() {
         "fresh node recomputes identically"
     );
 }
+
+/// Dropping the simulation drops its tasks, and with them every `Env`
+/// still mid-attempt. A traced attempt closes its span on drop, but there
+/// is no clock left to stamp the End with: the End is skipped, not a panic
+/// inside `Drop`.
+#[test]
+fn dropping_the_sim_mid_attempt_does_not_panic_in_env_drop() {
+    let mut sim = Sim::new(0xed6e);
+    let tracer = hm_common::trace::Tracer::new();
+    let client = Client::builder(sim.ctx())
+        .model(LatencyModel::uniform_test_model())
+        .tracer(tracer.clone())
+        .build();
+    client.populate(Key::new("X"), Value::Int(0));
+    let id = client.fresh_instance_id();
+    let ctx = sim.ctx();
+    ctx.spawn(async move {
+        let mut env = Env::init(&client, InvocationSpec::new(id, NODE)).await?;
+        for _ in 0..100 {
+            env.read(&Key::new("X")).await?;
+        }
+        env.finish(Value::Null).await
+    });
+    sim.run_until(Duration::from_millis(5));
+    drop(sim);
+    let jsonl = tracer.export_jsonl();
+    let attempt_span = jsonl
+        .lines()
+        .find(|l| l.contains("\"name\":\"attempt\""))
+        .and_then(|l| l.split("\"span\":").nth(1)?.split(',').next())
+        .expect("the attempt began");
+    let closed = jsonl
+        .lines()
+        .any(|l| l.contains("\"ph\":\"E\"") && l.contains(&format!("\"span\":{attempt_span},")));
+    assert!(!closed, "no instant to close the attempt span at");
+}

@@ -46,10 +46,9 @@ use std::rc::Rc;
 
 use hm_common::FxHashMap;
 
-use hm_common::anatomy::{Anatomy, Phase as AnatomyPhase, PhaseSheet};
 use hm_common::latency::LatencyModel;
 use hm_common::metrics::{OpCounters, TimeWeightedGauge};
-use hm_common::trace::{Lane, SpanId, TraceId, Tracer};
+use hm_common::observe::{Lane, Phase, Probe, Scope};
 use hm_common::{Key, Value, VersionNum, VersionTuple};
 use hm_substrate::{Ctx, Time};
 
@@ -76,9 +75,8 @@ struct StoreInner {
     versions: FxHashMap<Key, FxHashMap<VersionNum, Value>>,
     bytes: TimeWeightedGauge,
     counters: OpCounters,
-    /// Optional tracing sink, shared by all handle clones.
-    tracer: Option<Rc<Tracer>>,
-    anatomy: Option<Rc<Anatomy>>,
+    /// The deployment's observation handle, shared by all handle clones.
+    probe: Option<Rc<Probe>>,
 }
 
 impl StoreInner {
@@ -108,60 +106,28 @@ impl KvStore {
                 versions: FxHashMap::default(),
                 bytes: TimeWeightedGauge::new(now),
                 counters: OpCounters::default(),
-                tracer: None,
-                anatomy: None,
+                probe: None,
             })),
         }
     }
 
-    /// Installs a tracer; every store round-trip then emits a span on the
-    /// storage lane, attributed to the caller's current trace context.
-    /// Shared by all handle clones.
-    pub fn set_tracer(&self, tracer: Rc<Tracer>) {
-        self.inner.borrow_mut().tracer = Some(tracer);
+    /// Attaches the deployment's probe: every store round-trip then opens
+    /// a `db_*` scope on the storage lane charging [`Phase::StoreIo`], under
+    /// the context its caller armed. Shared by all handle clones.
+    pub fn observe(&self, probe: Rc<Probe>) {
+        self.inner.borrow_mut().probe = Some(probe);
     }
 
-    /// Installs the anatomy collector; every store round-trip then charges
-    /// its caller's phase sheet with [`AnatomyPhase::StoreIo`] time.
-    /// Shared by all handle clones.
-    pub fn set_anatomy(&self, anatomy: Rc<Anatomy>) {
-        self.inner.borrow_mut().anatomy = Some(anatomy);
-    }
-
-    /// Captures the caller's phase sheet (same entry-point discipline as
-    /// [`KvStore::trace_begin`]) and starts charging [`AnatomyPhase::StoreIo`].
-    fn stamp_begin(&self) -> Option<Rc<PhaseSheet>> {
-        let sheet = self.inner.borrow().anatomy.as_ref()?.context()?;
-        sheet.enter(self.ctx.now(), AnatomyPhase::StoreIo);
-        Some(sheet)
-    }
-
-    fn stamp_end(&self, sheet: &Option<Rc<PhaseSheet>>) {
-        if let Some(sheet) = sheet {
-            sheet.exit(self.ctx.now());
-        }
-    }
-
-    /// Captures the caller's trace context and opens a storage-lane span.
-    /// Must run at operation entry, before the first `await` — that is what
-    /// makes the context hand-off race-free on the single-threaded
-    /// executor (see `hm_common::trace` module docs).
-    fn trace_begin(&self, name: &'static str) -> Option<(Rc<Tracer>, TraceId, SpanId)> {
-        let tracer = self.inner.borrow().tracer.clone()?;
-        let (trace, parent) = tracer.context();
-        let span = tracer.span_begin(Lane::Storage, self.ctx.now(), trace, parent, name, String::new());
-        Some((tracer, trace, span))
-    }
-
-    fn trace_end(&self, scope: &Option<(Rc<Tracer>, TraceId, SpanId)>) {
-        if let Some((tracer, trace, span)) = scope {
-            tracer.span_end(Lane::Storage, self.ctx.now(), *trace, *span);
-        }
-    }
-
-    async fn pay(&self, d: hm_common::latency::LogNormalLatency) {
+    /// One round-trip: opens the operation's scope (under the context its
+    /// caller armed, so before the first `await`) and sleeps its latency.
+    async fn pay(&self, name: &'static str, d: hm_common::latency::LogNormalLatency) -> Scope {
+        let scope = match &self.inner.borrow().probe {
+            Some(p) => p.begin(Lane::Storage, self.ctx.now(), name, Some(Phase::StoreIo)),
+            None => Scope::NONE,
+        };
         let latency = self.ctx.with_rng(|rng| d.sample(rng));
         self.ctx.sleep(latency).await;
+        scope
     }
 
     /// Populates an object instantly (experiment setup; takes no simulated
@@ -189,25 +155,20 @@ impl KvStore {
 
     /// Raw read of the latest value (`DBRead` in Figure 7).
     pub async fn get(&self, key: &Key) -> Option<Value> {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_read");
-        self.pay(self.model.db_read).await;
+        let scope = self.pay("db_read", self.model.db_read).await;
         let out = {
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_reads += 1;
             inner.latest.get(key).map(|item| item.value.clone())
         };
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
         out
     }
 
     /// Raw read returning both the value and its stored version tuple
     /// (needed by the transitional protocol's freshness comparison, §5.2).
     pub async fn get_with_version(&self, key: &Key) -> Option<(Value, VersionTuple)> {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_read");
-        self.pay(self.model.db_read).await;
+        let scope = self.pay("db_read", self.model.db_read).await;
         let out = {
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_reads += 1;
@@ -216,33 +177,27 @@ impl KvStore {
                 .get(key)
                 .map(|item| (item.value.clone(), item.version))
         };
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
         out
     }
 
     /// Raw unconditional write of the latest value (the unsafe baseline).
     pub async fn put(&self, key: &Key, value: Value) {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_write");
-        self.pay(self.model.db_write).await;
+        let scope = self.pay("db_write", self.model.db_write).await;
         {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_writes += 1;
             Self::install_latest(&mut inner, now, key, value, VersionTuple::MIN);
         }
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
     }
 
     /// Conditional update: applies `value` only if the stored version is
     /// strictly smaller than `version` (Figure 7 line 4). Returns whether
     /// the update was applied. Missing keys compare as [`VersionTuple::MIN`].
     pub async fn put_conditional(&self, key: &Key, value: Value, version: VersionTuple) -> bool {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_cond_write");
-        self.pay(self.model.db_cond_write).await;
+        let scope = self.pay("db_cond_write", self.model.db_cond_write).await;
         let apply = {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
@@ -260,20 +215,15 @@ impl KvStore {
             }
             apply
         };
-        if let Some((tracer, trace, span)) = &scope {
-            if !apply {
-                tracer.instant(
-                    Lane::Storage,
-                    self.ctx.now(),
-                    *trace,
-                    *span,
-                    "cond_write_rejected",
-                    String::new(),
-                );
-            }
+        if !apply {
+            scope.instant(
+                Lane::Storage,
+                || self.ctx.now(),
+                "cond_write_rejected",
+                String::new,
+            );
         }
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
         apply
     }
 
@@ -306,9 +256,9 @@ impl KvStore {
 
     /// Multi-version read: fetches one specific version (Figure 5 line 29).
     pub async fn get_version(&self, key: &Key, version: VersionNum) -> Option<Value> {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_version_read");
-        self.pay(self.model.db_version_read).await;
+        let scope = self
+            .pay("db_version_read", self.model.db_version_read)
+            .await;
         let out = {
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_reads += 1;
@@ -318,8 +268,7 @@ impl KvStore {
                 .and_then(|m| m.get(&version))
                 .cloned()
         };
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
         out
     }
 
@@ -327,9 +276,7 @@ impl KvStore {
     /// key (Figure 5 line 21). Idempotent: re-writing the same version
     /// (a crash-retry) overwrites in place with identical content.
     pub async fn put_version(&self, key: &Key, version: VersionNum, value: Value) {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_version_write");
-        self.pay(self.model.db_write).await;
+        let scope = self.pay("db_version_write", self.model.db_write).await;
         {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
@@ -351,16 +298,13 @@ impl KvStore {
             }
             inner.charge(now, new_bytes);
         }
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
     }
 
     /// Deletes one version (garbage collection, §4.5). Returns whether the
     /// version existed.
     pub async fn delete_version(&self, key: &Key, version: VersionNum) -> bool {
-        let stamp = self.stamp_begin();
-        let scope = self.trace_begin("db_delete");
-        self.pay(self.model.db_write).await;
+        let scope = self.pay("db_delete", self.model.db_write).await;
         let out = {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
@@ -376,8 +320,7 @@ impl KvStore {
                 None => false,
             }
         };
-        self.trace_end(&scope);
-        self.stamp_end(&stamp);
+        scope.end(|| self.ctx.now());
         out
     }
 

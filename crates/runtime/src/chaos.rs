@@ -115,8 +115,8 @@ impl ChaosDriver {
                 // Mirror the injection into the flight recorder's incident
                 // ring so a later dump shows which faults preceded the
                 // failure.
-                if let Some(fr) = rt.client().flight_recorder() {
-                    fr.note(ctx.now(), "fault_injected", format!("{:?}", fault.event));
+                if let Some(p) = rt.client().probe() {
+                    p.note(ctx.now(), "fault_injected", || format!("{:?}", fault.event));
                 }
                 journal.borrow_mut().push(fault);
                 if let Some((total, crashes)) = &counters {
@@ -312,12 +312,10 @@ pub fn audit(client: &Client) -> AuditReport {
     // black box (recent trace events, phase stamps, incident ring) so the
     // violating run leaves forensics behind, not just a message.
     if !violations.is_empty() {
-        if let Some(fr) = client.flight_recorder() {
-            fr.trigger(
-                client.ctx().now(),
-                "audit_violation",
-                violations.join("; "),
-            );
+        if let Some(p) = client.probe() {
+            p.trigger(client.ctx().now(), "audit_violation", || {
+                violations.join("; ")
+            });
         }
     }
     AuditReport {

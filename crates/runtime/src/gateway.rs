@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use hm_common::metrics::Histogram;
-use hm_common::trace::{Lane, SpanId};
+use hm_common::observe::OpCtx;
 use hm_common::Value;
 use hm_substrate::Time;
 use rand::rngs::SmallRng;
@@ -128,42 +128,17 @@ impl Gateway {
                 if queue > report.borrow().peak_queue {
                     report.borrow_mut().peak_queue = queue;
                 }
-                // Anatomy runs: each request opens a phase sheet at the
-                // arrival instant (base `Admission`, so worker-slot
-                // queueing is charged before the runtime ever sees it).
-                let anatomy = runtime.client().anatomy();
-                let sheet = anatomy.as_ref().map(|a| a.open_sheet(started));
-                // Traced runs: each request roots its own trace with a
-                // gateway-lane span covering queueing + execution.
-                let tracer = runtime.client().tracer();
-                let result = match &tracer {
-                    Some(t) => {
-                        let trace = t.new_trace();
-                        let span = t.span_begin(
-                            Lane::Gateway,
-                            started,
-                            trace,
-                            SpanId::NONE,
-                            "request",
-                            func.clone(),
-                        );
-                        let result = runtime
-                            .invoke_request_with(
-                                &func,
-                                input,
-                                Some((trace, span)),
-                                sheet.clone(),
-                            )
-                            .await;
-                        t.span_end(Lane::Gateway, ctx2.now(), trace, span);
-                        result
-                    }
-                    None => {
-                        runtime
-                            .invoke_request_with(&func, input, None, sheet.clone())
-                            .await
-                    }
-                };
+                // Observed runs: each request gets its own context at the
+                // arrival instant — a fresh trace rooted in a gateway-lane
+                // span covering queueing + execution, and a phase sheet
+                // whose base is `Admission`, so worker-slot queueing is
+                // charged before the runtime ever sees it.
+                let probe = runtime.client().probe();
+                let octx =
+                    probe.map_or_else(OpCtx::default, |p| p.request(started, || func.clone()));
+                let result = runtime
+                    .invoke_request_under(&func, input, octx.clone())
+                    .await;
                 let succeeded = result.is_ok();
                 if measured {
                     let mut r = report.borrow_mut();
@@ -179,12 +154,8 @@ impl Gateway {
                 // records, so per-op phase sums reconcile with the e2e
                 // histogram exactly. Warmup and errored requests are
                 // abandoned to mirror what `latency` records.
-                if let (Some(a), Some(sheet)) = (&anatomy, &sheet) {
-                    if measured && succeeded {
-                        a.complete(ctx2.now(), sheet);
-                    } else {
-                        a.abandon(ctx2.now(), sheet);
-                    }
+                if let Some(p) = probe {
+                    p.finish_request(&octx, ctx2.now(), measured && succeeded);
                 }
                 in_flight.set(in_flight.get() - 1);
             });

@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use halfmoon::{Client, Env, InvocationSpec, Invoker, LocalBoxFuture};
-use hm_common::anatomy::{Phase as AnatomyPhase, PhaseSheet};
-use hm_common::trace::{Lane, SpanId, TraceId};
+use hm_common::observe::{Lane, OpCtx, Phase};
+use hm_common::trace::{SpanId, TraceId};
 use hm_common::{HmError, HmResult, InstanceId, NodeId, Value};
 use hm_substrate::sync::{Semaphore, TaskGroup};
 use hm_substrate::Time;
@@ -264,13 +264,12 @@ impl Runtime {
     /// control — this queueing produces the latency knees under load),
     /// then executes with retries.
     pub async fn invoke_request(&self, func: &str, input: Value) -> HmResult<Value> {
-        self.invoke_request_with(func, input, None, None).await
+        self.invoke_request_under(func, input, OpCtx::default())
+            .await
     }
 
-    /// [`Runtime::invoke_request`] joining an existing trace: the fresh
-    /// instance is bound to `(trace, parent)` *after* admission control
-    /// (the id is drawn only once a worker slot is held), so the
-    /// invocation's spans nest under the caller's request span.
+    /// [`Runtime::invoke_request`] joining an existing trace: the
+    /// invocation's spans nest under the caller's span `parent`.
     pub async fn invoke_request_traced(
         &self,
         func: &str,
@@ -278,54 +277,53 @@ impl Runtime {
         trace: TraceId,
         parent: SpanId,
     ) -> HmResult<Value> {
-        self.invoke_request_with(func, input, Some((trace, parent)), None)
-            .await
+        let octx = OpCtx {
+            trace,
+            parent,
+            sheet: None,
+        };
+        self.invoke_request_under(func, input, octx).await
     }
 
     /// The general entry point behind [`Runtime::invoke_request`] and
-    /// [`Runtime::invoke_request_traced`]: optionally joins an existing
-    /// trace and optionally carries an anatomy [`PhaseSheet`].
+    /// [`Runtime::invoke_request_traced`]: the request's observations
+    /// belong to `octx`.
     ///
-    /// The sheet arrives in its caller-set base phase (`Admission` when the
-    /// gateway opened it) and keeps accruing there while the request queues
-    /// for a worker slot — the queueing delay the admission knee produces.
-    /// Once a slot is held the sheet switches to `Dispatch` and is bound to
-    /// the fresh instance id so attempts ([`Env::init`]) and child
-    /// invocations can find it.
-    pub async fn invoke_request_with(
+    /// A sheet in `octx` arrives in its caller-set base phase (`Admission`
+    /// when the gateway opened it) and keeps accruing there while the
+    /// request queues for a worker slot — the queueing delay the admission
+    /// knee produces. Once a slot is held it switches to `Dispatch`.
+    pub async fn invoke_request_under(
         &self,
         func: &str,
         input: Value,
-        trace: Option<(TraceId, SpanId)>,
-        sheet: Option<Rc<PhaseSheet>>,
+        octx: OpCtx,
     ) -> HmResult<Value> {
         let _slot = self.inner.workers.acquire().await;
         let id = self.inner.client.fresh_instance_id();
-        if let Some((trace, parent)) = trace {
-            if let Some(t) = self.inner.client.tracer() {
-                t.bind(id.0, trace, parent);
-            }
-        }
-        if let Some(sheet) = sheet {
-            sheet.switch(self.inner.client.ctx().now(), AnatomyPhase::Dispatch);
-            if let Some(a) = self.inner.client.anatomy() {
-                a.bind(id.0, sheet);
-            }
-        }
-        let result = self.execute(id, func, input).await;
-        // The binding is only needed while attempts run; dropping it keeps
-        // the anatomy map bounded across long open-loop runs. (Late peers
-        // looking it up afterwards simply find nothing — the sheet is
-        // closed by then anyway.)
-        if let Some(a) = self.inner.client.anatomy() {
-            a.unbind(id.0);
-        }
-        result
+        octx.switch(|| self.inner.client.ctx().now(), Phase::Dispatch);
+        self.execute_under(id, func, input, octx).await
     }
 
     /// Executes `func` as instance `id` to completion: dispatch hop,
-    /// optional duplicate peer, crash detection and re-execution.
+    /// optional duplicate peer, crash detection and re-execution. The
+    /// context is the one a parent's `Env::invoke` left for `id`, if any.
     pub async fn execute(&self, id: InstanceId, func: &str, input: Value) -> HmResult<Value> {
+        let octx = self
+            .inner
+            .client
+            .probe()
+            .map_or_else(OpCtx::default, |p| p.take(id.0));
+        self.execute_under(id, func, input, octx).await
+    }
+
+    async fn execute_under(
+        &self,
+        id: InstanceId,
+        func: &str,
+        input: Value,
+        octx: OpCtx,
+    ) -> HmResult<Value> {
         let body = self
             .inner
             .registry
@@ -335,30 +333,26 @@ impl Runtime {
             .ok_or_else(|| HmError::UnknownFunction {
                 name: func.to_string(),
             })?;
-        // A bound instance (traced request or traced parent invoke) gets an
-        // "invocation" span covering all attempts and peers; attempts then
-        // find it via the rebound instance id and nest under it.
-        let tracer = self.inner.client.tracer();
-        let inv_span = tracer.as_ref().and_then(|t| {
-            let (trace, parent) = t.binding(id.0)?;
-            let span = t.span_begin(
+        let client = &self.inner.client;
+        // An instance on a trace (traced request or traced parent invoke)
+        // gets an "invocation" span covering all attempts and peers, which
+        // nest under it. One on no trace gets none: each of its attempts
+        // roots a trace of its own.
+        let octx = match client.probe() {
+            Some(p) if octx.trace != TraceId::NONE => p.span_under(
+                octx,
                 Lane::Gateway,
-                self.inner.client.ctx().now(),
-                trace,
-                parent,
+                client.ctx().now(),
                 "invocation",
-                func.to_string(),
-            );
-            t.bind(id.0, trace, span);
-            Some((trace, span))
-        });
+                || func.to_string(),
+            ),
+            _ => octx,
+        };
         // Maybe launch a racing peer (fire-and-forget; exactly-once
         // semantics make its effects indistinguishable from the primary's).
         let duplicate_prob = self.inner.config.get().duplicate_prob;
         let duplicate = duplicate_prob > 0.0
-            && self
-                .inner
-                .client
+            && client
                 .ctx()
                 .with_rng(|rng| hm_common::dist::bernoulli(rng, duplicate_prob));
         if duplicate {
@@ -366,21 +360,23 @@ impl Runtime {
             let rt = self.clone();
             let body = body.clone();
             let input = input.clone();
-            let ctx = self.inner.client.ctx().clone();
+            let octx = octx.clone();
+            let ctx = client.ctx().clone();
             let delay = self.inner.config.get().duplicate_delay;
-            self.inner.client.ctx().spawn(async move {
+            client.ctx().spawn(async move {
                 ctx.sleep(delay).await;
                 // The peer's result and errors are ignored; the primary's
                 // retry loop guarantees completion. The peer recovers the
                 // authoritative input from the primary's init record.
-                let _ = rt.run_attempts(id, &body, input, 1).await;
+                let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
             });
         }
+        let max_attempts = self.inner.config.get().max_attempts;
         let result = self
-            .run_attempts(id, &body, input, self.inner.config.get().max_attempts)
+            .run_attempts(id, &body, input, max_attempts, &octx)
             .await;
-        if let (Some(t), Some((trace, span))) = (&tracer, inv_span) {
-            t.span_end(Lane::Gateway, self.inner.client.ctx().now(), trace, span);
+        if let Some(p) = client.probe() {
+            p.span_end(&octx, Lane::Gateway, client.ctx().now());
         }
         result
     }
@@ -391,12 +387,11 @@ impl Runtime {
         body: &SsfBody,
         input: Value,
         max_attempts: u32,
+        // The invocation's context. Peers and retries share its sheet —
+        // the phase clock partitions wall time regardless of who stamps.
+        octx: &OpCtx,
     ) -> HmResult<Value> {
         let client = &self.inner.client;
-        // The anatomy sheet, when a gateway request (or traced parent)
-        // bound one to this instance. Peers and retries share it — the
-        // phase clock partitions wall time regardless of who stamps.
-        let sheet = client.anatomy().and_then(|a| a.binding(id.0));
         let mut attempt = 0;
         loop {
             self.inner.invocations.set(self.inner.invocations.get() + 1);
@@ -405,13 +400,9 @@ impl Runtime {
             let hop = client
                 .ctx()
                 .with_rng(|rng| client.model().rpc_hop.sample(rng));
-            if let Some(s) = &sheet {
-                s.enter(client.ctx().now(), AnatomyPhase::Dispatch);
-            }
+            octx.enter(|| client.ctx().now(), Phase::Dispatch);
             client.ctx().sleep(hop).await;
-            if let Some(s) = &sheet {
-                s.exit(client.ctx().now());
-            }
+            octx.exit(|| client.ctx().now());
             // Timeout suspicion (§4): if this attempt runs past the
             // suspect timeout, the runtime assumes it crashed and launches
             // a live peer — even though the original keeps running. The
@@ -422,13 +413,14 @@ impl Runtime {
                     let rt = self.clone();
                     let body = body.clone();
                     let input = input.clone();
+                    let octx = octx.clone();
                     let ctx = client.ctx().clone();
                     let done = done.clone();
                     client.ctx().spawn(async move {
                         ctx.sleep(limit).await;
                         if !done.get() {
                             rt.inner.duplicates.set(rt.inner.duplicates.get() + 1);
-                            let _ = rt.run_attempts(id, &body, input, 1).await;
+                            let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
                         }
                     });
                 }
@@ -436,7 +428,8 @@ impl Runtime {
             let once = async {
                 let spec = InvocationSpec::new(id, node)
                     .attempt(attempt)
-                    .input(input.clone());
+                    .input(input.clone())
+                    .under(octx.clone());
                 let mut env = Env::init(client, spec).await?;
                 let authoritative = env.input().clone();
                 let out = body(&mut env, authoritative).await?;
@@ -458,43 +451,12 @@ impl Runtime {
                 Err(e) if e.is_crash() && attempt + 1 < max_attempts => {
                     attempt += 1;
                     self.inner.retries.set(self.inner.retries.get() + 1);
-                    // The crash tore down the attempt mid-phase: unwind the
-                    // sheet's attempt-local stack and charge the detection
-                    // delay (and re-dispatch queueing) to `Recovery`.
-                    if let Some(s) = &sheet {
-                        s.unwind(client.ctx().now(), AnatomyPhase::Recovery);
-                    }
-                    if let Some(fr) = client.flight_recorder() {
-                        fr.note(
-                            client.ctx().now(),
-                            "crash_retry",
-                            format!("instance {:#x} attempt {attempt}: {e}", id.0),
-                        );
-                        // Recovery thrash past the budget is itself an
-                        // incident worth a black-box dump: one dump at the
-                        // threshold crossing, not one per further retry.
-                        if attempt == fr.recovery_budget() {
-                            fr.trigger(
-                                client.ctx().now(),
-                                "recovery_budget_exceeded",
-                                format!(
-                                    "instance {:#x} reached {attempt} crash retries",
-                                    id.0
-                                ),
-                            );
-                        }
-                    }
-                    if let Some(t) = client.tracer() {
-                        let (trace, parent) =
-                            t.binding(id.0).unwrap_or((TraceId::NONE, SpanId::NONE));
-                        t.instant(
-                            Lane::Node(node.0),
-                            client.ctx().now(),
-                            trace,
-                            parent,
-                            "crash_retry",
-                            format!("attempt {attempt}"),
-                        );
+                    // The crash tore down the attempt mid-phase; the
+                    // detection delay (and re-dispatch queueing) is the
+                    // request's `Recovery` time.
+                    if let Some(p) = client.probe() {
+                        let now = client.ctx().now();
+                        p.crash_retry(octx, Lane::Node(node.0), now, id.0, attempt, &e);
                     }
                     client
                         .ctx()

@@ -14,7 +14,7 @@
 //! - [`ShardPlacement`]: the deterministic shard→partition map. It is the
 //!   same pure function on every partition (the substrate's
 //!   [`PartitionPolicy`] applied to the shard id), so — exactly like
-//!   [`shard_for_tag`](crate::shard_for_tag) one level down — every node
+//!   [`shard_for_tag`] one level down — every node
 //!   agrees where a shard lives without coordination.
 //! - [`RemoteAppend`]: the wire form of a cross-partition append
 //!   (origin node, tag set, opaque record bytes), encoded to the plain

@@ -57,11 +57,11 @@ use std::rc::Rc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
 
-use hm_common::anatomy::{Anatomy, Phase as AnatomyPhase, PhaseSheet};
 use hm_common::collections::TagSet;
 use hm_common::latency::LatencyModel;
 use hm_common::metrics::OpCounters;
-use hm_common::trace::{Lane, SpanId, TraceId, Tracer};
+use hm_common::observe::{Lane, Phase, Probe, Scope};
+use hm_common::trace::Tracer;
 use hm_common::{NodeId, SeqNum, Tag};
 use hm_substrate::sync::Gate;
 use hm_substrate::Ctx;
@@ -70,10 +70,6 @@ use crate::payload::Payload;
 use crate::router::{shard_for_tag, GlobalSeqNum, ShardId, Topology};
 use crate::shard::{FlushStats, LogRecord, ShardState, Stream, RECORD_META_BYTES};
 use crate::slab::{Memberships, RecordSlab, RecordSlot};
-
-/// Captured trace context for one in-flight log operation: the tracer plus
-/// the `(trace, span)` this operation's storage-lane span belongs to.
-type TraceScope = Option<(Rc<Tracer>, TraceId, SpanId)>;
 
 /// Result of a successful [`LogService::cond_append`], or the conflict info
 /// the paper's `logCondAppend` returns (§5.1): the seqnum of the record that
@@ -179,13 +175,10 @@ struct PendingAppend<P> {
     /// This member's storage share of its own latency draw. The batch's
     /// coalesced write takes the max over members — no fresh draw.
     storage_part: Duration,
-    /// The member's trace context, so the flush can emit its sequencing
-    /// instant on the right trace.
-    scope: TraceScope,
-    /// The member's phase sheet, so the flush can walk it through
-    /// `BatchWait → Sequencer → Quorum` while the appender is parked at
-    /// the gate.
-    sheet: Option<Rc<PhaseSheet>>,
+    /// The append's scope, so the flush can mark its sequencing decision
+    /// and walk it through `BatchWait → Sequencer → Quorum` while the
+    /// appender is parked at the gate.
+    scope: Scope,
     /// Where the flush deposits this member's result before opening the
     /// gate. Plain appends receive `Appended`. Pooled: see
     /// [`LogService::recycle_outcome_cell`].
@@ -269,11 +262,8 @@ struct ServiceInner<P> {
     shards: Vec<ShardState>,
     /// Per-shard group-commit batchers (idle while batching is off).
     batchers: Vec<BatchState<P>>,
-    /// Optional tracing sink, shared by all handle clones.
-    tracer: Option<Rc<Tracer>>,
-    /// Optional latency-anatomy collector: log round-trips charge their
-    /// caller's phase sheet (picked up from the collector's context cell).
-    anatomy: Option<Rc<Anatomy>>,
+    /// The deployment's observation handle, shared by all handle clones.
+    probe: Option<Rc<Probe>>,
     /// Flush arena: member vectors recycled between batches. A claim swaps
     /// a pooled (empty, capacity-retaining) vector in for the open batch;
     /// the flush drains its members and returns the vector here. Steady-
@@ -443,8 +433,7 @@ impl<P: Payload> LogService<P> {
                     .map(|_| ShardState::new(now, config.node_cache_capacity))
                     .collect(),
                 batchers: (0..shards).map(|_| BatchState::new()).collect(),
-                tracer: None,
-                anatomy: None,
+                probe: None,
                 batch_pool: Vec::new(),
                 outcome_pool: Vec::new(),
                 gate_pool: Vec::new(),
@@ -485,70 +474,42 @@ impl<P: Payload> LogService<P> {
             .map(|slot| slot.record.global_seqnum())
     }
 
-    /// Installs a tracer; every log round-trip then emits a span on the
-    /// storage lane (with sequencing decisions on the owning shard's
-    /// sequencer lane and cache hits/misses on the reading node's lane),
-    /// attributed to the caller's current trace context. Shared by all
-    /// handle clones.
+    /// Attaches the deployment's probe. Every log round-trip then opens a
+    /// `log_*` scope on the storage lane under the context its caller
+    /// armed, charging `LogHop → BatchWait → Sequencer → Quorum` for
+    /// appends and `LogRead` for reads, with sequencing decisions marked on
+    /// the owning shard's sequencer lane and cache hits/misses on the
+    /// reading node's lane. Shared by all handle clones.
+    pub fn observe(&self, probe: Rc<Probe>) {
+        self.inner.borrow_mut().probe = Some(probe);
+    }
+
+    /// [`LogService::observe`] with a probe that feeds only `tracer`: for a
+    /// log driven without a client. Nobody arms that probe, so every span
+    /// is background work on trace 0.
     pub fn set_tracer(&self, tracer: Rc<Tracer>) {
-        self.inner.borrow_mut().tracer = Some(tracer);
+        self.inner.borrow_mut().probe = Probe::new(Some(tracer), None, None);
     }
 
-    /// Installs the anatomy collector; every log round-trip then charges
-    /// phase time (`LogHop`/`BatchWait`/`Sequencer`/`Quorum` for appends,
-    /// `LogRead` for reads) to its caller's phase sheet. Shared by all
-    /// handle clones.
-    pub fn set_anatomy(&self, anatomy: Rc<Anatomy>) {
-        self.inner.borrow_mut().anatomy = Some(anatomy);
-    }
-
-    /// Captures the caller's phase sheet and starts charging `phase`.
-    /// Same entry-point discipline as [`LogService::trace_begin`]: must run
-    /// before the operation's first await.
-    fn stamp_begin(&self, phase: AnatomyPhase) -> Option<Rc<PhaseSheet>> {
-        let sheet = self.inner.borrow().anatomy.as_ref()?.context()?;
-        sheet.enter(self.ctx.now(), phase);
-        Some(sheet)
-    }
-
-    /// Retags the phase currently charged to `sheet` (no-op when anatomy
-    /// is off or the sheet already finished).
-    fn stamp_switch(&self, sheet: &Option<Rc<PhaseSheet>>, phase: AnatomyPhase) {
-        if let Some(sheet) = sheet {
-            sheet.switch(self.ctx.now(), phase);
+    /// Opens this operation's scope. Must run before its first `await`.
+    fn begin(&self, name: &'static str, phase: Option<Phase>) -> Scope {
+        match &self.inner.borrow().probe {
+            Some(p) => p.begin(Lane::Storage, self.ctx.now(), name, phase),
+            None => Scope::NONE,
         }
     }
 
-    /// Ends the phase opened by [`LogService::stamp_begin`].
-    fn stamp_end(&self, sheet: &Option<Rc<PhaseSheet>>) {
-        if let Some(sheet) = sheet {
-            sheet.exit(self.ctx.now());
-        }
-    }
-
-    /// Captures the caller's trace context and opens a storage-lane span.
-    /// Must run at operation entry, before the first `await` (see
-    /// `hm_common::trace` module docs for the hand-off contract).
-    fn trace_begin(&self, name: &'static str) -> TraceScope {
-        let tracer = self.inner.borrow().tracer.clone()?;
-        let (trace, parent) = tracer.context();
-        let span = tracer.span_begin(Lane::Storage, self.ctx.now(), trace, parent, name, String::new());
-        Some((tracer, trace, span))
-    }
-
-    fn trace_end(&self, scope: &TraceScope) {
-        if let Some((tracer, trace, span)) = scope {
-            tracer.span_end(Lane::Storage, self.ctx.now(), *trace, *span);
-        }
-    }
-
-    /// Marks a sequencer-lane decision (order assignment or conflict) on
-    /// `shard`'s lane, under this operation's span. `detail` is a closure
-    /// so the string is never built when tracing is disabled.
-    fn trace_sequencer(&self, scope: &TraceScope, shard: u8, name: &'static str, detail: impl FnOnce() -> String) {
-        if let Some((tracer, trace, span)) = scope {
-            tracer.instant(Lane::Sequencer(shard), self.ctx.now(), *trace, *span, name, detail());
-        }
+    /// Marks a sequencing decision on `shard`'s sequencer lane, under the
+    /// append's span.
+    fn mark_sequenced(&self, scope: &Scope, shard: u8, outcome: CondAppendOutcome) {
+        let (name, whose, sn) = match outcome {
+            CondAppendOutcome::Appended(sn) => ("sequenced", "", sn),
+            CondAppendOutcome::Conflict(winner) => ("cond_conflict", "winner ", winner),
+        };
+        let now = || self.ctx.now();
+        scope.instant(Lane::Sequencer(shard), now, name, || {
+            format!("{whose}sn{}", sn.0)
+        });
     }
 
     /// The home shard for a record with these tags: the shard of the
@@ -616,42 +577,84 @@ impl<P: Payload> LogService<P> {
     /// array like `[step, obj]`.
     pub async fn append(&self, node: NodeId, tags: impl Into<TagSet>, payload: P) -> SeqNum {
         let tags: TagSet = tags.into();
-        let scope = self.trace_begin("log_append");
-        let sheet = self.stamp_begin(AnatomyPhase::LogHop);
         let home = self.home_shard(&tags);
+        match self
+            .append_on(home, "log_append", node, tags, payload, None)
+            .await
+        {
+            CondAppendOutcome::Appended(seqnum) => seqnum,
+            CondAppendOutcome::Conflict(_) => unreachable!("unconditional append cannot conflict"),
+        }
+    }
+
+    /// The pipeline behind [`LogService::append`] and
+    /// [`LogService::cond_append`]: the trip to `home`'s sequencer, then a
+    /// seat in its open batch (group commit) or sequencing alone followed
+    /// by the quorum write.
+    async fn append_on(
+        &self,
+        home: u8,
+        name: &'static str,
+        node: NodeId,
+        tags: TagSet,
+        payload: P,
+        cond: Option<(Tag, usize)>,
+    ) -> CondAppendOutcome {
+        let scope = self.begin(name, Some(Phase::LogHop));
         let total = self.ctx.with_rng(|rng| self.model.log_append.sample(rng));
         let to_sequencer = total.mul_f64(self.config.sequencer_fraction);
         self.ctx.sleep(to_sequencer).await;
-        if self.batching_enabled() {
+        let storage_part = total.saturating_sub(to_sequencer);
+        let outcome = if self.batching_enabled() {
             let member = PendingAppend {
                 node,
                 tags,
                 payload,
-                cond: None,
-                storage_part: total.saturating_sub(to_sequencer),
+                cond,
+                storage_part,
                 scope: scope.clone(),
-                sheet: sheet.clone(),
                 outcome: self.take_outcome_cell(),
             };
-            self.stamp_switch(&sheet, AnatomyPhase::BatchWait);
-            let outcome = self.append_batched(home, member).await;
-            self.trace_end(&scope);
-            self.stamp_end(&sheet);
-            let CondAppendOutcome::Appended(seqnum) = outcome else {
-                unreachable!("unconditional append cannot conflict");
-            };
-            return seqnum;
+            scope.phase(|| self.ctx.now(), Phase::BatchWait);
+            self.append_batched(home, member).await
+        } else {
+            scope.phase(|| self.ctx.now(), Phase::Sequencer);
+            self.sequencer_admission(home).await;
+            let outcome = self.sequence(home, node, tags, payload, cond);
+            self.mark_sequenced(&scope, home, outcome);
+            scope.phase(|| self.ctx.now(), Phase::Quorum);
+            let storage = self.quorum_storage_latency(home, storage_part);
+            self.ctx.sleep(storage).await;
+            outcome
+        };
+        scope.end(|| self.ctx.now());
+        outcome
+    }
+
+    /// One sequencing decision at `shard`. A conditional append's offset
+    /// check and its install are atomic at the owning shard: that is the
+    /// point of logCondAppend (it resolves conflicts "in place", unlike
+    /// Boki's separate append-then-read). The stream's next offset is
+    /// O(1): `len_total` is a stored count.
+    fn sequence(
+        &self,
+        shard: u8,
+        node: NodeId,
+        tags: TagSet,
+        payload: P,
+        cond: Option<(Tag, usize)>,
+    ) -> CondAppendOutcome {
+        if let Some((cond_tag, cond_pos)) = cond {
+            let mut inner = self.inner.borrow_mut();
+            let state = &mut inner.shards[shard as usize];
+            let stream = state.streams.get(&cond_tag);
+            if stream.map_or(0, Stream::len_total) != cond_pos {
+                let winner = stream.and_then(|s| s.at(cond_pos)).unwrap_or(SeqNum::ZERO);
+                state.counters.cond_append_conflicts += 1;
+                return CondAppendOutcome::Conflict(winner);
+            }
         }
-        self.stamp_switch(&sheet, AnatomyPhase::Sequencer);
-        self.sequencer_admission(home).await;
-        let seqnum = self.install(home, node, tags, payload);
-        self.trace_sequencer(&scope, home, "sequenced", || format!("sn{}", seqnum.0));
-        self.stamp_switch(&sheet, AnatomyPhase::Quorum);
-        let storage = self.quorum_storage_latency(home, total.saturating_sub(to_sequencer));
-        self.ctx.sleep(storage).await;
-        self.trace_end(&scope);
-        self.stamp_end(&sheet);
-        seqnum
+        CondAppendOutcome::Appended(self.install(shard, node, tags, payload))
     }
 
     /// The storage-phase latency on `shard`. The calibrated log-append
@@ -751,66 +754,10 @@ impl<P: Payload> LogService<P> {
             tags.contains(&cond_tag),
             "cond_tag must be among the record's tags"
         );
-        let scope = self.trace_begin("log_cond_append");
-        let sheet = self.stamp_begin(AnatomyPhase::LogHop);
         let home = self.shard_of(cond_tag).0;
-        let total = self.ctx.with_rng(|rng| self.model.log_append.sample(rng));
-        let to_sequencer = total.mul_f64(self.config.sequencer_fraction);
-        self.ctx.sleep(to_sequencer).await;
-        if self.batching_enabled() {
-            let member = PendingAppend {
-                node,
-                tags,
-                payload,
-                cond: Some((cond_tag, cond_pos)),
-                storage_part: total.saturating_sub(to_sequencer),
-                scope: scope.clone(),
-                sheet: sheet.clone(),
-                outcome: self.take_outcome_cell(),
-            };
-            self.stamp_switch(&sheet, AnatomyPhase::BatchWait);
-            let outcome = self.append_batched(home, member).await;
-            self.trace_end(&scope);
-            self.stamp_end(&sheet);
-            return outcome;
-        }
-        self.stamp_switch(&sheet, AnatomyPhase::Sequencer);
-        self.sequencer_admission(home).await;
-        // Sequencing and the condition check are atomic at the owning
-        // shard: that is the point of logCondAppend (it resolves conflicts
-        // "in place", unlike Boki's separate append-then-read). The
-        // stream's next offset is O(1): `len_total` is a stored count.
-        let outcome = {
-            let mut inner = self.inner.borrow_mut();
-            let state = &mut inner.shards[home as usize];
-            let offset = state.streams.get(&cond_tag).map_or(0, Stream::len_total);
-            if offset == cond_pos {
-                drop(inner);
-                CondAppendOutcome::Appended(self.install(home, node, tags, payload))
-            } else {
-                state.counters.cond_append_conflicts += 1;
-                let winner = state
-                    .streams
-                    .get(&cond_tag)
-                    .and_then(|s| s.at(cond_pos))
-                    .unwrap_or(SeqNum::ZERO);
-                CondAppendOutcome::Conflict(winner)
-            }
-        };
-        match outcome {
-            CondAppendOutcome::Appended(sn) => {
-                self.trace_sequencer(&scope, home, "sequenced", || format!("sn{}", sn.0));
-            }
-            CondAppendOutcome::Conflict(winner) => {
-                self.trace_sequencer(&scope, home, "cond_conflict", || format!("winner sn{}", winner.0));
-            }
-        }
-        self.stamp_switch(&sheet, AnatomyPhase::Quorum);
-        let storage = self.quorum_storage_latency(home, total.saturating_sub(to_sequencer));
-        self.ctx.sleep(storage).await;
-        self.trace_end(&scope);
-        self.stamp_end(&sheet);
-        outcome
+        let cond = Some((cond_tag, cond_pos));
+        self.append_on(home, "log_cond_append", node, tags, payload, cond)
+            .await
     }
 
     // ---- group-commit batcher (active when batch_max_records > 1) ----
@@ -1048,55 +995,19 @@ impl<P: Payload> LogService<P> {
         // clock flips from BatchWait to Sequencer before the single shared
         // admission below.
         for m in &members {
-            self.stamp_switch(&m.sheet, AnatomyPhase::Sequencer);
+            m.scope.phase(|| self.ctx.now(), Phase::Sequencer);
         }
         self.sequencer_admission(shard).await;
         let mut batch_storage = Duration::ZERO;
         let count = members.len() as u64;
         for m in members.drain(..) {
             batch_storage = batch_storage.max(m.storage_part);
-            let outcome = match m.cond {
-                None => CondAppendOutcome::Appended(self.install(shard, m.node, m.tags, m.payload)),
-                Some((cond_tag, cond_pos)) => {
-                    let conflict = {
-                        let mut inner = self.inner.borrow_mut();
-                        let state = &mut inner.shards[shard as usize];
-                        let offset = state.streams.get(&cond_tag).map_or(0, Stream::len_total);
-                        if offset == cond_pos {
-                            None
-                        } else {
-                            state.counters.cond_append_conflicts += 1;
-                            Some(
-                                state
-                                    .streams
-                                    .get(&cond_tag)
-                                    .and_then(|s| s.at(cond_pos))
-                                    .unwrap_or(SeqNum::ZERO),
-                            )
-                        }
-                    };
-                    match conflict {
-                        None => CondAppendOutcome::Appended(
-                            self.install(shard, m.node, m.tags, m.payload),
-                        ),
-                        Some(winner) => CondAppendOutcome::Conflict(winner),
-                    }
-                }
-            };
-            match outcome {
-                CondAppendOutcome::Appended(sn) => {
-                    self.trace_sequencer(&m.scope, shard, "sequenced", || format!("sn{}", sn.0));
-                }
-                CondAppendOutcome::Conflict(winner) => {
-                    self.trace_sequencer(&m.scope, shard, "cond_conflict", || {
-                        format!("winner sn{}", winner.0)
-                    });
-                }
-            }
+            let outcome = self.sequence(shard, m.node, m.tags, m.payload, m.cond);
+            self.mark_sequenced(&m.scope, shard, outcome);
             m.outcome.set(Some(outcome));
             // Sequenced (installs take zero simulated time); the rest of
             // this member's wait is the coalesced quorum write.
-            self.stamp_switch(&m.sheet, AnatomyPhase::Quorum);
+            m.scope.phase(|| self.ctx.now(), Phase::Quorum);
         }
         {
             let mut inner = self.inner.borrow_mut();
@@ -1218,22 +1129,8 @@ impl<P: Payload> LogService<P> {
         tag: Tag,
         max_seqnum: SeqNum,
     ) -> Option<Rc<LogRecord<P>>> {
-        let scope = self.trace_begin("log_read_prev");
-        let sheet = self.stamp_begin(AnatomyPhase::LogRead);
-        let shard = self.shard_of(tag).0;
-        let found = self.inner.borrow().resolve_prev(shard, tag, max_seqnum);
-        self.pay_read(shard, node, found, &scope).await;
-        self.trace_end(&scope);
-        self.stamp_end(&sheet);
-        // A trim may have reclaimed the pick during the read's sleep: it
-        // then re-resolves once against the stream as it is now (whose
-        // entries are all live). No sleep or draw is added, so a read
-        // that does not lose the race is unchanged.
-        let inner = self.inner.borrow();
-        inner.fetch(found?).or_else(|| {
-            let again = inner.resolve_prev(shard, tag, max_seqnum)?;
-            inner.fetch(again)
-        })
+        let pick = |inner: &ServiceInner<P>, shard| inner.resolve_prev(shard, tag, max_seqnum);
+        self.read_one("log_read_prev", node, tag, pick).await
     }
 
     /// Reads the earliest record in `tag`'s sub-stream with seqnum ≥
@@ -1244,27 +1141,45 @@ impl<P: Payload> LogService<P> {
         tag: Tag,
         min_seqnum: SeqNum,
     ) -> Option<Rc<LogRecord<P>>> {
-        let scope = self.trace_begin("log_read_next");
-        let sheet = self.stamp_begin(AnatomyPhase::LogRead);
+        let pick = |inner: &ServiceInner<P>, shard| inner.resolve_next(shard, tag, min_seqnum);
+        self.read_one("log_read_next", node, tag, pick).await
+    }
+
+    /// One point read: pick a seqnum from `tag`'s stream, pay the round,
+    /// fetch the record.
+    async fn read_one(
+        &self,
+        name: &'static str,
+        node: NodeId,
+        tag: Tag,
+        pick: impl Fn(&ServiceInner<P>, u8) -> Option<SeqNum>,
+    ) -> Option<Rc<LogRecord<P>>> {
+        let scope = self.begin(name, Some(Phase::LogRead));
         let shard = self.shard_of(tag).0;
-        let found = self.inner.borrow().resolve_next(shard, tag, min_seqnum);
+        let found = pick(&self.inner.borrow(), shard);
         self.pay_read(shard, node, found, &scope).await;
-        self.trace_end(&scope);
-        self.stamp_end(&sheet);
-        // Same race rule as `read_prev`.
+        scope.end(|| self.ctx.now());
+        // A trim may have reclaimed the pick during the read's sleep: it
+        // then re-resolves once against the stream as it is now (whose
+        // entries are all live). No sleep or draw is added, so a read
+        // that does not lose the race is unchanged.
         let inner = self.inner.borrow();
-        inner.fetch(found?).or_else(|| {
-            let again = inner.resolve_next(shard, tag, min_seqnum)?;
-            inner.fetch(again)
-        })
+        inner
+            .fetch(found?)
+            .or_else(|| inner.fetch(pick(&inner, shard)?))
     }
 
     /// Retrieves every live record of a sub-stream (Figure 5's
     /// `getStepLogs`). Costs one read round; Boki batches this scan.
     /// Records a concurrent trim reclaims during that round are skipped.
     pub async fn read_stream(&self, node: NodeId, tag: Tag) -> Vec<Rc<LogRecord<P>>> {
-        let scope = self.trace_begin("log_read_stream");
-        let sheet = self.stamp_begin(AnatomyPhase::LogRead);
+        let scope = self.begin("log_read_stream", Some(Phase::LogRead));
+        self.read_stream_in(&scope, node, tag).await
+    }
+
+    /// The stream read behind [`LogService::read_stream`] and
+    /// [`LogService::replay_stream`]; closes `scope`.
+    async fn read_stream_in(&self, scope: &Scope, node: NodeId, tag: Tag) -> Vec<Rc<LogRecord<P>>> {
         // Snapshot the stream's seqnums into the recycled scratch buffer —
         // taken out of the service (not borrowed) because the read sleeps
         // below; a reentrant reader just falls back to a fresh vector.
@@ -1279,9 +1194,9 @@ impl<P: Payload> LogService<P> {
             }
             (shard, buf)
         };
-        self.pay_read(shard, node, seqnums.first().copied(), &scope).await;
-        self.trace_end(&scope);
-        self.stamp_end(&sheet);
+        self.pay_read(shard, node, seqnums.first().copied(), scope)
+            .await;
+        scope.end(|| self.ctx.now());
         let mut inner = self.inner.borrow_mut();
         let records = seqnums.iter().filter_map(|&sn| inner.fetch(sn)).collect();
         seqnums.clear();
@@ -1306,8 +1221,10 @@ impl<P: Payload> LogService<P> {
     /// not miss records its predecessor parked in a batch right before
     /// crashing. Those records are reported in
     /// [`ReplayStats::pending_flushed`] and counted once (not twice) in
-    /// [`ReplayStats::replayed`].
+    /// [`ReplayStats::replayed`]. The wait is part of the read: the scope
+    /// opens here, before it.
     pub async fn replay_stream(&self, node: NodeId, tag: Tag) -> (Vec<Rc<LogRecord<P>>>, ReplayStats) {
+        let scope = self.begin("log_read_stream", Some(Phase::LogRead));
         let pending_flushed = if self.batching_enabled() {
             self.force_flush(self.shard_of(tag).0).await
         } else {
@@ -1320,7 +1237,7 @@ impl<P: Payload> LogService<P> {
                 .get(&tag)
                 .map_or(0, |s| s.trimmed as u64)
         };
-        let records = self.read_stream(node, tag).await;
+        let records = self.read_stream_in(&scope, node, tag).await;
         let stats = ReplayStats {
             replayed: records.len() as u64,
             trimmed,
@@ -1334,7 +1251,7 @@ impl<P: Payload> LogService<P> {
     /// one of its sub-streams — on any shard — has trimmed past it.
     pub async fn trim(&self, node: NodeId, tag: Tag, upto: SeqNum) {
         let _ = node;
-        let scope = self.trace_begin("log_trim");
+        let scope = self.begin("log_trim", None);
         let total = self.ctx.with_rng(|rng| self.model.log_append.sample(rng));
         self.ctx.sleep(total).await;
         let now = self.ctx.now();
@@ -1343,7 +1260,7 @@ impl<P: Payload> LogService<P> {
         let home = inner.shard_of(tag) as usize;
         inner.shards[home].counters.log_trims += 1;
         if !inner.shards[home].streams.contains_key(&tag) {
-            self.trace_end(&scope);
+            scope.end(|| now);
             return;
         }
         // Cut point: O(1) from the bound record's stored offset when it is
@@ -1402,22 +1319,14 @@ impl<P: Payload> LogService<P> {
                 inner.shards[shard].bytes.add(now, -(bytes as f64));
             }
         }
-        if let Some((tracer, trace, span)) = &scope {
-            tracer.instant(
-                Lane::Storage,
-                now,
-                *trace,
-                *span,
-                "trim_reclaimed",
-                format!("{cut} entries, {freed_total} bytes"),
-            );
-        }
-        self.trace_end(&scope);
+        let detail = || format!("{cut} entries, {freed_total} bytes");
+        scope.instant(Lane::Storage, || now, "trim_reclaimed", detail);
+        scope.end(|| now);
     }
 
     /// Pays a read round against `shard`'s storage and the reading node's
     /// per-shard cache.
-    async fn pay_read(&self, shard: u8, node: NodeId, target: Option<SeqNum>, scope: &TraceScope) {
+    async fn pay_read(&self, shard: u8, node: NodeId, target: Option<SeqNum>, scope: &Scope) {
         let hit = match target {
             Some(sn) => {
                 let mut inner = self.inner.borrow_mut();
@@ -1433,17 +1342,9 @@ impl<P: Payload> LogService<P> {
             // Absent records answer from the node's stream index: cheap.
             None => true,
         };
-        if let Some((tracer, trace, span)) = scope {
-            if target.is_some() {
-                tracer.instant(
-                    Lane::Node(node.0),
-                    self.ctx.now(),
-                    *trace,
-                    *span,
-                    if hit { "cache_hit" } else { "cache_miss" },
-                    String::new(),
-                );
-            }
+        if target.is_some() {
+            let name = if hit { "cache_hit" } else { "cache_miss" };
+            scope.instant(Lane::Node(node.0), || self.ctx.now(), name, String::new);
         }
         let dist = if hit {
             self.model.log_read_cached

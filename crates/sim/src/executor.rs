@@ -750,6 +750,12 @@ impl SimCtx {
         self.inner().now.get()
     }
 
+    /// [`SimCtx::now`], or `None` once the [`Sim`] is gone.
+    #[must_use]
+    pub fn try_now(&self) -> Option<SimTime> {
+        self.inner.upgrade().map(|inner| inner.now.get())
+    }
+
     /// Spawns a task onto the simulation.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let inner = self.inner();

@@ -89,6 +89,17 @@ impl Ctx {
         }
     }
 
+    /// [`Ctx::now`], or `None` once the backend behind this context is
+    /// gone: for `Drop` code, which runs during that teardown too.
+    #[must_use]
+    pub fn try_now(&self) -> Option<Time> {
+        match self {
+            Ctx::Sim(c) => c.try_now(),
+            Ctx::Wall(c) => c.try_now(),
+            Ctx::Par(c) => c.try_now(),
+        }
+    }
+
     /// Resolves after `d` of substrate time.
     pub fn sleep(&self, d: Time) -> Sleep {
         match self {

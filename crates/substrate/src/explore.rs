@@ -3,7 +3,7 @@
 //! The simulator makes every run a pure function of its seed, but a seed
 //! only *samples* one schedule. This module replaces sampled nondeterminism
 //! with an explicit **choice-point tree**: wherever a harness would have
-//! drawn from [`RngSource`](crate::RngSource), it instead asks a
+//! drawn from [`RngSource`], it instead asks a
 //! [`ChoiceSource`] to pick one of several labelled alternatives
 //! ([`Alt`]). Recording the picks yields a [`Schedule`] — a compact
 //! decision vector that replays the run bit-identically — and driving the
@@ -84,7 +84,7 @@ impl Alt {
 }
 
 /// Supplies decisions at explicit choice points — the systematic
-/// counterpart of [`RngSource`](crate::RngSource).
+/// counterpart of [`RngSource`].
 ///
 /// Implementations: [`ScriptedChoices`] (replay a fixed [`Schedule`]),
 /// [`RngChoices`] (randomized baseline over any `RngSource`), and the
@@ -267,7 +267,7 @@ impl ChoiceSource for ScriptedChoices {
 }
 
 /// Randomized baseline: resolves every choice point uniformly from an
-/// [`RngSource`](crate::RngSource) — the chaos-style sampling the
+/// [`RngSource`] — the chaos-style sampling the
 /// [`Explorer`] supersedes, kept for A/B comparisons.
 #[derive(Clone, Debug)]
 pub struct RngChoices<R: RngSource> {

@@ -91,9 +91,6 @@ pub enum BackendKind {
     #[default]
     Sim,
     /// Current-thread wall-clock executor (tokio-style; real sleeps).
-    /// On the command line `"tokio"` is an explicit, documented alias for
-    /// `"wall"` (the flag is named after the runtime the backend is styled
-    /// on); it always displays back as `"wall"`.
     Wall,
     /// Partitioned deterministic parallel execution across worker threads
     /// (see [`par`]).
@@ -102,17 +99,9 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// The accepted `--backend` spellings, for CLI help and error
-    /// messages. `"tokio"` is an alias for `"wall"`; both parse to
-    /// [`BackendKind::Wall`], which displays as `"wall"`, so every name
-    /// round-trips consistently through [`FromStr`](std::str::FromStr).
-    pub const HELP: &'static str = "sim | wall (alias: tokio) | parallel";
-
-    /// Parses a CLI-style backend name.
-    #[deprecated(note = "use the FromStr impl: `name.parse::<BackendKind>()`")]
-    #[must_use]
-    pub fn parse(name: &str) -> Option<BackendKind> {
-        name.parse().ok()
-    }
+    /// messages. Every name round-trips through
+    /// [`FromStr`](std::str::FromStr) and `Display`.
+    pub const HELP: &'static str = "sim | wall | parallel";
 }
 
 /// Error returned when parsing an unknown backend name.
@@ -140,7 +129,7 @@ impl std::str::FromStr for BackendKind {
     fn from_str(name: &str) -> Result<BackendKind, UnknownBackend> {
         match name {
             "sim" => Ok(BackendKind::Sim),
-            "tokio" | "wall" => Ok(BackendKind::Wall),
+            "wall" => Ok(BackendKind::Wall),
             "parallel" | "par" => Ok(BackendKind::Parallel),
             _ => Err(UnknownBackend {
                 name: name.to_string(),
@@ -156,39 +145,6 @@ impl std::fmt::Display for BackendKind {
             BackendKind::Wall => "wall",
             BackendKind::Parallel => "parallel",
         })
-    }
-}
-
-#[cfg(test)]
-mod backend_kind_tests {
-    use super::BackendKind;
-
-    #[test]
-    fn from_str_round_trips_every_spelling() {
-        for (name, want) in [
-            ("sim", BackendKind::Sim),
-            ("wall", BackendKind::Wall),
-            ("tokio", BackendKind::Wall),
-            ("parallel", BackendKind::Parallel),
-            ("par", BackendKind::Parallel),
-        ] {
-            let parsed: BackendKind = name.parse().unwrap();
-            assert_eq!(parsed, want, "{name}");
-            // Display output re-parses to the same backend: aliases
-            // normalize ("tokio" -> Wall -> "wall" -> Wall).
-            assert_eq!(parsed.to_string().parse::<BackendKind>(), Ok(parsed));
-        }
-        assert!("threads".parse::<BackendKind>().is_err());
-        let err = "x".parse::<BackendKind>().unwrap_err();
-        assert!(err.to_string().contains("alias: tokio"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_parse_shim_matches_from_str() {
-        assert_eq!(BackendKind::parse("tokio"), Some(BackendKind::Wall));
-        assert_eq!(BackendKind::parse("parallel"), Some(BackendKind::Parallel));
-        assert_eq!(BackendKind::parse("nope"), None);
     }
 }
 
@@ -256,4 +212,28 @@ pub trait TaskHandle<T>: Future<Output = T> {
 pub trait RngSource: Clone {
     /// Runs `f` with the substrate RNG.
     fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T;
+}
+
+#[cfg(test)]
+mod backend_kind_tests {
+    use super::BackendKind;
+
+    #[test]
+    fn from_str_round_trips_every_spelling() {
+        for (name, want) in [
+            ("sim", BackendKind::Sim),
+            ("wall", BackendKind::Wall),
+            ("parallel", BackendKind::Parallel),
+            ("par", BackendKind::Parallel),
+        ] {
+            let parsed: BackendKind = name.parse().unwrap();
+            assert_eq!(parsed, want, "{name}");
+            // Display output re-parses to the same backend: aliases
+            // normalize ("par" -> Parallel -> "parallel" -> Parallel).
+            assert_eq!(parsed.to_string().parse::<BackendKind>(), Ok(parsed));
+        }
+        assert!("tokio".parse::<BackendKind>().is_err());
+        let err = "x".parse::<BackendKind>().unwrap_err();
+        assert!(err.to_string().contains(BackendKind::HELP), "{err}");
+    }
 }

@@ -478,6 +478,12 @@ impl ParCtx {
         self.sim.now()
     }
 
+    /// [`ParCtx::now`], or `None` once this partition's engine is gone.
+    #[must_use]
+    pub fn try_now(&self) -> Option<Time> {
+        self.sim.try_now()
+    }
+
     /// Resolves after `d` of this partition's virtual time.
     pub fn sleep(&self, d: Time) -> hm_sim::Sleep {
         self.sim.sleep(d)

@@ -43,13 +43,6 @@ impl Runner {
         RunnerBuilder::default()
     }
 
-    /// Creates a runner on the given backend, seeded with `seed`.
-    #[deprecated(note = "use Runner::builder().backend(..).seed(..).build()")]
-    #[must_use]
-    pub fn new(kind: BackendKind, seed: u64) -> Runner {
-        Runner::builder().backend(kind).seed(seed).build()
-    }
-
     /// Which backend this runner executes on.
     #[must_use]
     pub fn backend(&self) -> BackendKind {
@@ -231,14 +224,6 @@ impl RunnerBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_new_shim_builds_the_same_backend() {
-        for kind in [BackendKind::Sim, BackendKind::Wall, BackendKind::Parallel] {
-            assert_eq!(Runner::new(kind, 7).backend(), kind);
-        }
-    }
 
     #[test]
     fn builder_defaults_are_sim_seed_zero() {

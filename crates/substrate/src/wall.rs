@@ -287,6 +287,12 @@ impl WallCtx {
         self.inner().start.elapsed()
     }
 
+    /// [`WallCtx::now`], or `None` once the runner is gone.
+    #[must_use]
+    pub fn try_now(&self) -> Option<Time> {
+        self.inner.upgrade().map(|inner| inner.start.elapsed())
+    }
+
     /// Resolves after `d` of real time.
     pub fn sleep(&self, d: Time) -> WallSleep {
         let inner = self.inner();
@@ -552,9 +558,8 @@ mod tests {
     fn join_handle_try_take_and_await() {
         let mut wall = WallRunner::new(1);
         let ctx = wall.ctx();
-        let ctx2 = ctx.clone();
         let out = wall.block_on(async move {
-            let h = ctx2.spawn(async { 7u32 });
+            let h = ctx.spawn(async { 7u32 });
             assert!(!h.is_finished());
             h.await
         });

@@ -22,7 +22,7 @@
 //! client-visible output is identical to the default run — batching only
 //! changes throughput under concurrency, never results.
 //!
-//! Pass `--backend tokio` (or `--backend wall`) to run the identical
+//! Pass `--backend wall` to run the identical
 //! deployment on the wall-clock executor instead of the virtual-time
 //! simulator: sleeps take real time, and the client-visible output is the
 //! same — only the elapsed-time line changes.

@@ -1,14 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a bench smoke run.
 #
-# Tier-1 (ROADMAP.md): release build + quiet test suite.
-# Substrate tests: tier-1's `cargo test -q` covers the root package only,
-# so the executor and sync-primitive unit tests and the per-backend
-# contract suite (crates/substrate/tests/sync_contracts.rs: FIFO/ordering
-# contracts and the one-registration-per-live-waiter bound) run here.
-# Log and collection tests: likewise hm-sharedlog's unit tests (service,
-# record slab, router, partition codec) and hm-common's (LruSet, TagSet,
-# metrics, ...) plus crates/common/tests/representation.rs.
+# Tier-1 (ROADMAP.md): release build + quiet test suite. The root
+# manifest's `default-members` make `cargo test -q` run every crate's
+# tests, not only the root package's.
 # Lints: clippy across all targets with warnings denied.
 # Bench smoke: runs bench_sim_core at HM_BENCH_SCALE=0.05 (~1 s budget) and
 # asserts it completes and writes parseable JSON with the expected fields.
@@ -30,7 +25,7 @@
 # executor access goes through the hm-substrate trait layer. Likewise no
 # crate above hm-substrate may name the parallel backend's internals —
 # upper layers see only the Runner builder surface.
-# Backend smoke: quickstart on --backend tokio (the wall-clock executor)
+# Backend smoke: quickstart on --backend wall (the wall-clock executor)
 # must produce the same client-visible output as the sim backend.
 # Parallel smoke: quickstart on --backend parallel must be byte-identical
 # to the sim run (virtual-time line included) at 1 and 4 workers.
@@ -94,12 +89,6 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
-
-echo "== substrate: cargo test -q -p hm-sim -p hm-substrate =="
-cargo test -q -p hm-sim -p hm-substrate
-
-echo "== log + collections: cargo test -q -p hm-sharedlog -p hm-common =="
-cargo test -q -p hm-sharedlog -p hm-common
 
 echo "== lints: cargo clippy --all-targets -D warnings (+ hot-path clone lints) =="
 cargo clippy -q --all-targets -- -D warnings \
@@ -273,15 +262,15 @@ if ! diff <(grep -v '^virtual time' "$s1") <(grep -v '^virtual time' "$b16"); th
 fi
 echo "batch smoke ok: client-visible results identical at batch 1 and 16"
 
-echo "== backend smoke: quickstart @ --backend tokio vs sim =="
+echo "== backend smoke: quickstart @ --backend wall vs sim =="
 wq="$(mktemp -t quickstart_wall.XXXXXX.txt)"
 trap 'rm -f "$out" "$aout" "$tout" "$ttrace" "$s1" "$s4" "$b16" "$wq"' EXIT
-cargo run --release -q --example quickstart -- --backend tokio > "$wq"
+cargo run --release -q --example quickstart -- --backend wall > "$wq"
 # The wall-clock executor runs the identical deployment on real time; the
 # client-visible output must match the sim run, with only the elapsed-time
 # line (virtual vs wall-clock) differing.
 if ! diff <(grep -v '^virtual time' "$s1") <(grep -v '^wall-clock time' "$wq"); then
-    echo "backend smoke FAILED: quickstart output differs between sim and tokio backends"
+    echo "backend smoke FAILED: quickstart output differs between sim and wall backends"
     exit 1
 fi
 echo "backend smoke ok: client-visible results identical on sim and wall-clock backends"
