@@ -24,11 +24,8 @@
 //!   `trace_event` JSON to `<path>` (load it at `ui.perfetto.dev`).
 //!
 //! Arguments parse through the workspace-wide `hm_bench::cli::CommonOpts`
-//! surface; the deployment-shaping flags (`--backend`, `--shards`,
-//! `--batch`, `--workers`) are rejected here because every component pins
-//! its own topology — the `parallel_scaling` component sweeps worker
-//! counts itself and reports per-count wall times plus the host core
-//! count.
+//! surface; the deployment-shaping flags (`--shards`, `--batch`) are
+//! rejected here because every component pins its own topology.
 
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -45,7 +42,7 @@ use hm_common::{NodeId, Tag};
 use hm_runtime::{RuntimeConfig, TenantPlan};
 use hm_sharedlog::{LogConfig, Payload, SharedLog};
 use hm_substrate::sim::Sim;
-use hm_substrate::{Backend, Partition, PartitionFuture, PartitionPolicy, Runner};
+use hm_substrate::{Partition, PartitionFuture, PartitionPolicy, Runner};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 
@@ -939,16 +936,16 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
     )
 }
 
-/// Core scaling: the same multi-tenant deployment driven on the
-/// partitioned parallel backend at 1/2/4/8 worker threads.
+/// Core scaling: the same multi-tenant deployment driven as a partitioned
+/// fan-out at 1/2/4/8 worker threads.
 ///
 /// Sixteen tenant slices — each a complete single-shard deployment with
 /// its own log service and writer pool, pinned to one of eight partitions
 /// by a [`TenantPlan`] — run with a lookahead wider than the workload, so
 /// partitions free-run instead of marching in frontier lockstep. The
 /// per-partition results are asserted byte-identical across every worker
-/// count (the parallel backend's determinism contract: workers change
-/// wall time, never results), and the wall time per worker count is
+/// count (the fan-out's determinism contract: workers change wall time,
+/// never results), and the wall time per worker count is
 /// reported alongside the host's core count. On a single-core host the
 /// sweep measures threading overhead, not speedup — `cores` in the JSON
 /// says which regime the numbers came from, and `scripts/verify.sh` only
@@ -966,8 +963,7 @@ fn parallel_scaling(scale: f64) -> (Component, String) {
     let mut walls = Vec::new();
     for &workers in &[1usize, 2, 4, 8] {
         let t0 = Instant::now();
-        let mut runner = Runner::builder()
-            .backend(Backend::Parallel)
+        let runner = Runner::builder()
             .seed(0x5CA1E)
             .workers(workers)
             .lookahead(Duration::from_secs(3600))
@@ -1058,7 +1054,7 @@ fn parallel_scaling(scale: f64) -> (Component, String) {
     )
 }
 
-/// Systematic model checking (DESIGN.md §19): exhausts every schedule ×
+/// Systematic model checking (DESIGN.md §18): exhausts every schedule ×
 /// crash placement of the smallest 2-node configuration for all four
 /// protocols, plus the unsafe baseline's counterexample configuration and
 /// the sleep-set headline configuration, timing the enumerations.

@@ -4,30 +4,20 @@
 //! flags; parsing them here once keeps the spellings, defaults, and error
 //! messages identical everywhere. Flags:
 //!
-//! - `--backend <name>` — executor backend; accepted spellings are
-//!   [`BackendKind::HELP`].
 //! - `--shards <n>` — logging shard count (default 1).
 //! - `--batch <n>` — group-commit batch size (default 1 = off).
-//! - `--workers <n>` — worker threads for the parallel backend
-//!   (default 1). Results never depend on this value; only wall time does.
 //! - `--trace-out <path>` — write a Chrome `trace_event` JSON trace.
 //!
 //! Errors are deliberate panics: these are developer-facing binaries and
 //! the panic message *is* the usage message.
 
-use hm_substrate::{BackendKind, Runner};
-
 /// Parsed common flags, with the workspace-wide defaults.
 #[derive(Clone, Debug)]
 pub struct CommonOpts {
-    /// Executor backend (default: sim).
-    pub backend: BackendKind,
     /// Logging shard count (default: 1).
     pub shards: u8,
     /// Group-commit batch size (default: 1 = batching off).
     pub batch: usize,
-    /// Worker threads for the parallel backend (default: 1).
-    pub workers: usize,
     /// Chrome trace output path, if requested.
     pub trace_out: Option<String>,
 }
@@ -35,10 +25,8 @@ pub struct CommonOpts {
 impl Default for CommonOpts {
     fn default() -> CommonOpts {
         CommonOpts {
-            backend: BackendKind::Sim,
             shards: 1,
             batch: 1,
-            workers: 1,
             trace_out: None,
         }
     }
@@ -82,32 +70,10 @@ impl CommonOpts {
                         .parse()
                         .expect("--batch takes a small integer");
                 }
-                "--workers" => {
-                    opts.workers = args
-                        .next()
-                        .expect("--workers requires a count")
-                        .parse()
-                        .expect("--workers takes a small integer");
-                }
-                "--backend" => {
-                    let name = args.next().expect("--backend requires a name");
-                    opts.backend = name.parse().unwrap_or_else(|e| panic!("{e}"));
-                }
                 other => panic!("unknown argument: {other}"),
             }
         }
         opts
-    }
-
-    /// Builds a [`Runner`] from the parsed backend/workers, seeded with
-    /// `seed`.
-    #[must_use]
-    pub fn runner(&self, seed: u64) -> Runner {
-        Runner::builder()
-            .backend(self.backend)
-            .seed(seed)
-            .workers(self.workers)
-            .build()
     }
 
     /// Rejects deployment-shaping overrides, for binaries whose workloads
@@ -116,16 +82,11 @@ impl CommonOpts {
     ///
     /// # Panics
     ///
-    /// Panics if `--backend`, `--shards`, or `--batch` was changed from
-    /// its default.
+    /// Panics if `--shards` or `--batch` was changed from its default.
     pub fn reject_shape_overrides(&self, binary: &str) {
         assert!(
-            self.backend == BackendKind::Sim,
-            "{binary} is virtual-time only; it does not take --backend"
-        );
-        assert!(
-            self.shards == 1 && self.batch == 1 && self.workers == 1,
-            "{binary} components fix their own shard/batch/worker parameters"
+            self.shards == 1 && self.batch == 1,
+            "{binary} components fix their own shard/batch parameters"
         );
     }
 }
@@ -141,26 +102,15 @@ mod tests {
     #[test]
     fn defaults_match_the_binaries() {
         let o = parse(&[]);
-        assert_eq!(o.backend, BackendKind::Sim);
-        assert_eq!((o.shards, o.batch, o.workers), (1, 1, 1));
+        assert_eq!((o.shards, o.batch), (1, 1));
         assert!(o.trace_out.is_none());
     }
 
     #[test]
     fn parses_every_flag() {
-        let o = parse(&[
-            "--backend", "parallel", "--shards", "8", "--batch", "4", "--workers", "2",
-            "--trace-out", "t.json",
-        ]);
-        assert_eq!(o.backend, BackendKind::Parallel);
-        assert_eq!((o.shards, o.batch, o.workers), (8, 4, 2));
+        let o = parse(&["--shards", "8", "--batch", "4", "--trace-out", "t.json"]);
+        assert_eq!((o.shards, o.batch), (8, 4));
         assert_eq!(o.trace_out.as_deref(), Some("t.json"));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown backend \"threads\" (expected sim | wall | parallel)")]
-    fn unknown_backend_message_names_every_spelling() {
-        let _ = parse(&["--backend", "threads"]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! - `NodeCrashed` recovery exceeds the attempt budget
 //!   ([`FlightRecorder::recovery_budget`]).
 //!
-//! The model-checking harness (DESIGN.md §19) notes each explored run's
+//! The model-checking harness (DESIGN.md §18) notes each explored run's
 //! serialized schedule into the incident log before auditing, so a
 //! violation dump carries its own replay recipe (`mc_schedule`) alongside
 //! the trace window.

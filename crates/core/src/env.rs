@@ -377,7 +377,7 @@ impl Env {
     /// what makes them usable as choice points: under
     /// [`FaultPolicy::explored`](crate::FaultPolicy::explored) the model
     /// checker enumerates *every* crash point within its budget as a
-    /// survive/crash branch of the exploration tree (DESIGN.md §19),
+    /// survive/crash branch of the exploration tree (DESIGN.md §18),
     /// rather than sampling them with a seeded coin as the chaos plans do.
     pub(crate) fn maybe_crash(&mut self) -> HmResult<()> {
         self.crash_point += 1;
@@ -459,7 +459,7 @@ impl Env {
     }
 
     /// Closes the attempt span; idempotent. Called by [`Env::finish`] and
-    /// by `Drop` (covering crash/error exits). A drop during the backend's
+    /// by `Drop` (covering crash/error exits). A drop during the executor's
     /// own teardown has no clock left to stamp the End with and skips it.
     fn end_attempt(&mut self) {
         // A crash exit leaves an op's span in `octx.parent`.

@@ -112,7 +112,7 @@ impl Env {
     /// leaves the duplicate invisible to this attempt's history. The
     /// anomaly therefore needs a later crash site — a successor op in the
     /// same program — to surface, which is why the model checker's
-    /// exhaustive sweep (DESIGN.md §19) finds it on the two-op `ww-1s`
+    /// exhaustive sweep (DESIGN.md §18) finds it on the two-op `ww-1s`
     /// configuration but honestly reports the one-op `wr-1s` as passing.
     pub(crate) async fn unsafe_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.maybe_crash()?;

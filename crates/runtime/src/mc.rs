@@ -58,7 +58,7 @@ use hm_sharedlog::ShardId;
 use hm_substrate::explore::{
     Alt, ChoiceSource, DfsChooser, Explorer, ExploreStats, RunReport, Schedule, ScriptedChoices,
 };
-use hm_substrate::{Backend, Runner};
+use hm_substrate::sim::Sim;
 
 use crate::chaos::audit;
 
@@ -482,11 +482,8 @@ async fn coordinate(
 /// the same `(seed, schedule)` pair always produces the same
 /// [`McOutcome::history`], byte for byte.
 pub fn run_once(config: &McConfig, source: &Rc<dyn ChoiceSource>) -> McOutcome {
-    let mut runner = Runner::builder()
-        .backend(Backend::Sim)
-        .seed(config.seed)
-        .build();
-    let ctx = runner.ctx();
+    let mut sim = Sim::new(config.seed);
+    let ctx = sim.ctx();
     let fr = FlightRecorder::new();
     let mut builder = Client::builder(ctx.clone())
         .model(LatencyModel::uniform_test_model())
@@ -525,7 +522,7 @@ pub fn run_once(config: &McConfig, source: &Rc<dyn ChoiceSource>) -> McOutcome {
         NodeId(1),
         config.b.clone(),
     ));
-    runner.block_on(coordinate(
+    sim.block_on(coordinate(
         gate.clone(),
         source.clone(),
         client.clone(),

@@ -1,7 +1,7 @@
 //! Pinning tenants to execution partitions.
 //!
-//! On the parallel substrate backend the unit of scale-out is the
-//! *tenant*: one tenant = one complete deployment slice (its own client,
+//! In a partitioned fan-out (`Runner::run_partitions`) the unit of
+//! scale-out is the *tenant*: one complete deployment slice (its own client,
 //! log service, runtime, and gateway) whose tag space is disjoint from
 //! every other tenant's. Slices never share state, so each one can live
 //! wholly on one partition and the partitions free-run under the

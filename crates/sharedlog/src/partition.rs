@@ -1,6 +1,6 @@
 //! Placing a sharded log deployment onto execution partitions.
 //!
-//! The parallel substrate backend (`BackendKind::Parallel`) runs one
+//! A partitioned fan-out (`hm_substrate::Runner::run_partitions`) runs one
 //! virtual-time executor per partition. A sharded log maps onto that
 //! machine by giving every shard — its sequencer lane, storage group, and
 //! stream indexes — a *home partition*; appends raised on the shard's own

@@ -1,4 +1,12 @@
-//! The virtual-time async executor.
+//! The virtual-time async executor: the one machine every deployment in
+//! this workspace runs on.
+//!
+//! [`Sim`] owns the task slab, the timer wheel, the virtual clock and a
+//! seeded RNG, and is the run-loop owner; [`SimCtx`] is the weak, clonable
+//! handle tasks reach it through (wrapped by [`Ctx`], which is what the rest
+//! of the workspace sees). The ready queue is FIFO, timers tie-break by
+//! registration order and all randomness flows from the one seeded
+//! `SmallRng`, so two runs with the same seed interleave identically.
 //!
 //! Single-threaded: futures need not be `Send`, and all shared state inside
 //! a simulation can use `Rc<RefCell<…>>`. Wakers are hand-rolled over `Rc`
@@ -31,10 +39,10 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::SimTime;
+use crate::{Ctx, Time};
 
 /// Converts a virtual instant to nanoseconds, saturating past ~584 years.
-fn dur_ns(d: SimTime) -> u64 {
+pub(crate) fn dur_ns(d: Time) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -421,7 +429,7 @@ impl TimerWheel {
 
 /// Shared core of one simulation.
 struct Inner {
-    now: Cell<SimTime>,
+    now: Cell<Time>,
     tasks: RefCell<TaskSlab>,
     ready: Rc<ReadyQueue>,
     /// Shared with `Sleep` futures directly (not via `Inner`) so a `Sleep`
@@ -489,7 +497,7 @@ impl Sim {
     pub fn new(seed: u64) -> Sim {
         Sim {
             inner: Rc::new(Inner {
-                now: Cell::new(SimTime::ZERO),
+                now: Cell::new(Time::ZERO),
                 tasks: RefCell::new(TaskSlab::new()),
                 ready: Rc::new(ReadyQueue {
                     queue: RefCell::new(VecDeque::new()),
@@ -503,9 +511,14 @@ impl Sim {
         }
     }
 
-    /// A clonable handle for use inside tasks.
+    /// A clonable context for tasks to capture.
     #[must_use]
-    pub fn ctx(&self) -> SimCtx {
+    pub fn ctx(&self) -> Ctx {
+        Ctx::new(self.handle(), None)
+    }
+
+    /// The bare task-side handle behind [`Sim::ctx`].
+    pub(crate) fn handle(&self) -> SimCtx {
         SimCtx {
             inner: Rc::downgrade(&self.inner),
         }
@@ -513,7 +526,7 @@ impl Sim {
 
     /// Current virtual time.
     #[must_use]
-    pub fn now(&self) -> SimTime {
+    pub fn now(&self) -> Time {
         self.inner.now.get()
     }
 
@@ -539,7 +552,7 @@ impl Sim {
 
     /// Runs events with timestamps `≤ deadline`, then sets the clock to
     /// `deadline`. Ready (zero-delay) work at the deadline is completed.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    pub fn run_until(&mut self, deadline: Time) {
         self.run_inner(Some(deadline));
         if self.inner.now.get() < deadline {
             self.inner.now.set(deadline);
@@ -547,7 +560,7 @@ impl Sim {
     }
 
     /// Advances the simulation by `d` from the current virtual time.
-    pub fn run_for(&mut self, d: SimTime) {
+    pub fn run_for(&mut self, d: Time) {
         let deadline = self.inner.now.get() + d;
         self.run_until(deadline);
     }
@@ -560,7 +573,7 @@ impl Sim {
     /// # Panics
     /// Panics if the simulation stalls (deadlocks) before `fut` finishes.
     pub fn block_on<T: 'static>(&mut self, fut: impl Future<Output = T> + 'static) -> T {
-        let handle = self.ctx().spawn(fut);
+        let handle = self.handle().spawn(fut);
         loop {
             while let Some((idx, gen)) = self.inner.ready.pop() {
                 self.poll_task(idx, gen);
@@ -574,7 +587,7 @@ impl Sim {
         }
     }
 
-    fn run_inner(&mut self, deadline: Option<SimTime>) {
+    fn run_inner(&mut self, deadline: Option<Time>) {
         loop {
             // Drain everything runnable at the current instant.
             while let Some((idx, gen)) = self.inner.ready.pop() {
@@ -588,9 +601,9 @@ impl Sim {
 
     // --- partition-local run-until-frontier hooks ---------------------------
     //
-    // The partitioned parallel backend (hm-substrate's `par` module) hosts one
-    // `Sim` per partition and interleaves executor steps with cross-partition
-    // envelope delivery under a conservative time frontier. It needs finer
+    // A partitioned fan-out (the `par` module) hosts one `Sim` per partition
+    // and interleaves executor steps with cross-partition envelope delivery
+    // under a conservative time frontier. It needs finer
     // control than `run`/`run_until` give: poll the ready queue without
     // advancing time, peek the next timer deadline, move the clock to an
     // externally-timestamped instant, and fire timers only strictly below a
@@ -602,7 +615,7 @@ impl Sim {
     /// Polls every task currently runnable at this instant until the ready
     /// queue is empty, without touching the clock. Returns true if at least
     /// one task was polled.
-    pub fn run_ready(&mut self) -> bool {
+    pub(crate) fn run_ready(&mut self) -> bool {
         let mut ran = false;
         while let Some((idx, gen)) = self.inner.ready.pop() {
             self.poll_task(idx, gen);
@@ -614,13 +627,13 @@ impl Sim {
     /// Deadline of the earliest pending timer, if any. Does not advance the
     /// clock or fire anything.
     #[must_use]
-    pub fn next_timer_at(&self) -> Option<SimTime> {
+    pub(crate) fn next_timer_at(&self) -> Option<Time> {
         let now_tick = dur_ns(self.inner.now.get()) >> TICK_SHIFT;
         let mut wheel = self.inner.timers.borrow_mut();
         wheel.cascade(now_tick);
         wheel
             .min_deadline(now_tick)
-            .map(|(at_ns, _)| SimTime::from_nanos(at_ns))
+            .map(|(at_ns, _)| Time::from_nanos(at_ns))
     }
 
     /// Sets the clock to `at` without firing any timer — the entry point for
@@ -630,7 +643,7 @@ impl Sim {
     /// # Panics
     /// Debug-asserts that `at` neither moves time backwards nor skips a
     /// pending timer deadline; in release the clock only moves forward.
-    pub fn advance_clock_to(&mut self, at: SimTime) {
+    pub(crate) fn advance_clock_to(&mut self, at: Time) {
         debug_assert!(at >= self.inner.now.get(), "clock moved backwards");
         debug_assert!(
             self.next_timer_at().is_none_or(|t| at <= t),
@@ -645,7 +658,7 @@ impl Sim {
     /// that instant, but only if the deadline is strictly before `limit`.
     /// Returns false (clock untouched) otherwise — the strict bound is what a
     /// conservative time frontier requires.
-    pub fn fire_timers_before(&mut self, limit: SimTime) -> bool {
+    pub(crate) fn fire_timers_before(&mut self, limit: Time) -> bool {
         match self.next_timer_at() {
             Some(at) if at < limit => self.advance_to_next_timer(Some(at)),
             _ => false,
@@ -655,7 +668,7 @@ impl Sim {
     /// Advances the clock to the next pending timer (within `deadline`, if
     /// any) and fires every timer at that instant. Returns false if there
     /// was no eligible timer.
-    fn advance_to_next_timer(&mut self, deadline: Option<SimTime>) -> bool {
+    fn advance_to_next_timer(&mut self, deadline: Option<Time>) -> bool {
         let now_tick = dur_ns(self.inner.now.get()) >> TICK_SHIFT;
         {
             let mut wheel = self.inner.timers.borrow_mut();
@@ -663,7 +676,7 @@ impl Sim {
             let Some((at_ns, _)) = wheel.min_deadline(now_tick) else {
                 return false;
             };
-            let next_at = SimTime::from_nanos(at_ns);
+            let next_at = Time::from_nanos(at_ns);
             if let Some(deadline) = deadline {
                 if next_at > deadline {
                     return false;
@@ -746,13 +759,13 @@ impl SimCtx {
 
     /// Current virtual time.
     #[must_use]
-    pub fn now(&self) -> SimTime {
+    pub fn now(&self) -> Time {
         self.inner().now.get()
     }
 
     /// [`SimCtx::now`], or `None` once the [`Sim`] is gone.
     #[must_use]
-    pub fn try_now(&self) -> Option<SimTime> {
+    pub fn try_now(&self) -> Option<Time> {
         self.inner.upgrade().map(|inner| inner.now.get())
     }
 
@@ -807,7 +820,7 @@ impl SimCtx {
     }
 
     /// Sleeps for `d` of virtual time.
-    pub fn sleep(&self, d: SimTime) -> Sleep {
+    pub fn sleep(&self, d: Time) -> Sleep {
         let inner = self.inner();
         let now = inner.now.get();
         let at = now + d;
@@ -823,7 +836,7 @@ impl SimCtx {
     }
 
     /// Sleeps until the absolute virtual instant `at` (no-op if in the past).
-    pub fn sleep_until(&self, at: SimTime) -> Sleep {
+    pub fn sleep_until(&self, at: Time) -> Sleep {
         let now = self.now();
         self.sleep(at.saturating_sub(now))
     }
@@ -841,7 +854,7 @@ impl SimCtx {
     /// continues. Implemented as a zero-duration sleep, which preserves the
     /// executor's FIFO determinism.
     pub fn yield_now(&self) -> Sleep {
-        self.sleep(SimTime::ZERO)
+        self.sleep(Time::ZERO)
     }
 }
 
@@ -851,7 +864,7 @@ impl std::fmt::Debug for SimCtx {
     }
 }
 
-/// Future returned by [`SimCtx::sleep`].
+/// Future returned by [`Ctx::sleep`].
 ///
 /// Holds (slot, generation) into the timer wheel's slab. Dropping a `Sleep`
 /// before its deadline does NOT cancel the registration: the clock still
@@ -1039,7 +1052,7 @@ mod tests {
 
     #[test]
     fn deterministic_across_runs() {
-        fn trace(seed: u64) -> (Vec<u64>, SimTime) {
+        fn trace(seed: u64) -> (Vec<u64>, Time) {
             let mut sim = Sim::new(seed);
             let ctx = sim.ctx();
             let log = Rc::new(RefCell::new(Vec::new()));
@@ -1195,7 +1208,7 @@ mod tests {
             });
         }
         sim.run();
-        let want: Vec<SimTime> = [300u64, 600, 900]
+        let want: Vec<Time> = [300u64, 600, 900]
             .iter()
             .map(|&ns| Duration::from_nanos(ns))
             .collect();

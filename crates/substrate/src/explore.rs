@@ -3,7 +3,7 @@
 //! The simulator makes every run a pure function of its seed, but a seed
 //! only *samples* one schedule. This module replaces sampled nondeterminism
 //! with an explicit **choice-point tree**: wherever a harness would have
-//! drawn from [`RngSource`], it instead asks a
+//! drawn from [`Ctx::with_rng`](crate::Ctx::with_rng), it instead asks a
 //! [`ChoiceSource`] to pick one of several labelled alternatives
 //! ([`Alt`]). Recording the picks yields a [`Schedule`] — a compact
 //! decision vector that replays the run bit-identically — and driving the
@@ -47,10 +47,6 @@ use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
 
-use rand::RngExt;
-
-use crate::RngSource;
-
 /// One alternative at a choice point.
 ///
 /// `id` is the action's **stable identity**: the same logical action must
@@ -84,11 +80,10 @@ impl Alt {
 }
 
 /// Supplies decisions at explicit choice points — the systematic
-/// counterpart of [`RngSource`].
+/// counterpart of [`Ctx::with_rng`](crate::Ctx::with_rng).
 ///
-/// Implementations: [`ScriptedChoices`] (replay a fixed [`Schedule`]),
-/// [`RngChoices`] (randomized baseline over any `RngSource`), and the
-/// [`Explorer`]'s internal [`DfsChooser`] (drives the search).
+/// Implementations: [`ScriptedChoices`] (replay a fixed [`Schedule`]) and
+/// the [`Explorer`]'s internal [`DfsChooser`] (drives the search).
 pub trait ChoiceSource {
     /// Picks one of `alts` (non-empty) at the named site; returns its
     /// index. `site` labels the kind of decision (e.g. `"sched"`,
@@ -263,28 +258,6 @@ impl ChoiceSource for ScriptedChoices {
                 .map(|d| d.picked as u32)
                 .collect(),
         }
-    }
-}
-
-/// Randomized baseline: resolves every choice point uniformly from an
-/// [`RngSource`] — the chaos-style sampling the
-/// [`Explorer`] supersedes, kept for A/B comparisons.
-#[derive(Clone, Debug)]
-pub struct RngChoices<R: RngSource> {
-    source: R,
-}
-
-impl<R: RngSource> RngChoices<R> {
-    /// Wraps an RNG source as a choice source.
-    pub fn new(source: R) -> RngChoices<R> {
-        RngChoices { source }
-    }
-}
-
-impl<R: RngSource> ChoiceSource for RngChoices<R> {
-    fn choose(&self, site: &'static str, alts: &[Alt]) -> usize {
-        assert!(!alts.is_empty(), "choice point {site:?} with empty domain");
-        self.source.with_rng(|rng| rng.random_range(0..alts.len()))
     }
 }
 
@@ -602,8 +575,8 @@ impl Explorer {
     }
 
     /// Explores with the root-level branches partitioned round-robin
-    /// across `workers` threads — the same `RoundRobin` placement the
-    /// partitioned backend uses for shards. Sleep sets are path-local
+    /// across `workers` threads — the same placement a partitioned fan-out
+    /// uses for its partitions. Sleep sets are path-local
     /// (each branch's pruning depends only on its position among its root
     /// siblings, which is fixed), so the visited tree, the statistics,
     /// and the counterexample set are identical at every worker count.
@@ -920,17 +893,5 @@ mod tests {
         // Parse errors are reported, not panicked.
         assert!("1.x.2".parse::<Schedule>().is_err());
         assert_eq!("".parse::<Schedule>().unwrap(), Schedule::default());
-    }
-
-    #[test]
-    fn rng_choices_stay_in_range() {
-        use crate::sim::Sim;
-        let sim = Sim::new(7);
-        let src = RngChoices::new(sim.ctx());
-        let alts = [Alt::new(0, 1), Alt::new(1, 2), Alt::new(2, 4)];
-        for _ in 0..64 {
-            assert!(src.choose("sched", &alts) < alts.len());
-        }
-        assert!(!src.pruned());
     }
 }

@@ -1,21 +1,21 @@
-//! Parallel backend: partitioned virtual-time execution across worker
-//! threads with a deterministic cross-partition merge.
+//! Partitioned fan-out: one virtual-time executor per partition, spread
+//! across worker threads, with a deterministic cross-partition merge. The
+//! machinery behind [`Runner::run_partitions`](crate::Runner::run_partitions).
 //!
 //! # Model
 //!
 //! A partitioned run splits a deployment into `P` **partitions**. Each
-//! partition owns a full virtual-time executor (`hm-sim`'s slab executor
-//! and timer wheel) with its own clock, task set, and seeded RNG — shards,
-//! their sequencer/storage/GC lanes, and tenant gateways are placed onto
-//! partitions by the caller (see `hm_sharedlog`'s partition placement and
-//! `hm_runtime`'s tenant pinning). Partitions are distributed over `N`
-//! worker threads by a [`PartitionPolicy`]; a worker multiplexes the
+//! partition owns a full [`Sim`] with its own clock, task set, and seeded
+//! RNG — shards, their sequencer/storage/GC lanes, and tenant gateways are
+//! placed onto partitions by the caller (see `hm_sharedlog`'s partition
+//! placement and `hm_runtime`'s tenant pinning). Partition `p` of a run on
+//! `N` worker threads is hosted by worker `p % N`; a worker multiplexes the
 //! partitions it hosts.
 //!
 //! Partitions interact **only** through timestamped envelopes: a send at
 //! virtual time `t` is delivered to the destination partition at
 //! `t + lookahead` as a `(virtual_time, partition_id, seq)`-keyed message
-//! through a bounded SPSC mailslot. Deliveries are admitted in key order,
+//! through an SPSC mailslot. Deliveries are admitted in key order,
 //! and at an instant where both deliveries and local timers are due,
 //! deliveries happen first — a fixed rule, so the admission order never
 //! depends on wall-clock timing.
@@ -47,12 +47,12 @@
 //! tasks, and the key-ordered sequence of envelopes it admits; envelope
 //! contents and timestamps are in turn pure functions of the sending
 //! partitions' executions. By induction over virtual time the merged
-//! schedule is a pure function of `(seed, topology, workers)` — frontier
-//! timing and thread interleaving only decide *wall-clock* progress, never
-//! the virtual schedule. Partition 0 is seeded with the run's own seed, so
-//! a single-partition run (and [`ParRunner::block_on`], which degenerates
-//! to the sequential `block_on` loop) is bit-identical to the [`crate::sim`]
-//! backend. DESIGN.md §18 develops the full argument.
+//! schedule is a pure function of `(seed, topology)` — frontier timing,
+//! thread interleaving and the worker count only decide *wall-clock*
+//! progress, never the virtual schedule. Partition 0 is seeded with the
+//! run's own seed, so a single-partition run is bit-identical to
+//! `Sim::new(seed)` on the same workload. DESIGN.md §17 develops the full
+//! argument.
 
 use std::any::Any;
 use std::cell::RefCell;
@@ -62,23 +62,15 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use hm_sim::SimCtx;
-use rand::rngs::SmallRng;
+use crate::executor::{dur_ns, Sim, SimCtx};
+use crate::{Ctx, JoinHandle, Time};
 
-use crate::{Ctx, Time};
-
-/// Default delivery latency of a cross-partition envelope, and therefore
-/// the frontier lookahead. Larger values synchronize less often (faster
-/// wall-clock for loosely-coupled partitions); smaller values deliver
-/// messages sooner in virtual time.
-pub const DEFAULT_LOOKAHEAD: Time = Duration::from_millis(1);
-
-/// How partitions are placed onto worker threads (and, by the same rule,
-/// how tenants and shards are placed onto partitions by the layers above).
+/// How the layers above place tenants and shards onto partitions.
+/// (Partitions themselves always go onto workers round-robin.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum PartitionPolicy {
     /// Item `i` of `n` goes to bucket `i % buckets` — interleaved, the
@@ -111,10 +103,10 @@ impl PartitionPolicy {
 pub type PartitionFuture<R> = Pin<Box<dyn Future<Output = R> + 'static>>;
 
 /// Per-partition RNG seed: partition 0 inherits the run seed (so a
-/// one-partition run is bit-identical to the sequential sim backend);
-/// other partitions get splitmix-derived independent streams.
+/// one-partition run is bit-identical to `Sim::new(seed)`); other
+/// partitions get splitmix-derived independent streams.
 #[must_use]
-pub fn partition_seed(seed: u64, partition: u32) -> u64 {
+pub(crate) fn partition_seed(seed: u64, partition: u32) -> u64 {
     if partition == 0 {
         return seed;
     }
@@ -122,10 +114,6 @@ pub fn partition_seed(seed: u64, partition: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-fn dur_ns(d: Time) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 // ---------------------------------------------------------------------------
@@ -140,45 +128,6 @@ struct Envelope {
     from: u32,
     seq: u64,
     payload: Vec<u8>,
-}
-
-/// Bounded single-producer single-consumer mailslot for one ordered pair of
-/// partitions. The producer blocks when the slot is full (backpressure);
-/// the consumer drains it at every scheduling round, so the producer is
-/// never blocked on the consumer's *frontier*, only on its drain cadence.
-struct Mailslot {
-    q: Mutex<VecDeque<Envelope>>,
-    space: Condvar,
-}
-
-/// Mailslot capacity. Small enough to bound memory per partition pair,
-/// large enough that steady-state batches never block.
-const MAILSLOT_CAP: usize = 1024;
-
-impl Mailslot {
-    fn new() -> Mailslot {
-        Mailslot {
-            q: Mutex::new(VecDeque::new()),
-            space: Condvar::new(),
-        }
-    }
-
-    fn push(&self, env: Envelope) {
-        let mut q = self.q.lock().expect("mailslot poisoned");
-        while q.len() >= MAILSLOT_CAP {
-            q = self.space.wait(q).expect("mailslot poisoned");
-        }
-        q.push_back(env);
-    }
-
-    fn drain_into(&self, out: &mut Vec<Envelope>) {
-        let mut q = self.q.lock().expect("mailslot poisoned");
-        if q.is_empty() {
-            return;
-        }
-        out.extend(q.drain(..));
-        self.space.notify_all();
-    }
 }
 
 /// State shared by every worker of one partitioned run.
@@ -202,8 +151,13 @@ struct Fleet {
     /// Payload of the first worker panic, re-raised by the caller of the
     /// partitioned run once every worker has stopped.
     first_panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Dense `from * partitions + to` mailslot matrix.
-    slots: Vec<Mailslot>,
+    /// Dense `from * partitions + to` matrix of mailslots, one per ordered
+    /// pair of partitions (single producer, single consumer); the consumer
+    /// drains its column at every scheduling round. Unbounded on purpose:
+    /// `send` is synchronous, and when both partitions share a worker the
+    /// only thread that could drain a full slot is the one that would be
+    /// blocked filling it.
+    slots: Vec<Mutex<Vec<Envelope>>>,
     /// Generation counter + condvar: bumped on every frontier publication,
     /// send, or completion so blocked workers re-evaluate.
     signal: Mutex<u64>,
@@ -223,14 +177,16 @@ impl Fleet {
             delivered: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             first_panic: Mutex::new(None),
-            slots: (0..n * n).map(|_| Mailslot::new()).collect(),
+            slots: (0..n * n).map(|_| Mutex::new(Vec::new())).collect(),
             signal: Mutex::new(0),
             cond: Condvar::new(),
         }
     }
 
-    fn slot(&self, from: usize, to: usize) -> &Mailslot {
-        &self.slots[from * self.partitions as usize + to]
+    fn slot(&self, from: usize, to: usize) -> MutexGuard<'_, Vec<Envelope>> {
+        self.slots[from * self.partitions as usize + to]
+            .lock()
+            .expect("mailslot poisoned")
     }
 
     /// The execution bound for `me`: the minimum frontier advertised by
@@ -303,10 +259,10 @@ struct PartLocal {
 }
 
 /// One partition's executor plus its fleet hookup. Lives entirely on the
-/// worker thread hosting the partition (`hm_sim::Sim` is single-threaded).
+/// worker thread hosting the partition (a `Sim` is single-threaded).
 struct PartEngine {
     index: u32,
-    sim: hm_sim::Sim,
+    sim: Sim,
     local: Rc<RefCell<PartLocal>>,
     fleet: Arc<Fleet>,
     scratch: Vec<Envelope>,
@@ -316,7 +272,7 @@ impl PartEngine {
     fn new(index: u32, seed: u64, fleet: Arc<Fleet>) -> PartEngine {
         PartEngine {
             index,
-            sim: hm_sim::Sim::new(partition_seed(seed, index)),
+            sim: Sim::new(partition_seed(seed, index)),
             local: Rc::new(RefCell::new(PartLocal {
                 inbox: BTreeMap::new(),
                 mailbox: VecDeque::new(),
@@ -328,13 +284,16 @@ impl PartEngine {
         }
     }
 
-    fn par_ctx(&self) -> ParCtx {
-        ParCtx {
-            sim: self.sim.ctx(),
+    /// This partition's context: the executor handle plus the messaging
+    /// link.
+    fn ctx(&self) -> Ctx {
+        let link = ParCtx {
+            sim: self.sim.handle(),
             local: self.local.clone(),
             fleet: self.fleet.clone(),
             index: self.index,
-        }
+        };
+        Ctx::new(self.sim.handle(), Some(link))
     }
 
     /// Moves every envelope queued in this partition's inbound mailslots
@@ -344,7 +303,7 @@ impl PartEngine {
         self.scratch.clear();
         for from in 0..self.fleet.partitions as usize {
             if from != me {
-                self.fleet.slot(from, me).drain_into(&mut self.scratch);
+                self.scratch.append(&mut self.fleet.slot(from, me));
             }
         }
         if self.scratch.is_empty() {
@@ -382,11 +341,7 @@ impl PartEngine {
     /// buffered envelopes in `(vt, from, seq)` order (before timers at the
     /// same instant). Checks `root` between instants — exactly the
     /// sequential `block_on` cadence. Returns `(progressed, result)`.
-    fn run_burst<R: 'static>(
-        &mut self,
-        root: &hm_sim::JoinHandle<R>,
-        limit_ns: u64,
-    ) -> (bool, Option<R>) {
+    fn run_burst<R: 'static>(&mut self, root: &JoinHandle<R>, limit_ns: u64) -> (bool, Option<R>) {
         let mut progressed = false;
         loop {
             if self.sim.run_ready() {
@@ -441,16 +396,12 @@ impl PartEngine {
 }
 
 // ---------------------------------------------------------------------------
-// ParCtx: the context tasks hold
+// ParCtx: the messaging link tasks hold
 // ---------------------------------------------------------------------------
 
-/// Context handle for tasks on a partition of the parallel backend.
-///
-/// Clock, spawning, and RNG delegate to the partition's own `hm-sim`
-/// executor — dispatch adds no tasks, timers, RNG draws, or allocations,
-/// so a partition's schedule is bit-identical to the same workload on the
-/// sim backend. On top of that it exposes the cross-partition messaging
-/// surface: [`ParCtx::send`] and [`ParCtx::recv`].
+/// A partition's cross-partition messaging surface: [`ParCtx::send`] and
+/// [`ParCtx::recv`]. Reached through [`Ctx::as_par`]; clock, spawning and
+/// RNG are the partition's [`Ctx`] itself.
 #[derive(Clone)]
 pub struct ParCtx {
     sim: SimCtx,
@@ -472,49 +423,11 @@ impl ParCtx {
         self.fleet.partitions as usize
     }
 
-    /// Current virtual time of this partition.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.sim.now()
-    }
-
-    /// [`ParCtx::now`], or `None` once this partition's engine is gone.
-    #[must_use]
-    pub fn try_now(&self) -> Option<Time> {
-        self.sim.try_now()
-    }
-
-    /// Resolves after `d` of this partition's virtual time.
-    pub fn sleep(&self, d: Time) -> hm_sim::Sleep {
-        self.sim.sleep(d)
-    }
-
-    /// Resolves at the absolute instant `at` of this partition's clock.
-    pub fn sleep_until(&self, at: Time) -> hm_sim::Sleep {
-        self.sim.sleep_until(at)
-    }
-
-    /// Spawns a task onto this partition's executor.
-    pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> hm_sim::JoinHandle<T> {
-        self.sim.spawn(fut)
-    }
-
-    /// Spawns a task nobody will join.
-    pub fn spawn_detached(&self, fut: impl Future<Output = ()> + 'static) {
-        self.sim.spawn_detached(fut);
-    }
-
-    /// Runs `f` with this partition's seeded RNG.
-    pub fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T {
-        self.sim.with_rng(f)
-    }
-
     /// Sends `payload` to partition `to`. The envelope is timestamped
     /// `now + lookahead` and delivered to the destination's mailbox at
     /// exactly that virtual time, ordered by `(virtual_time, sender, seq)`
     /// against every other envelope. Self-sends are allowed and follow the
-    /// same timing. Blocks (wall-clock) only when the destination mailslot
-    /// is full.
+    /// same timing. Never blocks.
     ///
     /// # Panics
     /// Panics if `to` is not a valid partition index.
@@ -609,7 +522,7 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The substrate context for this partition.
+    /// The context of this partition's executor.
     #[must_use]
     pub fn ctx(&self) -> Ctx {
         self.ctx.clone()
@@ -629,153 +542,17 @@ impl Partition {
 }
 
 // ---------------------------------------------------------------------------
-// The runner
+// The fan-out
 // ---------------------------------------------------------------------------
 
-/// The partitioned parallel backend.
-///
-/// For the uniform [`crate::Runner`] surface (`ctx`/`now`/`block_on`) it
-/// owns a resident partition-0 executor on the calling thread, seeded with
-/// the run seed — `block_on` there is bit-identical to the sim backend.
-/// [`ParRunner::run_partitions`] is the fan-out entry point: it builds a
-/// fresh fleet of `P` partitions, distributes them over the configured
-/// workers, and runs every partition root to completion under the
-/// conservative frontier.
-pub struct ParRunner {
-    seed: u64,
-    workers: usize,
-    policy: PartitionPolicy,
-    lookahead: Time,
-    engine: PartEngine,
-}
-
-impl ParRunner {
-    /// Creates a parallel runner with `workers` threads available to
-    /// partitioned runs.
-    #[must_use]
-    pub fn new(seed: u64, workers: usize, policy: PartitionPolicy, lookahead: Time) -> ParRunner {
-        let fleet = Arc::new(Fleet::new(1, lookahead));
-        ParRunner {
-            seed,
-            workers: workers.max(1),
-            policy,
-            lookahead,
-            engine: PartEngine::new(0, seed, fleet),
-        }
-    }
-
-    /// The run seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Worker threads available to [`ParRunner::run_partitions`].
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The partition placement policy.
-    #[must_use]
-    pub fn policy(&self) -> PartitionPolicy {
-        self.policy
-    }
-
-    /// Context of the resident partition-0 executor.
-    #[must_use]
-    pub fn ctx(&self) -> Ctx {
-        Ctx::Par(self.engine.par_ctx())
-    }
-
-    /// Virtual time of the resident partition-0 executor.
-    #[must_use]
-    pub fn now(&self) -> Time {
-        self.engine.sim.now()
-    }
-
-    /// Runs `fut` to completion on the resident partition-0 executor. With
-    /// a single partition the frontier is infinite, so this loop is the
-    /// sequential `block_on` loop — bit-identical to the sim backend.
-    ///
-    /// # Panics
-    /// Panics if the executor stalls before the future resolves.
-    pub fn block_on<T: 'static>(&mut self, fut: impl Future<Output = T> + 'static) -> T {
-        let handle = self.engine.sim.ctx().spawn(fut);
-        let (_, res) = self.engine.run_burst(&handle, u64::MAX);
-        res.unwrap_or_else(|| panic!("simulation stalled before block_on future completed"))
-    }
-
-    /// Runs `partitions` partition roots to completion and returns their
-    /// results in partition order. `setup` is called once per partition —
-    /// possibly concurrently, on the worker thread that hosts the
-    /// partition — and returns the partition's root future.
-    ///
-    /// Every call builds a fresh fleet (fresh executors, clocks at zero,
-    /// per-partition seeds derived from the run seed), so repeated calls
-    /// with the same arguments produce identical results regardless of the
-    /// worker count.
-    ///
-    /// # Panics
-    /// Panics if the run stalls (every partition idle, no envelope in
-    /// flight, some root incomplete) or if any partition root panics — with
-    /// the first such panic's own payload, whichever worker thread hit it.
-    pub fn run_partitions<R, F>(&mut self, partitions: usize, setup: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(Partition) -> PartitionFuture<R> + Send + Sync,
-    {
-        run_partitioned(
-            self.seed,
-            partitions,
-            self.workers,
-            self.policy,
-            self.lookahead,
-            &setup,
-        )
-    }
-}
-
-impl std::fmt::Debug for ParRunner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ParRunner(workers={}, policy={:?}, now={:?})",
-            self.workers,
-            self.policy,
-            self.now()
-        )
-    }
-}
-
-/// Sequential fallback used by the sim backend's `run_partitions`: each
-/// partition runs to completion on its own fresh executor, in partition
-/// order, with no cross-partition machinery. For workloads that do not
-/// message across partitions this is byte-identical to the parallel
-/// backend at any worker count (same per-partition seeds, same schedules).
-pub(crate) fn run_sequential<R, F>(seed: u64, partitions: usize, setup: &F) -> Vec<R>
-where
-    R: 'static,
-    F: Fn(Partition) -> PartitionFuture<R>,
-{
-    (0..partitions)
-        .map(|p| {
-            let mut sim = crate::sim::Sim::new(partition_seed(seed, p as u32));
-            let fut = setup(Partition {
-                ctx: sim.ctx(),
-                index: p,
-                count: partitions,
-            });
-            sim.block_on(fut)
-        })
-        .collect()
-}
-
-fn run_partitioned<R, F>(
+/// Runs `partitions` partition roots to completion over `workers` threads
+/// (the caller's included) and returns their results in partition order:
+/// the body of [`Runner::run_partitions`](crate::Runner::run_partitions),
+/// which documents the contract.
+pub(crate) fn run_partitioned<R, F>(
     seed: u64,
     partitions: usize,
     workers: usize,
-    policy: PartitionPolicy,
     lookahead: Time,
     setup: &F,
 ) -> Vec<R>
@@ -790,7 +567,7 @@ where
     let fleet = Arc::new(Fleet::new(partitions as u32, lookahead));
     let mut hosted: Vec<Vec<usize>> = vec![Vec::new(); workers];
     for p in 0..partitions {
-        hosted[policy.assign(p, partitions, workers)].push(p);
+        hosted[p % workers].push(p);
     }
 
     let mut results: Vec<(usize, R)> = std::thread::scope(|s| {
@@ -839,7 +616,7 @@ where
 {
     struct Host<R> {
         engine: PartEngine,
-        root: hm_sim::JoinHandle<R>,
+        root: JoinHandle<R>,
         result: Option<R>,
     }
     let mut hosts: Vec<Host<R>> = parts
@@ -847,11 +624,11 @@ where
         .map(|&p| {
             let engine = PartEngine::new(p as u32, seed, Arc::clone(fleet));
             let fut = setup(Partition {
-                ctx: Ctx::Par(engine.par_ctx()),
+                ctx: engine.ctx(),
                 index: p,
                 count: partitions,
             });
-            let root = engine.sim.ctx().spawn(fut);
+            let root = engine.sim.handle().spawn(fut);
             Host {
                 engine,
                 root,
@@ -880,8 +657,10 @@ where
             if let Some(r) = res {
                 host.result = Some(r);
                 fleet.frontiers[p].store(u64::MAX, SeqCst);
-                fleet.eventless[p].store(true, SeqCst);
+                // Counted done before flagged idle: a stall checker that
+                // sees this flag then also sees the count.
                 fleet.done.fetch_add(1, SeqCst);
+                fleet.eventless[p].store(true, SeqCst);
                 fleet.bump();
                 continue;
             }
@@ -907,13 +686,21 @@ where
             return Vec::new();
         }
         if !progressed {
+            // The read order makes this a consistent snapshot. Both
+            // counters only grow and `delivered <= sent`, so an early
+            // `delivered` equal to a late `sent` means nothing was sent,
+            // delivered or in flight in between; an idle partition wakes
+            // only by a delivery, so every partition seen idle in between
+            // still is; and `done`, read last, counts every root whose
+            // completion raised one of those flags.
+            let delivered = fleet.delivered.load(SeqCst);
             let idle = fleet.eventless.iter().all(|e| e.load(SeqCst));
-            let in_flight = fleet.sent.load(SeqCst) != fleet.delivered.load(SeqCst);
+            let quiet = idle && fleet.sent.load(SeqCst) == delivered;
+            let incomplete = partitions as u64 - fleet.done.load(SeqCst);
             assert!(
-                !idle || in_flight,
+                !quiet || incomplete == 0,
                 "partitioned run stalled: every partition is idle with no \
-                 envelopes in flight and {} of {partitions} roots incomplete",
-                partitions as u64 - fleet.done.load(SeqCst)
+                 envelopes in flight and {incomplete} of {partitions} roots incomplete"
             );
             seen_gen = fleet.wait_for_change(seen_gen);
         }
@@ -931,15 +718,17 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+
     use super::*;
 
-    fn runner(workers: usize) -> ParRunner {
-        ParRunner::new(
-            7,
-            workers,
-            PartitionPolicy::RoundRobin,
-            Duration::from_micros(500),
-        )
+    /// A fan-out at seed 7 and a 500 µs lookahead.
+    fn run<R, F>(workers: usize, partitions: usize, setup: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(Partition) -> PartitionFuture<R> + Send + Sync,
+    {
+        run_partitioned(7, partitions, workers, Duration::from_micros(500), &setup)
     }
 
     #[test]
@@ -962,32 +751,14 @@ mod tests {
         assert_ne!(partition_seed(42, 1), partition_seed(42, 2));
     }
 
-    #[test]
-    fn block_on_matches_sim_backend() {
-        let mut par = runner(4);
-        let mut sim = crate::sim::Sim::new(7);
-        let mk = |ctx: Ctx| async move {
-            let mut acc = 0u64;
-            for i in 0..5u64 {
-                ctx.sleep(Duration::from_millis(i)).await;
-                acc = acc.wrapping_mul(31).wrapping_add(ctx.with_rng(rand::Rng::next_u64));
-            }
-            (acc, ctx.now())
-        };
-        let a = par.block_on(mk(par.ctx()));
-        let b = sim.block_on(mk(sim.ctx()));
-        assert_eq!(a, b);
-    }
-
     /// Ping-pong between two partitions: results must not depend on the
     /// worker count.
     fn ping_pong(workers: usize) -> Vec<(u64, Vec<u64>)> {
-        let mut r = runner(workers);
-        r.run_partitions(2, |p| {
+        run(workers, 2, |p| {
             let ctx = p.ctx();
             let me = p.index();
             Box::pin(async move {
-                let par = ctx.as_par().expect("parallel ctx").clone();
+                let par = ctx.as_par().expect("partition ctx").clone();
                 let mut log = Vec::new();
                 if me == 0 {
                     for round in 0..5u64 {
@@ -1023,12 +794,11 @@ mod tests {
         // same virtual instant; partition 0 must see them ordered by
         // (vt, sender, seq) no matter which worker ran first.
         for workers in [1, 3] {
-            let mut r = runner(workers);
-            let out = r.run_partitions(3, |p| {
+            let out = run(workers, 3, |p| {
                 let ctx = p.ctx();
                 let me = p.index();
                 Box::pin(async move {
-                    let par = ctx.as_par().expect("parallel ctx").clone();
+                    let par = ctx.as_par().expect("partition ctx").clone();
                     if me == 0 {
                         let mut seen = Vec::new();
                         for _ in 0..4 {
@@ -1043,17 +813,20 @@ mod tests {
                     }
                 })
             });
-            assert_eq!(out[0], vec![(1, 1), (1, 2), (2, 1), (2, 2)], "workers={workers}");
+            assert_eq!(
+                out[0],
+                vec![(1, 1), (1, 2), (2, 1), (2, 2)],
+                "workers={workers}"
+            );
         }
     }
 
     #[test]
     fn self_send_delivers_after_lookahead() {
-        let mut r = runner(1);
-        let out = r.run_partitions(1, |p| {
+        let out = run(1, 1, |p| {
             let ctx = p.ctx();
             Box::pin(async move {
-                let par = ctx.as_par().expect("parallel ctx").clone();
+                let par = ctx.as_par().expect("partition ctx").clone();
                 let t0 = ctx.now();
                 par.send(0, vec![9]);
                 let (from, payload) = par.recv().await;
@@ -1063,24 +836,110 @@ mod tests {
         assert_eq!(out[0], (0, vec![9], Duration::from_micros(500)));
     }
 
+    /// Partition 0 sends `BURST` envelopes to partition 1 without awaiting
+    /// anything; partition 1 receives them all. Returns each partition's
+    /// (digest of what it received, final clock).
+    fn send_burst(workers: usize) -> Vec<(u64, u64)> {
+        run(workers, 2, |p| {
+            let ctx = p.ctx();
+            let me = p.index();
+            Box::pin(async move {
+                let par = ctx.as_par().expect("partition ctx").clone();
+                let mut digest = 0u64;
+                if me == 0 {
+                    for i in 0..BURST {
+                        par.send(1, i.to_le_bytes().to_vec());
+                    }
+                } else {
+                    for _ in 0..BURST {
+                        let (_, msg) = par.recv().await;
+                        let v = u64::from_le_bytes(msg.try_into().unwrap());
+                        digest = digest.wrapping_mul(31).wrapping_add(v);
+                    }
+                }
+                (digest, dur_ns(ctx.now()))
+            })
+        })
+    }
+
+    /// Large enough to overrun any bound a mailslot could sensibly carry.
+    const BURST: u64 = 2_000;
+
+    /// `send` never waits for the receiver, so the burst completes even
+    /// when one worker hosts both ends — the only thread that could drain
+    /// the slot is then the sending one — and the worker count changes
+    /// nothing. Each run sits under a watchdog so that a `send` that blocks
+    /// fails the test instead of hanging the suite.
+    #[test]
+    fn send_burst_completes_at_every_worker_count() {
+        let watched = |workers: usize| {
+            let (tx, rx) = mpsc::channel();
+            let fleet = std::thread::spawn(move || {
+                let _ = tx.send(send_burst(workers));
+            });
+            match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(out) => {
+                    fleet.join().expect("the fleet thread sent its result");
+                    out
+                }
+                // The fleet panicked before sending: re-raise its panic.
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    resume_unwind(fleet.join().expect_err("sender dropped unsent"))
+                }
+                // Left detached on purpose: joining a blocked fleet would
+                // hang the suite, which is what the watchdog is here to stop.
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    panic!("a {BURST}-send burst did not complete at workers={workers}")
+                }
+            }
+        };
+        let w1 = watched(1);
+        assert_eq!(w1[1].1, 500_000, "every envelope lands one lookahead in");
+        assert_eq!(watched(2), w1);
+        assert_eq!(watched(4), w1);
+    }
+
+    /// A worker that has finished its own partitions and finds nothing to do
+    /// must not take its peer's last completion for a stall: the idle flag
+    /// and the done count are two stores, and the check reads both. Loops
+    /// because the window is a few instructions wide (at the unordered
+    /// version this fails within the first few thousand runs).
+    #[test]
+    fn completion_is_never_read_as_a_stall() {
+        for seed in 0..10_000u64 {
+            let out = run_partitioned(seed, 8, 2, Duration::from_secs(3600), &|p: Partition| {
+                let ctx = p.ctx();
+                let index = p.index() as u64;
+                Box::pin(async move {
+                    ctx.sleep(Duration::from_micros(index)).await;
+                    index
+                }) as PartitionFuture<u64>
+            });
+            assert_eq!(out, (0..8).collect::<Vec<u64>>());
+        }
+    }
+
     #[test]
     fn partitions_without_messaging_match_sequential() {
-        let setup = |p: Partition| -> PartitionFuture<(u64, u64)> {
-            let ctx = p.ctx();
-            Box::pin(async move {
-                let mut acc = 0u64;
-                for i in 0..20u64 {
-                    ctx.sleep(Duration::from_micros(i * 7 + 1)).await;
-                    acc = acc
-                        .wrapping_mul(0x100000001b3)
-                        .wrapping_add(ctx.with_rng(rand::Rng::next_u64));
-                }
-                (acc, dur_ns(ctx.now()))
-            })
+        let body = |ctx: Ctx| async move {
+            let mut acc = 0u64;
+            for i in 0..20u64 {
+                ctx.sleep(Duration::from_micros(i * 7 + 1)).await;
+                acc = acc
+                    .wrapping_mul(0x100000001b3)
+                    .wrapping_add(ctx.with_rng(rand::Rng::next_u64));
+            }
+            (acc, dur_ns(ctx.now()))
         };
-        let seq = run_sequential(7, 4, &setup);
+        // Each partition is a bare `Sim` at that partition's seed.
+        let seq: Vec<_> = (0..4)
+            .map(|p| {
+                let mut sim = Sim::new(partition_seed(7, p));
+                sim.block_on(body(sim.ctx()))
+            })
+            .collect();
         for workers in [1, 2, 4] {
-            let got = runner(workers).run_partitions(4, setup);
+            let got = run(workers, 4, |p| Box::pin(body(p.ctx())));
             assert_eq!(got, seq, "workers={workers}");
         }
     }
@@ -1088,13 +947,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "partitioned run stalled")]
     fn stalled_recv_panics() {
-        let mut r = runner(2);
-        let _ = r.run_partitions(2, |p| {
+        let _ = run(2, 2, |p| {
             let ctx = p.ctx();
             let me = p.index();
             Box::pin(async move {
                 if me == 1 {
-                    let par = ctx.as_par().expect("parallel ctx").clone();
+                    let par = ctx.as_par().expect("partition ctx").clone();
                     let _ = par.recv().await; // nobody ever sends
                 }
                 0u32

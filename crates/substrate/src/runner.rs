@@ -1,141 +1,75 @@
-//! [`Runner`]: one entry-point type over every backend.
-//!
-//! Binaries that offer a `--backend` flag (quickstart, the bench binary)
-//! and the backend-parity tests construct a [`Runner`] through
-//! [`Runner::builder`] and drive the same workload through any executor:
+//! [`Runner`]: configures and runs a partitioned fan-out, the one thing a
+//! single [`Sim`](crate::sim::Sim) cannot do.
 //!
 //! ```
-//! use hm_substrate::{Backend, PartitionPolicy, Runner};
+//! use hm_substrate::{PartitionFuture, Runner};
+//! use std::time::Duration;
 //!
-//! let mut runner = Runner::builder()
-//!     .backend(Backend::Parallel)
+//! let runner = Runner::builder()
 //!     .seed(42)
-//!     .workers(4)
-//!     .partition_policy(PartitionPolicy::RoundRobin)
+//!     .workers(2)
+//!     .lookahead(Duration::from_millis(1))
 //!     .build();
-//! let v = runner.block_on(async { 40 + 2 });
-//! assert_eq!(v, 42);
+//! let clocks = runner.run_partitions(4, |p| -> PartitionFuture<Duration> {
+//!     let (ctx, index) = (p.ctx(), p.index() as u64);
+//!     Box::pin(async move {
+//!         ctx.sleep(Duration::from_millis(index)).await;
+//!         ctx.now()
+//!     })
+//! });
+//! assert_eq!(clocks[3], Duration::from_millis(3));
 //! ```
 
-use std::future::Future;
+use crate::par::{run_partitioned, Partition, PartitionFuture};
+use crate::Time;
 
-use crate::par::{ParRunner, Partition, PartitionFuture, PartitionPolicy, DEFAULT_LOOKAHEAD};
-use crate::sim::Sim;
-use crate::wall::WallRunner;
-use crate::{BackendKind, Ctx, Time};
-
-/// A backend-selected executor: deterministic simulation, the wall clock,
-/// or partitioned parallel execution.
-pub enum Runner {
-    /// Virtual-time simulation.
-    Sim(Sim),
-    /// Wall-clock executor.
-    Wall(WallRunner),
-    /// Partitioned parallel executor.
-    Par(ParRunner),
+/// A configured partitioned fan-out: `P` executors spread over worker
+/// threads, exchanging timestamped envelopes under a conservative time
+/// frontier. Built by [`Runner::builder`].
+#[derive(Clone, Debug)]
+pub struct Runner {
+    seed: u64,
+    workers: usize,
+    lookahead: Time,
 }
 
 impl Runner {
-    /// Starts building a runner. Defaults: sim backend, seed 0, one
-    /// worker, round-robin partition placement.
+    /// Starts building a runner. Defaults: seed 0, one worker, 1 ms
+    /// lookahead.
     #[must_use]
     pub fn builder() -> RunnerBuilder {
-        RunnerBuilder::default()
-    }
-
-    /// Which backend this runner executes on.
-    #[must_use]
-    pub fn backend(&self) -> BackendKind {
-        match self {
-            Runner::Sim(_) => BackendKind::Sim,
-            Runner::Wall(_) => BackendKind::Wall,
-            Runner::Par(_) => BackendKind::Parallel,
+        RunnerBuilder {
+            runner: Runner {
+                seed: 0,
+                workers: 1,
+                lookahead: Time::from_millis(1),
+            },
         }
     }
 
-    /// Worker threads available to [`Runner::run_partitions`] (1 on the
-    /// sequential backends).
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        match self {
-            Runner::Sim(_) | Runner::Wall(_) => 1,
-            Runner::Par(p) => p.workers(),
-        }
-    }
-
-    /// A clonable substrate context for tasks to capture.
-    #[must_use]
-    pub fn ctx(&self) -> Ctx {
-        match self {
-            Runner::Sim(s) => s.ctx(),
-            Runner::Wall(w) => Ctx::Wall(w.ctx()),
-            Runner::Par(p) => p.ctx(),
-        }
-    }
-
-    /// Current substrate time (virtual or real elapsed).
-    #[must_use]
-    pub fn now(&self) -> Time {
-        match self {
-            Runner::Sim(s) => s.now(),
-            Runner::Wall(w) => w.now(),
-            Runner::Par(p) => p.now(),
-        }
-    }
-
-    /// Runs `fut` to completion on the selected backend. On the parallel
-    /// backend this runs on the resident partition-0 executor and is
-    /// bit-identical to the sim backend.
+    /// Runs `partitions` partition roots to completion and returns their
+    /// results in partition order. `setup` is called once per partition —
+    /// possibly concurrently, on the worker thread that hosts the
+    /// partition — with its [`Partition`] handle, and returns the
+    /// partition's root future.
+    ///
+    /// Every call builds fresh executors (clocks at zero; partition 0 seeded
+    /// with the run seed, the others with streams derived from it), so
+    /// repeated calls with the same arguments produce identical results at
+    /// any worker count, and a one-partition run is bit-identical to
+    /// `Sim::new(seed)` on the same workload.
     ///
     /// # Panics
     ///
-    /// Panics if the executor stalls (every task blocked with no pending
-    /// timer) before the future resolves.
-    pub fn block_on<T: 'static>(&mut self, fut: impl Future<Output = T> + 'static) -> T {
-        match self {
-            Runner::Sim(s) => s.block_on(fut),
-            Runner::Wall(w) => w.block_on(fut),
-            Runner::Par(p) => p.block_on(fut),
-        }
-    }
-
-    /// Runs `partitions` independent partition roots and returns their
-    /// results in partition order. `setup` receives each partition's
-    /// [`Partition`] handle and returns its root future.
-    ///
-    /// On the parallel backend the partitions are spread over the
-    /// configured workers and may exchange timestamped envelopes (see
-    /// [`crate::par`]); on the sim backend they run sequentially, each on
-    /// a fresh executor with the same per-partition seeds — byte-identical
-    /// to the parallel backend for workloads that do not message across
-    /// partitions.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the wall backend (partitioned execution is virtual-time
-    /// only), if a partitioned run stalls, or if a partition root panics.
-    pub fn run_partitions<R, F>(&mut self, partitions: usize, setup: F) -> Vec<R>
+    /// Panics if the run stalls (every partition idle, no envelope in
+    /// flight, some root incomplete) or if any partition root panics — with
+    /// the first such panic's own payload, whichever worker thread hit it.
+    pub fn run_partitions<R, F>(&self, partitions: usize, setup: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(Partition) -> PartitionFuture<R> + Send + Sync,
     {
-        match self {
-            Runner::Sim(s) => crate::par::run_sequential(s.seed(), partitions, &setup),
-            Runner::Wall(_) => {
-                panic!("partitioned execution requires the sim or parallel backend")
-            }
-            Runner::Par(p) => p.run_partitions(partitions, setup),
-        }
-    }
-}
-
-impl std::fmt::Debug for Runner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Runner::Sim(s) => s.fmt(f),
-            Runner::Wall(w) => w.fmt(f),
-            Runner::Par(p) => p.fmt(f),
-        }
+        run_partitioned(self.seed, partitions, self.workers, self.lookahead, &setup)
     }
 }
 
@@ -143,121 +77,80 @@ impl std::fmt::Debug for Runner {
 /// [`Runner::builder`].
 #[derive(Clone, Debug)]
 pub struct RunnerBuilder {
-    backend: BackendKind,
-    seed: u64,
-    workers: usize,
-    policy: PartitionPolicy,
-    lookahead: Time,
-}
-
-impl Default for RunnerBuilder {
-    fn default() -> RunnerBuilder {
-        RunnerBuilder {
-            backend: BackendKind::Sim,
-            seed: 0,
-            workers: 1,
-            policy: PartitionPolicy::RoundRobin,
-            lookahead: DEFAULT_LOOKAHEAD,
-        }
-    }
+    runner: Runner,
 }
 
 impl RunnerBuilder {
-    /// Selects the backend (default: [`BackendKind::Sim`]).
-    #[must_use]
-    pub fn backend(mut self, backend: BackendKind) -> RunnerBuilder {
-        self.backend = backend;
-        self
-    }
-
-    /// Seeds the substrate RNG (default: 0). On the parallel backend,
-    /// partition 0 inherits this seed and the others derive independent
-    /// streams from it.
+    /// Seeds the run (default: 0). Partition 0 inherits this seed and the
+    /// others derive independent streams from it.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> RunnerBuilder {
-        self.seed = seed;
+        self.runner.seed = seed;
         self
     }
 
-    /// Worker threads for partitioned runs (default: 1; clamped to at
-    /// least 1). Only the parallel backend uses more than one; results
-    /// never depend on this value.
+    /// Worker threads the partitions are spread over, round-robin (default:
+    /// 1; clamped to at least 1). Results never depend on this value; only
+    /// wall time does.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> RunnerBuilder {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// How partitions are placed onto workers (default: round-robin).
-    #[must_use]
-    pub fn partition_policy(mut self, policy: PartitionPolicy) -> RunnerBuilder {
-        self.policy = policy;
+        self.runner.workers = workers.max(1);
         self
     }
 
     /// Cross-partition envelope latency, which is also the frontier
-    /// lookahead (default: [`DEFAULT_LOOKAHEAD`]). Loosely-coupled
-    /// partitions synchronize less often with a larger value; the merged
-    /// virtual schedule is deterministic at any setting.
+    /// lookahead (default: 1 ms). Loosely-coupled partitions synchronize
+    /// less often with a larger value; the merged virtual schedule is
+    /// deterministic at any setting.
     #[must_use]
     pub fn lookahead(mut self, lookahead: Time) -> RunnerBuilder {
-        self.lookahead = lookahead;
+        self.runner.lookahead = lookahead;
         self
     }
 
     /// Builds the runner.
     #[must_use]
     pub fn build(self) -> Runner {
-        match self.backend {
-            BackendKind::Sim => Runner::Sim(Sim::new(self.seed)),
-            BackendKind::Wall => Runner::Wall(WallRunner::new(self.seed)),
-            BackendKind::Parallel => Runner::Par(ParRunner::new(
-                self.seed,
-                self.workers,
-                self.policy,
-                self.lookahead,
-            )),
-        }
+        self.runner
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::Sim;
+    use crate::Ctx;
+
+    async fn draws(ctx: Ctx, index: u64) -> (u64, Time) {
+        ctx.sleep(Time::from_millis(index + 1)).await;
+        (ctx.with_rng(rand::Rng::next_u64), ctx.now())
+    }
 
     #[test]
     fn builder_defaults_are_sim_seed_zero() {
-        let r = Runner::builder().build();
-        assert_eq!(r.backend(), BackendKind::Sim);
-        assert_eq!(r.workers(), 1);
+        let mut sim = Sim::new(0);
+        let want = sim.block_on(draws(sim.ctx(), 0));
+        let got = Runner::builder()
+            .build()
+            .run_partitions(1, |p| -> PartitionFuture<_> { Box::pin(draws(p.ctx(), 0)) });
+        assert_eq!(got, vec![want]);
     }
 
     #[test]
     fn sim_and_parallel_run_partitions_agree() {
-        let setup = |p: Partition| -> PartitionFuture<u64> {
-            let ctx = p.ctx();
-            let idx = p.index() as u64;
-            Box::pin(async move {
-                ctx.sleep(Time::from_millis(idx + 1)).await;
-                ctx.with_rng(rand::Rng::next_u64).wrapping_add(idx)
-            })
+        let run = |workers| {
+            Runner::builder()
+                .seed(11)
+                .workers(workers)
+                .build()
+                .run_partitions(5, |p| -> PartitionFuture<_> {
+                    Box::pin(draws(p.ctx(), p.index() as u64))
+                })
         };
-        let mut sim = Runner::builder().seed(11).build();
-        let mut par = Runner::builder()
-            .backend(BackendKind::Parallel)
-            .seed(11)
-            .workers(3)
-            .build();
-        assert_eq!(
-            sim.run_partitions(5, setup),
-            par.run_partitions(5, setup)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "partitioned execution requires")]
-    fn wall_run_partitions_panics() {
-        let mut w = Runner::builder().backend(BackendKind::Wall).build();
-        let _ = w.run_partitions(1, |_p| -> PartitionFuture<()> { Box::pin(async {}) });
+        let one = run(1);
+        assert_eq!(one, run(3));
+        // Partition 0 is the bare executor at the run seed.
+        let mut sim = Sim::new(11);
+        assert_eq!(one[0], sim.block_on(draws(sim.ctx(), 0)));
     }
 }

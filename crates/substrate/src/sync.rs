@@ -1,13 +1,9 @@
-//! Coordination primitives for substrate tasks.
+//! Coordination primitives for tasks.
 //!
-//! Everything here is single-threaded (`Rc`-based) and executor-agnostic:
-//! the primitives speak only the [`std::task::Waker`] protocol, so the same
-//! code runs unchanged on the virtual-time simulator and on the wall-clock
-//! backend. Wakers are the only cross-cutting pieces and they are handled
-//! by whichever executor is driving.
+//! Everything here is single-threaded (`Rc`-based) and speaks only the
+//! [`std::task::Waker`] protocol; the executor's wakers are the only
+//! cross-cutting piece.
 //!
-//! - [`oneshot`]: one value, one producer, one consumer — RPC replies.
-//! - [`mpsc`]: unbounded FIFO — request queues.
 //! - [`Semaphore`]: counting semaphore with FIFO fairness — models bounded
 //!   worker slots on function nodes (8 vCPUs per node in the paper's setup).
 //! - [`TaskGroup`]: a cancellable group of cooperating futures — models a
@@ -17,10 +13,10 @@
 //!   batch learns of completion from the same storage acknowledgement.
 //!
 //! The ordering guarantees (FIFO semaphore grants, registration-order gate
-//! release and group cancellation) are part of the substrate contract, and so
-//! is the memory bound: a wait list holds at most one entry per live waiter,
-//! owned and released by the waiting future. `tests/sync_contracts.rs` is the
-//! executable spec every backend must pass.
+//! release and group cancellation) are part of the contract, and so is the
+//! memory bound: a wait list holds at most one entry per live waiter, owned
+//! and released by the waiting future. `tests/sync_contracts.rs` is the
+//! executable spec.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -28,220 +24,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
-
-// ---------------------------------------------------------------------------
-// oneshot
-// ---------------------------------------------------------------------------
-
-struct OneshotState<T> {
-    value: Option<T>,
-    waker: Option<Waker>,
-    sender_dropped: bool,
-}
-
-/// Sending half of a oneshot channel.
-pub struct OneshotSender<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// Receiving half of a oneshot channel. Awaiting it yields
-/// `Ok(value)` or [`RecvError`] if the sender was dropped without sending.
-pub struct OneshotReceiver<T> {
-    state: Rc<RefCell<OneshotState<T>>>,
-}
-
-/// The sender was dropped without sending a value.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RecvError;
-
-impl std::fmt::Display for RecvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("oneshot sender dropped without sending")
-    }
-}
-impl std::error::Error for RecvError {}
-
-/// Creates a oneshot channel.
-#[must_use]
-pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
-    let state = Rc::new(RefCell::new(OneshotState {
-        value: None,
-        waker: None,
-        sender_dropped: false,
-    }));
-    (
-        OneshotSender {
-            state: state.clone(),
-        },
-        OneshotReceiver { state },
-    )
-}
-
-impl<T> OneshotSender<T> {
-    /// Sends the value, waking the receiver. Consumes the sender.
-    pub fn send(self, value: T) {
-        let mut st = self.state.borrow_mut();
-        st.value = Some(value);
-        if let Some(w) = st.waker.take() {
-            w.wake();
-        }
-        // Drop impl will set sender_dropped, which is fine: value wins.
-    }
-}
-
-impl<T> Drop for OneshotSender<T> {
-    fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.sender_dropped = true;
-        if st.value.is_none() {
-            if let Some(w) = st.waker.take() {
-                w.wake();
-            }
-        }
-    }
-}
-
-impl<T> Future for OneshotReceiver<T> {
-    type Output = Result<T, RecvError>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.state.borrow_mut();
-        if let Some(v) = st.value.take() {
-            Poll::Ready(Ok(v))
-        } else if st.sender_dropped {
-            Poll::Ready(Err(RecvError))
-        } else {
-            st.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// mpsc (unbounded)
-// ---------------------------------------------------------------------------
-
-struct MpscState<T> {
-    queue: VecDeque<T>,
-    recv_waker: Option<Waker>,
-    senders: usize,
-    receiver_alive: bool,
-}
-
-/// Sending half of an unbounded mpsc channel.
-pub struct Sender<T> {
-    state: Rc<RefCell<MpscState<T>>>,
-}
-
-/// Receiving half of an unbounded mpsc channel.
-pub struct Receiver<T> {
-    state: Rc<RefCell<MpscState<T>>>,
-}
-
-/// Creates an unbounded mpsc channel.
-#[must_use]
-pub fn mpsc<T>() -> (Sender<T>, Receiver<T>) {
-    let state = Rc::new(RefCell::new(MpscState {
-        queue: VecDeque::new(),
-        recv_waker: None,
-        senders: 1,
-        receiver_alive: true,
-    }));
-    (
-        Sender {
-            state: state.clone(),
-        },
-        Receiver { state },
-    )
-}
-
-impl<T> Sender<T> {
-    /// Enqueues a value; returns `Err(value)` if the receiver is gone.
-    pub fn send(&self, value: T) -> Result<(), T> {
-        let mut st = self.state.borrow_mut();
-        if !st.receiver_alive {
-            return Err(value);
-        }
-        st.queue.push_back(value);
-        if let Some(w) = st.recv_waker.take() {
-            w.wake();
-        }
-        Ok(())
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.state.borrow_mut().senders += 1;
-        Sender {
-            state: self.state.clone(),
-        }
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.senders -= 1;
-        if st.senders == 0 {
-            if let Some(w) = st.recv_waker.take() {
-                w.wake();
-            }
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    /// Awaits the next value; `None` once all senders have dropped and the
-    /// queue is drained.
-    pub fn recv(&mut self) -> Recv<'_, T> {
-        Recv { receiver: self }
-    }
-
-    /// Takes a value without waiting, if one is queued.
-    pub fn try_recv(&mut self) -> Option<T> {
-        self.state.borrow_mut().queue.pop_front()
-    }
-
-    /// Number of queued values.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no values are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Drop for Receiver<T> {
-    fn drop(&mut self) {
-        self.state.borrow_mut().receiver_alive = false;
-    }
-}
-
-/// Future returned by [`Receiver::recv`].
-pub struct Recv<'a, T> {
-    receiver: &'a mut Receiver<T>,
-}
-
-impl<T> Future for Recv<'_, T> {
-    type Output = Option<T>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.receiver.state.borrow_mut();
-        if let Some(v) = st.queue.pop_front() {
-            Poll::Ready(Some(v))
-        } else if st.senders == 0 {
-            Poll::Ready(None)
-        } else {
-            st.recv_waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Semaphore
@@ -859,70 +641,6 @@ mod tests {
     use crate::sim::Sim;
 
     use super::*;
-
-    #[test]
-    fn oneshot_roundtrip() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let (tx, rx) = oneshot::<u32>();
-        let ctx2 = ctx.clone();
-        ctx.spawn(async move {
-            ctx2.sleep(Duration::from_millis(3)).await;
-            tx.send(5);
-        });
-        let got = sim.block_on(rx);
-        assert_eq!(got, Ok(5));
-    }
-
-    #[test]
-    fn oneshot_sender_dropped() {
-        let mut sim = Sim::new(1);
-        let (tx, rx) = oneshot::<u32>();
-        drop(tx);
-        let got = sim.block_on(rx);
-        assert_eq!(got, Err(RecvError));
-    }
-
-    #[test]
-    fn mpsc_preserves_fifo_order() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let (tx, mut rx) = mpsc::<u32>();
-        let ctx2 = ctx.clone();
-        ctx.spawn(async move {
-            for i in 0..5 {
-                tx.send(i).unwrap();
-                ctx2.sleep(Duration::from_millis(1)).await;
-            }
-        });
-        let got = sim.block_on(async move {
-            let mut out = Vec::new();
-            while let Some(v) = rx.recv().await {
-                out.push(v);
-            }
-            out
-        });
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn mpsc_send_fails_after_receiver_drop() {
-        let (tx, rx) = mpsc::<u32>();
-        drop(rx);
-        assert_eq!(tx.send(9), Err(9));
-    }
-
-    #[test]
-    fn mpsc_try_recv_and_len() {
-        let (tx, mut rx) = mpsc::<u32>();
-        assert!(rx.is_empty());
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx.len(), 2);
-        assert_eq!(rx.try_recv(), Some(1));
-        assert_eq!(rx.try_recv(), Some(2));
-        assert_eq!(rx.try_recv(), None);
-    }
 
     #[test]
     fn semaphore_limits_concurrency() {

@@ -1,16 +1,14 @@
-//! Executable spec for the substrate sync contracts, run on every backend.
+//! Executable spec for the substrate sync contracts, run both ways a
+//! [`Ctx`] comes to exist: on a bare [`Sim`], and inside a partition of a
+//! two-worker [`Runner::run_partitions`] fan-out.
 //!
-//! The harness is written *generically against the traits* — the property
-//! bodies know only [`Clock`] + [`Spawner`] — so any backend is checked by
-//! adding one line to the backend matrix below (which is exactly how the
-//! partitioned parallel backend joined; a real tokio adapter would do the
-//! same). Randomization is a
-//! seeded loop (the workspace vendors no proptest): each iteration draws
-//! its shape — permit counts, waiter counts, hold times — from a
-//! `SmallRng` seeded with the iteration index, so failures replay exactly.
+//! Randomization is a seeded loop (the workspace vendors no proptest): each
+//! iteration draws its shape — permit counts, waiter counts, hold times —
+//! from a `SmallRng` seeded with the iteration index, so failures replay
+//! exactly.
 //!
-//! Contracts under test (the ones alternate backends are most likely to
-//! break, because they depend on the executor's wakeup order):
+//! Contracts under test (the ones that depend on the executor's wakeup
+//! order):
 //! - `Semaphore`: permits are granted in strict arrival (FIFO) order, and
 //!   the configured concurrency bound is never exceeded.
 //! - `Gate`: one `open()` releases every waiter, in registration order.
@@ -30,32 +28,69 @@ use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
+use hm_substrate::sim::Sim;
 use hm_substrate::sync::{Cancelled, Gate, Semaphore, TaskGroup};
-use hm_substrate::{BackendKind, Clock, Runner, Spawner, TaskHandle};
+use hm_substrate::{Ctx, PartitionFuture, Runner};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Iterations per property per backend. Each wall-clock iteration costs
-/// real milliseconds (the sleeps are real), so this stays modest; the sim
-/// iterations are nearly free.
-const ITERS: u64 = 8;
+/// Iterations per property per host.
+const ITERS: u64 = 64;
 
-/// Arrival stagger between contending tasks. Must be comfortably above
-/// the wall backend's timer jitter so "arrival order" is unambiguous on
-/// the real clock too.
+/// Arrival stagger between contending tasks.
 const STAGGER: Duration = Duration::from_millis(2);
 
-fn backends() -> [BackendKind; 3] {
-    [BackendKind::Sim, BackendKind::Wall, BackendKind::Parallel]
+/// Where a property body runs.
+#[derive(Clone, Copy, Debug)]
+enum Host {
+    /// On a bare `Sim`.
+    Sim,
+    /// In partition 1 of a two-partition, two-worker fan-out (partition 0
+    /// finishes at once), so on a worker thread the fleet spawned.
+    Partition,
+}
+
+const HOSTS: [Host; 2] = [Host::Sim, Host::Partition];
+
+impl Host {
+    /// Runs `body` to completion on this host at `seed`.
+    fn run<R, Fut>(self, seed: u64, body: impl Fn(Ctx) -> Fut + Send + Sync) -> R
+    where
+        R: Send + 'static,
+        Fut: Future<Output = R> + 'static,
+    {
+        match self {
+            Host::Sim => {
+                let mut sim = Sim::new(seed);
+                sim.block_on(body(sim.ctx()))
+            }
+            Host::Partition => Runner::builder()
+                .seed(seed)
+                .workers(2)
+                .build()
+                .run_partitions(2, |p| -> PartitionFuture<Option<R>> {
+                    if p.index() == 0 {
+                        return Box::pin(async { None });
+                    }
+                    let fut = body(p.ctx());
+                    Box::pin(async move { Some(fut.await) })
+                })
+                .pop()
+                .flatten()
+                .expect("partition 1 ran the body"),
+        }
+    }
 }
 
 /// Semaphore FIFO: `n` tasks arrive at distinct instants and contend for
 /// `permits` slots held for `hold` each; grants must come in arrival
 /// order and concurrency must never exceed `permits`.
-async fn semaphore_fifo_property<C>(ctx: C, n: u32, permits: usize, hold: Duration) -> (Vec<u32>, usize)
-where
-    C: Clock + Spawner + 'static,
-{
+async fn semaphore_fifo_property(
+    ctx: Ctx,
+    n: u32,
+    permits: usize,
+    hold: Duration,
+) -> (Vec<u32>, usize) {
     let sem = Semaphore::new(permits);
     let order = Rc::new(RefCell::new(Vec::new()));
     let cur = Rc::new(Cell::new(0usize));
@@ -87,10 +122,7 @@ where
 /// Gate broadcast: `n` waiters register at distinct instants; one
 /// `open()` after the last registration must release all of them, in
 /// registration order.
-async fn gate_release_property<C>(ctx: C, n: u32) -> Vec<u32>
-where
-    C: Clock + Spawner + 'static,
-{
+async fn gate_release_property(ctx: Ctx, n: u32) -> Vec<u32> {
     let gate = Gate::new();
     let order = Rc::new(RefCell::new(Vec::new()));
     let mut handles = Vec::new();
@@ -117,26 +149,24 @@ where
 
 #[test]
 fn semaphore_grants_fifo_on_every_backend() {
-    for backend in backends() {
+    for host in HOSTS {
         for iter in 0..ITERS {
             let mut shape = SmallRng::seed_from_u64(0x5e3a_0000 + iter);
             let n = shape.random_range(2..10u32);
             let permits = shape.random_range(1..4usize);
             let hold = Duration::from_millis(shape.random_range(1..6u64)) * n;
 
-            let mut runner = Runner::builder().backend(backend).seed(iter).build();
-            let ctx = runner.ctx();
             let (order, peak) =
-                runner.block_on(semaphore_fifo_property(ctx, n, permits, hold));
+                host.run(iter, |ctx| semaphore_fifo_property(ctx, n, permits, hold));
 
             let expect: Vec<u32> = (0..n).collect();
             assert_eq!(
                 order, expect,
-                "{backend} backend broke semaphore FIFO (iter {iter}: n={n} permits={permits})"
+                "{host:?}: broke semaphore FIFO (iter {iter}: n={n} permits={permits})"
             );
             assert!(
                 peak <= permits,
-                "{backend} backend exceeded the concurrency bound \
+                "{host:?}: exceeded the concurrency bound \
                  (iter {iter}: peak {peak} > permits {permits})"
             );
         }
@@ -145,19 +175,17 @@ fn semaphore_grants_fifo_on_every_backend() {
 
 #[test]
 fn gate_releases_in_registration_order_on_every_backend() {
-    for backend in backends() {
+    for host in HOSTS {
         for iter in 0..ITERS {
             let mut shape = SmallRng::seed_from_u64(0x6a7e_0000 + iter);
             let n = shape.random_range(2..12u32);
 
-            let mut runner = Runner::builder().backend(backend).seed(iter).build();
-            let ctx = runner.ctx();
-            let order = runner.block_on(gate_release_property(ctx, n));
+            let order = host.run(iter, |ctx| gate_release_property(ctx, n));
 
             let expect: Vec<u32> = (0..n).collect();
             assert_eq!(
                 order, expect,
-                "{backend} backend broke gate registration-order release (iter {iter}: n={n})"
+                "{host:?}: broke gate registration-order release (iter {iter}: n={n})"
             );
         }
     }
@@ -173,8 +201,7 @@ async fn poll_once<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
 }
 
 /// Returns `Pending` `n` times, waking itself each time so the executor
-/// polls again at once (no timers: the wall backend pays no real time), and
-/// runs `each` at every poll.
+/// polls again at once, and runs `each` at every poll.
 async fn repoll(n: u32, mut each: impl FnMut()) {
     let mut left = n;
     poll_fn(|cx| {
@@ -204,10 +231,7 @@ async fn one_member_many_polls_property(polls: u32) -> (usize, usize) {
 
 /// (b) `n` members that each park once and run to completion leave nothing
 /// behind. Returns (peak registrations seen, registrations left).
-async fn completed_members_property<C>(ctx: C, n: u32) -> (usize, usize)
-where
-    C: Clock + Spawner + 'static,
-{
+async fn completed_members_property(ctx: Ctx, n: u32) -> (usize, usize) {
     let group = TaskGroup::new();
     let peak = Rc::new(Cell::new(0usize));
     let handles: Vec<_> = (0..n)
@@ -283,10 +307,7 @@ enum Role {
 /// must resume exactly the live ones, in arrival order, and leave the group
 /// empty; `reset()` then re-arms it, so round two runs on reused slots.
 /// Returns, per round, (resume order, expected order).
-async fn cancel_order_property<C>(ctx: C, roles: [Vec<Role>; 2]) -> Vec<(Vec<u32>, Vec<u32>)>
-where
-    C: Clock + Spawner + 'static,
-{
+async fn cancel_order_property(ctx: Ctx, roles: [Vec<Role>; 2]) -> Vec<(Vec<u32>, Vec<u32>)> {
     let group = TaskGroup::new();
     let mut rounds = Vec::new();
     for roles in roles {
@@ -344,10 +365,7 @@ where
 /// `cancel()` immediately followed by `reset()`: the member was woken but
 /// finds the group live when polled, so it carries on — and, having parked
 /// afresh, is torn down by the next cancel.
-async fn cancel_then_reset_property<C>(ctx: C) -> (bool, Result<(), Cancelled>)
-where
-    C: Clock + Spawner + 'static,
-{
+async fn cancel_then_reset_property(ctx: Ctx) -> (bool, Result<(), Cancelled>) {
     let group = TaskGroup::new();
     let polled_after_reset = Rc::new(Cell::new(false));
     let armed = Rc::new(Cell::new(false));
@@ -383,10 +401,7 @@ where
 }
 
 /// The executor's wakers: (own clone matches, another task's matches).
-async fn waker_identity_property<C>(ctx: C) -> (bool, bool)
-where
-    C: Clock + Spawner + 'static,
-{
+async fn waker_identity_property(ctx: Ctx) -> (bool, bool) {
     let other = ctx
         .spawn(poll_fn(|cx| Poll::Ready(cx.waker().clone())))
         .await;
@@ -400,36 +415,29 @@ where
 #[test]
 fn wait_lists_hold_one_registration_per_live_waiter_on_every_backend() {
     const MANY: u32 = 10_000;
-    for backend in backends() {
-        let run = |seed| Runner::builder().backend(backend).seed(seed).build();
+    for host in HOSTS {
+        let (peak, left) = host.run(1, |_| one_member_many_polls_property(MANY));
+        assert_eq!((peak, left), (1, 0), "{host:?}: one member, {MANY} polls");
 
-        let (peak, left) = run(1).block_on(one_member_many_polls_property(MANY));
-        assert_eq!((peak, left), (1, 0), "{backend}: one member, {MANY} polls");
-
-        let mut runner = run(2);
-        let ctx = runner.ctx();
-        let (peak, left) = runner.block_on(completed_members_property(ctx, MANY));
-        assert!(
-            peak <= MANY as usize,
-            "{backend}: peak {peak} registrations"
-        );
+        let (peak, left) = host.run(2, |ctx| completed_members_property(ctx, MANY));
+        assert!(peak <= MANY as usize, "{host:?}: peak {peak} registrations");
         assert_eq!(
             left, 0,
-            "{backend}: {MANY} completed members left registrations"
+            "{host:?}: {MANY} completed members left registrations"
         );
 
-        let counts = run(3).block_on(dropped_waiters_property());
+        let counts = host.run(3, |_| dropped_waiters_property());
         assert_eq!(
             counts,
             [(1, 0); 3],
-            "{backend}: (parked, after drop) per waiter kind"
+            "{host:?}: (parked, after drop) per waiter kind"
         );
     }
 }
 
 #[test]
 fn cancel_resumes_live_members_in_registration_order_on_every_backend() {
-    for backend in backends() {
+    for host in HOSTS {
         for iter in 0..ITERS {
             let mut shape = SmallRng::seed_from_u64(0x7a5c_0000 + iter);
             let roles: [Vec<Role>; 2] = std::array::from_fn(|_| {
@@ -443,13 +451,11 @@ fn cancel_resumes_live_members_in_registration_order_on_every_backend() {
                     .collect()
             });
 
-            let mut runner = Runner::builder().backend(backend).seed(iter).build();
-            let ctx = runner.ctx();
-            let rounds = runner.block_on(cancel_order_property(ctx, roles.clone()));
+            let rounds = host.run(iter, |ctx| cancel_order_property(ctx, roles.clone()));
             for (round, (got, expect)) in rounds.into_iter().enumerate() {
                 assert_eq!(
                     got, expect,
-                    "{backend} backend broke cancel order (iter {iter} round {round}: {:?})",
+                    "{host:?}: broke cancel order (iter {iter} round {round}: {:?})",
                     roles[round]
                 );
             }
@@ -459,28 +465,21 @@ fn cancel_resumes_live_members_in_registration_order_on_every_backend() {
 
 #[test]
 fn reset_hides_an_unobserved_cancel_on_every_backend() {
-    for backend in backends() {
-        let mut runner = Runner::builder().backend(backend).seed(0).build();
-        let ctx = runner.ctx();
-        let (repolled, out) = runner.block_on(cancel_then_reset_property(ctx));
-        assert!(repolled, "{backend}: cancel must wake the parked member");
-        assert_eq!(out, Err(Cancelled), "{backend}: the second cancel lands");
+    for host in HOSTS {
+        let (repolled, out) = host.run(0, cancel_then_reset_property);
+        assert!(repolled, "{host:?}: cancel must wake the parked member");
+        assert_eq!(out, Err(Cancelled), "{host:?}: the second cancel lands");
     }
 }
 
 #[test]
 fn a_waker_matches_its_own_clone_only_on_every_backend() {
-    for backend in backends() {
-        let mut runner = Runner::builder().backend(backend).seed(0).build();
-        let ctx = runner.ctx();
-        let (own, other) = runner.block_on(waker_identity_property(ctx));
-        assert!(
-            own,
-            "{backend}: a task's waker must will_wake its own clone"
-        );
+    for host in HOSTS {
+        let (own, other) = host.run(0, waker_identity_property);
+        assert!(own, "{host:?}: a task's waker must will_wake its own clone");
         assert!(
             !other,
-            "{backend}: a task's waker must not will_wake another task's"
+            "{host:?}: a task's waker must not will_wake another task's"
         );
     }
 }

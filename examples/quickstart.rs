@@ -21,18 +21,6 @@
 //! request is sequential, so every "batch" holds a single record and the
 //! client-visible output is identical to the default run — batching only
 //! changes throughput under concurrency, never results.
-//!
-//! Pass `--backend wall` to run the identical
-//! deployment on the wall-clock executor instead of the virtual-time
-//! simulator: sleeps take real time, and the client-visible output is the
-//! same — only the elapsed-time line changes.
-//!
-//! Pass `--backend parallel` (with an optional `--workers <n>`) to run on
-//! the partitioned parallel executor. This single-request demo lives
-//! entirely on partition 0, which is bit-identical to the simulator, so
-//! the output is byte-for-byte the sim output at any worker count —
-//! that invariance is exactly the parallel backend's determinism
-//! guarantee, and `scripts/verify.sh` diffs it.
 
 use std::time::Duration;
 
@@ -40,23 +28,18 @@ use halfmoon::{FaultPolicy, ProtocolKind};
 use hm_bench::cli::CommonOpts;
 use hm_common::{Key, Value};
 use hm_runtime::{Runtime, RuntimeConfig};
-use hm_substrate::BackendKind;
+use hm_substrate::sim::Sim;
 
 fn main() {
-    let opts = CommonOpts::from_env();
     let CommonOpts {
-        backend,
         shards,
         batch,
-        ref trace_out,
-        ..
-    } = opts;
-    let trace_out = trace_out.clone();
+        trace_out,
+    } = CommonOpts::from_env();
 
-    // 1. A substrate to run on: the deterministic simulator by default
-    //    (same seed, same run — always), or the wall clock / partitioned
-    //    parallel executor via --backend.
-    let mut sim = opts.runner(42);
+    // 1. A machine to run on: the deterministic virtual-time executor
+    //    (same seed, same run — always).
+    let mut sim = Sim::new(42);
 
     // 2. A deployment, built fluently: shared log (1..n shards) +
     //    versioned store + protocol choice + fault plan. Crash the
@@ -113,12 +96,7 @@ fn main() {
         "deposit returned: {:?}",
         result.expect("exactly-once in spite of crashes")
     );
-    match backend {
-        BackendKind::Sim | BackendKind::Parallel => {
-            println!("virtual time elapsed: {:?}", sim.now());
-        }
-        BackendKind::Wall => println!("wall-clock time elapsed: {:?}", sim.now()),
-    }
+    println!("virtual time elapsed: {:?}", sim.now());
     println!("crashes injected:     {}", client.faults().injected());
     println!("executions started:   {}", runtime.invocations());
     println!("re-executions:        {}", runtime.retries());

@@ -21,14 +21,6 @@
 # expected to drift; simulated work is not).
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).
-# Layering: no crate above hm-sim may name the simulator directly; all
-# executor access goes through the hm-substrate trait layer. Likewise no
-# crate above hm-substrate may name the parallel backend's internals —
-# upper layers see only the Runner builder surface.
-# Backend smoke: quickstart on --backend wall (the wall-clock executor)
-# must produce the same client-visible output as the sim backend.
-# Parallel smoke: quickstart on --backend parallel must be byte-identical
-# to the sim run (virtual-time line included) at 1 and 4 workers.
 # Core scaling: the full-scale run's parallel_scaling sweep must show a
 # ≥2x speedup at 4 workers — asserted only when the host has ≥4 cores.
 # Model-check smoke: the explore driver's --assert mode re-checks the
@@ -38,51 +30,6 @@
 # interleavings on the hm-read xy-1s headline row.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-echo "== layering: hm_sim is only named below the substrate layer =="
-# The substrate crate is the simulator's sole consumer. Everything above
-# it — protocol crates, runtime, benches, tests, examples — must go
-# through hm_substrate, so a reference to hm_sim (or its concrete
-# Sim/SimCtx types) anywhere else is a layering violation.
-violations="$(grep -rn 'hm_sim\|\bSimCtx\b' \
-    --include='*.rs' \
-    crates/core crates/common crates/sharedlog crates/kvstore \
-    crates/runtime crates/workloads crates/bench src tests examples \
-    2>/dev/null || true)"
-if [ -n "$violations" ]; then
-    echo "layering VIOLATION: code above hm-sim names the simulator directly:"
-    echo "$violations"
-    exit 1
-fi
-manifest_violations="$(grep -rn 'hm-sim' \
-    --include='Cargo.toml' \
-    crates/core crates/common crates/sharedlog crates/kvstore \
-    crates/runtime crates/workloads crates/bench \
-    2>/dev/null || true)"
-if [ -n "$manifest_violations" ]; then
-    echo "layering VIOLATION: a crate above hm-sim depends on it directly:"
-    echo "$manifest_violations"
-    exit 1
-fi
-echo "layering ok: hm_sim referenced only by crates/sim and crates/substrate"
-
-echo "== layering: parallel internals stay inside hm-substrate =="
-# Upper layers drive partitioned execution through Runner::builder() /
-# run_partitions and the exported Partition/PartitionPolicy/ParCtx types.
-# The backend's machinery — ParRunner, the partition engine, the frontier
-# fleet, the hm_substrate::par module path itself — is an implementation
-# detail nothing above the substrate may name.
-par_violations="$(grep -rn 'ParRunner\|hm_substrate::par\b\|\bPartEngine\b\|partition_seed' \
-    --include='*.rs' \
-    crates/core crates/common crates/sharedlog crates/kvstore \
-    crates/runtime crates/workloads crates/bench src tests examples \
-    2>/dev/null || true)"
-if [ -n "$par_violations" ]; then
-    echo "layering VIOLATION: code above hm-substrate names parallel-backend internals:"
-    echo "$par_violations"
-    exit 1
-fi
-echo "layering ok: parallel internals referenced only inside crates/substrate"
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
@@ -261,38 +208,6 @@ if ! diff <(grep -v '^virtual time' "$s1") <(grep -v '^virtual time' "$b16"); th
     exit 1
 fi
 echo "batch smoke ok: client-visible results identical at batch 1 and 16"
-
-echo "== backend smoke: quickstart @ --backend wall vs sim =="
-wq="$(mktemp -t quickstart_wall.XXXXXX.txt)"
-trap 'rm -f "$out" "$aout" "$tout" "$ttrace" "$s1" "$s4" "$b16" "$wq"' EXIT
-cargo run --release -q --example quickstart -- --backend wall > "$wq"
-# The wall-clock executor runs the identical deployment on real time; the
-# client-visible output must match the sim run, with only the elapsed-time
-# line (virtual vs wall-clock) differing.
-if ! diff <(grep -v '^virtual time' "$s1") <(grep -v '^wall-clock time' "$wq"); then
-    echo "backend smoke FAILED: quickstart output differs between sim and wall backends"
-    exit 1
-fi
-echo "backend smoke ok: client-visible results identical on sim and wall-clock backends"
-
-echo "== parallel smoke: quickstart @ --backend parallel, workers 1 vs 4 =="
-p1="$(mktemp -t quickstart_p1.XXXXXX.txt)"
-p4="$(mktemp -t quickstart_p4.XXXXXX.txt)"
-trap 'rm -f "$out" "$aout" "$tout" "$ttrace" "$s1" "$s4" "$b16" "$wq" "$p1" "$p4"' EXIT
-cargo run --release -q --example quickstart -- --backend parallel --workers 1 > "$p1"
-cargo run --release -q --example quickstart -- --backend parallel --workers 4 > "$p4"
-# Partition 0 replays the simulator's exact schedule, so the parallel
-# backend's output — virtual-time line included — must be byte-identical
-# to the sim run, and the worker count must not change a single byte.
-if ! diff "$s1" "$p1"; then
-    echo "parallel smoke FAILED: parallel backend diverged from the sim backend"
-    exit 1
-fi
-if ! diff "$p1" "$p4"; then
-    echo "parallel smoke FAILED: worker count changed quickstart output"
-    exit 1
-fi
-echo "parallel smoke ok: byte-identical to sim at 1 and 4 workers"
 
 echo "== chaos smoke: chaos_campaign example =="
 chaos_out="$(mktemp -t chaos_smoke.XXXXXX.txt)"

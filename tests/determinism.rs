@@ -2,12 +2,13 @@
 //! experiment results — the property that makes every benchmark in this
 //! repository exactly reproducible.
 //!
-//! The parallel-backend matrix at the bottom extends the property across
-//! worker counts: `workers = 1` is byte-identical to the sim backend
-//! (fingerprints, trace JSONL, anatomy JSONL), higher worker counts are
-//! rerun-identical from the same seed (chaos campaign included), and
-//! partitioned runs that exchange cross-partition messages produce the
-//! same merged results at every worker count.
+//! The fan-out matrix at the bottom extends the property to
+//! `Runner::run_partitions`: a one-partition fan-out is byte-identical to
+//! `Sim::new(seed)` on the same workload (fingerprints, trace JSONL, anatomy
+//! JSONL, the chaos campaign's journal) at every worker count and
+//! rerun-identical from the same seed, and partitioned runs that exchange
+//! cross-partition messages produce the same merged results at every
+//! worker count.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -17,7 +18,7 @@ use hm_common::latency::LatencyModel;
 use hm_common::metrics::OpCounters;
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
-use hm_substrate::{Backend, BackendKind, Partition, PartitionFuture, Runner};
+use hm_substrate::{Ctx, Partition, PartitionFuture, Runner};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 use hm_workloads::Workload;
@@ -499,24 +500,44 @@ fn batched_chaos_campaign_is_deterministic() {
     assert_eq!(a, b, "batch=16 chaos campaign must reproduce exactly");
 }
 
-/// The standard instrumented workload, driven through the backend-generic
-/// [`Runner`] surface instead of a bare [`Sim`]: returns the run
-/// fingerprint plus the byte-exact trace and anatomy JSONL exports.
-fn run_fingerprint_runner(
-    backend: BackendKind,
-    workers: usize,
-    seed: u64,
-    workload: &dyn Workload,
-    kind: ProtocolKind,
-) -> (RunFingerprint, String, String) {
-    let tracer = hm_common::trace::Tracer::new();
-    let anatomy = hm_common::anatomy::Anatomy::new();
-    let mut runner = Runner::builder()
-        .backend(backend)
+/// Runs `body` on a bare [`Sim`] at `seed`.
+fn on_sim<R: 'static, Fut>(seed: u64, body: impl FnOnce(Ctx) -> Fut) -> R
+where
+    Fut: std::future::Future<Output = R> + 'static,
+{
+    let mut sim = Sim::new(seed);
+    sim.block_on(body(sim.ctx()))
+}
+
+/// Runs `body` as the only partition of a fan-out at `seed` with `workers`
+/// threads on offer. Partition 0 inherits the run seed, so this must equal
+/// [`on_sim`] byte for byte.
+fn on_one_partition<R, Fut>(seed: u64, workers: usize, body: impl Fn(Ctx) -> Fut + Send + Sync) -> R
+where
+    R: Send + 'static,
+    Fut: std::future::Future<Output = R> + 'static,
+{
+    Runner::builder()
         .seed(seed)
         .workers(workers)
-        .build();
-    let client = Client::builder(runner.ctx())
+        .build()
+        .run_partitions(1, |p: Partition| -> PartitionFuture<R> {
+            Box::pin(body(p.ctx()))
+        })
+        .pop()
+        .expect("one partition, one result")
+}
+
+/// The standard instrumented workload on `ctx`: returns the run fingerprint
+/// plus the byte-exact trace and anatomy JSONL exports.
+async fn instrumented_run(ctx: Ctx, kind: ProtocolKind) -> (RunFingerprint, String, String) {
+    let workload = SyntheticOps {
+        objects: 200,
+        ..SyntheticOps::default()
+    };
+    let tracer = hm_common::trace::Tracer::new();
+    let anatomy = hm_common::anatomy::Anatomy::new();
+    let client = Client::builder(ctx)
         .model(LatencyModel::calibrated())
         .protocol_config(ProtocolConfig::uniform(kind))
         .batching(1, Duration::from_micros(200))
@@ -535,7 +556,7 @@ fn run_fingerprint_runner(
         warmup: Duration::from_millis(500),
         factory: workload.factory(),
     };
-    let report = runner.block_on(async move { gateway.run_open_loop(spec).await });
+    let report = gateway.run_open_loop(spec).await;
     gc.stop();
     let fp = (
         report.completed,
@@ -552,58 +573,38 @@ fn run_fingerprint_runner(
     (fp, tracer.export_jsonl(), anatomy.rows_jsonl())
 }
 
-/// workers = 1 is not merely equivalent to the sim backend — partition 0
-/// inherits the run seed and replays the simulator's exact cadence, so
-/// the full fingerprint AND the trace/anatomy JSONL exports are
-/// byte-identical. And because `block_on` work lives wholly on partition
-/// 0, raising the worker count cannot change a single byte either.
+/// A one-partition fan-out is not merely equivalent to a bare `Sim` —
+/// partition 0 inherits the run seed and the frontier loop replays the
+/// executor's exact cadence, so the full fingerprint AND the trace/anatomy
+/// JSONL exports are byte-identical, whatever the worker count on offer.
 #[test]
 fn parallel_backend_is_bit_identical_to_sim() {
-    let workload = SyntheticOps {
-        objects: 200,
-        ..SyntheticOps::default()
-    };
-    let sim = run_fingerprint_runner(BackendKind::Sim, 1, 0xD17, &workload, ProtocolKind::HalfmoonRead);
+    let sim = on_sim(0xD17, |ctx| {
+        instrumented_run(ctx, ProtocolKind::HalfmoonRead)
+    });
     assert!(!sim.1.is_empty() && !sim.2.is_empty(), "exports are empty");
-    for workers in [1usize, 4] {
-        let par = run_fingerprint_runner(
-            BackendKind::Parallel,
-            workers,
-            0xD17,
-            &workload,
-            ProtocolKind::HalfmoonRead,
-        );
+    for workers in [1usize, 2, 4] {
+        let par = on_one_partition(0xD17, workers, |ctx| {
+            instrumented_run(ctx, ProtocolKind::HalfmoonRead)
+        });
         assert_eq!(
             sim, par,
-            "parallel backend at workers={workers} diverged from sim"
+            "one-partition fan-out at workers={workers} diverged from a bare Sim"
         );
     }
 }
 
-/// At worker counts above one, two runs from the same seed reproduce the
-/// fingerprint and both JSONL exports byte-for-byte.
+/// Two fan-outs from the same seed reproduce the fingerprint and both
+/// JSONL exports byte-for-byte.
 #[test]
 fn parallel_backend_reruns_are_identical() {
-    let workload = SyntheticOps {
-        objects: 200,
-        ..SyntheticOps::default()
-    };
     for workers in [2usize, 4] {
-        let a = run_fingerprint_runner(
-            BackendKind::Parallel,
-            workers,
-            0xE23,
-            &workload,
-            ProtocolKind::HalfmoonWrite,
-        );
-        let b = run_fingerprint_runner(
-            BackendKind::Parallel,
-            workers,
-            0xE23,
-            &workload,
-            ProtocolKind::HalfmoonWrite,
-        );
-        assert_eq!(a, b, "workers={workers}: rerun diverged");
+        let run = || {
+            on_one_partition(0xE23, workers, |ctx| {
+                instrumented_run(ctx, ProtocolKind::HalfmoonWrite)
+            })
+        };
+        assert_eq!(run(), run(), "workers={workers}: rerun diverged");
     }
 }
 
@@ -617,11 +618,7 @@ fn partitioned_messaging_is_worker_count_invariant() {
     use hm_sharedlog::{LogConfig, SharedLog};
 
     let run = |workers: usize| -> Vec<Vec<u64>> {
-        let mut runner = Runner::builder()
-            .backend(Backend::Parallel)
-            .seed(0xFEED)
-            .workers(workers)
-            .build();
+        let runner = Runner::builder().seed(0xFEED).workers(workers).build();
         runner.run_partitions(4, |p: Partition| -> PartitionFuture<Vec<u64>> {
             let ctx = p.ctx();
             let me = p.index();
@@ -649,7 +646,7 @@ fn partitioned_messaging_is_worker_count_invariant() {
                     h.await;
                 }
                 let digest = log.counters().log_appends ^ (ctx.now().as_nanos() as u64);
-                let par = ctx.as_par().expect("parallel ctx").clone();
+                let par = ctx.as_par().expect("partition ctx").clone();
                 par.send((me + 1) % total, digest.to_le_bytes().to_vec());
                 let (from, bytes) = par.recv().await;
                 let received = u64::from_le_bytes(bytes.try_into().expect("8-byte digest"));
@@ -676,21 +673,16 @@ fn partitioned_messaging_is_worker_count_invariant() {
 }
 
 /// The seeded chaos campaign — crashes, a replica outage, retry storms,
-/// recovery-forced flushes — reproduces byte-for-byte across backends and
-/// worker counts: sim, parallel at 2 workers, parallel at 4 workers, and
-/// a parallel rerun all agree on counters, flush stats, recovery stats,
-/// and the chaos injection journal.
+/// recovery-forced flushes — reproduces byte-for-byte as a one-partition
+/// fan-out: a bare `Sim`, the fan-out at 1, 2 and 4 workers, and a rerun
+/// all agree on counters, flush stats, recovery stats, and the chaos
+/// injection journal.
 #[test]
 fn chaos_campaign_is_backend_and_worker_invariant() {
     use halfmoon::{FaultPlan, ShardId};
     use hm_runtime::chaos::ChaosDriver;
 
-    let run = |backend: BackendKind, workers: usize| {
-        let mut runner = Runner::builder()
-            .backend(backend)
-            .seed(0xBA7C)
-            .workers(workers)
-            .build();
+    async fn campaign(ctx: Ctx) -> impl PartialEq + std::fmt::Debug + Send {
         let plan = FaultPlan::new()
             .instance_faults(FaultPolicy::random(0.004, 60))
             .node_recovery_delay(Duration::from_millis(300))
@@ -707,7 +699,7 @@ fn chaos_campaign_is_backend_and_worker_invariant() {
                 1,
                 Duration::from_millis(1000),
             );
-        let client = Client::builder(runner.ctx())
+        let client = Client::builder(ctx)
             .model(LatencyModel::calibrated())
             .protocol_config(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead))
             .batching(16, Duration::from_micros(200))
@@ -728,7 +720,7 @@ fn chaos_campaign_is_backend_and_worker_invariant() {
             warmup: Duration::from_millis(500),
             factory: workload.factory(),
         };
-        let report = runner.block_on(async move { gateway.run_open_loop(spec).await });
+        let report = gateway.run_open_loop(spec).await;
         assert!(chaos.injected() > 0, "campaign must actually bite");
         (
             report.completed,
@@ -737,18 +729,18 @@ fn chaos_campaign_is_backend_and_worker_invariant() {
             client.recovery_stats(),
             chaos.events_jsonl(),
         )
-    };
-    let sim = run(BackendKind::Sim, 1);
-    for workers in [2usize, 4] {
+    }
+    let sim = on_sim(0xBA7C, campaign);
+    for workers in [1usize, 2, 4] {
         assert_eq!(
             sim,
-            run(BackendKind::Parallel, workers),
-            "chaos campaign diverged on parallel backend at workers={workers}"
+            on_one_partition(0xBA7C, workers, campaign),
+            "chaos campaign diverged as a one-partition fan-out at workers={workers}"
         );
     }
     assert_eq!(
-        run(BackendKind::Parallel, 2),
-        run(BackendKind::Parallel, 2),
+        on_one_partition(0xBA7C, 2, campaign),
+        on_one_partition(0xBA7C, 2, campaign),
         "chaos campaign rerun diverged"
     );
 }
@@ -778,7 +770,7 @@ fn virtual_time_is_free() {
 /// A model-checking counterexample is a *replayable artifact*: the
 /// schedule recorded from an exploring run, re-executed through
 /// `run_schedule`, reproduces the exact violating history — byte for
-/// byte, run after run. This is the §19 claim that makes a violation a
+/// byte, run after run. This is the DESIGN.md §18 claim that makes a violation a
 /// deterministic repro rather than a flaky observation.
 #[test]
 fn model_check_counterexamples_replay_byte_identically() {
