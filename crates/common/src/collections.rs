@@ -1,6 +1,6 @@
 //! Allocation-lean collection primitives for the simulator's hot paths.
 //!
-//! Three building blocks, all deterministic (no `RandomState`, no pointer
+//! Two building blocks, both deterministic (no `RandomState`, no pointer
 //! hashing), so replays of a seeded simulation touch memory identically:
 //!
 //! - [`TagSet`]: a record's tag list, stored inline for up to four tags
@@ -9,13 +9,10 @@
 //! - [`FxHashMap`] / [`FxHashSet`]: hash containers using the Firefox
 //!   `FxHash` function, far cheaper than SipHash for the integer keys the
 //!   shared log indexes by (`Tag`, `SeqNum`, `NodeId`) and stable across
-//!   runs and platforms;
-//! - [`LruSet`]: a bounded membership set with least-recently-used
-//!   eviction, backed by a slab and an intrusive doubly-linked list so
-//!   `contains`/`insert`/evict are all O(1).
+//!   runs and platforms.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ids::Tag;
 
@@ -232,188 +229,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with [`FxHasher`].
 pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
 
-/// Sentinel index for "no node" in [`LruSet`]'s intrusive list.
-const NIL: u32 = u32::MAX;
-
-struct LruNode<K> {
-    key: K,
-    prev: u32,
-    next: u32,
-}
-
-/// A bounded membership set with least-recently-used eviction.
-///
-/// [`LruSet::insert`] refreshes recency; [`LruSet::contains`] does not (a
-/// caller that wants lookup-then-refresh calls both, like the shared log's
-/// `pay_read`, which checks before the simulated read latency and inserts
-/// after it). All operations are O(1): a slab of list nodes linked
-/// most-recent-first plus an [`FxHashMap`] from key to slab index.
-pub struct LruSet<K> {
-    capacity: usize,
-    map: FxHashMap<K, u32>,
-    nodes: Vec<LruNode<K>>,
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-    evictions: u64,
-}
-
-impl<K: Hash + Eq + Copy> LruSet<K> {
-    /// Creates an empty set bounded to `capacity` keys (at least 1).
-    ///
-    /// Memory grows with actual occupancy, not with `capacity`, so a large
-    /// bound costs nothing until used.
-    #[must_use]
-    pub fn new(capacity: usize) -> LruSet<K> {
-        LruSet {
-            capacity: capacity.max(1),
-            map: FxHashMap::default(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            evictions: 0,
-        }
-    }
-
-    /// Whether `key` is present. Does not refresh recency.
-    #[must_use]
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Number of keys currently held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the set is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The configured capacity bound.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total keys evicted to make room since creation.
-    #[must_use]
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    fn unlink(&mut self, idx: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[idx as usize];
-            (n.prev, n.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next as usize].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: u32) {
-        let old_head = self.head;
-        {
-            let n = &mut self.nodes[idx as usize];
-            n.prev = NIL;
-            n.next = old_head;
-        }
-        if old_head != NIL {
-            self.nodes[old_head as usize].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Inserts `key` as most-recently-used, evicting the least-recently-used
-    /// key if the set is full. Returns `true` if the key was newly inserted,
-    /// `false` if it was already present (its recency is refreshed).
-    pub fn insert(&mut self, key: K) -> bool {
-        if let Some(&idx) = self.map.get(&key) {
-            self.unlink(idx);
-            self.push_front(idx);
-            return false;
-        }
-        if self.map.len() >= self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NIL);
-            self.unlink(victim);
-            let old_key = self.nodes[victim as usize].key;
-            self.map.remove(&old_key);
-            self.free.push(victim);
-            self.evictions += 1;
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i as usize].key = key;
-                i
-            }
-            None => {
-                let i = self.nodes.len() as u32;
-                self.nodes.push(LruNode {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
-                i
-            }
-        };
-        self.push_front(idx);
-        self.map.insert(key, idx);
-        true
-    }
-
-    /// Removes `key` if present, returning whether it was. Not an eviction
-    /// (the owner dropped the key; nothing was displaced to make room):
-    /// [`LruSet::evictions`] is unchanged, the other keys keep their
-    /// recency order, and the freed slab slot is reused by a later insert.
-    pub fn remove(&mut self, key: &K) -> bool {
-        let Some(idx) = self.map.remove(key) else {
-            return false;
-        };
-        self.unlink(idx);
-        self.free.push(idx);
-        true
-    }
-
-    /// Drops every key at once (a cold restart of the cache's owner).
-    /// The eviction counter is preserved: cleared keys were lost with
-    /// their owner, not evicted to make room.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-    }
-}
-
-impl<K: Hash + Eq + Copy + std::fmt::Debug> std::fmt::Debug for LruSet<K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "LruSet(len={}, capacity={}, evictions={})",
-            self.map.len(),
-            self.capacity,
-            self.evictions
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,108 +277,5 @@ mod tests {
         h3.write(b"hello world");
         assert_eq!(h2.finish(), h3.finish());
         assert_ne!(h2.finish(), 0);
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut lru: LruSet<u64> = LruSet::new(3);
-        assert!(lru.insert(1));
-        assert!(lru.insert(2));
-        assert!(lru.insert(3));
-        // Refresh 1: now 2 is the oldest.
-        assert!(!lru.insert(1));
-        assert!(lru.insert(4));
-        assert!(!lru.contains(&2), "2 was least recently used");
-        assert!(lru.contains(&1) && lru.contains(&3) && lru.contains(&4));
-        assert_eq!(lru.len(), 3);
-        assert_eq!(lru.evictions(), 1);
-    }
-
-    #[test]
-    fn lru_eviction_order_is_exact() {
-        let mut lru: LruSet<u64> = LruSet::new(2);
-        lru.insert(10);
-        lru.insert(20);
-        lru.insert(30); // evicts 10
-        lru.insert(40); // evicts 20
-        assert!(!lru.contains(&10) && !lru.contains(&20));
-        assert!(lru.contains(&30) && lru.contains(&40));
-        assert_eq!(lru.evictions(), 2);
-    }
-
-    #[test]
-    fn lru_capacity_one_and_reuse() {
-        let mut lru: LruSet<u64> = LruSet::new(1);
-        for i in 0..50 {
-            lru.insert(i);
-            assert_eq!(lru.len(), 1);
-            assert!(lru.contains(&i));
-        }
-        assert_eq!(lru.evictions(), 49);
-        // Slab slots are recycled, not leaked.
-        assert!(lru.nodes.len() <= 2);
-    }
-
-    /// Keys from most- to least-recently used.
-    fn recency(lru: &LruSet<u64>) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut idx = lru.head;
-        while idx != NIL {
-            out.push(lru.nodes[idx as usize].key);
-            idx = lru.nodes[idx as usize].next;
-        }
-        out
-    }
-
-    #[test]
-    fn lru_remove_keeps_order_reuses_slots_and_is_not_an_eviction() {
-        let mut lru: LruSet<u64> = LruSet::new(8);
-        for k in 1..=5 {
-            lru.insert(k);
-        }
-        assert_eq!(recency(&lru), vec![5, 4, 3, 2, 1]);
-        assert!(lru.remove(&3), "middle");
-        assert_eq!(recency(&lru), vec![5, 4, 2, 1]);
-        assert!(lru.remove(&5), "head");
-        assert_eq!(recency(&lru), vec![4, 2, 1]);
-        assert!(lru.remove(&1), "tail");
-        assert_eq!(recency(&lru), vec![4, 2]);
-        assert!(!lru.remove(&1), "absent key is a no-op");
-        assert!(!lru.remove(&99));
-        assert_eq!(recency(&lru), vec![4, 2]);
-        assert_eq!((lru.len(), lru.evictions()), (2, 0));
-        assert!(!lru.contains(&3) && lru.contains(&4));
-        // The three freed slots are reused before the slab grows.
-        for k in 10..13 {
-            assert!(lru.insert(k));
-        }
-        assert_eq!(lru.nodes.len(), 5);
-        assert_eq!(recency(&lru), vec![12, 11, 10, 4, 2]);
-        // Eviction still takes the true tail, and removing down to empty
-        // leaves a usable set.
-        let mut small: LruSet<u64> = LruSet::new(2);
-        small.insert(1);
-        small.insert(2);
-        small.remove(&1);
-        small.insert(3);
-        assert_eq!(small.evictions(), 0, "the removed key's room was free");
-        small.insert(4);
-        assert_eq!((recency(&small), small.evictions()), (vec![4, 3], 1));
-        small.remove(&4);
-        small.remove(&3);
-        assert!(small.is_empty() && recency(&small).is_empty());
-        small.insert(7);
-        assert_eq!(recency(&small), vec![7]);
-    }
-
-    #[test]
-    fn lru_contains_does_not_refresh() {
-        let mut lru: LruSet<u64> = LruSet::new(2);
-        lru.insert(1);
-        lru.insert(2);
-        assert!(lru.contains(&1)); // must NOT make 1 recent
-        lru.insert(3); // evicts 1, the LRU key
-        assert!(!lru.contains(&1));
-        assert!(lru.contains(&2));
     }
 }

@@ -23,7 +23,7 @@ pub mod trace;
 pub mod value;
 
 pub use bytes::SharedBytes;
-pub use collections::{FxHashMap, FxHashSet, LruSet, TagSet};
+pub use collections::{FxHashMap, FxHashSet, TagSet};
 pub use error::{HmError, HmResult};
 pub use ids::{InstanceId, Key, NodeId, SeqNum, StepNum, Tag, VersionNum, VersionTuple};
 pub use value::Value;

@@ -143,8 +143,12 @@ struct ClientInner {
     /// log prefix, so caching it is sound.
     txn_validity: RefCell<hm_common::FxHashMap<hm_common::SeqNum, bool>>,
     /// Keys that have received at least one multi-version write; the GC
-    /// iterates this instead of scanning the whole keyspace.
-    written_keys: RefCell<BTreeSet<Key>>,
+    /// iterates this instead of scanning the whole keyspace. Twice over:
+    /// every such write asks "seen before?", which the hash set answers
+    /// without a dozen string compares, and the GC walks the ordered set
+    /// (its order is in the run fingerprints), touched only on a key's
+    /// first sighting.
+    written_keys: RefCell<(hm_common::FxHashSet<Key>, BTreeSet<Key>)>,
 }
 
 /// Shared deployment handle. Cheap to clone.
@@ -314,7 +318,7 @@ impl ClientBuilder {
                 recovery: Cell::new(RecoveryStats::default()),
                 checkpoints: RefCell::new(hm_common::FxHashMap::default()),
                 txn_validity: RefCell::new(hm_common::FxHashMap::default()),
-                written_keys: RefCell::new(BTreeSet::new()),
+                written_keys: RefCell::default(),
             }),
         }
     }
@@ -480,16 +484,17 @@ impl Client {
     /// Notes that `key` received a multi-version write (GC bookkeeping;
     /// a real deployment would keep this index in the logging layer).
     pub fn note_written_key(&self, key: &Key) {
-        let mut keys = self.inner.written_keys.borrow_mut();
-        if !keys.contains(key) {
-            keys.insert(key.clone());
+        let (seen, ordered) = &mut *self.inner.written_keys.borrow_mut();
+        if !seen.contains(key) {
+            seen.insert(key.clone());
+            ordered.insert(key.clone());
         }
     }
 
     /// Snapshot of keys with multi-version writes.
     #[must_use]
     pub fn written_keys(&self) -> Vec<Key> {
-        self.inner.written_keys.borrow().iter().cloned().collect()
+        self.inner.written_keys.borrow().1.iter().cloned().collect()
     }
 
     /// Populates base state in the store and tells the recorder about it.

@@ -19,8 +19,6 @@
 //! statically configured, or looked up in the transition log when switching
 //! is enabled (§4.7).
 
-use std::rc::Rc;
-
 use hm_common::observe::{Lane, OpCtx, Phase};
 use hm_common::trace::SpanId;
 use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, SeqNum, StepNum, Tag, TagSet, Value};
@@ -66,7 +64,7 @@ pub struct Env {
     /// Offset of the next record in the step-log stream.
     pos: usize,
     /// Step-log records fetched at init (`env.stepLogs`).
-    prior: Vec<Rc<LogRecord<StepRecord>>>,
+    prior: Vec<LogRecord<StepRecord>>,
     /// Consecutive log-free writes since the last logged op (Figure 7).
     pub consecutive_w: u32,
     /// Key of the previous operation if it was a log-free write (used by
@@ -297,13 +295,13 @@ impl Env {
     // ------------------------------------------------------------------
 
     /// The prior record at the current replay position, if any.
-    pub(crate) fn peek_prior(&self) -> Option<&Rc<LogRecord<StepRecord>>> {
+    pub(crate) fn peek_prior(&self) -> Option<&LogRecord<StepRecord>> {
         self.prior.get(self.pos)
     }
 
     /// Consumes the prior record at the current position, advancing the
     /// step, position, and cursor.
-    pub(crate) fn replay_next(&mut self) -> Option<Rc<LogRecord<StepRecord>>> {
+    pub(crate) fn replay_next(&mut self) -> Option<LogRecord<StepRecord>> {
         let rec = self.prior.get(self.pos)?.clone();
         self.pos += 1;
         self.step = self.step.next();
@@ -320,7 +318,7 @@ impl Env {
         &mut self,
         extra_tags: &[Tag],
         op: OpRecord,
-    ) -> HmResult<Rc<LogRecord<StepRecord>>> {
+    ) -> HmResult<LogRecord<StepRecord>> {
         let step_tag = self.id.step_log_tag();
         let rec = StepRecord {
             instance: self.id,

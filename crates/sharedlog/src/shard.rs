@@ -1,5 +1,5 @@
-//! One log shard: a sequencer lane, a replicated storage group, the
-//! stream indexes of the tags routed to it, and per-node record caches.
+//! One log shard: a sequencer lane, a replicated storage group and the
+//! stream indexes of the tags routed to it.
 //!
 //! # Hot-path data structures
 //!
@@ -14,7 +14,7 @@
 //!   leave the front of the deque, so a seqnum below the base or in a
 //!   freed segment is *trimmed by construction* and slab memory follows
 //!   live records, not total appends. The shard keeps only its counts
-//!   (`live`, `bytes`, counters); the record names its home shard.
+//!   (`live`, `bytes`, counters); the slot names its home shard.
 //! - **Membership offsets**: at install time each record learns its absolute
 //!   offset in every sub-stream it joins. `read_prev`/`read_next`/`trim`
 //!   whose bound names a live record resolve positions O(1) from those
@@ -22,19 +22,20 @@
 //!   search remains only as a fallback for bounds that are not records of
 //!   the stream).
 //! - **Live-stream refcounts**: each record counts its untrimmed stream
-//!   memberships. `trim` decrements the count for each drained entry and
-//!   reclaims the record exactly when it hits zero — O(removed) total,
-//!   making byte accounting structurally exact (charged once at install
-//!   on the owning shard, freed once at last membership death; no
+//!   memberships. `trim` releases one per drained entry and the slab
+//!   reclaims the record exactly when the count hits zero — O(removed)
+//!   total, making byte accounting structurally exact (charged once at
+//!   install on the home shard, freed once at last membership death; no
 //!   double-free or leak is possible even for records listed under
 //!   trimmed-then-revived streams or under streams of *other* shards).
-//! - **Bounded node caches**: each function node's record cache is an
-//!   [`LruSet`] bounded by the configured capacity, per shard (a real
-//!   node caches per ordering lane it talks to), with hit/miss counts
-//!   surfaced in [`OpCounters`]. A record's slot remembers which nodes
-//!   cached it; when `trim` reclaims the record, its seqnum is removed
-//!   from exactly those caches (not an eviction), so cache memory and
-//!   capacity are spent on live records only.
+//! - **Node caches**: a function node's record cache, per shard (a real
+//!   node caches per ordering lane it talks to), is not a structure of
+//!   its own: each record's slot holds the exact set of `(shard, node)`
+//!   pairs caching it. A cache holds every live record its node appended
+//!   or read through that shard since the node last crashed — there is no
+//!   capacity and no eviction — so a lookup is a bit test on a slot the
+//!   read resolves anyway, and a reclaimed record leaves every cache with
+//!   its slot. Hit/miss counts are surfaced in [`OpCounters`].
 //! - **Stream fronts**: a sub-stream's seqnums sit in a `VecDeque`, so
 //!   trimming a prefix is O(removed) and the emptied stream keeps only
 //!   its offset count.
@@ -45,37 +46,25 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use hm_common::collections::{FxHashMap, FxHashSet, LruSet, TagSet};
+use hm_common::collections::{FxHashMap, FxHashSet};
 use hm_common::metrics::{OpCounters, TimeWeightedGauge};
-use hm_common::{NodeId, SeqNum, Tag};
+use hm_common::{SeqNum, Tag};
 
 /// Per-record metadata bytes charged to log storage (`S_meta`, §4.6:
 /// "a few dozen bytes" covering seqnum, tags, step, op kind).
 pub const RECORD_META_BYTES: usize = 32;
 
-/// One record in the shared log.
+/// One record as a read hands it back: a by-value copy of what the log
+/// holds in the record's slab slot (cloning a protocol payload bumps
+/// refcounts). [`LogService::locate`](crate::LogService::locate) names the
+/// home shard of a seqnum.
 #[derive(Clone, Debug)]
 pub struct LogRecord<P> {
     /// Globally unique, monotonically increasing position in the shared
     /// order (drawn from the clock all shards sequence against).
     pub seqnum: SeqNum,
-    /// Shard whose storage group holds the record.
-    pub shard: crate::router::ShardId,
-    /// The sub-streams this record belongs to.
-    pub tags: TagSet,
     /// Protocol-defined payload.
     pub payload: P,
-}
-
-impl<P> LogRecord<P> {
-    /// The record's composite position: owning shard + shared-clock seqnum.
-    #[must_use]
-    pub fn global_seqnum(&self) -> crate::router::GlobalSeqNum {
-        crate::router::GlobalSeqNum {
-            shard: self.shard,
-            seq: self.seqnum,
-        }
-    }
 }
 
 /// Per-tag sub-stream: seqnums ascending, plus how many records have been
@@ -150,7 +139,8 @@ impl FlushStats {
 }
 
 /// Mutable state of one shard: everything the pre-sharding `LogInner`
-/// held, minus the records and the clock (shared, in the slab).
+/// held, minus the records, their caches and the clock (shared, in the
+/// slab).
 pub(crate) struct ShardState {
     /// Storage replicas currently down (by index `0..replicas_per_shard`).
     pub(crate) failed_replicas: FxHashSet<u32>,
@@ -164,9 +154,6 @@ pub(crate) struct ShardState {
     pub(crate) live: usize,
     /// Sub-streams of the tags routed to this shard.
     pub(crate) streams: FxHashMap<Tag, Stream>,
-    /// Per-node record caches, indexed by `NodeId` (grown on demand).
-    pub(crate) node_cache: Vec<LruSet<SeqNum>>,
-    pub(crate) node_cache_capacity: usize,
     pub(crate) bytes: TimeWeightedGauge,
     pub(crate) counters: OpCounters,
     /// Virtual time until which this shard's sequencer lane is booked
@@ -178,26 +165,16 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(now: Duration, node_cache_capacity: usize) -> ShardState {
+    pub(crate) fn new(now: Duration) -> ShardState {
         ShardState {
             failed_replicas: FxHashSet::default(),
             degraded_appends: 0,
             live: 0,
             streams: FxHashMap::default(),
-            node_cache: Vec::new(),
-            node_cache_capacity,
             bytes: TimeWeightedGauge::new(now),
             counters: OpCounters::default(),
             sequencer_free_at: Duration::ZERO,
             flush: FlushStats::default(),
         }
-    }
-
-    pub(crate) fn cache_for(&mut self, node: NodeId) -> &mut LruSet<SeqNum> {
-        let idx = node.0 as usize;
-        while self.node_cache.len() <= idx {
-            self.node_cache.push(LruSet::new(self.node_cache_capacity));
-        }
-        &mut self.node_cache[idx]
     }
 }

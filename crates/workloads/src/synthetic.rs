@@ -10,6 +10,7 @@
 //! The gateway factory pre-samples the whole operation list into the
 //! request input so function bodies stay deterministic.
 
+use std::cell::RefCell;
 use std::fmt::{self, Write};
 use std::rc::Rc;
 
@@ -40,12 +41,41 @@ impl fmt::Write for NameBuf {
 }
 
 fn obj_key(i: i64) -> Key {
-    // 8-byte keys, mirroring the paper's setup. Every operation makes one,
-    // so the name is formatted on the stack and copied once, into the
-    // key's shared buffer.
+    // 8-byte keys, mirroring the paper's setup. The name is formatted on
+    // the stack and copied once, into the key's shared buffer.
     let mut name = NameBuf::default();
     write!(name, "o{i:07}").expect("the name fits");
     Key::new(std::str::from_utf8(&name.bytes[..name.len]).expect("whole strs were written"))
+}
+
+/// The keys of a populated object space, each made on first use and
+/// shared from then on: a handler's per-operation key is a refcount bump,
+/// not a format and an allocation. One table per registered handler,
+/// grown as indices are first seen so that registering costs nothing.
+struct KeyTable {
+    objects: usize,
+    keys: RefCell<Vec<Option<Key>>>,
+}
+
+impl KeyTable {
+    fn new(objects: u32) -> Rc<KeyTable> {
+        Rc::new(KeyTable {
+            objects: objects as usize,
+            keys: RefCell::default(),
+        })
+    }
+
+    /// [`obj_key`], memoised for indices inside the populated space.
+    fn key(&self, i: i64) -> Key {
+        let Some(at) = usize::try_from(i).ok().filter(|&at| at < self.objects) else {
+            return obj_key(i);
+        };
+        let mut keys = self.keys.borrow_mut();
+        if keys.len() <= at {
+            keys.resize(at + 1, None);
+        }
+        keys[at].get_or_insert_with(|| obj_key(i)).clone()
+    }
 }
 
 /// The 1-read-1-write microbenchmark SSF (§6.1).
@@ -73,13 +103,15 @@ impl Workload for MicroRw {
 
     fn register(&self, runtime: &Runtime) {
         let value_bytes = self.value_bytes;
+        let keys = KeyTable::new(self.objects);
         runtime.register("micro.rw", move |env, input| {
+            let keys = keys.clone();
             Box::pin(async move {
                 let r = input.get("read_obj").and_then(Value::as_int).unwrap_or(0);
                 let w = input.get("write_obj").and_then(Value::as_int).unwrap_or(0);
                 let fp = input.get("fp").and_then(Value::as_int).unwrap_or(0);
-                let _ = env.read(&obj_key(r)).await?;
-                env.write(&obj_key(w), Value::blob(value_bytes, fp as u64))
+                let _ = env.read(&keys.key(r)).await?;
+                env.write(&keys.key(w), Value::blob(value_bytes, fp as u64))
                     .await?;
                 Ok(Value::Null)
             })
@@ -150,7 +182,9 @@ impl Workload for SyntheticOps {
 
     fn register(&self, runtime: &Runtime) {
         let value_bytes = self.value_bytes;
+        let keys = KeyTable::new(self.objects);
         runtime.register("synthetic.ops", move |env, input| {
+            let keys = keys.clone();
             Box::pin(async move {
                 let ops = input.get("ops").and_then(Value::as_list).unwrap_or(&[]);
                 let mut acc = 0i64;
@@ -161,11 +195,11 @@ impl Workload for SyntheticOps {
                         .and_then(|v| v.as_int().map(|i| i != 0))
                         .unwrap_or(true);
                     if is_read {
-                        let v = env.read(&obj_key(obj)).await?;
+                        let v = env.read(&keys.key(obj)).await?;
                         acc = acc.wrapping_add(v.size_bytes() as i64);
                     } else {
                         let fp = op.get("fp").and_then(Value::as_int).unwrap_or(0);
-                        env.write(&obj_key(obj), Value::blob(value_bytes, fp as u64))
+                        env.write(&keys.key(obj), Value::blob(value_bytes, fp as u64))
                             .await?;
                     }
                 }
@@ -215,5 +249,17 @@ mod tests {
         for i in [0, 42, 9_999_999, 10_000_000, -5, i64::MIN, i64::MAX] {
             assert_eq!(obj_key(i).as_str(), format!("o{i:07}"));
         }
+    }
+
+    #[test]
+    fn key_table_memoises_inside_the_object_space_only() {
+        let keys = KeyTable::new(3);
+        for i in [0, 2, 3, 1_000_000, -1, i64::MIN] {
+            assert_eq!(keys.key(i), obj_key(i));
+        }
+        let shares = |i| std::ptr::eq(keys.key(i).as_str(), keys.key(i).as_str());
+        assert!(shares(0) && shares(2), "a populated object's key is made once");
+        assert!(!shares(3) && !shares(-1), "other indices are formatted afresh");
+        assert_eq!(keys.keys.borrow().len(), 3, "the table never outgrows the object space");
     }
 }
