@@ -39,10 +39,10 @@ use hm_common::ids::TagKind;
 use hm_common::trace::Tracer;
 use hm_common::latency::LatencyModel;
 use hm_common::{NodeId, Tag};
-use hm_runtime::{RuntimeConfig, TenantPlan};
-use hm_sharedlog::{LogConfig, Payload, SharedLog};
+use hm_runtime::RuntimeConfig;
+use hm_sharedlog::{LogConfig, LogService, Payload};
 use hm_substrate::sim::Sim;
-use hm_substrate::{Partition, PartitionFuture, PartitionPolicy, Runner};
+use hm_substrate::{Partition, PartitionFuture, Runner};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 
@@ -167,7 +167,7 @@ fn executor_timer_stress(scale: f64) -> Component {
 fn sharedlog_trim_stress(scale: f64) -> Component {
     let start = Instant::now();
     let mut sim = Sim::new(0x7213);
-    let log: SharedLog<u64> = SharedLog::new(
+    let log: LogService<u64> = LogService::new(
         sim.ctx(),
         LatencyModel::uniform_test_model(),
         LogConfig::default(),
@@ -221,7 +221,7 @@ fn sharedlog_shard_sweep(scale: f64) -> Component {
     let mut throughput = Vec::new();
     for &shards in &[1u8, 2, 4, 8] {
         let mut sim = Sim::new(0x5EED);
-        let log: SharedLog<u64> = SharedLog::new(
+        let log: LogService<u64> = LogService::new(
             sim.ctx(),
             LatencyModel::uniform_test_model(),
             LogConfig {
@@ -291,7 +291,7 @@ fn append_batching(scale: f64) -> Component {
     let mut throughput = Vec::new();
     for &batch in &[1usize, 4, 16, 64] {
         let mut sim = Sim::new(0xBA7C);
-        let log: SharedLog<u64> = SharedLog::new(
+        let log: LogService<u64> = LogService::new(
             sim.ctx(),
             LatencyModel::uniform_test_model(),
             LogConfig {
@@ -351,7 +351,7 @@ fn append_batching(scale: f64) -> Component {
 fn sharedlog_ops(scale: f64) -> Component {
     let start = Instant::now();
     let mut sim = Sim::new(0x10C);
-    let log: SharedLog<u64> = SharedLog::new(
+    let log: LogService<u64> = LogService::new(
         sim.ctx(),
         LatencyModel::uniform_test_model(),
         LogConfig::default(),
@@ -578,7 +578,7 @@ fn hot_path_alloc(scale: f64) -> Component {
 
     let start = Instant::now();
     let mut sim = Sim::new(0xA110C);
-    let log: SharedLog<StepRecord> = SharedLog::new(
+    let log: LogService<StepRecord> = LogService::new(
         sim.ctx(),
         LatencyModel::uniform_test_model(),
         LogConfig {
@@ -940,21 +940,19 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
 /// fan-out at 1/2/4/8 worker threads.
 ///
 /// Sixteen tenant slices — each a complete single-shard deployment with
-/// its own log service and writer pool, pinned to one of eight partitions
-/// by a [`TenantPlan`] — run with a lookahead wider than the workload, so
-/// partitions free-run instead of marching in frontier lockstep. The
-/// per-partition results are asserted byte-identical across every worker
-/// count (the fan-out's determinism contract: workers change wall time,
-/// never results), and the wall time per worker count is
-/// reported alongside the host's core count. On a single-core host the
-/// sweep measures threading overhead, not speedup — `cores` in the JSON
+/// its own log service and writer pool, tenant `t` pinned to partition
+/// `t % 8` — run as eight independent `Sim`s. The per-partition results
+/// are asserted byte-identical across every worker count (the fan-out's
+/// determinism contract: workers change wall time, never results), and
+/// the wall time per worker count is reported alongside the host's core
+/// count. The fan-out never uses more threads than cores, so on a
+/// single-core host every row is the sequential run — `cores` in the JSON
 /// says which regime the numbers came from, and `scripts/verify.sh` only
 /// asserts a speedup when the host can physically provide one.
 fn parallel_scaling(scale: f64) -> (Component, String) {
     let start = Instant::now();
     let partitions = 8usize;
     let tenants = 16usize;
-    let plan = TenantPlan::new(tenants, partitions, PartitionPolicy::RoundRobin);
     let writers = 8u64;
     let per_writer = (((1_500.0 * scale) as u64).max(256) / writers).max(4);
     let capacity = 4_000.0;
@@ -963,21 +961,17 @@ fn parallel_scaling(scale: f64) -> (Component, String) {
     let mut walls = Vec::new();
     for &workers in &[1usize, 2, 4, 8] {
         let t0 = Instant::now();
-        let runner = Runner::builder()
-            .seed(0x5CA1E)
-            .workers(workers)
-            .lookahead(Duration::from_secs(3600))
-            .build();
+        let runner = Runner::new(0x5CA1E, workers);
         let results = runner.run_partitions(partitions, |p: Partition| -> PartitionFuture<Vec<u64>> {
             let ctx = p.ctx();
-            let hosted = plan.tenants_on(p.index());
+            let hosted = (p.index()..tenants).step_by(partitions);
             Box::pin(async move {
                 // One complete deployment slice per hosted tenant: its own
                 // single-shard log and closed-loop writer pool, tag space
                 // keyed by tenant id so slices never alias.
                 let mut out = Vec::new();
                 for tenant in hosted {
-                    let log: SharedLog<u64> = SharedLog::new(
+                    let log: LogService<u64> = LogService::new(
                         ctx.clone(),
                         LatencyModel::uniform_test_model(),
                         LogConfig {

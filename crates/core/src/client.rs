@@ -124,7 +124,7 @@ struct ClientInner {
     log: LogService<StepRecord>,
     store: KvStore,
     model: LatencyModel,
-    config: RefCell<ProtocolConfig>,
+    config: ProtocolConfig,
     faults: RefCell<Rc<FaultPlan>>,
     invoker: RefCell<Option<Rc<dyn Invoker>>>,
     recorder: RefCell<Option<Rc<Recorder>>>,
@@ -309,7 +309,7 @@ impl ClientBuilder {
                 log,
                 store,
                 model: self.model,
-                config: RefCell::new(self.config),
+                config: self.config,
                 faults: RefCell::new(Rc::new(self.faults)),
                 invoker: RefCell::new(None),
                 recorder: RefCell::new(self.recorder.then(|| Rc::new(Recorder::new()))),
@@ -353,23 +353,6 @@ impl Client {
     #[must_use]
     pub fn new(ctx: Ctx, model: LatencyModel, config: ProtocolConfig) -> Client {
         Client::builder(ctx).model(model).protocol_config(config).build()
-    }
-
-    /// Builds a deployment whose logging layer runs `topology.shards`
-    /// independently-sequenced shards. `Topology::default()` (one shard)
-    /// is exactly [`Client::new`].
-    #[must_use]
-    pub fn with_topology(
-        ctx: Ctx,
-        model: LatencyModel,
-        config: ProtocolConfig,
-        topology: Topology,
-    ) -> Client {
-        Client::builder(ctx)
-            .model(model)
-            .protocol_config(config)
-            .topology(topology)
-            .build()
     }
 
     /// The simulation context.
@@ -427,13 +410,7 @@ impl Client {
 
     /// Runs `f` with the protocol configuration.
     pub fn with_config<T>(&self, f: impl FnOnce(&ProtocolConfig) -> T) -> T {
-        f(&self.inner.config.borrow())
-    }
-
-    /// Mutates the protocol configuration (used by tests and the switch
-    /// coordinator's bookkeeping).
-    pub fn update_config(&self, f: impl FnOnce(&mut ProtocolConfig)) {
-        f(&mut self.inner.config.borrow_mut());
+        f(&self.inner.config)
     }
 
     /// The instance crash-point policy of the current fault plan (what
@@ -603,13 +580,6 @@ impl Client {
     #[must_use]
     pub fn total_bytes(&self) -> f64 {
         self.log().current_bytes() + self.store().current_bytes()
-    }
-
-    /// Convenience: ignore, used to silence `NodeId` lints in doctests.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn default_node(&self) -> NodeId {
-        NodeId(0)
     }
 }
 

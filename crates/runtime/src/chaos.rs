@@ -31,7 +31,6 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use halfmoon::{Client, FaultEvent, ProtocolKind, RecoveryStats, ScheduledFault};
-use hm_common::trace::MetricsRegistry;
 
 use crate::runtime::Runtime;
 
@@ -49,17 +48,6 @@ impl ChaosDriver {
     /// deployment is free.
     #[must_use]
     pub fn start(runtime: &Runtime) -> ChaosDriver {
-        ChaosDriver::launch(runtime, None)
-    }
-
-    /// [`ChaosDriver::start`] that also mirrors injection counters into a
-    /// [`MetricsRegistry`] (`chaos.injected`, `chaos.node_crashes`).
-    #[must_use]
-    pub fn start_with_metrics(runtime: &Runtime, registry: Rc<MetricsRegistry>) -> ChaosDriver {
-        ChaosDriver::launch(runtime, Some(registry))
-    }
-
-    fn launch(runtime: &Runtime, registry: Option<Rc<MetricsRegistry>>) -> ChaosDriver {
         let injected = Rc::new(Cell::new(0u64));
         let done = Rc::new(Cell::new(false));
         let journal = Rc::new(RefCell::new(Vec::new()));
@@ -80,9 +68,6 @@ impl ChaosDriver {
             journal: journal.clone(),
         };
         ctx.clone().spawn(async move {
-            let counters = registry
-                .as_ref()
-                .map(|r| (r.counter("chaos.injected"), r.counter("chaos.node_crashes")));
             let baseline_duplicate_prob = rt.config().duplicate_prob;
             for fault in schedule {
                 ctx.sleep_until(fault.at).await;
@@ -119,10 +104,6 @@ impl ChaosDriver {
                     p.note(ctx.now(), "fault_injected", || format!("{:?}", fault.event));
                 }
                 journal.borrow_mut().push(fault);
-                if let Some((total, crashes)) = &counters {
-                    total.set(injected.get());
-                    crashes.set(rt.node_crashes());
-                }
             }
             done.set(true);
         });

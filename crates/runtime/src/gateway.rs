@@ -53,26 +53,6 @@ impl LoadReport {
     pub fn throughput(&self, window: Time) -> f64 {
         self.completed as f64 / window.as_secs_f64().max(f64::MIN_POSITIVE)
     }
-
-    /// Appends per second each shard's sequencer ordered over the
-    /// measured window — the per-lane load that shows which sequencer
-    /// saturates first.
-    #[must_use]
-    pub fn append_rate_per_shard(&self, window: Time) -> Vec<f64> {
-        let secs = window.as_secs_f64().max(f64::MIN_POSITIVE);
-        self.per_shard_appends
-            .iter()
-            .map(|&n| n as f64 / secs)
-            .collect()
-    }
-
-    /// Total appends per second across all shards over the measured
-    /// window.
-    #[must_use]
-    pub fn append_throughput(&self, window: Time) -> f64 {
-        let total: u64 = self.per_shard_appends.iter().sum();
-        total as f64 / window.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
 }
 
 /// The function gateway: generates Poisson arrivals and fans them into the

@@ -7,13 +7,12 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use halfmoon::{Client, GarbageCollector, GcStats, ShardId};
+use halfmoon::{Client, GarbageCollector, GcStats};
 use hm_common::NodeId;
 use hm_substrate::Time;
 
 /// Handle to a running periodic GC task.
 pub struct GcDriver {
-    client: Client,
     stop: Rc<Cell<bool>>,
     cycles: Rc<Cell<u64>>,
     total: Rc<Cell<GcTotals>>,
@@ -37,7 +36,6 @@ impl GcDriver {
         let total = Rc::new(Cell::new(GcTotals::default()));
         let ctx = client.ctx().clone();
         {
-            let client = client.clone();
             let stop = stop.clone();
             let cycles = cycles.clone();
             let total = total.clone();
@@ -61,7 +59,6 @@ impl GcDriver {
             });
         }
         GcDriver {
-            client,
             stop,
             cycles,
             total,
@@ -83,20 +80,6 @@ impl GcDriver {
     #[must_use]
     pub fn totals(&self) -> GcTotals {
         self.total.get()
-    }
-
-    /// Trims issued against each log shard so far, in shard order — the
-    /// GC walks every shard's streams, so this shows whether reclamation
-    /// keeps up lane by lane.
-    #[must_use]
-    pub fn per_shard_trims(&self) -> Vec<u64> {
-        let log = self.client.log();
-        (0..log.shard_count())
-            .map(|s| {
-                #[allow(clippy::cast_possible_truncation)]
-                log.shard_counters(ShardId(s as u8)).log_trims
-            })
-            .collect()
     }
 }
 

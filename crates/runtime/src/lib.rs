@@ -33,13 +33,11 @@ mod gateway;
 mod gc_driver;
 pub mod mc;
 mod metrics_driver;
-pub mod partition;
 mod runtime;
 
 pub use chaos::{audit, AuditReport, ChaosDriver};
 pub use mc::{explore_config, run_schedule, McConfig, McKey, McOutcome, OpSpec};
 pub use gateway::{Gateway, LoadReport, LoadSpec, RequestFactory};
-pub use partition::TenantPlan;
 pub use gc_driver::GcDriver;
 pub use metrics_driver::MetricsDriver;
 pub use runtime::{Runtime, RuntimeConfig, SsfBody};

@@ -183,12 +183,6 @@ impl Runtime {
         self.inner.duplicates.get()
     }
 
-    /// Currently available worker slots.
-    #[must_use]
-    pub fn available_workers(&self) -> usize {
-        self.inner.workers.available()
-    }
-
     /// Requests queued for a worker slot.
     #[must_use]
     pub fn queued_requests(&self) -> usize {
@@ -243,15 +237,6 @@ impl Runtime {
         };
         state.group.reset();
         state.up.set(true);
-    }
-
-    /// True while `node` is live.
-    #[must_use]
-    pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.inner
-            .nodes
-            .get(node.0 as usize)
-            .is_some_and(|s| s.up.get())
     }
 
     /// Total whole-node crashes injected.

@@ -7,7 +7,7 @@
 //! seqnums.
 //!
 //! The API surface is exactly Figure 3, served by the routed
-//! [`LogService`] facade ([`SharedLog`] is an alias for it):
+//! [`LogService`] facade:
 //!
 //! | paper               | here                        |
 //! |---------------------|-----------------------------|
@@ -51,12 +51,12 @@
 //!
 //! ```
 //! use hm_common::{ids::TagKind, latency::LatencyModel, NodeId, SeqNum, Tag};
-//! use hm_sharedlog::{LogConfig, SharedLog};
+//! use hm_sharedlog::{LogConfig, LogService};
 //! use hm_substrate::sim::Sim;
 //!
 //! let mut sim = Sim::new(1);
-//! let log: SharedLog<String> =
-//!     SharedLog::new(sim.ctx(), LatencyModel::calibrated(), LogConfig::default());
+//! let log: LogService<String> =
+//!     LogService::new(sim.ctx(), LatencyModel::calibrated(), LogConfig::default());
 //! let l = log.clone();
 //! sim.block_on(async move {
 //!     let step = Tag::named(TagKind::StepLog, "ssf-1");
@@ -71,20 +71,14 @@
 
 #![deny(missing_docs)]
 
-pub mod partition;
 mod payload;
 mod router;
 mod service;
 mod shard;
 mod slab;
 
-pub use partition::{RemoteAppend, ShardPlacement};
 pub use payload::Payload;
 pub use router::{shard_for_tag, GlobalSeqNum, ShardId, Topology};
 pub use service::{CondAppendOutcome, LogConfig, LogService, ReplayStats};
 pub use shard::{FlushStats, LogRecord, RECORD_META_BYTES};
 pub use slab::SEG as SLAB_SEGMENT_RECORDS;
-
-/// The pre-sharding name for the log handle; an alias for the routed
-/// facade so existing call sites keep compiling unchanged.
-pub type SharedLog<P> = LogService<P>;

@@ -1,7 +1,7 @@
 //! The routed log facade: Figure 3's API over one or more shards.
 //!
 //! [`LogService`] keeps the exact call shapes of the pre-sharding
-//! `SharedLog` — `append` / `cond_append` / `read_prev` / `read_next` /
+//! monolith — `append` / `cond_append` / `read_prev` / `read_next` /
 //! `read_stream` / `trim` — so `hm-core`'s Env, protocol ops, txn, and GC
 //! code is oblivious to the topology. Internally every operation:
 //!
@@ -1042,12 +1042,6 @@ impl<P: Payload> LogService<P> {
             total = total.merged(&shard.flush);
         }
         total
-    }
-
-    /// One shard's group-commit accounting.
-    #[must_use]
-    pub fn shard_flush_stats(&self, shard: ShardId) -> FlushStats {
-        self.inner.borrow().shards[shard.0 as usize].flush
     }
 
     /// Records currently parked in `shard`'s open batch (test helper).

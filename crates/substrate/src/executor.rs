@@ -2,9 +2,9 @@
 //! this workspace runs on.
 //!
 //! [`Sim`] owns the task slab, the timer wheel, the virtual clock and a
-//! seeded RNG, and is the run-loop owner; [`SimCtx`] is the weak, clonable
-//! handle tasks reach it through (wrapped by [`Ctx`], which is what the rest
-//! of the workspace sees). The ready queue is FIFO, timers tie-break by
+//! seeded RNG, and is the run-loop owner; [`Ctx`] is the weak, clonable
+//! handle tasks reach it through, and the one context type the rest of the
+//! workspace sees. The ready queue is FIFO, timers tie-break by
 //! registration order and all randomness flows from the one seeded
 //! `SmallRng`, so two runs with the same seed interleave identically.
 //!
@@ -39,10 +39,10 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{Ctx, Time};
+use crate::Time;
 
 /// Converts a virtual instant to nanoseconds, saturating past ~584 years.
-pub(crate) fn dur_ns(d: Time) -> u64 {
+fn dur_ns(d: Time) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
@@ -514,12 +514,7 @@ impl Sim {
     /// A clonable context for tasks to capture.
     #[must_use]
     pub fn ctx(&self) -> Ctx {
-        Ctx::new(self.handle(), None)
-    }
-
-    /// The bare task-side handle behind [`Sim::ctx`].
-    pub(crate) fn handle(&self) -> SimCtx {
-        SimCtx {
+        Ctx {
             inner: Rc::downgrade(&self.inner),
         }
     }
@@ -573,7 +568,7 @@ impl Sim {
     /// # Panics
     /// Panics if the simulation stalls (deadlocks) before `fut` finishes.
     pub fn block_on<T: 'static>(&mut self, fut: impl Future<Output = T> + 'static) -> T {
-        let handle = self.handle().spawn(fut);
+        let handle = self.ctx().spawn(fut);
         loop {
             while let Some((idx, gen)) = self.inner.ready.pop() {
                 self.poll_task(idx, gen);
@@ -596,72 +591,6 @@ impl Sim {
             if !self.advance_to_next_timer(deadline) {
                 break;
             }
-        }
-    }
-
-    // --- partition-local run-until-frontier hooks ---------------------------
-    //
-    // A partitioned fan-out (the `par` module) hosts one `Sim` per partition
-    // and interleaves executor steps with cross-partition envelope delivery
-    // under a conservative time frontier. It needs finer
-    // control than `run`/`run_until` give: poll the ready queue without
-    // advancing time, peek the next timer deadline, move the clock to an
-    // externally-timestamped instant, and fire timers only strictly below a
-    // frontier. These hooks expose exactly those steps; composed as
-    // `run_ready` + `fire_timers_before(∞)` they reproduce `run_inner`
-    // poll-for-poll, so a single-partition frontier loop is bit-identical to
-    // the sequential executor.
-
-    /// Polls every task currently runnable at this instant until the ready
-    /// queue is empty, without touching the clock. Returns true if at least
-    /// one task was polled.
-    pub(crate) fn run_ready(&mut self) -> bool {
-        let mut ran = false;
-        while let Some((idx, gen)) = self.inner.ready.pop() {
-            self.poll_task(idx, gen);
-            ran = true;
-        }
-        ran
-    }
-
-    /// Deadline of the earliest pending timer, if any. Does not advance the
-    /// clock or fire anything.
-    #[must_use]
-    pub(crate) fn next_timer_at(&self) -> Option<Time> {
-        let now_tick = dur_ns(self.inner.now.get()) >> TICK_SHIFT;
-        let mut wheel = self.inner.timers.borrow_mut();
-        wheel.cascade(now_tick);
-        wheel
-            .min_deadline(now_tick)
-            .map(|(at_ns, _)| Time::from_nanos(at_ns))
-    }
-
-    /// Sets the clock to `at` without firing any timer — the entry point for
-    /// externally-timestamped events (cross-partition envelope deliveries)
-    /// that land between timer deadlines.
-    ///
-    /// # Panics
-    /// Debug-asserts that `at` neither moves time backwards nor skips a
-    /// pending timer deadline; in release the clock only moves forward.
-    pub(crate) fn advance_clock_to(&mut self, at: Time) {
-        debug_assert!(at >= self.inner.now.get(), "clock moved backwards");
-        debug_assert!(
-            self.next_timer_at().is_none_or(|t| at <= t),
-            "advance_clock_to would skip a pending timer"
-        );
-        if at > self.inner.now.get() {
-            self.inner.now.set(at);
-        }
-    }
-
-    /// Advances the clock to the next pending timer and fires every timer at
-    /// that instant, but only if the deadline is strictly before `limit`.
-    /// Returns false (clock untouched) otherwise — the strict bound is what a
-    /// conservative time frontier requires.
-    pub(crate) fn fire_timers_before(&mut self, limit: Time) -> bool {
-        match self.next_timer_at() {
-            Some(at) if at < limit => self.advance_to_next_timer(Some(at)),
-            _ => false,
         }
     }
 
@@ -741,20 +670,25 @@ impl std::fmt::Debug for Sim {
     }
 }
 
-/// Clonable handle to a running simulation, captured by tasks.
+/// Cheap clonable handle to the executor a deployment runs on: `now`,
+/// `sleep`, `spawn`, seeded RNG draws. Obtain one from [`Sim::ctx`] or,
+/// inside a partitioned fan-out, from
+/// [`Partition::ctx`](crate::Partition::ctx), which is the same thing: a
+/// partition is a `Sim`.
 ///
-/// Holds a weak reference: a `SimCtx` outliving its [`Sim`] is inert, and
-/// using it then panics with a clear message rather than leaking cycles.
+/// Weak: a context that outlives its [`Sim`] is inert, and everything but
+/// [`Ctx::try_now`] then panics with a clear message rather than leaking
+/// cycles.
 #[derive(Clone)]
-pub struct SimCtx {
+pub struct Ctx {
     inner: Weak<Inner>,
 }
 
-impl SimCtx {
+impl Ctx {
     fn inner(&self) -> Rc<Inner> {
         self.inner
             .upgrade()
-            .expect("SimCtx used after its Sim was dropped")
+            .expect("Ctx used after its Sim was dropped")
     }
 
     /// Current virtual time.
@@ -763,13 +697,15 @@ impl SimCtx {
         self.inner().now.get()
     }
 
-    /// [`SimCtx::now`], or `None` once the [`Sim`] is gone.
+    /// [`Ctx::now`], or `None` once the [`Sim`] behind this context is
+    /// gone: for `Drop` code, which runs during that teardown too.
     #[must_use]
     pub fn try_now(&self) -> Option<Time> {
         self.inner.upgrade().map(|inner| inner.now.get())
     }
 
-    /// Spawns a task onto the simulation.
+    /// Spawns a task onto the executor; tasks enter a FIFO ready queue in
+    /// spawn order.
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
         let inner = self.inner();
         let state = Rc::new(JoinState {
@@ -801,7 +737,7 @@ impl SimCtx {
     }
 
     /// Spawns a task nobody will join. Scheduling is identical to
-    /// [`SimCtx::spawn`] (same ready-queue push, same FIFO position); the
+    /// [`Ctx::spawn`] (same ready-queue push, same FIFO position); the
     /// only difference is cost — no join-state allocation and no wrapper
     /// future, for fire-and-forget hot paths like the shared log's
     /// group-commit flushes.
@@ -819,7 +755,7 @@ impl SimCtx {
         inner.ready.push(idx, gen);
     }
 
-    /// Sleeps for `d` of virtual time.
+    /// Resolves after `d` of virtual time.
     pub fn sleep(&self, d: Time) -> Sleep {
         let inner = self.inner();
         let now = inner.now.get();
@@ -835,15 +771,14 @@ impl SimCtx {
         }
     }
 
-    /// Sleeps until the absolute virtual instant `at` (no-op if in the past).
+    /// Resolves at the absolute instant `at` (immediately if in the past).
     pub fn sleep_until(&self, at: Time) -> Sleep {
         let now = self.now();
         self.sleep(at.saturating_sub(now))
     }
 
-    /// Runs `f` with the simulation RNG.
-    ///
-    /// All randomness must flow through here for runs to be reproducible.
+    /// Runs `f` with the executor's seeded RNG. All randomness must flow
+    /// through here for runs to be reproducible.
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut SmallRng) -> T) -> T {
         let inner = self.inner();
         let mut rng = inner.rng.borrow_mut();
@@ -858,9 +793,9 @@ impl SimCtx {
     }
 }
 
-impl std::fmt::Debug for SimCtx {
+impl std::fmt::Debug for Ctx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SimCtx")
+        f.write_str("Ctx")
     }
 }
 

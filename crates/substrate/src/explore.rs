@@ -214,13 +214,6 @@ impl ScriptedChoices {
         }
     }
 
-    /// A source that always takes the first alternative (the empty
-    /// schedule) — the canonical "default" run of a program.
-    #[must_use]
-    pub fn follow_default() -> ScriptedChoices {
-        ScriptedChoices::new(&Schedule::default())
-    }
-
     /// The full decision trace recorded so far.
     #[must_use]
     pub fn trace(&self) -> Vec<Decision> {
@@ -574,9 +567,9 @@ impl Explorer {
         self.drive(Vec::new(), &mut run)
     }
 
-    /// Explores with the root-level branches partitioned round-robin
-    /// across `workers` threads — the same placement a partitioned fan-out
-    /// uses for its partitions. Sleep sets are path-local
+    /// Explores with the root-level branches dealt round-robin across
+    /// `workers` threads, as [`Runner::run_partitions`](crate::Runner::run_partitions)
+    /// deals its partitions. Sleep sets are path-local
     /// (each branch's pruning depends only on its position among its root
     /// siblings, which is fixed), so the visited tree, the statistics,
     /// and the counterexample set are identical at every worker count.

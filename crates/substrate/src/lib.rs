@@ -17,10 +17,9 @@
 //! - [`sync`] holds the coordination primitives ([`sync::Semaphore`],
 //!   [`sync::Gate`], [`sync::TaskGroup`]).
 //! - [`Runner::run_partitions`] does the one thing a single `Sim` cannot:
-//!   it fans a deployment out over `P` executors on `N` worker threads,
-//!   which exchange timestamped envelopes ([`ParCtx`]) under a conservative
-//!   time frontier. Deterministic at every worker count; one partition is
-//!   bit-identical to a bare `Sim`.
+//!   it runs `P` independent `Sim`s on up to `N` scoped threads. Partitions
+//!   share nothing, so results are the same at every worker count, and
+//!   partition 0 is bit-identical to a bare `Sim` at the run seed.
 //! - [`explore`]: harnesses that route their nondeterminism through
 //!   explicit choice points ([`ChoiceSource`]) instead of RNG draws can
 //!   have every schedule enumerated systematically by [`Explorer`] (DFS
@@ -52,24 +51,16 @@
 //!
 //! # Layering
 //!
-//! The executor and the fan-out engine are private modules; the compiler,
-//! not a grep, keeps upper layers on the surface above. The executor's
-//! task-side handle and its other internals cannot be named from outside:
+//! The executor is a private module; the compiler, not a grep, keeps upper
+//! layers on the surface above. Its internals (the timer wheel, the task
+//! slab) cannot be named from outside:
 //!
 //! ```compile_fail,E0603
-//! use hm_substrate::executor::SimCtx;
-//! ```
-//!
-//! and neither can the fan-out's module path or its engine:
-//!
-//! ```compile_fail,E0603
-//! use hm_substrate::par::run_partitioned;
+//! use hm_substrate::executor::TimerWheel;
 //! ```
 
-mod ctx;
 mod executor;
 pub mod explore;
-mod par;
 mod runner;
 pub mod sync;
 
@@ -78,11 +69,9 @@ pub mod sim {
     pub use crate::executor::Sim;
 }
 
-pub use ctx::Ctx;
-pub use executor::{JoinHandle, Sleep};
+pub use executor::{Ctx, JoinHandle, Sleep};
 pub use explore::{Alt, ChoiceSource, Explorer, Schedule};
-pub use par::{ParCtx, Partition, PartitionFuture, PartitionPolicy};
-pub use runner::{Runner, RunnerBuilder};
+pub use runner::{Partition, PartitionFuture, Runner};
 
 /// Virtual time since the executor started.
 ///

@@ -1,6 +1,5 @@
-//! Executable spec for the substrate sync contracts, run both ways a
-//! [`Ctx`] comes to exist: on a bare [`Sim`], and inside a partition of a
-//! two-worker [`Runner::run_partitions`] fan-out.
+//! Executable spec for the substrate sync contracts, run on a [`Sim`]:
+//! the one way a [`Ctx`] comes to exist (a fan-out partition is a `Sim`).
 //!
 //! Randomization is a seeded loop (the workspace vendors no proptest): each
 //! iteration draws its shape — permit counts, waiter counts, hold times —
@@ -30,56 +29,23 @@ use std::time::Duration;
 
 use hm_substrate::sim::Sim;
 use hm_substrate::sync::{Cancelled, Gate, Semaphore, TaskGroup};
-use hm_substrate::{Ctx, PartitionFuture, Runner};
+use hm_substrate::Ctx;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-/// Iterations per property per host.
+/// Iterations per property.
 const ITERS: u64 = 64;
 
 /// Arrival stagger between contending tasks.
 const STAGGER: Duration = Duration::from_millis(2);
 
-/// Where a property body runs.
-#[derive(Clone, Copy, Debug)]
-enum Host {
-    /// On a bare `Sim`.
-    Sim,
-    /// In partition 1 of a two-partition, two-worker fan-out (partition 0
-    /// finishes at once), so on a worker thread the fleet spawned.
-    Partition,
-}
-
-const HOSTS: [Host; 2] = [Host::Sim, Host::Partition];
-
-impl Host {
-    /// Runs `body` to completion on this host at `seed`.
-    fn run<R, Fut>(self, seed: u64, body: impl Fn(Ctx) -> Fut + Send + Sync) -> R
-    where
-        R: Send + 'static,
-        Fut: Future<Output = R> + 'static,
-    {
-        match self {
-            Host::Sim => {
-                let mut sim = Sim::new(seed);
-                sim.block_on(body(sim.ctx()))
-            }
-            Host::Partition => Runner::builder()
-                .seed(seed)
-                .workers(2)
-                .build()
-                .run_partitions(2, |p| -> PartitionFuture<Option<R>> {
-                    if p.index() == 0 {
-                        return Box::pin(async { None });
-                    }
-                    let fut = body(p.ctx());
-                    Box::pin(async move { Some(fut.await) })
-                })
-                .pop()
-                .flatten()
-                .expect("partition 1 ran the body"),
-        }
-    }
+/// Runs `body` to completion on a `Sim` at `seed`.
+fn run<R: 'static, Fut>(seed: u64, body: impl FnOnce(Ctx) -> Fut) -> R
+where
+    Fut: Future<Output = R> + 'static,
+{
+    let mut sim = Sim::new(seed);
+    sim.block_on(body(sim.ctx()))
 }
 
 /// Semaphore FIFO: `n` tasks arrive at distinct instants and contend for
@@ -149,45 +115,40 @@ async fn gate_release_property(ctx: Ctx, n: u32) -> Vec<u32> {
 
 #[test]
 fn semaphore_grants_fifo_on_every_backend() {
-    for host in HOSTS {
-        for iter in 0..ITERS {
-            let mut shape = SmallRng::seed_from_u64(0x5e3a_0000 + iter);
-            let n = shape.random_range(2..10u32);
-            let permits = shape.random_range(1..4usize);
-            let hold = Duration::from_millis(shape.random_range(1..6u64)) * n;
+    for iter in 0..ITERS {
+        let mut shape = SmallRng::seed_from_u64(0x5e3a_0000 + iter);
+        let n = shape.random_range(2..10u32);
+        let permits = shape.random_range(1..4usize);
+        let hold = Duration::from_millis(shape.random_range(1..6u64)) * n;
 
-            let (order, peak) =
-                host.run(iter, |ctx| semaphore_fifo_property(ctx, n, permits, hold));
+        let (order, peak) = run(iter, |ctx| semaphore_fifo_property(ctx, n, permits, hold));
 
-            let expect: Vec<u32> = (0..n).collect();
-            assert_eq!(
-                order, expect,
-                "{host:?}: broke semaphore FIFO (iter {iter}: n={n} permits={permits})"
-            );
-            assert!(
-                peak <= permits,
-                "{host:?}: exceeded the concurrency bound \
-                 (iter {iter}: peak {peak} > permits {permits})"
-            );
-        }
+        let expect: Vec<u32> = (0..n).collect();
+        assert_eq!(
+            order, expect,
+            "broke semaphore FIFO (iter {iter}: n={n} permits={permits})"
+        );
+        assert!(
+            peak <= permits,
+            "exceeded the concurrency bound \
+             (iter {iter}: peak {peak} > permits {permits})"
+        );
     }
 }
 
 #[test]
 fn gate_releases_in_registration_order_on_every_backend() {
-    for host in HOSTS {
-        for iter in 0..ITERS {
-            let mut shape = SmallRng::seed_from_u64(0x6a7e_0000 + iter);
-            let n = shape.random_range(2..12u32);
+    for iter in 0..ITERS {
+        let mut shape = SmallRng::seed_from_u64(0x6a7e_0000 + iter);
+        let n = shape.random_range(2..12u32);
 
-            let order = host.run(iter, |ctx| gate_release_property(ctx, n));
+        let order = run(iter, |ctx| gate_release_property(ctx, n));
 
-            let expect: Vec<u32> = (0..n).collect();
-            assert_eq!(
-                order, expect,
-                "{host:?}: broke gate registration-order release (iter {iter}: n={n})"
-            );
-        }
+        let expect: Vec<u32> = (0..n).collect();
+        assert_eq!(
+            order, expect,
+            "broke gate registration-order release (iter {iter}: n={n})"
+        );
     }
 }
 
@@ -415,73 +376,55 @@ async fn waker_identity_property(ctx: Ctx) -> (bool, bool) {
 #[test]
 fn wait_lists_hold_one_registration_per_live_waiter_on_every_backend() {
     const MANY: u32 = 10_000;
-    for host in HOSTS {
-        let (peak, left) = host.run(1, |_| one_member_many_polls_property(MANY));
-        assert_eq!((peak, left), (1, 0), "{host:?}: one member, {MANY} polls");
+    let (peak, left) = run(1, |_| one_member_many_polls_property(MANY));
+    assert_eq!((peak, left), (1, 0), "one member, {MANY} polls");
 
-        let (peak, left) = host.run(2, |ctx| completed_members_property(ctx, MANY));
-        assert!(peak <= MANY as usize, "{host:?}: peak {peak} registrations");
-        assert_eq!(
-            left, 0,
-            "{host:?}: {MANY} completed members left registrations"
-        );
+    let (peak, left) = run(2, |ctx| completed_members_property(ctx, MANY));
+    assert!(peak <= MANY as usize, "peak {peak} registrations");
+    assert_eq!(left, 0, "{MANY} completed members left registrations");
 
-        let counts = host.run(3, |_| dropped_waiters_property());
-        assert_eq!(
-            counts,
-            [(1, 0); 3],
-            "{host:?}: (parked, after drop) per waiter kind"
-        );
-    }
+    let counts = run(3, |_| dropped_waiters_property());
+    assert_eq!(counts, [(1, 0); 3], "(parked, after drop) per waiter kind");
 }
 
 #[test]
 fn cancel_resumes_live_members_in_registration_order_on_every_backend() {
-    for host in HOSTS {
-        for iter in 0..ITERS {
-            let mut shape = SmallRng::seed_from_u64(0x7a5c_0000 + iter);
-            let roles: [Vec<Role>; 2] = std::array::from_fn(|_| {
-                let n = shape.random_range(2..10u32);
-                (0..n)
-                    .map(|_| match shape.random_range(0..4u32) {
-                        0 => Role::Finishes,
-                        1 => Role::Repolled,
-                        _ => Role::Parked,
-                    })
-                    .collect()
-            });
+    for iter in 0..ITERS {
+        let mut shape = SmallRng::seed_from_u64(0x7a5c_0000 + iter);
+        let roles: [Vec<Role>; 2] = std::array::from_fn(|_| {
+            let n = shape.random_range(2..10u32);
+            (0..n)
+                .map(|_| match shape.random_range(0..4u32) {
+                    0 => Role::Finishes,
+                    1 => Role::Repolled,
+                    _ => Role::Parked,
+                })
+                .collect()
+        });
 
-            let rounds = host.run(iter, |ctx| cancel_order_property(ctx, roles.clone()));
-            for (round, (got, expect)) in rounds.into_iter().enumerate() {
-                assert_eq!(
-                    got, expect,
-                    "{host:?}: broke cancel order (iter {iter} round {round}: {:?})",
-                    roles[round]
-                );
-            }
+        let rounds = run(iter, |ctx| cancel_order_property(ctx, roles.clone()));
+        for (round, (got, expect)) in rounds.into_iter().enumerate() {
+            assert_eq!(
+                got, expect,
+                "broke cancel order (iter {iter} round {round}: {:?})",
+                roles[round]
+            );
         }
     }
 }
 
 #[test]
 fn reset_hides_an_unobserved_cancel_on_every_backend() {
-    for host in HOSTS {
-        let (repolled, out) = host.run(0, cancel_then_reset_property);
-        assert!(repolled, "{host:?}: cancel must wake the parked member");
-        assert_eq!(out, Err(Cancelled), "{host:?}: the second cancel lands");
-    }
+    let (repolled, out) = run(0, cancel_then_reset_property);
+    assert!(repolled, "cancel must wake the parked member");
+    assert_eq!(out, Err(Cancelled), "the second cancel lands");
 }
 
 #[test]
 fn a_waker_matches_its_own_clone_only_on_every_backend() {
-    for host in HOSTS {
-        let (own, other) = host.run(0, waker_identity_property);
-        assert!(own, "{host:?}: a task's waker must will_wake its own clone");
-        assert!(
-            !other,
-            "{host:?}: a task's waker must not will_wake another task's"
-        );
-    }
+    let (own, other) = run(0, waker_identity_property);
+    assert!(own, "a task's waker must will_wake its own clone");
+    assert!(!other, "a task's waker must not will_wake another task's");
 }
 
 /// Waker that logs its id when woken.

@@ -166,15 +166,6 @@ impl Default for SyntheticOps {
     }
 }
 
-impl SyntheticOps {
-    /// Same workload with a different read ratio.
-    #[must_use]
-    pub fn with_read_ratio(mut self, read_ratio: f64) -> SyntheticOps {
-        self.read_ratio = read_ratio;
-        self
-    }
-}
-
 impl Workload for SyntheticOps {
     fn name(&self) -> &'static str {
         "synthetic-ops"

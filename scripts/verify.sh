@@ -21,8 +21,10 @@
 # expected to drift; simulated work is not).
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).
-# Core scaling: the full-scale run's parallel_scaling sweep must show a
-# ≥2x speedup at 4 workers — asserted only when the host has ≥4 cores.
+# Core scaling: the full-scale run's parallel_scaling sweep must show 4
+# workers ≥2x faster than one on a host with ≥4 cores and ≥1.3x on one
+# with 2 or 3 (the fan-out uses at most one thread per core); nothing is
+# asserted on a single core.
 # Model-check smoke: the explore driver's --assert mode re-checks the
 # documented §4.4 claims — fault-tolerant protocols pass every
 # interleaving exhaustively, the unsafe baseline yields a replayable
@@ -120,18 +122,20 @@ cores = ps["cores"]
 speed = ps["speedup_4w"]
 walls = {w: ps[f"workers_{w}_wall_ms"] for w in (1, 2, 4, 8)}
 line = ", ".join(f"{w}w {ms:.1f} ms" for w, ms in walls.items())
-if cores >= 4:
-    # The partitions free-run under a wide lookahead, so with real cores
-    # to spread over, 4 workers must cut the 1-worker wall time in half.
-    assert speed >= 2.0, (
+if cores >= 2:
+    # The partitions are independent Sims, so with real cores to spread
+    # over, 4 workers must cut the 1-worker wall time: in half on 4 cores,
+    # by the second core's worth on 2 or 3.
+    floor = 2.0 if cores >= 4 else 1.3
+    assert speed >= floor, (
         f"core scaling REGRESSION: {speed:.2f}x speedup at 4 workers "
-        f"on a {cores}-core host (expected >= 2x): {line}")
+        f"on a {cores}-core host (expected >= {floor}x): {line}")
     print(f"core scaling ok ({cores} cores): {speed:.2f}x at 4 workers; {line}")
 else:
-    # Single/dual-core host: the sweep measures threading overhead, not
-    # speedup; determinism across worker counts is still asserted by the
-    # bench itself and by tests/determinism.rs.
-    print(f"core scaling recorded ({cores} cores, speedup not asserted): "
+    # Single-core host: every row is the sequential run; determinism
+    # across worker counts is still asserted by the bench itself and by
+    # tests/determinism.rs.
+    print(f"core scaling recorded ({cores} core, speedup not asserted): "
           f"{speed:.2f}x at 4 workers; {line}")
 EOF
 

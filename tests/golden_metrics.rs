@@ -25,7 +25,7 @@ use hm_common::latency::LatencyModel;
 use hm_common::metrics::{Histogram, OpCounters};
 use hm_common::{NodeId, SeqNum, Tag};
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
-use hm_sharedlog::{CondAppendOutcome, LogConfig, SharedLog};
+use hm_sharedlog::{CondAppendOutcome, LogConfig, LogService};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
@@ -78,8 +78,8 @@ fn scenario_log_micro() -> String {
 
 fn scenario_log_micro_with(config: LogConfig) -> String {
     let mut sim = Sim::new(0x601d_0001);
-    let log: SharedLog<u64> =
-        SharedLog::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+    let log: LogService<u64> =
+        LogService::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
     let l = log.clone();
     sim.block_on(async move {
         let tags: Vec<Tag> = (0..16)
