@@ -294,7 +294,6 @@ impl ClientBuilder {
                 batch_max_records: self.batch_max_records,
                 batch_max_delay: self.batch_max_delay,
                 sequencer_capacity: self.sequencer_capacity,
-                ..LogConfig::default()
             },
         );
         let store = KvStore::new(self.ctx.clone(), self.model);

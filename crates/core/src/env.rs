@@ -1,18 +1,35 @@
 //! The SSF execution environment: Figure 5's `env`.
 //!
 //! An [`Env`] is created per execution attempt of an SSF instance group. It
-//! carries the paper's per-SSF state — the cursor timestamp, the step
-//! counter, the prefetched step log (`env.stepLogs`), the consecutive-write
-//! counter — plus the replay machinery that makes re-execution and peer
-//! races safe:
+//! carries the paper's per-SSF state: the cursor timestamp, the step
+//! counter, the prefetched step log (`env.stepLogs`) and the
+//! consecutive-write counter.
 //!
-//! - **Replay**: at init, the whole step-log stream is fetched; each logged
-//!   operation first tries to consume the next prior record (skipping
-//!   completed work), and only appends when it runs past the recorded
-//!   history.
-//! - **Peer conflicts (§5.1)**: all appends are conditional on the record's
-//!   offset in the step log. A losing instance adopts the winner's record —
-//!   value, seqnum and all — so every peer proceeds with identical state.
+//! Every logged operation is one call of `Env::step`, which is Figure 5
+//! lines 16–25 (and Figure 7 lines 10–17, and §5.1) said once:
+//!
+//! - **Replay** (Fig. 5 lines 16–18, Fig. 7 lines 10–12): if the step log
+//!   fetched at init holds a record at this offset, that record *is* the
+//!   step and nothing else runs.
+//! - **Log** (Fig. 5 lines 19–25, Fig. 7 lines 13–17): otherwise the op's
+//!   `fresh` closure performs the store effects and crash points, and the
+//!   record it returns is `logCondAppend`ed at this offset.
+//! - **Peer conflicts (§5.1)**: an instance that loses the conditional
+//!   append adopts the winner's record, value and seqnum and all, so every
+//!   peer proceeds with identical state.
+//!
+//! Each op passes the record variant it expects, a `pick` that borrows the
+//! record for the fields the op needs, and its `fresh` closure; what
+//! follows the call is the op's one result-and-event tail, shared by all
+//! three cases. A record of another variant means the body is not
+//! deterministic (§2) and is an error everywhere, `init` included.
+//!
+//! | op | figure | `fresh` | tail |
+//! |----|--------|---------|------|
+//! | `init` | Fig. 5 lines 7–10 | offers the caller's input | adopts the logged input |
+//! | Halfmoon-read write | Fig. 5 lines 13–25 | intent: draws the version (§4.1); commit: `DBWrite` (line 21), then the record of line 22 | the write's event at the commit seqnum |
+//! | Halfmoon-write / Boki read | Fig. 7 lines 7–18 | reads LATEST (line 13), then the record of lines 14–17 | returns the logged value |
+//! | `invoke` | Fig. 5 lines 31–44 | runs the child, then the record of lines 41–44 | returns the logged result |
 //!
 //! The public operations ([`Env::read`], [`Env::write`], [`Env::invoke`],
 //! [`Env::sync`]) dispatch to the protocol resolved for the target object:
@@ -173,6 +190,17 @@ fn op_phase(name: &str) -> Phase {
     }
 }
 
+/// What one [`Env::step`] resolved to.
+pub(crate) struct Step<T> {
+    /// What the op's `pick` read out of the record.
+    pub value: T,
+    /// The record's seqnum; the cursor now stands here.
+    pub seqnum: SeqNum,
+    /// True when the record came from the step log fetched at init, false
+    /// when this call appended it (or adopted the peer's that beat it).
+    pub replayed: bool,
+}
+
 impl Env {
     /// Initializes an execution attempt: fetches the step log and appends
     /// (or replays) the init record — Figure 5's `Init`.
@@ -240,28 +268,26 @@ impl Env {
             client.note_recovery(replay);
         }
         env.maybe_crash().inspect_err(|_| env.op_end())?;
-        match env.peek_prior() {
-            Some(rec) => {
-                debug_assert!(matches!(rec.payload.op, OpRecord::Init { .. }));
-                let rec = env.replay_next().expect("peeked record vanished");
-                if let OpRecord::Init { input } = &rec.payload.op {
-                    env.input = input.clone();
-                }
-                env.init_cursor = rec.seqnum;
-            }
-            None => {
-                let input = env.input.clone();
-                let rec = env
-                    .log_step(&[init_log_tag()], OpRecord::Init { input })
-                    .await
-                    .inspect_err(|_| env.op_end())?;
-                if let OpRecord::Init { input } = &rec.payload.op {
-                    // A racing peer's init may have won with its input.
-                    env.input = input.clone();
-                }
-                env.init_cursor = rec.seqnum;
-            }
-        }
+        // Figure 5 lines 7–10. The logged input is the authoritative one:
+        // an earlier attempt's, or that of a racing peer whose init won.
+        let first = env
+            .step(
+                "Init",
+                [init_log_tag()],
+                |op| match op {
+                    OpRecord::Init { input } => Some(input.clone()),
+                    _ => None,
+                },
+                async |env: &mut Env| {
+                    Ok(OpRecord::Init {
+                        input: env.input.clone(),
+                    })
+                },
+            )
+            .await
+            .inspect_err(|_| env.op_end())?;
+        env.input = first.value;
+        env.init_cursor = first.seqnum;
         env.op_end();
         Ok(env)
     }
@@ -291,78 +317,83 @@ impl Env {
     }
 
     // ------------------------------------------------------------------
-    // Replay machinery
+    // The replay-or-log step
     // ------------------------------------------------------------------
 
-    /// The prior record at the current replay position, if any.
-    pub(crate) fn peek_prior(&self) -> Option<&LogRecord<StepRecord>> {
-        self.prior.get(self.pos)
-    }
-
-    /// Consumes the prior record at the current position, advancing the
-    /// step, position, and cursor.
-    pub(crate) fn replay_next(&mut self) -> Option<LogRecord<StepRecord>> {
-        let rec = self.prior.get(self.pos)?.clone();
-        self.pos += 1;
-        self.step = self.step.next();
-        self.cursor = rec.seqnum;
-        self.consecutive_w = 0;
-        self.last_write_key = None;
-        Some(rec)
-    }
-
-    /// Appends a step record via conditional append at the current offset;
-    /// on conflict, adopts the winning peer's record (§5.1). Advances step,
-    /// position, and cursor to the (possibly adopted) record.
-    pub(crate) async fn log_step(
+    /// One logged step: replay, log, or adopt the peer's record that won
+    /// (Figure 5 lines 16–25, Figure 7 lines 10–17, §5.1; see the module
+    /// docs).
+    ///
+    /// `pick` reads what the caller needs out of whichever record the step
+    /// resolved to; `None` means the record is not the `want` variant.
+    /// `fresh` runs only when there is no prior record, so the store
+    /// effects and crash points inside it are skipped on replay.
+    /// `extra_tags` (beside the step-log tag) are read only when appending.
+    ///
+    /// This is the only code that reads `prior`, appends to the step log,
+    /// or moves `pos` / `step` / `cursor`.
+    pub(crate) async fn step<T>(
         &mut self,
-        extra_tags: &[Tag],
-        op: OpRecord,
-    ) -> HmResult<LogRecord<StepRecord>> {
-        let step_tag = self.id.step_log_tag();
-        let rec = StepRecord {
-            instance: self.id,
-            step: self.step,
-            op,
-        };
-        let tags: TagSet = std::iter::once(step_tag)
-            .chain(extra_tags.iter().copied())
-            .collect();
-        let outcome = self
-            .log()
-            .cond_append(self.node, tags, rec, step_tag, self.pos)
-            .await;
-        let record = match outcome {
-            CondAppendOutcome::Appended(sn) => self
-                .client
+        want: &str,
+        extra_tags: impl IntoIterator<Item = Tag>,
+        pick: impl FnOnce(&OpRecord) -> Option<T>,
+        fresh: impl AsyncFnOnce(&mut Env) -> HmResult<OpRecord>,
+    ) -> HmResult<Step<T>> {
+        let appended;
+        let (record, replayed) = if let Some(prior) = self.prior.get(self.pos) {
+            // Fig. 5 lines 16–18 / Fig. 7 lines 10–12: already logged.
+            (prior, true)
+        } else {
+            // Fig. 5 lines 19–25 / Fig. 7 lines 13–17: the effect, then
+            // `logCondAppend` at our offset in the step log.
+            let op = fresh(self).await?;
+            let step_tag = self.id.step_log_tag();
+            let tags: TagSet = std::iter::once(step_tag).chain(extra_tags).collect();
+            let rec = StepRecord {
+                instance: self.id,
+                step: self.step,
+                op,
+            };
+            let outcome = self
                 .log()
-                .peek_record(sn)
-                .ok_or_else(|| HmError::config("appended record missing from log"))?,
-            CondAppendOutcome::Conflict(winner) => {
+                .cond_append(self.node, tags, rec, step_tag, self.pos)
+                .await;
+            appended = match outcome {
+                CondAppendOutcome::Appended(sn) => self
+                    .client
+                    .log()
+                    .peek_record(sn)
+                    .ok_or_else(|| HmError::config("appended record missing from log"))?,
                 // Adopt the peer's record at our expected offset.
-                self.log()
+                CondAppendOutcome::Conflict(winner) => self
+                    .log()
                     .read_next(self.node, step_tag, winner)
                     .await
-                    .ok_or_else(|| HmError::config("conflict winner record missing"))?
-            }
+                    .ok_or_else(|| HmError::config("conflict winner record missing"))?,
+            };
+            debug_assert_eq!(appended.payload.instance, self.id);
+            (&appended, false)
         };
-        debug_assert_eq!(record.payload.instance, self.id);
+        // A structural mismatch between the function body and its own log
+        // is only possible if the body is non-deterministic, which the
+        // protocols (and the paper, §2) require it not to be.
+        let value = pick(&record.payload.op).ok_or_else(|| {
+            HmError::config(format!(
+                "non-deterministic SSF body: expected {want} at step {:?} of {:?}, found {:?}",
+                self.step, self.id, record.payload.op
+            ))
+        })?;
+        let seqnum = record.seqnum;
         self.pos += 1;
         self.step = self.step.next();
-        self.cursor = record.seqnum;
+        self.cursor = seqnum;
         self.consecutive_w = 0;
         self.last_write_key = None;
-        Ok(record)
-    }
-
-    /// A structural mismatch between the function body and its own log —
-    /// only possible if the body is non-deterministic, which the protocols
-    /// (and the paper, §2) require it not to be.
-    pub(crate) fn replay_mismatch(&self, expected: &str, got: &StepRecord) -> HmError {
-        HmError::config(format!(
-            "non-deterministic SSF body: expected {expected} at step {:?} of {:?}, found {:?}",
-            self.step, self.id, got.op
-        ))
+        Ok(Step {
+            value,
+            seqnum,
+            replayed,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -545,9 +576,16 @@ impl Env {
         }
         match self.resolve(key).await? {
             ObjectMode::Plain(ProtocolKind::HalfmoonRead) => self.hmread_read(key).await,
-            ObjectMode::Plain(ProtocolKind::HalfmoonWrite) => self.hmwrite_read(key).await,
-            ObjectMode::Plain(ProtocolKind::Boki) => self.boki_read(key).await,
-            ObjectMode::Plain(ProtocolKind::Unsafe) => self.unsafe_read(key).await,
+            // Symmetric protocols log reads exactly like Halfmoon-write
+            // does; one implementation keeps the comparison honest.
+            ObjectMode::Plain(ProtocolKind::HalfmoonWrite | ProtocolKind::Boki)
+            | ObjectMode::Draining {
+                to: ProtocolKind::Boki,
+            } => self.hmwrite_read(key).await,
+            ObjectMode::Plain(ProtocolKind::Unsafe)
+            | ObjectMode::Draining {
+                to: ProtocolKind::Unsafe,
+            } => self.unsafe_read(key).await,
             // During the switch, reads are logged dual reads (§5.2) — and
             // also throughout the draining window: toward Halfmoon-read
             // because transitional writers may still mutate LATEST rows,
@@ -555,17 +593,8 @@ impl Env {
             // reconciled with the multi-version state in the background.
             ObjectMode::Transitional { .. }
             | ObjectMode::Draining {
-                to: ProtocolKind::HalfmoonRead,
-            }
-            | ObjectMode::Draining {
-                to: ProtocolKind::HalfmoonWrite,
+                to: ProtocolKind::HalfmoonRead | ProtocolKind::HalfmoonWrite,
             } => self.dual_read(key).await,
-            ObjectMode::Draining {
-                to: ProtocolKind::Boki,
-            } => self.boki_read(key).await,
-            ObjectMode::Draining {
-                to: ProtocolKind::Unsafe,
-            } => self.unsafe_read(key).await,
         }
     }
 
@@ -592,27 +621,18 @@ impl Env {
                 "attempted write to read-only key {key:?}"
             )));
         }
-        match self.resolve(key).await? {
-            ObjectMode::Plain(ProtocolKind::HalfmoonRead) => self.hmread_write(key, value).await,
-            ObjectMode::Plain(ProtocolKind::HalfmoonWrite) => self.hmwrite_write(key, value).await,
-            ObjectMode::Plain(ProtocolKind::Boki) => self.boki_write(key, value).await,
-            ObjectMode::Plain(ProtocolKind::Unsafe) => self.unsafe_write(key, value).await,
-            ObjectMode::Transitional { .. } => self.dual_write(key, value).await,
+        let protocol = match self.resolve(key).await? {
+            ObjectMode::Transitional { .. } => return self.dual_write(key, value).await,
             // Draining: old-protocol SSFs are gone, so plain target writes
             // are safe (HM-read writes never touch LATEST; HM-write writes
             // are ordered against transitional writers by version tuples).
-            ObjectMode::Draining {
-                to: ProtocolKind::HalfmoonRead,
-            } => self.hmread_write(key, value).await,
-            ObjectMode::Draining {
-                to: ProtocolKind::HalfmoonWrite,
-            } => self.hmwrite_write(key, value).await,
-            ObjectMode::Draining {
-                to: ProtocolKind::Boki,
-            } => self.boki_write(key, value).await,
-            ObjectMode::Draining {
-                to: ProtocolKind::Unsafe,
-            } => self.unsafe_write(key, value).await,
+            ObjectMode::Plain(protocol) | ObjectMode::Draining { to: protocol } => protocol,
+        };
+        match protocol {
+            ProtocolKind::HalfmoonRead => self.hmread_write(key, value).await,
+            ProtocolKind::HalfmoonWrite => self.hmwrite_write(key, value).await,
+            ProtocolKind::Boki => self.boki_write(key, value).await,
+            ProtocolKind::Unsafe => self.unsafe_write(key, value).await,
         }
     }
 
@@ -698,37 +718,31 @@ impl Env {
             });
             return Ok(result);
         }
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::Invoke { callee, result } => {
-                    self.replay_next();
-                    self.record_event(|| EventKind::Invoke {
-                        callee,
-                        fp: result.fingerprint(),
-                    });
-                    Ok(result)
-                }
-                _ => Err(self.replay_mismatch("Invoke", &payload)),
-            };
-        }
-        // Deterministic callee id: a pure function of our id and step
-        // (Figure 5's getUUID; see DESIGN.md on this choice).
-        let callee = self.id.child(self.step);
-        let invoker = self
-            .client
-            .invoker()
-            .ok_or_else(|| HmError::config("no invoker registered"))?;
-        self.maybe_crash()?;
-        self.hand_off_to(callee);
-        let result = invoker.invoke(callee, func, input).await?;
-        self.maybe_crash()?;
-        let rec = self
-            .log_step(&[], OpRecord::Invoke { callee, result })
+        let step = self
+            .step(
+                "Invoke",
+                [],
+                |op| match op {
+                    OpRecord::Invoke { callee, result } => Some((*callee, result.clone())),
+                    _ => None,
+                },
+                async |env: &mut Env| {
+                    // Deterministic callee id: a pure function of our id and
+                    // step (Figure 5's getUUID; see DESIGN.md on this choice).
+                    let callee = env.id.child(env.step);
+                    let invoker = env
+                        .client
+                        .invoker()
+                        .ok_or_else(|| HmError::config("no invoker registered"))?;
+                    env.maybe_crash()?;
+                    env.hand_off_to(callee);
+                    let result = invoker.invoke(callee, func, input).await?;
+                    env.maybe_crash()?;
+                    Ok(OpRecord::Invoke { callee, result })
+                },
+            )
             .await?;
-        let OpRecord::Invoke { callee, result } = rec.payload.op.clone() else {
-            return Err(self.replay_mismatch("Invoke", &rec.payload));
-        };
+        let (callee, result) = step.value;
         self.record_event(|| EventKind::Invoke {
             callee,
             fp: result.fingerprint(),
@@ -746,25 +760,20 @@ impl Env {
             return Ok(());
         }
         self.op_begin("sync", String::new);
-        let result = self.sync_inner().await;
+        let result = self
+            .step(
+                "Sync",
+                [],
+                |op| matches!(op, OpRecord::Sync).then_some(()),
+                async |env: &mut Env| {
+                    env.maybe_crash()?;
+                    Ok(OpRecord::Sync)
+                },
+            )
+            .await
+            .map(|_| ());
         self.op_end();
         result
-    }
-
-    async fn sync_inner(&mut self) -> HmResult<()> {
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::Sync => {
-                    self.replay_next();
-                    Ok(())
-                }
-                _ => Err(self.replay_mismatch("Sync", &payload)),
-            };
-        }
-        self.maybe_crash()?;
-        self.log_step(&[], OpRecord::Sync).await?;
-        Ok(())
     }
 
     /// Completes the SSF: appends (or replays) the finish record carrying
@@ -779,39 +788,29 @@ impl Env {
             return Ok(result);
         }
         self.op_begin("finish", String::new);
-        let out = self.finish_inner(result).await;
+        let out = self
+            .step(
+                "Finish",
+                [finish_log_tag()],
+                |op| match op {
+                    OpRecord::Finish { result, .. } => Some(result.clone()),
+                    _ => None,
+                },
+                async |env: &mut Env| {
+                    env.maybe_crash()?;
+                    Ok(OpRecord::Finish {
+                        init_seqnum: env.init_cursor,
+                        result,
+                    })
+                },
+            )
+            .await
+            .map(|step| step.value);
         self.op_end();
         if out.is_ok() {
             self.end_attempt();
         }
         out
-    }
-
-    async fn finish_inner(&mut self, result: Value) -> HmResult<Value> {
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::Finish { result, .. } => {
-                    self.replay_next();
-                    Ok(result)
-                }
-                _ => Err(self.replay_mismatch("Finish", &payload)),
-            };
-        }
-        self.maybe_crash()?;
-        let rec = self
-            .log_step(
-                &[finish_log_tag()],
-                OpRecord::Finish {
-                    init_seqnum: self.init_cursor,
-                    result,
-                },
-            )
-            .await?;
-        match rec.payload.op.clone() {
-            OpRecord::Finish { result, .. } => Ok(result),
-            _ => Err(self.replay_mismatch("Finish", &rec.payload)),
-        }
     }
 
     /// Spends a sample of pure compute time (function work between state

@@ -17,15 +17,8 @@ use crate::history::EventKind;
 use crate::record::OpRecord;
 
 impl Env {
-    /// Boki read: raw read + one log append carrying the observed value.
-    /// Structurally identical to Halfmoon-write's logged read.
-    pub(crate) async fn boki_read(&mut self, key: &Key) -> HmResult<Value> {
-        // Symmetric protocols log reads exactly like Halfmoon-write does;
-        // reusing the implementation keeps the comparison honest.
-        self.hmwrite_read(key).await
-    }
-
-    /// Boki write: intent log → conditional update → commit log.
+    /// Boki write: intent log → conditional update → commit log. (A Boki
+    /// read is Halfmoon-write's logged read, `hmwrite_read`.)
     ///
     /// The write's version tuple is derived from the intent record's
     /// seqnum, which makes retries idempotent (same intent record ⇒ same
@@ -33,54 +26,37 @@ impl Env {
     /// writes by their logging order.
     pub(crate) async fn boki_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.maybe_crash()?;
-        // Phase 1 — intent.
-        let intent_seqnum = if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            match payload.op {
-                OpRecord::BokiWriteIntent { .. } => {
-                    let rec = self.replay_next().expect("peeked record vanished");
-                    rec.seqnum
-                }
-                _ => return Err(self.replay_mismatch("BokiWriteIntent", &payload)),
-            }
-        } else {
-            let rec = self
-                .log_step(
-                    &[],
-                    OpRecord::BokiWriteIntent {
+        let intent = self
+            .step(
+                "BokiWriteIntent",
+                [],
+                |op| matches!(op, OpRecord::BokiWriteIntent { .. }).then_some(()),
+                async |_: &mut Env| {
+                    Ok(OpRecord::BokiWriteIntent {
                         version: VersionTuple::MIN,
-                    },
-                )
-                .await?;
-            rec.seqnum
-        };
-        let version = VersionTuple::new(intent_seqnum, 0);
-        // Phase 2 — committed already?
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::BokiWriteCommit => {
-                    self.replay_next();
-                    self.record_event(|| EventKind::CondWrite {
-                        key: key.clone(),
-                        fp: value.fingerprint(),
-                        version,
-                        // The earlier attempt performed the update; this
-                        // replay has no store effect.
-                        applied: false,
-                    });
-                    Ok(())
-                }
-                _ => Err(self.replay_mismatch("BokiWriteCommit", &payload)),
-            };
-        }
-        self.maybe_crash()?;
-        let applied = self
-            .store()
-            .put_conditional(key, value.clone(), version)
-            .await;
-        self.maybe_crash()?;
-        self.log_step(&[], OpRecord::BokiWriteCommit).await?;
+                    })
+                },
+            )
+            .await?;
+        let version = VersionTuple::new(intent.seqnum, 0);
+        // Stays false when the commit is replayed: the earlier attempt
+        // performed the update, and this one has no store effect.
+        let mut applied = false;
+        self.step(
+            "BokiWriteCommit",
+            [],
+            |op| matches!(op, OpRecord::BokiWriteCommit).then_some(()),
+            async |env: &mut Env| {
+                env.maybe_crash()?;
+                applied = env
+                    .store()
+                    .put_conditional(key, value.clone(), version)
+                    .await;
+                env.maybe_crash()?;
+                Ok(OpRecord::BokiWriteCommit)
+            },
+        )
+        .await?;
         self.record_event(|| EventKind::CondWrite {
             key: key.clone(),
             fp: value.fingerprint(),

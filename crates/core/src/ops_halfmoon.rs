@@ -1,9 +1,10 @@
 //! The two Halfmoon protocols (§4.1, §4.2).
 //!
 //! These follow the paper's Figures 5 and 7 closely; comments map lines of
-//! pseudocode to code. Both reuse the shared replay machinery in
-//! [`crate::env::Env`], which implements the step-log skip logic and the
-//! §5.1 peer-conflict resolution via conditional appends.
+//! pseudocode to code. Every logged step goes through `Env::step`, which
+//! implements the step-log skip logic and the §5.1 peer-conflict resolution
+//! via conditional appends; what an op writes itself is the effect that
+//! runs when there is nothing to replay, and the tail that follows.
 
 use hm_common::{HmResult, Key, Value, VersionNum, VersionTuple};
 use rand::RngExt;
@@ -66,75 +67,80 @@ impl Env {
     /// write log.
     pub(crate) async fn hmread_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.maybe_crash()?;
-        if self.client().with_config(|c| c.deterministic_versions) {
+        let version = if self.client().with_config(|c| c.deterministic_versions) {
             // §4.1's first variant: the version number is a pure function
-            // of (instanceID, step), so no intent record is needed — one
-            // log append per write instead of two. See the `ablations`
-            // bench for the measured saving.
-            return self.hmread_write_deterministic(key, value).await;
-        }
-        // Phase 1 — version intent (replay: lines 16–18).
-        let version = if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            match payload.op {
-                OpRecord::WriteIntent { version } => {
-                    self.replay_next();
-                    version
-                }
-                _ => return Err(self.replay_mismatch("WriteIntent", &payload)),
-            }
+            // of (instanceID, step) ("simply concatenating the unique and
+            // deterministic InstanceID and the current step number"), so no
+            // intent record is needed — one log append per write instead of
+            // two. See the `ablations` bench for the measured saving.
+            let mut bytes = [0u8; 20];
+            bytes[..16].copy_from_slice(&self.id.0.to_le_bytes());
+            bytes[16..].copy_from_slice(&self.step.0.to_le_bytes());
+            VersionNum(hm_common::ids::fnv1a(&bytes))
         } else {
-            let fresh = VersionNum(self.client().ctx().with_rng(|rng| rng.random::<u64>()));
-            let rec = self
-                .log_step(&[], OpRecord::WriteIntent { version: fresh })
-                .await?;
-            match rec.payload.op {
-                // On a peer conflict this is the *winner's* version.
-                OpRecord::WriteIntent { version } => version,
-                _ => return Err(self.replay_mismatch("WriteIntent", &rec.payload)),
-            }
+            self.write_intent().await?
         };
-        // Phase 2 — if the commit record exists, the write fully completed
-        // in a previous attempt (or a peer finished it): skip.
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::WriteCommit { version: v, .. } => {
-                    let rec = self.replay_next().expect("peeked record vanished");
-                    debug_assert_eq!(v, version);
-                    self.record_event(|| EventKind::VersionedWrite {
+        // If the commit record exists, the write fully completed in a
+        // previous attempt (or a peer finished it): `fresh` is skipped.
+        let commit = self
+            .step(
+                "WriteCommit",
+                [key.object_log_tag()],
+                |op| match op {
+                    OpRecord::WriteCommit { version, .. } => Some(*version),
+                    _ => None,
+                },
+                async |env: &mut Env| {
+                    env.maybe_crash()?;
+                    // DBWrite (line 21): multi-version put under the fixed
+                    // version number. Idempotent — a crash retry rewrites
+                    // identical content.
+                    env.store().put_version(key, version, value.clone()).await;
+                    env.maybe_crash()?;
+                    // Commit (line 22): tagged with the step log *and* the
+                    // object's write log; its seqnum is the write's logical
+                    // timestamp.
+                    Ok(OpRecord::WriteCommit {
                         key: key.clone(),
-                        fp: value.fingerprint(),
-                        commit: rec.seqnum,
-                    });
-                    Ok(())
-                }
-                _ => Err(self.replay_mismatch("WriteCommit", &payload)),
-            };
-        }
-        self.maybe_crash()?;
-        // DBWrite (line 21): multi-version put under the fixed version
-        // number. Idempotent — a crash retry rewrites identical content.
-        self.store().put_version(key, version, value.clone()).await;
-        self.maybe_crash()?;
-        // Commit (line 22): tagged with the step log *and* the object's
-        // write log; its seqnum is the write's logical timestamp.
-        let rec = self
-            .log_step(
-                &[key.object_log_tag()],
-                OpRecord::WriteCommit {
-                    key: key.clone(),
-                    version,
+                        version,
+                    })
                 },
             )
             .await?;
-        self.client().note_written_key(key);
+        debug_assert_eq!(commit.value, version);
+        if !commit.replayed {
+            self.client().note_written_key(key);
+        }
         self.record_event(|| EventKind::VersionedWrite {
             key: key.clone(),
             fp: value.fingerprint(),
-            commit: rec.seqnum,
+            commit: commit.seqnum,
         });
         Ok(())
+    }
+
+    /// The version intent of a double-logged write (Halfmoon-read's and
+    /// the transitional dual write's): draws a random version number and
+    /// logs it before `DBWrite`, so every retry and peer writes under the
+    /// same one. On a peer conflict this is the *winner's* version.
+    pub(crate) async fn write_intent(&mut self) -> HmResult<VersionNum> {
+        let intent = self
+            .step(
+                "WriteIntent",
+                [],
+                |op| match op {
+                    OpRecord::WriteIntent { version } => Some(*version),
+                    _ => None,
+                },
+                async |env: &mut Env| {
+                    let version = env.client().ctx().with_rng(|rng| rng.random::<u64>());
+                    Ok(OpRecord::WriteIntent {
+                        version: VersionNum(version),
+                    })
+                },
+            )
+            .await?;
+        Ok(intent.value)
     }
 
     /// Consistent multi-key snapshot read (§4.1 Remark): table-level
@@ -174,55 +180,6 @@ impl Env {
         Ok(out)
     }
 
-    /// Single-log Halfmoon-read write: the version number is derived from
-    /// `(instanceID, step)` ("simply concatenating the unique and
-    /// deterministic InstanceID and the current step number", §4.1), so
-    /// only the commit record is appended.
-    async fn hmread_write_deterministic(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        let version = VersionNum(hm_common::ids::fnv1a(&{
-            let mut bytes = [0u8; 20];
-            bytes[..16].copy_from_slice(&self.id.0.to_le_bytes());
-            bytes[16..].copy_from_slice(&self.step.0.to_le_bytes());
-            bytes
-        }));
-        // Committed already?
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::WriteCommit { version: v, .. } => {
-                    let rec = self.replay_next().expect("peeked record vanished");
-                    debug_assert_eq!(v, version);
-                    self.record_event(|| EventKind::VersionedWrite {
-                        key: key.clone(),
-                        fp: value.fingerprint(),
-                        commit: rec.seqnum,
-                    });
-                    Ok(())
-                }
-                _ => Err(self.replay_mismatch("WriteCommit", &payload)),
-            };
-        }
-        self.maybe_crash()?;
-        self.store().put_version(key, version, value.clone()).await;
-        self.maybe_crash()?;
-        let rec = self
-            .log_step(
-                &[key.object_log_tag()],
-                OpRecord::WriteCommit {
-                    key: key.clone(),
-                    version,
-                },
-            )
-            .await?;
-        self.client().note_written_key(key);
-        self.record_event(|| EventKind::VersionedWrite {
-            key: key.clone(),
-            fp: value.fingerprint(),
-            commit: rec.seqnum,
-        });
-        Ok(())
-    }
-
     // ==================================================================
     // Halfmoon-write (Figure 7): logged reads, log-free writes.
     // ==================================================================
@@ -231,59 +188,52 @@ impl Env {
     /// otherwise read the latest state and log the observed value.
     pub(crate) async fn hmwrite_read(&mut self, key: &Key) -> HmResult<Value> {
         self.maybe_crash()?;
-        // Lines 10–12: replay.
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::Read { data } => {
-                    let rec = self.replay_next().expect("peeked record vanished");
-                    self.record_event(|| EventKind::Read {
-                        key: key.clone(),
-                        fp: data.fingerprint(),
-                        logical: rec.seqnum,
-                        fresh: false,
-                    });
-                    Ok(data)
-                }
-                _ => Err(self.replay_mismatch("Read", &payload)),
-            };
-        }
-        // Line 13: read the latest state.
-        let observed = self.store().get(key).await.unwrap_or(Value::Null);
-        let observed_at = self.client().ctx().now();
-        let observed_fp = observed.fingerprint();
-        self.maybe_crash()?;
-        // Lines 14–17: log the result; a losing peer adopts the winner's
-        // observed value so all instances continue with identical state.
-        let rec = self
-            .log_step(&[], OpRecord::Read { data: observed })
+        // What this attempt saw in the store, and when; stays `None` when
+        // the step is replayed (lines 10–12).
+        let mut observation = None;
+        let read = self
+            .step(
+                "Read",
+                [],
+                |op| match op {
+                    OpRecord::Read { data } => Some(data.clone()),
+                    _ => None,
+                },
+                async |env: &mut Env| {
+                    // Line 13: read the latest state.
+                    let observed = env.store().get(key).await.unwrap_or(Value::Null);
+                    observation = Some((observed.fingerprint(), env.client().ctx().now()));
+                    env.maybe_crash()?;
+                    // Lines 14–17: log the result; a losing peer adopts the
+                    // winner's observed value so all instances continue
+                    // with identical state.
+                    Ok(OpRecord::Read { data: observed })
+                },
+            )
             .await?;
-        let OpRecord::Read { data } = rec.payload.op.clone() else {
-            return Err(self.replay_mismatch("Read", &rec.payload));
-        };
-        // If our append won, this read's observation (at `observed_at`) is
-        // the authoritative one; if a peer won, its value was adopted and
-        // its own event already covers the real-time ordering.
-        let fp = data.fingerprint();
-        if fp == observed_fp {
-            self.record_event_at(
+        let fp = read.value.fingerprint();
+        match observation {
+            // Our append won: this read's observation (at `observed_at`) is
+            // the authoritative one.
+            Some((observed_fp, observed_at)) if observed_fp == fp => self.record_event_at(
                 || EventKind::Read {
                     key: key.clone(),
                     fp,
-                    logical: rec.seqnum,
+                    logical: read.seqnum,
                     fresh: true,
                 },
                 observed_at,
-            );
-        } else {
-            self.record_event(|| EventKind::Read {
+            ),
+            // Replayed, or a peer won and its value was adopted: the event
+            // of whoever observed it already covers the real-time ordering.
+            _ => self.record_event(|| EventKind::Read {
                 key: key.clone(),
                 fp,
-                logical: rec.seqnum,
+                logical: read.seqnum,
                 fresh: false,
-            });
+            }),
         }
-        Ok(data)
+        Ok(read.value)
     }
 
     /// Figure 7 `Write` (lines 1–5): a purely log-free conditional update
@@ -297,17 +247,13 @@ impl Env {
         // between the two so every dependent pair stays ordered.
         let preserve = self.client().with_config(|c| c.preserve_write_order);
         if preserve && self.consecutive_w > 0 && self.last_write_key() != Some(key) {
-            if let Some(rec) = self.peek_prior() {
-                let payload = rec.payload.clone();
-                match payload.op {
-                    OpRecord::Sync => {
-                        self.replay_next();
-                    }
-                    _ => return Err(self.replay_mismatch("Sync (write ordering)", &payload)),
-                }
-            } else {
-                self.log_step(&[], OpRecord::Sync).await?;
-            }
+            self.step(
+                "Sync (write ordering)",
+                [],
+                |op| matches!(op, OpRecord::Sync).then_some(()),
+                async |_: &mut Env| Ok(OpRecord::Sync),
+            )
+            .await?;
         }
         // Lines 2–3: the deterministic version tuple.
         self.consecutive_w += 1;

@@ -165,54 +165,48 @@ impl Env {
                 (key.clone(), VersionNum(hm_common::ids::fnv1a(&bytes)))
             })
             .collect();
-        // Replay: if the commit record already exists, re-derive outcome.
-        if let Some(rec) = self.peek_prior() {
-            let payload = rec.payload.clone();
-            return match payload.op {
-                OpRecord::TxnCommit { .. } => {
-                    let rec = self.replay_next().expect("peeked record vanished");
-                    let valid = validity(self.client(), &rec.payload, rec.seqnum);
-                    self.record_txn_events(&txn, &versions, rec.seqnum, valid);
-                    Ok(if valid {
-                        TxnOutcome::Committed(rec.seqnum)
-                    } else {
-                        TxnOutcome::Aborted(rec.seqnum)
-                    })
-                }
-                _ => Err(self.replay_mismatch("TxnCommit", &payload)),
-            };
-        }
-        // Pre-install versions (idempotent: deterministic version numbers).
-        for (key, version) in &versions {
-            self.maybe_crash()?;
-            let value = txn
-                .writes
-                .get(key)
-                .expect("version for buffered key")
-                .clone();
-            self.store().put_version(key, *version, value).await;
-        }
-        self.maybe_crash()?;
         // One commit record, tagged into every written object's write log.
-        let tags: Vec<_> = versions.iter().map(|(k, _)| k.object_log_tag()).collect();
-        // The sets move into refcounted slices once here; every later
-        // clone of the record (batching, replay adoption, validity scans)
-        // is a pointer bump.
-        let op = OpRecord::TxnCommit {
-            snapshot: txn.snapshot,
-            read_set: txn.read_set.iter().cloned().collect(),
-            writes: versions.iter().cloned().collect(),
-        };
-        let rec = self.log_step(&tags, op).await?;
-        let valid = validity(self.client(), &rec.payload, rec.seqnum);
-        for (key, _) in &versions {
-            self.client().note_written_key(key);
+        // If it already exists its outcome is re-derived below, as for a
+        // fresh one.
+        let commit = self
+            .step(
+                "TxnCommit",
+                versions.iter().map(|(k, _)| k.object_log_tag()),
+                // The sets are refcounted slices: cloning the record is a
+                // pointer bump.
+                |op| matches!(op, OpRecord::TxnCommit { .. }).then(|| op.clone()),
+                async |env: &mut Env| {
+                    // Pre-install versions (idempotent: deterministic
+                    // version numbers).
+                    for (key, version) in &versions {
+                        env.maybe_crash()?;
+                        let value = txn
+                            .writes
+                            .get(key)
+                            .expect("version for buffered key")
+                            .clone();
+                        env.store().put_version(key, *version, value).await;
+                    }
+                    env.maybe_crash()?;
+                    Ok(OpRecord::TxnCommit {
+                        snapshot: txn.snapshot,
+                        read_set: txn.read_set.iter().cloned().collect(),
+                        writes: versions.iter().cloned().collect(),
+                    })
+                },
+            )
+            .await?;
+        let valid = validity(self.client(), &commit.value, commit.seqnum);
+        if !commit.replayed {
+            for (key, _) in &versions {
+                self.client().note_written_key(key);
+            }
         }
-        self.record_txn_events(&txn, &versions, rec.seqnum, valid);
+        self.record_txn_events(&txn, &versions, commit.seqnum, valid);
         Ok(if valid {
-            TxnOutcome::Committed(rec.seqnum)
+            TxnOutcome::Committed(commit.seqnum)
         } else {
-            TxnOutcome::Aborted(rec.seqnum)
+            TxnOutcome::Aborted(commit.seqnum)
         })
     }
 
@@ -238,10 +232,9 @@ impl Env {
     }
 }
 
-/// Reads the effective value of `key` at logical time `bound`: the newest
-/// *effective* write-log record at or before `bound` (skipping aborted
-/// transaction commits), or the immutable base value. Every round-trip is
-/// made as `octx`, the caller's context.
+/// Reads the effective value of `key` at logical time `bound`: the version
+/// [`effective_prev`] finds, or the immutable base value. Every round-trip
+/// is made as `octx`, the caller's context.
 pub(crate) async fn read_effective_at(
     client: &Client,
     octx: &OpCtx,
@@ -249,27 +242,35 @@ pub(crate) async fn read_effective_at(
     key: &Key,
     bound: SeqNum,
 ) -> HmResult<Value> {
-    let mut bound = bound;
+    match effective_prev(client, octx, node, key, bound).await {
+        Some((_, version)) => client
+            .store_as(octx)
+            .get_version(key, version)
+            .await
+            .ok_or_else(|| HmError::MissingVersion { key: key.clone() }),
+        None => Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null)),
+    }
+}
+
+/// The newest *effective* write-log record for `key` at or before `bound`,
+/// as `(seqnum, version)`. An aborted transaction commit is invisible: the
+/// seek goes past it.
+pub(crate) async fn effective_prev(
+    client: &Client,
+    octx: &OpCtx,
+    node: hm_common::NodeId,
+    key: &Key,
+    mut bound: SeqNum,
+) -> Option<(SeqNum, VersionNum)> {
     loop {
-        let Some(rec) = client
+        let rec = client
             .log_as(octx)
             .read_prev(node, key.object_log_tag(), bound)
-            .await
-        else {
-            return Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null));
-        };
+            .await?;
         if let Some(version) = effective_version(client, &rec.payload, rec.seqnum, key) {
-            return client
-                .store_as(octx)
-                .get_version(key, version)
-                .await
-                .ok_or_else(|| HmError::MissingVersion { key: key.clone() });
+            return Some((rec.seqnum, version));
         }
-        // Aborted transaction commit: invisible — seek past it.
-        if rec.seqnum.0 == 0 {
-            return Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null));
-        }
-        bound = SeqNum(rec.seqnum.0 - 1);
+        bound = SeqNum(rec.seqnum.0.checked_sub(1)?);
     }
 }
 
@@ -286,7 +287,7 @@ pub(crate) fn effective_version(
             Some(*version)
         }
         OpRecord::TxnCommit { .. } => {
-            if validity(client, record, seqnum) {
+            if validity(client, &record.op, seqnum) {
                 record.version_for(key)
             } else {
                 None
@@ -303,7 +304,7 @@ pub(crate) fn effective_version(
 /// write set exists in the open window `(snapshot, commit_seqnum)`.
 /// Evaluating candidate conflicts recurses into earlier `TxnCommit`
 /// records only, so the recursion terminates.
-pub(crate) fn validity(client: &Client, record: &StepRecord, commit: SeqNum) -> bool {
+pub(crate) fn validity(client: &Client, op: &OpRecord, commit: SeqNum) -> bool {
     if let Some(v) = client.txn_validity(commit) {
         return v;
     }
@@ -311,7 +312,7 @@ pub(crate) fn validity(client: &Client, record: &StepRecord, commit: SeqNum) -> 
         snapshot,
         read_set,
         writes,
-    } = &record.op
+    } = op
     else {
         return false;
     };

@@ -23,35 +23,56 @@ fn setup(kind: ProtocolKind) -> (Sim, Client) {
     (sim, client)
 }
 
+/// One operation of a scripted SSF body, all on key X.
+#[derive(Clone, Copy)]
+enum Op {
+    Read,
+    Write,
+    Invoke,
+    Sync,
+}
+
 /// A body that performs *different* logged operations on its retry is a
-/// protocol violation (§2 requires deterministic SSFs); the replay
-/// machinery must detect the mismatch rather than corrupt state.
+/// protocol violation (§2 requires deterministic SSFs); the one check in
+/// `Env::step` must detect the mismatch at every kind of step rather than
+/// corrupt state, and name the record variant the retry expected.
 #[test]
 fn non_deterministic_body_is_detected() {
-    for kind in [ProtocolKind::HalfmoonWrite, ProtocolKind::Boki] {
+    use Op::{Invoke, Read, Sync, Write};
+    // (protocol, crash point of the first attempt, its body, the retry's
+    // body, the variant the retry expects where the log says otherwise).
+    // Point 5 is after the first read is logged; point 3 is after a
+    // write's intent record. `finish` follows every body.
+    type Row = (ProtocolKind, u32, &'static [Op], &'static [Op], &'static str);
+    let rows: [Row; 5] = [
+        (ProtocolKind::HalfmoonWrite, 5, &[Read, Read], &[Invoke], "Invoke"),
+        (ProtocolKind::Boki, 5, &[Read, Read], &[Invoke], "Invoke"),
+        (ProtocolKind::HalfmoonRead, 3, &[Write], &[Sync], "Sync"),
+        // A write→read swap: an intent where a `Read` is expected.
+        (ProtocolKind::Boki, 3, &[Write], &[Read], "Read"),
+        // `finish` reached one op early.
+        (ProtocolKind::HalfmoonWrite, 5, &[Read, Read], &[], "Finish"),
+    ];
+    for (kind, crash_at, first, retry, want) in rows {
         let (mut sim, client) = setup(kind);
-        client.populate(Key::new("X"), Value::Int(0));
+        let x = Key::new("X");
+        client.populate(x.clone(), Value::Int(0));
         let id = client.fresh_instance_id();
-        // Crash after the first logged op.
-        client.set_fault_plan(FaultPolicy::at([(id, 5)]));
-        let attempt_counter = Rc::new(Cell::new(0u32));
+        client.set_fault_plan(FaultPolicy::at([(id, crash_at)]));
         let c2 = client.clone();
-        let ac = attempt_counter.clone();
         let result = sim.block_on(async move {
             let mut attempt = 0;
             loop {
-                let ac = ac.clone();
-                let c3 = c2.clone();
                 let once = async {
-                    let mut env = Env::init(&c3, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-                    ac.set(ac.get() + 1);
-                    if ac.get() == 1 {
-                        // First attempt: a read.
-                        env.read(&Key::new("X")).await?;
-                        env.read(&Key::new("X")).await?;
-                    } else {
-                        // Retry: an invoke instead — nondeterministic!
-                        env.invoke("nope", Value::Null).await?;
+                    let mut env =
+                        Env::init(&c2, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
+                    for op in if attempt == 0 { first } else { retry } {
+                        match op {
+                            Read => drop(env.read(&x).await?),
+                            Write => env.write(&x, Value::Int(1)).await?,
+                            Invoke => drop(env.invoke("nope", Value::Null).await?),
+                            Sync => env.sync().await?,
+                        }
                     }
                     env.finish(Value::Null).await
                 };
@@ -63,10 +84,12 @@ fn non_deterministic_body_is_detected() {
             }
         });
         match result {
-            Err(HmError::Config { what }) => {
-                assert!(what.contains("non-deterministic"), "{kind}: {what}")
-            }
-            other => panic!("{kind}: expected detection, got {other:?}"),
+            Err(HmError::Config { what }) => assert!(
+                what.contains("non-deterministic")
+                    && what.contains(&format!("expected {want} at step")),
+                "{kind}: {what}"
+            ),
+            other => panic!("{kind}: expected detection of {want}, got {other:?}"),
         }
     }
 }

@@ -581,3 +581,56 @@ pub fn explore_config(config: &McConfig, pruning: bool, workers: usize) -> Explo
         explorer.explore_parallel(workers, run)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The §4 logging matrix that `OpSpec::footprint` and `frame_footprint`
+    /// encode by hand, held against what the protocols do: a turn declares
+    /// `FP_LOG_CLOCK` exactly when running it moves the log's append
+    /// counter. A wrong bit would make sleep-set pruning silently unsound.
+    #[test]
+    fn declared_log_footprint_matches_the_append_counter() {
+        let protocols = [
+            ProtocolKind::HalfmoonRead,
+            ProtocolKind::HalfmoonWrite,
+            ProtocolKind::Boki,
+            ProtocolKind::Unsafe,
+        ];
+        for protocol in protocols {
+            for op in [OpSpec::Read(McKey::X), OpSpec::Write(McKey::Y)] {
+                let mut sim = Sim::new(7);
+                let client = Client::builder(sim.ctx())
+                    .model(LatencyModel::uniform_test_model())
+                    .protocol(protocol)
+                    .build();
+                client.populate(Key::new("X"), Value::Int(1));
+                client.populate(Key::new("Y"), Value::Int(2));
+                sim.block_on(async move {
+                    let appends = || client.log().counters().log_appends;
+                    let declares = |fp: u64| fp & FP_LOG_CLOCK != 0;
+                    let spec = InvocationSpec::new(InstanceId(0xa), NodeId(0));
+                    let before = appends();
+                    let mut env = Env::init(&client, spec).await.expect("init");
+                    let frame = declares(frame_footprint(protocol, 0));
+                    assert_eq!(appends() != before, frame, "{protocol}: init");
+
+                    let before = appends();
+                    match op {
+                        OpSpec::Read(k) => drop(env.read(&k.key()).await.expect("read")),
+                        OpSpec::Write(k) => {
+                            env.write(&k.key(), Value::Int(100)).await.expect("write");
+                        }
+                    }
+                    let declared = declares(op.footprint(protocol, 0));
+                    assert_eq!(appends() != before, declared, "{protocol}: {op:?}");
+
+                    let before = appends();
+                    env.finish(Value::Null).await.expect("finish");
+                    assert_eq!(appends() != before, frame, "{protocol}: finish");
+                });
+            }
+        }
+    }
+}

@@ -105,17 +105,20 @@ pub struct ReplayStats {
     pub pending_flushed: u64,
 }
 
+/// Fraction of append latency spent *before* the sequencer assigns the
+/// seqnum (the request's trip to the sequencer). Concurrent appends
+/// therefore race for order, like on the real network.
+const SEQUENCER_FRACTION: f64 = 0.4;
+
+/// Replicas that must acknowledge an append before it is durable; with
+/// fewer live, the append is counted as degraded.
+const QUORUM: u32 = 2;
+
 /// Tuning knobs for the simulated logging layer.
 #[derive(Clone, Copy, Debug)]
 pub struct LogConfig {
-    /// Fraction of append latency spent *before* the sequencer assigns the
-    /// seqnum (the request's trip to the sequencer). Concurrent appends
-    /// therefore race for order, like on the real network.
-    pub sequencer_fraction: f64,
     /// Shard count, replicas per shard, and function-node count.
     pub topology: Topology,
-    /// Replicas that must acknowledge an append before it is durable.
-    pub quorum: u32,
     /// Appends per second one shard's sequencer can order. `None` models
     /// an ideal (infinitely fast) sequencer — the pre-sharding behavior,
     /// where ordering adds no queueing delay. Set it to see a sequencer
@@ -139,9 +142,7 @@ pub struct LogConfig {
 impl Default for LogConfig {
     fn default() -> LogConfig {
         LogConfig {
-            sequencer_fraction: 0.4,
             topology: Topology::default(),
-            quorum: 2,
             sequencer_capacity: None,
             batch_max_records: 1,
             batch_max_delay: Duration::from_micros(200),
@@ -584,7 +585,7 @@ impl<P: Payload> LogService<P> {
     ) -> CondAppendOutcome {
         let scope = self.begin(name, Some(Phase::LogHop));
         let total = self.ctx.with_rng(|rng| self.model.log_append.sample(rng));
-        let to_sequencer = total.mul_f64(self.config.sequencer_fraction);
+        let to_sequencer = total.mul_f64(SEQUENCER_FRACTION);
         self.ctx.sleep(to_sequencer).await;
         let storage_part = total.saturating_sub(to_sequencer);
         let outcome = if self.batching_enabled() {
@@ -655,7 +656,7 @@ impl<P: Payload> LogService<P> {
         if live >= replicas {
             return base;
         }
-        if live < self.config.quorum {
+        if live < QUORUM {
             state.degraded_appends += 1;
         }
         drop(inner);
@@ -700,7 +701,7 @@ impl<P: Payload> LogService<P> {
             - self.inner.borrow().shards[shard.0 as usize].failed_replicas.len() as u32
     }
 
-    /// Appends persisted below the configured quorum (degraded views),
+    /// Appends persisted below the quorum (degraded views),
     /// across all shards.
     #[must_use]
     pub fn degraded_appends(&self) -> u64 {

@@ -144,7 +144,7 @@ impl FlushStats {
 pub(crate) struct ShardState {
     /// Storage replicas currently down (by index `0..replicas_per_shard`).
     pub(crate) failed_replicas: FxHashSet<u32>,
-    /// Appends persisted while fewer than `quorum` replicas were live —
+    /// Appends persisted while fewer than a quorum of replicas were live —
     /// the reconfigured-view path (availability preserved, like Boki's
     /// view change, but worth counting). Per-shard: a degraded storage
     /// group on one shard never taints another's accounting.

@@ -114,7 +114,7 @@ async fn gate_release_property(ctx: Ctx, n: u32) -> Vec<u32> {
 }
 
 #[test]
-fn semaphore_grants_fifo_on_every_backend() {
+fn semaphore_grants_fifo() {
     for iter in 0..ITERS {
         let mut shape = SmallRng::seed_from_u64(0x5e3a_0000 + iter);
         let n = shape.random_range(2..10u32);
@@ -137,7 +137,7 @@ fn semaphore_grants_fifo_on_every_backend() {
 }
 
 #[test]
-fn gate_releases_in_registration_order_on_every_backend() {
+fn gate_releases_in_registration_order() {
     for iter in 0..ITERS {
         let mut shape = SmallRng::seed_from_u64(0x6a7e_0000 + iter);
         let n = shape.random_range(2..12u32);
@@ -374,7 +374,7 @@ async fn waker_identity_property(ctx: Ctx) -> (bool, bool) {
 }
 
 #[test]
-fn wait_lists_hold_one_registration_per_live_waiter_on_every_backend() {
+fn wait_lists_hold_one_registration_per_live_waiter() {
     const MANY: u32 = 10_000;
     let (peak, left) = run(1, |_| one_member_many_polls_property(MANY));
     assert_eq!((peak, left), (1, 0), "one member, {MANY} polls");
@@ -388,7 +388,7 @@ fn wait_lists_hold_one_registration_per_live_waiter_on_every_backend() {
 }
 
 #[test]
-fn cancel_resumes_live_members_in_registration_order_on_every_backend() {
+fn cancel_resumes_live_members_in_registration_order() {
     for iter in 0..ITERS {
         let mut shape = SmallRng::seed_from_u64(0x7a5c_0000 + iter);
         let roles: [Vec<Role>; 2] = std::array::from_fn(|_| {
@@ -414,14 +414,14 @@ fn cancel_resumes_live_members_in_registration_order_on_every_backend() {
 }
 
 #[test]
-fn reset_hides_an_unobserved_cancel_on_every_backend() {
+fn reset_hides_an_unobserved_cancel() {
     let (repolled, out) = run(0, cancel_then_reset_property);
     assert!(repolled, "cancel must wake the parked member");
     assert_eq!(out, Err(Cancelled), "the second cancel lands");
 }
 
 #[test]
-fn a_waker_matches_its_own_clone_only_on_every_backend() {
+fn a_waker_matches_its_own_clone_only() {
     let (own, other) = run(0, waker_identity_property);
     assert!(own, "a task's waker must will_wake its own clone");
     assert!(!other, "a task's waker must not will_wake another task's");

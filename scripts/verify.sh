@@ -30,6 +30,10 @@
 # interleaving exhaustively, the unsafe baseline yields a replayable
 # ww-1s counterexample, and sleep-set pruning removes ≥50% of naive
 # interleavings on the hm-read xy-1s headline row.
+# Benchmark builds: benchmark/ is a workspace of its own that no step above
+# compiles, so a crate change can break it unseen. It is built from a copy
+# (with the crates it depends on symlinked beside it) because an in-place
+# build rewrites benchmark/Cargo.lock.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -236,5 +240,15 @@ grep -q "VIOLATION" "$mc_out" || {
     echo "model-check smoke FAILED: no unsafe-baseline violation surfaced"
     cat "$mc_out"; exit 1; }
 echo "model-check smoke ok: FT protocols exhaustively pass; unsafe counterexample replays"
+
+echo "== benchmark builds: benchmark/ against these crates, from a copy =="
+bb="$(mktemp -d -t benchmark_builds.XXXXXX)"
+trap 'rm -rf "$out" "$aout" "$tout" "$ttrace" "$s1" "$s4" "$b16" "$chaos_out" "$mc_out" "$bb"' EXIT
+tar --exclude=benchmark/target --exclude=benchmark/out -cf - benchmark | tar -C "$bb" -xf -
+# The crates inherit package fields from the root manifest, so cargo must
+# find it above them.
+ln -s "$PWD/Cargo.toml" "$PWD/crates" "$PWD/vendor" "$bb/"
+cargo build --release --offline --quiet --manifest-path "$bb/benchmark/Cargo.toml"
+echo "benchmark builds ok"
 
 echo "== verify OK =="

@@ -574,7 +574,7 @@ async fn instrumented_run(ctx: Ctx, kind: ProtocolKind) -> (RunFingerprint, Stri
 /// fingerprint AND the trace/anatomy JSONL exports are byte-identical,
 /// whatever the worker count on offer.
 #[test]
-fn parallel_backend_is_bit_identical_to_sim() {
+fn one_partition_fan_out_is_bit_identical_to_sim() {
     let sim = on_sim(0xD17, |ctx| {
         instrumented_run(ctx, ProtocolKind::HalfmoonRead)
     });
@@ -593,7 +593,7 @@ fn parallel_backend_is_bit_identical_to_sim() {
 /// Two fan-outs from the same seed reproduce the fingerprint and both
 /// JSONL exports byte-for-byte.
 #[test]
-fn parallel_backend_reruns_are_identical() {
+fn fan_out_reruns_are_identical() {
     for workers in [2usize, 4] {
         let run = || {
             on_one_partition(0xE23, workers, |ctx| {
@@ -662,7 +662,7 @@ fn partitioned_log_slices_are_worker_count_invariant() {
 /// all agree on counters, flush stats, recovery stats, and the chaos
 /// injection journal.
 #[test]
-fn chaos_campaign_is_backend_and_worker_invariant() {
+fn chaos_campaign_is_worker_count_invariant() {
     use halfmoon::{FaultPlan, ShardId};
     use hm_runtime::chaos::ChaosDriver;
 
