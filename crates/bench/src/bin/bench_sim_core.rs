@@ -65,6 +65,10 @@ struct Component {
     wall: Duration,
     /// Future polls driven by the executor (event-loop iterations).
     polls: u64,
+    /// Most timers any of the component's executors held pending at once
+    /// (`Sim::peak_timers`): the depth the timer heap is sized against.
+    /// 0 for `parallel_scaling` and `model_check`: no `Sim` in reach.
+    peak_timers: usize,
     /// Simulated-result fingerprint; must be identical across builds.
     fingerprint: u64,
     /// Per-phase allocation rates (only `hot_path_alloc` reports these).
@@ -82,8 +86,8 @@ fn mix(h: u64, v: u64) -> u64 {
 }
 
 /// Executor stress: a fan of tasks looping on staggered timers — the
-/// spawn/sleep/wake cycle with almost no payload work, so slab, wheel, and
-/// ready-queue costs dominate.
+/// spawn/sleep/wake cycle with almost no payload work, so slab, timer-heap
+/// and ready-queue costs dominate.
 fn executor_churn(scale: f64) -> Component {
     let start = Instant::now();
     let mut sim = Sim::new(0xC0DE);
@@ -108,6 +112,7 @@ fn executor_churn(scale: f64) -> Component {
         name: "executor_churn",
         wall: start.elapsed(),
         polls: sim.poll_count(),
+        peak_timers: sim.peak_timers(),
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -150,6 +155,7 @@ fn executor_timer_stress(scale: f64) -> Component {
         name: "executor_timer_stress",
         wall: start.elapsed(),
         polls: sim.poll_count(),
+        peak_timers: sim.peak_timers(),
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -198,6 +204,7 @@ fn sharedlog_trim_stress(scale: f64) -> Component {
         name: "sharedlog_trim_stress",
         wall: start.elapsed(),
         polls: sim.poll_count(),
+        peak_timers: sim.peak_timers(),
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -218,6 +225,7 @@ fn sharedlog_shard_sweep(scale: f64) -> Component {
     let per_writer = (((12_000.0 * scale) as u64).max(1_024) / writers).max(4);
     let mut fp = 0u64;
     let mut polls = 0u64;
+    let mut peak_timers = 0usize;
     let mut throughput = Vec::new();
     for &shards in &[1u8, 2, 4, 8] {
         let mut sim = Sim::new(0x5EED);
@@ -253,6 +261,7 @@ fn sharedlog_shard_sweep(scale: f64) -> Component {
             fp = mix(fp, lane);
         }
         polls += sim.poll_count();
+        peak_timers = peak_timers.max(sim.peak_timers());
     }
     eprintln!(
         "shard sweep sustainable appends/s: 1={:.0} 2={:.0} 4={:.0} 8={:.0}",
@@ -266,6 +275,7 @@ fn sharedlog_shard_sweep(scale: f64) -> Component {
         name: "sharedlog_shard_sweep",
         wall: start.elapsed(),
         polls,
+        peak_timers,
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -288,6 +298,7 @@ fn append_batching(scale: f64) -> Component {
     let per_writer = (((12_000.0 * scale) as u64).max(1_024) / writers).max(4);
     let mut fp = 0u64;
     let mut polls = 0u64;
+    let mut peak_timers = 0usize;
     let mut throughput = Vec::new();
     for &batch in &[1usize, 4, 16, 64] {
         let mut sim = Sim::new(0xBA7C);
@@ -327,6 +338,7 @@ fn append_batching(scale: f64) -> Component {
         fp = mix(fp, flush.size_trigger);
         fp = mix(fp, flush.deadline_trigger);
         polls += sim.poll_count();
+        peak_timers = peak_timers.max(sim.peak_timers());
     }
     eprintln!(
         "append batching sustainable appends/s: b1={:.0} b4={:.0} b16={:.0} b64={:.0}",
@@ -340,6 +352,7 @@ fn append_batching(scale: f64) -> Component {
         name: "append_batching",
         wall: start.elapsed(),
         polls,
+        peak_timers,
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -395,6 +408,7 @@ fn sharedlog_ops(scale: f64) -> Component {
         name: "sharedlog_ops",
         wall: start.elapsed(),
         polls: sim.poll_count(),
+        peak_timers: sim.peak_timers(),
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -445,6 +459,7 @@ fn app_inner(
         name,
         wall: start.elapsed(),
         polls: 0, // the Sim is consumed inside run_app
+        peak_timers: out.peak_timers,
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -480,6 +495,7 @@ fn recovery_cost(scale: f64) -> Component {
     };
     let mut fp = 0u64;
     let mut polls = 0u64;
+    let mut peak_timers = 0usize;
     let mut medians: Vec<Vec<f64>> = Vec::new();
     let mut replayed_per_req: Vec<Vec<f64>> = Vec::new();
     for kind in systems {
@@ -518,6 +534,7 @@ fn recovery_cost(scale: f64) -> Component {
             fp = mix(fp, recovery.log_reads);
             fp = mix(fp, median.to_bits());
             polls += sim.poll_count();
+            peak_timers = peak_timers.max(sim.peak_timers());
         }
         medians.push(row);
         replayed_per_req.push(replay_row);
@@ -546,6 +563,7 @@ fn recovery_cost(scale: f64) -> Component {
         name: "recovery_cost",
         wall: start.elapsed(),
         polls,
+        peak_timers,
         fingerprint: fp,
         alloc: Vec::new(),
     }
@@ -718,6 +736,7 @@ fn hot_path_alloc(scale: f64) -> Component {
         name: "hot_path_alloc",
         wall: start.elapsed(),
         polls: sim.poll_count(),
+        peak_timers: sim.peak_timers(),
         fingerprint: fp,
         alloc: vec![
             AllocPhase {
@@ -775,7 +794,7 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
                      secs: f64,
                      capacity: Option<f64>,
                      anatomy: Option<Rc<Anatomy>>|
-     -> (LoadReport, u64) {
+     -> (LoadReport, u64, usize) {
         let mut sim = Sim::new(0x1A7E);
         let mut builder = Client::builder(sim.ctx())
             .model(LatencyModel::calibrated())
@@ -798,7 +817,7 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
             factory: workload.factory(),
         };
         let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-        (report, sim.poll_count())
+        (report, sim.poll_count(), sim.peak_timers())
     };
     let report_fp = |r: &LoadReport| {
         let mut f = mix(0, r.generated);
@@ -812,7 +831,7 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
     };
 
     // Probe: appends per completed request at an uncontended rate.
-    let (probe, probe_polls) = run_point(300.0, (1.0 * scale).max(0.3), None, None);
+    let (probe, probe_polls, mut peak_timers) = run_point(300.0, (1.0 * scale).max(0.3), None, None);
     let probe_appends: u64 = probe.per_shard_appends.iter().sum();
     let appends_per_req = probe_appends as f64 / probe.completed.max(1) as f64;
     let capacity = knee_rate * appends_per_req;
@@ -828,12 +847,14 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
     for &ratio in &[0.5f64, 1.0, 1.5] {
         let rate = knee_rate * ratio;
         let anatomy = Anatomy::new();
-        let (report, pt_polls) = run_point(rate, secs, Some(capacity), Some(anatomy.clone()));
+        let (report, pt_polls, pt_timers) =
+            run_point(rate, secs, Some(capacity), Some(anatomy.clone()));
         polls += pt_polls;
+        peak_timers = peak_timers.max(pt_timers);
         if (ratio - 1.0).abs() < f64::EPSILON {
             // Observer neutrality: the same point without anatomy must do
             // bit-identical simulated work on the same schedule.
-            let (plain, plain_polls) = run_point(rate, secs, Some(capacity), None);
+            let (plain, plain_polls, _) = run_point(rate, secs, Some(capacity), None);
             assert_eq!(
                 report_fp(&plain),
                 report_fp(&report),
@@ -929,6 +950,7 @@ fn latency_anatomy(scale: f64) -> (Component, String) {
             name: "latency_anatomy",
             wall: start.elapsed(),
             polls,
+            peak_timers,
             fingerprint: fp,
             alloc: Vec::new(),
         },
@@ -1041,6 +1063,7 @@ fn parallel_scaling(scale: f64) -> (Component, String) {
             // Partition executors live on worker threads; their poll
             // counters are not observable through the public surface.
             polls: 0,
+            peak_timers: 0,
             fingerprint: fps[0],
             alloc: Vec::new(),
         },
@@ -1148,6 +1171,7 @@ fn model_check() -> (Component, String) {
             wall: start.elapsed(),
             // Each exploration run consumes its own Sim inside run_once.
             polls: 0,
+            peak_timers: 0,
             fingerprint: fp.get(),
             alloc: Vec::new(),
         },
@@ -1228,7 +1252,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"sim_core\",");
-    let _ = writeln!(json, "  \"schema_version\": 5,");
+    let _ = writeln!(json, "  \"schema_version\": 6,");
     let _ = writeln!(json, "  \"scale\": {scale},");
     let _ = writeln!(json, "  \"latency_anatomy\": {lat_json},");
     let _ = writeln!(json, "  \"parallel_scaling\": {par_json},");
@@ -1239,10 +1263,11 @@ fn main() {
     for (i, c) in components.iter().enumerate() {
         let _ = write!(
             json,
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"polls\": {}, \"fingerprint\": \"{:016x}\"",
+            "    {{\"name\": \"{}\", \"wall_ms\": {:.3}, \"polls\": {}, \"peak_timers\": {}, \"fingerprint\": \"{:016x}\"",
             json_escape_free(c.name),
             c.wall.as_secs_f64() * 1e3,
             c.polls,
+            c.peak_timers,
             c.fingerprint,
         );
         if !c.alloc.is_empty() {

@@ -119,6 +119,8 @@ pub struct AppRunOutput {
     pub op_latencies: halfmoon::client::OpLatencies,
     /// Log/store op counters over the measured window.
     pub log_appends: u64,
+    /// Most timers the run's executor held pending at once.
+    pub peak_timers: usize,
 }
 
 /// Runs one workload experiment end to end.
@@ -191,6 +193,7 @@ fn run_app_inner(
         avg_store_bytes: env.client.store().average_bytes(),
         op_latencies: env.client.op_latencies(),
         log_appends: env.client.log().counters().log_appends - appends_at_warmup.get(),
+        peak_timers: env.sim.peak_timers(),
     }
 }
 

@@ -391,25 +391,26 @@ impl Runtime {
             // Timeout suspicion (§4): if this attempt runs past the
             // suspect timeout, the runtime assumes it crashed and launches
             // a live peer — even though the original keeps running. The
-            // conditional-append machinery makes the race harmless.
-            let done = std::rc::Rc::new(std::cell::Cell::new(false));
-            if let Some(limit) = self.inner.config.get().suspect_timeout {
-                if max_attempts > 1 {
-                    let rt = self.clone();
-                    let body = body.clone();
-                    let input = input.clone();
-                    let octx = octx.clone();
-                    let ctx = client.ctx().clone();
-                    let done = done.clone();
-                    client.ctx().spawn(async move {
-                        ctx.sleep(limit).await;
-                        if !done.get() {
-                            rt.inner.duplicates.set(rt.inner.duplicates.get() + 1);
-                            let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
-                        }
-                    });
-                }
-            }
+            // conditional-append machinery makes the race harmless. The
+            // attempt's `done` flag exists only while a watchdog is armed.
+            let armed = self.inner.config.get().suspect_timeout;
+            let done = armed.filter(|_| max_attempts > 1).map(|limit| {
+                let done = std::rc::Rc::new(std::cell::Cell::new(false));
+                let rt = self.clone();
+                let body = body.clone();
+                let input = input.clone();
+                let octx = octx.clone();
+                let ctx = client.ctx().clone();
+                let flag = done.clone();
+                client.ctx().spawn(async move {
+                    ctx.sleep(limit).await;
+                    if !flag.get() {
+                        rt.inner.duplicates.set(rt.inner.duplicates.get() + 1);
+                        let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
+                    }
+                });
+                done
+            });
             let once = async {
                 let spec = InvocationSpec::new(id, node)
                     .attempt(attempt)
@@ -430,7 +431,9 @@ impl Runtime {
                 Ok(inner) => inner,
                 Err(_cancelled) => Err(HmError::NodeCrashed { node }),
             };
-            done.set(true);
+            if let Some(done) = done {
+                done.set(true);
+            }
             match result {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_crash() && attempt + 1 < max_attempts => {

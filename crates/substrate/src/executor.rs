@@ -1,7 +1,7 @@
 //! The virtual-time async executor: the one machine every deployment in
 //! this workspace runs on.
 //!
-//! [`Sim`] owns the task slab, the timer wheel, the virtual clock and a
+//! [`Sim`] owns the task slab, the timer heap, the virtual clock and a
 //! seeded RNG, and is the run-loop owner; [`Ctx`] is the weak, clonable
 //! handle tasks reach it through, and the one context type the rest of the
 //! workspace sees. The ready queue is FIFO, timers tie-break by
@@ -20,13 +20,11 @@
 //! requiring a hash lookup. Each task's waker is built once at spawn and
 //! reused for every poll.
 //!
-//! Timers live in a hierarchical timer wheel (1024 ns ticks, 64-bucket
-//! levels, ≈ 19.5 h horizon): a small binary heap orders the near window
-//! (next 64 ticks) exactly, coarse buckets with cached minima hold the far
-//! mass, and a `BinaryHeap` fallback takes deadlines past the horizon.
-//! Simultaneous deadlines fire in registration order — the wheel preserves
-//! the exact `(deadline, seq)` total order the previous heap implementation
-//! had, which fixed-seed golden tests pin.
+//! Timers live in one `BinaryHeap` keyed by `(deadline ns, registration
+//! seq)` over a generational slot slab that holds each sleeper's waker.
+//! The seq is assigned at the `sleep()` call, not at first poll, so
+//! simultaneous deadlines fire in registration order: the total order
+//! fixed-seed golden tests pin.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -40,11 +38,6 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::Time;
-
-/// Converts a virtual instant to nanoseconds, saturating past ~584 years.
-fn dur_ns(d: Time) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
 
 // ---------------------------------------------------------------------------
 // Ready queue and wakers
@@ -169,257 +162,55 @@ impl TaskSlab {
 }
 
 // ---------------------------------------------------------------------------
-// Timer wheel
+// Timers
 // ---------------------------------------------------------------------------
-
-/// One tick is 2^10 ns ≈ 1 µs: finer than any latency model in the suite,
-/// so nearly all same-slot collisions are true same-instant timers.
-const TICK_SHIFT: u32 = 10;
-/// 64 slots per level.
-const LEVEL_BITS: u32 = 6;
-const SLOTS_PER_LEVEL: usize = 1 << LEVEL_BITS;
-const SLOT_MASK: u64 = SLOTS_PER_LEVEL as u64 - 1;
-/// 6 levels cover 64^6 ticks ≈ 19.5 h; farther deadlines overflow to a heap.
-const LEVELS: usize = 6;
 
 /// Timer registration. Slots are reused; `gen` disambiguates occupants so a
 /// `Sleep` future holding (idx, gen) can tell "my timer fired" (generation
-/// advanced) from "still pending".
+/// advanced) from "still pending". Deadline and seq live in the heap key.
+#[derive(Default)]
 struct TimerSlot {
     gen: u32,
-    at_ns: u64,
-    seq: u64,
     waker: Option<Waker>,
 }
 
-struct TimerWheel {
+/// Every pending deadline in one binary heap. The workloads hold tens of
+/// timers at a time (thousands only inside GC trim bursts; DESIGN.md §10),
+/// each a 0.1–5 ms modelled latency, so one push and one pop per sleep is
+/// the whole cost and there is no structure to maintain per clock advance.
+#[derive(Default)]
+struct Timers {
+    /// One key per pending registration, earliest first: deadline ns, then
+    /// 40 bits of registration seq, then [`SLOT_BITS`] of slot index. The
+    /// seq is unique, so ties on the deadline fire in registration order
+    /// (fixed-seed golden tests pin it). One integer, not a tuple, so the
+    /// heap's sift loop picks a child branch-free (10 % of `executor_churn`).
+    heap: BinaryHeap<Reverse<u128>>,
     slots: Vec<TimerSlot>,
     free: Vec<u32>,
-    /// Deadlines within the next 64 ticks, ordered by (at, seq). A heap,
-    /// not buckets: dense simulations put hundreds of timers in the same
-    /// tick, and a bucket would need an O(bucket) min-scan per advance
-    /// where the heap pays O(log n) once per timer.
-    near: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// `levels[l][s]` (l ≥ 1 only; index 0 is unused — the near heap plays
-    /// that role) holds slab indices; order within a bucket is irrelevant
-    /// (firing sorts by `(at, seq)`), so removal can swap.
-    levels: [[Vec<u32>; SLOTS_PER_LEVEL]; LEVELS],
-    /// Per-level occupancy bitmaps; bit `s` set iff `levels[l][s]` is
-    /// non-empty. Scans are rotate + trailing_zeros, not bucket walks.
-    occupied: [u64; LEVELS],
-    /// Cached per-bucket `(at, seq)` minimum, maintained on push and
-    /// recomputed only when a bucket loses entries — so the per-advance
-    /// min comparison never walks a bucket.
-    mins: [[Option<(u64, u64)>; SLOTS_PER_LEVEL]; LEVELS],
-    /// Deadlines beyond the wheel horizon, ordered by (at, seq).
-    overflow: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Registration sequence; ties on `at` fire in this order.
     next_seq: u64,
-    /// Pending registrations (near + wheel + overflow).
-    pending: usize,
-    /// Scratch for [`TimerWheel::take_due`], reused across calls so the
-    /// once-per-instant firing path performs no allocation.
-    due: Vec<u32>,
+    /// Most registrations ever pending at once ([`Sim::peak_timers`]).
+    peak: usize,
 }
 
-impl TimerWheel {
-    fn new() -> TimerWheel {
-        TimerWheel {
-            slots: Vec::new(),
-            free: Vec::new(),
-            near: BinaryHeap::new(),
-            levels: std::array::from_fn(|_| std::array::from_fn(|_| Vec::new())),
-            occupied: [0; LEVELS],
-            mins: [[None; SLOTS_PER_LEVEL]; LEVELS],
-            overflow: BinaryHeap::new(),
-            next_seq: 0,
-            pending: 0,
-            due: Vec::new(),
-        }
-    }
+const SLOT_BITS: u32 = 24;
 
+impl Timers {
     /// Registers a deadline; returns the (slot, generation) handle the
     /// `Sleep` future polls against.
-    fn register(&mut self, now_ns: u64, at_ns: u64) -> (u32, u32) {
-        let seq = self.next_seq;
+    fn register(&mut self, at_ns: u64) -> (u32, u32) {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            assert!(self.slots.len() < 1 << SLOT_BITS, "timer slab overflow");
+            self.slots.push(TimerSlot::default());
+            self.slots.len() as u32 - 1
+        });
+        debug_assert!(self.slots[idx as usize].waker.is_none());
+        assert!(self.next_seq < 1 << (64 - SLOT_BITS), "timer seq overflow");
+        let low = u128::from(self.next_seq << SLOT_BITS | u64::from(idx));
+        self.heap.push(Reverse(u128::from(at_ns) << 64 | low));
         self.next_seq += 1;
-        let idx = if let Some(idx) = self.free.pop() {
-            let slot = &mut self.slots[idx as usize];
-            slot.at_ns = at_ns;
-            slot.seq = seq;
-            debug_assert!(slot.waker.is_none());
-            idx
-        } else {
-            let idx = u32::try_from(self.slots.len()).expect("timer slab overflow");
-            self.slots.push(TimerSlot {
-                gen: 0,
-                at_ns,
-                seq,
-                waker: None,
-            });
-            idx
-        };
-        self.attach(now_ns >> TICK_SHIFT, idx);
-        self.pending += 1;
+        self.peak = self.peak.max(self.heap.len());
         (idx, self.slots[idx as usize].gen)
-    }
-
-    /// Files `idx` into the near heap (next 64 ticks) or the finest coarse
-    /// level whose 64-bucket window (measured in *window numbers*, not raw
-    /// tick delta — when `now` is unaligned, a raw delta under `64^(l+1)`
-    /// can still be 64 windows ahead, aliasing onto the current position's
-    /// bucket) reaches the deadline.
-    fn attach(&mut self, now_tick: u64, idx: u32) {
-        let slot = &self.slots[idx as usize];
-        let (at_ns, seq) = (slot.at_ns, slot.seq);
-        let tick = at_ns >> TICK_SHIFT;
-        if tick.saturating_sub(now_tick) < SLOTS_PER_LEVEL as u64 {
-            self.near.push(Reverse((at_ns, seq, idx)));
-            return;
-        }
-        for level in 1..LEVELS {
-            let shift = LEVEL_BITS * level as u32;
-            if (tick >> shift).saturating_sub(now_tick >> shift) < SLOTS_PER_LEVEL as u64 {
-                let s = ((tick >> shift) & SLOT_MASK) as usize;
-                self.levels[level][s].push(idx);
-                self.occupied[level] |= 1 << s;
-                let cand = (at_ns, seq);
-                if self.mins[level][s].is_none_or(|m| cand < m) {
-                    self.mins[level][s] = Some(cand);
-                }
-                return;
-            }
-        }
-        self.overflow.push(Reverse((at_ns, seq, idx)));
-    }
-
-    /// Index of the earliest occupied bucket at `level`, scanning circularly
-    /// from the bucket containing `now`. Sound because every pending tick at
-    /// this level lies within one wrap of `now` (enforced by `attach` and
-    /// the fact that the clock never passes an unfired timer).
-    fn earliest_bucket(&self, level: usize, now_tick: u64) -> Option<usize> {
-        let occ = self.occupied[level];
-        if occ == 0 {
-            return None;
-        }
-        let pos = ((now_tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as u32;
-        let off = occ.rotate_right(pos).trailing_zeros();
-        Some(((pos + off) & SLOT_MASK as u32) as usize)
-    }
-
-    /// Flushes, for each level ≥ 1, the bucket whose window contains `now`
-    /// down to finer levels. Purely an efficiency measure: it keeps the
-    /// min-scan buckets small. A single ascending pass suffices — an entry
-    /// flushed from level `l` lands at a level whose `now` window it is
-    /// outside of (its delta exceeds that level's bucket width).
-    fn cascade(&mut self, now_tick: u64) {
-        for level in 1..LEVELS {
-            let pos = ((now_tick >> (LEVEL_BITS * level as u32)) & SLOT_MASK) as usize;
-            if self.occupied[level] & (1 << pos) == 0 {
-                continue;
-            }
-            let mut entries = std::mem::take(&mut self.levels[level][pos]);
-            self.occupied[level] &= !(1 << pos);
-            self.mins[level][pos] = None;
-            for idx in entries.drain(..) {
-                self.attach(now_tick, idx);
-            }
-            // Every entry went to a finer level, so the bucket is still
-            // empty: hand its buffer back for the next deadline filed here.
-            debug_assert!(self.levels[level][pos].is_empty());
-            self.levels[level][pos] = entries;
-        }
-    }
-
-    /// The earliest pending `(at, seq)`, if any. Buckets at different
-    /// levels can interleave near window boundaries, so every level's
-    /// earliest bucket competes, as do both heaps. Cached bucket minima
-    /// make this O(levels), never an entry walk.
-    fn min_deadline(&self, now_tick: u64) -> Option<(u64, u64)> {
-        let mut best: Option<(u64, u64)> = None;
-        if let Some(&Reverse((at, seq, _))) = self.near.peek() {
-            best = Some((at, seq));
-        }
-        for level in 1..LEVELS {
-            if let Some(s) = self.earliest_bucket(level, now_tick) {
-                let cand = self.mins[level][s].expect("occupied bucket has a min");
-                if best.is_none_or(|b| cand < b) {
-                    best = Some(cand);
-                }
-            }
-        }
-        if let Some(&Reverse((at, seq, _))) = self.overflow.peek() {
-            let cand = (at, seq);
-            if best.is_none_or(|b| cand < b) {
-                best = Some(cand);
-            }
-        }
-        best
-    }
-
-    /// Removes every registration with deadline exactly `at_ns`, releasing
-    /// their slots, and appends their wakers to `fired` in registration
-    /// order. `fired` is a caller-owned scratch buffer (cleared here), so
-    /// the once-per-instant firing path performs no allocation in steady
-    /// state.
-    fn take_due(&mut self, at_ns: u64, now_tick: u64, fired: &mut Vec<(u64, Option<Waker>)>) {
-        fired.clear();
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        while matches!(self.near.peek(), Some(&Reverse((at, _, _))) if at == at_ns) {
-            let Reverse((_, _, idx)) = self.near.pop().unwrap();
-            due.push(idx);
-        }
-        for level in 1..LEVELS {
-            let Some(s) = self.earliest_bucket(level, now_tick) else {
-                continue;
-            };
-            if self.mins[level][s].map(|(at, _)| at) != Some(at_ns) {
-                continue;
-            }
-            let bucket = &mut self.levels[level][s];
-            let mut k = 0;
-            while k < bucket.len() {
-                let idx = bucket[k];
-                if self.slots[idx as usize].at_ns == at_ns {
-                    bucket.swap_remove(k);
-                    due.push(idx);
-                } else {
-                    k += 1;
-                }
-            }
-            if bucket.is_empty() {
-                self.occupied[level] &= !(1 << s);
-                self.mins[level][s] = None;
-            } else {
-                // Recompute the cached min; only paid when this bucket
-                // actually lost entries.
-                self.mins[level][s] = bucket
-                    .iter()
-                    .map(|&idx| {
-                        let slot = &self.slots[idx as usize];
-                        (slot.at_ns, slot.seq)
-                    })
-                    .min();
-            }
-        }
-        while matches!(self.overflow.peek(), Some(&Reverse((at, _, _))) if at == at_ns) {
-            let Reverse((_, _, idx)) = self.overflow.pop().unwrap();
-            due.push(idx);
-        }
-        for &idx in &due {
-            let slot = &mut self.slots[idx as usize];
-            let waker = slot.waker.take();
-            let seq = slot.seq;
-            slot.gen = slot.gen.wrapping_add(1);
-            self.free.push(idx);
-            self.pending -= 1;
-            fired.push((seq, waker));
-        }
-        self.due = due;
-        if fired.len() > 1 {
-            fired.sort_unstable_by_key(|&(seq, _)| seq);
-        }
     }
 }
 
@@ -434,7 +225,7 @@ struct Inner {
     ready: Rc<ReadyQueue>,
     /// Shared with `Sleep` futures directly (not via `Inner`) so a `Sleep`
     /// held inside a task does not keep the whole simulation alive.
-    timers: Rc<RefCell<TimerWheel>>,
+    timers: Rc<RefCell<Timers>>,
     rng: RefCell<SmallRng>,
     /// Poll counter — useful for diagnosing runaway simulations in tests.
     polls: Cell<u64>,
@@ -488,7 +279,7 @@ pub struct Sim {
     inner: Rc<Inner>,
     /// Scratch buffer of wakers fired at one instant, reused across
     /// [`Sim::advance_to_next_timer`] calls.
-    fired: Vec<(u64, Option<Waker>)>,
+    fired: Vec<Option<Waker>>,
 }
 
 impl Sim {
@@ -502,7 +293,7 @@ impl Sim {
                 ready: Rc::new(ReadyQueue {
                     queue: RefCell::new(VecDeque::new()),
                 }),
-                timers: Rc::new(RefCell::new(TimerWheel::new())),
+                timers: Rc::default(),
                 rng: RefCell::new(SmallRng::seed_from_u64(seed)),
                 polls: Cell::new(0),
                 waker_pool: RefCell::new(Vec::new()),
@@ -535,6 +326,12 @@ impl Sim {
     #[must_use]
     pub fn poll_count(&self) -> u64 {
         self.inner.polls.get()
+    }
+
+    /// The most timers ever pending at once: the depth the heap had to hold.
+    #[must_use]
+    pub fn peak_timers(&self) -> usize {
+        self.inner.timers.borrow().peak
     }
 
     /// Runs until no task is runnable and no timer is pending.
@@ -598,29 +395,33 @@ impl Sim {
     /// any) and fires every timer at that instant. Returns false if there
     /// was no eligible timer.
     fn advance_to_next_timer(&mut self, deadline: Option<Time>) -> bool {
-        let now_tick = dur_ns(self.inner.now.get()) >> TICK_SHIFT;
         {
-            let mut wheel = self.inner.timers.borrow_mut();
-            wheel.cascade(now_tick);
-            let Some((at_ns, _)) = wheel.min_deadline(now_tick) else {
+            let mut timers = self.inner.timers.borrow_mut();
+            let Some(&Reverse(top)) = timers.heap.peek() else {
                 return false;
             };
-            let next_at = Time::from_nanos(at_ns);
-            if let Some(deadline) = deadline {
-                if next_at > deadline {
-                    return false;
-                }
+            let next_at = Time::from_nanos((top >> 64) as u64);
+            if deadline.is_some_and(|deadline| next_at > deadline) {
+                return false;
             }
             debug_assert!(next_at >= self.inner.now.get(), "timer in the past");
             self.inner.now.set(next_at);
-            wheel.take_due(at_ns, now_tick, &mut self.fired);
-        }
-        // Wake outside the wheel borrow: a waker may be a task waker (ready
-        // push, harmless) but keeping borrows narrow is free insurance.
-        for (_, waker) in self.fired.drain(..) {
-            if let Some(waker) = waker {
-                waker.wake();
+            while let Some(&Reverse(key)) = timers.heap.peek() {
+                if key >> 64 != top >> 64 {
+                    break;
+                }
+                timers.heap.pop();
+                let idx = key as u32 & ((1 << SLOT_BITS) - 1);
+                let slot = &mut timers.slots[idx as usize];
+                slot.gen = slot.gen.wrapping_add(1);
+                self.fired.push(slot.waker.take());
+                timers.free.push(idx);
             }
+        }
+        // Wake outside the timer borrow: a waker may be a task waker (ready
+        // push, harmless) but keeping borrows narrow is free insurance.
+        for waker in self.fired.drain(..).flatten() {
+            waker.wake();
         }
         true
     }
@@ -755,17 +556,15 @@ impl Ctx {
         inner.ready.push(idx, gen);
     }
 
-    /// Resolves after `d` of virtual time.
+    /// Resolves after `d` of virtual time. A deadline past what the clock
+    /// can hold saturates: it orders after every finite one.
     pub fn sleep(&self, d: Time) -> Sleep {
         let inner = self.inner();
-        let now = inner.now.get();
-        let at = now + d;
-        let (idx, gen) = inner
-            .timers
-            .borrow_mut()
-            .register(dur_ns(now), dur_ns(at));
+        let at = inner.now.get().saturating_add(d);
+        let at_ns = u64::try_from(at.as_nanos()).unwrap_or(u64::MAX); // ~584 years
+        let (idx, gen) = inner.timers.borrow_mut().register(at_ns);
         Sleep {
-            wheel: inner.timers.clone(),
+            timers: inner.timers.clone(),
             idx,
             gen,
         }
@@ -801,13 +600,12 @@ impl std::fmt::Debug for Ctx {
 
 /// Future returned by [`Ctx::sleep`].
 ///
-/// Holds (slot, generation) into the timer wheel's slab. Dropping a `Sleep`
-/// before its deadline does NOT cancel the registration: the clock still
-/// advances through the deadline and any stored waker still fires, exactly
-/// as with the previous heap-of-`Rc` implementation (golden runs depend on
-/// those spurious wakes).
+/// Holds (slot, generation) into the timer slab. Dropping a `Sleep` before
+/// its deadline does NOT cancel the registration: the clock still advances
+/// through the deadline and any stored waker still fires (golden runs
+/// depend on those spurious wakes).
 pub struct Sleep {
-    wheel: Rc<RefCell<TimerWheel>>,
+    timers: Rc<RefCell<Timers>>,
     idx: u32,
     gen: u32,
 }
@@ -816,8 +614,8 @@ impl Future for Sleep {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut wheel = self.wheel.borrow_mut();
-        let slot = &mut wheel.slots[self.idx as usize];
+        let mut timers = self.timers.borrow_mut();
+        let slot = &mut timers.slots[self.idx as usize];
         if slot.gen != self.gen {
             // The slot's generation advanced: this registration fired.
             Poll::Ready(())
@@ -910,24 +708,6 @@ mod tests {
         }
         sim.run();
         assert_eq!(*order.borrow(), vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn cascade_keeps_bucket_buffers() {
-        let mut wheel = TimerWheel::new();
-        // 100 ticks ahead is past the near heap: level 1, bucket 1.
-        for _ in 0..8 {
-            wheel.register(0, 100 << TICK_SHIFT);
-        }
-        let capacity = wheel.levels[1][1].capacity();
-        assert_eq!(wheel.levels[1][1].len(), 8);
-        // The clock enters that bucket's window; its timers move to the
-        // near heap and the next timer filed there must not reallocate.
-        wheel.cascade(64);
-        assert_eq!(wheel.near.len(), 8);
-        assert!(wheel.levels[1][1].is_empty());
-        assert_eq!(wheel.levels[1][1].capacity(), capacity);
-        assert_eq!(wheel.occupied[1], 0);
     }
 
     #[test]
@@ -1089,18 +869,17 @@ mod tests {
         });
     }
 
-    // -- Tests specific to the wheel/slab implementation ------------------
+    // -- Tests of the timer order and the slot slab ------------------------
 
-    /// A coarse-level timer whose deadline falls just after a level
-    /// boundary must still fire before a nearer-by-registration level-0
-    /// timer with a later deadline (cross-level min comparison).
+    /// A deadline registered long in advance must still fire before a
+    /// later deadline that a task registers, at short range, just before
+    /// the first one is due.
     #[test]
-    fn cross_level_deadline_ordering() {
+    fn near_and_far_deadlines_interleave_in_order() {
         let mut sim = Sim::new(1);
         let ctx = sim.ctx();
         let order = Rc::new(RefCell::new(Vec::new()));
-        // Level-2 registration: 4100 ticks ahead of t=0.
-        let far = Duration::from_nanos(4100 << TICK_SHIFT);
+        let far = Duration::from_micros(4100);
         {
             let ctx2 = ctx.clone();
             let order = order.clone();
@@ -1109,26 +888,25 @@ mod tests {
                 order.borrow_mut().push("far");
             });
         }
-        // A task that wakes at tick 4095 (just before the 64^2 window
-        // boundary) and then registers a level-0 timer for tick 4150 —
-        // later than `far` but at a finer level.
+        // A task that wakes 5 µs before `far` is due and then sleeps to
+        // 50 µs after it.
         {
             let ctx2 = ctx.clone();
             let order = order.clone();
             ctx.spawn(async move {
-                ctx2.sleep(Duration::from_nanos(4095 << TICK_SHIFT)).await;
+                ctx2.sleep(Duration::from_micros(4095)).await;
                 order.borrow_mut().push("wake");
-                ctx2.sleep(Duration::from_nanos(55 << TICK_SHIFT)).await;
+                ctx2.sleep(Duration::from_micros(55)).await;
                 order.borrow_mut().push("near");
             });
         }
         sim.run();
         assert_eq!(*order.borrow(), vec!["wake", "far", "near"]);
-        assert_eq!(sim.now(), Duration::from_nanos(4150 << TICK_SHIFT));
+        assert_eq!(sim.now(), Duration::from_micros(4150));
     }
 
-    /// Deadlines in the same 1024 ns tick fire in exact-instant order, and
-    /// the clock lands on each exact deadline, not the tick boundary.
+    /// Deadlines less than a microsecond apart fire in exact-instant order,
+    /// and the clock lands on each exact deadline: nothing is rounded.
     #[test]
     fn sub_tick_deadlines_fire_exactly() {
         let mut sim = Sim::new(1);
@@ -1150,10 +928,9 @@ mod tests {
         assert_eq!(*times.borrow(), want);
     }
 
-    /// Deadlines beyond the wheel horizon (~19.5 h) take the overflow-heap
-    /// path and still fire in global order.
+    /// Deadlines days away fire in global order with millisecond ones.
     #[test]
-    fn far_future_timers_use_overflow_heap() {
+    fn far_future_timers_fire_in_order() {
         let mut sim = Sim::new(1);
         let ctx = sim.ctx();
         let order = Rc::new(RefCell::new(Vec::new()));
@@ -1174,9 +951,82 @@ mod tests {
         assert_eq!(sim.now(), Duration::from_secs(48 * 3600));
     }
 
+    /// A sleep too long for the clock saturates instead of panicking: it
+    /// stays pending and fires after every finite deadline.
+    #[test]
+    fn unrepresentable_sleep_saturates_and_fires_last() {
+        let mut sim = Sim::new(1);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let far = Duration::from_secs(500 * 365 * 86_400);
+        // The third registers at t = 1 s, where `now + MAX` overflows.
+        for (after_s, d) in [(0, Duration::MAX), (0, far), (1, Duration::MAX)] {
+            let (ctx, order) = (sim.ctx(), order.clone());
+            sim.ctx().spawn(async move {
+                ctx.sleep(Duration::from_secs(after_s)).await;
+                ctx.sleep(d).await;
+                order.borrow_mut().push((after_s, d));
+            });
+        }
+        sim.run_until(Duration::from_secs(1));
+        assert_eq!(sim.inner.timers.borrow().heap.len(), 3);
+        sim.run();
+        let want = vec![(0, far), (0, Duration::MAX), (1, Duration::MAX)];
+        assert_eq!(*order.borrow(), want);
+    }
+
+    /// Differential test of the timer order: 3 200 registrations a seed
+    /// (ties on a 250 µs grid, zero and sub-µs durations, sleeps of days,
+    /// sleeps dropped before their first poll, sleeps registered by a task
+    /// at the very instant it was woken and they are due) fire as the
+    /// registrations sorted by `(deadline, registration order)`.
+    #[test]
+    fn timers_fire_as_registrations_sorted_by_deadline_then_seq() {
+        for seed in [3, 20_230_923, 777_001] {
+            let mut sim = Sim::new(seed);
+            // (deadline, awaited) per `sleep()` call, in call order.
+            let registered = Rc::new(RefCell::new(Vec::new()));
+            let fired = Rc::new(RefCell::new(Vec::new()));
+            for _ in 0..32 {
+                let (ctx, registered, fired) = (sim.ctx(), registered.clone(), fired.clone());
+                sim.ctx().spawn(async move {
+                    for _ in 0..100 {
+                        let now = ctx.now();
+                        let to_grid = (250_000 - now.subsec_nanos() % 250_000) % 250_000;
+                        let (d, awaited) = ctx.with_rng(|r| {
+                            let d = match r.random_range(0..8u32) {
+                                0 => Duration::ZERO,
+                                1 => Duration::from_nanos(r.random_range(1..1000)),
+                                2 | 3 => Duration::from_nanos(to_grid.into()),
+                                4 | 5 => Duration::from_micros(r.random_range(100..5000)),
+                                6 => Duration::from_millis(r.random_range(1..2000)),
+                                _ => Duration::from_secs(3600 * r.random_range(20..72u64)),
+                            };
+                            (d, r.random_range(0..4u32) != 0)
+                        });
+                        let sleep = ctx.sleep(d);
+                        let id = registered.borrow().len();
+                        registered.borrow_mut().push((now + d, awaited));
+                        if awaited {
+                            sleep.await;
+                            assert_eq!(ctx.now(), now + d);
+                            fired.borrow_mut().push(id);
+                        }
+                    }
+                });
+            }
+            sim.run();
+            let registered = registered.borrow();
+            let mut want = Vec::from_iter((0..3200).filter(|&id: &usize| registered[id].1));
+            want.sort_by_key(|&id| (registered[id].0, id));
+            assert_eq!(*fired.borrow(), want, "seed {seed}");
+            // Dropped sleeps wake nobody, but the clock runs through them.
+            assert_eq!(Some(sim.now()), registered.iter().map(|r| r.0).max());
+        }
+    }
+
     /// A dropped `Sleep` does not cancel its registration: the clock still
-    /// advances through the deadline (pre-rewrite behavior, pinned by the
-    /// golden metrics snapshots).
+    /// advances through the deadline (pinned by the golden metrics
+    /// snapshots).
     #[test]
     fn dropped_sleep_still_advances_clock() {
         let mut sim = Sim::new(1);
@@ -1241,8 +1091,8 @@ mod tests {
         assert!(!a1.will_wake(b1), "different tasks must not match");
     }
 
-    /// run_until across a window boundary keeps firing order intact when
-    /// timers registered before and after the jump interleave.
+    /// run_until keeps firing order intact when timers registered before
+    /// and after the jump interleave.
     #[test]
     fn run_until_then_new_timers_order() {
         let mut sim = Sim::new(1);

@@ -52,11 +52,11 @@
 //! # Layering
 //!
 //! The executor is a private module; the compiler, not a grep, keeps upper
-//! layers on the surface above. Its internals (the timer wheel, the task
+//! layers on the surface above. Its internals (the timer heap, the task
 //! slab) cannot be named from outside:
 //!
 //! ```compile_fail,E0603
-//! use hm_substrate::executor::TimerWheel;
+//! use hm_substrate::executor::Timers;
 //! ```
 
 mod executor;

@@ -66,7 +66,7 @@ int(d["work_fingerprint"], 16)
 assert len(d["components"]) == 14, [c["name"] for c in d["components"]]
 assert any(c["name"] == "recovery_cost" for c in d["components"]), d
 assert any(c["name"] == "latency_anatomy" for c in d["components"]), d
-assert d["schema_version"] == 5, d
+assert d["schema_version"] == 6, d
 assert any(c["name"] == "model_check" for c in d["components"]), d
 mc = d["model_check"]["cells"]
 assert len(mc) == 5, mc
@@ -83,6 +83,10 @@ for w in (1, 2, 4, 8):
     assert ps[f"workers_{w}_wall_ms"] > 0.0, ps
 for c in d["components"]:
     assert c["wall_ms"] >= 0.0 and len(c["fingerprint"]) == 16, c
+    # Reported wherever the component can reach its executors: all but the
+    # partitioned fan-out and the model checker.
+    assert isinstance(c["peak_timers"], int), c
+    assert (c["peak_timers"] > 0) == (c["name"] not in ("parallel_scaling", "model_check")), c
 print(f"bench smoke ok: {d['total_wall_ms']:.1f} ms, "
       f"fingerprint {d['work_fingerprint']}")
 EOF

@@ -298,10 +298,9 @@ fn single_shard_topology_matches_default_construction() {
 }
 
 /// Simultaneous timers fire in registration order — the tie-break the timer
-/// wheel must preserve so that event *orderings*, not just aggregate
-/// metrics, are reproducible. Covers deadlines that land in the near heap,
-/// in a wheel level, and in the far-future overflow heap (which cascades
-/// back into the wheel before firing).
+/// heap must preserve so that event *orderings*, not just aggregate
+/// metrics, are reproducible. Covers deadlines microseconds, milliseconds
+/// and minutes away.
 #[test]
 fn simultaneous_timers_fire_in_registration_order() {
     fn trace(deadline: Duration) -> Vec<u32> {

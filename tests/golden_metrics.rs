@@ -190,7 +190,7 @@ fn scenario_app(
 
 /// Pure executor schedule: many tasks on colliding timer instants. Pins the
 /// final virtual clock, which is sensitive to the (deadline, registration)
-/// firing order the timer wheel must preserve.
+/// firing order the timer heap must preserve.
 fn scenario_executor() -> String {
     let mut sim = Sim::new(0xE8EC_0001);
     let ctx = sim.ctx();
