@@ -5,12 +5,16 @@
 //! deployment through this crate's helpers, runs the experiment, and
 //! prints the table rows. `EXPERIMENTS.md` records paper-vs-measured.
 //!
+//! The `bench_sim_core` binary instead times the simulator itself; its
+//! components live in [`sim_core`].
+//!
 //! Environment knobs (all optional):
 //! - `HM_BENCH_SCALE` — fractional multiplier on experiment durations
 //!   (default 1.0; use 0.2 for a quick smoke pass).
 
 pub mod alloc;
 pub mod cli;
+pub mod sim_core;
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -37,8 +41,7 @@ pub fn build_env(seed: u64, kind: ProtocolKind, rt_config: RuntimeConfig) -> Ben
     build_env_with_topology(seed, kind, rt_config, halfmoon::Topology::default())
 }
 
-/// Like [`build_env`], with an explicit logging topology (shard count,
-/// replicas per shard, function nodes).
+/// Like [`build_env`], with an explicit logging topology (shard count).
 #[must_use]
 pub fn build_env_with_topology(
     seed: u64,

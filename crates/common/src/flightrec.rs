@@ -18,16 +18,15 @@
 //! violation dump carries its own replay recipe (`mc_schedule`) alongside
 //! the trace window.
 //!
-//! The dump is retained in memory ([`FlightRecorder::last_dump`]) and,
-//! when a dump path is configured, written to disk so a failing seeded run
-//! leaves a post-mortem artifact behind instead of just an assert message.
+//! The dump is retained in memory ([`FlightRecorder::last_dump`]), so a
+//! failing seeded run leaves a post-mortem artifact behind instead of just
+//! an assert message.
 //!
 //! Like the tracer and anatomy layers, the recorder is passive bookkeeping:
 //! it never sleeps, spawns, or draws randomness, so attaching it cannot
 //! perturb a seeded run.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -61,7 +60,6 @@ struct FlightInner {
     incidents_dropped: u64,
     events_per_lane: usize,
     recovery_budget: u32,
-    dump_path: Option<PathBuf>,
     last_dump: Option<String>,
     dumps: u64,
 }
@@ -85,7 +83,6 @@ impl FlightRecorder {
                 incidents_dropped: 0,
                 events_per_lane: DEFAULT_EVENTS_PER_LANE,
                 recovery_budget: DEFAULT_RECOVERY_BUDGET,
-                dump_path: None,
                 last_dump: None,
                 dumps: 0,
             }),
@@ -100,11 +97,6 @@ impl FlightRecorder {
     /// Attach the anatomy collector whose stamp rows should appear in dumps.
     pub fn attach_anatomy(&self, anatomy: Rc<Anatomy>) {
         self.inner.borrow_mut().anatomy = Some(anatomy);
-    }
-
-    /// Also write every dump to `path` (JSONL, overwritten per dump).
-    pub fn set_dump_path(&self, path: PathBuf) {
-        self.inner.borrow_mut().dump_path = Some(path);
     }
 
     /// Retry-attempt budget after which `NodeCrashed` recovery triggers a
@@ -133,7 +125,7 @@ impl FlightRecorder {
     }
 
     /// Record the triggering incident, assemble the black-box dump, retain
-    /// it, optionally write it to the configured path, and return it.
+    /// it, and return it.
     ///
     /// Dump layout (JSONL): one `flightrec` header line, the incident ring,
     /// the last `events_per_lane` trace events from every lane, then the
@@ -176,11 +168,6 @@ impl FlightRecorder {
                 out.push_str(&row.to_json());
                 out.push('\n');
             }
-        }
-        if let Some(path) = &inner.dump_path {
-            // Best-effort: a failing dump write must not mask the original
-            // failure being post-mortemed.
-            let _ = std::fs::write(path, &out);
         }
         inner.last_dump = Some(out.clone());
         inner.dumps += 1;

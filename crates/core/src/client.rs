@@ -185,7 +185,6 @@ pub struct ClientBuilder {
     anatomy: Option<Rc<Anatomy>>,
     flightrec: Option<Rc<FlightRecorder>>,
     batch_max_records: usize,
-    batch_max_delay: std::time::Duration,
     sequencer_capacity: Option<f64>,
 }
 
@@ -273,12 +272,11 @@ impl ClientBuilder {
     /// Enables group-commit batching in the logging layer: each shard's
     /// sequencer coalesces up to `max_records` concurrent appends into one
     /// ordering decision and one replicated storage write, flushing early
-    /// after `max_delay` of virtual time (DESIGN.md §14). `max_records <=
-    /// 1` keeps the default unbatched path, bit for bit.
+    /// 200 µs of virtual time after a batch's first member (DESIGN.md §14).
+    /// `max_records <= 1` keeps the default unbatched path, bit for bit.
     #[must_use]
-    pub fn batching(mut self, max_records: usize, max_delay: std::time::Duration) -> ClientBuilder {
+    pub fn batching(mut self, max_records: usize) -> ClientBuilder {
         self.batch_max_records = max_records;
-        self.batch_max_delay = max_delay;
         self
     }
 
@@ -292,7 +290,6 @@ impl ClientBuilder {
             LogConfig {
                 topology: self.topology,
                 batch_max_records: self.batch_max_records,
-                batch_max_delay: self.batch_max_delay,
                 sequencer_capacity: self.sequencer_capacity,
             },
         );
@@ -341,7 +338,6 @@ impl Client {
             anatomy: None,
             flightrec: None,
             batch_max_records: defaults.batch_max_records,
-            batch_max_delay: defaults.batch_max_delay,
             sequencer_capacity: defaults.sequencer_capacity,
         }
     }

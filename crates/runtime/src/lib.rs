@@ -40,4 +40,4 @@ pub use mc::{explore_config, run_schedule, McConfig, McKey, McOutcome, OpSpec};
 pub use gateway::{Gateway, LoadReport, LoadSpec, RequestFactory};
 pub use gc_driver::GcDriver;
 pub use metrics_driver::MetricsDriver;
-pub use runtime::{Runtime, RuntimeConfig, SsfBody};
+pub use runtime::{Runtime, RuntimeConfig, SsfBody, DETECTION_DELAY};

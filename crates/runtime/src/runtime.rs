@@ -15,6 +15,16 @@ use hm_substrate::Time;
 /// `Env` state and input they must issue the same operation sequence (§2).
 pub type SsfBody = Rc<dyn for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>>>;
 
+/// Delay between a crash and the re-execution of the SSF (failure
+/// detection + scheduling).
+pub const DETECTION_DELAY: Time = Time::from_millis(5);
+
+/// Maximum execution attempts before an invocation errors out.
+const MAX_ATTEMPTS: u32 = 100;
+
+/// How long after the primary starts a duplicate peer is launched.
+const DUPLICATE_DELAY: Time = Time::from_millis(2);
+
 /// Runtime topology and failure-handling knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
@@ -23,16 +33,9 @@ pub struct RuntimeConfig {
     /// Worker slots per node (8 vCPUs per instance). The product bounds
     /// concurrently running top-level requests and produces saturation.
     pub workers_per_node: u32,
-    /// Delay between a crash and the re-execution of the SSF (failure
-    /// detection + scheduling).
-    pub detection_delay: Time,
-    /// Maximum execution attempts before the invocation errors out.
-    pub max_attempts: u32,
     /// Probability that an invocation spawns a duplicate peer instance
     /// (a falsely-suspected timeout, §4's second race condition).
     pub duplicate_prob: f64,
-    /// How long after the primary starts the duplicate is launched.
-    pub duplicate_delay: Time,
     /// §4's race condition modeled faithfully: "if an instance times out
     /// (but is still live) due to a network error, the runtime may assume
     /// that this instance has crashed and launch another". When set, any
@@ -46,23 +49,8 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             nodes: 8,
             workers_per_node: 8,
-            detection_delay: Time::from_millis(5),
-            max_attempts: 100,
             duplicate_prob: 0.0,
-            duplicate_delay: Time::from_millis(2),
             suspect_timeout: None,
-        }
-    }
-}
-
-impl RuntimeConfig {
-    /// Runtime sized to a logging topology: one worker pool per function
-    /// node. `Topology::default()` yields exactly the default config.
-    #[must_use]
-    pub fn for_topology(topology: halfmoon::Topology) -> RuntimeConfig {
-        RuntimeConfig {
-            nodes: topology.function_nodes,
-            ..RuntimeConfig::default()
         }
     }
 }
@@ -347,18 +335,16 @@ impl Runtime {
             let input = input.clone();
             let octx = octx.clone();
             let ctx = client.ctx().clone();
-            let delay = self.inner.config.get().duplicate_delay;
             client.ctx().spawn(async move {
-                ctx.sleep(delay).await;
+                ctx.sleep(DUPLICATE_DELAY).await;
                 // The peer's result and errors are ignored; the primary's
                 // retry loop guarantees completion. The peer recovers the
                 // authoritative input from the primary's init record.
                 let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
             });
         }
-        let max_attempts = self.inner.config.get().max_attempts;
         let result = self
-            .run_attempts(id, &body, input, max_attempts, &octx)
+            .run_attempts(id, &body, input, MAX_ATTEMPTS, &octx)
             .await;
         if let Some(p) = client.probe() {
             p.span_end(&octx, Lane::Gateway, client.ctx().now());
@@ -446,10 +432,7 @@ impl Runtime {
                         let now = client.ctx().now();
                         p.crash_retry(octx, Lane::Node(node.0), now, id.0, attempt, &e);
                     }
-                    client
-                        .ctx()
-                        .sleep(self.inner.config.get().detection_delay)
-                        .await;
+                    client.ctx().sleep(DETECTION_DELAY).await;
                 }
                 Err(e) => return Err(e),
             }

@@ -48,38 +48,20 @@ pub struct ShardId(pub u8);
 pub struct Topology {
     /// Number of independently sequenced log shards (≥ 1).
     pub shards: u8,
-    /// Storage replicas backing each shard (the paper's setup uses three
-    /// storage nodes per ordering lane).
-    pub replicas_per_shard: u32,
-    /// Function nodes in the deployment (each gets a per-shard record
-    /// cache and a runtime worker pool).
-    pub function_nodes: u32,
 }
 
 impl Default for Topology {
     fn default() -> Topology {
-        Topology {
-            shards: 1,
-            replicas_per_shard: 3,
-            function_nodes: 8,
-        }
+        Topology { shards: 1 }
     }
 }
 
 impl Topology {
-    /// The pre-sharding deployment: one sequencer, three replicas, eight
-    /// function nodes.
-    #[must_use]
-    pub fn single() -> Topology {
-        Topology::default()
-    }
-
-    /// Default topology with `shards` sequencer lanes (clamped to ≥ 1).
+    /// `shards` sequencer lanes (clamped to ≥ 1).
     #[must_use]
     pub fn sharded(shards: u8) -> Topology {
         Topology {
             shards: shards.max(1),
-            ..Topology::default()
         }
     }
 }

@@ -36,12 +36,11 @@
 //! drawing its usual latency sample and sleeping the to-sequencer share —
 //! but on arrival it *joins the shard's open batch* instead of paying
 //! admission alone. The batch flushes when it holds
-//! [`LogConfig::batch_max_records`] members, when
-//! [`LogConfig::batch_max_delay`] elapses on its first member, or when a
-//! recovery read forces it. One flush pays **one** sequencer admission and
-//! **one** coalesced replica write for the whole batch; members install in
-//! arrival order, so a batch occupies a contiguous run of the shared
-//! seqnum clock. `cond_append` conditions are evaluated at flush time,
+//! [`LogConfig::batch_max_records`] members, when `BATCH_MAX_DELAY`
+//! elapses on its first member, or when a recovery read forces it. One
+//! flush pays **one** sequencer admission and **one** coalesced replica
+//! write for the whole batch; members install in arrival order, so a batch
+//! occupies a contiguous run of the shared seqnum clock. `cond_append` conditions are evaluated at flush time,
 //! atomically with the installs — exactly when the unbatched path
 //! evaluates them. The flush itself runs on a detached task owned by the
 //! sequencer: a client crashing mid-flush never strands its batch peers.
@@ -110,14 +109,22 @@ pub struct ReplayStats {
 /// therefore race for order, like on the real network.
 const SEQUENCER_FRACTION: f64 = 0.4;
 
+/// Storage replicas backing each shard (the paper's setup uses three
+/// storage nodes per ordering lane).
+const REPLICAS_PER_SHARD: u32 = 3;
+
 /// Replicas that must acknowledge an append before it is durable; with
 /// fewer live, the append is counted as degraded.
 const QUORUM: u32 = 2;
 
+/// Longest virtual time the first record of a batch waits for company
+/// before the batch flushes anyway.
+const BATCH_MAX_DELAY: Duration = Duration::from_micros(200);
+
 /// Tuning knobs for the simulated logging layer.
 #[derive(Clone, Copy, Debug)]
 pub struct LogConfig {
-    /// Shard count, replicas per shard, and function-node count.
+    /// Shard count.
     pub topology: Topology,
     /// Appends per second one shard's sequencer can order. `None` models
     /// an ideal (infinitely fast) sequencer — the pre-sharding behavior,
@@ -130,13 +137,9 @@ pub struct LogConfig {
     /// `1` (the default) disables batching entirely — the append path is
     /// the exact pre-batching code, bit-identical RNG draws and all.
     /// Values above 1 enable the per-shard batcher described in the module
-    /// docs: a batch flushes when it reaches this size or when
-    /// [`LogConfig::batch_max_delay`] elapses, whichever comes first.
+    /// docs: a batch flushes when it reaches this size or 200 µs after its
+    /// first member arrived, whichever comes first.
     pub batch_max_records: usize,
-    /// Longest virtual time the first record of a batch may wait for
-    /// company before the batch flushes anyway. Irrelevant while
-    /// `batch_max_records <= 1`.
-    pub batch_max_delay: Duration,
 }
 
 impl Default for LogConfig {
@@ -145,7 +148,6 @@ impl Default for LogConfig {
             topology: Topology::default(),
             sequencer_capacity: None,
             batch_max_records: 1,
-            batch_max_delay: Duration::from_micros(200),
         }
     }
 }
@@ -202,7 +204,7 @@ const GATE_POOL_CAP: usize = 32;
 enum FlushTrigger {
     /// Reached `batch_max_records`.
     Size,
-    /// `batch_max_delay` elapsed on the oldest member.
+    /// `BATCH_MAX_DELAY` elapsed on the oldest member.
     Deadline,
     /// A `replay_stream` recovery read drained it.
     Forced,
@@ -649,11 +651,10 @@ impl<P: Payload> LogService<P> {
     /// reconfigures (Boki's view change) and the append is counted as
     /// degraded — on that shard only.
     fn quorum_storage_latency(&self, shard: u8, base: Duration) -> Duration {
-        let replicas = self.config.topology.replicas_per_shard;
         let mut inner = self.inner.borrow_mut();
         let state = &mut inner.shards[shard as usize];
-        let live = replicas - state.failed_replicas.len() as u32;
-        if live >= replicas {
+        let live = REPLICAS_PER_SHARD - state.failed_replicas.len() as u32;
+        if live >= REPLICAS_PER_SHARD {
             return base;
         }
         if live < QUORUM {
@@ -664,7 +665,7 @@ impl<P: Payload> LogService<P> {
             // Total storage outage: a reconfiguration round on top.
             return base.saturating_mul(3);
         }
-        let missing = (replicas - live) as f64;
+        let missing = (REPLICAS_PER_SHARD - live) as f64;
         let jitter = self
             .ctx
             .with_rng(|rng| hm_common::latency::sample_standard_normal(rng).abs());
@@ -674,18 +675,16 @@ impl<P: Payload> LogService<P> {
     /// Marks a storage replica of `shard` as failed. Replica failure is
     /// shard-scoped: other shards' storage groups keep full-speed quorums.
     pub fn fail_storage_replica_on(&self, shard: ShardId, replica: u32) {
-        let replicas = self.config.topology.replicas_per_shard;
         self.inner.borrow_mut().shards[shard.0 as usize]
             .failed_replicas
-            .insert(replica % replicas);
+            .insert(replica % REPLICAS_PER_SHARD);
     }
 
     /// Brings a failed storage replica of `shard` back.
     pub fn recover_storage_replica_on(&self, shard: ShardId, replica: u32) {
-        let replicas = self.config.topology.replicas_per_shard;
         self.inner.borrow_mut().shards[shard.0 as usize]
             .failed_replicas
-            .remove(&(replica % replicas));
+            .remove(&(replica % REPLICAS_PER_SHARD));
     }
 
     /// Number of live storage replicas on shard 0.
@@ -697,7 +696,7 @@ impl<P: Payload> LogService<P> {
     /// Number of live storage replicas on `shard`.
     #[must_use]
     pub fn live_storage_replicas_on(&self, shard: ShardId) -> u32 {
-        self.config.topology.replicas_per_shard
+        REPLICAS_PER_SHARD
             - self.inner.borrow().shards[shard.0 as usize].failed_replicas.len() as u32
     }
 
@@ -815,9 +814,8 @@ impl<P: Payload> LogService<P> {
             // a forced trigger claimed it first (the epoch moved on), in
             // which case it stands down.
             let svc = self.clone();
-            let delay = self.config.batch_max_delay;
             self.ctx.spawn_detached(async move {
-                if let Some(batch) = svc.deadline_or_handoff(home, epoch, delay).await {
+                if let Some(batch) = svc.deadline_or_handoff(home, epoch, BATCH_MAX_DELAY).await {
                     svc.flush_batch(home, batch, FlushTrigger::Size).await;
                 } else if let Some(batch) = svc.claim_batch(home, Some(epoch)) {
                     svc.flush_batch(home, batch, FlushTrigger::Deadline).await;
@@ -2502,7 +2500,6 @@ mod sharding_tests {
             LatencyModel::uniform_test_model(),
             LogConfig {
                 batch_max_records: 8, // > appender count: only the deadline flushes
-                batch_max_delay: Time::from_millis(5),
                 ..LogConfig::default()
             },
         );

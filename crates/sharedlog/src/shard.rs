@@ -109,7 +109,7 @@ pub struct FlushStats {
     /// Flushes triggered by the batch filling to
     /// `LogConfig::batch_max_records`.
     pub size_trigger: u64,
-    /// Flushes triggered by the `LogConfig::batch_max_delay` deadline.
+    /// Flushes triggered by the 200 µs batch deadline.
     pub deadline_trigger: u64,
     /// Flushes forced by a `replay_stream` recovery read (§5: a successor
     /// must observe every record the sequencer has accepted).
@@ -142,7 +142,7 @@ impl FlushStats {
 /// held, minus the records, their caches and the clock (shared, in the
 /// slab).
 pub(crate) struct ShardState {
-    /// Storage replicas currently down (by index `0..replicas_per_shard`).
+    /// Storage replicas currently down (by index `0..REPLICAS_PER_SHARD`).
     pub(crate) failed_replicas: FxHashSet<u32>,
     /// Appends persisted while fewer than a quorum of replicas were live —
     /// the reconfigured-view path (availability preserved, like Boki's

@@ -29,21 +29,16 @@ use std::task::{Context, Poll, Waker};
 // Semaphore
 // ---------------------------------------------------------------------------
 
-struct Waiter {
-    granted: Rc<RefCell<GrantSlot>>,
-}
-
 struct GrantSlot {
     granted: bool,
     waker: Option<Waker>,
-    /// Set when the acquiring future is dropped before being granted, so a
-    /// released permit is not lost on a dead waiter.
-    cancelled: bool,
 }
 
 struct SemState {
     permits: usize,
-    waiters: VecDeque<Waiter>,
+    /// One slot per live waiter, in arrival order: an acquiring future
+    /// dropped before its grant takes its slot out with it.
+    waiters: VecDeque<Rc<RefCell<GrantSlot>>>,
 }
 
 /// A counting semaphore with FIFO fairness.
@@ -90,19 +85,15 @@ impl Semaphore {
 
     fn release_one(&self) {
         let mut st = self.state.borrow_mut();
-        // Hand the permit to the first still-live waiter, if any.
-        while let Some(w) = st.waiters.pop_front() {
-            let mut slot = w.granted.borrow_mut();
-            if slot.cancelled {
-                continue;
-            }
-            slot.granted = true;
-            if let Some(waker) = slot.waker.take() {
-                waker.wake();
-            }
+        let Some(first) = st.waiters.pop_front() else {
+            st.permits += 1;
             return;
+        };
+        let mut slot = first.borrow_mut();
+        slot.granted = true;
+        if let Some(waker) = slot.waker.take() {
+            waker.wake();
         }
-        st.permits += 1;
     }
 }
 
@@ -150,11 +141,8 @@ impl Future for Acquire {
             let slot = Rc::new(RefCell::new(GrantSlot {
                 granted: false,
                 waker: Some(cx.waker().clone()),
-                cancelled: false,
             }));
-            st.waiters.push_back(Waiter {
-                granted: slot.clone(),
-            });
+            st.waiters.push_back(slot.clone());
             drop(st);
             self.slot = Some(slot);
             Poll::Pending
@@ -164,14 +152,14 @@ impl Future for Acquire {
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        if let Some(slot) = &self.slot {
-            let mut s = slot.borrow_mut();
-            if s.granted {
-                // Granted but never observed: give the permit back.
-                drop(s);
-                self.sem.release_one();
-            } else {
-                s.cancelled = true;
+        let Some(slot) = self.slot.take() else { return };
+        if slot.borrow().granted {
+            // Granted but never observed: give the permit back.
+            self.sem.release_one();
+        } else {
+            let mut st = self.sem.state.borrow_mut();
+            if let Some(i) = st.waiters.iter().position(|w| Rc::ptr_eq(w, &slot)) {
+                st.waiters.remove(i);
             }
         }
     }
@@ -636,6 +624,7 @@ pub type CancelledFut = LatchWait;
 #[cfg(test)]
 mod tests {
     use std::cell::Cell;
+    use std::pin::pin;
     use std::time::Duration;
 
     use crate::sim::Sim;
@@ -729,6 +718,31 @@ mod tests {
         sim.run();
         assert!(got.get());
         assert_eq!(sem.available(), 1);
+    }
+
+    #[test]
+    fn semaphore_queue_len_counts_live_waiters_only() {
+        let sem = Semaphore::new(1);
+        let mut cx = Context::from_waker(Waker::noop());
+        let Poll::Ready(held) = pin!(sem.acquire()).poll(&mut cx) else {
+            panic!("a free permit is granted at once");
+        };
+        let mut a = Box::pin(sem.acquire());
+        let mut b = Box::pin(sem.acquire());
+        let mut c = Box::pin(sem.acquire());
+        for waiter in [&mut a, &mut b, &mut c] {
+            assert!(waiter.as_mut().poll(&mut cx).is_pending());
+        }
+        drop(b);
+        assert_eq!(sem.queue_len(), 2, "a dropped waiter leaves the queue");
+        drop(held);
+        let Poll::Ready(granted) = a.as_mut().poll(&mut cx) else {
+            panic!("the first release grants A");
+        };
+        assert!(c.as_mut().poll(&mut cx).is_pending());
+        drop(granted);
+        assert!(c.as_mut().poll(&mut cx).is_ready(), "the second grants C");
+        assert_eq!((sem.queue_len(), sem.available()), (0, 1));
     }
 
     /// Polls a future exactly once, then drops it.

@@ -22,8 +22,6 @@
 //! client-visible output is identical to the default run — batching only
 //! changes throughput under concurrency, never results.
 
-use std::time::Duration;
-
 use halfmoon::{FaultPolicy, ProtocolKind};
 use hm_bench::cli::CommonOpts;
 use hm_common::{Key, Value};
@@ -48,12 +46,11 @@ fn main() {
     //    replay makes every retry resume exactly where the log says.
     //    Optional causal tracing is pure bookkeeping, so the traced run
     //    is bit-identical to the untraced one.
-    let topology = halfmoon::Topology::sharded(shards);
     let tracer = trace_out.as_ref().map(|_| hm_common::trace::Tracer::new());
     let mut builder = halfmoon::Client::builder(sim.ctx())
         .protocol(ProtocolKind::HalfmoonRead)
-        .topology(topology)
-        .batching(batch, Duration::from_micros(200))
+        .topology(halfmoon::Topology::sharded(shards))
+        .batching(batch)
         .faults(FaultPolicy::random(0.35, 5));
     if let Some(t) = &tracer {
         builder = builder.tracer(t.clone());
@@ -63,7 +60,7 @@ fn main() {
 
     // 3. A runtime with 8 function nodes, and one registered function:
     //    a read-modify-write that must never double-apply.
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::for_topology(topology));
+    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
     runtime.register("deposit", |env, input| {
         Box::pin(async move {
             let amount = input.get("amount").and_then(Value::as_int).unwrap_or(0);

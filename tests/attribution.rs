@@ -88,7 +88,7 @@ fn crashy_synthetic_run(kind: ProtocolKind, topology: Topology, batch: usize) ->
     let client = Client::builder(sim.ctx())
         .protocol(kind)
         .topology(topology)
-        .batching(batch, Duration::from_micros(200))
+        .batching(batch)
         .faults(FaultPolicy::random(0.004, 200))
         .tracer(tracer.clone())
         .anatomy(anatomy.clone())
@@ -129,7 +129,7 @@ fn protocol_residuals_are_zero_and_recovery_is_the_detection_delay() {
             assert_eq!(totals[phase.index()], 0, "{kind}: {}", phase.name());
         }
         assert!(run.retries > 50, "{kind}: only {} retries", run.retries);
-        let detection = RuntimeConfig::default().detection_delay.as_nanos();
+        let detection = hm_runtime::DETECTION_DELAY.as_nanos();
         assert_eq!(
             totals[Phase::Recovery.index()],
             u128::from(run.retries) * detection,

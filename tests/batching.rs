@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use halfmoon::{
-    Client, FaultPlan, FaultPolicy, OpRecord, ProtocolKind, ShardId, StepRecord,
+    Client, FaultPlan, FaultPolicy, OpRecord, ProtocolKind, ShardId, StepRecord, Topology,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::{Key, NodeId, StepNum, Value};
@@ -19,14 +19,16 @@ use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::Workload;
 
 /// Runs the quickstart-style crash-and-retry deposit sequence at the
-/// given batch size and returns the client-visible face of the run: the
-/// recorded operation history (minus virtual timestamps, which batching
-/// legitimately shifts), the final balance, and the append count.
-fn deposit_run(batch: usize) -> (Vec<String>, Value, u64) {
+/// given batch size and shard count and returns the client-visible face
+/// of the run: the recorded operation history (minus virtual timestamps,
+/// which batching and sharding legitimately shift), the final balance,
+/// and the append count.
+fn deposit_run(batch: usize, shards: u8) -> (Vec<String>, Value, u64) {
     let mut sim = Sim::new(4242);
     let client = Client::builder(sim.ctx())
         .protocol(ProtocolKind::HalfmoonRead)
-        .batching(batch, Duration::from_micros(200))
+        .topology(Topology::sharded(shards))
+        .batching(batch)
         .recorder()
         .faults(FaultPolicy::random(0.35, 5))
         .build();
@@ -63,17 +65,21 @@ fn deposit_run(batch: usize) -> (Vec<String>, Value, u64) {
 }
 
 /// The recorded operation history of a crashing, retrying workload is
-/// identical with and without group commit: same operations, same
-/// attempts, same program counters, same final state, same append count.
+/// identical with and without group commit, and on one shard or four:
+/// same operations, same attempts, same program counters, same final
+/// state, same append count.
 #[test]
 fn batching_preserves_the_client_visible_history() {
-    let unbatched = deposit_run(1);
-    let batched = deposit_run(16);
-    assert!(!unbatched.0.is_empty(), "recorder must have seen the run");
-    assert_eq!(unbatched.0, batched.0, "operation history must not change");
-    assert_eq!(unbatched.1, batched.1);
-    assert_eq!(unbatched.1, Value::Int(100 + 25 + 17 - 3));
-    assert_eq!(unbatched.2, batched.2, "append counts must not change");
+    let plain = deposit_run(1, 1);
+    assert!(!plain.0.is_empty(), "recorder must have seen the run");
+    assert_eq!(plain.1, Value::Int(100 + 25 + 17 - 3));
+    for (batch, shards) in [(16, 1), (1, 4)] {
+        let other = deposit_run(batch, shards);
+        let label = format!("batch {batch}, {shards} shards");
+        assert_eq!(plain.0, other.0, "{label}: operation history must not change");
+        assert_eq!(plain.1, other.1, "{label}");
+        assert_eq!(plain.2, other.2, "{label}: append counts must not change");
+    }
 }
 
 /// Regression test for the mid-flush double-count: a recovery that
@@ -85,7 +91,7 @@ fn recovery_counts_records_parked_mid_flush_exactly_once() {
     let mut sim = Sim::new(9);
     let client = Client::builder(sim.ctx())
         .model(LatencyModel::uniform_test_model())
-        .batching(8, Duration::from_millis(10))
+        .batching(8)
         .build();
     let ctx = sim.ctx();
     let id = client.fresh_instance_id();
@@ -106,9 +112,9 @@ fn recovery_counts_records_parked_mid_flush_exactly_once() {
     let c = client.clone();
     let handle = ctx.spawn(async move {
         // Arrive while all three appends are parked in the open batch:
-        // under the uniform test model they reach the sequencer at ~400µs
-        // and the 10ms deadline is nowhere near firing.
-        c.ctx().sleep(Time::from_micros(500)).await;
+        // under the uniform test model they reach the sequencer at
+        // 400–402µs, and the 200µs deadline fires at 600µs.
+        c.ctx().sleep(Time::from_micros(450)).await;
         let (recs, replay) = c.log().replay_stream(NodeId(1), tag).await;
         assert_eq!(recs.len(), 3, "the forced flush must surface all records");
         c.note_recovery(replay);
@@ -146,7 +152,7 @@ fn batched_chaos_campaign_passes_the_exactly_once_audit() {
         .fail_replica_at(Duration::from_secs(2), ShardId(0), 1, Duration::from_millis(1200));
     let client = Client::builder(sim.ctx())
         .protocol(ProtocolKind::HalfmoonWrite)
-        .batching(16, Duration::from_micros(200))
+        .batching(16)
         .recorder()
         .faults(plan)
         .build();

@@ -75,7 +75,7 @@ fn run_fingerprint_anatomy(
         .model(LatencyModel::calibrated())
         .protocol_config(ProtocolConfig::uniform(kind))
         .topology(topology)
-        .batching(batch, Duration::from_micros(200))
+        .batching(batch)
         .faults(FaultPolicy::random(0.002, 100));
     if let Some(tracer) = tracer {
         builder = builder.tracer(tracer);
@@ -369,7 +369,7 @@ fn batched_runs_are_deterministic() {
     }
 }
 
-/// `batching(1, ..)` is not merely equivalent to the default unbatched
+/// `batching(1)` is not merely equivalent to the default unbatched
 /// deployment — it is the *same code path* (the batcher never engages), so
 /// the run fingerprint matches the default construction bit-for-bit. This
 /// pins the tentpole's central promise: group commit is invisible until
@@ -464,7 +464,7 @@ fn batched_chaos_campaign_is_deterministic() {
         let client = Client::builder(sim.ctx())
             .model(LatencyModel::calibrated())
             .protocol_config(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead))
-            .batching(16, Duration::from_micros(200))
+            .batching(16)
             .faults(plan)
             .build();
         let workload = SyntheticOps {
@@ -535,7 +535,7 @@ async fn instrumented_run(ctx: Ctx, kind: ProtocolKind) -> (RunFingerprint, Stri
     let client = Client::builder(ctx)
         .model(LatencyModel::calibrated())
         .protocol_config(ProtocolConfig::uniform(kind))
-        .batching(1, Duration::from_micros(200))
+        .batching(1)
         .faults(FaultPolicy::random(0.002, 100))
         .tracer(tracer.clone())
         .anatomy(anatomy.clone())
@@ -685,7 +685,7 @@ fn chaos_campaign_is_worker_count_invariant() {
         let client = Client::builder(ctx)
             .model(LatencyModel::calibrated())
             .protocol_config(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead))
-            .batching(16, Duration::from_micros(200))
+            .batching(16)
             .faults(plan)
             .build();
         let workload = SyntheticOps {

@@ -400,11 +400,8 @@ fn metrics_driver_shard_mirrors_sum_under_batching() {
         let client = Client::builder(sim.ctx())
             .model(LatencyModel::calibrated())
             .protocol(ProtocolKind::HalfmoonRead)
-            .topology(halfmoon::Topology {
-                shards: 4,
-                ..halfmoon::Topology::default()
-            })
-            .batching(16, Duration::from_millis(2))
+            .topology(halfmoon::Topology::sharded(4))
+            .batching(16)
             .build();
         let workload = SyntheticOps {
             objects: 100,

@@ -1,9 +1,12 @@
-//! Allocation budget of the request path: what one open-loop request of
-//! the §6.3 synthetic function costs the host allocator, end to end
-//! (factory, gateway, runtime, protocol, log, store), under each Halfmoon
-//! protocol. A seeded simulation allocates deterministically, so a
-//! reintroduced per-op clone or per-map node shows here as a count, where
-//! wall time on a loaded box would hide it.
+//! Allocation budgets, all of `scripts/alloc_budget.json`: what one
+//! open-loop request of the §6.3 synthetic function costs the host
+//! allocator, end to end (factory, gateway, runtime, protocol, log,
+//! store), under each Halfmoon protocol; and what one append and one
+//! replayed record cost on the log's hot path (`bench_sim_core`'s
+//! `hot_path_alloc` component, at full scale so pool warmup amortizes over
+//! the real op count). A seeded simulation allocates deterministically, so
+//! a reintroduced per-op clone or per-map node shows here as a count,
+//! where wall time on a loaded box would hide it.
 //!
 //! Its own test binary: the counting allocator is process-global, and a
 //! single `#[test]` keeps other threads' allocations out of the count.
@@ -12,6 +15,7 @@ use std::time::Duration;
 
 use halfmoon::{Client, ProtocolKind};
 use hm_bench::alloc::{AllocSnapshot, CountingAlloc};
+use hm_bench::sim_core::hot_path_alloc;
 use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
@@ -51,22 +55,37 @@ fn measure(protocol: ProtocolKind) -> (u64, u64) {
     })
 }
 
-/// The `"allocs_per_request"` entry of `request_path.<protocol>` in
-/// `scripts/alloc_budget.json`.
-fn budget(protocol: &str) -> f64 {
-    let json = include_str!("../scripts/alloc_budget.json");
-    let section = &json[json.find("\"request_path\"").expect("request_path section")..];
-    let entry = &section[section
-        .find(&format!("\"{protocol}\""))
-        .expect("protocol entry")..];
-    let field = "\"allocs_per_request\":";
-    let value = &entry[entry.find(field).expect("allocs_per_request field") + field.len()..];
+/// The `field` entry under the nested keys `path` in
+/// `scripts/alloc_budget.json` (each key's first quoted occurrence after
+/// the previous one's).
+fn budget(path: &[&str], field: &str) -> f64 {
+    let mut json = include_str!("../scripts/alloc_budget.json");
+    for key in path.iter().chain([&field]) {
+        let quoted = format!("\"{key}\"");
+        json = &json[json.find(&quoted).unwrap_or_else(|| panic!("no {quoted}")) + quoted.len()..];
+    }
+    let value = json.trim_start().strip_prefix(':').expect("a value");
     let end = value.find(['}', ',']).expect("end of number");
     value[..end].trim().parse().expect("a number")
 }
 
 #[test]
 fn request_path_stays_within_its_allocation_budget() {
+    for phase in hot_path_alloc(1.0).alloc {
+        for (metric, got) in [
+            ("allocs_per_op", phase.rate.allocs_per_op),
+            ("bytes_per_op", phase.rate.bytes_per_op),
+        ] {
+            let cap = budget(&[phase.name], metric);
+            println!("hot path {}: {got:.3} {metric} (budget {cap})", phase.name);
+            assert!(
+                got <= cap,
+                "hot path {}: {got:.3} {metric} exceeds the budget of {cap} \
+                 (scripts/alloc_budget.json; append path regressed?)",
+                phase.name
+            );
+        }
+    }
     for (protocol, name) in [
         (ProtocolKind::HalfmoonRead, "halfmoon_read"),
         (ProtocolKind::HalfmoonWrite, "halfmoon_write"),
@@ -82,7 +101,7 @@ fn request_path_stays_within_its_allocation_budget() {
             "{name}: two runs of one seed must allocate identically"
         );
         let per_request = allocs as f64 / requests as f64;
-        let cap = budget(name);
+        let cap = budget(&["request_path", name], "allocs_per_request");
         println!("{name}: {per_request:.2} allocations per request (budget {cap})");
         assert!(
             per_request <= cap,
