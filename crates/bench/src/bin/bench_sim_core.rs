@@ -1,17 +1,19 @@
 //! Wall-clock benchmark of the simulation substrate's hot paths.
 //!
-//! Unlike the `benches/` targets (which reproduce the paper's *simulated*
-//! figures), this binary measures how fast the simulator itself runs: it
-//! times each component of [`hm_bench::sim_core`] — executor timer churn,
-//! raw shared-log traffic, full application workloads and the rest — with
-//! plain `std::time::Instant`, and emits `BENCH_sim_core.json` so
+//! Unlike the `paper` bench target (which reproduces the paper's
+//! *simulated* figures), this binary measures how fast the simulator
+//! itself runs: it times each component of [`hm_bench::sim_core`] —
+//! executor timer churn, raw shared-log traffic, full application
+//! workloads and the rest — with plain `std::time::Instant`, and emits
+//! `BENCH_sim_core.json` so
 //! successive changes can track the substrate's wall-clock trajectory.
 //! `work_fingerprint` combines the components' fingerprints: two builds
 //! that disagree on it did different simulated work.
 //!
 //! Knobs:
 //! - `HM_BENCH_SCALE` (default 1.0): multiplies workload durations; use a
-//!   small value (e.g. 0.05) for a smoke run.
+//!   small value (e.g. 0.05) for a smoke run. A value that is not a
+//!   finite number above zero stops the binary with an error naming it.
 //! - `HM_BENCH_OUT` (default `BENCH_sim_core.json`): output path.
 //! - `--trace-out <path>`: re-run the synthetic Halfmoon-read workload with
 //!   causal tracing attached, assert its work fingerprint matches the
@@ -119,7 +121,7 @@ fn traced_twin(scale: f64, path: &str, untraced: u64) -> Timed {
 }
 
 fn main() {
-    let scale = hm_bench::scale();
+    let scale = hm_bench::scale().unwrap_or_else(|e| panic!("{e}"));
     let out_path =
         std::env::var("HM_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim_core.json".to_string());
     let opts = CommonOpts::from_env();

@@ -35,7 +35,7 @@ use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 
 use crate::alloc::{AllocRate, AllocSnapshot};
-use crate::{run_app, run_app_traced, AppRun};
+use crate::{run_app, AppRun};
 
 /// What one component did.
 pub struct Run {
@@ -390,7 +390,6 @@ pub fn append_batching(scale: f64) -> Run {
 pub fn app(kind: ProtocolKind, travel: bool, scale: f64, tracer: Option<Rc<Tracer>>) -> Run {
     let params = AppRun {
         seed: 0xA11,
-        kind,
         rate: 250.0,
         duration: Duration::from_secs_f64(12.0 * scale),
         warmup: Duration::from_secs_f64(1.0 * scale),
@@ -406,10 +405,10 @@ pub fn app(kind: ProtocolKind, travel: bool, scale: f64, tracer: Option<Rc<Trace
         users: 60,
     };
     let workload: &dyn hm_workloads::Workload = if travel { &travel_wl } else { &synthetic };
-    let out = match tracer {
-        Some(tracer) => run_app_traced(workload, &params, tracer),
-        None => run_app(workload, &params),
-    };
+    let out = run_app(workload, &params, |b| match tracer {
+        Some(tracer) => b.protocol(kind).tracer(tracer),
+        None => b.protocol(kind),
+    });
     let mut fp = mix(0, out.report.completed);
     fp = mix(fp, out.report.generated);
     fp = mix(fp, out.report.errors);

@@ -33,10 +33,10 @@ use std::time::Duration;
 use crate::anatomy::Anatomy;
 use crate::trace::{escape, Lane, Tracer};
 
-/// Default cap on incidents retained in the recorder's own ring.
-const DEFAULT_INCIDENT_CAPACITY: usize = 256;
-/// Default number of trace events dumped per lane.
-const DEFAULT_EVENTS_PER_LANE: usize = 512;
+/// Incidents retained in the recorder's own ring.
+const INCIDENT_CAPACITY: usize = 256;
+/// Trace events dumped per lane.
+const EVENTS_PER_LANE: usize = 512;
 /// Default recovery budget: a single invocation retrying this many times
 /// after `NodeCrashed` triggers a dump.
 const DEFAULT_RECOVERY_BUDGET: u32 = 8;
@@ -56,9 +56,7 @@ struct FlightInner {
     tracer: Option<Rc<Tracer>>,
     anatomy: Option<Rc<Anatomy>>,
     incidents: Vec<Incident>,
-    incident_cap: usize,
     incidents_dropped: u64,
-    events_per_lane: usize,
     recovery_budget: u32,
     last_dump: Option<String>,
     dumps: u64,
@@ -72,16 +70,14 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// New recorder with default capacities and recovery budget.
+    /// New recorder with the default recovery budget.
     pub fn new() -> Rc<FlightRecorder> {
         Rc::new(FlightRecorder {
             inner: RefCell::new(FlightInner {
                 tracer: None,
                 anatomy: None,
                 incidents: Vec::new(),
-                incident_cap: DEFAULT_INCIDENT_CAPACITY,
                 incidents_dropped: 0,
-                events_per_lane: DEFAULT_EVENTS_PER_LANE,
                 recovery_budget: DEFAULT_RECOVERY_BUDGET,
                 last_dump: None,
                 dumps: 0,
@@ -113,7 +109,7 @@ impl FlightRecorder {
     /// Note an incident in the bounded incident ring (no dump).
     pub fn note(&self, at: Duration, kind: &str, detail: String) {
         let mut inner = self.inner.borrow_mut();
-        if inner.incidents.len() == inner.incident_cap {
+        if inner.incidents.len() == INCIDENT_CAPACITY {
             inner.incidents.remove(0);
             inner.incidents_dropped += 1;
         }
@@ -128,7 +124,7 @@ impl FlightRecorder {
     /// it, and return it.
     ///
     /// Dump layout (JSONL): one `flightrec` header line, the incident ring,
-    /// the last `events_per_lane` trace events from every lane, then the
+    /// the last 512 trace events from every lane, then the
     /// retained anatomy stamp rows — all in deterministic order.
     pub fn trigger(&self, at: Duration, kind: &str, detail: String) -> String {
         self.note(at, kind, detail);
@@ -148,7 +144,7 @@ impl FlightRecorder {
             ));
         }
         if let Some(tracer) = &inner.tracer {
-            for e in tracer.recent_events(inner.events_per_lane) {
+            for e in tracer.recent_events(EVENTS_PER_LANE) {
                 out.push_str(&format!(
                     "{{\"event\":\"{}\",\"seq\":{},\"at_ns\":{},\"lane\":\"{}\",\
                      \"trace\":{},\"span\":{},\"ph\":\"{}\",\"detail\":\"{}\"}}\n",
@@ -265,9 +261,9 @@ mod tests {
     #[test]
     fn incident_ring_is_bounded() {
         let fr = FlightRecorder::new();
-        for i in 0..(DEFAULT_INCIDENT_CAPACITY as u64 + 10) {
+        for i in 0..(INCIDENT_CAPACITY as u64 + 10) {
             fr.note(t(i), "tick", String::new());
         }
-        assert_eq!(fr.incidents().len(), DEFAULT_INCIDENT_CAPACITY);
+        assert_eq!(fr.incidents().len(), INCIDENT_CAPACITY);
     }
 }

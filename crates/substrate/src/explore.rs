@@ -396,7 +396,6 @@ struct Walk {
     pruned: bool,
     truncated: bool,
     pruning: bool,
-    max_depth: usize,
     nodes: usize,
 }
 
@@ -447,7 +446,7 @@ impl ChoiceSource for DfsChooser {
             w.cursor += 1;
             return pick;
         }
-        if d >= w.max_depth {
+        if d >= MAX_DEPTH {
             w.truncated = true;
             return 0;
         }
@@ -512,9 +511,14 @@ impl ChoiceSource for DfsChooser {
 #[derive(Clone, Copy, Debug)]
 pub struct Explorer {
     pruning: bool,
-    max_depth: usize,
-    max_runs: usize,
 }
+
+/// Decision depth beyond which a run defaults to the first alternative
+/// and the exploration reports it as truncated.
+const MAX_DEPTH: usize = 4096;
+/// Executions (completed + aborted) after which the exploration stops and
+/// reports itself incomplete.
+const MAX_RUNS: usize = 1_000_000;
 
 impl Default for Explorer {
     fn default() -> Explorer {
@@ -523,15 +527,11 @@ impl Default for Explorer {
 }
 
 impl Explorer {
-    /// An explorer with sleep-set pruning on and generous caps
-    /// (depth 4096, one million executions).
+    /// An explorer with sleep-set pruning on, capped at depth 4096 and
+    /// one million executions.
     #[must_use]
     pub fn new() -> Explorer {
-        Explorer {
-            pruning: true,
-            max_depth: 4096,
-            max_runs: 1_000_000,
-        }
+        Explorer { pruning: true }
     }
 
     /// Enables or disables sleep-set pruning. With pruning off the search
@@ -540,22 +540,6 @@ impl Explorer {
     #[must_use]
     pub fn pruning(mut self, on: bool) -> Explorer {
         self.pruning = on;
-        self
-    }
-
-    /// Caps decision depth; beyond it runs default to the first
-    /// alternative and the result is reported as truncated.
-    #[must_use]
-    pub fn max_depth(mut self, depth: usize) -> Explorer {
-        self.max_depth = depth;
-        self
-    }
-
-    /// Caps total executions (completed + aborted); hitting the cap marks
-    /// the exploration incomplete.
-    #[must_use]
-    pub fn max_runs(mut self, runs: usize) -> Explorer {
-        self.max_runs = runs;
         self
     }
 
@@ -589,7 +573,6 @@ impl Explorer {
             pruned: false,
             truncated: false,
             pruning: self.pruning,
-            max_depth: self.max_depth,
             nodes: 0,
         }));
         let probe = DfsChooser { walk: walk.clone() };
@@ -682,12 +665,11 @@ impl Explorer {
             pruned: false,
             truncated: false,
             pruning: self.pruning,
-            max_depth: self.max_depth,
             nodes: 0,
         }));
         let chooser = DfsChooser { walk: walk.clone() };
         loop {
-            if stats.executions() >= self.max_runs {
+            if stats.executions() >= MAX_RUNS {
                 stats.complete = false;
                 break;
             }

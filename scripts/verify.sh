@@ -6,8 +6,9 @@
 # manifest's `default-members` make `cargo test -q` run every crate's
 # tests, not only the root package's; among them the allocation budgets
 # (tests/request_alloc_budget.rs), shard- and batch-invariant client
-# histories (tests/batching.rs) and the chaos auditor
-# (tests/chaos_tests.rs).
+# histories (tests/batching.rs), the chaos auditor
+# (tests/chaos_tests.rs) and the paper's headline shapes: every figure of
+# hm_bench::paper at 5 % duration (crates/bench/tests/paper_claims.rs).
 # Lints: clippy across all targets with warnings denied.
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).
