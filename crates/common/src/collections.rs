@@ -9,9 +9,9 @@
 //! - [`FxHashMap`] / [`FxHashSet`]: hash containers using the Firefox
 //!   `FxHash` function, far cheaper than SipHash for the integer keys the
 //!   shared log indexes by (`Tag`, `SeqNum`, `NodeId`) and stable across
-//!   runs and platforms.
+//!   runs and platforms. The root `clippy.toml` disallows std's
+//!   `RandomState`-seeded `HashMap` and `HashSet` everywhere else.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ids::Tag;
@@ -225,9 +225,11 @@ impl Hasher for FxHasher {
 /// Deterministic FxHash builder for `HashMap`/`HashSet`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// `HashMap` keyed with [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[allow(clippy::disallowed_types)] // the one place std's map is named
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<K> = HashSet<K, FxBuildHasher>;
+#[allow(clippy::disallowed_types)] // the one place std's set is named
+pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -187,9 +187,25 @@ impl fmt::Debug for StepNum {
 /// The name is a shared `Rc<str>`: keys are cloned into log records, the
 /// store, the recorder and the GC's bookkeeping many times per request,
 /// and every one of those clones is a refcount bump. `Hash`, `Ord` and
-/// `Eq` are `str`'s.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// `Eq` are `str`'s; equality answers "same buffer" before it compares
+/// bytes, so a lookup with a clone of the stored key never reads the
+/// string.
+#[derive(Clone, PartialOrd, Ord)]
 pub struct Key(Rc<str>);
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        Rc::ptr_eq(&self.0, &other.0) || *self.0 == *other.0
+    }
+}
+
+impl Eq for Key {}
+
+impl std::hash::Hash for Key {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        str::hash(&self.0, state);
+    }
+}
 
 impl Key {
     /// Builds a key from anything string-like.

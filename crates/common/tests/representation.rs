@@ -115,7 +115,12 @@ fn key_observables_are_pinned() {
     for (name, hash) in pins {
         let key = Key::new(name);
         assert_eq!(fx(&key), hash, "{name:?}");
-        assert_eq!(fx(&Key::new(name.to_string())), hash);
+        // Equal content in a distinct buffer: equal, and the same hash.
+        let twin = Key::new(name.to_string());
+        assert!(!std::ptr::eq(twin.as_str(), key.as_str()));
+        assert_eq!(twin, key);
+        assert_eq!(fx(&twin), hash);
+        assert_eq!(key.clone(), key);
         assert_eq!(format!("{key:?}"), format!("key:{name}"));
         assert_eq!(key.to_string(), name);
         assert_eq!(key.as_str(), name);

@@ -21,12 +21,11 @@
 //! nothing until its events actually fire.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use hm_common::{InstanceId, NodeId};
+use hm_common::{FxHashMap, FxHashSet, InstanceId, NodeId};
 use hm_sharedlog::ShardId;
 use hm_substrate::explore::{Alt, ChoiceSource};
 use hm_substrate::Ctx;
@@ -53,7 +52,7 @@ enum FaultMode {
     },
     /// Crash exactly at the listed `(instance, point)` pairs, each once.
     At {
-        points: RefCell<HashSet<(InstanceId, u32)>>,
+        points: RefCell<FxHashSet<(InstanceId, u32)>>,
     },
     /// Crash each execution *attempt* with this probability, at a uniformly
     /// random crash point — the Bernoulli-process model of §7. `max_point`
@@ -62,7 +61,7 @@ enum FaultMode {
     PerAttempt {
         prob: f64,
         max_point: u32,
-        pending: RefCell<HashMap<InstanceId, u32>>,
+        pending: RefCell<FxHashMap<InstanceId, u32>>,
     },
     /// Delegate every crash point to a systematic [`ChoiceSource`]
     /// (`hm_substrate::explore`): each `maybe_crash` call becomes an
@@ -106,7 +105,7 @@ impl fmt::Debug for FaultMode {
 /// always sound (it just forfeits pruning).
 #[derive(Debug, Default)]
 pub struct CrashFootprints {
-    map: RefCell<HashMap<InstanceId, u64>>,
+    map: RefCell<FxHashMap<InstanceId, u64>>,
 }
 
 impl CrashFootprints {
@@ -170,7 +169,7 @@ impl FaultPolicy {
             mode: FaultMode::PerAttempt {
                 prob,
                 max_point,
-                pending: RefCell::new(std::collections::HashMap::new()),
+                pending: RefCell::default(),
             },
             injected: Cell::new(0),
             max_crashes,
@@ -205,7 +204,7 @@ impl FaultPolicy {
     /// Crash exactly once at each listed `(instance, crash point)` pair.
     #[must_use]
     pub fn at(points: impl IntoIterator<Item = (InstanceId, u32)>) -> FaultPolicy {
-        let points: HashSet<_> = points.into_iter().collect();
+        let points: FxHashSet<_> = points.into_iter().collect();
         let max = points.len() as u32;
         FaultPolicy {
             mode: FaultMode::At {

@@ -17,10 +17,8 @@
 //!    version. Keeping the marked record is condition (a).
 //! 4. Trim the global init/finish streams below the watermark.
 
-use std::collections::HashSet;
-
 use hm_common::observe::{Lane, OpCtx};
-use hm_common::{Key, NodeId, SeqNum, VersionNum};
+use hm_common::{FxHashSet, Key, NodeId, SeqNum, VersionNum};
 
 use crate::client::{finish_log_tag, init_log_tag, Client};
 use crate::record::OpRecord;
@@ -74,7 +72,7 @@ impl GarbageCollector {
             .log_as(&octx)
             .read_stream(self.node, finish_log_tag())
             .await;
-        let finished: HashSet<SeqNum> = fins
+        let finished: FxHashSet<SeqNum> = fins
             .iter()
             .filter_map(|r| match r.payload.op {
                 OpRecord::Finish { init_seqnum, .. } => Some(init_seqnum),
@@ -95,36 +93,32 @@ impl GarbageCollector {
         // One snapshot serves the cycle: a key first written after this
         // point has no record below the watermark, so step 3 would skip it.
         let written = self.client.written_keys();
+        // Every stream of the cycle is read into this one buffer.
+        let mut stream = Vec::new();
         for init in inits.iter().filter(|r| r.seqnum < watermark) {
             stats.instances_reclaimed += 1;
             let instance = init.payload.instance;
             self.client.drop_checkpoints(instance);
             let step_tag = instance.step_log_tag();
-            // Orphan-version scan: a WriteIntent whose step never reached a
-            // commit record leaked a version into the store.
-            let records: Vec<_> = self
-                .client
-                .log()
-                .peek_stream(step_tag)
-                .into_iter()
-                .filter_map(|sn| self.client.log().peek_record(sn))
-                .collect();
-            for (i, rec) in records.iter().enumerate() {
-                if let OpRecord::WriteIntent { version } = rec.payload.op {
-                    let committed = records
-                        .get(i + 1)
-                        .is_some_and(|next| next.payload.object_version() == Some(version));
-                    if !committed {
-                        // The intent's target key is not in the record (it
-                        // is implied by program position); scan candidates.
-                        for key in &written {
-                            if self.client.store().peek_version(key, version).is_some() {
-                                orphan_deletes.push((key.clone(), version));
-                                break;
-                            }
-                        }
+            // Orphan-version scan: a WriteIntent whose next record is not
+            // its commit leaked a version into the store.
+            self.client.log().peek_stream_into(step_tag, &mut stream);
+            let mut intent = None;
+            for rec in stream
+                .iter()
+                .filter_map(|sn| self.client.log().peek_record(*sn))
+            {
+                if let Some(version) = intent.take() {
+                    if rec.payload.object_version() != Some(version) {
+                        self.orphan(&written, version, &mut orphan_deletes);
                     }
                 }
+                if let OpRecord::WriteIntent { version } = rec.payload.op {
+                    intent = Some(version);
+                }
+            }
+            if let Some(version) = intent {
+                self.orphan(&written, version, &mut orphan_deletes);
             }
             let client = self.client.clone();
             let node = self.node;
@@ -148,7 +142,7 @@ impl GarbageCollector {
         let mut version_deletes = Vec::new();
         for key in &written {
             let tag = key.object_log_tag();
-            let stream = self.client.log().peek_stream(tag);
+            self.client.log().peek_stream_into(tag, &mut stream);
             // Latest *effective* record strictly below the watermark — an
             // aborted transaction commit is invisible to readers, so it
             // cannot serve as the retained snapshot (condition (a)).
@@ -212,6 +206,18 @@ impl GarbageCollector {
             p.span_end(&octx, Lane::Gc, self.client.ctx().now());
         }
         stats
+    }
+
+    /// Queues the deletion of uncommitted `version`. The intent's target
+    /// key is not in the record (it is implied by program position), so
+    /// the written keys are the candidates.
+    fn orphan(&self, written: &[Key], version: VersionNum, out: &mut Vec<(Key, VersionNum)>) {
+        if let Some(key) = written
+            .iter()
+            .find(|key| self.client.store().peek_version(key, version).is_some())
+        {
+            out.push((key.clone(), version));
+        }
     }
 }
 

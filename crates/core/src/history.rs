@@ -30,9 +30,9 @@
 //! explorer may run just one of them.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use hm_common::{InstanceId, Key, SeqNum, Value, VersionTuple};
+use hm_common::{FxHashMap, FxHashSet, InstanceId, Key, SeqNum, Value, VersionTuple};
 use hm_substrate::Time;
 
 /// What one recorded operation did.
@@ -114,7 +114,7 @@ pub struct Event {
 #[derive(Default)]
 pub struct Recorder {
     events: RefCell<Vec<Event>>,
-    base: RefCell<HashMap<Key, u64>>,
+    base: RefCell<FxHashMap<Key, u64>>,
 }
 
 /// Fingerprint value representing "key absent / never written".
@@ -167,7 +167,7 @@ impl Recorder {
     /// # Errors
     /// Returns a description of the first violating operation.
     pub fn check_read_stability(&self) -> Result<(), String> {
-        let mut seen: HashMap<(InstanceId, u32), u64> = HashMap::new();
+        let mut seen: FxHashMap<(InstanceId, u32), u64> = FxHashMap::default();
         for e in self.events.borrow().iter() {
             if let EventKind::Read { fp, key, .. } = &e.kind {
                 match seen.insert((e.instance, e.pc), *fp) {
@@ -190,7 +190,7 @@ impl Recorder {
     /// # Errors
     /// Returns a description of the first violating operation.
     pub fn check_invoke_stability(&self) -> Result<(), String> {
-        let mut seen: HashMap<(InstanceId, u32), (InstanceId, u64)> = HashMap::new();
+        let mut seen: FxHashMap<(InstanceId, u32), (InstanceId, u64)> = FxHashMap::default();
         for e in self.events.borrow().iter() {
             if let EventKind::Invoke { callee, fp } = &e.kind {
                 match seen.insert((e.instance, e.pc), (*callee, *fp)) {
@@ -221,8 +221,8 @@ impl Recorder {
     /// # Errors
     /// Returns a description of the first violating operation.
     pub fn check_write_determinism(&self) -> Result<(), String> {
-        let mut versioned: HashMap<(InstanceId, u32), SeqNum> = HashMap::new();
-        let mut cond: HashMap<(InstanceId, u32), (VersionTuple, u32)> = HashMap::new();
+        let mut versioned: FxHashMap<(InstanceId, u32), SeqNum> = FxHashMap::default();
+        let mut cond: FxHashMap<(InstanceId, u32), (VersionTuple, u32)> = FxHashMap::default();
         for e in self.events.borrow().iter() {
             match &e.kind {
                 EventKind::VersionedWrite { commit, key, .. } => {
@@ -277,13 +277,13 @@ impl Recorder {
     /// inconsistent with the logical-timestamp order.
     pub fn check_hm_read_sequential_consistency(&self) -> Result<(), String> {
         // Committed writes per key, ordered by commit seqnum.
-        let mut writes: HashMap<Key, BTreeMap<SeqNum, u64>> = HashMap::new();
+        let mut writes: FxHashMap<Key, BTreeMap<SeqNum, u64>> = FxHashMap::default();
         for e in self.events.borrow().iter() {
             if let EventKind::VersionedWrite { key, fp, commit } = &e.kind {
                 writes.entry(key.clone()).or_default().insert(*commit, *fp);
             }
         }
-        let mut checked: HashMap<(InstanceId, u32), ()> = HashMap::new();
+        let mut checked: FxHashSet<(InstanceId, u32)> = FxHashSet::default();
         for e in self.events.borrow().iter() {
             let EventKind::Read {
                 key, fp, logical, ..
@@ -291,7 +291,7 @@ impl Recorder {
             else {
                 continue;
             };
-            if checked.insert((e.instance, e.pc), ()).is_some() {
+            if !checked.insert((e.instance, e.pc)) {
                 continue; // replay attempts validated by check_read_stability
             }
             let expected = writes
@@ -331,7 +331,7 @@ impl Recorder {
         let mut events = self.events();
         events.sort_by_key(|e| e.at);
         // Track per-key state along real time: the applied version and fp.
-        let mut state: HashMap<Key, (VersionTuple, u64)> = HashMap::new();
+        let mut state: FxHashMap<Key, (VersionTuple, u64)> = FxHashMap::default();
         for e in &events {
             match &e.kind {
                 EventKind::CondWrite {
@@ -382,7 +382,7 @@ impl Recorder {
     /// # Errors
     /// Returns a description of the first duplicated effect.
     pub fn check_raw_write_uniqueness(&self) -> Result<(), String> {
-        let mut seen: HashMap<(InstanceId, u32), u32> = HashMap::new();
+        let mut seen: FxHashMap<(InstanceId, u32), u32> = FxHashMap::default();
         for e in self.events.borrow().iter() {
             if let EventKind::RawWrite { key, .. } = &e.kind {
                 let count = seen.entry((e.instance, e.pc)).or_insert(0);
@@ -408,7 +408,7 @@ impl Recorder {
     /// Returns a description of the first read behind its own write.
     pub fn check_read_your_writes(&self) -> Result<(), String> {
         // Last committed write per (instance, key): (pc, commit seqnum).
-        let mut writes: HashMap<(InstanceId, Key), (u32, SeqNum)> = HashMap::new();
+        let mut writes: FxHashMap<(InstanceId, Key), (u32, SeqNum)> = FxHashMap::default();
         for e in self.events.borrow().iter() {
             match &e.kind {
                 EventKind::VersionedWrite { key, commit, .. } => {
@@ -443,21 +443,21 @@ impl Recorder {
     /// attempts repeat earlier pcs and are covered by the stability check.
     ///
     /// # Errors
-    /// Returns a description of the first backward-moving read.
+    /// Returns a description of the backward-moving read of the smallest
+    /// `(instance, key)` pair that has one, at its smallest pc: one
+    /// message per history, whatever the recording order.
     pub fn check_monotonic_reads(&self) -> Result<(), String> {
-        // First-observed logical per (instance, key, pc).
-        let mut first: HashMap<(InstanceId, Key, u32), SeqNum> = HashMap::new();
+        // First-observed logical per (instance, key) and pc, walked in
+        // that order.
+        let mut per_pair: BTreeMap<(InstanceId, Key), BTreeMap<u32, SeqNum>> = BTreeMap::new();
         for e in self.events.borrow().iter() {
             if let EventKind::Read { key, logical, .. } = &e.kind {
-                first
-                    .entry((e.instance, key.clone(), e.pc))
+                per_pair
+                    .entry((e.instance, key.clone()))
+                    .or_default()
+                    .entry(e.pc)
                     .or_insert(*logical);
             }
-        }
-        // Re-walk per (instance, key) in pc order.
-        let mut per_pair: HashMap<(InstanceId, Key), BTreeMap<u32, SeqNum>> = HashMap::new();
-        for ((inst, key, pc), logical) in first {
-            per_pair.entry((inst, key)).or_default().insert(pc, logical);
         }
         for ((inst, key), by_pc) in per_pair {
             let mut last: Option<(u32, SeqNum)> = None;
@@ -637,5 +637,27 @@ mod tests {
         assert!(r.check_invoke_stability().is_ok());
         r.record(ev(10, 1));
         assert!(r.check_invoke_stability().is_err());
+    }
+
+    #[test]
+    fn monotonic_reads_reports_one_violation_per_history() {
+        let r = Recorder::new();
+        // Eight instances, recorded in descending id order, each reading
+        // `k` backwards twice.
+        for inst in (1..=8).rev() {
+            r.record(read(inst, 0, "k", 0xaa, 30));
+            r.record(read(inst, 1, "k", 0xaa, 20));
+            r.record(read(inst, 2, "k", 0xaa, 10));
+        }
+        let first = r
+            .check_monotonic_reads()
+            .expect_err("every instance reads backwards");
+        assert!(
+            first.contains("inst:00000001") && first.contains("pc 0"),
+            "{first}"
+        );
+        for _ in 0..20 {
+            assert_eq!(r.check_monotonic_reads(), Err(first.clone()));
+        }
     }
 }

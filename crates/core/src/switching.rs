@@ -191,7 +191,7 @@ impl Switcher {
                 .log()
                 .read_stream(self.node, finish_log_tag())
                 .await;
-            let finished: std::collections::HashSet<SeqNum> = fins
+            let finished: hm_common::FxHashSet<SeqNum> = fins
                 .iter()
                 .filter_map(|r| match r.payload.op {
                     OpRecord::Finish { init_seqnum, .. } => Some(init_seqnum),

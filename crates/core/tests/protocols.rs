@@ -6,13 +6,12 @@
 //! contract `hm-runtime` implements): on an injected crash the SSF is
 //! re-executed with the same instance id until it completes.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{Client, Env, FaultPolicy, GarbageCollector, InvocationSpec, Invoker, LocalBoxFuture, ProtocolConfig, ProtocolKind, Recorder, Switcher};
 use hm_common::latency::LatencyModel;
-use hm_common::{HmResult, InstanceId, Key, NodeId, Value};
+use hm_common::{FxHashMap, HmResult, InstanceId, Key, NodeId, Value};
 use hm_substrate::sim::Sim;
 
 type SsfBody = Rc<dyn for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>>>;
@@ -61,14 +60,14 @@ async fn run_to_completion(
 /// retry loop.
 struct TestInvoker {
     client: std::cell::RefCell<Option<Client>>,
-    funcs: std::cell::RefCell<HashMap<String, SsfBody>>,
+    funcs: std::cell::RefCell<FxHashMap<String, SsfBody>>,
 }
 
 impl TestInvoker {
     fn install(client: &Client) -> Rc<TestInvoker> {
         let inv = Rc::new(TestInvoker {
             client: std::cell::RefCell::new(Some(client.clone())),
-            funcs: std::cell::RefCell::new(HashMap::new()),
+            funcs: std::cell::RefCell::default(),
         });
         client.register_invoker(inv.clone());
         inv

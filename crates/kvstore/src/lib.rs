@@ -67,12 +67,11 @@ struct LatestItem {
 struct StoreInner {
     /// Single-version table: key → latest value + version tuple.
     latest: FxHashMap<Key, LatestItem>,
-    /// Multi-version table: key → version → value. Logically each version
-    /// has its own composite key — the paper's "each version is represented
-    /// by a separate key" (§5.2) — but nesting lets every versioned
-    /// operation borrow the caller's key instead of materializing a
-    /// composite one per access.
-    versions: FxHashMap<Key, FxHashMap<VersionNum, Value>>,
+    /// Multi-version table: each version under its own composite key, the
+    /// paper's "each version is represented by a separate key" (§5.2).
+    /// Every versioned operation is one probe; a composite key is a
+    /// refcount bump of the caller's key.
+    versions: FxHashMap<(Key, VersionNum), Value>,
     bytes: TimeWeightedGauge,
     counters: OpCounters,
     /// The deployment's observation handle, shared by all handle clones.
@@ -262,11 +261,7 @@ impl KvStore {
         let out = {
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_reads += 1;
-            inner
-                .versions
-                .get(key)
-                .and_then(|m| m.get(&version))
-                .cloned()
+            inner.versions.get(&(key.clone(), version)).cloned()
         };
         scope.end(|| self.ctx.now());
         out
@@ -282,14 +277,7 @@ impl KvStore {
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_writes += 1;
             let new_bytes = (key.size_bytes() + 8 + value.size_bytes() + ITEM_META_BYTES) as f64;
-            if !inner.versions.contains_key(key) {
-                inner.versions.insert(key.clone(), FxHashMap::default());
-            }
-            let old = inner
-                .versions
-                .get_mut(key)
-                .expect("versions entry just ensured")
-                .insert(version, value);
+            let old = inner.versions.insert((key.clone(), version), value);
             if let Some(old) = old {
                 inner.charge(
                     now,
@@ -309,7 +297,7 @@ impl KvStore {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
             inner.counters.db_deletes += 1;
-            match inner.versions.get_mut(key).and_then(|m| m.remove(&version)) {
+            match inner.versions.remove(&(key.clone(), version)) {
                 Some(old) => {
                     inner.charge(
                         now,
@@ -348,15 +336,14 @@ impl KvStore {
         self.inner
             .borrow()
             .versions
-            .get(key)
-            .and_then(|m| m.get(&version))
+            .get(&(key.clone(), version))
             .cloned()
     }
 
     /// Number of stored multi-version copies (across all keys).
     #[must_use]
     pub fn version_count(&self) -> usize {
-        self.inner.borrow().versions.values().map(FxHashMap::len).sum()
+        self.inner.borrow().versions.len()
     }
 
     /// Current stored bytes (latest table + version table).
@@ -391,7 +378,7 @@ impl std::fmt::Debug for KvStore {
             f,
             "KvStore(latest={}, versions={}, bytes={:.0})",
             inner.latest.len(),
-            inner.versions.values().map(FxHashMap::len).sum::<usize>(),
+            inner.versions.len(),
             inner.bytes.level()
         )
     }

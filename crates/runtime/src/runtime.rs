@@ -1,13 +1,12 @@
 //! Function execution: registry, node pool, retries, peer duplication.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 
 use halfmoon::{Client, Env, InvocationSpec, Invoker, LocalBoxFuture};
 use hm_common::observe::{Lane, OpCtx, Phase};
 use hm_common::trace::{SpanId, TraceId};
-use hm_common::{HmError, HmResult, InstanceId, NodeId, Value};
+use hm_common::{FxHashMap, HmError, HmResult, InstanceId, NodeId, Value};
 use hm_substrate::sync::{Semaphore, TaskGroup};
 use hm_substrate::Time;
 
@@ -68,7 +67,7 @@ struct RuntimeInner {
     /// In a `Cell` so chaos campaigns can retune knobs (retry storms bump
     /// `duplicate_prob`) mid-run.
     config: Cell<RuntimeConfig>,
-    registry: RefCell<HashMap<String, SsfBody>>,
+    registry: RefCell<FxHashMap<String, SsfBody>>,
     /// Admission control: bounds concurrently running top-level requests.
     workers: Semaphore,
     /// Per-node failure domains, indexed by `NodeId`.
@@ -103,7 +102,7 @@ impl Runtime {
                     })
                     .collect(),
                 config: Cell::new(config),
-                registry: RefCell::new(HashMap::new()),
+                registry: RefCell::default(),
                 next_node: Cell::new(0),
                 invocations: Cell::new(0),
                 retries: Cell::new(0),

@@ -1413,11 +1413,20 @@ impl<P: Payload> LogService<P> {
     /// Zero-latency peek at a sub-stream's live seqnums (test helper).
     #[must_use]
     pub fn peek_stream(&self, tag: Tag) -> Vec<SeqNum> {
+        let mut out = Vec::new();
+        self.peek_stream_into(tag, &mut out);
+        out
+    }
+
+    /// [`LogService::peek_stream`] into a caller-owned buffer: `out` is
+    /// cleared and refilled, so a scan that reuses it allocates only when
+    /// a stream outgrows every earlier one.
+    pub fn peek_stream_into(&self, tag: Tag, out: &mut Vec<SeqNum>) {
+        out.clear();
         let inner = self.inner.borrow();
-        inner.shards[inner.shard_of(tag) as usize]
-            .streams
-            .get(&tag)
-            .map_or_else(Vec::new, |s| s.seqnums.iter().copied().collect())
+        if let Some(s) = inner.shards[inner.shard_of(tag) as usize].streams.get(&tag) {
+            out.extend(s.seqnums.iter().copied());
+        }
     }
 
     /// Zero-latency record fetch by seqnum (checker helper).

@@ -48,34 +48,43 @@ fn obj_key(i: i64) -> Key {
     Key::new(std::str::from_utf8(&name.bytes[..name.len]).expect("whole strs were written"))
 }
 
-/// The keys of a populated object space, each made on first use and
-/// shared from then on: a handler's per-operation key is a refcount bump,
-/// not a format and an allocation. One table per registered handler,
-/// grown as indices are first seen so that registering costs nothing.
-struct KeyTable {
-    objects: usize,
-    keys: RefCell<Vec<Option<Key>>>,
+thread_local! {
+    /// Object `i`'s key at index `i`, below the largest object space used
+    /// on this thread. `populate` and every handler take their keys from
+    /// here, so the store's tables hold the very buffer a lookup brings
+    /// and key equality is a pointer test. Per thread because a `Key` is
+    /// an `Rc`; shared across deployments because a name never changes.
+    static OBJECT_KEYS: RefCell<Vec<Key>> = const { RefCell::new(Vec::new()) };
 }
 
-impl KeyTable {
-    fn new(objects: u32) -> Rc<KeyTable> {
-        Rc::new(KeyTable {
-            objects: objects as usize,
-            keys: RefCell::default(),
-        })
+/// Object `at`'s key from `keys`, made with every lower index's on first
+/// use.
+fn shared_key(keys: &mut Vec<Key>, at: usize) -> Key {
+    while keys.len() <= at {
+        keys.push(obj_key(keys.len() as i64));
     }
+    keys[at].clone()
+}
 
-    /// [`obj_key`], memoised for indices inside the populated space.
-    fn key(&self, i: i64) -> Key {
-        let Some(at) = usize::try_from(i).ok().filter(|&at| at < self.objects) else {
-            return obj_key(i);
-        };
-        let mut keys = self.keys.borrow_mut();
-        if keys.len() <= at {
-            keys.resize(at + 1, None);
-        }
-        keys[at].get_or_insert_with(|| obj_key(i)).clone()
+/// Object `i`'s key in a space of `objects`: the shared one inside the
+/// space, a freshly formatted one outside it.
+fn object_key(i: i64, objects: u32) -> Key {
+    match u32::try_from(i) {
+        Ok(at) if at < objects => OBJECT_KEYS.with_borrow_mut(|keys| shared_key(keys, at as usize)),
+        _ => obj_key(i),
     }
+}
+
+/// Populates objects `0..objects` with `value_bytes`-byte values, object
+/// `i`'s value fingerprinted by `i`.
+fn populate_objects(client: &Client, objects: u32, value_bytes: usize) {
+    let objects = objects as usize;
+    OBJECT_KEYS.with_borrow_mut(|keys| {
+        keys.reserve(objects.saturating_sub(keys.len()));
+        for at in 0..objects {
+            client.populate(shared_key(keys, at), Value::blob(value_bytes, at as u64));
+        }
+    });
 }
 
 /// The 1-read-1-write microbenchmark SSF (§6.1).
@@ -102,16 +111,14 @@ impl Workload for MicroRw {
     }
 
     fn register(&self, runtime: &Runtime) {
-        let value_bytes = self.value_bytes;
-        let keys = KeyTable::new(self.objects);
+        let (objects, value_bytes) = (self.objects, self.value_bytes);
         runtime.register("micro.rw", move |env, input| {
-            let keys = keys.clone();
             Box::pin(async move {
                 let r = input.get("read_obj").and_then(Value::as_int).unwrap_or(0);
                 let w = input.get("write_obj").and_then(Value::as_int).unwrap_or(0);
                 let fp = input.get("fp").and_then(Value::as_int).unwrap_or(0);
-                let _ = env.read(&keys.key(r)).await?;
-                env.write(&keys.key(w), Value::blob(value_bytes, fp as u64))
+                let _ = env.read(&object_key(r, objects)).await?;
+                env.write(&object_key(w, objects), Value::blob(value_bytes, fp as u64))
                     .await?;
                 Ok(Value::Null)
             })
@@ -119,12 +126,7 @@ impl Workload for MicroRw {
     }
 
     fn populate(&self, client: &Client) {
-        for i in 0..self.objects {
-            client.populate(
-                obj_key(i64::from(i)),
-                Value::blob(self.value_bytes, u64::from(i)),
-            );
-        }
+        populate_objects(client, self.objects, self.value_bytes);
     }
 
     fn factory(&self) -> RequestFactory {
@@ -172,10 +174,8 @@ impl Workload for SyntheticOps {
     }
 
     fn register(&self, runtime: &Runtime) {
-        let value_bytes = self.value_bytes;
-        let keys = KeyTable::new(self.objects);
+        let (objects, value_bytes) = (self.objects, self.value_bytes);
         runtime.register("synthetic.ops", move |env, input| {
-            let keys = keys.clone();
             Box::pin(async move {
                 let ops = input.get("ops").and_then(Value::as_list).unwrap_or(&[]);
                 let mut acc = 0i64;
@@ -186,11 +186,11 @@ impl Workload for SyntheticOps {
                         .and_then(|v| v.as_int().map(|i| i != 0))
                         .unwrap_or(true);
                     if is_read {
-                        let v = env.read(&keys.key(obj)).await?;
+                        let v = env.read(&object_key(obj, objects)).await?;
                         acc = acc.wrapping_add(v.size_bytes() as i64);
                     } else {
                         let fp = op.get("fp").and_then(Value::as_int).unwrap_or(0);
-                        env.write(&keys.key(obj), Value::blob(value_bytes, fp as u64))
+                        env.write(&object_key(obj, objects), Value::blob(value_bytes, fp as u64))
                             .await?;
                     }
                 }
@@ -200,12 +200,7 @@ impl Workload for SyntheticOps {
     }
 
     fn populate(&self, client: &Client) {
-        for i in 0..self.objects {
-            client.populate(
-                obj_key(i64::from(i)),
-                Value::blob(self.value_bytes, u64::from(i)),
-            );
-        }
+        populate_objects(client, self.objects, self.value_bytes);
     }
 
     fn factory(&self) -> RequestFactory {
@@ -243,14 +238,44 @@ mod tests {
     }
 
     #[test]
-    fn key_table_memoises_inside_the_object_space_only() {
-        let keys = KeyTable::new(3);
-        for i in [0, 2, 3, 1_000_000, -1, i64::MIN] {
-            assert_eq!(keys.key(i), obj_key(i));
-        }
-        let shares = |i| std::ptr::eq(keys.key(i).as_str(), keys.key(i).as_str());
-        assert!(shares(0) && shares(2), "a populated object's key is made once");
-        assert!(!shares(3) && !shares(-1), "other indices are formatted afresh");
-        assert_eq!(keys.keys.borrow().len(), 3, "the table never outgrows the object space");
+    fn object_keys_are_shared_inside_the_object_space_only() {
+        // A thread of its own starts with an empty table.
+        std::thread::spawn(|| {
+            let len = || OBJECT_KEYS.with_borrow(Vec::len);
+            let sim = hm_substrate::sim::Sim::new(1);
+            let client = Client::builder(sim.ctx()).build();
+            SyntheticOps {
+                objects: 3,
+                ..SyntheticOps::default()
+            }
+            .populate(&client);
+            assert_eq!(len(), 3, "populate made the space's keys");
+            let populated = OBJECT_KEYS.with_borrow(Vec::clone);
+            for (i, key) in populated.iter().enumerate() {
+                let handler = object_key(i as i64, 3);
+                assert!(
+                    std::ptr::eq(key.as_str(), handler.as_str()),
+                    "populate's key and a handler's key for object {i} are one buffer"
+                );
+                assert_eq!(client.store().peek(key), Some(Value::blob(256, i as u64)));
+            }
+            for i in [0, 2, 3, 1_000_000, -1, i64::MIN] {
+                assert_eq!(object_key(i, 3), obj_key(i));
+            }
+            let fresh = |i| !std::ptr::eq(object_key(i, 3).as_str(), object_key(i, 3).as_str());
+            assert!(fresh(3) && fresh(-1), "other indices are formatted afresh");
+            assert_eq!(len(), 3, "the table never outgrows the object space");
+            object_key(4, 10);
+            assert_eq!(len(), 5, "a larger space grows it to the index used");
+            object_key(4, 3);
+            SyntheticOps {
+                objects: 2,
+                ..SyntheticOps::default()
+            }
+            .populate(&client);
+            assert_eq!(len(), 5, "a smaller space neither shrinks nor grows it");
+        })
+        .join()
+        .expect("the test thread passes");
     }
 }

@@ -3,14 +3,13 @@
 //! nest under the op that issued them, background work stays on trace 0,
 //! and nothing is left behind in the hand-off map.
 
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind, Topology};
 use hm_common::anatomy::{Anatomy, Phase};
 use hm_common::trace::Tracer;
-use hm_common::{Key, NodeId, Value};
+use hm_common::{FxHashMap, FxHashSet, Key, NodeId, Value};
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
@@ -149,7 +148,7 @@ fn every_trim_is_background_work_under_its_gc_cycle() {
             .tracer
             .export_jsonl();
         let begins = || jsonl.lines().filter(|l| field(l, "ph") == "B");
-        let cycles: HashSet<&str> = begins()
+        let cycles: FxHashSet<&str> = begins()
             .filter(|l| field(l, "name") == "gc_cycle")
             .map(|l| field(l, "span"))
             .collect();
@@ -175,7 +174,7 @@ fn a_batched_step_log_fetch_stays_under_its_own_init() {
         .tracer
         .export_jsonl();
     // span id → (name, trace)
-    let spans: HashMap<&str, (&str, &str)> = jsonl
+    let spans: FxHashMap<&str, (&str, &str)> = jsonl
         .lines()
         .filter(|l| field(l, "ph") == "B")
         .map(|l| (field(l, "span"), (field(l, "name"), field(l, "trace"))))

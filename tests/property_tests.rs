@@ -17,13 +17,13 @@
 //! case loop: all inputs derive from a fixed base seed plus the case index,
 //! making every failure reproducible by its printed case number.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind};
 use hm_common::latency::LatencyModel;
-use hm_common::{HmResult, InstanceId, Key, NodeId, Value};
+use hm_common::{FxHashMap, HmResult, InstanceId, Key, NodeId, Value};
 use hm_substrate::sim::Sim;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -97,8 +97,8 @@ async fn run_program(
 }
 
 /// Pure oracle: the last write to each key in program order.
-fn oracle_final(program: &[ProgOp], tag: i64) -> HashMap<u8, i64> {
-    let mut state = HashMap::new();
+fn oracle_final(program: &[ProgOp], tag: i64) -> FxHashMap<u8, i64> {
+    let mut state = FxHashMap::default();
     for (i, op) in program.iter().enumerate() {
         if let ProgOp::Write(k) = op {
             state.insert(*k, tag * 1000 + i as i64);

@@ -3,14 +3,14 @@
 //! instead of a panic, and a dropped deployment takes its log with it.
 
 use std::cell::Cell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use halfmoon::{Client, Env, InvocationSpec, ProtocolKind, StepRecord};
 use hm_common::ids::TagKind;
 use hm_common::latency::LatencyModel;
 use hm_common::trace::Tracer;
-use hm_common::{HmError, Key, NodeId, SeqNum, Tag, Value};
+use hm_common::{FxHashMap, FxHashSet, HmError, Key, NodeId, SeqNum, Tag, Value};
 use hm_runtime::{Runtime, RuntimeConfig};
 use hm_sharedlog::{shard_for_tag, LogConfig, LogService, Topology, SLAB_SEGMENT_RECORDS};
 use hm_substrate::sim::Sim;
@@ -151,7 +151,7 @@ fn cache_hits_and_sizes_match_a_reference_set() {
     let nodes = [0, 5, 15, 16, 31, 63, 64, 70, 200].map(NodeId);
     let tags: Vec<Tag> = (0..12).map(|i| Tag::new(TagKind::ObjectLog, 0x0C00 + i)).collect();
     let shard = |tag: Tag| shard_for_tag(tag, SHARDS).0;
-    assert_eq!(tags.iter().map(|&t| shard(t)).collect::<HashSet<_>>().len(), SHARDS as usize);
+    assert_eq!(tags.iter().map(|&t| shard(t)).collect::<FxHashSet<_>>().len(), SHARDS as usize);
 
     for seed in 0..6u64 {
         let mut sim = Sim::new(0xCAC4E + seed);
@@ -168,9 +168,9 @@ fn cache_hits_and_sizes_match_a_reference_set() {
             let mut rng = SmallRng::seed_from_u64(seed);
             // The reference: who caches what, each stream's live entries,
             // and each record's remaining memberships.
-            let mut cached: HashSet<(u8, NodeId, SeqNum)> = HashSet::new();
-            let mut streams: HashMap<Tag, VecDeque<SeqNum>> = HashMap::new();
-            let mut memberships: HashMap<SeqNum, usize> = HashMap::new();
+            let mut cached: FxHashSet<(u8, NodeId, SeqNum)> = FxHashSet::default();
+            let mut streams: FxHashMap<Tag, VecDeque<SeqNum>> = FxHashMap::default();
+            let mut memberships: FxHashMap<SeqNum, usize> = FxHashMap::default();
             let mut reclaimed = 0;
             for step in 0..1_500 {
                 let node = nodes[rng.random_range(0..nodes.len())];

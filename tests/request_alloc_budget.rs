@@ -1,7 +1,9 @@
 //! Allocation budgets, all of `scripts/alloc_budget.json`: what one
 //! open-loop request of the §6.3 synthetic function costs the host
 //! allocator, end to end (factory, gateway, runtime, protocol, log,
-//! store), under each Halfmoon protocol; and what one append and one
+//! store), under each Halfmoon protocol and, on Halfmoon-read, with the
+//! collector running beside the load as the benchmark's `steady_mixed`
+//! runs it; and what one append and one
 //! replayed record cost on the log's hot path (`bench_sim_core`'s
 //! `hot_path_alloc` component, at full scale so pool warmup amortizes over
 //! the real op count). A seeded simulation allocates deterministically, so
@@ -16,7 +18,8 @@ use std::time::Duration;
 use halfmoon::{Client, ProtocolKind};
 use hm_bench::alloc::{AllocSnapshot, CountingAlloc};
 use hm_bench::sim_core::hot_path_alloc;
-use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
+use hm_common::NodeId;
+use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::Workload;
@@ -25,14 +28,16 @@ use hm_workloads::Workload;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// `(requests, allocations)` of ≈2 000 measured requests at 1 000 req/s,
-/// after ≈200 warm-up requests filled the pools and grew the tables.
-fn measure(protocol: ProtocolKind) -> (u64, u64) {
+/// after ≈200 warm-up requests filled the pools and grew the tables; with
+/// `gc`, a `GcDriver` collects every second from the start.
+fn measure(protocol: ProtocolKind, gc: bool) -> (u64, u64) {
     let mut sim = Sim::new(20230923);
     let client = Client::builder(sim.ctx()).protocol(protocol).build();
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
     let workload = SyntheticOps::default();
     workload.register(&runtime);
     workload.populate(&client);
+    let gc = gc.then(|| GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(1)));
     let gateway = Gateway::new(runtime);
     let spec = |duration| LoadSpec {
         rate_per_sec: 1000.0,
@@ -44,7 +49,7 @@ fn measure(protocol: ProtocolKind) -> (u64, u64) {
         spec(Duration::from_millis(200)),
         spec(Duration::from_secs(2)),
     );
-    sim.block_on(async move {
+    let measured = sim.block_on(async move {
         gateway.run_open_loop(warmup).await;
         let before = AllocSnapshot::take();
         let report = gateway.run_open_loop(load).await;
@@ -52,7 +57,12 @@ fn measure(protocol: ProtocolKind) -> (u64, u64) {
         assert_eq!(report.errors, 0);
         assert_eq!(report.completed, report.generated);
         (report.generated, allocs)
-    })
+    });
+    if let Some(gc) = gc {
+        assert!(gc.cycles() > 0, "a collection ran during the load");
+        gc.stop();
+    }
+    measured
 }
 
 /// The `field` entry under the nested keys `path` in
@@ -86,17 +96,18 @@ fn request_path_stays_within_its_allocation_budget() {
             );
         }
     }
-    for (protocol, name) in [
-        (ProtocolKind::HalfmoonRead, "halfmoon_read"),
-        (ProtocolKind::HalfmoonWrite, "halfmoon_write"),
+    for (protocol, gc, name) in [
+        (ProtocolKind::HalfmoonRead, false, "halfmoon_read"),
+        (ProtocolKind::HalfmoonWrite, false, "halfmoon_write"),
+        (ProtocolKind::HalfmoonRead, true, "halfmoon_read_gc"),
     ] {
-        let (requests, allocs) = measure(protocol);
+        let (requests, allocs) = measure(protocol, gc);
         assert!(
             (1800..2200).contains(&requests),
             "{name}: {requests} requests"
         );
         assert_eq!(
-            measure(protocol),
+            measure(protocol, gc),
             (requests, allocs),
             "{name}: two runs of one seed must allocate identically"
         );
