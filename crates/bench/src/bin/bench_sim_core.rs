@@ -24,7 +24,8 @@
 //!
 //! Arguments parse through the workspace-wide `hm_bench::cli::CommonOpts`
 //! surface; the deployment-shaping flags (`--shards`, `--batch`) are
-//! rejected here because every component pins its own topology.
+//! rejected here because every component pins its own topology. A bad
+//! argument prints its error and exits with status 2.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -32,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use halfmoon::ProtocolKind;
 use hm_bench::alloc::CountingAlloc;
-use hm_bench::cli::CommonOpts;
+use hm_bench::cli::{exit_usage, CommonOpts};
 use hm_bench::sim_core::{self, mix, Run};
 use hm_common::trace::{Lane, Phase, Tracer};
 use hm_runtime::RuntimeConfig;
@@ -121,11 +122,12 @@ fn traced_twin(scale: f64, path: &str, untraced: u64) -> Timed {
 }
 
 fn main() {
-    let scale = hm_bench::scale().unwrap_or_else(|e| panic!("{e}"));
+    let scale = hm_bench::scale().unwrap_or_else(|e| exit_usage(&e));
     let out_path =
         std::env::var("HM_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim_core.json".to_string());
-    let opts = CommonOpts::from_env();
-    opts.reject_shape_overrides("bench_sim_core");
+    let opts = CommonOpts::from_env()
+        .and_then(|o| o.reject_shape_overrides("bench_sim_core").map(|()| o))
+        .unwrap_or_else(|e| exit_usage(&e));
 
     let mut components: Vec<Timed> = COMPONENTS
         .iter()

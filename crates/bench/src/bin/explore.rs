@@ -9,7 +9,8 @@
 //! the pruning-ratio column, and prints the EXPERIMENTS.md exploration
 //! table. Any counterexample is printed as a replayable schedule.
 //!
-//! Flags (developer-facing; panics are the usage messages):
+//! Flags (parsed by `hm_bench::cli::ExploreOpts`; a bad one prints its
+//! error and exits with status 2):
 //! - `--protocol <name>` — restrict to one protocol
 //!   (`unsafe | boki | hm-read | hm-write`); default: all four.
 //! - `--config <name>` — restrict to one configuration
@@ -28,62 +29,10 @@
 use std::time::Instant;
 
 use halfmoon::ProtocolKind;
+use hm_bench::cli::{exit_usage, ExploreOpts};
 use hm_bench::print_table;
 use hm_runtime::mc::{explore_config, run_schedule, standard_configs, McConfig};
 use hm_substrate::explore::ExploreStats;
-
-struct Opts {
-    protocols: Vec<ProtocolKind>,
-    config: Option<String>,
-    naive: bool,
-    workers: usize,
-    check: bool,
-}
-
-fn parse_opts(mut args: impl Iterator<Item = String>) -> Opts {
-    let mut opts = Opts {
-        protocols: vec![
-            ProtocolKind::Boki,
-            ProtocolKind::HalfmoonRead,
-            ProtocolKind::HalfmoonWrite,
-            ProtocolKind::Unsafe,
-        ],
-        config: None,
-        naive: false,
-        workers: 1,
-        check: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--protocol" => {
-                let name = args.next().expect("--protocol requires a name");
-                opts.protocols = vec![match name.as_str() {
-                    "unsafe" => ProtocolKind::Unsafe,
-                    "boki" => ProtocolKind::Boki,
-                    "hm-read" => ProtocolKind::HalfmoonRead,
-                    "hm-write" => ProtocolKind::HalfmoonWrite,
-                    other => panic!(
-                        "unknown protocol {other:?} (expected unsafe | boki | hm-read | hm-write)"
-                    ),
-                }];
-            }
-            "--config" => {
-                opts.config = Some(args.next().expect("--config requires a name"));
-            }
-            "--naive" => opts.naive = true,
-            "--workers" => {
-                opts.workers = args
-                    .next()
-                    .expect("--workers requires a count")
-                    .parse()
-                    .expect("--workers takes a small integer");
-            }
-            "--assert" => opts.check = true,
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    opts
-}
 
 /// One table row, plus what the `--assert` checks need to see.
 struct Row {
@@ -95,16 +44,11 @@ struct Row {
 }
 
 fn main() {
-    let opts = parse_opts(std::env::args().skip(1));
+    let opts = ExploreOpts::parse(std::env::args().skip(1)).unwrap_or_else(|e| exit_usage(&e));
     // The --assert claims quantify over the full matrix and need the
     // naive baseline for the pruning row.
     let (naive, protocols, config) = if opts.check {
-        (true, vec![
-            ProtocolKind::Boki,
-            ProtocolKind::HalfmoonRead,
-            ProtocolKind::HalfmoonWrite,
-            ProtocolKind::Unsafe,
-        ], None)
+        (true, ExploreOpts::default().protocols, None)
     } else {
         (opts.naive, opts.protocols.clone(), opts.config.clone())
     };
@@ -130,7 +74,11 @@ fn main() {
             });
         }
     }
-    assert!(!rows.is_empty(), "no (protocol, config) cell selected");
+    if rows.is_empty() {
+        exit_usage(
+            "no (protocol, config) cell selected: --config takes wr-1s | ww-1s | xy-1s | xy-2s",
+        );
+    }
 
     let table: Vec<Vec<String>> = rows
         .iter()

@@ -40,15 +40,22 @@
 //! elapses on its first member, or when a recovery read forces it. One
 //! flush pays **one** sequencer admission and **one** coalesced replica
 //! write for the whole batch; members install in arrival order, so a batch
-//! occupies a contiguous run of the shared seqnum clock. `cond_append` conditions are evaluated at flush time,
-//! atomically with the installs — exactly when the unbatched path
-//! evaluates them. The flush itself runs on a detached task owned by the
-//! sequencer: a client crashing mid-flush never strands its batch peers.
+//! occupies a contiguous run of the shared seqnum clock. `cond_append`
+//! conditions are evaluated at flush time, atomically with the installs —
+//! exactly when the unbatched path evaluates them.
+//!
+//! A batch is one pooled object: its members, their outcomes, the gate
+//! they wait on and the trigger that claimed it. Its first member spawns
+//! its deadline task, which is also its flush task: a size trigger wakes
+//! it, the deadline lets it claim the batch itself, and a forced flush
+//! spawns its own while the task stands down. The task is detached and
+//! owned by the sequencer, so a client crashing mid-flush never strands
+//! its batch peers.
 //!
 //! With `batch_max_records <= 1` (the default) none of this code runs and
 //! the append path is the pre-batching code, bit for bit.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::{poll_fn, Future};
 use std::pin::pin;
@@ -156,9 +163,8 @@ impl Default for LogConfig {
 /// will sequence it.
 ///
 /// Everything in a member is a pointer bump or a `Copy` to move: tags are
-/// an inline [`TagSet`], the payload's `Clone` is refcounted for protocol
-/// records, and the outcome cell is recycled through the service's pool —
-/// parking an append allocates nothing in steady state.
+/// an inline [`TagSet`] and the payload's `Clone` is refcounted for
+/// protocol records — parking an append allocates nothing in steady state.
 struct PendingAppend<P> {
     node: NodeId,
     tags: TagSet,
@@ -174,33 +180,10 @@ struct PendingAppend<P> {
     /// and walk it through `BatchWait → Sequencer → Quorum` while the
     /// appender is parked at the gate.
     scope: Scope,
-    /// Where the flush deposits this member's result before opening the
-    /// gate. Plain appends receive `Appended`. Pooled: see
-    /// [`LogService::recycle_outcome_cell`].
-    outcome: OutcomeCell,
 }
 
-/// A batched append's result slot: written once by the flush task, read
-/// once by the waiting appender after the gate opens. `Cell` (not
-/// `RefCell`): the outcome is `Copy` and the slot needs no borrow tracking.
-type OutcomeCell = Rc<Cell<Option<CondAppendOutcome>>>;
-
-/// Most member vectors the service keeps around for reuse. Batches churn at
-/// flush rate, so a handful per shard covers every in-flight flush; beyond
-/// that, dropping the excess is cheaper than hoarding arbitrary capacity.
-const BATCH_POOL_CAP: usize = 32;
-
-/// Most outcome cells kept for reuse — two full batches per shard at the
-/// default topology, enough that steady-state batching never allocates one.
-const OUTCOME_POOL_CAP: usize = 256;
-
-/// Most retired gates kept for reuse. A gate can only be recycled once its
-/// last waiter has dropped it, which happens a storage round-trip after the
-/// batch flushed — so retired gates park here until they go quiescent.
-const GATE_POOL_CAP: usize = 32;
-
 /// Why a batch flushed — bookkept into [`FlushStats`].
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum FlushTrigger {
     /// Reached `batch_max_records`.
     Size,
@@ -210,69 +193,74 @@ enum FlushTrigger {
     Forced,
 }
 
-/// A claimed (no longer joinable) batch, handed to exactly one flush task.
-struct ClaimedBatch<P> {
+/// One group-commit batch, from its first member's arrival until the last
+/// appender has read its outcome. Shared behind one `Rc` by the shard's
+/// open slot (while the batch is joinable), its appenders, its deadline
+/// task and, when a recovery read forces it, that read and its flush.
+struct Batch<P> {
+    /// Parked appends in arrival order; the flush drains them.
     members: Vec<PendingAppend<P>>,
-    /// Opened once the batch is sequenced **and** durable; every member —
-    /// and any recovery read that forced the flush — waits on a clone.
+    /// The flush's result for the member that joined `i`-th, at index `i`.
+    outcomes: Vec<CondAppendOutcome>,
+    /// Opened once the batch is sequenced **and** durable.
     gate: Gate,
+    /// The trigger that closed the batch to new members; `None` while it
+    /// is the shard's open batch.
+    claimed: Option<FlushTrigger>,
+    /// The deadline task's waker while it sleeps, for a size trigger to
+    /// wake it.
+    deadline_waker: Option<Waker>,
 }
 
-/// Per-shard batcher: the open (joinable) batch, if any.
-struct BatchState<P> {
-    /// Bumped on every claim. A deadline task armed for epoch `e` finds
-    /// the epoch moved on when a size trigger (or forced flush) already
-    /// claimed its batch, and stands down.
-    epoch: u64,
-    pending: Vec<PendingAppend<P>>,
-    /// Gate of the open batch; replaced when a new batch opens.
-    gate: Gate,
-    /// Waker of the armed deadline task, tagged with the epoch it guards.
-    /// A size trigger *hands its claimed batch to that task* (through
-    /// `handoff`) instead of spawning a fresh flush task — the deadline
-    /// task is already sitting there parked on its delay, so reusing it
-    /// saves one task allocation per batch on the hot path.
-    deadline_waker: Option<(u64, Waker)>,
-    /// A size-claimed batch parked for the woken deadline task to flush,
-    /// tagged with the epoch it was claimed from so a stale task (armed
-    /// for an older batch) can never pick up a newer batch's work.
-    handoff: Option<(u64, ClaimedBatch<P>)>,
-}
+type BatchRef<P> = Rc<RefCell<Batch<P>>>;
 
-impl<P> BatchState<P> {
-    fn new() -> BatchState<P> {
-        BatchState {
-            epoch: 0,
-            pending: Vec::new(),
-            gate: Gate::new(),
-            deadline_waker: None,
-            handoff: None,
-        }
+/// Most batches the service keeps for reuse. A batch is in use from its
+/// first member's arrival until a storage round-trip after its flush, so a
+/// handful per shard covers every batch in flight; beyond that, dropping
+/// the excess is cheaper than hoarding arbitrary capacity.
+const BATCH_POOL_CAP: usize = 32;
+
+/// A batch for a shard's open slot: the first pooled batch that only the
+/// pool still holds, reset, or a new one with room for `cap` members
+/// (pooled while the pool has room). The sole-owner test is what makes
+/// reuse invisible: no appender can still be reading the old outcomes, and
+/// no waiter can see the gate close again.
+fn pooled_batch<P>(pool: &mut Vec<BatchRef<P>>, cap: usize) -> BatchRef<P> {
+    let idle = |b: &BatchRef<P>| Rc::strong_count(b) == 1 && b.borrow().gate.try_reset();
+    if let Some(batch) = pool.iter().find(|b| idle(b)) {
+        let mut b = batch.borrow_mut();
+        debug_assert!(b.members.is_empty() && b.deadline_waker.is_none());
+        b.outcomes.clear();
+        b.claimed = None;
+        drop(b);
+        return batch.clone();
     }
+    let batch = Rc::new(RefCell::new(Batch {
+        members: Vec::with_capacity(cap),
+        outcomes: Vec::with_capacity(cap),
+        gate: Gate::with_capacity(cap),
+        claimed: None,
+        deadline_waker: None,
+    }));
+    if pool.len() < BATCH_POOL_CAP {
+        pool.push(batch.clone());
+    }
+    batch
 }
 
 struct ServiceInner<P> {
     /// Every live record, addressed by seqnum; owns the shared clock.
     slab: RecordSlab<P>,
     shards: Vec<ShardState>,
-    /// Per-shard group-commit batchers (idle while batching is off).
-    batchers: Vec<BatchState<P>>,
+    /// Each shard's open (joinable) batch, if any; always `None` while
+    /// batching is off.
+    open_batches: Vec<Option<BatchRef<P>>>,
     /// The deployment's observation handle, shared by all handle clones.
     probe: Option<Rc<Probe>>,
-    /// Flush arena: member vectors recycled between batches. A claim swaps
-    /// a pooled (empty, capacity-retaining) vector in for the open batch;
-    /// the flush drains its members and returns the vector here. Steady-
-    /// state batching therefore reuses the same few allocations forever.
-    batch_pool: Vec<Vec<PendingAppend<P>>>,
-    /// Recycled outcome cells (see [`OutcomeCell`]). A cell returns here
-    /// only when its waiter holds the last reference, so recycling can
-    /// never alias a live batch member.
-    outcome_pool: Vec<OutcomeCell>,
-    /// Retired batch gates awaiting quiescence. A new batch adopts the
-    /// first pooled gate whose [`Gate::try_reset`] succeeds (sole owner —
-    /// no waiter can observe the reset), keeping gate allocation off the
-    /// steady-state append path.
-    gate_pool: Vec<Gate>,
+    /// Batches recycled between flushes (see [`pooled_batch`]): steady-
+    /// state batching reuses the same few member vectors, outcome vectors
+    /// and gates forever.
+    batch_pool: Vec<BatchRef<P>>,
     /// Scratch for [`LogService::trim`]'s drained-seqnum list.
     trim_scratch: Vec<SeqNum>,
     /// Scratch for [`LogService::trim`]'s per-shard freed-bytes tally.
@@ -415,11 +403,9 @@ impl<P: Payload> LogService<P> {
                 shards: (0..shards)
                     .map(|_| ShardState::new(now))
                     .collect(),
-                batchers: (0..shards).map(|_| BatchState::new()).collect(),
+                open_batches: (0..shards).map(|_| None).collect(),
                 probe: None,
                 batch_pool: Vec::new(),
-                outcome_pool: Vec::new(),
-                gate_pool: Vec::new(),
                 trim_scratch: Vec::new(),
                 freed_scratch: Vec::new(),
                 stream_scratch: Vec::new(),
@@ -598,7 +584,6 @@ impl<P: Payload> LogService<P> {
                 cond,
                 storage_part,
                 scope: scope.clone(),
-                outcome: self.take_outcome_cell(),
             };
             scope.phase(|| self.ctx.now(), Phase::BatchWait);
             self.append_batched(home, member).await
@@ -756,205 +741,80 @@ impl<P: Payload> LogService<P> {
     /// outcome. Called after the member has already slept its trip to the
     /// sequencer, so batch join order *is* sequencer arrival order.
     async fn append_batched(&self, home: u8, member: PendingAppend<P>) -> CondAppendOutcome {
-        let outcome = member.outcome.clone();
-        let (gate, first, full, epoch) = {
+        let cap = self.config.batch_max_records;
+        let batch = {
             let mut inner = self.inner.borrow_mut();
             let inner = &mut *inner;
-            let batcher = &mut inner.batchers[home as usize];
-            if batcher.pending.is_empty() && !batcher.gate.try_reset() {
-                // The previous batch's waiters still hold the gate: retire
-                // it to the pool (it goes quiescent once they resume) and
-                // adopt the first pooled gate that has, falling back to a
-                // fresh one sized for a full batch.
-                let mut adopted = None;
-                for i in 0..inner.gate_pool.len() {
-                    if inner.gate_pool[i].try_reset() {
-                        adopted = Some(inner.gate_pool.swap_remove(i));
-                        break;
-                    }
-                }
-                let fresh = adopted
-                    .unwrap_or_else(|| Gate::with_capacity(self.config.batch_max_records));
-                let retired = std::mem::replace(&mut batcher.gate, fresh);
-                if inner.gate_pool.len() < GATE_POOL_CAP {
-                    inner.gate_pool.push(retired);
-                }
-            }
-            batcher.pending.push(member);
-            (
-                batcher.gate.clone(),
-                batcher.pending.len() == 1,
-                batcher.pending.len() >= self.config.batch_max_records,
-                batcher.epoch,
-            )
+            let open = &mut inner.open_batches[home as usize];
+            open.get_or_insert_with(|| pooled_batch(&mut inner.batch_pool, cap))
+                .clone()
         };
-        if full {
+        let seat = {
+            let mut b = batch.borrow_mut();
+            b.members.push(member);
+            b.members.len() - 1
+        };
+        if seat + 1 == cap {
             // The filling member claims synchronously (no await between the
             // push above and this claim, so the batch cannot change under
-            // us) and hands the flush to this batch's deadline task instead
-            // of spawning a fresh task: if the task is parked on its delay,
-            // waking it enqueues the flush at exactly the point a spawned
-            // task would have been; if it has not first-polled yet, it is
-            // still in the ready queue behind us and picks the handoff up
-            // on that first poll. Either way the per-batch flush-task
-            // allocation disappears from the hot path.
-            if let Some(batch) = self.claim_batch(home, Some(epoch)) {
-                match self.hand_off_to_deadline_task(home, epoch, batch) {
-                    Ok(Some(waker)) => waker.wake(),
-                    Ok(None) => {} // task still in the ready queue; it checks the slot
-                    Err(batch) => self.spawn_flush(home, batch, FlushTrigger::Size),
-                }
+            // us) and wakes the batch's deadline task to flush it: waking
+            // enqueues the flush where a freshly spawned task would go, and
+            // a task that has not first-polled yet sees the claim then.
+            self.claim(home, FlushTrigger::Size);
+            let waker = batch.borrow_mut().deadline_waker.take();
+            if let Some(waker) = waker {
+                waker.wake();
             }
-        } else if first {
+        } else if seat == 0 {
             // First member arms the deadline. The task is detached (owned
             // by the sequencer, not by any function node's failure domain).
-            // It flushes the batch on whichever trigger fires first: a
-            // size trigger hands the claimed batch over (above), or the
-            // delay elapses and the task claims the batch itself — unless
-            // a forced trigger claimed it first (the epoch moved on), in
-            // which case it stands down.
-            let svc = self.clone();
-            self.ctx.spawn_detached(async move {
-                if let Some(batch) = svc.deadline_or_handoff(home, epoch, BATCH_MAX_DELAY).await {
-                    svc.flush_batch(home, batch, FlushTrigger::Size).await;
-                } else if let Some(batch) = svc.claim_batch(home, Some(epoch)) {
-                    svc.flush_batch(home, batch, FlushTrigger::Deadline).await;
-                }
-            });
+            let (svc, batch) = (self.clone(), batch.clone());
+            self.ctx
+                .spawn_detached(async move { svc.deadline_task(home, batch).await });
         }
-        gate.wait().await;
-        let delivered = outcome.take();
-        self.recycle_outcome_cell(outcome);
-        delivered.expect("batch flush must deliver an outcome before opening the gate")
+        let opened = batch.borrow().gate.wait();
+        opened.await;
+        let outcome = batch.borrow().outcomes[seat];
+        outcome
     }
 
-    /// Pops a recycled outcome cell, or allocates the pool's first few.
-    fn take_outcome_cell(&self) -> OutcomeCell {
-        self.inner
-            .borrow_mut()
-            .outcome_pool
-            .pop()
-            .unwrap_or_else(|| Rc::new(Cell::new(None)))
+    /// Closes `shard`'s open batch to new members on behalf of `trigger`
+    /// and returns it; the next append opens a fresh one. `None` when no
+    /// batch is open.
+    fn claim(&self, shard: u8, trigger: FlushTrigger) -> Option<BatchRef<P>> {
+        let batch = self.inner.borrow_mut().open_batches[shard as usize].take()?;
+        batch.borrow_mut().claimed = Some(trigger);
+        Some(batch)
     }
 
-    /// Returns an outcome cell to the pool — but only if the caller holds
-    /// the *last* reference. The flush task drops its clone before opening
-    /// the gate, so the waiter normally does; if an appender crashed at the
-    /// gate, its cell stays owned by whoever still references it and is
-    /// simply never recycled (correctness over reuse).
-    fn recycle_outcome_cell(&self, cell: OutcomeCell) {
-        if Rc::strong_count(&cell) == 1 {
-            cell.set(None);
-            let mut inner = self.inner.borrow_mut();
-            if inner.outcome_pool.len() < OUTCOME_POOL_CAP {
-                inner.outcome_pool.push(cell);
+    /// A batch's own flush task, spawned by its first member: flushes the
+    /// batch when a size trigger wakes it, or claims and flushes it when
+    /// `BATCH_MAX_DELAY` elapses first. A batch a recovery read forced is
+    /// that read's to flush; the task then stands down at its deadline.
+    async fn deadline_task(&self, shard: u8, batch: BatchRef<P>) {
+        let mut delay = pin!(self.ctx.sleep(BATCH_MAX_DELAY));
+        let trigger = poll_fn(|cx| {
+            let mut b = batch.borrow_mut();
+            if b.claimed == Some(FlushTrigger::Size) {
+                return Poll::Ready(Some(FlushTrigger::Size));
             }
-        }
-    }
-
-    /// Atomically takes `shard`'s open batch, closing it to new members.
-    /// With `expected_epoch` set, claims only if no one claimed first (the
-    /// deadline task's stand-down check); `None` claims unconditionally
-    /// (the forced-flush path). Returns `None` if there is nothing to
-    /// flush.
-    fn claim_batch(&self, shard: u8, expected_epoch: Option<u64>) -> Option<ClaimedBatch<P>> {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let batcher = &mut inner.batchers[shard as usize];
-        if batcher.pending.is_empty() || expected_epoch.is_some_and(|e| e != batcher.epoch) {
-            return None;
-        }
-        batcher.epoch += 1;
-        // Swap a recycled vector in so the next batch opens with capacity
-        // already in hand (the flush returns `members` to the pool).
-        let fresh = inner.batch_pool.pop().unwrap_or_default();
-        Some(ClaimedBatch {
-            members: std::mem::replace(&mut batcher.pending, fresh),
-            gate: batcher.gate.clone(),
-        })
-    }
-
-    /// Parks a size-claimed batch in `shard`'s handoff slot for the
-    /// deadline task armed at `epoch`. The task is guaranteed to find it:
-    /// either it already parked its waker (returned here for the caller to
-    /// wake *outside* the borrow), or it has not first-polled yet — it is
-    /// still sitting in the ready queue behind this appender and checks
-    /// the slot on its first poll. Fails only when an earlier epoch's
-    /// handoff is still unconsumed (a same-instant pile-up of two full
-    /// batches); the caller then spawns a flush task for this one.
-    fn hand_off_to_deadline_task(
-        &self,
-        shard: u8,
-        epoch: u64,
-        batch: ClaimedBatch<P>,
-    ) -> Result<Option<Waker>, ClaimedBatch<P>> {
-        let mut inner = self.inner.borrow_mut();
-        let batcher = &mut inner.batchers[shard as usize];
-        if batcher.handoff.is_some() {
-            return Err(batch);
-        }
-        batcher.handoff = Some((epoch, batch));
-        let waker = match &batcher.deadline_waker {
-            Some((e, _)) if *e == epoch => {
-                Some(batcher.deadline_waker.take().expect("checked above").1)
+            if delay.as_mut().poll(cx).is_ready() {
+                b.deadline_waker = None;
+                return Poll::Ready(b.claimed.is_none().then_some(FlushTrigger::Deadline));
             }
-            _ => None,
-        };
-        Ok(waker)
-    }
-
-    /// The armed deadline task's wait: resolves with the claimed batch if a
-    /// size trigger handed one over for `epoch`, or with `None` once
-    /// `delay` elapses (the caller then claims the batch itself, or stands
-    /// down if the epoch moved on). Parks this task's waker in the
-    /// batcher's slot so [`LogService::hand_off_to_deadline_task`] can
-    /// reach it; the slot is epoch-tagged, so a stale task never consumes
-    /// — or wakes for — a newer batch's work.
-    async fn deadline_or_handoff(
-        &self,
-        shard: u8,
-        epoch: u64,
-        delay: Duration,
-    ) -> Option<ClaimedBatch<P>> {
-        let mut sleep = pin!(self.ctx.sleep(delay));
-        poll_fn(|cx| {
-            {
-                let mut inner = self.inner.borrow_mut();
-                let batcher = &mut inner.batchers[shard as usize];
-                if batcher.handoff.as_ref().is_some_and(|(e, _)| *e == epoch) {
-                    let (_, batch) = batcher.handoff.take().expect("checked above");
-                    return Poll::Ready(Some(batch));
-                }
-            }
-            if sleep.as_mut().poll(cx).is_ready() {
-                // Deadline path: drop our parked waker (if a newer batch's
-                // task already overwrote the slot, leave theirs alone).
-                let mut inner = self.inner.borrow_mut();
-                let batcher = &mut inner.batchers[shard as usize];
-                if batcher.deadline_waker.as_ref().is_some_and(|(e, _)| *e == epoch) {
-                    batcher.deadline_waker = None;
-                }
-                return Poll::Ready(None);
-            }
-            let mut inner = self.inner.borrow_mut();
-            let batcher = &mut inner.batchers[shard as usize];
-            match &mut batcher.deadline_waker {
-                Some((e, w)) if *e == epoch => w.clone_from(cx.waker()),
-                slot => *slot = Some((epoch, cx.waker().clone())),
+            match &mut b.deadline_waker {
+                Some(w) => w.clone_from(cx.waker()),
+                slot => *slot = Some(cx.waker().clone()),
             }
             Poll::Pending
         })
-        .await
-    }
-
-    /// Runs [`LogService::flush_batch`] on a detached task. The flush is
-    /// the sequencer's work: a member (or the recovery reader) that
-    /// triggered it may crash mid-flush without stranding its batch peers.
-    fn spawn_flush(&self, shard: u8, batch: ClaimedBatch<P>, trigger: FlushTrigger) {
-        let svc = self.clone();
-        self.ctx.spawn_detached(async move {
-            svc.flush_batch(shard, batch, trigger).await;
-        });
+        .await;
+        if trigger == Some(FlushTrigger::Deadline) {
+            self.claim(shard, FlushTrigger::Deadline);
+        }
+        if let Some(trigger) = trigger {
+            self.flush_batch(shard, &batch, trigger).await;
+        }
     }
 
     /// Sequences and persists one claimed batch: a single sequencer
@@ -969,8 +829,8 @@ impl<P: Payload> LogService<P> {
     /// members' own storage shares. No fresh latency draw happens here, so
     /// a workload whose appends never actually share a batch consumes the
     /// exact RNG stream of an unbatched run.
-    async fn flush_batch(&self, shard: u8, batch: ClaimedBatch<P>, trigger: FlushTrigger) {
-        let ClaimedBatch { mut members, gate } = batch;
+    async fn flush_batch(&self, shard: u8, batch: &BatchRef<P>, trigger: FlushTrigger) {
+        let mut members = std::mem::take(&mut batch.borrow_mut().members);
         debug_assert!(!members.is_empty(), "claimed batches are never empty");
         // The whole batch enters sequencing together: every member's phase
         // clock flips from BatchWait to Sequencer before the single shared
@@ -985,14 +845,16 @@ impl<P: Payload> LogService<P> {
             batch_storage = batch_storage.max(m.storage_part);
             let outcome = self.sequence(shard, m.node, &m.tags, m.payload, m.cond);
             self.mark_sequenced(&m.scope, shard, outcome);
-            m.outcome.set(Some(outcome));
+            batch.borrow_mut().outcomes.push(outcome);
             // Sequenced (installs take zero simulated time); the rest of
             // this member's wait is the coalesced quorum write.
             m.scope.phase(|| self.ctx.now(), Phase::Quorum);
         }
+        // Drained: the vector goes back so a reuse of this batch keeps its
+        // capacity.
+        batch.borrow_mut().members = members;
         {
             let mut inner = self.inner.borrow_mut();
-            let inner = &mut *inner;
             let flush = &mut inner.shards[shard as usize].flush;
             flush.flushes += 1;
             flush.records += count;
@@ -1001,34 +863,29 @@ impl<P: Payload> LogService<P> {
                 FlushTrigger::Deadline => flush.deadline_trigger += 1,
                 FlushTrigger::Forced => flush.forced_trigger += 1,
             }
-            // Members are drained; hand the (empty) vector back to the
-            // arena so the next claim reuses its capacity.
-            if inner.batch_pool.len() < BATCH_POOL_CAP {
-                inner.batch_pool.push(std::mem::take(&mut members));
-            }
         }
         let storage = self.quorum_storage_latency(shard, batch_storage);
         self.ctx.sleep(storage).await;
-        gate.open();
+        batch.borrow().gate.open();
     }
 
-    /// Force-flushes `shard`'s open batch, waiting until its members are
-    /// sequenced and durable. Returns how many records the forced flush
-    /// carried (0 when the batch was empty or batching is off).
+    /// Force-flushes `shard`'s open batch on a detached task (a recovery
+    /// reader that crashes mid-flush strands no batch peer) and waits until
+    /// its members are sequenced and durable. Returns how many records the
+    /// forced flush carried (0 when no batch was open, as always with
+    /// batching off).
     async fn force_flush(&self, shard: u8) -> u64 {
-        if !self.batching_enabled() {
+        let Some(batch) = self.claim(shard, FlushTrigger::Forced) else {
             return 0;
-        }
-        match self.claim_batch(shard, None) {
-            Some(batch) => {
-                let n = batch.members.len() as u64;
-                let gate = batch.gate.clone();
-                self.spawn_flush(shard, batch, FlushTrigger::Forced);
-                gate.wait().await;
-                n
-            }
-            None => 0,
-        }
+        };
+        let n = batch.borrow().members.len() as u64;
+        let (svc, flushed) = (self.clone(), batch.clone());
+        self.ctx.spawn_detached(async move {
+            svc.flush_batch(shard, &flushed, FlushTrigger::Forced).await;
+        });
+        let opened = batch.borrow().gate.wait();
+        opened.await;
+        n
     }
 
     /// Group-commit accounting, aggregated across shards. All-zero while
@@ -1046,7 +903,9 @@ impl<P: Payload> LogService<P> {
     /// Records currently parked in `shard`'s open batch (test helper).
     #[must_use]
     pub fn pending_batch_len(&self, shard: ShardId) -> usize {
-        self.inner.borrow().batchers[shard.0 as usize].pending.len()
+        self.inner.borrow().open_batches[shard.0 as usize]
+            .as_ref()
+            .map_or(0, |b| b.borrow().members.len())
     }
 
     /// Sequences and stores a record: draws the shared clock, stores the
@@ -1184,11 +1043,7 @@ impl<P: Payload> LogService<P> {
     /// opens here, before it.
     pub async fn replay_stream(&self, node: NodeId, tag: Tag) -> (Vec<LogRecord<P>>, ReplayStats) {
         let scope = self.begin("log_read_stream", Some(Phase::LogRead));
-        let pending_flushed = if self.batching_enabled() {
-            self.force_flush(self.shard_of(tag).0).await
-        } else {
-            0
-        };
+        let pending_flushed = self.force_flush(self.shard_of(tag).0).await;
         let trimmed = {
             let inner = self.inner.borrow();
             inner.shards[inner.shard_of(tag) as usize]
@@ -2480,6 +2335,14 @@ mod sharding_tests {
                         .await;
                 });
             }
+            if batch > 1 {
+                // All 64 reach the sequencer at 400 µs and fill 64 / batch
+                // batches in that instant. At 500 µs the first is in its
+                // storage write and the rest queue at the lane, each carried
+                // by its own deadline task: no flush task is spawned beside it.
+                sim.run_until(Time::from_micros(500));
+                assert_eq!(sim.live_tasks(), 64 + 64 / batch);
+            }
             sim.run();
             assert_eq!(log.counters().log_appends, 64);
             sim.now().as_secs_f64()
@@ -2499,7 +2362,7 @@ mod sharding_tests {
         // peers on the same gate complete normally, and — the refcount
         // property the zero-copy path must uphold — nobody observes a
         // freed or cleared payload, even though the crashed task dropped
-        // its half of every shared handle (payload clone, outcome cell,
+        // its half of every shared handle (payload clone, batch handle,
         // gate waiter) mid-flight.
         use hm_substrate::sync::TaskGroup;
 

@@ -236,8 +236,9 @@ struct Inner {
 }
 
 /// Upper bound on [`Inner::waker_pool`]; beyond this, retired payloads are
-/// simply dropped. Sized for bursty fan-out (a batch flush spawns two tasks;
-/// chaos plans spawn dozens) without pinning memory after a spike.
+/// simply dropped. Sized for bursty fan-out (every group-commit batch
+/// spawns a task; chaos plans spawn dozens) without pinning memory after a
+/// spike.
 const WAKER_POOL_CAP: usize = 256;
 
 impl Inner {

@@ -358,9 +358,10 @@ impl Drop for LatchWait {
 /// Level-triggered — waiting on an already-open gate resolves immediately —
 /// and fair: waiters are woken in the order they first polled, so the
 /// executor's FIFO ready queue resumes them deterministically in
-/// registration order. Clones share state. A gate never closes again; for a
-/// recurring barrier, make a fresh gate per round (the shared-log batcher
-/// makes one per batch).
+/// registration order. Clones share state. A gate never closes again while
+/// anyone else holds it; for a recurring barrier, make a fresh gate per
+/// round or [`Gate::try_reset`] one nobody else holds (the shared-log
+/// batcher does the latter with each pooled batch's gate).
 #[derive(Clone)]
 pub struct Gate {
     state: Rc<RefCell<Latch>>,

@@ -23,7 +23,7 @@
 //! changes throughput under concurrency, never results.
 
 use halfmoon::{FaultPolicy, ProtocolKind};
-use hm_bench::cli::CommonOpts;
+use hm_bench::cli::{exit_usage, CommonOpts};
 use hm_common::{Key, Value};
 use hm_runtime::{Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
@@ -33,7 +33,7 @@ fn main() {
         shards,
         batch,
         trace_out,
-    } = CommonOpts::from_env();
+    } = CommonOpts::from_env().unwrap_or_else(|e| exit_usage(&e));
 
     // 1. A machine to run on: the deterministic virtual-time executor
     //    (same seed, same run — always).
