@@ -354,7 +354,8 @@ pub struct PhaseStat {
     pub total_ns: u128,
 }
 
-const DEFAULT_ROW_CAPACITY: usize = 4096;
+/// Recent stamp rows an [`Anatomy`] retains (oldest drop first).
+const ROW_CAPACITY: usize = 4096;
 
 struct AnatomyInner {
     phase_hist: Vec<Histogram>,
@@ -364,7 +365,6 @@ struct AnatomyInner {
     ops: u64,
     max_rel_err: f64,
     rows: VecDeque<StampRow>,
-    rows_cap: usize,
     rows_dropped: u64,
     next_seq: u64,
 }
@@ -376,13 +376,8 @@ pub struct Anatomy {
 }
 
 impl Anatomy {
-    /// New collector retaining the default number of recent stamp rows.
+    /// New collector retaining the 4096 most recent stamp rows.
     pub fn new() -> Rc<Anatomy> {
-        Self::with_row_capacity(DEFAULT_ROW_CAPACITY)
-    }
-
-    /// New collector retaining at most `rows_cap` recent stamp rows.
-    pub fn with_row_capacity(rows_cap: usize) -> Rc<Anatomy> {
         Rc::new(Anatomy {
             inner: RefCell::new(AnatomyInner {
                 phase_hist: (0..PHASE_COUNT).map(|_| Histogram::new()).collect(),
@@ -392,7 +387,6 @@ impl Anatomy {
                 ops: 0,
                 max_rel_err: 0.0,
                 rows: VecDeque::new(),
-                rows_cap: rows_cap.max(1),
                 rows_dropped: 0,
                 next_seq: 0,
             }),
@@ -430,7 +424,7 @@ impl Anatomy {
         }
         let seq = inner.next_seq;
         inner.next_seq += 1;
-        if inner.rows.len() == inner.rows_cap {
+        if inner.rows.len() == ROW_CAPACITY {
             inner.rows.pop_front();
             inner.rows_dropped += 1;
         }
@@ -625,8 +619,8 @@ mod tests {
     #[test]
     fn rows_jsonl_is_deterministic_and_bounded() {
         let run = || {
-            let anatomy = Anatomy::with_row_capacity(4);
-            for i in 0..6u64 {
+            let anatomy = Anatomy::new();
+            for i in 0..ROW_CAPACITY as u64 + 2 {
                 let sheet = anatomy.open_sheet(ms(i));
                 sheet.switch(ms(i + 1), Phase::Execution);
                 anatomy.complete(ms(i + 2), &sheet);
@@ -637,7 +631,7 @@ mod tests {
         let (b, _) = run();
         assert_eq!(a, b);
         assert_eq!(dropped, 2);
-        assert_eq!(a.lines().count(), 4);
+        assert_eq!(a.lines().count(), ROW_CAPACITY);
         assert!(a.lines().next().unwrap().starts_with("{\"seq\":2,"));
     }
 }

@@ -7,15 +7,16 @@
 //! - [`OpCounters`]: logging-operation counts, used to report "logging
 //!   overhead" in units of abstract log operations (§4.3).
 //!
-//! On top of these sits the [`MetricsRegistry`]: named
-//! [`Counter`]/[`Gauge`]/[`HistogramHandle`] instruments behind `Cell` fast
-//! paths (the single-threaded analog of relaxed atomics — a bump is one
-//! load/store, no borrow bookkeeping), plus a virtual-time sample series.
-//! It lived in `trace.rs` historically; `hm_common::trace` re-exports the
-//! registry types so existing paths keep working.
+//! [`op_counters!`](crate::op_counters) declares every counter struct of
+//! the workspace (`OpCounters` here, the log's `FlushStats`, the client's
+//! `RecoveryStats`) with its arithmetic and its field table, and the
+//! [`MetricsRegistry`] is a virtual-time series of named values that
+//! `hm_runtime::MetricsDriver` fills from those tables.
+//! `hm_common::trace` re-exports the registry because the repo benchmark
+//! (`benchmark/src/apps.rs`) imports it as
+//! `hm_common::trace::MetricsRegistry`.
 
-use std::cell::{Cell, RefCell};
-use std::fmt::Write as _;
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -284,221 +285,93 @@ impl TimeWeightedGauge {
 // Metrics registry
 // ---------------------------------------------------------------------------
 
-/// A named monotonic counter handle (cheap to clone, cheap to bump).
-#[derive(Clone)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().saturating_add(n));
-    }
-
-    /// Increments the counter by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Overwrites the counter (for counters mirrored from another source).
-    pub fn set(&self, v: u64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// A named gauge handle (last-write-wins instantaneous value).
-#[derive(Clone)]
-pub struct Gauge(Rc<Cell<f64>>);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-/// A named histogram handle.
-#[derive(Clone)]
-pub struct HistogramHandle(Rc<RefCell<Histogram>>);
-
-impl HistogramHandle {
-    /// Records one observation.
-    pub fn record(&self, d: Duration) {
-        self.0.borrow_mut().record(d);
-    }
-
-    /// Observation count so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.borrow().count()
-    }
-
-    /// Runs `f` against the underlying histogram.
-    pub fn with<R>(&self, f: impl FnOnce(&Histogram) -> R) -> R {
-        f(&self.0.borrow())
-    }
-}
-
-/// One sampled row of the registry's time series.
-#[derive(Clone, Debug)]
-pub struct MetricsSample {
-    /// Virtual time of the sample.
-    pub at: Duration,
-    /// Counter values, in registration order.
-    pub counters: Vec<u64>,
-    /// Gauge values, in registration order.
-    pub gauges: Vec<f64>,
-    /// Histogram observation counts, in registration order.
-    pub hist_counts: Vec<u64>,
-}
-
 #[derive(Default)]
-struct RegistryInner {
-    counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
-    histograms: Vec<(String, HistogramHandle)>,
-    samples: Vec<MetricsSample>,
+struct Series {
+    columns: Vec<String>,
+    rows: Vec<(Duration, Vec<f64>)>,
 }
 
-/// A registry of named counters/gauges/histograms plus a virtual-time
-/// series of their sampled values. Handles are get-or-create by name, so
-/// independent components can share an instrument. Sampling is driven
-/// externally (e.g. `hm_runtime::MetricsDriver`) at a configurable
-/// virtual-time interval; the registry itself never spawns tasks.
+/// A virtual-time series of named values: each [`MetricsRegistry::sample`]
+/// appends one row. The first row fixes the column names; every later row
+/// names the same columns in the same order. Sampling is driven from
+/// outside (`hm_runtime::MetricsDriver`); the registry never spawns tasks.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: RefCell<RegistryInner>,
+    series: RefCell<Series>,
 }
 
 impl MetricsRegistry {
-    /// A fresh, empty registry behind an `Rc` for sharing.
+    /// A fresh, empty series behind an `Rc` for sharing.
     #[must_use]
     pub fn new() -> Rc<MetricsRegistry> {
         Rc::new(MetricsRegistry::default())
     }
 
-    /// The counter named `name`, creating it (at zero) on first use.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.borrow_mut();
-        if let Some((_, c)) = inner.counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
+    /// Appends `row`, sampled at virtual time `now`.
+    ///
+    /// # Panics
+    /// Panics if `row` names other columns than the first row did.
+    pub fn sample(&self, now: Duration, row: Vec<(String, f64)>) {
+        let (columns, values): (Vec<String>, Vec<f64>) = row.into_iter().unzip();
+        let mut series = self.series.borrow_mut();
+        if series.rows.is_empty() {
+            series.columns = columns;
+        } else {
+            assert_eq!(columns, series.columns, "the columns changed");
         }
-        let c = Counter(Rc::new(Cell::new(0)));
-        inner.counters.push((name.to_string(), c.clone()));
-        c
+        series.rows.push((now, values));
     }
 
-    /// The gauge named `name`, creating it (at zero) on first use.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.borrow_mut();
-        if let Some((_, g)) = inner.gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        let g = Gauge(Rc::new(Cell::new(0.0)));
-        inner.gauges.push((name.to_string(), g.clone()));
-        g
-    }
-
-    /// The histogram named `name`, creating it empty on first use.
-    pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut inner = self.inner.borrow_mut();
-        if let Some((_, h)) = inner.histograms.iter().find(|(n, _)| n == name) {
-            return h.clone();
-        }
-        let h = HistogramHandle(Rc::new(RefCell::new(Histogram::new())));
-        inner.histograms.push((name.to_string(), h.clone()));
-        h
-    }
-
-    /// Appends one time-series row snapshotting every registered
-    /// instrument at virtual time `now`.
-    pub fn sample(&self, now: Duration) {
-        let mut inner = self.inner.borrow_mut();
-        let row = MetricsSample {
-            at: now,
-            counters: inner.counters.iter().map(|(_, c)| c.get()).collect(),
-            gauges: inner.gauges.iter().map(|(_, g)| g.get()).collect(),
-            hist_counts: inner.histograms.iter().map(|(_, h)| h.count()).collect(),
-        };
-        inner.samples.push(row);
-    }
-
-    /// Number of sampled rows so far.
+    /// The value of column `name` in the latest row, if there is one.
     #[must_use]
-    pub fn samples_len(&self) -> usize {
-        self.inner.borrow().samples.len()
+    pub fn latest(&self, name: &str) -> Option<f64> {
+        let series = self.series.borrow();
+        let i = series.columns.iter().position(|c| c == name)?;
+        Some(series.rows.last()?.1[i])
     }
 
-    /// Runs `f` over the sampled rows.
-    pub fn with_samples<R>(&self, f: impl FnOnce(&[MetricsSample]) -> R) -> R {
-        f(&self.inner.borrow().samples)
-    }
-
-    /// Exports the time series as JSON: instrument names plus one row per
-    /// sample, deterministic field and row order.
+    /// Exports the series as JSON: the column names, then one row per
+    /// sample in sampling order. Identical seeds yield identical bytes.
     #[must_use]
     pub fn series_json(&self) -> String {
-        let inner = self.inner.borrow();
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"counters\": [{}],", names_of(&inner.counters));
-        let _ = writeln!(out, "  \"gauges\": [{}],", names_of(&inner.gauges));
-        let _ = writeln!(out, "  \"histograms\": [{}],", names_of(&inner.histograms));
-        out.push_str("  \"samples\": [\n");
-        for (i, row) in inner.samples.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"at_ns\":{},\"counters\":{:?},\"gauges\":{:?},\"hist_counts\":{:?}}}",
-                row.at.as_nanos(),
-                row.counters,
-                row.gauges,
-                row.hist_counts
-            );
-            out.push_str(if i + 1 < inner.samples.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let series = self.series.borrow();
+        let quote = |c: &String| format!("\"{}\"", escape(c));
+        let columns: Vec<String> = series.columns.iter().map(quote).collect();
+        let rows: Vec<String> = series
+            .rows
+            .iter()
+            .map(|(at, values)| {
+                let values: Vec<String> = values.iter().map(f64::to_string).collect();
+                let (at, values) = (at.as_nanos(), values.join(","));
+                format!("    {{\"at_ns\":{at},\"values\":[{values}]}}")
+            })
+            .collect();
+        let (columns, rows) = (columns.join(","), rows.join(",\n"));
+        format!("{{\n  \"columns\": [{columns}],\n  \"samples\": [\n{rows}\n  ]\n}}\n")
     }
 }
 
-/// Comma-joined, escaped instrument names for [`MetricsRegistry::series_json`].
-fn names_of<T>(items: &[(String, T)]) -> String {
-    let mut s = String::new();
-    for (i, (n, _)) in items.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{}\"", escape(n));
-    }
-    s
-}
-
-/// Declares [`OpCounters`] from one field list, generating the struct and
-/// its element-wise windowing arithmetic in lockstep (the `record_op!`
-/// pattern: one declaration, every derived method) — adding a counter is a
-/// one-line change that cannot miss `since`/`merged`.
+/// Declares a counter struct from one field list: every field a public
+/// `u64`, and with them the element-wise windowing arithmetic (`since`,
+/// `merged`) and a field-name/value table (`table`), generated in lockstep
+/// (the `record_op!` pattern: one declaration, every derived method).
+/// Adding a counter is a one-line change that cannot miss any of them, and
+/// a reader of the table (the metrics series) names no field by hand.
+#[macro_export]
 macro_rules! op_counters {
-    ($( $(#[$doc:meta])* $field:ident ),+ $(,)?) => {
-        /// Counters for the abstract logging operations of §4.3, plus raw
-        /// store traffic. "Logging overhead" in the paper is measured in
-        /// these units.
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$doc:meta])* $field:ident ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
         #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-        pub struct OpCounters {
+        $vis struct $name {
             $( $(#[$doc])* pub $field: u64, )+
         }
 
-        impl OpCounters {
+        impl $name {
             /// Element-wise difference `self - earlier`, for windowed
             /// measurement.
             ///
@@ -506,50 +379,59 @@ macro_rules! op_counters {
             /// after `self`) yields zeros for the affected fields rather
             /// than panicking in debug builds or wrapping in release builds.
             #[must_use]
-            pub fn since(&self, earlier: &OpCounters) -> OpCounters {
-                OpCounters {
+            pub fn since(&self, earlier: &$name) -> $name {
+                $name {
                     $( $field: self.$field.saturating_sub(earlier.$field), )+
                 }
             }
 
-            /// Element-wise sum `self + other`, for aggregating per-shard
-            /// counter snapshots into one deployment-wide view. Saturating,
-            /// like [`since`].
-            ///
-            /// [`since`]: OpCounters::since
+            /// Element-wise sum `self + other`, for aggregating snapshots
+            /// (per shard, per request) into one view. Saturating, like
+            /// [`since`](Self::since).
             #[must_use]
-            pub fn merged(&self, other: &OpCounters) -> OpCounters {
-                OpCounters {
+            pub fn merged(&self, other: &$name) -> $name {
+                $name {
                     $( $field: self.$field.saturating_add(other.$field), )+
                 }
+            }
+
+            /// Every field as `(name, value)`, in declaration order.
+            #[must_use]
+            pub fn table(&self) -> [(&'static str, u64); [$(stringify!($field)),+].len()] {
+                [$( (stringify!($field), self.$field) ),+]
             }
         }
     };
 }
 
 op_counters! {
-    /// Log appends (including conditional appends that succeeded).
-    log_appends,
-    /// Conditional appends that lost the peer race and were undone.
-    cond_append_conflicts,
-    /// Log reads (`read_prev` / `read_next`).
-    log_reads,
-    /// Log trims issued by the garbage collector.
-    log_trims,
-    /// Raw store reads.
-    db_reads,
-    /// Raw store writes (unconditional).
-    db_writes,
-    /// Conditional store writes.
-    db_cond_writes,
-    /// Store deletes (garbage collection of old versions).
-    db_deletes,
-    /// Log reads answered from the per-node record cache.
-    cache_hits,
-    /// Log reads that missed the per-node record cache and paid the
-    /// storage round-trip. Reads that find no record are counted in
-    /// neither bucket (they are answered from the node's stream index).
-    cache_misses,
+    /// Counters for the abstract logging operations of §4.3, plus raw
+    /// store traffic. "Logging overhead" in the paper is measured in
+    /// these units.
+    pub struct OpCounters {
+        /// Log appends (including conditional appends that succeeded).
+        log_appends,
+        /// Conditional appends that lost the peer race and were undone.
+        cond_append_conflicts,
+        /// Log reads (`read_prev` / `read_next`).
+        log_reads,
+        /// Log trims issued by the garbage collector.
+        log_trims,
+        /// Raw store reads.
+        db_reads,
+        /// Raw store writes (unconditional).
+        db_writes,
+        /// Conditional store writes.
+        db_cond_writes,
+        /// Store deletes (garbage collection of old versions).
+        db_deletes,
+        /// Log reads answered from the per-node record cache.
+        cache_hits,
+        /// Log reads that missed the per-node record cache and paid the
+        /// storage round-trip. Reads that find no record are counted in
+        /// neither bucket (they are answered from the node's stream index).
+        cache_misses,
+    }
 }
 
 impl OpCounters {
@@ -736,29 +618,60 @@ mod tests {
     }
 
     #[test]
-    fn metrics_registry_handles_and_samples() {
+    fn counters_table_names_every_field_in_order() {
+        let a = OpCounters {
+            log_appends: 1,
+            cache_misses: 2,
+            ..OpCounters::default()
+        };
+        let table = a.merged(&a).table();
+        let names: Vec<&str> = table.iter().map(|&(n, _)| n).collect();
+        assert_eq!(
+            names,
+            [
+                "log_appends",
+                "cond_append_conflicts",
+                "log_reads",
+                "log_trims",
+                "db_reads",
+                "db_writes",
+                "db_cond_writes",
+                "db_deletes",
+                "cache_hits",
+                "cache_misses",
+            ]
+        );
+        assert_eq!(table[0], ("log_appends", 2));
+        assert_eq!(table[9], ("cache_misses", 4));
+        assert_eq!(table.iter().map(|&(_, v)| v).sum::<u64>(), 6);
+    }
+
+    #[test]
+    fn metrics_registry_samples_rows_of_named_values() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("log_appends");
-        let c2 = reg.counter("log_appends");
-        c.add(3);
-        c2.inc();
-        assert_eq!(reg.counter("log_appends").get(), 4, "get-or-create shares");
-        let g = reg.gauge("inflight");
-        g.set(2.5);
-        let h = reg.histogram("latency");
-        h.record(Duration::from_millis(5));
-        reg.sample(Duration::from_millis(100));
-        c.inc();
-        reg.sample(Duration::from_millis(200));
-        assert_eq!(reg.samples_len(), 2);
-        reg.with_samples(|rows| {
-            assert_eq!(rows[0].counters, vec![4]);
-            assert_eq!(rows[1].counters, vec![5]);
-            assert_eq!(rows[0].gauges, vec![2.5]);
-            assert_eq!(rows[0].hist_counts, vec![1]);
-        });
+        assert_eq!(reg.latest("log_appends"), None);
+        let row = |appends: f64| {
+            vec![
+                ("log_appends".to_string(), appends),
+                ("mean".to_string(), 2.5),
+            ]
+        };
+        reg.sample(Duration::from_millis(100), row(4.0));
+        reg.sample(Duration::from_millis(200), row(5.0));
+        assert_eq!(reg.latest("log_appends"), Some(5.0));
+        assert_eq!(reg.latest("missing"), None);
         let json = reg.series_json();
-        assert!(json.contains("\"log_appends\""), "{json}");
-        assert!(json.contains("\"at_ns\":100000000"), "{json}");
+        assert!(
+            json.contains("\"columns\": [\"log_appends\",\"mean\"]"),
+            "{json}"
+        );
+        assert!(
+            json.contains("{\"at_ns\":100000000,\"values\":[4,2.5]},\n"),
+            "{json}"
+        );
+        assert!(
+            json.contains("{\"at_ns\":200000000,\"values\":[5,2.5]}\n"),
+            "{json}"
+        );
     }
 }

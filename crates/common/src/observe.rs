@@ -60,7 +60,7 @@ use std::time::Duration;
 
 use crate::anatomy::{Anatomy, PhaseSheet};
 use crate::collections::FxHashMap;
-use crate::flightrec::FlightRecorder;
+use crate::flightrec::{FlightRecorder, RECOVERY_BUDGET};
 use crate::trace::{SpanId, TraceId, Tracer};
 
 pub use crate::anatomy::Phase;
@@ -120,8 +120,6 @@ pub struct Probe {
 
 impl Probe {
     /// A probe over the given sinks, or `None` when there is none to feed.
-    /// A flight recorder is wired to the tracer and the anatomy so its
-    /// dumps carry their recent events and stamps.
     #[must_use]
     pub fn new(
         tracer: Option<Rc<Tracer>>,
@@ -130,14 +128,6 @@ impl Probe {
     ) -> Option<Rc<Probe>> {
         if tracer.is_none() && anatomy.is_none() && flightrec.is_none() {
             return None;
-        }
-        if let Some(fr) = &flightrec {
-            if let Some(t) = &tracer {
-                fr.attach_tracer(t.clone());
-            }
-            if let Some(a) = &anatomy {
-                fr.attach_anatomy(a.clone());
-            }
         }
         Some(Rc::new(Probe {
             tracer,
@@ -213,9 +203,10 @@ impl Probe {
         if let Some(fr) = &self.flightrec {
             let retry = format!("instance {id:#x} attempt {attempt}: {cause}");
             fr.note(now, "crash_retry", retry);
-            if attempt == fr.recovery_budget() {
-                let thrash = format!("instance {id:#x} reached {attempt} crash retries");
-                fr.trigger(now, "recovery_budget_exceeded", thrash);
+            if attempt == RECOVERY_BUDGET {
+                self.trigger(now, "recovery_budget_exceeded", || {
+                    format!("instance {id:#x} reached {attempt} crash retries")
+                });
             }
         }
         if let Some(t) = &self.tracer {
@@ -309,10 +300,12 @@ impl Probe {
         }
     }
 
-    /// Notes an incident and dumps the flight recorder's black box.
+    /// Notes an incident and dumps the flight recorder's black box, with
+    /// this probe's tracer events and anatomy stamps.
     pub fn trigger(&self, now: Duration, kind: &str, detail: impl FnOnce() -> String) {
         if let Some(fr) = &self.flightrec {
-            fr.trigger(now, kind, detail());
+            let (tracer, anatomy) = (self.tracer.as_deref(), self.anatomy.as_deref());
+            fr.trigger(now, kind, detail(), tracer, anatomy);
         }
     }
 }
@@ -429,7 +422,6 @@ mod tests {
     #[test]
     fn a_crash_retry_reaches_every_sink_and_an_attempt_on_no_trace_roots_its_own() {
         let (tracer, anatomy, fr) = (Tracer::new(), Anatomy::new(), FlightRecorder::new());
-        fr.set_recovery_budget(2);
         let (t_, a_, f_) = (tracer.clone(), anatomy.clone(), fr.clone());
         let probe = Probe::new(Some(t_), Some(a_), Some(f_)).unwrap();
         let node = Lane::Node(1);
@@ -438,17 +430,25 @@ mod tests {
         let request = probe.request(t(0), String::new);
         let bound = probe.attempt(request.clone(), node, t(1), 0);
         assert_eq!(bound.trace, request.trace);
-        probe.crash_retry(&request, node, t(2), 0xab, 1, &"boom");
+        for attempt in 1..RECOVERY_BUDGET {
+            probe.crash_retry(&request, node, t(2), 0xab, attempt, &"boom");
+        }
         assert_eq!(fr.dumps(), 0);
-        probe.crash_retry(&request, node, t(2), 0xab, 2, &"boom");
+        probe.crash_retry(&request, node, t(2), 0xab, RECOVERY_BUDGET, &"boom");
         assert_eq!(fr.dumps(), 1, "one dump, at the budget");
         let noted = fr.incidents()[0].detail.clone();
         assert_eq!(noted, "instance 0xab attempt 1: boom");
+        let dump = fr.last_dump().unwrap();
+        assert!(
+            dump.contains("\"event\":\"crash_retry\""),
+            "the probe's tracer: {dump}"
+        );
         let _ = probe.attempt(request.clone(), node, t(7), 2);
         probe.finish_request(&request, t(8), true);
         let recovery = anatomy.phase_totals_ns()[Phase::Recovery.index()];
         assert_eq!(recovery, 5_000_000);
-        assert_eq!(tracer.export_jsonl().matches("\"crash_retry\"").count(), 2);
+        let retries = tracer.export_jsonl().matches("\"crash_retry\"").count();
+        assert_eq!(retries, RECOVERY_BUDGET as usize);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic causal tracing and a metrics registry.
+//! Deterministic causal tracing.
 //!
 //! The simulator's experiments (DESIGN.md §11) reason about *why* each
 //! protocol wins: which log/store round-trips sit on the critical path of
@@ -22,9 +22,8 @@
 //! - [`Tracer::critical_path`] answers the paper's op-count claims per
 //!   invocation: for each op span of a trace, how many log appends / log
 //!   reads / store round-trips its subtree contains.
-//! - [`MetricsRegistry`] lets components register named counters, gauges,
-//!   and histograms and snapshot them as a time series at a configurable
-//!   virtual-time interval.
+//! - [`MetricsRegistry`] (re-exported from [`crate::metrics`]) is a
+//!   virtual-time series of named values.
 //!
 //! # Determinism contract
 //!
@@ -45,6 +44,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crate::collections::FxHashMap;
+use crate::metrics::OpCounters;
 
 /// Identifies one end-to-end request through the system. `TraceId(0)` is
 /// reserved for unattributed (background) work such as GC cycles.
@@ -593,15 +593,7 @@ impl Tracer {
                 span: SpanId(*id),
                 start: info.begin,
                 end: info.end.unwrap_or(info.begin),
-                log_appends: 0,
-                log_reads: 0,
-                log_trims: 0,
-                db_reads: 0,
-                db_writes: 0,
-                db_cond_writes: 0,
-                db_deletes: 0,
-                cache_hits: 0,
-                cache_misses: 0,
+                counts: OpCounters::default(),
             })
             .collect();
         let op_index: FxHashMap<u64, usize> = summaries
@@ -627,15 +619,15 @@ impl Tracer {
             let Some(i) = nearest_op(info.parent) else {
                 continue;
             };
-            let s = &mut summaries[i];
+            let c = &mut summaries[i].counts;
             match info.name {
-                "log_append" | "log_cond_append" => s.log_appends += 1,
-                "log_read_prev" | "log_read_next" | "log_read_stream" => s.log_reads += 1,
-                "log_trim" => s.log_trims += 1,
-                "db_read" | "db_version_read" => s.db_reads += 1,
-                "db_write" | "db_version_write" => s.db_writes += 1,
-                "db_cond_write" => s.db_cond_writes += 1,
-                "db_delete" => s.db_deletes += 1,
+                "log_append" | "log_cond_append" => c.log_appends += 1,
+                "log_read_prev" | "log_read_next" | "log_read_stream" => c.log_reads += 1,
+                "log_trim" => c.log_trims += 1,
+                "db_read" | "db_version_read" => c.db_reads += 1,
+                "db_write" | "db_version_write" => c.db_writes += 1,
+                "db_cond_write" => c.db_cond_writes += 1,
+                "db_delete" => c.db_deletes += 1,
                 _ => {}
             }
         }
@@ -646,9 +638,20 @@ impl Tracer {
             let Some(i) = nearest_op(e.parent) else {
                 continue;
             };
+            let c = &mut summaries[i].counts;
             match e.name {
-                "cache_hit" => summaries[i].cache_hits += 1,
-                "cache_miss" => summaries[i].cache_misses += 1,
+                "cache_hit" => c.cache_hits += 1,
+                "cache_miss" => c.cache_misses += 1,
+                // A conditional append that lost the race appended nothing:
+                // the log counts it as a conflict, and so does the path.
+                "cond_conflict"
+                    if spans
+                        .get(&e.parent.0)
+                        .is_some_and(|p| p.name == "log_cond_append") =>
+                {
+                    c.log_appends -= 1;
+                    c.cond_append_conflicts += 1;
+                }
                 _ => {}
             }
         }
@@ -668,24 +671,9 @@ pub struct OpSummary {
     pub start: Duration,
     /// Virtual-time end (start if the End event was lost).
     pub end: Duration,
-    /// Shared-log appends (plain + conditional).
-    pub log_appends: u32,
-    /// Shared-log reads (prev/next/stream).
-    pub log_reads: u32,
-    /// Shared-log trims.
-    pub log_trims: u32,
-    /// KV reads (plain + versioned).
-    pub db_reads: u32,
-    /// KV writes (plain + versioned).
-    pub db_writes: u32,
-    /// KV conditional writes.
-    pub db_cond_writes: u32,
-    /// KV version deletes.
-    pub db_deletes: u32,
-    /// Log-read cache hits inside this op.
-    pub cache_hits: u32,
-    /// Log-read cache misses inside this op.
-    pub cache_misses: u32,
+    /// The op's substrate round-trips, in the log's and the store's own
+    /// units: summed over a run's requests they equal the counter deltas.
+    pub counts: OpCounters,
 }
 
 /// Formats a [`Duration`] as Chrome-trace microseconds with nanosecond
@@ -714,12 +702,8 @@ pub(crate) fn escape(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Metrics registry (moved to `crate::metrics`; re-exported for path
-// compatibility — `hm_common::trace::MetricsRegistry` remains valid)
-// ---------------------------------------------------------------------------
-
-pub use crate::metrics::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSample};
+/// `benchmark/src/apps.rs` imports the series under this path.
+pub use crate::metrics::MetricsRegistry;
 
 #[cfg(test)]
 mod tests {
@@ -804,6 +788,9 @@ mod tests {
         let write = tr.span_begin(Lane::Node(1), t(4), trace, attempt, "write", String::new());
         let ap = tr.span_begin(Lane::Storage, t(4), trace, write, "log_cond_append", String::new());
         tr.span_end(Lane::Storage, t(5), trace, ap);
+        let lost = tr.span_begin(Lane::Storage, t(5), trace, write, "log_cond_append", String::new());
+        tr.instant(Lane::Sequencer(0), t(5), trace, lost, "cond_conflict", String::new());
+        tr.span_end(Lane::Storage, t(5), trace, lost);
         tr.span_end(Lane::Node(1), t(5), trace, write);
         tr.span_end(Lane::Node(1), t(6), trace, attempt);
         // An unrelated trace must not contaminate the result.
@@ -813,12 +800,13 @@ mod tests {
         let ops = tr.critical_path(trace);
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[0].name, "read");
-        assert_eq!(ops[0].log_reads, 1);
-        assert_eq!(ops[0].db_reads, 1);
-        assert_eq!(ops[0].cache_misses, 1);
-        assert_eq!(ops[0].log_appends, 0);
+        assert_eq!(ops[0].counts.log_reads, 1);
+        assert_eq!(ops[0].counts.db_reads, 1);
+        assert_eq!(ops[0].counts.cache_misses, 1);
+        assert_eq!(ops[0].counts.log_appends, 0);
         assert_eq!(ops[1].name, "write");
-        assert_eq!(ops[1].log_appends, 1);
+        assert_eq!(ops[1].counts.log_appends, 1, "a lost race appends nothing");
+        assert_eq!(ops[1].counts.cond_append_conflicts, 1);
         assert_eq!(ops[1].end - ops[1].start, t(1));
     }
 

@@ -84,27 +84,29 @@ pub trait Invoker {
     ) -> LocalBoxFuture<'static, HmResult<Value>>;
 }
 
-/// Cumulative §5 recovery work, metered by `Env::init` on re-execution
-/// attempts: what the crashed-then-retried executions had to re-read to
-/// reconstruct their step/read state. The f-sweep bench divides this by
-/// completed invocations to reproduce the §7 recovery-cost curves.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Re-execution attempts that fetched a step log (attempt > 0).
-    pub attempts: u64,
-    /// Step-log records replayed by those attempts.
-    pub replayed_records: u64,
-    /// Extra log read rounds paid purely for recovery (one stream fetch
-    /// per re-execution attempt).
-    pub log_reads: u64,
-    /// Records that were already behind the trim horizon and therefore
-    /// *not* re-read (§5: replay starts at the last trim point).
-    pub trimmed_skipped: u64,
-    /// Records the recovery reads found still parked in an open
-    /// group-commit batch and force-flushed before replaying. These are a
-    /// *subset* of `replayed_records`, never an addition — the mid-flush
-    /// double-count fixed in DESIGN.md §14. Zero while batching is off.
-    pub pending_flushed: u64,
+hm_common::op_counters! {
+    /// Cumulative §5 recovery work, metered by `Env::init` on re-execution
+    /// attempts: what the crashed-then-retried executions had to re-read to
+    /// reconstruct their step/read state. The f-sweep bench divides this by
+    /// completed invocations to reproduce the §7 recovery-cost curves.
+    pub struct RecoveryStats {
+        /// Re-execution attempts that fetched a step log (attempt > 0).
+        attempts,
+        /// Step-log records replayed by those attempts.
+        replayed_records,
+        /// Extra log read rounds paid purely for recovery (one stream fetch
+        /// per re-execution attempt).
+        log_reads,
+        /// Records that were already behind the trim horizon and therefore
+        /// *not* re-read (§5: replay starts at the last trim point).
+        trimmed_skipped,
+        /// Records the recovery reads found still parked in an open
+        /// group-commit batch and force-flushed before replaying. These are
+        /// a *subset* of `replayed_records`, never an addition — the
+        /// mid-flush double-count fixed in DESIGN.md §14. Zero while
+        /// batching is off.
+        pending_flushed,
+    }
 }
 
 /// Per-operation latency histograms, as the microbenchmarks report them

@@ -13,11 +13,9 @@
 //!   bounded worker pool.
 //! - [`GcDriver`] — periodic garbage collection (§4.5), with a
 //!   configurable interval (Figure 12 sweeps 10 s and 60 s).
-//! - [`MetricsDriver`] — opt-in periodic sampling of substrate counters
-//!   into a [`hm_common::trace::MetricsRegistry`] time series; when the
-//!   log runs with group commit enabled it additionally mirrors the
-//!   flush counters (`log.flushes`, `log.flush_*_trigger`,
-//!   `log.batch_size`) and `recovery.pending_flushed`.
+//! - [`MetricsDriver`] — opt-in periodic sampling of the deployment's
+//!   counter structs (log, store, per shard, recovery, group commit) into
+//!   a [`hm_common::trace::MetricsRegistry`] time series.
 //! - [`chaos`] — the chaos engine: [`ChaosDriver`] walks a
 //!   [`halfmoon::FaultPlan`]'s schedule on the virtual clock (node
 //!   crashes, replica outages, sequencer stalls, retry storms) and

@@ -1,5 +1,11 @@
-//! Periodic metrics sampling: mirrors substrate [`OpCounters`] into a
-//! [`MetricsRegistry`] as a virtual-time series.
+//! Periodic metrics sampling: one row of the deployment's own counters per
+//! interval of virtual time, appended to a [`MetricsRegistry`] series.
+//!
+//! A row reads the counter structs the deployment already keeps, through
+//! their field tables ([`hm_common::op_counters!`]): the log's and the
+//! store's [`OpCounters`] merged (their fields do not overlap), each
+//! shard's counters and degraded appends (`shardN.`), [`RecoveryStats`]
+//! (`recovery.`) and [`FlushStats`] (`flush.`) with its mean batch size.
 //!
 //! The driver is strictly opt-in: it spawns a task and sleeps on the
 //! virtual clock, which *does* change the simulation's interleavings, so
@@ -8,11 +14,13 @@
 //! randomness, so runs with the driver remain deterministic per seed.
 //!
 //! [`OpCounters`]: hm_common::metrics::OpCounters
+//! [`RecoveryStats`]: halfmoon::RecoveryStats
+//! [`FlushStats`]: halfmoon::FlushStats
 
 use std::cell::Cell;
 use std::rc::Rc;
 
-use halfmoon::Client;
+use halfmoon::{Client, ShardId};
 use hm_common::trace::MetricsRegistry;
 use hm_substrate::Time;
 
@@ -23,116 +31,24 @@ pub struct MetricsDriver {
 }
 
 impl MetricsDriver {
-    /// Spawns a background task sampling `registry` every `interval` of
-    /// virtual time. The substrate counters of `client` (shared log and
-    /// store) are mirrored into named registry counters before each
-    /// sample, so exported series track them without touching hot paths.
+    /// Spawns a background task appending one row of `client`'s counters
+    /// to `registry` every `interval` of virtual time.
     #[must_use]
-    pub fn start(
-        client: Client,
-        registry: Rc<MetricsRegistry>,
-        interval: Time,
-    ) -> MetricsDriver {
+    pub fn start(client: Client, registry: Rc<MetricsRegistry>, interval: Time) -> MetricsDriver {
         let stop = Rc::new(Cell::new(false));
         let samples = Rc::new(Cell::new(0u64));
         let ctx = client.ctx().clone();
-        {
-            let stop = stop.clone();
-            let samples = samples.clone();
-            ctx.clone().spawn(async move {
-                let log_appends = registry.counter("log.appends");
-                let log_conflicts = registry.counter("log.cond_conflicts");
-                let log_reads = registry.counter("log.reads");
-                let log_trims = registry.counter("log.trims");
-                let cache_hits = registry.counter("log.cache_hits");
-                let cache_misses = registry.counter("log.cache_misses");
-                let db_reads = registry.counter("store.reads");
-                let db_writes = registry.counter("store.writes");
-                let db_cond_writes = registry.counter("store.cond_writes");
-                let db_deletes = registry.counter("store.deletes");
-                // Per-shard mirrors, registered after the aggregate
-                // counters so existing sample indexes stay stable.
-                let shards = client.log().shard_count();
-                let shard_appends: Vec<_> = (0..shards)
-                    .map(|s| registry.counter(&format!("log.appends.shard{s}")))
-                    .collect();
-                let shard_trims: Vec<_> = (0..shards)
-                    .map(|s| registry.counter(&format!("log.trims.shard{s}")))
-                    .collect();
-                let shard_degraded: Vec<_> = (0..shards)
-                    .map(|s| registry.counter(&format!("log.degraded_appends.shard{s}")))
-                    .collect();
-                // §5 recovery meters, registered after the per-shard
-                // mirrors so existing sample indexes stay stable.
-                let recovery_attempts = registry.counter("recovery.attempts");
-                let recovery_replayed = registry.counter("recovery.replayed_records");
-                let recovery_log_reads = registry.counter("recovery.log_reads");
-                let recovery_trimmed = registry.counter("recovery.trimmed_skipped");
-                // Group-commit mirrors, registered only when batching is
-                // on: unbatched deployments keep exactly the pre-batching
-                // instrument set (and byte-identical exports).
-                let batching = client
-                    .log()
-                    .batching_enabled()
-                    .then(|| {
-                        (
-                            registry.counter("log.flushes"),
-                            registry.counter("log.flush_size_trigger"),
-                            registry.counter("log.flush_deadline_trigger"),
-                            registry.counter("log.flush_forced"),
-                            registry.gauge("log.batch_size"),
-                            registry.counter("recovery.pending_flushed"),
-                        )
-                    });
-                loop {
-                    ctx.sleep(interval).await;
-                    if stop.get() {
-                        break;
-                    }
-                    let log = client.log().counters();
-                    let store = client.store().counters();
-                    log_appends.set(log.log_appends);
-                    log_conflicts.set(log.cond_append_conflicts);
-                    log_reads.set(log.log_reads);
-                    log_trims.set(log.log_trims);
-                    cache_hits.set(log.cache_hits);
-                    cache_misses.set(log.cache_misses);
-                    db_reads.set(store.db_reads);
-                    db_writes.set(store.db_writes);
-                    db_cond_writes.set(store.db_cond_writes);
-                    db_deletes.set(store.db_deletes);
-                    for s in 0..shards {
-                        #[allow(clippy::cast_possible_truncation)]
-                        let id = halfmoon::ShardId(s as u8);
-                        let per = client.log().shard_counters(id);
-                        shard_appends[s].set(per.log_appends);
-                        shard_trims[s].set(per.log_trims);
-                        shard_degraded[s].set(client.log().shard_degraded_appends(id));
-                    }
-                    let recovery = client.recovery_stats();
-                    recovery_attempts.set(recovery.attempts);
-                    recovery_replayed.set(recovery.replayed_records);
-                    recovery_log_reads.set(recovery.log_reads);
-                    recovery_trimmed.set(recovery.trimmed_skipped);
-                    if let Some((flushes, size_trig, deadline_trig, forced, batch_size, pending)) =
-                        &batching
-                    {
-                        let flush = client.log().flush_stats();
-                        flushes.set(flush.flushes);
-                        size_trig.set(flush.size_trigger);
-                        deadline_trig.set(flush.deadline_trigger);
-                        forced.set(flush.forced_trigger);
-                        batch_size.set(flush.mean_batch_size());
-                        pending.set(recovery.pending_flushed);
-                    }
-                    registry.sample(ctx.now());
-                    samples.set(samples.get() + 1);
-                    if stop.get() {
-                        break;
-                    }
+        let (stopped, taken) = (stop.clone(), samples.clone());
+        ctx.clone().spawn(async move {
+            loop {
+                ctx.sleep(interval).await;
+                if stopped.get() {
+                    break;
                 }
-            });
-        }
+                registry.sample(ctx.now(), row(&client));
+                taken.set(taken.get() + 1);
+            }
+        });
         MetricsDriver { stop, samples }
     }
 
@@ -146,6 +62,30 @@ impl MetricsDriver {
     pub fn samples(&self) -> u64 {
         self.samples.get()
     }
+}
+
+/// Every counter of the deployment, named by its struct's field table.
+fn row(client: &Client) -> Vec<(String, f64)> {
+    let log = client.log();
+    let mut row = Vec::new();
+    let mut put = |prefix: &str, table: &[(&str, u64)]| {
+        for &(name, v) in table {
+            row.push((format!("{prefix}{name}"), v as f64));
+        }
+    };
+    let all = log.counters().merged(&client.store().counters());
+    put("", &all.table());
+    for s in 0..log.shard_count() {
+        let id = ShardId(u8::try_from(s).expect("shard ids fit a u8"));
+        let (prefix, degraded) = (format!("shard{s}."), log.shard_degraded_appends(id));
+        put(&prefix, &log.shard_counters(id).table());
+        put(&prefix, &[("degraded_appends", degraded)]);
+    }
+    put("recovery.", &client.recovery_stats().table());
+    let flush = log.flush_stats();
+    put("flush.", &flush.table());
+    row.push(("flush.mean_batch_size".to_string(), flush.mean_batch_size()));
+    row
 }
 
 impl Drop for MetricsDriver {

@@ -5,7 +5,7 @@ use std::rc::{Rc, Weak};
 
 use halfmoon::{Client, Env, InvocationSpec, Invoker, LocalBoxFuture};
 use hm_common::observe::{Lane, OpCtx, Phase};
-use hm_common::trace::{SpanId, TraceId};
+use hm_common::trace::TraceId;
 use hm_common::{FxHashMap, HmError, HmResult, InstanceId, NodeId, Value};
 use hm_substrate::sync::{Semaphore, TaskGroup};
 use hm_substrate::Time;
@@ -240,26 +240,9 @@ impl Runtime {
             .await
     }
 
-    /// [`Runtime::invoke_request`] joining an existing trace: the
-    /// invocation's spans nest under the caller's span `parent`.
-    pub async fn invoke_request_traced(
-        &self,
-        func: &str,
-        input: Value,
-        trace: TraceId,
-        parent: SpanId,
-    ) -> HmResult<Value> {
-        let octx = OpCtx {
-            trace,
-            parent,
-            sheet: None,
-        };
-        self.invoke_request_under(func, input, octx).await
-    }
-
-    /// The general entry point behind [`Runtime::invoke_request`] and
-    /// [`Runtime::invoke_request_traced`]: the request's observations
-    /// belong to `octx`.
+    /// The general entry point behind [`Runtime::invoke_request`]: the
+    /// request's observations belong to `octx` (a caller joining its own
+    /// trace passes `OpCtx { trace, parent, sheet: None }`).
     ///
     /// A sheet in `octx` arrives in its caller-set base phase (`Admission`
     /// when the gateway opened it) and keeps accruing there while the

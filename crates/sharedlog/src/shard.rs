@@ -91,29 +91,30 @@ impl Stream {
     }
 }
 
-/// Group-commit accounting for one shard's sequencer-side batcher.
-///
-/// Kept as plain fields (like `degraded_appends`) rather than inside
-/// [`OpCounters`]: the op counters feed determinism fingerprints and the
-/// golden metrics snapshot, which must stay bit-identical for unbatched
-/// runs — and a batched run's flush counts are a new dimension, not a new
-/// kind of log op.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FlushStats {
-    /// Batches flushed (each paid one sequencer admission and one
-    /// coalesced storage round-trip).
-    pub flushes: u64,
-    /// Records carried by those flushes. `records / flushes` is the mean
-    /// achieved batch size (the `log.batch_size` metrics mirror).
-    pub records: u64,
-    /// Flushes triggered by the batch filling to
-    /// `LogConfig::batch_max_records`.
-    pub size_trigger: u64,
-    /// Flushes triggered by the 200 µs batch deadline.
-    pub deadline_trigger: u64,
-    /// Flushes forced by a `replay_stream` recovery read (§5: a successor
-    /// must observe every record the sequencer has accepted).
-    pub forced_trigger: u64,
+hm_common::op_counters! {
+    /// Group-commit accounting for one shard's sequencer-side batcher.
+    ///
+    /// Kept as plain fields (like `degraded_appends`) rather than inside
+    /// [`OpCounters`]: the op counters feed determinism fingerprints and the
+    /// golden metrics snapshot, which must stay bit-identical for unbatched
+    /// runs — and a batched run's flush counts are a new dimension, not a
+    /// new kind of log op.
+    pub struct FlushStats {
+        /// Batches flushed (each paid one sequencer admission and one
+        /// coalesced storage round-trip).
+        flushes,
+        /// Records carried by those flushes. `records / flushes` is the
+        /// mean achieved batch size.
+        records,
+        /// Flushes triggered by the batch filling to
+        /// `LogConfig::batch_max_records`.
+        size_trigger,
+        /// Flushes triggered by the 200 µs batch deadline.
+        deadline_trigger,
+        /// Flushes forced by a `replay_stream` recovery read (§5: a
+        /// successor must observe every record the sequencer has accepted).
+        forced_trigger,
+    }
 }
 
 impl FlushStats {
@@ -124,16 +125,6 @@ impl FlushStats {
             0.0
         } else {
             self.records as f64 / self.flushes as f64
-        }
-    }
-
-    pub(crate) fn merged(&self, other: &FlushStats) -> FlushStats {
-        FlushStats {
-            flushes: self.flushes + other.flushes,
-            records: self.records + other.records,
-            size_trigger: self.size_trigger + other.size_trigger,
-            deadline_trigger: self.deadline_trigger + other.deadline_trigger,
-            forced_trigger: self.forced_trigger + other.forced_trigger,
         }
     }
 }

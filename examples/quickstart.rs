@@ -81,9 +81,11 @@ fn main() {
             // Traced: root a request trace so the invocation, attempts,
             // and crash retries all nest under one tree.
             Some(t) => {
-                let trace = t.new_trace();
-                rt.invoke_request_traced("deposit", input, trace, hm_common::trace::SpanId::NONE)
-                    .await
+                let octx = hm_common::observe::OpCtx {
+                    trace: t.new_trace(),
+                    ..Default::default()
+                };
+                rt.invoke_request_under("deposit", input, octx).await
             }
             None => rt.invoke_request("deposit", input).await,
         }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The whole gate: tier-1, lints, docs, one bench run, the model-check
-# claims, and a build of benchmark/.
+# claims, a build of benchmark/ and three of its rounds with observers on.
 #
 # Tier-1 (ROADMAP.md): release build + quiet test suite. The root
 # manifest's `default-members` make `cargo test -q` run every crate's
@@ -32,7 +32,11 @@
 # Benchmark builds: benchmark/ is a workspace of its own that no step above
 # compiles, so a crate change can break it unseen. It is built from a copy
 # (with the crates it depends on symlinked beside it) because an in-place
-# build rewrites benchmark/Cargo.lock.
+# build rewrites benchmark/Cargo.lock. Its end-to-end runs leave every
+# observer off, so one short round each of steady_mixed, crash_recovery and
+# log_storm then runs with all four observers attached (a tenth of its
+# length, a quarter for crash_recovery): a non-zero exit or any failed
+# output check (an `X ` line) fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,5 +100,21 @@ tar --exclude=benchmark/target --exclude=benchmark/out -cf - benchmark | tar -C 
 ln -s "$PWD/Cargo.toml" "$PWD/crates" "$PWD/vendor" "$tmp/"
 cargo build --release --offline --quiet --manifest-path "$tmp/benchmark/Cargo.toml"
 echo "benchmark builds ok"
+
+echo "== benchmark observers: one round per workload, every observer attached =="
+bench="${CARGO_TARGET_DIR:-$tmp/benchmark/target}/release/hm-benchmark"
+# crash_recovery runs at a quarter of its length: at a tenth its fault plan
+# ends before any node crash and the round reports it as too quiet.
+for run in steady_mixed:0.1 crash_recovery:0.25 log_storm:0.1; do
+    w="${run%:*}"
+    HM_BENCHMARK_OUT="$tmp" "$bench" round --workload "$w" --seed 20230923 \
+        --observers tracer,anatomy,flightrec,metrics_driver --scale "${run#*:}" \
+        > "$tmp/round_$w.txt" || { echo "observer round of $w exited non-zero"; exit 1; }
+    if grep '^X ' "$tmp/round_$w.txt"; then
+        echo "observer round of $w failed its output checks"
+        exit 1
+    fi
+done
+echo "benchmark observer rounds ok"
 
 echo "== verify OK =="

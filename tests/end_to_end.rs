@@ -330,9 +330,36 @@ fn read_only_keys_bypass_logging() {
     }
 }
 
+/// The series `MetricsRegistry::series_json` exported: its column names
+/// and, per row, the virtual time in ns and the values.
+fn parse_series(json: &str) -> (Vec<String>, Vec<(u128, Vec<f64>)>) {
+    let columns = json
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"columns\": [")?.strip_suffix("],"))
+        .expect("columns line in series_json")
+        .split(',')
+        .map(|c| c.trim_matches('"').to_string())
+        .collect();
+    let rows = json
+        .lines()
+        .filter_map(|l| {
+            let (at, rest) = l
+                .trim()
+                .strip_prefix("{\"at_ns\":")?
+                .split_once(",\"values\":[")?;
+            let values = rest.split(']').next()?.split(',');
+            Some((
+                at.parse().unwrap(),
+                values.map(|v| v.parse().unwrap()).collect(),
+            ))
+        })
+        .collect();
+    (columns, rows)
+}
+
 /// The metrics driver samples substrate counters into a registry as a
-/// virtual-time series: samples are spaced by the configured interval,
-/// mirror the log's own counters, and are monotone non-decreasing.
+/// virtual-time series: one row per sample, spaced by the configured
+/// interval, mirroring the log's own counters, monotone non-decreasing.
 #[test]
 fn metrics_driver_samples_substrate_counters() {
     let mut sim = Sim::new(0xe2e7);
@@ -364,34 +391,34 @@ fn metrics_driver_samples_substrate_counters() {
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
     driver.stop();
     assert!(report.completed > 0);
-    assert!(driver.samples() >= 5, "expected ≥5 samples at 200ms over 2s");
-    assert_eq!(registry.samples_len(), driver.samples() as usize);
+    assert!(
+        driver.samples() >= 5,
+        "expected ≥5 samples at 200ms over 2s"
+    );
+    let (columns, rows) = parse_series(&registry.series_json());
+    assert_eq!(rows.len(), driver.samples() as usize);
+    assert!(columns.iter().any(|c| c == "log_appends"), "{columns:?}");
     // The mirror trails the live counter by at most the work done since
     // the last sample tick; it never exceeds it.
-    let appends = registry.counter("log.appends");
-    assert!(appends.get() > 0, "sampled counter never populated");
+    let appends = registry.latest("log_appends").expect("a sampled row");
+    assert!(appends > 0.0, "sampled counter never populated");
     assert!(
-        appends.get() <= client.log().counters().log_appends,
+        appends <= client.log().counters().log_appends as f64,
         "registry mirror cannot exceed the log's own counter"
     );
-    registry.with_samples(|samples| {
-        for pair in samples.windows(2) {
-            assert!(pair[0].at < pair[1].at, "samples advance in virtual time");
-            for (a, b) in pair[0].counters.iter().zip(&pair[1].counters) {
-                assert!(a <= b, "mirrored counters are monotone");
-            }
+    for pair in rows.windows(2) {
+        assert!(pair[0].0 < pair[1].0, "samples advance in virtual time");
+        for (a, b) in pair[0].1.iter().zip(&pair[1].1) {
+            assert!(a <= b, "mirrored counters are monotone");
         }
-    });
-    let json = registry.series_json();
-    assert!(json.contains("log.appends"), "{json}");
+    }
 }
 
-/// Per-shard mirrors under group commit: a 4-shard deployment with
-/// batch-16 group commit mirrors each shard's appends into
-/// `log.appends.shardN`. All mirrors are refreshed in the same synchronous
-/// tick before each sample, so at every sampled row the shard mirrors must
-/// sum to the aggregate `log.appends` mirror exactly; the batching
-/// instruments must be live; and the whole exported series must be
+/// Per-shard columns under group commit: a 4-shard deployment with
+/// batch-16 group commit samples each shard's counters as `shardN.*`. A
+/// row is built in one synchronous tick, so in every row the shards'
+/// `log_appends` must sum to the aggregate exactly; the group-commit
+/// columns must be live; and the whole exported series must be
 /// byte-identical across two runs of the same seed.
 #[test]
 fn metrics_driver_shard_mirrors_sum_under_batching() {
@@ -411,11 +438,8 @@ fn metrics_driver_shard_mirrors_sum_under_batching() {
         let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
         workload.register(&runtime);
         let registry = hm_common::trace::MetricsRegistry::new();
-        let driver = hm_runtime::MetricsDriver::start(
-            client,
-            registry.clone(),
-            Duration::from_millis(200),
-        );
+        let driver =
+            hm_runtime::MetricsDriver::start(client, registry.clone(), Duration::from_millis(200));
         let gateway = Gateway::new(runtime);
         let spec = LoadSpec {
             rate_per_sec: 120.0,
@@ -426,47 +450,32 @@ fn metrics_driver_shard_mirrors_sum_under_batching() {
         let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
         driver.stop();
         assert!(report.completed > 0);
-        assert!(driver.samples() >= 5, "expected >=5 samples at 200ms over 2s");
-        let json = registry.series_json();
-        // Recover the instrument order from the export itself, then check
-        // the per-shard mirrors against the aggregate in every sampled row.
-        let names: Vec<String> = json
-            .lines()
-            .find_map(|l| {
-                let l = l.trim();
-                l.strip_prefix("\"counters\": [")
-                    .and_then(|l| l.strip_suffix("],"))
-            })
-            .expect("counters line in series_json")
-            .split(',')
-            .map(|n| n.trim_matches('"').to_string())
-            .collect();
-        let idx = |name: &str| {
-            names
-                .iter()
-                .position(|n| n == name)
-                .unwrap_or_else(|| panic!("missing instrument {name}"))
-        };
-        let agg = idx("log.appends");
-        let shards: Vec<usize> = (0..4)
-            .map(|s| idx(&format!("log.appends.shard{s}")))
-            .collect();
         assert!(
-            names.iter().any(|n| n == "log.flushes"),
-            "batching mirrors missing: {names:?}"
+            driver.samples() >= 5,
+            "expected >=5 samples at 200ms over 2s"
         );
-        registry.with_samples(|samples| {
-            assert!(!samples.is_empty());
-            for row in samples {
-                let sum: u64 = shards.iter().map(|&s| row.counters[s]).sum();
-                assert_eq!(
-                    sum, row.counters[agg],
-                    "per-shard mirrors must sum to the aggregate in every row"
-                );
-            }
-        });
+        let json = registry.series_json();
+        let (columns, rows) = parse_series(&json);
+        let idx = |name: &str| {
+            columns
+                .iter()
+                .position(|c| c == name)
+                .unwrap_or_else(|| panic!("missing column {name}"))
+        };
+        let agg = idx("log_appends");
+        let shards: Vec<usize> = (0..4)
+            .map(|s| idx(&format!("shard{s}.log_appends")))
+            .collect();
+        assert!(!rows.is_empty());
+        for (_, values) in &rows {
+            let sum: f64 = shards.iter().map(|&s| values[s]).sum();
+            assert_eq!(
+                sum, values[agg],
+                "per-shard columns must sum to the aggregate in every row"
+            );
+        }
         assert!(
-            registry.counter("log.flushes").get() > 0,
+            registry.latest("flush.flushes") > Some(0.0),
             "batch 16 under load must flush"
         );
         json
