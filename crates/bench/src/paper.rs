@@ -746,6 +746,9 @@ fn recovery(scale: f64) -> Figure {
 /// 2. *Ordered-write extension* (§4.4 / technical report): preserving
 ///    program order among consecutive log-free writes to different
 ///    objects costs one ordering append per dependent pair.
+///
+/// Beside the measured appends per request, each row prints what the
+/// logging matrix predicts for the workload's op mix.
 fn ablations(scale: f64) -> Figure {
     let workload = SyntheticOps {
         read_ratio: 0.2,
@@ -755,17 +758,20 @@ fn ablations(scale: f64) -> Figure {
     let run = |kind: ProtocolKind, configure: fn(&mut ProtocolConfig)| {
         let mut config = ProtocolConfig::uniform(kind);
         configure(&mut config);
+        let predicted = predicted_appends(&workload, &config);
         let out = run_app(&workload, &params, |b| b.protocol_config(config));
         [
             ms(out.op_latencies.write.median_ms()),
             ms(out.report.latency.median_ms()),
             out.log_appends as f64 / out.report.completed.max(1) as f64,
+            predicted,
         ]
     };
     let columns = [
         "write median (ms)",
         "request median (ms)",
         "log appends / request",
+        "predicted appends / request",
     ];
     let (double, single) = (
         run(HalfmoonRead, |_| {}),
@@ -799,6 +805,24 @@ fn ablations(scale: f64) -> Figure {
             .row("ordered (extension)", ordered),
     ];
     Figure::new("Ablations", panels, notes)
+}
+
+/// Log appends per request of `workload` under `config`'s protocol, as the
+/// logging matrix predicts them: init and finish, each expected read's and
+/// write's row, and the order row once per expected pair of adjacent
+/// writes.
+fn predicted_appends(workload: &SyntheticOps, config: &ProtocolConfig) -> f64 {
+    use halfmoon::MatrixOp::{Finish, Init, Order, Read, Write};
+    let appends = |op| config.default.logging_row(op, config).log_appends as f64;
+    let (ops, p_write) = (
+        f64::from(workload.ops_per_request),
+        1.0 - workload.read_ratio,
+    );
+    appends(Init)
+        + appends(Finish)
+        + ops * workload.read_ratio * appends(Read)
+        + ops * p_write * appends(Write)
+        + (ops - 1.0) * p_write * p_write * appends(Order)
 }
 
 #[cfg(test)]

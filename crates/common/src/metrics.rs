@@ -372,6 +372,9 @@ macro_rules! op_counters {
         }
 
         impl $name {
+            /// Every counter at zero, the base of `const` struct updates.
+            pub const ZERO: $name = $name { $( $field: 0, )+ };
+
             /// Element-wise difference `self - earlier`, for windowed
             /// measurement.
             ///
@@ -431,15 +434,6 @@ op_counters! {
         /// storage round-trip. Reads that find no record are counted in
         /// neither bucket (they are answered from the node's stream index).
         cache_misses,
-    }
-}
-
-impl OpCounters {
-    /// Total abstract log operations on the critical path (appends only;
-    /// §4.3 counts standalone fault-tolerant records, not lookups).
-    #[must_use]
-    pub fn total_log_appends(&self) -> u64 {
-        self.log_appends
     }
 }
 
@@ -614,7 +608,6 @@ mod tests {
         let d = b.since(&a);
         assert_eq!(d.log_appends, 15);
         assert_eq!(d.db_reads, 5);
-        assert_eq!(d.total_log_appends(), 15);
     }
 
     #[test]

@@ -8,7 +8,14 @@
 //! (`P_r = P_w` for storage, `P_r = 2 P_w` for runtime) against measured
 //! crossovers.
 
-use crate::protocol::ProtocolKind;
+use crate::protocol::{MatrixOp, ProtocolConfig, ProtocolKind};
+
+/// Log records one op leaves per object under `protocol`, in the paper's
+/// prototype: a row of [`ProtocolKind::logging_row`].
+fn records(protocol: ProtocolKind, op: MatrixOp) -> f64 {
+    let prototype = ProtocolConfig::uniform(protocol);
+    protocol.logging_row(op, &prototype).log_appends as f64
+}
 
 /// Workload and deployment parameters for one object (§4.6's symbols).
 #[derive(Clone, Copy, Debug)]
@@ -33,24 +40,26 @@ pub struct WorkloadProfile {
 impl WorkloadProfile {
     /// Time-averaged storage under Halfmoon-write (Equation 2):
     /// `S_read = S_val + P_r λ (t + T_gc)(S_meta + S_val)` — one object
-    /// copy plus the read-log records in flight.
+    /// copy plus the read-log records in flight, one per read.
     #[must_use]
     pub fn storage_halfmoon_write(&self) -> f64 {
         let n_r = self.p_read * self.arrival_rate * (self.lifetime_secs + self.gc_delay_secs);
-        self.value_bytes + n_r * (self.meta_bytes + self.value_bytes)
+        let per_read = records(ProtocolKind::HalfmoonWrite, MatrixOp::Read);
+        self.value_bytes + n_r * (per_read * self.meta_bytes + self.value_bytes)
     }
 
     /// Time-averaged storage under Halfmoon-read (Equation 4):
     /// `S_write = (1 + P_w λ (t + T_gc))(2 S_meta + S_val)` — live object
-    /// versions plus their double write-log records. The `1 +` term is the
-    /// always-retained marked version (GC condition (a)); the write-gap
-    /// term `T_w = 1/(P_w λ)` contributes exactly that constant under
-    /// Poisson arrivals.
+    /// versions plus their write-log records, two per write. The `1 +`
+    /// term is the always-retained marked version (GC condition (a)); the
+    /// write-gap term `T_w = 1/(P_w λ)` contributes exactly that constant
+    /// under Poisson arrivals.
     #[must_use]
     pub fn storage_halfmoon_read(&self) -> f64 {
         let n_w =
             1.0 + self.p_write * self.arrival_rate * (self.lifetime_secs + self.gc_delay_secs);
-        n_w * (2.0 * self.meta_bytes + self.value_bytes)
+        let per_write = records(ProtocolKind::HalfmoonRead, MatrixOp::Write);
+        n_w * (per_write * self.meta_bytes + self.value_bytes)
     }
 
     /// The storage-optimal protocol. The §4.6 boundary is `P_r = P_w` in

@@ -44,7 +44,7 @@ use hm_sharedlog::{CondAppendOutcome, LogRecord, LogService};
 
 use crate::client::{finish_log_tag, init_log_tag, transition_log_tag, Client, OpKind};
 use crate::history::{Event, EventKind};
-use crate::protocol::ProtocolKind;
+use crate::protocol::{MatrixOp, ProtocolKind};
 use crate::record::{OpRecord, StepRecord};
 
 /// The protocol mode resolved for object accesses (§4.7 lifecycle).
@@ -86,7 +86,7 @@ pub struct Env {
     pub consecutive_w: u32,
     /// Key of the previous operation if it was a log-free write (used by
     /// the ordered-write extension).
-    last_write_key: Option<Key>,
+    pub(crate) last_write_key: Option<Key>,
     /// Program counter over *all* state operations (including log-free
     /// ones); identical across attempts of a deterministic body.
     pc: u32,
@@ -289,6 +289,7 @@ impl Env {
         env.input = first.value;
         env.init_cursor = first.seqnum;
         env.op_end();
+        env.debug_assert_row(MatrixOp::Init, None, StepNum(0), false);
         Ok(env)
     }
 
@@ -548,11 +549,12 @@ impl Env {
     /// Propagates injected crashes and substrate errors.
     pub async fn read(&mut self, key: &Key) -> HmResult<Value> {
         self.bump_pc();
-        let started = self.client.ctx().now();
+        let (started, before) = (self.client.ctx().now(), self.step);
         self.op_begin("read", || format!("{key:?}"));
         let result = self.read_dispatch(key).await;
         self.op_end();
         if result.is_ok() {
+            self.debug_assert_row(MatrixOp::Read, Some(key), before, false);
             self.client
                 .record_op_latency(OpKind::Read, self.client.ctx().now() - started);
         }
@@ -604,11 +606,17 @@ impl Env {
     /// Propagates injected crashes and substrate errors.
     pub async fn write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.bump_pc();
-        let started = self.client.ctx().now();
+        let (started, before) = (self.client.ctx().now(), self.step);
+        // Whether the order row applies: this write follows a log-free
+        // write to another key.
+        let ordered = cfg!(debug_assertions)
+            && self.consecutive_w > 0
+            && self.last_write_key.as_ref() != Some(key);
         self.op_begin("write", || format!("{key:?}"));
         let result = self.write_dispatch(key, value).await;
         self.op_end();
         if result.is_ok() {
+            self.debug_assert_row(MatrixOp::Write, Some(key), before, ordered);
             self.client
                 .record_op_latency(OpKind::Write, self.client.ctx().now() - started);
         }
@@ -788,6 +796,7 @@ impl Env {
             return Ok(result);
         }
         self.op_begin("finish", String::new);
+        let before = self.step;
         let out = self
             .step(
                 "Finish",
@@ -808,9 +817,38 @@ impl Env {
             .map(|step| step.value);
         self.op_end();
         if out.is_ok() {
+            self.debug_assert_row(MatrixOp::Finish, None, before, false);
             self.end_attempt();
         }
         out
+    }
+
+    /// Debug builds: asserts that the op that just returned `Ok`, begun at
+    /// step `before`, logged exactly the steps its row of the logging
+    /// matrix ([`ProtocolKind::logging_row`]) declares, plus the order
+    /// row's if `ordered`. An op on `key` is checked under
+    /// `ObjectMode::Plain` on a key that is not read-only; init and finish
+    /// (`key` = `None`) in a deployment running one protocol.
+    fn debug_assert_row(&self, op: MatrixOp, key: Option<&Key>, before: StepNum, ordered: bool) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        self.client.with_config(|c| {
+            let protocol = match (key, self.resolved_mode) {
+                (None, _) if c.per_key.is_empty() && !c.switching_enabled => c.default,
+                (Some(key), _) if c.read_only_keys.contains(key) => return,
+                (Some(key), _) if !c.switching_enabled => c.static_protocol(key),
+                (Some(_), Some(ObjectMode::Plain(protocol))) => protocol,
+                _ => return,
+            };
+            let appends = |op| protocol.logging_row(op, c).log_appends;
+            let want = appends(op) + if ordered { appends(MatrixOp::Order) } else { 0 };
+            let logged = u64::from(self.step.0 - before.0);
+            assert_eq!(
+                logged, want,
+                "{protocol} {op:?} (ordered: {ordered}) of {self:?}"
+            );
+        });
     }
 
     /// Spends a sample of pure compute time (function work between state
@@ -821,16 +859,6 @@ impl Env {
             .ctx()
             .with_rng(|rng| self.client.model().function_compute.sample(rng));
         self.client.ctx().sleep(d).await;
-    }
-
-    /// Key of the preceding log-free write, for the ordered-write extension.
-    pub(crate) fn last_write_key(&self) -> Option<&Key> {
-        self.last_write_key.as_ref()
-    }
-
-    /// Marks `key` as the most recent log-free write target.
-    pub(crate) fn set_last_write_key(&mut self, key: &Key) {
-        self.last_write_key = Some(key.clone());
     }
 }
 

@@ -76,7 +76,7 @@ pub use hm_sharedlog::{FlushStats, GlobalSeqNum, ReplayStats, ShardId, Topology}
 pub use env::{Env, InvocationSpec, ObjectMode};
 pub use gc::{GarbageCollector, GcStats};
 pub use history::{Event, EventKind, Recorder};
-pub use protocol::{ProtocolConfig, ProtocolKind};
+pub use protocol::{MatrixOp, ProtocolConfig, ProtocolKind};
 pub use record::{OpRecord, StepRecord};
 pub use switching::{SwitchReport, Switcher};
 pub use txn::{Transaction, TxnOutcome};

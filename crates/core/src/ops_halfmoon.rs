@@ -246,7 +246,7 @@ impl Env {
         // When order preservation is requested, append an ordering record
         // between the two so every dependent pair stays ordered.
         let preserve = self.client().with_config(|c| c.preserve_write_order);
-        if preserve && self.consecutive_w > 0 && self.last_write_key() != Some(key) {
+        if preserve && self.consecutive_w > 0 && self.last_write_key.as_ref() != Some(key) {
             self.step(
                 "Sync (write ordering)",
                 [],
@@ -267,7 +267,7 @@ impl Env {
             .store()
             .put_conditional(key, value.clone(), version)
             .await;
-        self.set_last_write_key(key);
+        self.last_write_key = Some(key.clone());
         self.record_event(|| EventKind::CondWrite {
             key: key.clone(),
             fp: value.fingerprint(),

@@ -1,6 +1,6 @@
-//! Protocol identities and static configuration.
+//! Protocol identities, the §4 logging matrix and static configuration.
 
-
+use hm_common::metrics::OpCounters;
 use hm_common::Key;
 
 /// The fault-tolerance protocol governing accesses to an object.
@@ -54,6 +54,70 @@ impl ProtocolKind {
             _ => None,
         }
     }
+
+    /// The §4 logging matrix: what `op` costs under this protocol, in
+    /// [`OpCounters`]' units. Of `config`, only the two §4 variants
+    /// `deterministic_versions` and `preserve_write_order` change a row;
+    /// `ProtocolConfig::uniform`'s defaults are the paper's prototype. Log
+    /// appends per op:
+    ///
+    /// | protocol | init | read | write | order | finish |
+    /// |----------|------|------|-------|-------|--------|
+    /// | Halfmoon-read (§4.1) | 1 | 0 | 2; 1 with `deterministic_versions` | 0 | 1 |
+    /// | Halfmoon-write (§4.2) | 1 | 1 | 0 | 0; 1 with `preserve_write_order` | 1 |
+    /// | Boki (§6.1) | 1 | 1 | 2 | 0 | 1 |
+    /// | Unsafe (§6) | 0 | 0 | 0 | 0 | 0 |
+    ///
+    /// Init also fetches the step log (one log read). A Halfmoon-read read
+    /// is one `logReadPrev` and one versioned fetch; every other read is
+    /// one store read. A write is one store write: a multi-version put
+    /// under Halfmoon-read, a raw put under Unsafe, a conditional update
+    /// otherwise. The order row is the record a log-free write appends
+    /// when it follows one to another key (§4.4's extension).
+    ///
+    /// `log_appends` counts the steps an op logs, whether it appends them,
+    /// replays them or adopts a peer's (§5.1), and `Env` debug-asserts it
+    /// after every op that returns `Ok`. The other fields hold on a
+    /// failure-free path: a lost conditional append adds a log read. The
+    /// modes of a switch (§5.2), transactions, reads of `read_only_keys`
+    /// and the init and finish of a deployment running more than one
+    /// protocol are outside the table, and the assert skips them.
+    #[must_use]
+    #[rustfmt::skip] // one row per line
+    pub const fn logging_row(self, op: MatrixOp, config: &ProtocolConfig) -> OpCounters {
+        use MatrixOp::{Finish, Init, Order, Read, Write};
+        use ProtocolKind::{Boki, HalfmoonRead, HalfmoonWrite, Unsafe};
+        const ZERO: OpCounters = OpCounters::ZERO;
+        let (single, ordered) = (config.deterministic_versions, config.preserve_write_order);
+        match (self, op) {
+            (Unsafe, Init | Order | Finish) | (HalfmoonRead | Boki, Order) => ZERO,
+            (_, Init) => OpCounters { log_appends: 1, log_reads: 1, ..ZERO },
+            (_, Finish) => OpCounters { log_appends: 1, ..ZERO },
+            (HalfmoonRead, Read) => OpCounters { log_reads: 1, db_reads: 1, ..ZERO },
+            (HalfmoonWrite | Boki, Read) => OpCounters { log_appends: 1, db_reads: 1, ..ZERO },
+            (Unsafe, Read) => OpCounters { db_reads: 1, ..ZERO },
+            (HalfmoonRead, Write) => OpCounters { log_appends: 2 - single as u64, db_writes: 1, ..ZERO },
+            (HalfmoonWrite, Write) => OpCounters { db_cond_writes: 1, ..ZERO },
+            (Boki, Write) => OpCounters { log_appends: 2, db_cond_writes: 1, ..ZERO },
+            (Unsafe, Write) => OpCounters { db_writes: 1, ..ZERO },
+            (HalfmoonWrite, Order) => OpCounters { log_appends: ordered as u64, ..ZERO },
+        }
+    }
+}
+
+/// An op of the logging matrix ([`ProtocolKind::logging_row`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum MatrixOp {
+    /// `Env::init`'s init record (Figure 5 lines 7–10).
+    Init,
+    /// `Env::read`.
+    Read,
+    /// `Env::write`, without the order record.
+    Write,
+    /// The order record between log-free writes to different keys.
+    Order,
+    /// `Env::finish`'s finish record.
+    Finish,
 }
 
 impl std::fmt::Display for ProtocolKind {

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, Env, FaultPolicy, GarbageCollector, InvocationSpec, Invoker, LocalBoxFuture, ProtocolConfig, ProtocolKind, Recorder, Switcher};
+use halfmoon::{Client, Env, FaultPolicy, GarbageCollector, InvocationSpec, Invoker, LocalBoxFuture, MatrixOp, ProtocolConfig, ProtocolKind, Recorder, Switcher};
 use hm_common::latency::LatencyModel;
 use hm_common::{FxHashMap, HmResult, InstanceId, Key, NodeId, Value};
 use hm_substrate::sim::Sim;
@@ -900,9 +900,14 @@ fn ordered_write_extension_costs_one_log_between_dependent_writes() {
     };
     let plain = count_appends(false);
     let ordered = count_appends(true);
+    let config = ProtocolConfig {
+        preserve_write_order: true,
+        ..ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite)
+    };
+    let order = ProtocolKind::HalfmoonWrite.logging_row(MatrixOp::Order, &config);
     assert_eq!(
         ordered,
-        plain + 1,
+        plain + order.log_appends,
         "exactly one ordering record for the A→B pair"
     );
 }

@@ -49,10 +49,12 @@ use std::task::{Poll, Waker};
 use std::time::Duration;
 
 use halfmoon::{
-    Client, CrashFootprints, Env, FaultPolicy, InvocationSpec, ProtocolKind, Topology,
+    Client, CrashFootprints, Env, FaultPolicy, InvocationSpec, MatrixOp, ProtocolConfig,
+    ProtocolKind, Topology,
 };
 use hm_common::flightrec::FlightRecorder;
 use hm_common::latency::LatencyModel;
+use hm_common::metrics::OpCounters;
 use hm_common::{InstanceId, Key, NodeId, Value};
 use hm_sharedlog::ShardId;
 use hm_substrate::explore::{
@@ -119,34 +121,26 @@ pub enum OpSpec {
 }
 
 impl OpSpec {
-    /// The op's resource footprint under `protocol` when run by `actor`:
-    /// its key bit, the actor's bit, and — iff the op *appends* to the
-    /// shared log under this protocol — the log-clock bit. This encodes
-    /// the §4 logging matrix: HM-read logs writes only, HM-write logs
-    /// reads only, Boki logs both, the unsafe baseline logs nothing.
+    /// The op's resource footprint in a deployment of `config` (uniform)
+    /// when run by `actor`: its key bit, the actor's bit, and the
+    /// log-clock bit iff its row of the logging matrix appends. A write's
+    /// row includes the order record it may append.
     #[must_use]
-    pub fn footprint(self, protocol: ProtocolKind, actor: usize) -> u64 {
-        let appends = match (protocol, self) {
-            (ProtocolKind::Unsafe, _) => false,
-            (ProtocolKind::HalfmoonRead, OpSpec::Read(_)) => false,
-            (ProtocolKind::HalfmoonRead, OpSpec::Write(_)) => true,
-            (ProtocolKind::HalfmoonWrite, OpSpec::Read(_)) => true,
-            (ProtocolKind::HalfmoonWrite, OpSpec::Write(_)) => false,
-            (ProtocolKind::Boki, _) => true,
+    pub fn footprint(self, config: &ProtocolConfig, actor: usize) -> u64 {
+        let row = |op| config.default.logging_row(op, config);
+        let (key, row) = match self {
+            OpSpec::Read(k) => (k, row(MatrixOp::Read)),
+            OpSpec::Write(k) => (k, row(MatrixOp::Write).merged(&row(MatrixOp::Order))),
         };
-        let key = match self {
-            OpSpec::Read(k) | OpSpec::Write(k) => k.bit(),
-        };
-        key | fp_actor(actor) | if appends { FP_LOG_CLOCK } else { 0 }
+        key.bit() | frame_footprint(row, actor)
     }
 }
 
-/// Footprint of an actor's `Env::init`/`Env::finish` turns: they append
-/// an init/finish record under every logged protocol; under the pure
-/// unsafe baseline they touch nothing shared.
-fn frame_footprint(protocol: ProtocolKind, actor: usize) -> u64 {
-    let logs = protocol != ProtocolKind::Unsafe;
-    fp_actor(actor) | if logs { FP_LOG_CLOCK } else { 0 }
+/// The footprint of `actor`'s turn through an op of `row` (of
+/// [`ProtocolKind::logging_row`]): the actor's bit, and the log-clock bit
+/// iff the row appends.
+fn frame_footprint(row: OpCounters, actor: usize) -> u64 {
+    fp_actor(actor) | if row.log_appends > 0 { FP_LOG_CLOCK } else { 0 }
 }
 
 /// One model-checking configuration: 2 function nodes (SSF `A` on node 0,
@@ -397,16 +391,19 @@ async fn actor(
     node: NodeId,
     program: Vec<OpSpec>,
 ) {
-    let protocol = client.with_config(|c| c.default);
+    let frame = |op| client.with_config(|c| frame_footprint(c.default.logging_row(op, c), me));
+    // One footprint per turn: the scheduler's and the crash choices'.
+    let turn = async |fp: u64| {
+        gate.turn(me, fp).await;
+        footprints.set(id, fp);
+    };
     let mut attempt = 0;
     loop {
         let once = async {
-            gate.turn(me, frame_footprint(protocol, me)).await;
-            footprints.set(id, frame_footprint(protocol, me));
+            turn(frame(MatrixOp::Init)).await;
             let mut env = Env::init(&client, InvocationSpec::new(id, node).attempt(attempt)).await?;
             for (step, op) in program.iter().enumerate() {
-                gate.turn(me, op.footprint(protocol, me)).await;
-                footprints.set(id, op.footprint(protocol, me));
+                turn(client.with_config(|c| op.footprint(c, me))).await;
                 match op {
                     OpSpec::Read(k) => {
                         env.read(&k.key()).await?;
@@ -417,8 +414,7 @@ async fn actor(
                     }
                 }
             }
-            gate.turn(me, frame_footprint(protocol, me)).await;
-            footprints.set(id, frame_footprint(protocol, me));
+            turn(frame(MatrixOp::Finish)).await;
             env.finish(Value::Int(me as i64)).await
         };
         match once.await {
@@ -586,10 +582,11 @@ pub fn explore_config(config: &McConfig, pruning: bool, workers: usize) -> Explo
 mod tests {
     use super::*;
 
-    /// The §4 logging matrix that `OpSpec::footprint` and `frame_footprint`
-    /// encode by hand, held against what the protocols do: a turn declares
-    /// `FP_LOG_CLOCK` exactly when running it moves the log's append
-    /// counter. A wrong bit would make sleep-set pruning silently unsound.
+    /// The footprints `OpSpec::footprint` and `frame_footprint` read off
+    /// the logging matrix, held against what the protocols do: a turn
+    /// declares `FP_LOG_CLOCK` exactly when running it moves the log's
+    /// append counter. A wrong bit would make sleep-set pruning silently
+    /// unsound.
     #[test]
     fn declared_log_footprint_matches_the_append_counter() {
         let protocols = [
@@ -610,11 +607,14 @@ mod tests {
                 sim.block_on(async move {
                     let appends = || client.log().counters().log_appends;
                     let declares = |fp: u64| fp & FP_LOG_CLOCK != 0;
+                    let config = ProtocolConfig::uniform(protocol);
+                    let frame =
+                        |op| declares(frame_footprint(protocol.logging_row(op, &config), 0));
                     let spec = InvocationSpec::new(InstanceId(0xa), NodeId(0));
                     let before = appends();
                     let mut env = Env::init(&client, spec).await.expect("init");
-                    let frame = declares(frame_footprint(protocol, 0));
-                    assert_eq!(appends() != before, frame, "{protocol}: init");
+                    let init = frame(MatrixOp::Init);
+                    assert_eq!(appends() != before, init, "{protocol}: init");
 
                     let before = appends();
                     match op {
@@ -623,12 +623,13 @@ mod tests {
                             env.write(&k.key(), Value::Int(100)).await.expect("write");
                         }
                     }
-                    let declared = declares(op.footprint(protocol, 0));
+                    let declared = declares(op.footprint(&config, 0));
                     assert_eq!(appends() != before, declared, "{protocol}: {op:?}");
 
                     let before = appends();
                     env.finish(Value::Null).await.expect("finish");
-                    assert_eq!(appends() != before, frame, "{protocol}: finish");
+                    let finish = frame(MatrixOp::Finish);
+                    assert_eq!(appends() != before, finish, "{protocol}: finish");
                 });
             }
         }

@@ -9,6 +9,12 @@
 # histories (tests/batching.rs), the chaos auditor
 # (tests/chaos_tests.rs) and the paper's headline shapes: every figure of
 # hm_bench::paper at 5 % duration (crates/bench/tests/paper_claims.rs).
+# The suite is a debug build, so it also enforces the §4 logging matrix:
+# `Env` debug-asserts every op's logged steps against
+# `ProtocolKind::logging_row`, in every test that runs a protocol. The
+# release builds below (bench_sim_core, explore --assert, the benchmark/
+# rounds) compile that assert out; a wrong table entry that changes a
+# model-check footprint shows there as `model_check` fingerprint drift.
 # Lints: clippy across all targets with warnings denied.
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).

@@ -1,20 +1,15 @@
-//! The paper's op-count claims, asserted on individual invocation critical
-//! paths via the tracer (§4.3, Table 2):
-//!
-//! - **Halfmoon-read**: reads are entirely log-free (0 appends — the only
-//!   cost over a raw read is one `logReadPrev`); writes append twice
-//!   (intent + commit) around one multi-version store write.
-//! - **Halfmoon-write**: reads append exactly once (the logged observed
-//!   value); writes are log-free conditional store updates.
-//! - **Boki** (symmetric baseline): reads append once, writes append twice.
+//! The paper's op-count claims (§4.3, Table 2), asserted on individual
+//! invocation critical paths via the tracer: each op of a request costs
+//! exactly its row of the logging matrix (`ProtocolKind::logging_row`),
+//! under every protocol and both §4 variants.
 //!
 //! Each test runs requests through the full runtime with tracing on and
 //! no faults, then inspects `critical_path(trace)` — the per-op substrate
 //! round-trip counts in virtual-time order.
 
-use std::rc::Rc;
-
-use halfmoon::{Client, ProtocolKind};
+use halfmoon::MatrixOp::{self, Finish, Init, Order, Read, Write};
+use halfmoon::ProtocolKind::{Boki, HalfmoonRead, HalfmoonWrite, Unsafe};
+use halfmoon::{Client, ProtocolConfig};
 use hm_common::latency::LatencyModel;
 use hm_common::metrics::OpCounters;
 use hm_common::observe::OpCtx;
@@ -23,163 +18,122 @@ use hm_common::{Key, Value};
 use hm_runtime::{Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 
-/// A deployment of `kind` traced by `tracer`, running `rw`, a
-/// read-then-write of `obj`.
-fn rw_deployment(
-    sim: &Sim,
-    kind: ProtocolKind,
-    config: RuntimeConfig,
-    tracer: &Rc<Tracer>,
-) -> (Client, Runtime) {
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::calibrated())
-        .protocol(kind)
-        .tracer(tracer.clone())
-        .build();
-    client.populate(Key::new("obj"), Value::Int(1));
-    let runtime = Runtime::new(client.clone(), config);
-    runtime.register("rw", |env, _input| {
-        Box::pin(async move {
-            let v = env.read(&Key::new("obj")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("obj"), Value::Int(v + 1)).await?;
-            Ok(Value::Int(v))
-        })
-    });
-    (client, runtime)
-}
+/// What every request runs: a read of `X`, a write of it, a write of `Y`
+/// (after a write to another key: the order row's case) and a read of the
+/// written `X`.
+const PROGRAM: [(MatrixOp, &str); 4] = [(Read, "X"), (Write, "X"), (Write, "Y"), (Read, "X")];
 
-/// The observation context of a request on its own trace.
-fn on(trace: TraceId) -> OpCtx {
-    OpCtx {
-        trace,
-        ..OpCtx::default()
-    }
-}
-
-/// Runs one read-then-write request under `kind` with tracing attached and
-/// returns the invocation's op summaries (init, read, write, finish).
-fn trace_one_rw(kind: ProtocolKind) -> (Rc<Tracer>, Vec<OpSummary>) {
+/// Runs `requests` requests of [`PROGRAM`] one after another on a
+/// deployment of `config`, traced, and returns what the log and the store
+/// counted meanwhile and each request's critical path.
+fn trace_requests(
+    config: ProtocolConfig,
+    rt_config: RuntimeConfig,
+    requests: usize,
+) -> (OpCounters, Vec<Vec<OpSummary>>) {
     let mut sim = Sim::new(7);
     let tracer = Tracer::new();
-    let (_, rt) = rw_deployment(&sim, kind, RuntimeConfig::default(), &tracer);
-    let trace = tracer.new_trace();
-    let result =
-        sim.block_on(async move { rt.invoke_request_under("rw", Value::Null, on(trace)).await });
-    assert_eq!(result.unwrap(), Value::Int(1));
-    let ops = tracer.critical_path(trace);
-    assert_eq!(
-        ops.iter().map(|o| o.name).collect::<Vec<_>>(),
-        vec!["init", "read", "write", "finish"],
-        "{kind}: unexpected op sequence"
-    );
-    (tracer, ops)
-}
-
-fn op<'a>(ops: &'a [OpSummary], name: &str) -> &'a OpSummary {
-    ops.iter().find(|o| o.name == name).unwrap()
-}
-
-#[test]
-fn halfmoon_read_critical_path_is_log_free_on_reads() {
-    let (_tracer, ops) = trace_one_rw(ProtocolKind::HalfmoonRead);
-    // Init: one append (the init record) after one step-log stream fetch.
-    assert_eq!(op(&ops, "init").counts.log_appends, 1);
-    assert_eq!(op(&ops, "init").counts.log_reads, 1);
-    // Read: ZERO appends — the paper's headline claim. One logReadPrev to
-    // resolve the version (no prior write ⇒ fall through to the base row).
-    let read = op(&ops, "read");
-    assert_eq!(
-        read.counts.log_appends, 0,
-        "Halfmoon-read reads must not log"
-    );
-    assert_eq!(read.counts.log_reads, 1);
-    assert_eq!(read.counts.db_reads, 1);
-    // Write: two appends (intent + commit) around one versioned DB write.
-    let write = op(&ops, "write");
-    assert_eq!(write.counts.log_appends, 2, "intent + commit (§4.1)");
-    assert_eq!(write.counts.db_writes, 1);
-    assert_eq!(write.counts.db_cond_writes, 0);
-    // Finish: one append (the finish record).
-    assert_eq!(op(&ops, "finish").counts.log_appends, 1);
-    assert_eq!(op(&ops, "finish").counts.log_reads, 0);
-}
-
-#[test]
-fn halfmoon_write_critical_path_appends_once_per_read() {
-    let (_tracer, ops) = trace_one_rw(ProtocolKind::HalfmoonWrite);
-    // Read: exactly ONE append — the logged observed value (Figure 7
-    // lines 13–17) — plus the raw store read it records.
-    let read = op(&ops, "read");
-    assert_eq!(
-        read.counts.log_appends, 1,
-        "Halfmoon-write reads log exactly once"
-    );
-    assert_eq!(read.counts.db_reads, 1);
-    // Write: ZERO appends — one conditional store update (Figure 7
-    // lines 1–5), versioned by (cursorTS, consecutiveW).
-    let write = op(&ops, "write");
-    assert_eq!(
-        write.counts.log_appends, 0,
-        "Halfmoon-write writes must not log"
-    );
-    assert_eq!(write.counts.db_cond_writes, 1);
-    assert_eq!(write.counts.db_writes, 0);
-}
-
-#[test]
-fn boki_critical_path_logs_symmetrically() {
-    let (_tracer, ops) = trace_one_rw(ProtocolKind::Boki);
-    // Boki logs both sides: reads once (observed value), writes twice
-    // (intent + commit) around a conditional update (§6.1).
-    let read = op(&ops, "read");
-    assert_eq!(read.counts.log_appends, 1);
-    assert_eq!(read.counts.db_reads, 1);
-    let write = op(&ops, "write");
-    assert_eq!(write.counts.log_appends, 2);
-    assert_eq!(write.counts.db_cond_writes, 1);
-}
-
-/// A Halfmoon-read read of an object *with* history still appends nothing:
-/// the version resolution is one `logReadPrev` plus one versioned fetch.
-#[test]
-fn halfmoon_read_read_of_written_object_stays_log_free() {
-    let mut sim = Sim::new(11);
-    let tracer = Tracer::new();
     let client = Client::builder(sim.ctx())
         .model(LatencyModel::calibrated())
-        .protocol(ProtocolKind::HalfmoonRead)
+        .protocol_config(config)
         .tracer(tracer.clone())
         .build();
-    client.populate(Key::new("obj"), Value::Int(1));
-    let runtime = Runtime::new(client, RuntimeConfig::default());
-    runtime.register("write", |env, _input| {
+    client.populate(Key::new("X"), Value::Int(1));
+    client.populate(Key::new("Y"), Value::Int(2));
+    let rt = Runtime::new(client.clone(), rt_config);
+    rt.register("program", |env, _input| {
         Box::pin(async move {
-            env.write(&Key::new("obj"), Value::Int(2)).await?;
+            for (op, key) in PROGRAM {
+                match op {
+                    Read => drop(env.read(&Key::new(key)).await?),
+                    _ => env.write(&Key::new(key), Value::Int(3)).await?,
+                }
+            }
             Ok(Value::Null)
         })
     });
-    runtime.register("read", |env, _input| {
-        Box::pin(async move { env.read(&Key::new("obj")).await })
+    let counters = |c: &Client| c.log().counters().merged(&c.store().counters());
+    let before = counters(&client);
+    let traces: Vec<TraceId> = (0..requests).map(|_| tracer.new_trace()).collect();
+    let run = traces.clone();
+    sim.block_on(async move {
+        for trace in run {
+            let on = OpCtx {
+                trace,
+                ..OpCtx::default()
+            };
+            rt.invoke_request_under("program", Value::Null, on)
+                .await
+                .unwrap();
+        }
     });
-    let t1 = tracer.new_trace();
-    let t2 = tracer.new_trace();
-    let rt = runtime;
-    let read_back = sim.block_on(async move {
-        rt.invoke_request_under("write", Value::Null, on(t1))
-            .await
-            .unwrap();
-        rt.invoke_request_under("read", Value::Null, on(t2)).await
-    });
-    assert_eq!(read_back.unwrap(), Value::Int(2));
-    let ops = tracer.critical_path(t2);
-    let read = op(&ops, "read");
-    assert_eq!(read.counts.log_appends, 0);
-    assert_eq!(
-        read.counts.log_reads, 1,
-        "one logReadPrev resolves the version"
-    );
-    assert_eq!(read.counts.db_reads, 1, "one versioned fetch");
-    assert_eq!(read.counts.db_writes, 0);
+    // Duplicate peers that outlive their request finish too.
+    sim.run();
+    let paths = traces.iter().map(|&t| tracer.critical_path(t)).collect();
+    (counters(&client).since(&before), paths)
+}
+
+/// An op's counts in the matrix's fields: cache hits and misses depend
+/// on which node last read a record, not on the protocol.
+fn row_of(op: &OpSummary) -> (&'static str, OpCounters) {
+    let counts = OpCounters {
+        cache_hits: 0,
+        cache_misses: 0,
+        ..op.counts
+    };
+    (op.name, counts)
+}
+
+#[test]
+fn each_op_on_the_critical_path_costs_its_logging_row() {
+    let config = |kind, set: fn(&mut ProtocolConfig)| {
+        let mut config = ProtocolConfig::uniform(kind);
+        set(&mut config);
+        config
+    };
+    for config in [
+        config(HalfmoonRead, |_| {}),
+        config(HalfmoonRead, |c| c.deterministic_versions = true),
+        config(HalfmoonWrite, |_| {}),
+        config(HalfmoonWrite, |c| c.preserve_write_order = true),
+        config(Boki, |_| {}),
+        config(Unsafe, |_| {}),
+    ] {
+        let kind = config.default;
+        let row = |op| kind.logging_row(op, &config);
+        let mut want = vec![("init", row(Init))];
+        for (i, &(op, key)) in PROGRAM.iter().enumerate() {
+            let ordered = op == Write && i > 0 && matches!(PROGRAM[i - 1], (Write, k) if k != key);
+            let cost = if ordered {
+                row(op).merged(&row(Order))
+            } else {
+                row(op)
+            };
+            want.push((if op == Read { "read" } else { "write" }, cost));
+        }
+        want.push(("finish", row(Finish)));
+        if kind == Unsafe {
+            // The unsafe baseline logs no init or finish record, and opens
+            // no span for them.
+            assert_eq!([row(Init), row(Finish)], [OpCounters::ZERO; 2]);
+            want.retain(|(name, _)| !matches!(*name, "init" | "finish"));
+        }
+        let (_, paths) = trace_requests(config.clone(), RuntimeConfig::default(), 1);
+        let got: Vec<_> = paths[0].iter().map(row_of).collect();
+        assert_eq!(got, want, "{config:?}");
+    }
+}
+
+/// A Halfmoon-read read of an object an earlier request wrote still costs
+/// its row: one `logReadPrev` resolves the version and one versioned
+/// fetch reads it, with no append.
+#[test]
+fn halfmoon_read_read_of_written_object_stays_log_free() {
+    let config = ProtocolConfig::uniform(HalfmoonRead);
+    let want = HalfmoonRead.logging_row(Read, &config);
+    let (_, paths) = trace_requests(config, RuntimeConfig::default(), 2);
+    let read = paths[1].iter().find(|o| o.name == "read").unwrap();
+    assert_eq!(row_of(read), ("read", want));
 }
 
 /// Summed over a run's requests, the critical paths count exactly what the
@@ -187,38 +141,17 @@ fn halfmoon_read_read_of_written_object_stays_log_free() {
 /// duplicate peer (§5.1) loses appended nothing, and both say so.
 #[test]
 fn critical_path_counts_equal_the_op_counters() {
-    for kind in [
-        ProtocolKind::Boki,
-        ProtocolKind::HalfmoonRead,
-        ProtocolKind::HalfmoonWrite,
-    ] {
+    for kind in [Boki, HalfmoonRead, HalfmoonWrite] {
         for duplicate_prob in [0.0, 1.0] {
-            let mut sim = Sim::new(0xc417);
-            let config = RuntimeConfig {
+            let rt_config = RuntimeConfig {
                 duplicate_prob,
                 ..RuntimeConfig::default()
             };
-            let tracer = Tracer::new();
-            let (client, rt) = rw_deployment(&sim, kind, config, &tracer);
-            let counters = |c: &Client| c.log().counters().merged(&c.store().counters());
-            let before = counters(&client);
-            let traces: Vec<TraceId> = (0..40).map(|_| tracer.new_trace()).collect();
-            let requests = traces.clone();
-            sim.block_on(async move {
-                for trace in requests {
-                    rt.invoke_request_under("rw", Value::Null, on(trace))
-                        .await
-                        .unwrap();
-                }
-            });
-            // Duplicate peers that outlive their request finish too.
-            sim.run();
-            let on_paths = traces
-                .iter()
-                .flat_map(|&t| tracer.critical_path(t))
+            let (counted, paths) = trace_requests(ProtocolConfig::uniform(kind), rt_config, 40);
+            let on_paths = (paths.iter().flatten())
                 .fold(OpCounters::default(), |sum, op| sum.merged(&op.counts));
             let case = format!("{kind} at duplicate_prob {duplicate_prob}");
-            assert_eq!(on_paths, counters(&client).since(&before), "{case}");
+            assert_eq!(on_paths, counted, "{case}");
             assert_eq!(
                 on_paths.cond_append_conflicts > 0,
                 duplicate_prob > 0.0,
