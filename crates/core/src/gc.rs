@@ -16,9 +16,14 @@
 //!    reader can still observe — and delete every older record and its
 //!    version. Keeping the marked record is condition (a).
 //! 4. Trim the global init/finish streams below the watermark.
+//!
+//! A cycle's I/O is batched, so its cost follows round trips, not items:
+//! deletes go out in store batch writes of `BATCH_WRITE_ITEMS` versions,
+//! and every trim of steps 2–4 goes out in one `trim_many` at the end.
 
 use hm_common::observe::{Lane, OpCtx};
-use hm_common::{FxHashSet, Key, NodeId, SeqNum, VersionNum};
+use hm_common::{FxHashSet, Key, NodeId, SeqNum, Tag, VersionNum};
+use hm_kvstore::BATCH_WRITE_ITEMS;
 
 use crate::client::{finish_log_tag, init_log_tag, Client};
 use crate::record::OpRecord;
@@ -55,7 +60,7 @@ impl GarbageCollector {
         // GC work is background: its spans live on the dedicated GC lane
         // under trace 0 and charge no request, so request critical paths
         // and waterfalls never include them. Every log and store call of
-        // the cycle, its trim tasks included, is made as `octx`.
+        // the cycle is made as `octx`.
         let probe = self.client.probe();
         let octx = probe.map_or_else(OpCtx::default, |p| {
             let now = self.client.ctx().now();
@@ -86,9 +91,8 @@ impl GarbageCollector {
             .unwrap_or_else(|| self.client.log().head_seqnum());
         stats.watermark = watermark;
 
-        // Step 2: reclaim finished SSFs below the watermark. Trims are
-        // independent, so they run concurrently (a real GC batches them).
-        let mut reclaim_handles = Vec::new();
+        // Step 2: reclaim finished SSFs below the watermark.
+        let mut trims: Vec<(Tag, SeqNum)> = Vec::new();
         let mut orphan_deletes: Vec<(Key, VersionNum)> = Vec::new();
         // One snapshot serves the cycle: a key first written after this
         // point has no record below the watermark, so step 3 would skip it.
@@ -120,23 +124,9 @@ impl GarbageCollector {
             if let Some(version) = intent {
                 self.orphan(&written, version, &mut orphan_deletes);
             }
-            let client = self.client.clone();
-            let node = self.node;
-            let octx = octx.clone();
-            reclaim_handles.push(self.client.ctx().spawn(async move {
-                client.log_as(&octx).trim(node, step_tag, SeqNum::MAX).await;
-            }));
+            trims.push((step_tag, SeqNum::MAX));
         }
-        for (key, version) in orphan_deletes {
-            if self
-                .client
-                .store_as(&octx)
-                .delete_version(&key, version)
-                .await
-            {
-                stats.orphans_deleted += 1;
-            }
-        }
+        stats.orphans_deleted = self.delete_all(&octx, &orphan_deletes).await;
 
         // Step 3: object write logs — conditions (a) and (b).
         let mut version_deletes = Vec::new();
@@ -159,7 +149,7 @@ impl GarbageCollector {
                 continue; // nothing older than the marked record
             }
             // Keep stream[marked_idx]; delete and trim everything before.
-            let marked_prev = stream[marked_idx - 1];
+            trims.push((tag, stream[marked_idx - 1]));
             for sn in &stream[..marked_idx] {
                 if let Some(rec) = self.client.log().peek_record(*sn) {
                     if let Some(version) = rec.payload.version_for(key) {
@@ -167,45 +157,34 @@ impl GarbageCollector {
                     }
                 }
             }
-            let client = self.client.clone();
-            let node = self.node;
-            let octx = octx.clone();
-            reclaim_handles.push(self.client.ctx().spawn(async move {
-                client.log_as(&octx).trim(node, tag, marked_prev).await;
-            }));
         }
-        for (key, version) in version_deletes {
-            if self
-                .client
-                .store_as(&octx)
-                .delete_version(&key, version)
-                .await
-            {
-                stats.versions_deleted += 1;
-            }
-        }
+        stats.versions_deleted = self.delete_all(&octx, &version_deletes).await;
 
         // Step 4: global streams.
         if watermark > SeqNum(1) {
             let upto = SeqNum(watermark.0 - 1);
-            let client = self.client.clone();
-            let node = self.node;
-            let octx = octx.clone();
-            reclaim_handles.push(self.client.ctx().spawn(async move {
-                client.log_as(&octx).trim(node, init_log_tag(), upto).await;
-                client
-                    .log_as(&octx)
-                    .trim(node, finish_log_tag(), upto)
-                    .await;
-            }));
+            trims.push((init_log_tag(), upto));
+            trims.push((finish_log_tag(), upto));
         }
-        for handle in reclaim_handles {
-            handle.await;
+        // An armed context must be followed by its call, so an empty list
+        // issues none.
+        if !trims.is_empty() {
+            self.client.log_as(&octx).trim_many(self.node, &trims).await;
         }
         if let Some(p) = probe {
             p.span_end(&octx, Lane::Gc, self.client.ctx().now());
         }
         stats
+    }
+
+    /// Deletes `versions` in batch writes, one round trip per
+    /// [`BATCH_WRITE_ITEMS`]; returns how many existed.
+    async fn delete_all(&self, octx: &OpCtx, versions: &[(Key, VersionNum)]) -> usize {
+        let mut deleted = 0;
+        for batch in versions.chunks(BATCH_WRITE_ITEMS) {
+            deleted += self.client.store_as(octx).delete_versions(batch).await;
+        }
+        deleted
     }
 
     /// Queues the deletion of uncommitted `version`. The intent's target

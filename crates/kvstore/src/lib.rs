@@ -56,6 +56,10 @@ use hm_substrate::{Ctx, Time};
 /// paper's `S_meta` ("a few dozen bytes", §4.1).
 pub const ITEM_META_BYTES: usize = 32;
 
+/// Items one [`KvStore::delete_versions`] round trip takes at most:
+/// DynamoDB's `BatchWriteItem` limit.
+pub const BATCH_WRITE_ITEMS: usize = 25;
+
 /// The latest (single-version) copy of an object, used by Halfmoon-write,
 /// Boki, and the unsafe baseline.
 #[derive(Clone, Debug)]
@@ -289,27 +293,41 @@ impl KvStore {
         scope.end(|| self.ctx.now());
     }
 
-    /// Deletes one version (garbage collection, §4.5). Returns whether the
-    /// version existed.
+    /// Deletes one version (garbage collection, §4.5): a one-item
+    /// [`KvStore::delete_versions`]. Returns whether the version existed.
     pub async fn delete_version(&self, key: &Key, version: VersionNum) -> bool {
+        self.delete_versions(&[(key.clone(), version)]).await == 1
+    }
+
+    /// Deletes up to [`BATCH_WRITE_ITEMS`] versions in one round trip, as
+    /// DynamoDB's `BatchWriteItem` does: one `db_write` latency for the
+    /// batch, one `db_deletes` and its storage per item. Returns how many of
+    /// the versions existed.
+    pub async fn delete_versions(&self, items: &[(Key, VersionNum)]) -> usize {
+        assert!(
+            items.len() <= BATCH_WRITE_ITEMS,
+            "{} items in one batch write",
+            items.len()
+        );
         let scope = self.pay("db_delete", self.model.db_write).await;
-        let out = {
+        let deleted = {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
-            inner.counters.db_deletes += 1;
-            match inner.versions.remove(&(key.clone(), version)) {
-                Some(old) => {
+            inner.counters.db_deletes += items.len() as u64;
+            let mut deleted = 0;
+            for item in items {
+                if let Some(old) = inner.versions.remove(item) {
                     inner.charge(
                         now,
-                        -((key.size_bytes() + 8 + old.size_bytes() + ITEM_META_BYTES) as f64),
+                        -((item.0.size_bytes() + 8 + old.size_bytes() + ITEM_META_BYTES) as f64),
                     );
-                    true
+                    deleted += 1;
                 }
-                None => false,
             }
+            deleted
         };
         scope.end(|| self.ctx.now());
-        out
+        deleted
     }
 
     // -- instant (zero-latency) inspection helpers for tests & checkers ----
@@ -498,6 +516,61 @@ mod tests {
             assert_eq!(s.current_bytes(), 0.0);
             assert_eq!(s.version_count(), 0);
         });
+    }
+
+    /// 20 stored versions over five keys; a batch names them and five
+    /// versions never written.
+    async fn stored_versions(s: &KvStore) -> Vec<(Key, VersionNum)> {
+        let keys: Vec<Key> = (0..5).map(|i| Key::new(format!("o{i}"))).collect();
+        for i in 0..20u64 {
+            let value = Value::blob(10 + i as usize, 1);
+            s.put_version(&keys[i as usize % 5], VersionNum(i), value).await;
+        }
+        (0..BATCH_WRITE_ITEMS as u64)
+            .map(|i| (keys[i as usize % 5].clone(), VersionNum(i)))
+            .collect()
+    }
+
+    #[test]
+    fn a_batch_delete_is_one_round_trip_priced_per_item() {
+        let (mut sim, store) = setup();
+        let singles = KvStore::new(sim.ctx(), LatencyModel::uniform_test_model());
+        let (s, one, ctx) = (store.clone(), singles.clone(), sim.ctx());
+        sim.block_on(async move {
+            let batch = stored_versions(&s).await;
+            let same = stored_versions(&one).await;
+            let (before, start) = (s.counters(), ctx.now());
+            assert_eq!(s.delete_versions(&batch).await, 20, "only stored versions count");
+            assert_eq!(ctx.now() - start, Time::from_micros(1500), "one db_write");
+            assert_eq!(s.counters().db_deletes - before.db_deletes, 25);
+            for (key, version) in &same {
+                one.delete_version(key, *version).await;
+            }
+        });
+        // The gauge falls by exactly what the single deletes free.
+        assert_eq!(store.current_bytes().to_bits(), singles.current_bytes().to_bits());
+        assert_eq!(store.version_count(), 0);
+        assert_eq!(store.counters(), singles.counters());
+    }
+
+    #[test]
+    fn delete_version_is_a_one_item_batch() {
+        let (mut sim, store) = setup();
+        let batched = KvStore::new(sim.ctx(), LatencyModel::uniform_test_model());
+        let (s, b, ctx) = (store.clone(), batched.clone(), sim.ctx());
+        sim.block_on(async move {
+            let items = stored_versions(&s).await;
+            stored_versions(&b).await;
+            for item in &items {
+                let start = ctx.now();
+                let single = s.delete_version(&item.0, item.1).await;
+                let elapsed = ctx.now() - start;
+                assert_eq!(b.delete_versions(std::slice::from_ref(item)).await, usize::from(single));
+                assert_eq!(ctx.now() - start - elapsed, elapsed);
+            }
+        });
+        assert_eq!(store.current_bytes().to_bits(), batched.current_bytes().to_bits());
+        assert_eq!(store.counters(), batched.counters());
     }
 
     #[test]

@@ -1061,20 +1061,34 @@ impl<P: Payload> LogService<P> {
     }
 
     /// Deletes all records of `tag`'s sub-stream with seqnum ≤ `upto`
-    /// (Figure 3's `logTrim`). A record's bytes are reclaimed once every
-    /// one of its sub-streams — on any shard — has trimmed past it.
+    /// (Figure 3's `logTrim`): a one-element [`LogService::trim_many`].
     pub async fn trim(&self, node: NodeId, tag: Tag, upto: SeqNum) {
+        self.trim_many(node, &[(tag, upto)]).await;
+    }
+
+    /// Applies every `(tag, upto)` trim in one round trip: one `log_trim`
+    /// span and one append latency for the lot, then each trim in order,
+    /// counted in its stream's home shard. A record's bytes are reclaimed
+    /// once every one of its sub-streams — on any shard — has trimmed past
+    /// it.
+    pub async fn trim_many(&self, node: NodeId, trims: &[(Tag, SeqNum)]) {
         let _ = node;
         let scope = self.begin("log_trim", None);
         let total = self.ctx.with_rng(|rng| self.model.log_append.sample(rng));
         self.ctx.sleep(total).await;
         let now = self.ctx.now();
         let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
+        for &(tag, upto) in trims {
+            Self::apply_trim(&mut inner, &scope, now, tag, upto);
+        }
+        scope.end(|| now);
+    }
+
+    /// One trim's effect, at `now`.
+    fn apply_trim(inner: &mut ServiceInner<P>, scope: &Scope, now: Duration, tag: Tag, upto: SeqNum) {
         let home = inner.shard_of(tag) as usize;
         inner.shards[home].counters.log_trims += 1;
         if !inner.shards[home].streams.contains_key(&tag) {
-            scope.end(|| now);
             return;
         }
         // Cut point: O(1) from the bound record's stored offset when it is
@@ -1128,7 +1142,6 @@ impl<P: Payload> LogService<P> {
         }
         let detail = || format!("{cut} entries, {freed_total} bytes");
         scope.instant(Lane::Storage, || now, "trim_reclaimed", detail);
-        scope.end(|| now);
     }
 
     /// Pays a read round against `shard`'s storage and the reading node's
@@ -1582,6 +1595,62 @@ mod tests {
             assert_eq!(l.current_bytes(), 0.0);
             assert_eq!(l.live_records(), 0);
         });
+    }
+
+    /// `trim_many` over N streams leaves exactly what N sequential trims
+    /// leave — live records, every shard's bytes, every shard's trim count
+    /// — and takes one round trip. The list names streams on all four
+    /// shards, records shared between them, a stream twice and one that
+    /// was never written.
+    #[test]
+    fn trim_many_is_sequential_trims_in_one_round_trip() {
+        let tags: Vec<Tag> = (0..8).map(|i| t(&format!("many{i}"))).collect();
+        let run = |batched: bool| {
+            let mut sim = Sim::new(11);
+            let log: LogService<String> = LogService::new(
+                sim.ctx(),
+                LatencyModel::uniform_test_model(),
+                LogConfig {
+                    topology: Topology::sharded(4),
+                    ..LogConfig::default()
+                },
+            );
+            let (l, tags, ctx) = (log.clone(), tags.clone(), sim.ctx());
+            let elapsed = sim.block_on(async move {
+                let mut sns = Vec::new();
+                for i in 0..40usize {
+                    let picked = vec![tags[i % 8], tags[(i * 3 + 1) % 8]];
+                    sns.push(l.append(N0, picked, format!("r{i}")).await);
+                }
+                let mut trims: Vec<(Tag, SeqNum)> =
+                    tags.iter().enumerate().map(|(i, &tag)| (tag, sns[i * 4])).collect();
+                trims.push((tags[2], SeqNum::MAX));
+                trims.push((t("never_written"), SeqNum::MAX));
+                let start = ctx.now();
+                if batched {
+                    l.trim_many(N1, &trims).await;
+                } else {
+                    for &(tag, upto) in &trims {
+                        l.trim(N1, tag, upto).await;
+                    }
+                }
+                ctx.now() - start
+            });
+            let shards: Vec<(u64, f64)> = (0..4)
+                .map(|s| {
+                    let shard = ShardId(s);
+                    (log.shard_counters(shard).log_trims, log.shard_current_bytes(shard))
+                })
+                .collect();
+            (log.live_records(), shards, elapsed)
+        };
+        let (live_seq, shards_seq, _) = run(false);
+        let (live, shards, elapsed) = run(true);
+        assert!(live > 0 && live < 40, "{live} live");
+        assert_eq!(live, live_seq);
+        assert_eq!(shards, shards_seq);
+        assert_eq!(shards.iter().map(|s| s.0).sum::<u64>(), 10);
+        assert_eq!(elapsed, Time::from_millis(1), "one log_append round trip");
     }
 
     #[test]

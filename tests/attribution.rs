@@ -139,26 +139,34 @@ fn protocol_residuals_are_zero_and_recovery_is_the_detection_delay() {
     }
 }
 
-/// Every trim is the collector's: on trace 0, under a `gc_cycle` span —
-/// the second trim of a task that issues two included.
+/// Every trim is the collector's: each `log_trim` round trip is on trace 0
+/// under a `gc_cycle` span, and each stream it trims is a `trim_reclaimed`
+/// instant under one of those round trips.
 #[test]
 fn every_trim_is_background_work_under_its_gc_cycle() {
     for kind in FT_PROTOCOLS {
         let jsonl = crashy_synthetic_run(kind, Topology::default(), 1)
             .tracer
             .export_jsonl();
-        let begins = || jsonl.lines().filter(|l| field(l, "ph") == "B");
-        let cycles: FxHashSet<&str> = begins()
-            .filter(|l| field(l, "name") == "gc_cycle")
-            .map(|l| field(l, "span"))
-            .collect();
-        let trims: Vec<&str> = begins()
-            .filter(|l| field(l, "name") == "log_trim")
-            .collect();
-        assert!(trims.len() > 1000, "{kind}: {} trims", trims.len());
-        for line in trims {
+        let events = |ph: &'static str, name: &'static str| {
+            jsonl
+                .lines()
+                .filter(move |l| field(l, "ph") == ph && field(l, "name") == name)
+        };
+        let cycles: FxHashSet<&str> = events("B", "gc_cycle").map(|l| field(l, "span")).collect();
+        let mut trims = FxHashSet::default();
+        for line in events("B", "log_trim") {
             assert!(
                 field(line, "trace") == "0" && cycles.contains(field(line, "parent")),
+                "{kind}: {line}"
+            );
+            trims.insert(field(line, "span"));
+        }
+        let streams: Vec<&str> = events("I", "trim_reclaimed").collect();
+        assert!(streams.len() > 1000, "{kind}: {} streams trimmed", streams.len());
+        for line in streams {
+            assert!(
+                field(line, "trace") == "0" && trims.contains(field(line, "parent")),
                 "{kind}: {line}"
             );
         }
