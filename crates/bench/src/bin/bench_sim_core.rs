@@ -65,9 +65,9 @@ const COMPONENTS: [Component; 14] = [
     ("travel_halfmoon_read", |scale| {
         sim_core::app(ProtocolKind::HalfmoonRead, true, scale, None)
     }),
-    ("recovery_cost", sim_core::recovery_cost),
+    ("recovery", sim_core::recovery),
     ("hot_path_alloc", sim_core::hot_path_alloc),
-    ("latency_anatomy", sim_core::latency_anatomy),
+    ("admission_knee", sim_core::admission_knee),
     ("parallel_scaling", sim_core::parallel_scaling),
     ("model_check", |_| sim_core::model_check()),
 ];
@@ -148,7 +148,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"sim_core\",");
-    let _ = writeln!(json, "  \"schema_version\": 6,");
+    let _ = writeln!(json, "  \"schema_version\": 7,");
     let _ = writeln!(json, "  \"scale\": {scale},");
     for (name, _, run) in &components {
         if let Some(detail) = &run.detail {

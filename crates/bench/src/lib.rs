@@ -74,6 +74,8 @@ pub struct AppRunOutput {
     pub op_latencies: halfmoon::client::OpLatencies,
     /// Log appends over the measured window.
     pub log_appends: u64,
+    /// Future polls the run's executor drove.
+    pub polls: u64,
     /// Most timers the run's executor held pending at once.
     pub peak_timers: usize,
 }
@@ -122,6 +124,7 @@ pub fn run_app(
         avg_store_bytes: client.store().average_bytes(),
         op_latencies: client.op_latencies(),
         log_appends: client.log().counters().log_appends - appends_at_warmup.get(),
+        polls: sim.poll_count(),
         peak_timers: sim.peak_timers(),
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! Each component runs a fixed-seed piece of simulated work (executor
 //! timer churn, raw shared-log traffic, full application workloads, the
-//! §7 recovery sweep, the latency waterfall, the partitioned fan-out, the
-//! model checker) and returns a [`Run`]: a fingerprint of the simulated
-//! results plus the counts reported beside its wall time. Components
-//! assert the shapes they exist to show, so a run is its own regression
-//! test.
+//! §7 recovery figure, the admission-knee waterfall, the partitioned
+//! fan-out, the model checker) and returns a [`Run`]: a fingerprint of
+//! the simulated results plus the counts reported beside its wall time.
+//! Components assert the shapes they exist to show, so a run is its own
+//! regression test.
 //!
 //! Determinism: every component runs from a pinned seed, and its
 //! fingerprint is built from simulated-result metrics (op counters,
@@ -35,19 +35,21 @@ use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 
 use crate::alloc::{AllocRate, AllocSnapshot};
-use crate::{run_app, AppRun};
+use crate::{run_app, AppRun, AppRunOutput};
 
 /// What one component did.
 pub struct Run {
     /// Simulated-result fingerprint; must be identical across builds.
     pub fingerprint: u64,
     /// Future polls driven by the component's executors. 0 where no `Sim`
-    /// is in reach: the application runs consume theirs, the fan-out's
-    /// live on worker threads, and each model-checker run owns its own.
+    /// is in reach: `app` and `recovery` leave theirs inside [`run_app`],
+    /// the fan-out's live on worker threads, and each model-checker run
+    /// owns its own.
     pub polls: u64,
     /// Most timers any of the component's executors held pending at once
     /// (`Sim::peak_timers`): the depth the timer heap is sized against.
-    /// 0 for `parallel_scaling` and `model_check`, as for `polls`.
+    /// 0 for `recovery`, `parallel_scaling` and `model_check`, as for
+    /// `polls`.
     pub peak_timers: usize,
     /// Per-phase allocation rates (only `hot_path_alloc` reports these).
     /// Deliberately *not* part of the fingerprint: the fingerprint pins
@@ -81,6 +83,12 @@ impl Run {
     fn count(&mut self, sim: &Sim) {
         self.polls += sim.poll_count();
         self.peak_timers = self.peak_timers.max(sim.peak_timers());
+    }
+
+    /// [`Run::count`] for an executor that [`run_app`] kept.
+    fn count_app(&mut self, out: &AppRunOutput) {
+        self.polls += out.polls;
+        self.peak_timers = self.peak_timers.max(out.peak_timers);
     }
 }
 
@@ -421,105 +429,18 @@ pub fn app(kind: ProtocolKind, travel: bool, scale: f64, tracer: Option<Rc<Trace
     }
 }
 
-/// §7 recovery-cost f-sweep: the three fault-tolerant protocols under a
-/// per-attempt Bernoulli crash process, failure rates 0 → 50 %.
-///
-/// For each (protocol, f) cell a short synthetic run executes with
-/// `FaultPolicy::per_attempt(f, ..)` installed through the fault plan; the
-/// §5 recovery meters (`Client::recovery_stats`) and the median request
-/// latency land in the fingerprint, and the cell latencies are printed as
-/// the f-sweep table. Shape assertions encode the paper's claim: at f = 0
-/// Halfmoon-read beats the symmetric baseline outright (fewer appends),
-/// and every protocol's latency degrades as f grows — the curves converge
-/// toward a crossover as re-execution work mounts (§7: boundary f ≈ 0.3).
+/// The §7 recovery figure, `paper::figure("recovery")`, at 5 % of
+/// `scale`: every value of its panel goes into the fingerprint. The
+/// figure's shape asserts are `paper_claims.rs`'s; its runs go through
+/// [`run_app`], which keeps their executors, so `polls` and
+/// `peak_timers` are 0.
 #[must_use]
-pub fn recovery_cost(scale: f64) -> Run {
-    use halfmoon::{Client, FaultPolicy};
-    use hm_runtime::{Gateway, LoadSpec, Runtime};
-    use hm_workloads::Workload;
-
-    let systems = [
-        ProtocolKind::Boki,
-        ProtocolKind::HalfmoonRead,
-        ProtocolKind::HalfmoonWrite,
-    ];
-    let failure_rates = [0.0, 0.25, 0.5];
-    let workload = SyntheticOps {
-        objects: 500,
-        read_ratio: 0.5,
-        ..SyntheticOps::default()
-    };
-    let mut run = Run::new(0);
-    let mut fp = 0u64;
-    let mut medians: Vec<Vec<f64>> = Vec::new();
-    let mut replayed_per_req: Vec<Vec<f64>> = Vec::new();
-    for kind in systems {
-        let mut row = Vec::new();
-        let mut replay_row = Vec::new();
-        for &f in &failure_rates {
-            let mut sim = Sim::new(0x5c0_7e44 + (f * 100.0) as u64);
-            let mut builder = Client::builder(sim.ctx()).protocol(kind);
-            if f > 0.0 {
-                // ~30 crash points per synthetic execution (§7's Bernoulli
-                // process); uncapped so the rate holds for the whole run.
-                builder = builder.faults(FaultPolicy::per_attempt(f, 30, u32::MAX));
-            }
-            let client = builder.build();
-            workload.populate(&client);
-            let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-            workload.register(&runtime);
-            let gateway = Gateway::new(runtime.clone());
-            let spec = LoadSpec {
-                rate_per_sec: 150.0,
-                duration: Duration::from_secs_f64(6.0 * scale),
-                warmup: Duration::from_secs_f64(0.5 * scale),
-                factory: workload.factory(),
-            };
-            let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-            let recovery = client.recovery_stats();
-            let median = report.latency.median_ms().unwrap_or(f64::NAN);
-            row.push(median);
-            replay_row.push(recovery.replayed_records as f64 / report.completed.max(1) as f64);
-            fp = mix(fp, kind as u64);
-            fp = mix(fp, (f * 100.0) as u64);
-            fp = mix(fp, report.completed);
-            fp = mix(fp, runtime.retries());
-            fp = mix(fp, recovery.attempts);
-            fp = mix(fp, recovery.replayed_records);
-            fp = mix(fp, recovery.log_reads);
-            fp = mix(fp, median.to_bits());
-            run.count(&sim);
-        }
-        medians.push(row);
-        replayed_per_req.push(replay_row);
-    }
-    for (kind, (row, replays)) in systems.iter().zip(medians.iter().zip(&replayed_per_req)) {
-        eprintln!(
-            "recovery sweep {:<14} median ms @ f={:?}: {:?}  (replayed records/req: {:?})",
-            kind.label(),
-            failure_rates,
-            row.iter()
-                .map(|v| (v * 100.0).round() / 100.0)
-                .collect::<Vec<_>>(),
-            replays
-                .iter()
-                .map(|v| (v * 100.0).round() / 100.0)
-                .collect::<Vec<_>>()
-        );
-    }
-    let (boki, hm_read) = (&medians[0], &medians[1]);
-    assert!(
-        hm_read[0] < boki[0],
-        "failure-free Halfmoon-read must beat the symmetric baseline: {hm_read:?} vs {boki:?}"
-    );
-    for (kind, row) in systems.iter().zip(&medians) {
-        assert!(
-            row[failure_rates.len() - 1] > row[0],
-            "{kind:?}: latency must degrade as f grows: {row:?}"
-        );
-    }
-    run.fingerprint = fp;
-    run
+pub fn recovery(scale: f64) -> Run {
+    let figure = crate::paper::figure("recovery")(0.05 * scale);
+    let values = (figure.panels.iter())
+        .flat_map(|panel| &panel.rows)
+        .flat_map(|(_, row)| row);
+    Run::new(values.fold(0, |fp, v| mix(fp, v.to_bits())))
 }
 
 /// Writer `instance`'s read-log records: step `i` carries `template`, the
@@ -699,15 +620,15 @@ pub fn hot_path_alloc(scale: f64) -> Run {
     run
 }
 
-/// Phase-attributed tail-latency decomposition at three open-loop rates:
-/// 2 000, 4 000 and 6 000 req/s.
+/// Phase-attributed tail-latency decomposition at 0.5×, 1× and 1.5× the
+/// admission knee.
 ///
-/// A short uncontended probe measures appends per completed request, and
-/// the sequencer's ordering capacity is set to `4 000 req/s × appends/req`:
-/// the sequencer is capped for 4 000 requests/s. It is not what binds. The
-/// runtime's 8 × 8 worker slots saturate near 2.2k req/s (2 000/s × 29 ms
-/// ≈ 58 slots), so the 4 000 and 6 000 req/s points measure admission
-/// queueing for a slot. Each load point runs with an
+/// What binds is the runtime's worker slots (8 nodes × 8), so the knee is
+/// where they fill. A short probe at 300 req/s measures the mean request
+/// latency, and Little's law puts the knee at slots ÷ mean latency
+/// (64 ÷ 28.3 ms ≈ 2 265 req/s at full scale). The sequencer is
+/// uncapped, as in every application run. Each load point goes through
+/// [`run_app`] with an
 /// [`Anatomy`](hm_common::anatomy::Anatomy) collector attached; the
 /// per-phase p50/p95/p99 waterfall goes into the run's detail and is
 /// printed as a table.
@@ -721,50 +642,32 @@ pub fn hot_path_alloc(scale: f64) -> Run {
 ///   aggregate phase totals sum to the aggregate e2e total within 1 %
 ///   (exact equality is expected — the phase clock partitions wall time);
 /// - **the knee is where the time goes**: mean admission residency per op
-///   grows from the 2 000 to the 6 000 req/s point. (The worker slots are
-///   full, so the backlog queues *upstream* at admission while the
-///   sequencer's residency stays flat — exactly the attribution the
-///   waterfall is meant to surface.)
+///   grows from the 0.5× to the 1.5× point, as requests queue for a slot.
 #[must_use]
-pub fn latency_anatomy(scale: f64) -> Run {
-    use halfmoon::Client;
+pub fn admission_knee(scale: f64) -> Run {
     use hm_common::anatomy::{Anatomy, Phase, PhaseStat};
-    use hm_runtime::{Gateway, LoadReport, LoadSpec, Runtime};
-    use hm_workloads::Workload;
+    use hm_runtime::LoadReport;
 
-    let knee_rate = 4_000.0f64;
     let workload = SyntheticOps {
         objects: 1_000,
         ..SyntheticOps::default()
     };
-    let run_point = |rate: f64,
-                     secs: f64,
-                     capacity: Option<f64>,
-                     anatomy: Option<Rc<Anatomy>>|
-     -> (LoadReport, Sim) {
-        let mut sim = Sim::new(0x1A7E);
-        let mut builder = Client::builder(sim.ctx())
-            .model(LatencyModel::calibrated())
-            .protocol(ProtocolKind::HalfmoonRead);
-        if let Some(c) = capacity {
-            builder = builder.sequencer_capacity(c);
-        }
-        if let Some(a) = anatomy {
-            builder = builder.anatomy(a);
-        }
-        let client = builder.build();
-        workload.populate(&client);
-        let runtime = Runtime::new(client, RuntimeConfig::default());
-        workload.register(&runtime);
-        let gateway = Gateway::new(runtime);
-        let spec = LoadSpec {
-            rate_per_sec: rate,
+    let run_point = |rate: f64, secs: f64, anatomy: Option<Rc<Anatomy>>| {
+        let params = AppRun {
+            seed: 0x1A7E,
+            rate,
             duration: Duration::from_secs_f64(secs),
             warmup: Duration::from_secs_f64(0.25 * secs),
-            factory: workload.factory(),
+            rt_config: RuntimeConfig::default(),
+            gc_interval: None,
         };
-        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-        (report, sim)
+        run_app(&workload, &params, |b| {
+            let b = b.protocol(ProtocolKind::HalfmoonRead);
+            match anatomy {
+                Some(a) => b.anatomy(a),
+                None => b,
+            }
+        })
     };
     let report_fp = |r: &LoadReport| {
         let mut f = mix(0, r.generated);
@@ -783,19 +686,21 @@ pub fn latency_anatomy(scale: f64) -> Run {
         )
     };
 
-    // Probe: appends per completed request at an uncontended rate.
+    // Probe: mean request latency at an uncontended rate, which is how
+    // long a request holds its worker slot.
     let mut run = Run::new(0);
-    let (probe, probe_sim) = run_point(300.0, (1.0 * scale).max(0.3), None, None);
-    run.count(&probe_sim);
-    let probe_appends: u64 = probe.per_shard_appends.iter().sum();
-    let appends_per_req = probe_appends as f64 / probe.completed.max(1) as f64;
-    let capacity = knee_rate * appends_per_req;
+    let probe = run_point(300.0, (1.0 * scale).max(0.3), None);
+    run.count_app(&probe);
+    let probe_mean_ms = (probe.report.latency.mean_ms()).expect("the probe completes requests");
+    let rt = RuntimeConfig::default();
+    let slots = rt.nodes * rt.workers_per_node;
+    let knee_rate = f64::from(slots) / (probe_mean_ms / 1e3);
     eprintln!(
-        "latency anatomy: sequencer capped for {knee_rate:.0} req/s ({appends_per_req:.2} \
-         appends/req, {capacity:.0} appends/s); the worker slots saturate near 2.2k req/s"
+        "admission knee: {slots} worker slots / {probe_mean_ms:.2} ms mean latency at 300 req/s \
+         = {knee_rate:.0} req/s"
     );
 
-    let mut fp = mix(0, appends_per_req.to_bits());
+    let mut fp = mix(0, probe_mean_ms.to_bits());
     let secs = (2.0 * scale).max(0.4);
     let mut points_json: Vec<String> = Vec::new();
     // Mean admission residency per completed op at each load point, for
@@ -804,23 +709,23 @@ pub fn latency_anatomy(scale: f64) -> Run {
     for &ratio in &[0.5f64, 1.0, 1.5] {
         let rate = knee_rate * ratio;
         let anatomy = Anatomy::new();
-        let (report, sim) = run_point(rate, secs, Some(capacity), Some(anatomy.clone()));
-        run.count(&sim);
+        let out = run_point(rate, secs, Some(anatomy.clone()));
+        run.count_app(&out);
+        let report = &out.report;
         if (ratio - 1.0).abs() < f64::EPSILON {
             // Observer neutrality: the same point without anatomy must do
             // bit-identical simulated work on the same schedule.
-            let (plain, plain_sim) = run_point(rate, secs, Some(capacity), None);
+            let plain = run_point(rate, secs, None);
             assert_eq!(
-                report_fp(&plain),
-                report_fp(&report),
+                report_fp(&plain.report),
+                report_fp(report),
                 "anatomy perturbed the simulation at the knee point"
             );
             assert_eq!(
-                plain_sim.poll_count(),
-                sim.poll_count(),
+                plain.polls, out.polls,
                 "anatomy changed the executor schedule at the knee point"
             );
-            run.count(&plain_sim);
+            run.count_app(&plain);
         }
         let ops = anatomy.ops();
         assert!(ops > 0, "load point {rate} completed no measured ops");
@@ -877,7 +782,7 @@ pub fn latency_anatomy(scale: f64) -> Run {
             }
         }
         points_json.push(format!(
-            "{{\"rate_per_sec\": {rate}, \"generated\": {}, \"completed\": {}, \
+            "{{\"rate_per_sec\": {rate:.3}, \"generated\": {}, \"completed\": {}, \
              \"errors\": {}, \"max_rel_err\": {rel_err}, \"e2e\": {}, \"phases\": {{{}}}}}",
             report.generated,
             report.completed,
@@ -885,7 +790,7 @@ pub fn latency_anatomy(scale: f64) -> Run {
             stat_json(&e2e),
             phases.join(", "),
         ));
-        fp = mix(fp, rate as u64);
+        fp = mix(fp, rate.to_bits());
         fp = mix(fp, report.generated);
         fp = mix(fp, report.completed);
         fp = mix(fp, report.errors);
@@ -898,8 +803,8 @@ pub fn latency_anatomy(scale: f64) -> Run {
     );
     run.fingerprint = fp;
     run.detail = Some(format!(
-        "{{\"knee_rate_per_sec\": {knee_rate}, \"appends_per_request\": {appends_per_req}, \
-         \"sequencer_capacity_per_sec\": {capacity}, \"points\": [{}]}}",
+        "{{\"worker_slots\": {slots}, \"probe_mean_latency_ms\": {probe_mean_ms:.6}, \
+         \"knee_rate_per_sec\": {knee_rate:.3}, \"points\": [{}]}}",
         points_json.join(", ")
     ));
     run

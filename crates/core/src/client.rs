@@ -187,7 +187,6 @@ pub struct ClientBuilder {
     anatomy: Option<Rc<Anatomy>>,
     flightrec: Option<Rc<FlightRecorder>>,
     batch_max_records: usize,
-    sequencer_capacity: Option<f64>,
 }
 
 impl ClientBuilder {
@@ -262,15 +261,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Caps the per-shard sequencer admission rate (requests/sec). `None`
-    /// (the default) models an unloaded sequencer; benches set this to
-    /// place the admission knee at a known rate.
-    #[must_use]
-    pub fn sequencer_capacity(mut self, per_sec: f64) -> ClientBuilder {
-        self.sequencer_capacity = Some(per_sec);
-        self
-    }
-
     /// Enables group-commit batching in the logging layer: each shard's
     /// sequencer coalesces up to `max_records` concurrent appends into one
     /// ordering decision and one replicated storage write, flushing early
@@ -292,7 +282,7 @@ impl ClientBuilder {
             LogConfig {
                 topology: self.topology,
                 batch_max_records: self.batch_max_records,
-                sequencer_capacity: self.sequencer_capacity,
+                ..LogConfig::default()
             },
         );
         let store = KvStore::new(self.ctx.clone(), self.model);
@@ -328,7 +318,6 @@ impl Client {
     /// faults, no recorder, no tracer.
     #[must_use]
     pub fn builder(ctx: Ctx) -> ClientBuilder {
-        let defaults = LogConfig::default();
         ClientBuilder {
             ctx,
             model: LatencyModel::calibrated(),
@@ -339,8 +328,7 @@ impl Client {
             tracer: None,
             anatomy: None,
             flightrec: None,
-            batch_max_records: defaults.batch_max_records,
-            sequencer_capacity: defaults.sequencer_capacity,
+            batch_max_records: LogConfig::default().batch_max_records,
         }
     }
 

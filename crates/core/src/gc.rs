@@ -6,11 +6,15 @@
 //!    `t`: the largest seqnum such that every SSF whose init record
 //!    precedes `t` has finished. This is exactly condition (b): any SSF
 //!    still running (or yet to start) has an initial cursor ≥ `t`.
-//! 2. For every finished SSF below the watermark: reclaim leaked object
-//!    versions (a write intent without a commit means the SSF may have
-//!    installed a version that never became visible), then trim its step
-//!    log. Read-log records (Halfmoon-write) live only in step logs, so
-//!    their lifetime equals the SSF's, as §4.5 states.
+//! 2. For every finished SSF below the watermark: drop its checkpoints
+//!    and trim its step log. Read-log records (Halfmoon-write) live only
+//!    in step logs, so their lifetime equals the SSF's, as §4.5 states.
+//!    There is no leaked version to look for. A write's version is fixed
+//!    before `DBWrite`: logged as an intent (§4.1) or derived from the
+//!    instance and step. So every retry and peer of the SSF stores that
+//!    one version, and a finished SSF appended the commit after every
+//!    intent it logged, naming it in the object's write log for step 3.
+//!    An unfinished SSF never falls below the watermark.
 //! 3. For every object write log (Halfmoon-read): mark the latest record
 //!    below the watermark — the earliest version any current or future
 //!    reader can still observe — and delete every older record and its
@@ -37,8 +41,6 @@ pub struct GcStats {
     pub instances_reclaimed: usize,
     /// Object versions deleted from the external store.
     pub versions_deleted: usize,
-    /// Leaked (uncommitted) versions deleted.
-    pub orphans_deleted: usize,
 }
 
 /// The garbage collector function.
@@ -93,44 +95,20 @@ impl GarbageCollector {
 
         // Step 2: reclaim finished SSFs below the watermark.
         let mut trims: Vec<(Tag, SeqNum)> = Vec::new();
-        let mut orphan_deletes: Vec<(Key, VersionNum)> = Vec::new();
-        // One snapshot serves the cycle: a key first written after this
-        // point has no record below the watermark, so step 3 would skip it.
-        let written = self.client.written_keys();
-        // Every stream of the cycle is read into this one buffer.
-        let mut stream = Vec::new();
         for init in inits.iter().filter(|r| r.seqnum < watermark) {
             stats.instances_reclaimed += 1;
             let instance = init.payload.instance;
             self.client.drop_checkpoints(instance);
-            let step_tag = instance.step_log_tag();
-            // Orphan-version scan: a WriteIntent whose next record is not
-            // its commit leaked a version into the store.
-            self.client.log().peek_stream_into(step_tag, &mut stream);
-            let mut intent = None;
-            for rec in stream
-                .iter()
-                .filter_map(|sn| self.client.log().peek_record(*sn))
-            {
-                if let Some(version) = intent.take() {
-                    if rec.payload.object_version() != Some(version) {
-                        self.orphan(&written, version, &mut orphan_deletes);
-                    }
-                }
-                if let OpRecord::WriteIntent { version } = rec.payload.op {
-                    intent = Some(version);
-                }
-            }
-            if let Some(version) = intent {
-                self.orphan(&written, version, &mut orphan_deletes);
-            }
-            trims.push((step_tag, SeqNum::MAX));
+            trims.push((instance.step_log_tag(), SeqNum::MAX));
         }
-        stats.orphans_deleted = self.delete_all(&octx, &orphan_deletes).await;
 
-        // Step 3: object write logs — conditions (a) and (b).
+        // Step 3: object write logs — conditions (a) and (b). One snapshot
+        // of the written keys serves the cycle: a key first written after
+        // this point has no record below the watermark.
         let mut version_deletes = Vec::new();
-        for key in &written {
+        // Every stream of the cycle is read into this one buffer.
+        let mut stream = Vec::new();
+        for key in &self.client.written_keys() {
             let tag = key.object_log_tag();
             self.client.log().peek_stream_into(tag, &mut stream);
             // Latest *effective* record strictly below the watermark — an
@@ -185,18 +163,6 @@ impl GarbageCollector {
             deleted += self.client.store_as(octx).delete_versions(batch).await;
         }
         deleted
-    }
-
-    /// Queues the deletion of uncommitted `version`. The intent's target
-    /// key is not in the record (it is implied by program position), so
-    /// the written keys are the candidates.
-    fn orphan(&self, written: &[Key], version: VersionNum, out: &mut Vec<(Key, VersionNum)>) {
-        if let Some(key) = written
-            .iter()
-            .find(|key| self.client.store().peek_version(key, version).is_some())
-        {
-            out.push((key.clone(), version));
-        }
     }
 }
 

@@ -19,9 +19,10 @@
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).
 # Bench: one full-scale bench_sim_core run with --trace-out. The binary
-# asserts each component's shape claims, prints the latency waterfall, and
-# checks the trace (fingerprint equal to the untraced twin's, spans on
-# every node lane). Then:
+# asserts each component's shape claims, prints admission_knee's latency
+# waterfall (0.5x, 1x and 1.5x the worker-slot knee), and checks the trace
+# (fingerprint equal to the untraced twin's, spans on every node lane).
+# Then:
 # - fingerprint drift: each component's fingerprint, polls and
 #   peak_timers must match the committed BENCH_sim_core.json exactly
 #   (wall times are expected to drift; simulated work is not), and every

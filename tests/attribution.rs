@@ -6,10 +6,13 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind, Topology};
+use halfmoon::{
+    Client, Env, FaultPlan, FaultPolicy, InvocationSpec, ProtocolKind, ShardId, Topology,
+};
 use hm_common::anatomy::{Anatomy, Phase};
 use hm_common::trace::Tracer;
 use hm_common::{FxHashMap, FxHashSet, Key, NodeId, Value};
+use hm_runtime::chaos::ChaosDriver;
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
@@ -198,6 +201,54 @@ fn a_batched_step_log_fetch_stays_under_its_own_init() {
         under_init += usize::from(parent == "init");
     }
     assert!(under_init > 1000, "{under_init}");
+}
+
+/// The sequencer lane is uncapped in every deployment, so an append
+/// waits there only while a fault stalls it. The same seed runs twice:
+/// with a 20 ms stall the wait is charged to `Phase::Sequencer`, and
+/// without it that phase gets exactly 0 ns. Either way the phases sum to
+/// the end-to-end time.
+#[test]
+fn a_stalled_sequencer_is_charged_to_the_sequencer_phase() {
+    let workload = SyntheticOps {
+        objects: 200,
+        ..SyntheticOps::default()
+    };
+    let sequencer_ns = |plan: FaultPlan| {
+        let mut sim = Sim::new(4_711);
+        let anatomy = Anatomy::new();
+        let client = Client::builder(sim.ctx())
+            .protocol(ProtocolKind::HalfmoonRead)
+            .faults(plan)
+            .anatomy(anatomy.clone())
+            .build();
+        workload.populate(&client);
+        let runtime = Runtime::new(client, RuntimeConfig::default());
+        workload.register(&runtime);
+        let _chaos = ChaosDriver::start(&runtime);
+        let gateway = Gateway::new(runtime);
+        let spec = LoadSpec {
+            rate_per_sec: 300.0,
+            duration: Duration::from_secs(1),
+            warmup: Duration::ZERO,
+            factory: workload.factory(),
+        };
+        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+        assert_eq!(anatomy.ops(), report.completed);
+        assert!(anatomy.max_rel_err() <= 0.01, "{}", anatomy.max_rel_err());
+        let totals = anatomy.phase_totals_ns();
+        let sum = totals.iter().sum::<u128>() as f64;
+        let e2e = anatomy.e2e_total_ns() as f64;
+        assert!((sum - e2e).abs() <= 0.01 * e2e, "phases {sum} vs e2e {e2e}");
+        totals[Phase::Sequencer.index()]
+    };
+    let stall = FaultPlan::new().stall_sequencer_at(
+        Duration::from_millis(500),
+        ShardId(0),
+        Duration::from_millis(20),
+    );
+    assert!(sequencer_ns(stall) > 0);
+    assert_eq!(sequencer_ns(FaultPlan::new()), 0);
 }
 
 /// A child invocation's context crosses the `Invoker` boundary through the

@@ -1,18 +1,22 @@
 //! What is dropped is actually freed: the log's host memory follows its
 //! live records, a reader that loses a race against `trim` gets an answer
-//! instead of a panic, a dropped deployment takes its log with it, and the
-//! collector keeps up with the versions a steady load writes.
+//! instead of a panic, a dropped deployment takes its log with it, the
+//! collector keeps up with the versions a steady load writes, and no
+//! version outlives the commit record that names it.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, Env, InvocationSpec, ProtocolKind, StepRecord};
+use halfmoon::{
+    Client, Env, FaultPlan, FaultPolicy, GarbageCollector, InvocationSpec, ProtocolKind, StepRecord,
+};
 use hm_common::ids::TagKind;
 use hm_common::latency::LatencyModel;
 use hm_common::trace::Tracer;
 use hm_common::{FxHashMap, FxHashSet, HmError, Key, NodeId, SeqNum, Tag, Value};
+use hm_runtime::chaos::ChaosDriver;
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_sharedlog::{shard_for_tag, LogConfig, LogService, Topology, SLAB_SEGMENT_RECORDS};
 use hm_substrate::sim::Sim;
@@ -477,4 +481,84 @@ fn the_collector_keeps_up_with_a_steady_load() {
         versions < keys + 2 * per_interval,
         "{versions} live versions of {keys} keys, {per_interval} written per interval"
     );
+}
+
+/// Halfmoon-read under per-attempt crashes, duplicate peers and node
+/// crashes, collected every 50 ms beside the load and once more after it
+/// drains. The collector never looks for a version without a commit, so
+/// one stored under anything but the logged intent (a retry's or a
+/// losing peer's) would be left here: every version in the store must be
+/// named by a live commit record in its key's write log.
+#[test]
+fn every_stored_version_is_named_by_a_live_commit_record() {
+    let workload = SyntheticOps {
+        objects: 200,
+        ..SyntheticOps::default()
+    };
+    for seed in 0..8u64 {
+        let mut sim = Sim::new(0x0E1F + seed);
+        let plan = FaultPlan::new()
+            .instance_faults(FaultPolicy::per_attempt(0.3, 30, u32::MAX))
+            .node_recovery_delay(Duration::from_millis(200))
+            .seeded_node_crashes(
+                seed,
+                0.5,
+                Duration::from_millis(300),
+                Duration::from_secs(3),
+                8,
+            );
+        let client = Client::builder(sim.ctx())
+            .protocol(ProtocolKind::HalfmoonRead)
+            .faults(plan)
+            .build();
+        workload.populate(&client);
+        let config = RuntimeConfig {
+            duplicate_prob: 0.3,
+            ..RuntimeConfig::default()
+        };
+        let runtime = Runtime::new(client.clone(), config);
+        workload.register(&runtime);
+        let _chaos = ChaosDriver::start(&runtime);
+        let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_millis(50));
+        let gateway = Gateway::new(runtime.clone());
+        let spec = LoadSpec {
+            rate_per_sec: 300.0,
+            duration: Duration::from_secs(3),
+            warmup: Duration::ZERO,
+            factory: workload.factory(),
+        };
+        // The report's errors are not counted: a peer that outlives its
+        // instance's reclamation fails at `Init`, before it can write.
+        sim.block_on(async move { gateway.run_open_loop(spec).await });
+        gc.stop();
+        // Let the last peers and the fault schedule play out, then collect.
+        sim.run();
+        let collector = GarbageCollector::new(client.clone(), NodeId(0));
+        let last = sim.block_on(async move { collector.collect().await });
+        assert!(runtime.node_crashes() > 0, "seed {seed}: no node crashed");
+        let retries = runtime.retries();
+        assert!(retries > 100, "seed {seed}: {retries} retries");
+        let reclaimed = gc.totals().instances_reclaimed + last.instances_reclaimed as u64;
+        assert!(reclaimed > 500, "seed {seed}: {reclaimed} reclaimed");
+
+        let (log, store) = (client.log(), client.store());
+        let mut named = FxHashSet::default();
+        for key in client.written_keys() {
+            for sn in log.peek_stream(key.object_log_tag()) {
+                let rec = log.peek_record(sn).expect("a listed record is live");
+                if let Some(version) = rec.payload.version_for(&key) {
+                    assert!(
+                        store.peek_version(&key, version).is_some(),
+                        "seed {seed}: the commit at {sn:?} names a missing version of {key:?}"
+                    );
+                    named.insert((key.clone(), version));
+                }
+            }
+        }
+        assert_eq!(
+            store.version_count(),
+            named.len(),
+            "seed {seed}: stored versions vs versions named by live commit records"
+        );
+    }
 }
