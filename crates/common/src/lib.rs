@@ -26,4 +26,4 @@ pub use bytes::SharedBytes;
 pub use collections::{FxHashMap, FxHashSet, TagSet};
 pub use error::{HmError, HmResult};
 pub use ids::{InstanceId, Key, NodeId, SeqNum, StepNum, Tag, VersionNum, VersionTuple};
-pub use value::Value;
+pub use value::{Entries, Value};

@@ -7,6 +7,7 @@
 //! for bytes the way DynamoDB would.
 
 use std::fmt;
+use std::ops::Deref;
 use std::rc::Rc;
 
 use crate::bytes::SharedBytes;
@@ -48,11 +49,44 @@ pub enum Value {
         /// Content fingerprint, so distinct writes remain distinguishable.
         fingerprint: u64,
     },
-    /// Ordered list.
-    List(Rc<Vec<Value>>),
-    /// String-keyed map: one shared block of entries, sorted by key and
-    /// free of duplicates (deterministic iteration, one allocation).
-    Map(Rc<[(&'static str, Value)]>),
+    /// Ordered list: one shared block of items.
+    List(Rc<[Value]>),
+    /// String-keyed map: a window onto a shared block of entries, sorted
+    /// by key and free of duplicates (deterministic iteration).
+    Map(Entries),
+}
+
+/// A map's entries: a window onto a shared block, the way [`SharedBytes`]
+/// is a window onto bytes. [`Value::map`] gives a map a block of its own;
+/// the maps of one [`Value::table`] share one block. Derefs to the window's
+/// entries, so equality, iteration and accounting see only those.
+#[derive(Clone)]
+pub struct Entries {
+    block: Rc<[(&'static str, Value)]>,
+    start: usize,
+    len: usize,
+}
+
+impl Entries {
+    /// True if both windows look onto one block (regardless of window).
+    #[must_use]
+    pub fn ptr_eq(&self, other: &Entries) -> bool {
+        Rc::ptr_eq(&self.block, &other.block)
+    }
+}
+
+impl Deref for Entries {
+    type Target = [(&'static str, Value)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.block[self.start..self.start + self.len]
+    }
+}
+
+impl PartialEq for Entries {
+    fn eq(&self, other: &Entries) -> bool {
+        **self == **other
+    }
 }
 
 impl Value {
@@ -67,23 +101,64 @@ impl Value {
     /// with the same key the last one wins.
     #[must_use]
     pub fn map<const N: usize>(mut entries: [(&'static str, Value); N]) -> Value {
-        // Stable, so of entries with equal keys the last given stays last.
-        entries.sort_by_key(|(k, _)| *k);
-        let mut kept = 0;
-        for i in 0..N {
-            if i + 1 == N || entries[i].0 != entries[i + 1].0 {
-                entries.swap(kept, i);
-                kept += 1;
-            }
-        }
-        // The iterator knows its length, so this is one block and no copy.
-        Value::Map(entries.into_iter().take(kept).collect())
+        let (cols, len) = kept_columns(entries.each_ref().map(|(k, _)| *k));
+        // A mapped slice knows its length, so this is one block.
+        let block = cols[..len]
+            .iter()
+            .map(|&col| (entries[col].0, std::mem::take(&mut entries[col].1)))
+            .collect();
+        Value::Map(Entries {
+            block,
+            start: 0,
+            len,
+        })
     }
 
     /// Builds a list value.
     #[must_use]
     pub fn list(items: Vec<Value>) -> Value {
-        Value::List(Rc::new(items))
+        Value::List(items.into())
+    }
+
+    /// Builds a list of maps, one per row, each mapping `keys` to the
+    /// row's values in order. Equal to the list of `Value::map`s of the
+    /// same rows, but two allocations in all: every map is a window onto
+    /// one block of entries. Rows are drawn in order, each once.
+    #[must_use]
+    pub fn table<const K: usize, R>(keys: [&'static str; K], rows: R) -> Value
+    where
+        R: IntoIterator<Item = [Value; K]>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let (cols, width) = kept_columns(keys);
+        let mut rows = rows.into_iter();
+        let height = rows.len();
+        let mut row: [Value; K] = std::array::from_fn(|_| Value::Null);
+        // A mapped range knows its length, so each block is one allocation.
+        let block: Rc<[(&'static str, Value)]> = (0..height * width)
+            .map(|at| {
+                if at % width == 0 {
+                    row = rows
+                        .next()
+                        .expect("a row for each of the iterator's length");
+                }
+                let col = cols[at % width];
+                (keys[col], std::mem::take(&mut row[col]))
+            })
+            .collect();
+        // Rows with no columns are drawn all the same.
+        rows.for_each(drop);
+        Value::List(
+            (0..height)
+                .map(|r| {
+                    Value::Map(Entries {
+                        block: block.clone(),
+                        start: r * width,
+                        len: width,
+                    })
+                })
+                .collect(),
+        )
     }
 
     /// Builds a string value.
@@ -153,7 +228,7 @@ impl Value {
     #[must_use]
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
-            Value::List(items) => Some(&items[..]),
+            Value::List(items) => Some(items),
             _ => None,
         }
     }
@@ -162,7 +237,7 @@ impl Value {
     #[must_use]
     pub fn as_map(&self) -> Option<&[(&'static str, Value)]> {
         match self {
-            Value::Map(entries) => Some(&entries[..]),
+            Value::Map(entries) => Some(entries),
             _ => None,
         }
     }
@@ -204,6 +279,22 @@ impl Value {
             }),
         }
     }
+}
+
+/// The first `n` of the returned indices into `keys` are the entries a map
+/// keeps, in key order: a stable sort, then the last of each run of equal
+/// keys.
+fn kept_columns<const K: usize>(keys: [&'static str; K]) -> ([usize; K], usize) {
+    let mut cols: [usize; K] = std::array::from_fn(|i| i);
+    cols.sort_by_key(|&i| keys[i]);
+    let mut n = 0;
+    for i in 0..K {
+        if i + 1 == K || keys[cols[i]] != keys[cols[i + 1]] {
+            cols[n] = cols[i];
+            n += 1;
+        }
+    }
+    (cols, n)
 }
 
 impl fmt::Debug for Value {
@@ -257,7 +348,7 @@ impl From<SharedBytes> for Value {
 
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(items: Vec<T>) -> Value {
-        Value::list(items.into_iter().map(Into::into).collect())
+        Value::List(items.into_iter().map(Into::into).collect())
     }
 }
 

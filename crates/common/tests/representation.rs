@@ -1,8 +1,10 @@
-//! `Key` and `Value::Map` are shared representations (an `Rc<str>`, one
-//! sorted block of entries). Everything observable about them — hashes,
-//! order, fingerprints, accounting, `Debug` — is pinned here to constants
-//! computed with an owning `String` key and a `BTreeMap` of `String` keys,
-//! so golden fingerprints and `FxHashMap` iteration orders cannot drift.
+//! `Key` and `Value::Map` are shared representations (an `Rc<str>`, a
+//! window onto a sorted block of entries). Everything observable about
+//! them — hashes, order, fingerprints, accounting, `Debug` — is pinned here
+//! to constants computed with an owning `String` key and a `BTreeMap` of
+//! `String` keys, so golden fingerprints and `FxHashMap` iteration orders
+//! cannot drift. A `Value::table`, whose maps share one block, is held
+//! equal in all of these to the list of `Value::map`s of its rows.
 
 use std::hash::BuildHasher;
 use std::rc::Rc;
@@ -145,5 +147,87 @@ fn clones_share_one_buffer() {
     let (Value::Map(a), Value::Map(b)) = (&map, &map.clone()) else {
         panic!("expected maps");
     };
-    assert!(Rc::ptr_eq(a, b));
+    assert!(a.ptr_eq(b));
+}
+
+/// Every observable of `a` and `b` agrees, asked of either side.
+fn assert_same(a: &Value, b: &Value) {
+    assert_eq!(a, b);
+    assert_eq!(b, a);
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(a.size_bytes(), b.size_bytes());
+    assert_eq!(format!("{a:?}"), format!("{b:?}"));
+}
+
+/// The list of `Value::map`s a table of `rows` under `keys` stands for.
+fn maps<const K: usize>(keys: [&'static str; K], rows: &[[Value; K]]) -> Value {
+    Value::list(
+        rows.iter()
+            .map(|row| Value::map::<K>(std::array::from_fn(|i| (keys[i], row[i].clone()))))
+            .collect(),
+    )
+}
+
+#[test]
+fn table_is_the_list_of_its_rows_maps() {
+    let keys = ["read", "obj", "fp"];
+    let row = |read, obj, fp| [Value::Int(read), Value::Int(obj), Value::Int(fp)];
+    let rows = [row(1, 7, -3), row(0, 9, i64::MAX), row(1, 0, 0)];
+    for n in 0..=rows.len() {
+        let table = Value::table(keys, rows[..n].to_vec());
+        assert_same(&table, &maps(keys, &rows[..n]));
+        assert_eq!(table.as_list().map(<[Value]>::len), Some(n));
+    }
+    // The pinned `nested()` ops, built as a table.
+    let ops = Value::table(keys, [row(1, 7, -3), row(0, 9, i64::MAX)]);
+    let v = nested();
+    assert_same(&ops, v.get("ops").unwrap());
+    // Keys in another order, and a duplicate key: the last one wins.
+    let swapped = Value::table(
+        ["fp", "read", "obj"],
+        rows.clone().map(|[r, o, f]| [f, r, o]),
+    );
+    assert_same(&swapped, &maps(keys, &rows));
+    let dup = Value::table(["k", "a", "k"], [[1, 2, 3].map(Value::Int)]);
+    let kept = Value::map([("a", Value::Int(2)), ("k", Value::Int(3))]);
+    assert_same(&dup, &Value::list(vec![kept]));
+    assert_eq!(format!("{dup:?}"), r#"[{"a": 2, "k": 3}]"#);
+    // No columns: one empty map per row, and every row is drawn.
+    let mut drawn = 0;
+    let empty = Value::table([], (0..2).map(|_| drawn += 1).map(|()| []));
+    assert_eq!(drawn, 2);
+    assert_same(&empty, &Value::list(vec![Value::map([]), Value::map([])]));
+}
+
+#[test]
+fn table_maps_share_one_block() {
+    let table = Value::table(
+        ["a", "b"],
+        (0..4_i32).map(|i| [Value::Int(i.into()), Value::Null]),
+    );
+    let copy = table.clone();
+    let (Value::List(items), Value::List(copied)) = (&table, &copy) else {
+        panic!("expected lists");
+    };
+    assert!(Rc::ptr_eq(items, copied), "a clone shares the list block");
+    let entries: Vec<_> = items
+        .iter()
+        .map(|v| match v {
+            Value::Map(entries) => entries.clone(),
+            other => panic!("expected a map, got {other:?}"),
+        })
+        .collect();
+    assert!(entries.iter().all(|e| e.ptr_eq(&entries[0])));
+    assert_eq!(entries[2].len(), 2);
+    assert_eq!(items[2].get("a"), Some(&Value::Int(2)));
+    let Value::Map(own) = Value::map([("a", Value::Int(0))]) else {
+        panic!("expected a map");
+    };
+    assert!(!entries[0].ptr_eq(&own), "a map's own block");
+}
+
+#[test]
+fn value_stays_forty_bytes() {
+    // Every log record carries values; the map window must not widen them.
+    assert_eq!(std::mem::size_of::<Value>(), 40);
 }

@@ -248,6 +248,18 @@ fn pooled_batch<P>(pool: &mut Vec<BatchRef<P>>, cap: usize) -> BatchRef<P> {
     batch
 }
 
+/// Most emptied stream buffers the service keeps for reuse. A garbage
+/// collection cycle empties a stream per finished instance and per object
+/// it trims, and new instances' step logs and the next writes to those
+/// objects take the buffers back before the next cycle; beyond this many,
+/// the excess is freed as before.
+const STREAM_POOL_CAP: usize = 1024;
+
+/// Largest emptied stream buffer, in seqnums, the pool takes: a hot
+/// stream's long buffer is freed rather than handed to a stream that
+/// will hold a dozen entries.
+const STREAM_POOL_MAX_CAPACITY: usize = 64;
+
 struct ServiceInner<P> {
     /// Every live record, addressed by seqnum; owns the shared clock.
     slab: RecordSlab<P>,
@@ -261,6 +273,10 @@ struct ServiceInner<P> {
     /// state batching reuses the same few member vectors, outcome vectors
     /// and gates forever.
     batch_pool: Vec<BatchRef<P>>,
+    /// Empty seqnum buffers of streams that a trim emptied, each owned by
+    /// the pool alone; [`LogService::install`] gives one to a stream that
+    /// has no buffer. Capped at [`STREAM_POOL_CAP`].
+    stream_pool: Vec<VecDeque<SeqNum>>,
     /// Scratch for [`LogService::trim`]'s drained-seqnum list.
     trim_scratch: Vec<SeqNum>,
     /// Scratch for [`LogService::trim`]'s per-shard freed-bytes tally.
@@ -406,6 +422,7 @@ impl<P: Payload> LogService<P> {
                 open_batches: (0..shards).map(|_| None).collect(),
                 probe: None,
                 batch_pool: Vec::new(),
+                stream_pool: Vec::new(),
                 trim_scratch: Vec::new(),
                 freed_scratch: Vec::new(),
                 stream_scratch: Vec::new(),
@@ -922,6 +939,12 @@ impl<P: Payload> LogService<P> {
         for &tag in tags {
             let shard = inner.shard_of(tag);
             let stream = inner.shards[shard as usize].streams.entry(tag).or_default();
+            if stream.seqnums.capacity() == 0 {
+                if let Some(buf) = inner.stream_pool.pop() {
+                    debug_assert!(buf.is_empty(), "a pooled buffer is empty");
+                    stream.seqnums = buf;
+                }
+            }
             slot.join(tag, stream.len_total() as u64);
             stream.seqnums.push_back(seqnum);
             // The appending node caches its own record, on every shard
@@ -1111,7 +1134,14 @@ impl<P: Payload> LogService<P> {
             if stream.seqnums.is_empty() {
                 // A finished instance's step log stays in the index for
                 // its offset count alone; it must not pin a buffer too.
-                stream.seqnums = VecDeque::new();
+                // The empty buffer goes to the pool for the next stream
+                // that needs one, or is freed.
+                let buf = std::mem::take(&mut stream.seqnums);
+                if inner.stream_pool.len() < STREAM_POOL_CAP
+                    && (1..=STREAM_POOL_MAX_CAPACITY).contains(&buf.capacity())
+                {
+                    inner.stream_pool.push(buf);
+                }
             }
         }
         inner.freed_scratch.clear();
@@ -1687,6 +1717,78 @@ mod tests {
             assert_eq!(l.current_bytes(), 0.0);
             assert_eq!(l.live_records(), 0);
             assert_eq!(buf.as_slice()[0], 7, "caller's view unaffected");
+        });
+    }
+
+    /// A trim that empties a stream pools its buffer and the next stream
+    /// without one takes it: the buffer arrives empty, so no stream ever
+    /// reads another's seqnums, and the emptied stream keeps its offsets.
+    #[test]
+    fn recycled_stream_buffers_carry_no_earlier_seqnums() {
+        let (mut sim, log) = setup();
+        let l = log;
+        sim.block_on(async move {
+            let (a, b) = (t("a"), t("b"));
+            let pooled = |l: &LogService<String>| l.inner.borrow().stream_pool.len();
+            let read = |tag| {
+                let l = l.clone();
+                async move {
+                    let records = l.read_stream(N0, tag).await;
+                    let records = records.into_iter().map(|r| (r.seqnum, r.payload));
+                    records.collect::<Vec<_>>()
+                }
+            };
+            for i in 0..3 {
+                l.append(N0, vec![a], format!("a{i}")).await;
+            }
+            l.trim(N0, a, SeqNum::MAX).await;
+            assert_eq!(pooled(&l), 1, "the emptied buffer is pooled");
+            let b0 = l.append(N0, vec![b], "b0".into()).await;
+            assert_eq!(pooled(&l), 0, "the new stream took it");
+            assert_eq!(read(b).await, [(b0, "b0".to_string())]);
+            l.trim(N0, b, SeqNum::MAX).await;
+            // A takes back the buffer B used: B's entry is not in it, and
+            // A's next record lands at its untrimmed offset 3.
+            let stale = l.cond_append(N0, vec![a], "a3".into(), a, 2).await;
+            assert!(matches!(stale, CondAppendOutcome::Conflict(_)), "{stale:?}");
+            let out = l.cond_append(N0, vec![a], "a3".into(), a, 3).await;
+            let CondAppendOutcome::Appended(a3) = out else {
+                panic!("{out:?}");
+            };
+            assert_eq!(pooled(&l), 0);
+            assert_eq!(read(a).await, [(a3, "a3".to_string())]);
+            let b1 = l.append(N0, vec![b], "b1".into()).await;
+            assert_eq!(read(b).await, [(b1, "b1".to_string())]);
+            assert_eq!(read(a).await, [(a3, "a3".to_string())]);
+        });
+    }
+
+    /// One trim emptying more streams than the pool holds leaves it at its
+    /// cap; a buffer longer than the pool takes is freed.
+    #[test]
+    fn stream_pool_never_outgrows_its_cap() {
+        let (mut sim, log) = setup();
+        let l = log;
+        sim.block_on(async move {
+            let tags: Vec<Tag> = (0..STREAM_POOL_CAP + 10)
+                .map(|i| Tag::named(TagKind::StepLog, &format!("s{i}")))
+                .collect();
+            for &tag in &tags {
+                l.append(N0, vec![tag], "x".into()).await;
+            }
+            let long = t("long");
+            for _ in 0..=STREAM_POOL_MAX_CAPACITY {
+                l.append(N0, vec![long], "x".into()).await;
+            }
+            l.trim(N0, long, SeqNum::MAX).await;
+            let pooled = l.inner.borrow().stream_pool.len();
+            assert_eq!(pooled, 0, "a long buffer is freed");
+            let trims: Vec<(Tag, SeqNum)> = tags.iter().map(|&tag| (tag, SeqNum::MAX)).collect();
+            l.trim_many(N0, &trims).await;
+            assert_eq!(l.live_records(), 0);
+            let inner = l.inner.borrow();
+            assert_eq!(inner.stream_pool.len(), STREAM_POOL_CAP);
+            assert!(inner.stream_pool.iter().all(VecDeque::is_empty));
         });
     }
 

@@ -38,7 +38,8 @@
 //!   its slot. Hit/miss counts are surfaced in [`OpCounters`].
 //! - **Stream fronts**: a sub-stream's seqnums sit in a `VecDeque`, so
 //!   trimming a prefix is O(removed) and the emptied stream keeps only
-//!   its offset count.
+//!   its offset count; its buffer goes to the service's stream-buffer
+//!   pool for the next stream that needs one.
 //!
 //! The tag index (`streams`) uses the deterministic `FxHashMap`; nothing
 //! iterates it in a behavior-affecting order.

@@ -208,20 +208,19 @@ impl Workload for SyntheticOps {
         let ops = self.ops_per_request;
         let read_ratio = self.read_ratio;
         Rc::new(move |rng, _seq| {
-            let ops: Vec<Value> = (0..ops)
-                .map(|_| {
+            // One table: the op maps share one block of entries.
+            let ops = Value::table(
+                ["read", "obj", "fp"],
+                (0..ops).map(|_| {
                     let is_read = rng.random::<f64>() < read_ratio;
-                    Value::map([
-                        ("obj", Value::Int(rng.random_range(0..objects))),
-                        ("read", Value::Int(i64::from(is_read))),
-                        ("fp", Value::Int(rng.random::<i64>())),
-                    ])
-                })
-                .collect();
-            (
-                "synthetic.ops".to_string(),
-                Value::map([("ops", Value::list(ops))]),
-            )
+                    [
+                        Value::Int(i64::from(is_read)),
+                        Value::Int(rng.random_range(0..objects)),
+                        Value::Int(rng.random::<i64>()),
+                    ]
+                }),
+            );
+            ("synthetic.ops".to_string(), Value::map([("ops", ops)]))
         })
     }
 }

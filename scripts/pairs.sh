@@ -8,10 +8,10 @@
 # checkout, both in one temporary directory (set TMPDIR to move it), then
 # runs `benchmark/run.sh --workload <workload> --seed <seed> --seconds
 # <BENCHMARK.json's run_seconds> --trace 0` on the two alternately, the
-# order flipped each pair. Prints every pair, each side's median and
-# quartiles per host metric, the win count on host_us_per_op (ties count
-# for neither) and whether every virtual and count metric was identical
-# across all runs of both sides. Exits non-zero if one was not or a run's
+# order flipped each pair. Prints every pair, and per host metric each
+# side's median and quartiles and the change's win count (every host
+# metric is lower-better; ties count for neither), then whether every
+# virtual and count metric was identical across all runs of both sides. Exits non-zero if one was not or a run's
 # output check failed.
 #
 # The change side is a copy of benchmark/ with the crates symlinked beside
@@ -50,17 +50,20 @@ def run(side):
     assert result["correct"], out
     runs[side].append({"failed": result["failed"],
                        **{k: m["value"] for k, m in result["metrics"].items()}})
-    return runs[side][-1]["host_us_per_op"]
+    return runs[side][-1]
 
 print(f"== {workload}: {pairs} pairs, parent {ref} vs this checkout, seed {seed}, {seconds} s each")
-wins = losses = 0
+wins = {name: 0 for name in host}
+losses = {name: 0 for name in host}
 for i in range(pairs):
     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
     got = {side: run(side) for side in order}
-    wins += got["change"] < got["parent"]
-    losses += got["change"] > got["parent"]
+    for name in host:
+        wins[name] += got["change"][name] < got["parent"][name]
+        losses[name] += got["change"][name] > got["parent"][name]
     print(f"  pair {i + 1:2d} ({order[0]} first): host_us_per_op "
-          f"parent {got['parent']:.4f}  change {got['change']:.4f}", flush=True)
+          f"parent {got['parent']['host_us_per_op']:.4f}  "
+          f"change {got['change']['host_us_per_op']:.4f}", flush=True)
 
 def summary(side, name):
     v = [r[name] for r in runs[side]]
@@ -70,8 +73,8 @@ def summary(side, name):
 for name in host:
     (p, p1, p3), (c, c1, c3) = summary("parent", name), summary("change", name)
     print(f"  {name:16s} parent {p:.4f} [{p1:.4f} {p3:.4f}]  change {c:.4f} [{c1:.4f} {c3:.4f}]  "
-          f"{(c - p) / p:+.2%} of parent, parent IQR {p3 - p1:.4f}")
-print(f"  change ahead on host_us_per_op in {wins} of {pairs} pairs ({losses} behind)")
+          f"{(c - p) / p:+.2%} of parent, parent IQR {p3 - p1:.4f}, "
+          f"change ahead in {wins[name]} of {pairs} pairs ({losses[name]} behind)")
 moved = sorted(name for name in runs["parent"][0] if name not in host
                and len({r[name] for side in runs for r in runs[side]}) > 1)
 print("  virtual and count metrics: " + (f"MOVED: {moved}" if moved else "identical on every run of both sides"))
