@@ -21,13 +21,14 @@
 //!    version. Keeping the marked record is condition (a).
 //! 4. Trim the global init/finish streams below the watermark.
 //!
-//! A cycle's I/O is batched, so its cost follows round trips, not items:
-//! deletes go out in store batch writes of `BATCH_WRITE_ITEMS` versions,
-//! and every trim of steps 2–4 goes out in one `trim_many` at the end.
+//! A cycle's I/O is batched, so its cost is a fixed number of round
+//! trips, whatever its backlog: the two stream reads of step 1, one
+//! `delete_versions` fan-out of step 3's deletes (concurrent store batch
+//! writes, so it lasts as long as the slowest), and one `trim_many` of
+//! every trim of steps 2–4 at the end.
 
 use hm_common::observe::{Lane, OpCtx};
-use hm_common::{FxHashSet, Key, NodeId, SeqNum, Tag, VersionNum};
-use hm_kvstore::BATCH_WRITE_ITEMS;
+use hm_common::{FxHashSet, NodeId, SeqNum, Tag};
 
 use crate::client::{finish_log_tag, init_log_tag, Client};
 use crate::record::OpRecord;
@@ -136,7 +137,15 @@ impl GarbageCollector {
                 }
             }
         }
-        stats.versions_deleted = self.delete_all(&octx, &version_deletes).await;
+        // An armed context must be followed by its call, so an empty list
+        // issues none (and so for the trims below).
+        if !version_deletes.is_empty() {
+            stats.versions_deleted = self
+                .client
+                .store_as(&octx)
+                .delete_versions(&version_deletes)
+                .await;
+        }
 
         // Step 4: global streams.
         if watermark > SeqNum(1) {
@@ -144,8 +153,6 @@ impl GarbageCollector {
             trims.push((init_log_tag(), upto));
             trims.push((finish_log_tag(), upto));
         }
-        // An armed context must be followed by its call, so an empty list
-        // issues none.
         if !trims.is_empty() {
             self.client.log_as(&octx).trim_many(self.node, &trims).await;
         }
@@ -153,16 +160,6 @@ impl GarbageCollector {
             p.span_end(&octx, Lane::Gc, self.client.ctx().now());
         }
         stats
-    }
-
-    /// Deletes `versions` in batch writes, one round trip per
-    /// [`BATCH_WRITE_ITEMS`]; returns how many existed.
-    async fn delete_all(&self, octx: &OpCtx, versions: &[(Key, VersionNum)]) -> usize {
-        let mut deleted = 0;
-        for batch in versions.chunks(BATCH_WRITE_ITEMS) {
-            deleted += self.client.store_as(octx).delete_versions(batch).await;
-        }
-        deleted
     }
 }
 

@@ -46,7 +46,7 @@ use std::rc::Rc;
 
 use hm_common::FxHashMap;
 
-use hm_common::latency::LatencyModel;
+use hm_common::latency::{LatencyModel, LogNormalLatency};
 use hm_common::metrics::{OpCounters, TimeWeightedGauge};
 use hm_common::observe::{Lane, Phase, Probe, Scope};
 use hm_common::{Key, Value, VersionNum, VersionTuple};
@@ -56,8 +56,9 @@ use hm_substrate::{Ctx, Time};
 /// paper's `S_meta` ("a few dozen bytes", §4.1).
 pub const ITEM_META_BYTES: usize = 32;
 
-/// Items one [`KvStore::delete_versions`] round trip takes at most:
-/// DynamoDB's `BatchWriteItem` limit.
+/// Items one `BatchWriteItem` round trip takes at most (DynamoDB's limit):
+/// [`KvStore::delete_versions`] splits a longer list into batches of this
+/// many, sent concurrently.
 pub const BATCH_WRITE_ITEMS: usize = 25;
 
 /// The latest (single-version) copy of an object, used by Halfmoon-write,
@@ -123,12 +124,27 @@ impl KvStore {
 
     /// One round-trip: opens the operation's scope (under the context its
     /// caller armed, so before the first `await`) and sleeps its latency.
-    async fn pay(&self, name: &'static str, d: hm_common::latency::LogNormalLatency) -> Scope {
+    async fn pay(&self, name: &'static str, d: LogNormalLatency) -> Scope {
+        self.pay_concurrent(name, d, 1).await
+    }
+
+    /// `round_trips` requests sent at once: one scope, one latency drawn
+    /// per request in order, and a sleep until the slowest completes. The
+    /// store is uncapped, so concurrent requests do not queue.
+    async fn pay_concurrent(
+        &self,
+        name: &'static str,
+        d: LogNormalLatency,
+        round_trips: usize,
+    ) -> Scope {
         let scope = match &self.inner.borrow().probe {
             Some(p) => p.begin(Lane::Storage, self.ctx.now(), name, Some(Phase::StoreIo)),
             None => Scope::NONE,
         };
-        let latency = self.ctx.with_rng(|rng| d.sample(rng));
+        let latency = self
+            .ctx
+            .with_rng(|rng| (0..round_trips).map(|_| d.sample(rng)).max())
+            .unwrap_or_default();
         self.ctx.sleep(latency).await;
         scope
     }
@@ -299,17 +315,22 @@ impl KvStore {
         self.delete_versions(&[(key.clone(), version)]).await == 1
     }
 
-    /// Deletes up to [`BATCH_WRITE_ITEMS`] versions in one round trip, as
-    /// DynamoDB's `BatchWriteItem` does: one `db_write` latency for the
-    /// batch, one `db_deletes` and its storage per item. Returns how many of
-    /// the versions existed.
+    /// Deletes any number of versions as concurrent `BatchWriteItem` calls:
+    /// the list splits into batches of [`BATCH_WRITE_ITEMS`], all sent at
+    /// once. Each batch draws one `db_write` latency, at the call's start
+    /// and in batch order; the call completes with the slowest batch, as
+    /// one `db_delete` span, with one `db_deletes` and its storage per
+    /// item. So 1 to 25 items cost exactly one round trip, and an empty
+    /// list returns at once, drawing nothing and opening no span. Returns
+    /// how many of the versions existed.
     pub async fn delete_versions(&self, items: &[(Key, VersionNum)]) -> usize {
-        assert!(
-            items.len() <= BATCH_WRITE_ITEMS,
-            "{} items in one batch write",
-            items.len()
-        );
-        let scope = self.pay("db_delete", self.model.db_write).await;
+        if items.is_empty() {
+            return 0;
+        }
+        let batches = items.len().div_ceil(BATCH_WRITE_ITEMS);
+        let scope = self
+            .pay_concurrent("db_delete", self.model.db_write, batches)
+            .await;
         let deleted = {
             let now = self.ctx.now();
             let mut inner = self.inner.borrow_mut();
@@ -521,12 +542,18 @@ mod tests {
     /// 20 stored versions over five keys; a batch names them and five
     /// versions never written.
     async fn stored_versions(s: &KvStore) -> Vec<(Key, VersionNum)> {
+        versions_named(s, BATCH_WRITE_ITEMS as u64).await
+    }
+
+    /// `named` versions over five keys, of which the first four fifths
+    /// are stored.
+    async fn versions_named(s: &KvStore, named: u64) -> Vec<(Key, VersionNum)> {
         let keys: Vec<Key> = (0..5).map(|i| Key::new(format!("o{i}"))).collect();
-        for i in 0..20u64 {
+        for i in 0..named * 4 / 5 {
             let value = Value::blob(10 + i as usize, 1);
             s.put_version(&keys[i as usize % 5], VersionNum(i), value).await;
         }
-        (0..BATCH_WRITE_ITEMS as u64)
+        (0..named)
             .map(|i| (keys[i as usize % 5].clone(), VersionNum(i)))
             .collect()
     }
@@ -571,6 +598,63 @@ mod tests {
         });
         assert_eq!(store.current_bytes().to_bits(), batched.current_bytes().to_bits());
         assert_eq!(store.counters(), batched.counters());
+    }
+
+    /// 76 items are four batch writes sent at once: four `db_write` draws
+    /// in batch order, the call as long as the slowest, and the store left
+    /// as 76 single deletes leave it. The twin runs the same setup on an
+    /// identically seeded `Sim` and draws the four latencies itself.
+    #[test]
+    fn a_long_delete_list_fans_out_as_concurrent_batches() {
+        let model = LatencyModel::calibrated();
+        let mut sim = Sim::new(7);
+        let store = KvStore::new(sim.ctx(), model);
+        let singles = KvStore::new(sim.ctx(), model);
+        let (s, one, ctx) = (store.clone(), singles.clone(), sim.ctx());
+        let (elapsed, next) = sim.block_on(async move {
+            let items = versions_named(&s, 76).await;
+            let (before, start) = (s.counters(), ctx.now());
+            assert_eq!(s.delete_versions(&items).await, 60, "only stored versions count");
+            let elapsed = ctx.now() - start;
+            assert_eq!(s.counters().db_deletes - before.db_deletes, 76);
+            let next = ctx.with_rng(|rng| model.db_write.sample(rng));
+            versions_named(&one, 76).await;
+            for (key, version) in &items {
+                one.delete_version(key, *version).await;
+            }
+            (elapsed, next)
+        });
+        assert_eq!(store.current_bytes().to_bits(), singles.current_bytes().to_bits());
+        assert_eq!(store.version_count(), 0);
+        assert_eq!(store.counters(), singles.counters());
+
+        let mut twin = Sim::new(7);
+        let (t, tctx) = (KvStore::new(twin.ctx(), model), twin.ctx());
+        let (draws, twin_next) = twin.block_on(async move {
+            versions_named(&t, 76).await;
+            let draws: Vec<Time> =
+                (0..4).map(|_| tctx.with_rng(|rng| model.db_write.sample(rng))).collect();
+            (draws, tctx.with_rng(|rng| model.db_write.sample(rng)))
+        });
+        assert_eq!(Some(elapsed), draws.iter().copied().max(), "the slowest of four draws");
+        assert!(draws.iter().any(|d| *d < elapsed), "four distinct draws, not one");
+        assert_eq!(next, twin_next, "exactly four draws were taken");
+    }
+
+    #[test]
+    fn an_empty_delete_list_takes_no_time_and_draws_nothing() {
+        let model = LatencyModel::calibrated();
+        let mut sim = Sim::new(7);
+        let store = KvStore::new(sim.ctx(), model);
+        let (s, ctx) = (store.clone(), sim.ctx());
+        let next = sim.block_on(async move {
+            assert_eq!(s.delete_versions(&[]).await, 0);
+            ctx.with_rng(|rng| model.db_write.sample(rng))
+        });
+        assert_eq!(sim.now(), Time::ZERO);
+        assert_eq!(store.counters(), OpCounters::default());
+        let twin = Sim::new(7);
+        assert_eq!(next, twin.ctx().with_rng(|rng| model.db_write.sample(rng)));
     }
 
     #[test]

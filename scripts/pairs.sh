@@ -10,9 +10,12 @@
 # <BENCHMARK.json's run_seconds> --trace 0` on the two alternately, the
 # order flipped each pair. Prints every pair, and per host metric each
 # side's median and quartiles and the change's win count (every host
-# metric is lower-better; ties count for neither), then whether every
-# virtual and count metric was identical across all runs of both sides. Exits non-zero if one was not or a run's
-# output check failed.
+# metric is lower-better; ties count for neither), then every virtual and
+# count metric that is not identical across all runs of both sides: one
+# that moved between the sides with its parent and change values, one
+# that disagrees among one side's own runs (nondeterminism) with that
+# side's values. Exits non-zero if any metric was not identical or a
+# run's output check failed.
 #
 # The change side is a copy of benchmark/ with the crates symlinked beside
 # it, so uncommitted edits are measured and benchmark/Cargo.lock, which an
@@ -75,8 +78,20 @@ for name in host:
     print(f"  {name:16s} parent {p:.4f} [{p1:.4f} {p3:.4f}]  change {c:.4f} [{c1:.4f} {c3:.4f}]  "
           f"{(c - p) / p:+.2%} of parent, parent IQR {p3 - p1:.4f}, "
           f"change ahead in {wins[name]} of {pairs} pairs ({losses[name]} behind)")
-moved = sorted(name for name in runs["parent"][0] if name not in host
-               and len({r[name] for side in runs for r in runs[side]}) > 1)
-print("  virtual and count metrics: " + (f"MOVED: {moved}" if moved else "identical on every run of both sides"))
-sys.exit(1 if moved else 0)
+def seen(side, name):
+    return sorted({r[name] for r in runs[side]})
+
+exact = sorted(name for name in runs["parent"][0] if name not in host)
+unsteady = [(side, name) for name in exact for side in runs if len(seen(side, name)) > 1]
+moved = [name for name in exact if name not in {n for _, n in unsteady}
+         and seen("parent", name) != seen("change", name)]
+for side, name in unsteady:
+    print(f"  NONDETERMINISTIC {name}: the {side}'s runs read {seen(side, name)}")
+for name in moved:
+    (p,), (c,) = seen("parent", name), seen("change", name)
+    change = f" ({(c - p) / p:+.2%})" if p else ""
+    print(f"  MOVED {name}: parent {p:.6f} -> change {c:.6f}{change}")
+if not unsteady and not moved:
+    print("  virtual and count metrics: identical on every run of both sides")
+sys.exit(1 if unsteady or moved else 0)
 PY

@@ -447,13 +447,8 @@ fn child_invoke_after_the_runtime_is_gone_is_a_config_error() {
 }
 
 /// `steady_mixed`'s deployment: the ten-op 50/50 function on Halfmoon-read
-/// at 1 000 req/s for 5 s, collected every second. Every scheduled cycle
-/// finishes inside its interval. A cycle leaves each written key its
-/// latest version below the watermark plus what was written since, so a
-/// collector at most one cycle behind holds under one version per written
-/// key plus two intervals' worth of writes at the end.
-#[test]
-fn the_collector_keeps_up_with_a_steady_load() {
+/// at 1 000 req/s for `seconds`, collected every second if `gc` is set.
+fn steady_load(seconds: u64, gc: bool) -> (Sim, Client, Option<GcDriver>) {
     let workload = SyntheticOps::default();
     let mut sim = Sim::new(20_230_923);
     let client = Client::builder(sim.ctx())
@@ -462,24 +457,55 @@ fn the_collector_keeps_up_with_a_steady_load() {
     workload.populate(&client);
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
     workload.register(&runtime);
-    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(1));
+    let gc = gc.then(|| GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(1)));
     let gateway = Gateway::new(runtime);
     let spec = LoadSpec {
         rate_per_sec: 1000.0,
-        duration: Duration::from_secs(5),
+        duration: Duration::from_secs(seconds),
         warmup: Duration::ZERO,
         factory: workload.factory(),
     };
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    gc.stop();
     assert_eq!(report.errors, 0);
-    assert!(gc.cycles() >= 4, "{} of 5 scheduled cycles completed", gc.cycles());
+    (sim, client, gc)
+}
+
+/// Every scheduled cycle of a 5 s load finishes inside its interval. A
+/// cycle leaves each written key its latest version below the watermark
+/// plus what was written since, so a collector that keeps up holds under
+/// one version per written key plus one interval's worth of writes at
+/// the end.
+#[test]
+fn the_collector_keeps_up_with_a_steady_load() {
+    let (_sim, client, gc) = steady_load(5, true);
+    let gc = gc.expect("collected");
+    gc.stop();
+    assert_eq!(gc.cycles(), 5, "{} of 5 scheduled cycles completed", gc.cycles());
     let versions = client.store().version_count();
     let keys = client.written_keys().len();
     let per_interval = client.store().counters().db_writes as usize / 5;
     assert!(
-        versions < keys + 2 * per_interval,
+        versions < keys + per_interval,
         "{versions} live versions of {keys} keys, {per_interval} written per interval"
+    );
+}
+
+/// A cycle's cost does not grow with its backlog: one `collect` over
+/// seconds of uncollected writes sends its thousands of version deletes
+/// as one fan-out of concurrent batch writes, so it lasts a handful of
+/// round trips, where one batch after another would take over 100 ms.
+#[test]
+fn one_cycle_over_a_large_backlog_costs_a_fixed_number_of_round_trips() {
+    let (mut sim, client, _) = steady_load(3, false);
+    let collector = GarbageCollector::new(client, NodeId(0));
+    let start = sim.now();
+    let stats = sim.block_on(async move { collector.collect().await });
+    let elapsed = sim.now() - start;
+    assert!(stats.versions_deleted >= 2_500, "{} versions deleted", stats.versions_deleted);
+    assert!(
+        elapsed <= Duration::from_millis(15),
+        "{elapsed:?} to delete {} versions",
+        stats.versions_deleted
     );
 }
 
