@@ -21,18 +21,44 @@
 //!   next successful write to the same object; each read must then return
 //!   the latest preceding *effective* write.
 //!
+//! # Storage and cost
+//!
+//! The recorder stores each event packed in 48 bytes: instance ids and
+//! keys are interned to `u32` in per-recorder tables, `at` is `u64`
+//! nanoseconds, one `u64` holds the logical timestamp, commit seqnum or
+//! version cursor, and `u32`s hold attempt, pc and version counter beside
+//! a kind byte and a flag byte. [`Recorder::events`] materialises the
+//! public [`Event`]s on demand. The checkers never copy the history: each
+//! walks a sort of `u32` entry indices, O(n log n) time and 4 bytes per
+//! event:
+//!
+//! - *program order*, by (instance id value, pc, recording index), for
+//!   the stability, determinism, raw-write, monotonic-read and
+//!   read-your-writes checks and for Proposition 4.7's reads: a counting
+//!   sort by instance (8 more bytes per instance), computed once and kept
+//!   until the next event is recorded;
+//! - the versioned writes by (key, commit), searched by Proposition 4.7;
+//! - the applied conditional writes and fresh reads by `at`, ties in
+//!   recording order, walked by Proposition 4.8.
+//!
 //! All checkers are *trace-invariant*: they judge per-instance program
 //! order and log (seqnum/timestamp) order, never the wall-clock
 //! interleaving of commuting operations on disjoint keys. This is a
 //! soundness requirement of the model checker's sleep-set pruning
 //! (DESIGN.md §18) — two executions that differ only by swapping
 //! independent adjacent actions must receive the same verdict, so the
-//! explorer may run just one of them.
+//! explorer may run just one of them. Sorting by the instance id's value
+//! rather than its intern index keeps the verdict *and* the message of
+//! every checker independent of how instances interleaved in recording
+//! order: each reports the violation first in program order (Proposition
+//! 4.8: first by `at`).
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{Ref, RefCell};
+use std::collections::hash_map;
+use std::hash::{Hash, Hasher};
 
-use hm_common::{FxHashMap, FxHashSet, InstanceId, Key, SeqNum, Value, VersionTuple};
+use hm_common::collections::FxHasher;
+use hm_common::{FxHashMap, InstanceId, Key, SeqNum, Value, VersionTuple};
 use hm_substrate::Time;
 
 /// What one recorded operation did.
@@ -110,17 +136,245 @@ pub struct Event {
     pub kind: EventKind,
 }
 
+/// Which [`EventKind`] a packed [`Entry`] holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    Read,
+    VersionedWrite,
+    CondWrite,
+    RawWrite,
+    Invoke,
+}
+
+/// One event as the recorder stores it. `obj` is the interned key, or the
+/// interned callee of an `Invoke`. `seq` is a read's logical timestamp, a
+/// versioned write's commit or a conditional write's version cursor, and
+/// `counter` that version's counter. `flag` is a read's `fresh` or a
+/// conditional write's `applied`.
+struct Entry {
+    at: u64,
+    seq: u64,
+    fp: u64,
+    instance: u32,
+    obj: u32,
+    attempt: u32,
+    pc: u32,
+    counter: u32,
+    tag: Tag,
+    flag: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() <= 48);
+
+impl Entry {
+    fn version(&self) -> VersionTuple {
+        VersionTuple::new(SeqNum(self.seq), self.counter)
+    }
+}
+
+fn same_instance(a: &Entry, b: &Entry) -> bool {
+    a.instance == b.instance
+}
+
+fn same_op(a: &Entry, b: &Entry) -> bool {
+    a.instance == b.instance && a.pc == b.pc
+}
+
+/// Distinct values, numbered in order of first sight.
+struct Interner<T> {
+    ids: FxHashMap<Mixed<T>, u32>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Interner<T> {
+    fn default() -> Self {
+        Interner {
+            ids: FxHashMap::default(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T: Clone + Eq + Hash> Interner<T> {
+    fn intern(&mut self, value: &T) -> u32 {
+        match self.ids.entry(Mixed(value.clone())) {
+            hash_map::Entry::Occupied(known) => *known.get(),
+            hash_map::Entry::Vacant(new) => {
+                let id = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
+                self.values.push(value.clone());
+                *new.insert(id)
+            }
+        }
+    }
+}
+
+/// A value whose FxHash has its halves swapped. The table picks a bucket
+/// from a hash's low bits, and FxHash's low bits see only a short key's
+/// first bytes, which one workload's keys share (`o0001234`): hashed as
+/// is, thousands of such keys pile into a few buckets and every lookup
+/// probes a long run. Every byte reaches the high half.
+#[derive(PartialEq, Eq)]
+struct Mixed<T>(T);
+
+impl<T: Hash> Hash for Mixed<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let mut fx = FxHasher::default();
+        self.0.hash(&mut fx);
+        state.write_u64(fx.finish().rotate_left(32));
+    }
+}
+
+/// The packed events and the tables their ids index.
+#[derive(Default)]
+struct History {
+    entries: Vec<Entry>,
+    instances: Interner<InstanceId>,
+    keys: Interner<Key>,
+    /// Base-value fingerprint per interned key; [`NULL_FP`] past its end.
+    base: Vec<u64>,
+}
+
+impl History {
+    fn pack(&mut self, event: Event) -> Entry {
+        let (tag, obj, fp, seq, counter, flag) = match event.kind {
+            EventKind::Read {
+                key,
+                fp,
+                logical,
+                fresh,
+            } => (Tag::Read, self.keys.intern(&key), fp, logical.0, 0, fresh),
+            EventKind::VersionedWrite { key, fp, commit } => (
+                Tag::VersionedWrite,
+                self.keys.intern(&key),
+                fp,
+                commit.0,
+                0,
+                false,
+            ),
+            EventKind::CondWrite {
+                key,
+                fp,
+                version,
+                applied,
+            } => (
+                Tag::CondWrite,
+                self.keys.intern(&key),
+                fp,
+                version.cursor.0,
+                version.counter,
+                applied,
+            ),
+            EventKind::RawWrite { key, fp } => {
+                (Tag::RawWrite, self.keys.intern(&key), fp, 0, 0, false)
+            }
+            EventKind::Invoke { callee, fp } => {
+                (Tag::Invoke, self.instances.intern(&callee), fp, 0, 0, false)
+            }
+        };
+        Entry {
+            // Saturates 584 years into virtual time.
+            at: u64::try_from(event.at.as_nanos()).unwrap_or(u64::MAX),
+            seq,
+            fp,
+            instance: self.instances.intern(&event.instance),
+            obj,
+            attempt: event.attempt,
+            pc: event.pc,
+            counter,
+            tag,
+            flag,
+        }
+    }
+
+    fn event(&self, e: &Entry) -> Event {
+        let kind = match e.tag {
+            Tag::Read => EventKind::Read {
+                key: self.key(e).clone(),
+                fp: e.fp,
+                logical: SeqNum(e.seq),
+                fresh: e.flag,
+            },
+            Tag::VersionedWrite => EventKind::VersionedWrite {
+                key: self.key(e).clone(),
+                fp: e.fp,
+                commit: SeqNum(e.seq),
+            },
+            Tag::CondWrite => EventKind::CondWrite {
+                key: self.key(e).clone(),
+                fp: e.fp,
+                version: e.version(),
+                applied: e.flag,
+            },
+            Tag::RawWrite => EventKind::RawWrite {
+                key: self.key(e).clone(),
+                fp: e.fp,
+            },
+            Tag::Invoke => EventKind::Invoke {
+                callee: self.instances.values[e.obj as usize],
+                fp: e.fp,
+            },
+        };
+        Event {
+            instance: self.instance(e),
+            attempt: e.attempt,
+            pc: e.pc,
+            at: Time::from_nanos(e.at),
+            kind,
+        }
+    }
+
+    fn entry(&self, index: u32) -> &Entry {
+        &self.entries[index as usize]
+    }
+
+    fn instance(&self, e: &Entry) -> InstanceId {
+        self.instances.values[e.instance as usize]
+    }
+
+    fn key(&self, e: &Entry) -> &Key {
+        &self.keys.values[e.obj as usize]
+    }
+
+    fn base_fp(&self, e: &Entry) -> u64 {
+        self.base.get(e.obj as usize).copied().unwrap_or(NULL_FP)
+    }
+
+    /// The entries at `indices` that hold `tag`, in order.
+    fn tagged<'a>(&'a self, indices: &'a [u32], tag: Tag) -> impl Iterator<Item = &'a Entry> {
+        indices
+            .iter()
+            .map(move |&i| self.entry(i))
+            .filter(move |e| e.tag == tag)
+    }
+
+    /// Indices of the entries `keep` selects, sorted by `key`.
+    fn sorted_by<K: Ord>(
+        &self,
+        keep: impl Fn(&Entry) -> bool,
+        key: impl Fn(u32, &Entry) -> K,
+    ) -> Vec<u32> {
+        let mut indices = Vec::with_capacity(self.entries.iter().filter(|e| keep(e)).count());
+        indices.extend((0..self.entries.len() as u32).filter(|&i| keep(self.entry(i))));
+        indices.sort_unstable_by_key(|&i| key(i, self.entry(i)));
+        indices
+    }
+}
+
 /// Collects events and base state; shared via `Rc`.
 #[derive(Default)]
 pub struct Recorder {
-    events: RefCell<Vec<Event>>,
-    base: RefCell<FxHashMap<Key, u64>>,
+    history: RefCell<History>,
+    /// Entry indices in program order, kept until the next event.
+    program_order: RefCell<Vec<u32>>,
 }
 
 /// Fingerprint value representing "key absent / never written".
 const NULL_FP: u64 = 0x4e55_4c4c;
 
 impl Recorder {
+    /// Bytes one recorded event occupies in the recorder.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
+
     /// Creates an empty recorder.
     #[must_use]
     pub fn new() -> Recorder {
@@ -129,85 +383,148 @@ impl Recorder {
 
     /// Registers the populated base value of a key.
     pub fn set_base(&self, key: &Key, value: &Value) {
-        self.base
-            .borrow_mut()
-            .insert(key.clone(), value.fingerprint());
+        let mut h = self.history.borrow_mut();
+        let id = h.keys.intern(key) as usize;
+        if h.base.len() <= id {
+            h.base.resize(id + 1, NULL_FP);
+        }
+        h.base[id] = value.fingerprint();
     }
 
     /// Appends an event.
     pub fn record(&self, event: Event) {
-        self.events.borrow_mut().push(event);
+        let mut h = self.history.borrow_mut();
+        // Entry indices are `u32`s.
+        assert!(h.entries.len() < u32::MAX as usize, "2^32 events recorded");
+        let entry = h.pack(event);
+        h.entries.push(entry);
     }
 
     /// Snapshot of all events in recording order (== virtual-time order).
     #[must_use]
     pub fn events(&self) -> Vec<Event> {
-        self.events.borrow().clone()
+        let h = self.history.borrow();
+        h.entries.iter().map(|e| h.event(e)).collect()
     }
 
     /// Number of recorded events.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.events.borrow().len()
+        self.history.borrow().entries.len()
     }
 
     /// True if nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.events.borrow().is_empty()
+        self.len() == 0
     }
 
-    fn base_fp(&self, key: &Key) -> u64 {
-        self.base.borrow().get(key).copied().unwrap_or(NULL_FP)
+    /// Entry indices sorted by (instance id value, pc, recording index):
+    /// each instance's operations in program order, each operation's
+    /// attempts in recording order.
+    ///
+    /// A counting sort by instance, then a sort of each instance's short
+    /// run by pc: comparing entries directly would reach into the whole
+    /// entry array at random on every comparison.
+    fn program_order(&self) -> Ref<'_, [u32]> {
+        let h = self.history.borrow();
+        if self.program_order.borrow().len() != h.entries.len() {
+            let mut order = self.program_order.borrow_mut();
+            let instances = &h.instances.values;
+            let mut ranked: Vec<u32> = (0..instances.len() as u32).collect();
+            ranked.sort_unstable_by_key(|&i| instances[i as usize].0);
+            // Per interned instance: its entry count, then where its run
+            // starts, then where it ends.
+            let mut bound = vec![0u32; instances.len()];
+            for e in &h.entries {
+                bound[e.instance as usize] += 1;
+            }
+            let mut start = 0;
+            for &i in &ranked {
+                let count = bound[i as usize];
+                bound[i as usize] = start;
+                start += count;
+            }
+            order.clear();
+            order.resize(h.entries.len(), 0);
+            for (index, e) in h.entries.iter().enumerate() {
+                let slot = &mut bound[e.instance as usize];
+                order[*slot as usize] = index as u32;
+                *slot += 1;
+            }
+            let mut start = 0;
+            for &i in &ranked {
+                let end = bound[i as usize] as usize;
+                order[start..end].sort_unstable_by_key(|&index| (h.entry(index).pc, index));
+                start = end;
+            }
+        }
+        Ref::map(self.program_order.borrow(), Vec::as_slice)
+    }
+
+    /// Runs `check` over the runs of program order that `same` groups
+    /// (one operation, or one instance), stopping at its first complaint.
+    fn check_runs(
+        &self,
+        same: fn(&Entry, &Entry) -> bool,
+        mut check: impl FnMut(&History, &[u32]) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let h = self.history.borrow();
+        let order = self.program_order();
+        order
+            .chunk_by(|&a, &b| same(h.entry(a), h.entry(b)))
+            .try_for_each(|run| check(&h, run))
     }
 
     /// Checks read idempotence: for every `(instance, pc)` read, all
     /// attempts returned the same value.
     ///
     /// # Errors
-    /// Returns a description of the first violating operation.
+    /// Returns a description of the violating operation first in program
+    /// order.
     pub fn check_read_stability(&self) -> Result<(), String> {
-        let mut seen: FxHashMap<(InstanceId, u32), u64> = FxHashMap::default();
-        for e in self.events.borrow().iter() {
-            if let EventKind::Read { fp, key, .. } = &e.kind {
-                match seen.insert((e.instance, e.pc), *fp) {
-                    Some(prev) if prev != *fp => {
-                        return Err(format!(
-                            "read at {:?} pc {} of {:?} returned fp {:x} then {:x}",
-                            e.instance, e.pc, key, prev, fp
-                        ));
-                    }
-                    _ => {}
-                }
+        self.check_runs(same_op, |h, op| {
+            let mut reads = h.tagged(op, Tag::Read);
+            let Some(first) = reads.next() else {
+                return Ok(());
+            };
+            match reads.find(|e| e.fp != first.fp) {
+                Some(e) => Err(format!(
+                    "read at {:?} pc {} of {:?} returned fp {:x} then {:x}",
+                    h.instance(e),
+                    e.pc,
+                    h.key(e),
+                    first.fp,
+                    e.fp
+                )),
+                None => Ok(()),
             }
-        }
-        Ok(())
+        })
     }
 
     /// Checks invoke idempotence: all attempts of one `(instance, pc)`
     /// invocation used the same callee id and saw the same result.
     ///
     /// # Errors
-    /// Returns a description of the first violating operation.
+    /// Returns a description of the violating operation first in program
+    /// order.
     pub fn check_invoke_stability(&self) -> Result<(), String> {
-        let mut seen: FxHashMap<(InstanceId, u32), (InstanceId, u64)> = FxHashMap::default();
-        for e in self.events.borrow().iter() {
-            if let EventKind::Invoke { callee, fp } = &e.kind {
-                match seen.insert((e.instance, e.pc), (*callee, *fp)) {
-                    Some(prev) if prev != (*callee, *fp) => {
-                        return Err(format!(
-                            "invoke at {:?} pc {}: {:?} then {:?}",
-                            e.instance,
-                            e.pc,
-                            prev,
-                            (*callee, *fp)
-                        ));
-                    }
-                    _ => {}
-                }
+        self.check_runs(same_op, |h, op| {
+            let mut invokes = h.tagged(op, Tag::Invoke);
+            let Some(first) = invokes.next() else {
+                return Ok(());
+            };
+            match invokes.find(|e| (e.obj, e.fp) != (first.obj, first.fp)) {
+                Some(e) => Err(format!(
+                    "invoke at {:?} pc {}: {:?} then {:?}",
+                    h.instance(e),
+                    e.pc,
+                    (h.instances.values[first.obj as usize], first.fp),
+                    (h.instances.values[e.obj as usize], e.fp)
+                )),
+                None => Ok(()),
             }
-        }
-        Ok(())
+        })
     }
 
     /// Checks write idempotence (§2): every attempt of one logical write
@@ -219,50 +536,55 @@ impl Recorder {
     /// one attempt may have `applied == true`.
     ///
     /// # Errors
-    /// Returns a description of the first violating operation.
+    /// Returns a description of the violating operation first in program
+    /// order.
     pub fn check_write_determinism(&self) -> Result<(), String> {
-        let mut versioned: FxHashMap<(InstanceId, u32), SeqNum> = FxHashMap::default();
-        let mut cond: FxHashMap<(InstanceId, u32), (VersionTuple, u32)> = FxHashMap::default();
-        for e in self.events.borrow().iter() {
-            match &e.kind {
-                EventKind::VersionedWrite { commit, key, .. } => {
-                    match versioned.insert((e.instance, e.pc), *commit) {
-                        Some(prev) if prev != *commit => {
+        self.check_runs(same_op, |h, op| {
+            let (mut commit, mut version, mut applied) = (None, None, 0);
+            for &i in op {
+                let e = h.entry(i);
+                match e.tag {
+                    Tag::VersionedWrite => {
+                        let first = *commit.get_or_insert(e.seq);
+                        if first != e.seq {
                             return Err(format!(
                                 "versioned write {:?} pc {} of {:?}: commit {:?} then {:?}",
-                                e.instance, e.pc, key, prev, commit
+                                h.instance(e),
+                                e.pc,
+                                h.key(e),
+                                SeqNum(first),
+                                SeqNum(e.seq)
                             ));
                         }
-                        _ => {}
                     }
-                }
-                EventKind::CondWrite {
-                    version,
-                    applied,
-                    key,
-                    ..
-                } => {
-                    let entry = cond.entry((e.instance, e.pc)).or_insert((*version, 0));
-                    if entry.0 != *version {
-                        return Err(format!(
-                            "conditional write {:?} pc {} of {:?}: version {:?} then {:?}",
-                            e.instance, e.pc, key, entry.0, version
-                        ));
-                    }
-                    if *applied {
-                        entry.1 += 1;
-                        if entry.1 > 1 {
+                    Tag::CondWrite => {
+                        let first = *version.get_or_insert(e.version());
+                        if first != e.version() {
+                            return Err(format!(
+                                "conditional write {:?} pc {} of {:?}: version {:?} then {:?}",
+                                h.instance(e),
+                                e.pc,
+                                h.key(e),
+                                first,
+                                e.version()
+                            ));
+                        }
+                        applied += u32::from(e.flag);
+                        if applied > 1 {
                             return Err(format!(
                                 "conditional write {:?} pc {} of {:?} applied {} times",
-                                e.instance, e.pc, key, entry.1
+                                h.instance(e),
+                                e.pc,
+                                h.key(e),
+                                applied
                             ));
                         }
                     }
+                    _ => {}
                 }
-                _ => {}
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Proposition 4.7 check for Halfmoon-read histories.
@@ -273,40 +595,43 @@ impl Recorder {
     /// or the base value if there is none.
     ///
     /// # Errors
-    /// Returns a description of the first read that observed a value
-    /// inconsistent with the logical-timestamp order.
+    /// Returns a description of the read first in program order that
+    /// observed a value inconsistent with the logical-timestamp order.
     pub fn check_hm_read_sequential_consistency(&self) -> Result<(), String> {
-        // Committed writes per key, ordered by commit seqnum.
-        let mut writes: FxHashMap<Key, BTreeMap<SeqNum, u64>> = FxHashMap::default();
-        for e in self.events.borrow().iter() {
-            if let EventKind::VersionedWrite { key, fp, commit } = &e.kind {
-                writes.entry(key.clone()).or_default().insert(*commit, *fp);
-            }
-        }
-        let mut checked: FxHashSet<(InstanceId, u32)> = FxHashSet::default();
-        for e in self.events.borrow().iter() {
-            let EventKind::Read {
-                key, fp, logical, ..
-            } = &e.kind
-            else {
-                continue;
+        // Committed writes by (key, commit); replays of one commit stay
+        // in recording order, so the last of them wins.
+        let writes = self
+            .history
+            .borrow()
+            .sorted_by(|e| e.tag == Tag::VersionedWrite, |i, e| (e.obj, e.seq, i));
+        self.check_runs(same_op, |h, op| {
+            // Replay attempts are validated by check_read_stability.
+            let Some(read) = h.tagged(op, Tag::Read).next() else {
+                return Ok(());
             };
-            if !checked.insert((e.instance, e.pc)) {
-                continue; // replay attempts validated by check_read_stability
+            let after = writes.partition_point(|&w| {
+                let w = h.entry(w);
+                (w.obj, w.seq) <= (read.obj, read.seq)
+            });
+            let expected = after
+                .checked_sub(1)
+                .map(|p| h.entry(writes[p]))
+                .filter(|w| w.obj == read.obj)
+                .map_or_else(|| h.base_fp(read), |w| w.fp);
+            if expected == read.fp {
+                return Ok(());
             }
-            let expected = writes
-                .get(key)
-                .and_then(|m| m.range(..=*logical).next_back().map(|(_, fp)| *fp))
-                .unwrap_or_else(|| self.base_fp(key));
-            if expected != *fp {
-                return Err(format!(
-                    "SC violation: read of {:?} by {:?} pc {} at cursor {:?} \
-                     returned fp {:x}, expected {:x}",
-                    key, e.instance, e.pc, logical, fp, expected
-                ));
-            }
-        }
-        Ok(())
+            Err(format!(
+                "SC violation: read of {:?} by {:?} pc {} at cursor {:?} \
+                 returned fp {:x}, expected {:x}",
+                h.key(read),
+                h.instance(read),
+                read.pc,
+                SeqNum(read.seq),
+                read.fp,
+                expected
+            ))
+        })
     }
 
     /// Proposition 4.8 check for Halfmoon-write histories.
@@ -325,49 +650,45 @@ impl Recorder {
     /// Returns a description of the first read inconsistent with the
     /// effective order.
     pub fn check_hm_write_order(&self) -> Result<(), String> {
-        // Events sorted by observation time (stable on recording order):
-        // a logged read is recorded after its log append completes but
-        // carries the store-observation instant in `at`.
-        let mut events = self.events();
-        events.sort_by_key(|e| e.at);
-        // Track per-key state along real time: the applied version and fp.
-        let mut state: FxHashMap<Key, (VersionTuple, u64)> = FxHashMap::default();
-        for e in &events {
-            match &e.kind {
-                EventKind::CondWrite {
-                    key,
-                    fp,
-                    version,
-                    applied,
-                } if *applied => {
-                    let cur = state.get(key).map_or(VersionTuple::MIN, |(v, _)| *v);
-                    if *version <= cur && cur != VersionTuple::MIN {
-                        return Err(format!(
-                            "applied write to {:?} with non-increasing version \
-                                 {version:?} after {cur:?}",
-                            key
-                        ));
-                    }
-                    state.insert(key.clone(), (*version, *fp));
+        let h = self.history.borrow();
+        // Applied writes and fresh reads by observation time, ties in
+        // recording order: a logged read is recorded after its log append
+        // completes but carries the store-observation instant in `at`.
+        // Failed conditional writes are reordered before the value stored
+        // when they ran, so they have no visible effect; replayed and
+        // adopted reads are validated by the stability check.
+        let by_time = h.sorted_by(
+            |e| matches!(e.tag, Tag::CondWrite | Tag::Read) && e.flag,
+            |i, e| (e.at, i),
+        );
+        // Per key along real time: the applied version and its fp.
+        let mut state: Vec<Option<(VersionTuple, u64)>> = vec![None; h.keys.values.len()];
+        for &i in &by_time {
+            let e = h.entry(i);
+            let stored = &mut state[e.obj as usize];
+            if e.tag == Tag::CondWrite {
+                let cur = stored.map_or(VersionTuple::MIN, |(v, _)| v);
+                if e.version() <= cur && cur != VersionTuple::MIN {
+                    return Err(format!(
+                        "applied write to {:?} with non-increasing version {:?} after {cur:?}",
+                        h.key(e),
+                        e.version()
+                    ));
                 }
-                // Failed conditional writes are reordered before the
-                // currently-stored value: no visible effect now.
-                EventKind::Read { key, fp, fresh, .. } => {
-                    if !fresh {
-                        continue; // replayed/adopted read: validated by stability
-                    }
-                    let expected = state
-                        .get(key)
-                        .map_or_else(|| self.base_fp(key), |(_, fp)| *fp);
-                    if expected != *fp {
-                        return Err(format!(
-                            "effective-order violation: read of {:?} by {:?} pc {} \
-                             returned fp {:x}, store held {:x}",
-                            key, e.instance, e.pc, fp, expected
-                        ));
-                    }
-                }
-                _ => {}
+                *stored = Some((e.version(), e.fp));
+                continue;
+            }
+            let expected = stored.map_or_else(|| h.base_fp(e), |(_, fp)| fp);
+            if expected != e.fp {
+                return Err(format!(
+                    "effective-order violation: read of {:?} by {:?} pc {} \
+                     returned fp {:x}, store held {:x}",
+                    h.key(e),
+                    h.instance(e),
+                    e.pc,
+                    e.fp,
+                    expected
+                ));
             }
         }
         Ok(())
@@ -380,60 +701,60 @@ impl Recorder {
     /// emits one per write and demonstrably fails this under crashes.
     ///
     /// # Errors
-    /// Returns a description of the first duplicated effect.
+    /// Returns a description of the duplicated effect first in program
+    /// order.
     pub fn check_raw_write_uniqueness(&self) -> Result<(), String> {
-        let mut seen: FxHashMap<(InstanceId, u32), u32> = FxHashMap::default();
-        for e in self.events.borrow().iter() {
-            if let EventKind::RawWrite { key, .. } = &e.kind {
-                let count = seen.entry((e.instance, e.pc)).or_insert(0);
-                *count += 1;
-                if *count > 1 {
-                    return Err(format!(
-                        "raw write at {:?} pc {} of {:?} took effect {} times",
-                        e.instance, e.pc, key, count
-                    ));
-                }
-            }
-        }
-        Ok(())
+        self.check_runs(same_op, |h, op| match h.tagged(op, Tag::RawWrite).nth(1) {
+            Some(e) => Err(format!(
+                "raw write at {:?} pc {} of {:?} took effect 2 times",
+                h.instance(e),
+                e.pc,
+                h.key(e)
+            )),
+            None => Ok(()),
+        })
     }
 
     /// Read-your-writes within one instance: after an instance commits a
-    /// versioned write to `key` at program counter `p`, every later read
-    /// of `key` by the same instance (pc > p) must carry a logical
+    /// versioned write to `key` at program counter `p`, every read of
+    /// `key` by the same instance at a later pc must carry a logical
     /// timestamp at or past that commit — the instance cannot travel back
-    /// before its own write.
+    /// before its own write. Each read, replayed ones included, is held
+    /// against the instance's latest write to its key at a lower pc,
+    /// whenever either was recorded.
     ///
     /// # Errors
-    /// Returns a description of the first read behind its own write.
+    /// Returns a description of the read behind its own write first in
+    /// program order.
     pub fn check_read_your_writes(&self) -> Result<(), String> {
-        // Last committed write per (instance, key): (pc, commit seqnum).
-        let mut writes: FxHashMap<(InstanceId, Key), (u32, SeqNum)> = FxHashMap::default();
-        for e in self.events.borrow().iter() {
-            match &e.kind {
-                EventKind::VersionedWrite { key, commit, .. } => {
-                    let entry = writes
-                        .entry((e.instance, key.clone()))
-                        .or_insert((e.pc, *commit));
-                    if e.pc >= entry.0 {
-                        *entry = (e.pc, *commit);
-                    }
-                }
-                EventKind::Read { key, logical, .. } => {
-                    if let Some((wpc, commit)) = writes.get(&(e.instance, key.clone())) {
-                        if e.pc > *wpc && logical < commit {
+        // Per key of the current instance: (pc, commit) of its latest
+        // write at a lower pc than the operation being checked.
+        let mut writes: FxHashMap<u32, (u32, u64)> = FxHashMap::default();
+        self.check_runs(same_instance, |h, instance| {
+            writes.clear();
+            for op in instance.chunk_by(|&a, &b| h.entry(a).pc == h.entry(b).pc) {
+                for read in h.tagged(op, Tag::Read) {
+                    if let Some(&(wpc, commit)) = writes.get(&read.obj) {
+                        if read.seq < commit {
                             return Err(format!(
                                 "read-your-writes violation: {:?} pc {} read {:?} at \
                                  logical {:?}, behind its own commit {:?} from pc {}",
-                                e.instance, e.pc, key, logical, commit, wpc
+                                h.instance(read),
+                                read.pc,
+                                h.key(read),
+                                SeqNum(read.seq),
+                                SeqNum(commit),
+                                wpc
                             ));
                         }
                     }
                 }
-                _ => {}
+                for write in h.tagged(op, Tag::VersionedWrite) {
+                    writes.insert(write.obj, (write.pc, write.seq));
+                }
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Monotonic reads within one instance: ordering one instance's reads
@@ -447,33 +768,37 @@ impl Recorder {
     /// `(instance, key)` pair that has one, at its smallest pc: one
     /// message per history, whatever the recording order.
     pub fn check_monotonic_reads(&self) -> Result<(), String> {
-        // First-observed logical per (instance, key) and pc, walked in
-        // that order.
-        let mut per_pair: BTreeMap<(InstanceId, Key), BTreeMap<u32, SeqNum>> = BTreeMap::new();
-        for e in self.events.borrow().iter() {
-            if let EventKind::Read { key, logical, .. } = &e.kind {
-                per_pair
-                    .entry((e.instance, key.clone()))
-                    .or_default()
-                    .entry(e.pc)
-                    .or_insert(*logical);
-            }
-        }
-        for ((inst, key), by_pc) in per_pair {
-            let mut last: Option<(u32, SeqNum)> = None;
-            for (pc, logical) in by_pc {
-                if let Some((ppc, plogical)) = last {
-                    if logical < plogical {
-                        return Err(format!(
-                            "monotonic-reads violation: {inst:?} read {key:?} at \
-                             pc {ppc} logical {plogical:?}, then pc {pc} logical {logical:?}"
-                        ));
+        // Per key of the current instance: the (pc, logical) of its last
+        // first-observed read.
+        let mut last: FxHashMap<u32, (u32, u64)> = FxHashMap::default();
+        self.check_runs(same_instance, |h, instance| {
+            last.clear();
+            // The instance's backward read with the smallest (key, pc).
+            let mut worst: Option<(&Key, u32, u32, u64, u64)> = None;
+            for read in h.tagged(instance, Tag::Read) {
+                match last.get(&read.obj) {
+                    Some(&(ppc, _)) if ppc == read.pc => continue,
+                    Some(&(ppc, plogical)) if read.seq < plogical => {
+                        let found = (h.key(read), read.pc, ppc, plogical, read.seq);
+                        if worst.is_none_or(|w| (found.0, found.1) < (w.0, w.1)) {
+                            worst = Some(found);
+                        }
                     }
+                    _ => {}
                 }
-                last = Some((pc, logical));
+                last.insert(read.obj, (read.pc, read.seq));
             }
-        }
-        Ok(())
+            match worst {
+                Some((key, pc, ppc, plogical, logical)) => Err(format!(
+                    "monotonic-reads violation: {:?} read {key:?} at \
+                     pc {ppc} logical {:?}, then pc {pc} logical {:?}",
+                    h.instance(h.entry(instance[0])),
+                    SeqNum(plogical),
+                    SeqNum(logical)
+                )),
+                None => Ok(()),
+            }
+        })
     }
 
     /// Runs every protocol-independent invariant check.
@@ -637,6 +962,53 @@ mod tests {
         assert!(r.check_invoke_stability().is_ok());
         r.record(ev(10, 1));
         assert!(r.check_invoke_stability().is_err());
+    }
+
+    #[test]
+    fn read_your_writes_checks_a_replayed_read_recorded_after_a_later_write() {
+        let r = Recorder::new();
+        r.record(vwrite(1, 3, "x", 0xaa, 10));
+        r.record(read(1, 5, "x", 0xaa, 12));
+        r.record(vwrite(1, 7, "x", 0xbb, 20));
+        assert!(r.check_read_your_writes().is_ok());
+        // A retry re-records the pc-5 read behind the pc-3 commit.
+        let mut replay = read(1, 5, "x", 0xaa, 5);
+        replay.attempt = 1;
+        r.record(replay);
+        let err = r
+            .check_read_your_writes()
+            .expect_err("pc 5 reads behind pc 3");
+        assert!(err.contains("pc 5") && err.contains("from pc 3"), "{err}");
+    }
+
+    #[test]
+    fn events_materialise_what_was_recorded() {
+        let r = Recorder::new();
+        let mut events = vec![
+            read(1, 0, "x", 0xaa, 5),
+            vwrite(2, 1, "y", 0xbb, 7),
+            cwrite(1, 2, "x", 0xcc, (9, 3), true),
+            Event {
+                instance: InstanceId(u128::MAX),
+                attempt: 4,
+                pc: 3,
+                at: Time::new(7, 123_456_789),
+                kind: EventKind::Invoke {
+                    callee: InstanceId(1),
+                    fp: 0xdd,
+                },
+            },
+        ];
+        events[1].kind = EventKind::RawWrite {
+            key: Key::new("y"),
+            fp: 0xbb,
+        };
+        let render = |es: &[Event]| format!("{es:?}");
+        let want = render(&events);
+        for e in events {
+            r.record(e);
+        }
+        assert_eq!(render(&r.events()), want);
     }
 
     #[test]

@@ -37,9 +37,10 @@
 # ww-1s counterexample, and sleep-set pruning removes ≥50% of naive
 # interleavings on the hm-read xy-1s headline row.
 # Benchmark builds: benchmark/ is a workspace of its own that no step above
-# compiles, so a crate change can break it unseen. It is built from a copy
-# (with the crates it depends on symlinked beside it) because an in-place
-# build rewrites benchmark/Cargo.lock. Its end-to-end runs leave every
+# compiles or tests, so a crate change can break it unseen. It is built
+# from a copy (with the crates it depends on symlinked beside it) because
+# an in-place build rewrites benchmark/Cargo.lock, and its unit tests
+# (round.rs, spans.rs, util.rs) run on that copy. Its end-to-end runs leave every
 # observer off, so one short round each of steady_mixed, crash_recovery and
 # log_storm then runs with all four observers attached (a tenth of its
 # length, a quarter for crash_recovery): a non-zero exit or any failed
@@ -100,13 +101,14 @@ grep -q "VIOLATION" "$tmp/explore.txt" || {
     cat "$tmp/explore.txt"; exit 1; }
 echo "model-check smoke ok: FT protocols exhaustively pass; unsafe counterexample replays"
 
-echo "== benchmark builds: benchmark/ against these crates, from a copy =="
+echo "== benchmark builds: benchmark/ against these crates, from a copy, and its unit tests =="
 tar --exclude=benchmark/target --exclude=benchmark/out -cf - benchmark | tar -C "$tmp" -xf -
 # The crates inherit package fields from the root manifest, so cargo must
 # find it above them.
 ln -s "$PWD/Cargo.toml" "$PWD/crates" "$PWD/vendor" "$tmp/"
 cargo build --release --offline --quiet --manifest-path "$tmp/benchmark/Cargo.toml"
-echo "benchmark builds ok"
+cargo test --release --offline -q --manifest-path "$tmp/benchmark/Cargo.toml"
+echo "benchmark builds ok, its unit tests pass"
 
 echo "== benchmark observers: one round per workload, every observer attached =="
 bench="${CARGO_TARGET_DIR:-$tmp/benchmark/target}/release/hm-benchmark"
