@@ -148,7 +148,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"sim_core\",");
-    let _ = writeln!(json, "  \"schema_version\": 7,");
+    let _ = writeln!(json, "  \"schema_version\": 8,");
     let _ = writeln!(json, "  \"scale\": {scale},");
     for (name, _, run) in &components {
         if let Some(detail) = &run.detail {

@@ -17,8 +17,9 @@
 //!   (`wr-1s | ww-1s | xy-1s | xy-2s`); default: all four.
 //! - `--naive` — also run the unpruned enumeration (slower; fills the
 //!   naive-runs and pruned-% columns).
-//! - `--workers <n>` — spread the root frontier over n threads
-//!   (results are identical at every worker count; default 1).
+//! - `--workers <n>` — spread the root frontier over n threads, capped
+//!   at the host's cores (results are identical at every worker count;
+//!   default 1).
 //! - `--assert` — exit nonzero unless the report matches the repo's
 //!   documented claims: all three fault-tolerant protocols explore
 //!   completely with zero violations, the unsafe baseline yields a

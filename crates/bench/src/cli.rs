@@ -126,7 +126,8 @@ pub struct ExploreOpts {
     pub config: Option<String>,
     /// `--naive`: also run the unpruned enumeration.
     pub naive: bool,
-    /// `--workers`: threads the root frontier is spread over (default 1).
+    /// `--workers`: threads the root frontier is spread over, capped at
+    /// the host's cores (default 1).
     pub workers: usize,
     /// `--assert`: check the documented claims.
     pub check: bool,

@@ -11,6 +11,11 @@
 //! drivers: Table 1's raw-append histogram drives a [`LogService`]
 //! directly, and Figure 14 switches protocols under a phase-alternating
 //! generator, which is not an open-loop run.
+//!
+//! A figure's cells are independent seeded runs, so every figure but
+//! Table 1 maps them through [`par_map`] on every core the host has. Each
+//! cell builds its own `Sim`, so the printed output is the same at any
+//! core count.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,7 +31,7 @@ use hm_common::metrics::Histogram;
 use hm_common::{InstanceId, NodeId, StepNum, Tag};
 use hm_runtime::{GcDriver, Runtime, RuntimeConfig};
 use hm_sharedlog::{LogConfig, LogService};
-use hm_substrate::{sim::Sim, Time};
+use hm_substrate::{par_map, sim::Sim, Time};
 use hm_workloads::movie::Movie;
 use hm_workloads::retwis::Retwis;
 use hm_workloads::synthetic::{MicroRw, SyntheticOps};
@@ -238,6 +243,10 @@ const FT: [ProtocolKind; 3] = [Boki, HalfmoonRead, HalfmoonWrite];
 /// The read-ratio sweep of Figures 12 and 13.
 const RATIOS: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
 
+/// The worker count figures pass to [`par_map`], which caps it at the
+/// host's cores.
+const ALL_CORES: usize = usize::MAX;
+
 /// An open-loop run at `rate` on the default runtime: `secs` measured
 /// after `warmup`, GC every `gc`, all three scaled.
 fn open_loop(scale: f64, seed: u64, rate: f64, [secs, warmup, gc]: [f64; 3]) -> AppRun {
@@ -257,20 +266,34 @@ fn ms(v: Option<f64>) -> f64 {
     v.unwrap_or(f64::NAN)
 }
 
+/// Every `(panel, kind, x)` of `panels` × `kinds` × `xs`, in print order:
+/// the cells of a figure whose panels each sweep `xs` per protocol.
+fn grid<P: Copy, X: Copy>(
+    panels: &[P],
+    kinds: &[ProtocolKind],
+    xs: &[X],
+) -> Vec<(P, ProtocolKind, X)> {
+    let mut cells = Vec::new();
+    for &p in panels {
+        for &kind in kinds {
+            cells.extend(xs.iter().map(|&x| (p, kind, x)));
+        }
+    }
+    cells
+}
+
 /// A two-decimal panel with one row per protocol of `kinds` and one column
-/// per `x`, each cell `cell(kind, x)`.
-fn sweep<X: Copy + std::fmt::Display>(
+/// per `x`, filled from `cells` row by row.
+fn sweep<X: std::fmt::Display>(
     title: String,
     corner: &str,
     xs: &[X],
     kinds: &[ProtocolKind],
-    cell: impl Fn(ProtocolKind, X) -> f64,
+    cells: &[f64],
 ) -> Panel {
     let panel = Panel::new(title, corner, xs, 2);
-    kinds.iter().fold(panel, |panel, &kind| {
-        let row: Vec<f64> = xs.iter().map(|&x| cell(kind, x)).collect();
-        panel.row(kind.label(), row)
-    })
+    (kinds.iter().zip(cells.chunks(xs.len())))
+        .fold(panel, |panel, (kind, row)| panel.row(kind.label(), row))
 }
 
 /// The first column at which row `below` drops below row `above`, or `>`
@@ -340,14 +363,16 @@ fn table1(scale: f64) -> Figure {
 /// 1R1W SSF over 10 K objects, measured over (scaled) two minutes.
 fn fig10(scale: f64) -> Figure {
     let params = open_loop(scale, 0xf1610, 100.0, [120.0, 5.0, 10.0]);
-    let runs = SYSTEMS.map(|kind| run_app(&MicroRw::default(), &params, |b| b.protocol(kind)));
+    let runs = par_map(&SYSTEMS, ALL_CORES, |&kind| {
+        run_app(&MicroRw::default(), &params, |b| b.protocol(kind)).op_latencies
+    });
     let panel = |title: &str, op: fn(&OpLatencies) -> &Histogram| {
         let columns = ["median (ms)", "p99 (ms)", "overhead vs raw (%)"];
         let mut panel = Panel::new(title, "system", columns, 2);
         panel.decimals[2] = 0;
-        let raw = ms(op(&runs[0].op_latencies).median_ms());
+        let raw = ms(op(&runs[0]).median_ms());
         SYSTEMS.iter().zip(&runs).fold(panel, |panel, (kind, run)| {
-            let hist = op(&run.op_latencies);
+            let hist = op(run);
             let median = ms(hist.median_ms());
             let overhead = (median / raw - 1.0) * 100.0;
             panel.row(kind.label(), [median, ms(hist.p99_ms()), overhead])
@@ -395,25 +420,28 @@ fn fig10(scale: f64) -> Figure {
 fn fig11(scale: f64) -> Figure {
     let hundreds: Vec<f64> = (1..=9).map(|i| f64::from(i) * 100.0).collect();
     let fifties: Vec<f64> = (1..=9).map(|i| f64::from(i) * 50.0).collect();
-    let apps: [(&dyn Workload, &[f64]); 3] = [
+    let apps: [(&(dyn Workload + Sync), &[f64]); 3] = [
         (&Travel::default(), &hundreds),
         (&Movie::default(), &fifties),
         (&Retwis::default(), &hundreds),
     ];
+    let cells: Vec<_> = (apps.iter())
+        .flat_map(|&(workload, rates)| grid(&[workload], &SYSTEMS, rates))
+        .collect();
+    let mut latencies = par_map(&cells, ALL_CORES, |&(workload, kind, rate)| {
+        // Four request slots per node reproduce the paper's knee position
+        // (EXPERIMENTS.md has the calibration note).
+        let mut params = open_loop(scale, 0xf1611, rate, [30.0, 3.0, 10.0]);
+        params.rt_config.workers_per_node = 4;
+        run_app(workload, &params, |b| b.protocol(kind))
+            .report
+            .latency
+    })
+    .into_iter();
     let (mut panels, mut notes) = (Vec::new(), Vec::new());
     for (workload, rates) in apps {
         let name = workload.name();
-        let latencies = SYSTEMS.map(|kind| {
-            let latency = |&rate: &f64| {
-                // Four request slots per node reproduce the paper's knee
-                // position (EXPERIMENTS.md has the calibration note).
-                let mut params = open_loop(scale, 0xf1611, rate, [30.0, 3.0, 10.0]);
-                params.rt_config.workers_per_node = 4;
-                let out = run_app(workload, &params, |b| b.protocol(kind));
-                out.report.latency
-            };
-            rates.iter().map(latency).collect::<Vec<_>>()
-        });
+        let latencies = SYSTEMS.map(|_| latencies.by_ref().take(rates.len()).collect::<Vec<_>>());
         let panel = |stat: &str, quantile: fn(&Histogram) -> Option<f64>| {
             let title = format!("Figure 11 ({name}): {stat} latency (ms)");
             let panel = Panel::new(title, "system \\ req/s", rates, 2);
@@ -459,29 +487,12 @@ fn fig11(scale: f64) -> Figure {
 /// objects at 100 req/s.
 fn fig12(scale: f64) -> Figure {
     let (mut panels, mut notes) = (Vec::new(), Vec::new());
-    for (value_bytes, gc, label) in [
-        (256usize, 10.0f64, "(a) size=256B, GC=10s"),
-        (256, 60.0, "(b) size=256B, GC=60s"),
-        (1024, 10.0, "(c) size=1KB, GC=10s"),
-        (1024, 60.0, "(d) size=1KB, GC=60s"),
-    ] {
+    let mbs = fig12_cells(scale, &FIG12_PANELS, ALL_CORES);
+    for ((_, _, label), mbs) in FIG12_PANELS.iter().zip(mbs.chunks(FT.len() * RATIOS.len())) {
         let title = format!("Figure 12{label}: avg storage (MB)");
-        let mb = |kind: ProtocolKind, read_ratio| {
-            let workload = SyntheticOps {
-                value_bytes,
-                read_ratio,
-                ..SyntheticOps::default()
-            };
-            // The window must span several GC cycles; warm up past the
-            // first cycle so averages are steady-state.
-            let windows = [(gc * 5.0).max(60.0), gc.max(10.0), gc];
-            let params = open_loop(scale, 0xf1612, 100.0, windows);
-            let out = run_app(&workload, &params, |b| b.protocol(kind));
-            (out.avg_log_bytes + out.avg_store_bytes) / 1e6
-        };
         let panel = Panel {
             chart: Some("avg MB vs read ratio"),
-            ..sweep(title, "system \\ read ratio", &RATIOS, &FT, mb)
+            ..sweep(title, "system \\ read ratio", &RATIOS, &FT, mbs)
         };
         notes.push(format!(
             "{label}: HM-read becomes cheaper at read ratio {} (theory: 0.5+)",
@@ -492,6 +503,38 @@ fn fig12(scale: f64) -> Figure {
     Figure::new("Figure 12: storage overhead vs read ratio", panels, notes)
 }
 
+/// Figure 12's panels: object size (B), GC interval (s), label.
+pub const FIG12_PANELS: [(usize, f64, &str); 4] = [
+    (256, 10.0, "(a) size=256B, GC=10s"),
+    (256, 60.0, "(b) size=256B, GC=60s"),
+    (1024, 10.0, "(c) size=1KB, GC=10s"),
+    (1024, 60.0, "(d) size=1KB, GC=60s"),
+];
+
+/// Figure 12's cells for `panels`, mapped over `workers` threads: the
+/// average storage (MB) of each fault-tolerant protocol at each read
+/// ratio, panel by panel and row by row.
+#[must_use]
+pub fn fig12_cells(scale: f64, panels: &[(usize, f64, &str)], workers: usize) -> Vec<f64> {
+    par_map(
+        &grid(panels, &FT, &RATIOS),
+        workers,
+        |&((value_bytes, gc, _), kind, read_ratio)| {
+            let workload = SyntheticOps {
+                value_bytes,
+                read_ratio,
+                ..SyntheticOps::default()
+            };
+            // The window must span several GC cycles; warm up past the first
+            // cycle so averages are steady-state.
+            let windows = [(gc * 5.0).max(60.0), gc.max(10.0), gc];
+            let params = open_loop(scale, 0xf1612, 100.0, windows);
+            let out = run_app(&workload, &params, |b| b.protocol(kind));
+            (out.avg_log_bytes + out.avg_store_bytes) / 1e6
+        },
+    )
+}
+
 /// **Figure 13**: median latency vs read ratio under four request rates
 /// (§6.3).
 ///
@@ -500,10 +543,11 @@ fn fig12(scale: f64) -> Figure {
 /// barely moves it, and both protocols beat Boki by 1.2–1.5×. The 10-op
 /// synthetic SSF over 10 K objects of 256 B.
 fn fig13(scale: f64) -> Figure {
-    let (mut panels, mut notes) = (Vec::new(), Vec::new());
-    for rate in [100.0, 200.0, 300.0, 400.0] {
-        let title = format!("Figure 13: median latency (ms) at {rate:.0} req/s");
-        let median = |kind: ProtocolKind, read_ratio| {
+    let rates = [100.0, 200.0, 300.0, 400.0];
+    let medians = par_map(
+        &grid(&rates, &FT, &RATIOS),
+        ALL_CORES,
+        |&(rate, kind, read_ratio)| {
             let workload = SyntheticOps {
                 read_ratio,
                 ..SyntheticOps::default()
@@ -511,10 +555,14 @@ fn fig13(scale: f64) -> Figure {
             let params = open_loop(scale, 0xf1613, rate, [30.0, 3.0, 10.0]);
             let out = run_app(&workload, &params, |b| b.protocol(kind));
             ms(out.report.latency.median_ms())
-        };
+        },
+    );
+    let (mut panels, mut notes) = (Vec::new(), Vec::new());
+    for (rate, medians) in rates.iter().zip(medians.chunks(FT.len() * RATIOS.len())) {
+        let title = format!("Figure 13: median latency (ms) at {rate:.0} req/s");
         let panel = Panel {
             chart: Some("median ms vs read ratio"),
-            ..sweep(title, "system \\ read ratio", &RATIOS, &FT, median)
+            ..sweep(title, "system \\ read ratio", &RATIOS, &FT, medians)
         };
         let [boki, hmr, hmw] = FT.map(|kind| panel.row_of(kind.label()));
         let best_vs_boki = boki
@@ -549,7 +597,9 @@ const PHASE: Duration = Duration::from_secs(5);
 fn fig14(_scale: f64) -> Figure {
     let rates = [300.0, 600.0];
     let (timelines, delays): (Vec<Panel>, Vec<[f64; 2]>) =
-        rates.map(switching_run).into_iter().unzip();
+        par_map(&rates, ALL_CORES, |&rate| switching_run(rate))
+            .into_iter()
+            .unzip();
     let delays = Panel::new(
         "Figure 14: switching delay (ms)",
         "switch \\ req/s",
@@ -703,14 +753,17 @@ fn recovery(scale: f64) -> Figure {
         });
         ms(out.report.latency.median_ms())
     };
+    // The last row: Halfmoon-read retries serve replayed log-free reads
+    // from node-local checkpoints.
+    let mut cells = grid(&[false], &FT, &failure_rates);
+    cells.extend(grid(&[true], &[HalfmoonRead], &failure_rates));
+    let medians = par_map(&cells, ALL_CORES, |&(checkpoints, kind, f)| {
+        median(kind, checkpoints, f)
+    });
+    let (plain, checkpointed) = medians.split_at(FT.len() * failure_rates.len());
     let title = "Recovery cost: median request latency (ms)".to_string();
-    let plain = |kind, f| median(kind, false, f);
-    // Halfmoon-read retries serve replayed log-free reads from node-local
-    // checkpoints.
-    let panel = sweep(title, "system \\ f", &failure_rates, &FT, plain).row(
-        "HM-read + checkpoints",
-        failure_rates.map(|f| median(HalfmoonRead, true, f)),
-    );
+    let panel = sweep(title, "system \\ f", &failure_rates, &FT, plain)
+        .row("HM-read + checkpoints", checkpointed);
 
     let boki = panel.row_of(Boki.label());
     let mut notes = Vec::new();
@@ -773,14 +826,19 @@ fn ablations(scale: f64) -> Figure {
         "log appends / request",
         "predicted appends / request",
     ];
-    let (double, single) = (
-        run(HalfmoonRead, |_| {}),
-        run(HalfmoonRead, |c| c.deterministic_versions = true),
-    );
-    let (plain, ordered) = (
-        run(HalfmoonWrite, |_| {}),
-        run(HalfmoonWrite, |c| c.preserve_write_order = true),
-    );
+    type Variant = (ProtocolKind, fn(&mut ProtocolConfig));
+    let variants: [Variant; 4] = [
+        (HalfmoonRead, |_| {}),
+        (HalfmoonRead, |c| c.deterministic_versions = true),
+        (HalfmoonWrite, |_| {}),
+        (HalfmoonWrite, |c| c.preserve_write_order = true),
+    ];
+    let runs = par_map(&variants, ALL_CORES, |&(kind, configure)| {
+        run(kind, configure)
+    });
+    let [double, single, plain, ordered] = runs[..] else {
+        unreachable!("one run per variant")
+    };
     let notes = vec![
         format!(
             "single-log writes save {:.0}% write latency and {:.2} appends/request",
@@ -833,5 +891,18 @@ mod tests {
     )]
     fn unknown_figure_lists_the_known_ones() {
         let _ = super::figure("fig9");
+    }
+
+    /// Each thread fills its own `OBJECT_KEYS` table; the cells must not
+    /// notice which thread ran them.
+    #[test]
+    fn fig12_cells_are_bit_identical_at_one_and_two_workers() {
+        let bits = |workers| {
+            let cells = super::fig12_cells(0.02, &super::FIG12_PANELS[..1], workers);
+            cells.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+        };
+        let one = bits(1);
+        assert_eq!(one.len(), 15);
+        assert_eq!(one, bits(2));
     }
 }

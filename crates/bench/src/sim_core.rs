@@ -2,9 +2,10 @@
 //!
 //! Each component runs a fixed-seed piece of simulated work (executor
 //! timer churn, raw shared-log traffic, full application workloads, the
-//! §7 recovery figure, the admission-knee waterfall, the partitioned
-//! fan-out, the model checker) and returns a [`Run`]: a fingerprint of
-//! the simulated results plus the counts reported beside its wall time.
+//! §7 recovery figure, the admission-knee waterfall, Figure 12's cells
+//! fanned out over threads, the model checker) and returns a [`Run`]: a
+//! fingerprint of the simulated results plus the counts reported beside
+//! its wall time.
 //! Components assert the shapes they exist to show, so a run is its own
 //! regression test.
 //!
@@ -17,7 +18,6 @@
 //! `scale` multiplies workload durations; 1.0 is what the committed
 //! `BENCH_sim_core.json` records.
 
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
@@ -30,7 +30,7 @@ use hm_common::{InstanceId, NodeId, SeqNum, StepNum, Tag, Value};
 use hm_runtime::RuntimeConfig;
 use hm_sharedlog::{LogConfig, LogService, Payload, Topology};
 use hm_substrate::sim::Sim;
-use hm_substrate::{Ctx, JoinHandle, Partition, PartitionFuture, Runner};
+use hm_substrate::{Ctx, JoinHandle};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 
@@ -42,9 +42,8 @@ pub struct Run {
     /// Simulated-result fingerprint; must be identical across builds.
     pub fingerprint: u64,
     /// Future polls driven by the component's executors. 0 where no `Sim`
-    /// is in reach: `app` and `recovery` leave theirs inside [`run_app`],
-    /// the fan-out's live on worker threads, and each model-checker run
-    /// owns its own.
+    /// is in reach: `app`, `recovery` and `parallel_scaling` leave theirs
+    /// inside [`run_app`], and each model-checker run owns its own.
     pub polls: u64,
     /// Most timers any of the component's executors held pending at once
     /// (`Sim::peak_timers`): the depth the timer heap is sized against.
@@ -810,105 +809,47 @@ pub fn admission_knee(scale: f64) -> Run {
     run
 }
 
-/// Core scaling: the same multi-tenant deployment driven as a partitioned
-/// fan-out at 1/2/4/8 worker threads.
+/// Core scaling: Figure 12 panel (a)'s 15 cells at 5 % of `scale`,
+/// mapped over one and then two worker threads by
+/// [`par_map`](hm_substrate::par_map).
 ///
-/// Sixteen tenant slices — each a complete single-shard deployment with
-/// its own log service and writer pool, tenant `t` pinned to partition
-/// `t % 8` — run as eight independent `Sim`s. The per-partition results
-/// are asserted byte-identical across every worker count (the fan-out's
-/// determinism contract: workers change wall time, never results), and
-/// the wall time per worker count is reported alongside the host's core
-/// count. The fan-out never uses more threads than cores, so on a
-/// single-core host every row is the sequential run. `cores` says how many
-/// cores the host has; `cores_delivered`, a two-thread CPU probe timed
-/// just before and just after the sweep, says how many it actually ran in
-/// parallel meanwhile. `scripts/verify.sh` floors the speedup by the
-/// latter, so a shared host that withholds a core lowers the floor along
-/// with the speedup.
+/// The cells' values are asserted bit-identical at both worker counts
+/// (workers change wall time, never results), and the wall time of each
+/// is reported beside the host's core count. `par_map` never uses more
+/// threads than cores, so on a single-core host both rows are the
+/// sequential run. `cores_delivered`, a two-thread CPU probe timed just
+/// before and just after the sweep, says how many cores the host actually
+/// ran in parallel meanwhile. `scripts/verify.sh` floors the speedup by
+/// it, so a shared host that withholds a core lowers the floor along with
+/// the speedup.
 #[must_use]
 pub fn parallel_scaling(scale: f64) -> Run {
-    let partitions = 8usize;
-    let tenants = 16usize;
-    let writers = 8u64;
-    let per_writer = (((1_500.0 * scale) as u64).max(256) / writers).max(4);
-    let capacity = 4_000.0;
-
+    let panel = &crate::paper::FIG12_PANELS[..1];
     let delivered_before = cores_delivered();
-    let mut fps = Vec::new();
-    let mut walls = Vec::new();
-    for &workers in &[1usize, 2, 4, 8] {
+    let (mut fps, mut walls, mut cells) = (Vec::new(), Vec::new(), 0);
+    for workers in [1, 2] {
         let t0 = Instant::now();
-        let runner = Runner::new(0x5CA1E, workers);
-        let results =
-            runner.run_partitions(partitions, |p: Partition| -> PartitionFuture<Vec<u64>> {
-                let ctx = p.ctx();
-                let hosted = (p.index()..tenants).step_by(partitions);
-                Box::pin(async move {
-                    // One complete deployment slice per hosted tenant: its own
-                    // single-shard log and closed-loop writer pool, tag space
-                    // keyed by tenant id so slices never alias.
-                    let mut out = Vec::new();
-                    for tenant in hosted {
-                        let log: LogService<u64> = LogService::new(
-                            ctx.clone(),
-                            LatencyModel::uniform_test_model(),
-                            LogConfig {
-                                sequencer_capacity: Some(capacity),
-                                ..LogConfig::default()
-                            },
-                        );
-                        let tag = |w: u64| Tag::new(TagKind::ObjectLog, (tenant as u64) << 16 | w);
-                        for h in writer_storm(&ctx, &log, writers, per_writer, tag, |_| |i: u64| i)
-                        {
-                            h.await;
-                        }
-                        out.push(tenant as u64);
-                        out.push(log.counters().log_appends);
-                        out.push(ctx.now().as_nanos() as u64);
-                    }
-                    out
-                })
-            });
-        walls.push(t0.elapsed());
-        let mut fp = 0u64;
-        for per_partition in &results {
-            for &v in per_partition {
-                fp = mix(fp, v);
-            }
-        }
-        fps.push(fp);
+        let values = crate::paper::fig12_cells(0.05 * scale, panel, workers);
+        walls.push(t0.elapsed().as_secs_f64() * 1e3);
+        fps.push(values.iter().fold(0, |fp, v| mix(fp, v.to_bits())));
+        cells = values.len();
     }
-    assert!(
-        fps.iter().all(|&f| f == fps[0]),
-        "worker count changed simulated results: {fps:?}"
-    );
+    assert_eq!(fps[0], fps[1], "worker count changed simulated results");
 
     let delivered = delivered_before.min(cores_delivered());
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let speedup_4w = walls[0].as_secs_f64() / walls[2].as_secs_f64().max(f64::MIN_POSITIVE);
+    let (one, two) = (walls[0], walls[1]);
+    let speedup_2w = one / two.max(f64::MIN_POSITIVE);
     eprintln!(
-        "parallel scaling wall ms ({cores} cores, {delivered:.2} delivered): 1w={:.1} 2w={:.1} 4w={:.1} 8w={:.1} (4w speedup {speedup_4w:.2}x)",
-        walls[0].as_secs_f64() * 1e3,
-        walls[1].as_secs_f64() * 1e3,
-        walls[2].as_secs_f64() * 1e3,
-        walls[3].as_secs_f64() * 1e3,
+        "parallel scaling wall ms ({cores} cores, {delivered:.2} delivered): \
+         1w={one:.1} 2w={two:.1} (2w speedup {speedup_2w:.2}x)"
     );
-
-    let mut json = format!(
-        "{{\"partitions\": {partitions}, \"tenants\": {tenants}, \"cores\": {cores}, \
-         \"cores_delivered\": {delivered:.3}"
-    );
-    for (workers, wall) in [1, 2, 4, 8].iter().zip(&walls) {
-        let _ = write!(
-            json,
-            ", \"workers_{workers}_wall_ms\": {:.3}",
-            wall.as_secs_f64() * 1e3
-        );
-    }
-    let _ = write!(json, ", \"speedup_4w\": {speedup_4w:.3}}}");
     Run {
-        detail: Some(json),
+        detail: Some(format!(
+            "{{\"cells\": {cells}, \"cores\": {cores}, \"cores_delivered\": {delivered:.3}, \
+             \"workers_1_wall_ms\": {one:.3}, \"workers_2_wall_ms\": {two:.3}, \
+             \"speedup_2w\": {speedup_2w:.3}}}"
+        )),
         ..Run::new(fps[0])
     }
 }

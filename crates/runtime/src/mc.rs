@@ -562,8 +562,8 @@ pub fn run_schedule(config: &McConfig, schedule: &Schedule) -> McOutcome {
 /// Exhaustively explores `config`: every scheduling order × every crash
 /// placement within the budget (× the optional stall injection), with
 /// sleep-set pruning on or off and the root frontier spread over
-/// `workers` threads (1 ⇒ sequential). Statistics and counterexamples
-/// are identical at every worker count.
+/// `workers` threads, capped at the host's cores (1 ⇒ sequential).
+/// Statistics and counterexamples are identical at every worker count.
 #[must_use]
 pub fn explore_config(config: &McConfig, pruning: bool, workers: usize) -> ExploreStats {
     let explorer = Explorer::new().pruning(pruning);

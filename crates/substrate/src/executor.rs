@@ -473,10 +473,7 @@ impl std::fmt::Debug for Sim {
 }
 
 /// Cheap clonable handle to the executor a deployment runs on: `now`,
-/// `sleep`, `spawn`, seeded RNG draws. Obtain one from [`Sim::ctx`] or,
-/// inside a partitioned fan-out, from
-/// [`Partition::ctx`](crate::Partition::ctx), which is the same thing: a
-/// partition is a `Sim`.
+/// `sleep`, `spawn`, seeded RNG draws. Obtain one from [`Sim::ctx`].
 ///
 /// Weak: a context that outlives its [`Sim`] is inert, and everything but
 /// [`Ctx::try_now`] then panics with a clear message rather than leaking

@@ -15,9 +15,9 @@
 //! resource-footprint bitmask, disjoint footprints mean the actions
 //! commute, and schedules that only reorder commuting actions are pruned
 //! instead of re-executed. [`Explorer::explore_parallel`] additionally
-//! fans the root-level branches out round-robin across worker threads —
-//! sleep sets are path-local, so the partitioned search visits exactly the
-//! same tree at every worker count.
+//! maps the root-level branches over worker threads with [`par_map`] —
+//! sleep sets are path-local, so the split search visits exactly the same
+//! tree at every worker count.
 //!
 //! ```
 //! use hm_substrate::explore::{Alt, ChoiceSource, Explorer, RunReport};
@@ -46,6 +46,8 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 use std::str::FromStr;
+
+use crate::par_map;
 
 /// One alternative at a choice point.
 ///
@@ -551,22 +553,21 @@ impl Explorer {
         self.drive(Vec::new(), &mut run)
     }
 
-    /// Explores with the root-level branches dealt round-robin across
-    /// `workers` threads, as [`Runner::run_partitions`](crate::Runner::run_partitions)
-    /// deals its partitions. Sleep sets are path-local
+    /// Explores with the root-level branches mapped over `workers` threads
+    /// by [`par_map`] and merged in branch order. Sleep sets are path-local
     /// (each branch's pruning depends only on its position among its root
-    /// siblings, which is fixed), so the visited tree, the statistics,
-    /// and the counterexample set are identical at every worker count.
+    /// siblings, which is fixed), so the visited tree, the statistics, and
+    /// the counterexample set are identical at every worker count.
     ///
     /// The harness must be `Sync`: workers call it concurrently, each
-    /// constructing its own substrate inside the closure.
+    /// constructing its own substrate inside the closure. A panic in the
+    /// harness reaches the caller with its own payload.
     pub fn explore_parallel<F>(&self, workers: usize, run: F) -> ExploreStats
     where
         F: Fn(&DfsChooser) -> RunReport + Sync,
     {
-        let workers = workers.max(1);
         // Probe run: discover the root choice point. Its work is repeated
-        // by the worker that owns branch 0, so it is not counted.
+        // by branch 0's exploration, so it is not counted.
         let walk = Rc::new(RefCell::new(Walk {
             frames: Vec::new(),
             cursor: 0,
@@ -597,44 +598,19 @@ impl Explorer {
         let alts = root.alts.clone();
         drop(w);
 
-        let mut assignments: Vec<Vec<usize>> = vec![Vec::new(); workers];
-        for branch in 0..alts.len() {
-            assignments[branch % workers].push(branch);
-        }
-        let results: Vec<ExploreStats> = std::thread::scope(|scope| {
-            let handles: Vec<_> = assignments
-                .iter()
-                .map(|branches| {
-                    let run = &run;
-                    let alts = &alts;
-                    scope.spawn(move || {
-                        let mut acc = ExploreStats {
-                            complete: true,
-                            ..ExploreStats::default()
-                        };
-                        for &branch in branches {
-                            // Seed the walk with a pinned root: `tried`
-                            // lists every earlier sibling so the child
-                            // sleep set matches the sequential search.
-                            let seed = vec![Frame {
-                                site,
-                                alts: alts.clone(),
-                                entry_sleep: Vec::new(),
-                                tried: (0..=branch).collect(),
-                                pinned: true,
-                                blocked: false,
-                            }];
-                            let mut f = |c: &DfsChooser| run(c);
-                            acc.merge(self.drive(seed, &mut f));
-                        }
-                        acc
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("explorer worker panicked"))
-                .collect()
+        let branches: Vec<usize> = (0..alts.len()).collect();
+        let results = par_map(&branches, workers, |&branch| {
+            // Seed the walk with a pinned root: `tried` lists every earlier
+            // sibling so the child sleep set matches the sequential search.
+            let seed = vec![Frame {
+                site,
+                alts: alts.clone(),
+                entry_sleep: Vec::new(),
+                tried: (0..=branch).collect(),
+                pinned: true,
+                blocked: false,
+            }];
+            self.drive(seed, &mut |c: &DfsChooser| run(c))
         });
         let mut stats = ExploreStats {
             // The shared root node, discovered once by the probe.
@@ -847,6 +823,28 @@ mod tests {
         let seq = Explorer::new().explore(|c| t(c));
         assert_eq!((base.runs, base.aborted), (seq.runs, seq.aborted));
         assert_eq!(base.nodes, seq.nodes);
+    }
+
+    /// The harness's own panic message reaches the caller at any worker
+    /// count, not a stand-in for the worker thread that died.
+    #[test]
+    fn harness_panic_keeps_its_message_across_workers() {
+        let actions = [actor(0, 2), vec![Alt::new(1, 0b1)], actor(2, 1)];
+        let t = toy(&actions, None);
+        for workers in [1, 2] {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Explorer::new().explore_parallel(workers, |c| {
+                    let report = t(c);
+                    if let Some(&branch @ 2) = c.taken().picks.first() {
+                        panic!("harness broke on branch {branch}");
+                    }
+                    report
+                })
+            }))
+            .expect_err("branch 2's runs panic");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(msg, "harness broke on branch 2", "{workers} workers");
+        }
     }
 
     #[test]

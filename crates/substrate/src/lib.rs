@@ -16,10 +16,10 @@
 //!   store — is written against: clock, `sleep`, `spawn`, seeded RNG.
 //! - [`sync`] holds the coordination primitives ([`sync::Semaphore`],
 //!   [`sync::Gate`], [`sync::TaskGroup`]).
-//! - [`Runner::run_partitions`] does the one thing a single `Sim` cannot:
-//!   it runs `P` independent `Sim`s on up to `N` scoped threads. Partitions
-//!   share nothing, so results are the same at every worker count, and
-//!   partition 0 is bit-identical to a bare `Sim` at the run seed.
+//! - [`par_map`] does the one thing a single `Sim` cannot: it maps
+//!   independent items, each building its own `Sim` from its own seed, over
+//!   up to `N` scoped threads, returning results in item order. Items share
+//!   nothing, so results are the same at every worker count.
 //! - [`explore`]: harnesses that route their nondeterminism through
 //!   explicit choice points ([`ChoiceSource`]) instead of RNG draws can
 //!   have every schedule enumerated systematically by [`Explorer`] (DFS
@@ -71,7 +71,7 @@ pub mod sim {
 
 pub use executor::{Ctx, JoinHandle, Sleep};
 pub use explore::{Alt, ChoiceSource, Explorer, Schedule};
-pub use runner::{Partition, PartitionFuture, Runner};
+pub use runner::par_map;
 
 /// Virtual time since the executor started.
 ///

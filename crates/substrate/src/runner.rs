@@ -1,264 +1,200 @@
-//! [`Runner`]: a fan-out of independent [`Sim`]s over scoped threads, the
-//! one thing a single `Sim` cannot do.
+//! [`par_map`]: independent items over scoped threads, the one thing a
+//! single `Sim` cannot do.
+//!
+//! A `Sim` is `!Send`, so an item that simulates builds its own from the
+//! seed it carries; only items and results cross threads.
 //!
 //! ```
-//! use hm_substrate::{PartitionFuture, Runner};
+//! use hm_substrate::{par_map, sim::Sim};
 //! use std::time::Duration;
 //!
-//! let clocks = Runner::new(42, 2).run_partitions(4, |p| -> PartitionFuture<Duration> {
-//!     let (ctx, index) = (p.ctx(), p.index() as u64);
-//!     Box::pin(async move {
-//!         ctx.sleep(Duration::from_millis(index)).await;
+//! let clocks = par_map(&[0u64, 1, 2, 3], 2, |&ms| {
+//!     let mut sim = Sim::new(42 + ms);
+//!     let ctx = sim.ctx();
+//!     sim.block_on(async move {
+//!         ctx.sleep(Duration::from_millis(ms)).await;
 //!         ctx.now()
 //!     })
 //! });
 //! assert_eq!(clocks[3], Duration::from_millis(3));
 //! ```
 
-use std::future::Future;
 use std::num::NonZeroUsize;
 use std::panic::resume_unwind;
-use std::pin::Pin;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::sim::Sim;
-use crate::Ctx;
-
-/// Boxed partition root future, as produced by a `run_partitions` setup
-/// closure. Local (non-`Send`): it runs entirely on its partition's thread.
-pub type PartitionFuture<R> = Pin<Box<dyn Future<Output = R> + 'static>>;
-
-/// Handle passed to a `run_partitions` setup closure: the partition's
-/// context plus its coordinates.
-pub struct Partition {
-    ctx: Ctx,
-    index: usize,
-    count: usize,
-}
-
-impl Partition {
-    /// The context of this partition's executor.
-    #[must_use]
-    pub fn ctx(&self) -> Ctx {
-        self.ctx.clone()
-    }
-
-    /// This partition's index, `0..count`.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Total partitions in the run.
-    #[must_use]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-}
-
-/// Per-partition RNG seed: partition 0 inherits the run seed (so a
-/// one-partition run is bit-identical to `Sim::new(seed)`); other
-/// partitions get splitmix-derived independent streams.
-fn partition_seed(seed: u64, partition: u32) -> u64 {
-    if partition == 0 {
-        return seed;
-    }
-    let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(partition));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// A partitioned fan-out: `P` independent [`Sim`]s, each run to completion
-/// on one of up to `workers` threads. Partitions share nothing, so the
-/// worker count decides wall time and never results.
-#[derive(Clone, Debug)]
-pub struct Runner {
-    seed: u64,
-    workers: usize,
-}
-
-impl Runner {
-    /// A fan-out at `seed` over at most `workers` threads. Partition 0
-    /// inherits the seed and the others derive independent streams from it.
-    #[must_use]
-    pub fn new(seed: u64, workers: usize) -> Runner {
-        Runner { seed, workers }
-    }
-
-    /// Runs `partitions` partition roots to completion and returns their
-    /// results in partition order. `setup` is called once per partition, on
-    /// the thread that runs the partition (so possibly concurrently), with
-    /// its [`Partition`] handle, and returns the partition's root future,
-    /// which [`Sim::block_on`] then drives on a fresh executor.
-    ///
-    /// Partitions are dealt round-robin over `min(workers, partitions,
-    /// available cores)` threads, the caller's included. Every call builds
-    /// fresh executors (clocks at zero), so repeated calls with the same
-    /// arguments produce identical results at any worker count, and
-    /// partition 0 is bit-identical to `Sim::new(seed)` on the same
-    /// workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics with `block_on`'s "simulation stalled" if a root can never
-    /// complete, and re-raises a panicking root's own payload (the caller
-    /// thread's, if roots panic on several threads).
-    pub fn run_partitions<R, F>(&self, partitions: usize, setup: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(Partition) -> PartitionFuture<R> + Send + Sync,
-    {
-        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let threads = self.workers.min(partitions).min(cores).max(1);
-        // Thread `t`'s share: partitions t, t + threads, ..., one after
-        // another, each on a `Sim` built here because a `Sim` is `!Send`.
-        let run_share = |t: usize| -> Vec<R> {
-            (t..partitions)
-                .step_by(threads)
-                .map(|index| {
-                    let mut sim = Sim::new(partition_seed(self.seed, index as u32));
-                    let root = setup(Partition {
-                        ctx: sim.ctx(),
-                        index,
-                        count: partitions,
-                    });
-                    sim.block_on(root)
-                })
-                .collect()
-        };
-        let mut shares: Vec<_> = std::thread::scope(|s| {
-            let run_share = &run_share;
-            let spawned: Vec<_> = (1..threads)
-                .map(|t| s.spawn(move || run_share(t)))
-                .collect();
-            let mut shares = vec![run_share(0).into_iter()];
-            for handle in spawned {
-                // Joined by hand: the scope's own join would replace a
-                // root's panic payload with "a scoped thread panicked".
-                shares.push(
-                    handle
-                        .join()
-                        .unwrap_or_else(|p| resume_unwind(p))
-                        .into_iter(),
-                );
-            }
-            shares
-        });
-        (0..partitions)
-            .map(|p| {
-                shares[p % threads]
-                    .next()
-                    .expect("one result per partition")
-            })
-            .collect()
-    }
+/// `f` of every item, in item order, computed on at most `min(workers,
+/// items, available cores)` threads, the caller's included. Each thread
+/// takes the next unclaimed item, so long and short items balance; which
+/// thread runs an item decides wall time and never the result.
+///
+/// # Panics
+///
+/// Re-raises a panicking item's own payload (the caller thread's, if
+/// items panic on several threads).
+pub fn par_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let threads = workers.min(items.len()).min(cores).max(1);
+    let next = AtomicUsize::new(0);
+    let run_share = || -> Vec<(usize, R)> {
+        std::iter::from_fn(|| {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            items.get(index).map(|item| (index, f(item)))
+        })
+        .collect()
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads).map(|_| s.spawn(run_share)).collect();
+        let mut done = run_share();
+        for handle in spawned {
+            // Joined by hand: the scope's own join would replace an item's
+            // panic payload with "a scoped thread panicked".
+            done.extend(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
 
     use super::*;
-    use crate::Time;
+    use crate::sim::Sim;
+    use crate::{Ctx, Time};
 
     async fn draws(ctx: Ctx, index: u64) -> (u64, Time) {
-        ctx.sleep(Time::from_millis(index + 1)).await;
-        (ctx.with_rng(rand::Rng::next_u64), ctx.now())
+        let mut acc = 0u64;
+        for i in 0..20u64 {
+            ctx.sleep(Time::from_micros(i * 7 + index + 1)).await;
+            acc = acc
+                .wrapping_mul(0x100000001b3)
+                .wrapping_add(ctx.with_rng(rand::Rng::next_u64));
+        }
+        (acc, ctx.now())
     }
 
-    #[test]
-    fn one_partition_is_sim_at_the_run_seed() {
-        let mut sim = Sim::new(0);
-        let want = sim.block_on(draws(sim.ctx(), 0));
-        let got = Runner::new(0, 1)
-            .run_partitions(1, |p| -> PartitionFuture<_> { Box::pin(draws(p.ctx(), 0)) });
-        assert_eq!(got, vec![want]);
+    fn on_sim(seed: u64) -> (u64, Time) {
+        let mut sim = Sim::new(seed);
+        sim.block_on(draws(sim.ctx(), seed))
     }
 
-    #[test]
-    fn sim_and_parallel_run_partitions_agree() {
-        let run = |workers| {
-            Runner::new(11, workers).run_partitions(5, |p| -> PartitionFuture<_> {
-                Box::pin(draws(p.ctx(), p.index() as u64))
-            })
-        };
-        let one = run(1);
-        assert_eq!(one, run(3));
-        // Partition 0 is the bare executor at the run seed.
-        let mut sim = Sim::new(11);
-        assert_eq!(one[0], sim.block_on(draws(sim.ctx(), 0)));
+    fn cores() -> usize {
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
     }
 
+    /// Where exactly two threads run, a barrier hands items 0 and 1 one to
+    /// each, and the spawned thread's item finishes only after the
+    /// caller's thread has done every other item: results arrive out of
+    /// item order whichever thread took item 0.
     #[test]
-    fn partition_zero_inherits_seed() {
-        assert_eq!(partition_seed(42, 0), 42);
-        assert_ne!(partition_seed(42, 1), partition_seed(42, 2));
-    }
-
-    #[test]
-    fn partitions_without_messaging_match_sequential() {
-        let body = |ctx: Ctx| async move {
-            let mut acc = 0u64;
-            for i in 0..20u64 {
-                ctx.sleep(Time::from_micros(i * 7 + 1)).await;
-                acc = acc
-                    .wrapping_mul(0x100000001b3)
-                    .wrapping_add(ctx.with_rng(rand::Rng::next_u64));
-            }
-            (acc, ctx.now())
-        };
-        // Each partition is a bare `Sim` at that partition's seed.
-        let seq: Vec<_> = (0..4)
-            .map(|p| {
-                let mut sim = Sim::new(partition_seed(7, p));
-                sim.block_on(body(sim.ctx()))
-            })
-            .collect();
+    fn results_come_back_in_item_order() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..8).collect();
+        let want: Vec<usize> = items.iter().map(|i| i * i).collect();
         for workers in [1, 2, 4] {
-            let got = Runner::new(7, workers)
-                .run_partitions(4, |p| -> PartitionFuture<_> { Box::pin(body(p.ctx())) });
-            assert_eq!(got, seq, "workers={workers}");
+            let forced = workers.min(cores()) == 2;
+            let (barrier, done) = (Barrier::new(2), AtomicUsize::new(0));
+            let out = par_map(&items, workers, |&i| {
+                if forced && i < 2 {
+                    barrier.wait();
+                    while std::thread::current().id() != caller
+                        && done.load(Ordering::Acquire) < items.len() - 1
+                    {
+                        std::thread::yield_now();
+                    }
+                }
+                done.fetch_add(1, Ordering::Release);
+                i * i
+            });
+            assert_eq!(out, want, "workers={workers}");
         }
     }
 
     #[test]
-    fn no_partitions_is_empty() {
-        let out = Runner::new(1, 4).run_partitions(0, |_| -> PartitionFuture<u8> {
-            unreachable!("no partition to set up")
-        });
+    fn sims_built_per_item_match_sequential() {
+        let seeds = [7u64, 8, 9, 10];
+        let seq: Vec<_> = seeds.iter().map(|&s| on_sim(s)).collect();
+        for workers in [1, 2, 4] {
+            assert_eq!(
+                par_map(&seeds, workers, |&s| on_sim(s)),
+                seq,
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_items_is_empty() {
+        let out: Vec<u8> = par_map(&[] as &[u8], 4, |_| unreachable!("no item to map"));
         assert!(out.is_empty());
     }
 
-    /// Partition 1 sits on the caller's thread at one worker and on a
-    /// spawned thread at two (when the host has two cores); either way the
-    /// caller sees the root's own payload, not a join error.
+    #[test]
+    fn more_workers_than_items_maps_each_item_once() {
+        let calls = AtomicUsize::new(0);
+        let out = par_map(&[1u8, 2], 64, |&i| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            i * 10
+        });
+        assert_eq!(out, vec![10, 20]);
+        assert_eq!(calls.into_inner(), 2);
+    }
+
+    /// At two workers on two or more cores, a barrier holds one item on
+    /// the caller's thread and one on a spawned thread, and the spawned
+    /// one's `Sim` root panics; at one worker item 1's root panics on the
+    /// caller's thread. Either way the caller sees the root's own payload,
+    /// not a join error.
     #[test]
     fn panicking_root_reraises_its_own_payload() {
+        let caller = std::thread::current().id();
         for workers in [1, 2] {
+            let two_threads = workers.min(cores()) == 2;
+            let barrier = Barrier::new(2);
             let err = catch_unwind(AssertUnwindSafe(|| {
-                Runner::new(3, workers).run_partitions(4, |p| -> PartitionFuture<usize> {
-                    let (ctx, index) = (p.ctx(), p.index());
-                    Box::pin(async move {
+                par_map(&[0usize, 1], workers, |&index| {
+                    if two_threads {
+                        barrier.wait();
+                    }
+                    let gives_up = match two_threads {
+                        true => std::thread::current().id() != caller,
+                        false => index == 1,
+                    };
+                    let mut sim = Sim::new(3);
+                    let ctx = sim.ctx();
+                    sim.block_on(async move {
                         ctx.sleep(Time::from_millis(1)).await;
-                        assert!(index != 1, "root {index} gave up");
+                        assert!(!gives_up, "root {index} gave up");
                         index
                     })
                 })
             }))
-            .expect_err("partition 1 panics");
+            .expect_err("one root panics");
             let msg = err.downcast_ref::<String>().expect("a formatted panic");
-            assert_eq!(msg, "root 1 gave up", "workers={workers}");
+            let want: &[&str] = match two_threads {
+                true => &["root 0 gave up", "root 1 gave up"],
+                false => &["root 1 gave up"],
+            };
+            assert!(want.contains(&msg.as_str()), "workers={workers}: {msg}");
         }
     }
 
     #[test]
     #[should_panic(expected = "simulation stalled")]
     fn root_that_cannot_complete_panics_instead_of_hanging() {
-        let _ = Runner::new(3, 2).run_partitions(2, |p| -> PartitionFuture<()> {
-            if p.index() == 1 {
-                Box::pin(std::future::pending())
-            } else {
-                Box::pin(async {})
+        par_map(&[0, 1], 2, |&index| {
+            let mut sim = Sim::new(3);
+            if index == 1 {
+                sim.block_on(std::future::pending::<()>());
             }
         });
     }

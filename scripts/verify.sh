@@ -27,10 +27,12 @@
 #   peak_timers must match the committed BENCH_sim_core.json exactly
 #   (wall times are expected to drift; simulated work is not), and every
 #   component line of the committed file must have been compared;
-# - core scaling: 4 workers must be at least 0.65x the parallelism the
-#   host delivered during the same run faster than one (parallel_scaling's
-#   `cores_delivered`, a two-thread CPU probe timed around the sweep: 1.3x
-#   with two free cores, ~0.65x while a shared host withholds one).
+# - core scaling: Figure 12 panel (a)'s cells through par_map at 2 workers
+#   must be at least 0.65x the parallelism the host delivered during the
+#   same run faster than at one (parallel_scaling's `speedup_2w` against
+#   its `cores_delivered`, a two-thread CPU probe timed around the sweep:
+#   1.3x with two free cores, ~0.65x while a shared host withholds one),
+#   and the probe must read at least 1.
 # Model-check smoke: the explore driver's --assert mode re-checks the
 # documented §4.4 claims — fault-tolerant protocols pass every
 # interleaving exhaustively, the unsafe baseline yields a replayable
@@ -89,7 +91,7 @@ fi
 echo "fingerprint drift ok: $compared components match the committed file"
 
 echo "== core scaling: parallel_scaling sweep =="
-awk '/"parallel_scaling": \{/ { found = 1; match($0, /"cores_delivered": [0-9.]+/); d = substr($0, RSTART + 19, RLENGTH - 19) + 0; match($0, /"speedup_4w": [0-9.]+/); s = substr($0, RSTART + 14, RLENGTH - 14) + 0; f = 0.65 * d; printf "core scaling (%.2f cores delivered): %.2fx at 4 workers, floor %.2fx\n", d, s, f; exit !(d >= 1 && s >= f) } END { if (!found) exit 1 }' "$tmp/bench.json"
+awk '/"parallel_scaling": \{/ { found = 1; match($0, /"cores_delivered": [0-9.]+/); d = substr($0, RSTART + 19, RLENGTH - 19) + 0; match($0, /"speedup_2w": [0-9.]+/); s = substr($0, RSTART + 14, RLENGTH - 14) + 0; f = 0.65 * d; printf "core scaling (%.2f cores delivered): %.2fx at 2 workers, floor %.2fx\n", d, s, f; exit !(d >= 1 && s >= f) } END { if (!found) exit 1 }' "$tmp/bench.json"
 
 echo "== model-check smoke: explore --assert (exhaustive §4.4 claims) =="
 cargo run --release -q -p hm-bench --bin explore -- --assert > "$tmp/explore.txt"

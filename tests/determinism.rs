@@ -2,12 +2,12 @@
 //! experiment results — the property that makes every benchmark in this
 //! repository exactly reproducible.
 //!
-//! The fan-out matrix at the bottom extends the property to
-//! `Runner::run_partitions`: a one-partition fan-out is byte-identical to
-//! `Sim::new(seed)` on the same workload (fingerprints, trace JSONL, anatomy
-//! JSONL, the chaos campaign's journal) at every worker count and
-//! rerun-identical from the same seed, and a four-partition run produces the
-//! same per-partition results at every worker count.
+//! The fan-out matrix at the bottom extends the property to `par_map`: a
+//! seeded run inside it is byte-identical to `Sim::new(seed)` on the same
+//! workload (fingerprints, trace JSONL, anatomy JSONL, the chaos campaign's
+//! journal) at every worker count, on the caller's thread or a spawned one,
+//! and rerun-identical from the same seed, and four seeded log slices
+//! produce the same results at every worker count.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -17,7 +17,7 @@ use hm_common::latency::LatencyModel;
 use hm_common::metrics::OpCounters;
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
-use hm_substrate::{Ctx, Partition, PartitionFuture, Runner};
+use hm_substrate::{par_map, Ctx};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
 use hm_workloads::Workload;
@@ -507,20 +507,22 @@ where
     sim.block_on(body(sim.ctx()))
 }
 
-/// Runs `body` as the only partition of a fan-out at `seed` with `workers`
-/// threads on offer. Partition 0 inherits the run seed, so this must equal
-/// [`on_sim`] byte for byte.
-fn on_one_partition<R, Fut>(seed: u64, workers: usize, body: impl Fn(Ctx) -> Fut + Send + Sync) -> R
+/// Runs `body` on a `Sim` at `seed` twice inside one `par_map` over
+/// `workers` threads, so that at two or more workers (and cores) one of the
+/// runs is on a spawned thread. Both must equal [`on_sim`] byte for byte.
+fn in_par_map<R, Fut>(seed: u64, workers: usize, body: impl Fn(Ctx) -> Fut + Sync) -> R
 where
-    R: Send + 'static,
+    R: Send + PartialEq + std::fmt::Debug + 'static,
     Fut: std::future::Future<Output = R> + 'static,
 {
-    Runner::new(seed, workers)
-        .run_partitions(1, |p: Partition| -> PartitionFuture<R> {
-            Box::pin(body(p.ctx()))
-        })
-        .pop()
-        .expect("one partition, one result")
+    let mut runs = par_map(&[seed, seed], workers, |&seed| on_sim(seed, &body));
+    let second = runs.pop().expect("two runs");
+    let first = runs.pop().expect("two runs");
+    assert_eq!(
+        first, second,
+        "workers={workers}: the two runs of one seed diverged"
+    );
+    first
 }
 
 /// The standard instrumented workload on `ctx`: returns the run fingerprint
@@ -568,23 +570,23 @@ async fn instrumented_run(ctx: Ctx, kind: ProtocolKind) -> (RunFingerprint, Stri
     (fp, tracer.export_jsonl(), anatomy.rows_jsonl())
 }
 
-/// A one-partition fan-out is not merely equivalent to a bare `Sim`, it is
-/// one: partition 0 is `Sim::new(seed)` driven by `block_on`, so the full
-/// fingerprint AND the trace/anatomy JSONL exports are byte-identical,
-/// whatever the worker count on offer.
+/// A seeded run inside `par_map` is not merely equivalent to a bare
+/// `Sim`, it is one, on whichever thread it lands: the full fingerprint
+/// AND the trace/anatomy JSONL exports are byte-identical, whatever the
+/// worker count on offer.
 #[test]
-fn one_partition_fan_out_is_bit_identical_to_sim() {
+fn par_map_run_is_bit_identical_to_sim() {
     let sim = on_sim(0xD17, |ctx| {
         instrumented_run(ctx, ProtocolKind::HalfmoonRead)
     });
     assert!(!sim.1.is_empty() && !sim.2.is_empty(), "exports are empty");
     for workers in [1usize, 2, 4] {
-        let par = on_one_partition(0xD17, workers, |ctx| {
+        let par = in_par_map(0xD17, workers, |ctx| {
             instrumented_run(ctx, ProtocolKind::HalfmoonRead)
         });
         assert_eq!(
             sim, par,
-            "one-partition fan-out at workers={workers} diverged from a bare Sim"
+            "a run inside par_map at workers={workers} diverged from a bare Sim"
         );
     }
 }
@@ -595,7 +597,7 @@ fn one_partition_fan_out_is_bit_identical_to_sim() {
 fn fan_out_reruns_are_identical() {
     for workers in [2usize, 4] {
         let run = || {
-            on_one_partition(0xE23, workers, |ctx| {
+            in_par_map(0xE23, workers, |ctx| {
                 instrumented_run(ctx, ProtocolKind::HalfmoonWrite)
             })
         };
@@ -603,21 +605,18 @@ fn fan_out_reruns_are_identical() {
     }
 }
 
-/// A four-partition run produces the same results, in partition order, at
-/// every worker count, and reruns identically. Each partition runs its own
-/// single-shard log slice at its own derived seed and reports a digest of
-/// it, so the partition-local schedules are pinned whichever thread runs
+/// Four seeded log slices produce the same results, in item order, at
+/// every worker count, and rerun identically. Each item runs its own
+/// single-shard log slice on a `Sim` at its own seed and reports a digest
+/// of it, so the slice-local schedules are pinned whichever thread runs
 /// them.
 #[test]
 fn partitioned_log_slices_are_worker_count_invariant() {
     use hm_sharedlog::{LogConfig, LogService};
 
     let run = |workers: usize| -> Vec<Vec<u64>> {
-        let runner = Runner::new(0xFEED, workers);
-        runner.run_partitions(4, |p: Partition| -> PartitionFuture<Vec<u64>> {
-            let ctx = p.ctx();
-            let me = p.index();
-            Box::pin(async move {
+        par_map(&[0u64, 1, 2, 3], workers, |&me| {
+            on_sim(0xFEED + me, |ctx| async move {
                 let log: LogService<u64> = LogService::new(
                     ctx.clone(),
                     LatencyModel::uniform_test_model(),
@@ -627,10 +626,8 @@ fn partitioned_log_slices_are_worker_count_invariant() {
                 for w in 0..4u64 {
                     let l = log.clone();
                     handles.push(ctx.spawn(async move {
-                        let tag = hm_common::Tag::new(
-                            hm_common::ids::TagKind::ObjectLog,
-                            ((me as u64) << 8) | w,
-                        );
+                        let tag =
+                            hm_common::Tag::new(hm_common::ids::TagKind::ObjectLog, (me << 8) | w);
                         for i in 0..32u64 {
                             l.append(hm_common::NodeId(w as u32), [tag], i).await;
                         }
@@ -640,12 +637,12 @@ fn partitioned_log_slices_are_worker_count_invariant() {
                     h.await;
                 }
                 let digest = log.counters().log_appends ^ (ctx.now().as_nanos() as u64);
-                vec![me as u64, digest, ctx.now().as_nanos() as u64]
+                vec![me, digest, ctx.now().as_nanos() as u64]
             })
         })
     };
     let w1 = run(1);
-    // One result per partition, in partition order.
+    // One result per item, in item order.
     assert_eq!(
         w1.iter().map(|r| r[0]).collect::<Vec<_>>(),
         vec![0, 1, 2, 3]
@@ -656,8 +653,8 @@ fn partitioned_log_slices_are_worker_count_invariant() {
 }
 
 /// The seeded chaos campaign — crashes, a replica outage, retry storms,
-/// recovery-forced flushes — reproduces byte-for-byte as a one-partition
-/// fan-out: a bare `Sim`, the fan-out at 1, 2 and 4 workers, and a rerun
+/// recovery-forced flushes — reproduces byte-for-byte inside `par_map`: a
+/// bare `Sim`, the runs inside `par_map` at 1, 2 and 4 workers, and a rerun
 /// all agree on counters, flush stats, recovery stats, and the chaos
 /// injection journal.
 #[test]
@@ -717,13 +714,13 @@ fn chaos_campaign_is_worker_count_invariant() {
     for workers in [1usize, 2, 4] {
         assert_eq!(
             sim,
-            on_one_partition(0xBA7C, workers, campaign),
-            "chaos campaign diverged as a one-partition fan-out at workers={workers}"
+            in_par_map(0xBA7C, workers, campaign),
+            "chaos campaign diverged inside par_map at workers={workers}"
         );
     }
     assert_eq!(
-        on_one_partition(0xBA7C, 2, campaign),
-        on_one_partition(0xBA7C, 2, campaign),
+        in_par_map(0xBA7C, 2, campaign),
+        in_par_map(0xBA7C, 2, campaign),
         "chaos campaign rerun diverged"
     );
 }
