@@ -1227,8 +1227,11 @@ impl<P: Payload> LogService<P> {
     }
 
     /// Record slots the slab currently keeps allocated, live or dead —
-    /// what the log's host memory is proportional to. Stays within one
-    /// slab segment per concurrent trimmer of [`LogService::live_records`].
+    /// what the log's host memory is proportional to. As of the last
+    /// segment opening: the newest three segments, at most four slots per
+    /// live record in older segments still dense, and a record pool no
+    /// longer than the most records ever live at once (see the slab
+    /// module's "Memory follows live records").
     #[must_use]
     pub fn retained_records(&self) -> usize {
         self.inner.borrow().slab.retained()

@@ -12,7 +12,8 @@
 //!   arithmetic — no per-shard slot, no seqnum index, no hashing. A
 //!   segment is freed whole when its last record dies and freed segments
 //!   leave the front of the deque, so a seqnum below the base or in a
-//!   freed segment is *trimmed by construction* and slab memory follows
+//!   freed segment is *trimmed by construction*. An old segment left
+//!   mostly dead hands its survivors to a pool, so slab memory follows
 //!   live records, not total appends. The shard keeps only its counts
 //!   (`live`, `bytes`, counters); the slot names its home shard.
 //! - **Membership offsets**: at install time each record learns its absolute

@@ -23,7 +23,8 @@
 //! shard, goes to a boxed overflow list that is searched linearly. The
 //! slot is sized by measurement (`tests/reclamation.rs` holds
 //! `RecordSlot<StepRecord>` to 192 bytes): a dead slot stays allocated
-//! until its segment empties, so slot bytes are paid per retained record.
+//! until its segment empties or moves, so slot bytes are paid per retained
+//! record.
 //!
 //! # Trimmed by construction
 //!
@@ -31,11 +32,25 @@
 //! zero its block is freed whole, and freed segments are popped off the
 //! deque's front, advancing the base. A seqnum below the base, or inside a
 //! freed segment, or in a reclaimed slot, therefore resolves to `None`
-//! without any per-record tombstone outliving its segment: memory follows
-//! live records (at most `SEG - 1` dead slots per live one in the worst
-//! case, one partly dead segment per concurrent trimmer in practice), not
-//! total appends. A reader holding a bare seqnum across a sleep gets
-//! `None` back, never a dangling index.
+//! without any per-record tombstone outliving its segment. A reader
+//! holding a bare seqnum across a sleep gets `None` back, never a dangling
+//! index.
+//!
+//! # Memory follows live records
+//!
+//! Freeing empty segments is not enough when some records live long: the
+//! collector keeps each object's newest write, and one such record in a
+//! segment would hold all of its [`SEG`] slots. So whenever a new segment
+//! opens, every full segment older than the newest two whose live share is
+//! at most a quarter *moves*: its live records go to one slab-wide pool
+//! (reclaimed positions are reused first), and the segment keeps only a
+//! four-byte pool position per seqnum. Young segments, where appends land
+//! and most reads and trims happen, stay dense, so those paths take no
+//! extra indirection. The slots held, as of the last segment opening, are
+//! then the filling segment and the two before it, at most four per live
+//! record in older dense segments, and a pool no longer than the most
+//! records ever live at once; a moved segment adds 16 KB of positions
+//! until its last record dies.
 
 use std::collections::VecDeque;
 
@@ -63,8 +78,8 @@ const SPILLED: u8 = u8::MAX;
 const LANES: usize = 4;
 
 /// Node ids below this are one bit of a lane's word. Sixteen rather than
-/// 64: a dead slot stays allocated until its segment empties, so every
-/// slot byte is paid per *retained* record, and wider words push
+/// 64: a dead slot stays allocated until its segment empties or moves, so
+/// every slot byte is paid per *retained* record, and wider words push
 /// `RecordSlot<StepRecord>` past 192 bytes.
 const LANE_NODES: u32 = 16;
 
@@ -220,11 +235,33 @@ fn lane_bit(node: NodeId) -> Option<u16> {
     (node.0 < LANE_NODES).then(|| 1 << node.0)
 }
 
+/// Marks a reclaimed slot in a [moved](Slots::Moved) segment's index. No
+/// pool position has this value: the pool is never longer than the most
+/// records ever live at once, far fewer than `u32::MAX`.
+const DEAD: u32 = u32::MAX;
+
+/// Full segments this young stay dense whatever their live share: their
+/// records are the ones trims are about to reach.
+const KEEP_DENSE: usize = 2;
+
+/// A full segment older than the newest [`KEEP_DENSE`] moves its records
+/// to the pool once at most this many of its slots are live (a quarter).
+const MOVE_AT_LIVE: u32 = (SEG / 4) as u32;
+
+/// Where one segment's records are kept.
+enum Slots<P> {
+    /// The record itself per seqnum, pushed in clock order (capacity
+    /// [`SEG`], allocated once); a slot goes back to `None` when its
+    /// record is reclaimed.
+    Dense(Vec<Option<RecordSlot<P>>>),
+    /// The record's position in the slab's pool per seqnum, or [`DEAD`]:
+    /// four bytes a slot instead of a whole [`RecordSlot`].
+    Moved(Box<[u32]>),
+}
+
 /// One block of up to [`SEG`] consecutive seqnums' slots.
 struct Segment<P> {
-    /// Pushed in clock order (capacity [`SEG`], allocated once); a slot
-    /// goes back to `None` when its record is reclaimed.
-    slots: Vec<Option<RecordSlot<P>>>,
+    slots: Slots<P>,
     live: u32,
 }
 
@@ -234,6 +271,11 @@ pub(crate) struct RecordSlab<P> {
     base: u64,
     /// `None` marks a segment freed behind a still-live older one.
     segments: VecDeque<Option<Segment<P>>>,
+    /// The records of every moved segment; `None` at the positions in
+    /// `free`.
+    pool: Vec<Option<RecordSlot<P>>>,
+    /// Reclaimed pool positions, reused before the pool grows.
+    free: Vec<u32>,
     next_seqnum: SeqNum,
 }
 
@@ -244,6 +286,8 @@ impl<P> RecordSlab<P> {
         RecordSlab {
             base: 0,
             segments: VecDeque::new(),
+            pool: Vec::new(),
+            free: Vec::new(),
             next_seqnum: SeqNum(1),
         }
     }
@@ -267,37 +311,80 @@ impl<P> RecordSlab<P> {
         let seqnum = self.next_seqnum;
         let (seg, off) = self.position(seqnum).expect("the head is never below the base");
         if seg == self.segments.len() {
+            let slots = self.move_sparse().unwrap_or_else(|| Vec::with_capacity(SEG));
             self.segments.push_back(Some(Segment {
-                slots: Vec::with_capacity(SEG),
+                slots: Slots::Dense(slots),
                 live: 0,
             }));
         }
-        let segment = self.segments[seg]
-            .as_mut()
-            .expect("only full segments are freed");
-        debug_assert_eq!(segment.slots.len(), off, "the shared clock must stay dense");
-        segment.slots.push(Some(slot));
-        segment.live += 1;
+        let Some(Segment {
+            slots: Slots::Dense(slots),
+            live,
+        }) = self.segments[seg].as_mut()
+        else {
+            unreachable!("the filling segment is neither freed nor moved")
+        };
+        debug_assert_eq!(slots.len(), off, "the shared clock must stay dense");
+        slots.push(Some(slot));
+        *live += 1;
         self.next_seqnum = seqnum.next();
+    }
+
+    /// Moves the live records of every dense segment older than the
+    /// newest [`KEEP_DENSE`] that has at most [`MOVE_AT_LIVE`] of them
+    /// into the pool. Every segment is full here: a new one is opening.
+    /// Returns one emptied block for the new segment to fill.
+    fn move_sparse(&mut self) -> Option<Vec<Option<RecordSlot<P>>>> {
+        let old = self.segments.len().saturating_sub(KEEP_DENSE);
+        let (pool, free) = (&mut self.pool, &mut self.free);
+        let mut spare = None;
+        for segment in self.segments.range_mut(..old).flatten() {
+            let Slots::Dense(slots) = &mut segment.slots else { continue };
+            if segment.live > MOVE_AT_LIVE {
+                continue;
+            }
+            let at = slots
+                .drain(..)
+                .map(|cell| {
+                    let Some(slot) = cell else { return DEAD };
+                    if let Some(at) = free.pop() {
+                        pool[at as usize] = Some(slot);
+                        at
+                    } else {
+                        pool.push(Some(slot));
+                        u32::try_from(pool.len() - 1).expect("fewer than 2^32 pooled records")
+                    }
+                })
+                .collect();
+            spare.get_or_insert(std::mem::take(slots));
+            segment.slots = Slots::Moved(at);
+        }
+        spare
     }
 
     /// The live record at `sn`; `None` if it was reclaimed or never
     /// assigned.
     pub(crate) fn get(&self, sn: SeqNum) -> Option<&RecordSlot<P>> {
         let (seg, off) = self.position(sn)?;
-        self.segments.get(seg)?.as_ref()?.slots.get(off)?.as_ref()
+        match &self.segments.get(seg)?.as_ref()?.slots {
+            Slots::Dense(slots) => slots.get(off)?.as_ref(),
+            Slots::Moved(at) => self.pool.get(at[off] as usize)?.as_ref(),
+        }
     }
 
     /// Mutable access to the live record at `sn`.
     pub(crate) fn get_mut(&mut self, sn: SeqNum) -> Option<&mut RecordSlot<P>> {
         let (seg, off) = self.position(sn)?;
-        self.segments.get_mut(seg)?.as_mut()?.slots.get_mut(off)?.as_mut()
+        match &mut self.segments.get_mut(seg)?.as_mut()?.slots {
+            Slots::Dense(slots) => slots.get_mut(off)?.as_mut(),
+            Slots::Moved(at) => self.pool.get_mut(at[off] as usize)?.as_mut(),
+        }
     }
 
     /// One stream membership of the live record at `sn` dies. When it was
-    /// the last, the record is reclaimed and its slot returned: the
-    /// segment is freed if that left a full one empty, and freed segments
-    /// are popped off the front.
+    /// the last, the record is reclaimed and its slot (or pool position)
+    /// returned: the segment is freed if that left a full one empty, and
+    /// freed segments are popped off the front.
     ///
     /// # Panics
     ///
@@ -308,17 +395,28 @@ impl<P> RecordSlab<P> {
         let (seg, off) = self.position(sn).expect(LIVE);
         let entry = self.segments.get_mut(seg).expect(LIVE);
         let segment = entry.as_mut().expect(LIVE);
-        let cell = segment.slots.get_mut(off).expect(LIVE);
+        let cell = match &mut segment.slots {
+            Slots::Dense(slots) => slots.get_mut(off),
+            Slots::Moved(at) => self.pool.get_mut(at[off] as usize),
+        }
+        .expect(LIVE);
         let slot = cell.as_mut().expect(LIVE);
         slot.live_streams -= 1;
         if slot.live_streams > 0 {
             return None;
         }
         let slot = cell.take();
+        let full = match &mut segment.slots {
+            Slots::Dense(slots) => slots.len() == SEG,
+            Slots::Moved(at) => {
+                self.free.push(std::mem::replace(&mut at[off], DEAD));
+                true
+            }
+        };
         segment.live -= 1;
         // The segment still being filled is kept even when momentarily
         // empty: the next push lands in it.
-        if segment.live == 0 && segment.slots.len() == SEG {
+        if segment.live == 0 && full {
             *entry = None;
             while let Some(None) = self.segments.front() {
                 self.segments.pop_front();
@@ -328,20 +426,33 @@ impl<P> RecordSlab<P> {
         slot
     }
 
-    /// Every live record's slot, oldest first.
+    /// The slot blocks of the segments still dense.
+    fn dense(&self) -> impl Iterator<Item = &Vec<Option<RecordSlot<P>>>> {
+        self.segments.iter().flatten().filter_map(|s| match &s.slots {
+            Slots::Dense(slots) => Some(slots),
+            Slots::Moved(_) => None,
+        })
+    }
+
+    /// Every live record's slot, each once, in no particular order.
     pub(crate) fn live(&self) -> impl Iterator<Item = &RecordSlot<P>> {
-        self.segments.iter().flatten().flat_map(|s| s.slots.iter().flatten())
+        self.dense().flatten().flatten().chain(self.pool.iter().flatten())
     }
 
     /// Mutable [`RecordSlab::live`].
     pub(crate) fn live_mut(&mut self) -> impl Iterator<Item = &mut RecordSlot<P>> {
-        self.segments.iter_mut().flatten().flat_map(|s| s.slots.iter_mut().flatten())
+        let dense = self.segments.iter_mut().flatten().filter_map(|s| match &mut s.slots {
+            Slots::Dense(slots) => Some(slots.iter_mut().flatten()),
+            Slots::Moved(_) => None,
+        });
+        dense.flatten().chain(self.pool.iter_mut().flatten())
     }
 
-    /// Slots currently allocated (live or dead) — what the slab's memory
-    /// is proportional to.
+    /// Record slots currently allocated, live or dead: every dense
+    /// segment's plus the pool's. What the slab's memory is proportional
+    /// to (a moved segment's index adds four bytes per seqnum it spans).
     pub(crate) fn retained(&self) -> usize {
-        self.segments.iter().flatten().map(|s| s.slots.len()).sum()
+        self.dense().map(Vec::len).sum::<usize>() + self.pool.len()
     }
 }
 
@@ -448,6 +559,165 @@ mod tests {
             }
             assert_eq!(slab.release(sn).map(|slot| slot.payload), Some(sn.0));
             assert!(slab.get(sn).is_none());
+        }
+    }
+
+    /// Pushes a record that takes `joins` releases to reclaim.
+    fn push_joined(slab: &mut RecordSlab<u64>, joins: usize) -> SeqNum {
+        let seqnum = slab.head();
+        let mut slot = RecordSlot::new(ShardId(0), seqnum.0, 8, joins);
+        for tag in 0..joins as u64 {
+            slot.join(Tag(tag), seqnum.0);
+        }
+        slab.push(slot);
+        seqnum
+    }
+
+    /// Fills one segment, then reclaims all of it but every `keep`-th
+    /// record; returns the survivors.
+    fn sparse_segment(slab: &mut RecordSlab<u64>, keep: u64) -> Vec<SeqNum> {
+        let pushed: Vec<SeqNum> = (0..SEG).map(|_| push_joined(slab, 2)).collect();
+        let mut kept = Vec::new();
+        for &sn in &pushed {
+            if sn.0.is_multiple_of(keep) {
+                kept.push(sn);
+            } else {
+                assert!(slab.release(sn).is_none() && slab.release(sn).is_some());
+            }
+        }
+        kept
+    }
+
+    fn is_moved(slab: &RecordSlab<u64>, sn: SeqNum) -> bool {
+        let (seg, _) = slab.position(sn).unwrap();
+        matches!(slab.segments[seg], Some(Segment { slots: Slots::Moved(_), .. }))
+    }
+
+    #[test]
+    fn a_sparse_old_segment_moves_and_still_serves_its_records() {
+        let mut slab = RecordSlab::new();
+        // Exactly a quarter live: the most that still moves.
+        let kept = sparse_segment(&mut slab, 4);
+        assert_eq!(kept.len(), MOVE_AT_LIVE as usize);
+        let (held, dead) = (kept[0], SeqNum(kept[0].0 - 1));
+        slab.get_mut(held).unwrap().cache(1, NodeId(3));
+        // Two younger full segments: the sparse one is still kept dense
+        // while either of them is the newest.
+        for _ in 0..2 * SEG {
+            push(&mut slab, 0);
+        }
+        assert!(!is_moved(&slab, held));
+        // The next segment opens: the sparse one is now old enough.
+        let young = push(&mut slab, 0);
+        assert!(is_moved(&slab, held) && !is_moved(&slab, young));
+        assert_eq!(slab.pool.len(), kept.len());
+        assert_eq!(slab.retained(), 2 * SEG + 1 + kept.len());
+        assert!(kept.iter().all(|&sn| slab.get(sn).map(|slot| slot.payload) == Some(sn.0)));
+        assert!(slab.get(dead).is_none() && slab.get_mut(dead).is_none());
+        // Cache holders moved with their record, and still take updates.
+        let slot = slab.get_mut(held).unwrap();
+        assert!(slot.cached_by(1, NodeId(3)));
+        slot.cache(2, NodeId(4));
+        assert!(slab.get(held).unwrap().cached_by(2, NodeId(4)));
+        // Reclaimed on the last membership only; its position is freed.
+        assert!(slab.release(held).is_none());
+        assert!(slab.get(held).is_some());
+        assert_eq!(slab.release(held).map(|slot| slot.payload), Some(held.0));
+        assert!(slab.get(held).is_none());
+        assert_eq!(slab.free.len(), 1);
+        assert_eq!(slab.live().count(), kept.len() - 1 + 2 * SEG + 1);
+    }
+
+    #[test]
+    fn a_segment_with_more_than_a_quarter_live_stays_dense() {
+        let mut slab = RecordSlab::new();
+        let kept = sparse_segment(&mut slab, 3);
+        assert!(kept.len() > MOVE_AT_LIVE as usize);
+        for _ in 0..2 * SEG + 1 {
+            push(&mut slab, 0);
+        }
+        assert!(!is_moved(&slab, kept[0]));
+        assert!(slab.pool.is_empty());
+        assert_eq!(slab.retained(), 3 * SEG + 1);
+    }
+
+    #[test]
+    fn a_moved_segment_is_freed_and_the_front_popped_with_its_last_record() {
+        let mut slab = RecordSlab::new();
+        let first = sparse_segment(&mut slab, 8);
+        let second = sparse_segment(&mut slab, 16);
+        for _ in 0..2 * SEG + 1 {
+            push(&mut slab, 0);
+        }
+        assert!(is_moved(&slab, first[0]) && is_moved(&slab, second[0]));
+        let pooled = first.len() + second.len();
+        assert_eq!(slab.pool.len(), pooled);
+        // The younger moved segment dies first: freed in place.
+        for &sn in &second {
+            assert!(slab.release(sn).is_none() && slab.release(sn).is_some());
+        }
+        assert!(slab.segments[1].is_none());
+        assert_eq!(slab.base, 0);
+        assert!(slab.get(second[0]).is_none());
+        // Then the oldest: both leave the deque.
+        for &sn in &first {
+            assert!(slab.release(sn).is_none() && slab.release(sn).is_some());
+        }
+        assert_eq!(slab.base, 2);
+        assert!(slab.get(first[0]).is_none());
+        assert_eq!(slab.free.len(), pooled);
+        assert_eq!(slab.retained(), 2 * SEG + 1 + pooled);
+        // The next move fills freed positions before the pool grows.
+        for _ in 1..SEG {
+            push(&mut slab, 0);
+        }
+        let third = sparse_segment(&mut slab, 8);
+        for _ in 0..2 * SEG + 1 {
+            push(&mut slab, 0);
+        }
+        assert!(is_moved(&slab, third[0]));
+        assert_eq!(slab.pool.len(), pooled);
+        assert_eq!(slab.free.len(), pooled - third.len());
+        assert!(third.iter().all(|&sn| slab.get(sn).map(|slot| slot.payload) == Some(sn.0)));
+    }
+
+    /// Keys written with a skew, each key's previous record reclaimed as
+    /// its next is pushed, so every key's newest record stays live however
+    /// old: the shape of a collector that keeps each object's last write.
+    #[test]
+    fn pinned_records_keep_the_pool_within_the_live_high_water() {
+        const KEYS: u64 = 1_016;
+        let mut slab = RecordSlab::new();
+        let mut newest: Vec<Option<SeqNum>> = vec![None; KEYS as usize];
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let (mut live, mut high) = (0, 0);
+        for _ in 0..20 * SEG {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            let draw = lcg >> 33;
+            let key = if draw.is_multiple_of(8) { 16 + draw / 8 % (KEYS - 16) } else { draw % 16 };
+            let sn = push(&mut slab, 0);
+            match newest[key as usize].replace(sn) {
+                Some(previous) => {
+                    assert_eq!(slab.release(previous).map(|slot| slot.payload), Some(previous.0));
+                }
+                None => live += 1,
+            }
+            high = high.max(live);
+            assert!(slab.pool.len() <= high, "pool {} for {high} live at most", slab.pool.len());
+        }
+        assert!(!slab.pool.is_empty(), "old segments moved");
+        assert!(slab.retained() <= 3 * SEG + high, "{} slots held", slab.retained());
+        // Every live record is visited once, dense or pooled, by both walks.
+        let mut want: Vec<u64> = newest.iter().flatten().map(|sn| sn.0).collect();
+        want.sort_unstable();
+        let mut seen: Vec<u64> = slab.live().map(|slot| slot.payload).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, want);
+        let mut seen: Vec<u64> = slab.live_mut().map(|slot| slot.payload).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, want);
+        for &sn in newest.iter().flatten() {
+            assert_eq!(slab.get(sn).map(|slot| slot.payload), Some(sn.0));
         }
     }
 

@@ -47,6 +47,11 @@
 # log_storm then runs with all four observers attached (a tenth of its
 # length, a quarter for crash_recovery): a non-zero exit or any failed
 # output check (an `X ` line) fails the gate.
+# Memory growth: the collector keeps each object's newest log record, so
+# long-lived records land in every slab segment; the log must still hold
+# memory for its live records, not for every append. One steady_mixed
+# round at its full length and one at twice it (default seed) must give
+# peak_rss_mb(2x) <= 1.15 * peak_rss_mb(1x).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -127,5 +132,17 @@ for run in steady_mixed:0.1 crash_recovery:0.25 log_storm:0.1; do
     fi
 done
 echo "benchmark observer rounds ok"
+
+echo "== memory growth: steady_mixed peak RSS at twice its length =="
+for scale in 1 2; do
+    HM_BENCHMARK_OUT="$tmp" "$bench" round --workload steady_mixed --seed 20230923 \
+        --scale "$scale" > "$tmp/growth_$scale.txt" || { echo "growth round at ${scale}x exited non-zero"; exit 1; }
+    if grep '^X ' "$tmp/growth_$scale.txt"; then
+        echo "growth round at ${scale}x failed its output checks"
+        exit 1
+    fi
+done
+rss() { awk '$1 == "H" && $2 == "peak_rss_mb" { print $3 }' "$tmp/growth_$1.txt"; }
+awk -v one="$(rss 1)" -v two="$(rss 2)" 'BEGIN { printf "memory growth: peak_rss_mb %.2f at 1x, %.2f at 2x (%.2fx, ceiling 1.15x)\n", one, two, two / one; exit !(one > 0 && two <= 1.15 * one) }'
 
 echo "== verify OK =="

@@ -112,9 +112,81 @@ fn log_memory_follows_live_records_not_appends() {
     }
 }
 
-/// The slot is the record's only home, and dead slots stay allocated
-/// until their segment empties: its size is host memory per *retained*
-/// record. 192 bytes is what `steady_mixed`'s `peak_rss_mb` was measured
+const PINNED_KEYS: u64 = 1_024;
+
+fn key_tag(key: u64) -> Tag {
+    Tag::new(TagKind::ObjectLog, 0x1000 + key)
+}
+
+/// A writer that keeps each key's newest record live, as the collector
+/// keeps each object's last write below the watermark: it appends to one
+/// key's stream and trims that stream up to its previous record. One in
+/// eight appends goes to a cold key among [`PINNED_KEYS`], the rest to
+/// sixteen hot ones, so cold records stay live for tens of thousands of
+/// appends, pinning every segment they land in. A cold key already
+/// written must read back its newest record, wherever it is kept now.
+async fn pinning_writer(log: LogService<u64>, w: u64, iterations: u64, written: Rc<Vec<Cell<bool>>>) {
+    let node = NodeId((w % NODES) as u32);
+    let mut rng = SmallRng::seed_from_u64(0x9177 + w);
+    for i in 0..iterations {
+        let key = if rng.random_range(0..8u32) == 0 {
+            rng.random_range(16..PINNED_KEYS)
+        } else {
+            rng.random_range(0..16)
+        };
+        let tag = key_tag(key);
+        if written[key as usize].get() {
+            let newest = log.read_prev(node, tag, SeqNum::MAX).await;
+            assert!(newest.is_some(), "key {key}: its newest record is gone");
+        }
+        let sn = log.append(node, [tag], i).await;
+        written[key as usize].set(true);
+        log.trim(node, tag, SeqNum(sn.0 - 1)).await;
+    }
+}
+
+/// `(live, retained)` after a pinned-record storm of `iterations` per writer.
+fn pinned_footprint(iterations: u64) -> (usize, usize) {
+    let mut sim = Sim::new(0x9147);
+    let log: LogService<u64> = LogService::new(
+        sim.ctx(),
+        LatencyModel::calibrated(),
+        LogConfig {
+            topology: Topology::sharded(4),
+            ..LogConfig::default()
+        },
+    );
+    let written: Rc<Vec<Cell<bool>>> = Rc::new((0..PINNED_KEYS).map(|_| Cell::new(false)).collect());
+    let ctx = sim.ctx();
+    for w in 0..WRITERS {
+        ctx.spawn(pinning_writer(log.clone(), w, iterations, written.clone()));
+    }
+    sim.run();
+    assert_eq!(log.head_seqnum(), SeqNum(WRITERS * iterations + 1));
+    (log.live_records(), log.retained_records())
+}
+
+/// Long-lived records scattered over every segment leave no segment
+/// empty, so slot memory cannot wait for segments to die: it must follow
+/// the live records themselves, at the same bound at both lengths.
+#[test]
+fn log_memory_follows_live_records_that_pin_every_segment() {
+    for iterations in [10_000, 40_000] {
+        let (live, retained) = pinned_footprint(iterations);
+        assert!(live > 500 && live <= PINNED_KEYS as usize + WRITERS as usize, "{live} live");
+        assert!(
+            retained <= 2 * live + 3 * SLAB_SEGMENT_RECORDS,
+            "{iterations} iterations: {retained} slab slots retained for {live} live records"
+        );
+    }
+}
+
+/// The slot is the record's only home, and a dead slot stays allocated
+/// until its segment empties or moves its survivors to the pool (and a
+/// pool position until it is reused): its size is host memory per
+/// *retained* record, and retained records stay within two per live
+/// record plus three segments (held above and under `steady_mixed`'s
+/// load below). 192 bytes is what `steady_mixed`'s `peak_rss_mb` was measured
 /// with; a field added beside the payload shows here before it shows there.
 #[test]
 fn a_step_record_slot_stays_within_its_measured_size() {
@@ -487,6 +559,13 @@ fn the_collector_keeps_up_with_a_steady_load() {
     assert!(
         versions < keys + per_interval,
         "{versions} live versions of {keys} keys, {per_interval} written per interval"
+    );
+    // Each key's newest write-log record outlives every cycle, scattered
+    // over the whole run: the log's slots still follow the live records.
+    let (live, retained) = (client.log().live_records(), client.log().retained_records());
+    assert!(
+        retained <= 2 * live + 3 * SLAB_SEGMENT_RECORDS,
+        "{retained} slab slots retained for {live} live records"
     );
 }
 
