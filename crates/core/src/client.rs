@@ -145,12 +145,9 @@ struct ClientInner {
     /// log prefix, so caching it is sound.
     txn_validity: RefCell<hm_common::FxHashMap<hm_common::SeqNum, bool>>,
     /// Keys that have received at least one multi-version write; the GC
-    /// iterates this instead of scanning the whole keyspace. Twice over:
-    /// every such write asks "seen before?", which the hash set answers
-    /// without a dozen string compares, and the GC walks the ordered set
-    /// (its order is in the run fingerprints), touched only on a key's
-    /// first sighting.
-    written_keys: RefCell<(hm_common::FxHashSet<Key>, BTreeSet<Key>)>,
+    /// iterates this, in key order (which is in the run fingerprints),
+    /// instead of scanning the whole keyspace.
+    written_keys: RefCell<BTreeSet<Key>>,
 }
 
 /// Shared deployment handle. Cheap to clone.
@@ -446,17 +443,16 @@ impl Client {
     /// Notes that `key` received a multi-version write (GC bookkeeping;
     /// a real deployment would keep this index in the logging layer).
     pub fn note_written_key(&self, key: &Key) {
-        let (seen, ordered) = &mut *self.inner.written_keys.borrow_mut();
-        if !seen.contains(key) {
-            seen.insert(key.clone());
-            ordered.insert(key.clone());
+        let mut written = self.inner.written_keys.borrow_mut();
+        if !written.contains(key) {
+            written.insert(key.clone());
         }
     }
 
     /// Snapshot of keys with multi-version writes.
     #[must_use]
     pub fn written_keys(&self) -> Vec<Key> {
-        self.inner.written_keys.borrow().1.iter().cloned().collect()
+        self.inner.written_keys.borrow().iter().cloned().collect()
     }
 
     /// Populates base state in the store and tells the recorder about it.

@@ -294,14 +294,6 @@ impl<P> ServiceInner<P> {
         shard_for_tag(tag, self.shards.len() as u8).0
     }
 
-    /// The record's stored offset under `tag`, when the bound seqnum names
-    /// a live record that is a member of that stream.
-    fn offset_in_stream(&self, sn: SeqNum, tag: Tag) -> Option<u64> {
-        self.slab
-            .get(sn)
-            .and_then(|slot| slot.last_offset_of(tag))
-    }
-
     /// The live record at `sn`; `None` once it has been reclaimed.
     fn fetch(&self, sn: SeqNum) -> Option<LogRecord<P>>
     where
@@ -318,11 +310,6 @@ impl<P> ServiceInner<P> {
         if max_seqnum == SeqNum::MAX {
             // Newest record: the common "read the tail" case.
             s.seqnums.back().copied()
-        } else if let Some(off) = self.offset_in_stream(max_seqnum, tag) {
-            // The bound names a live member of this stream: its stored
-            // offset answers directly (None once trimmed — everything at
-            // or below it is gone from the stream).
-            s.at(off as usize)
         } else {
             let idx = s.seqnums.partition_point(|&sn| sn <= max_seqnum);
             idx.checked_sub(1).and_then(|i| s.seqnums.get(i).copied())
@@ -336,11 +323,6 @@ impl<P> ServiceInner<P> {
         let first = s.seqnums.front().copied()?;
         if min_seqnum <= first {
             Some(first)
-        } else if let Some(off) = self.offset_in_stream(min_seqnum, tag) {
-            // Live member at or past the trim front: the bound itself is
-            // the answer. Trimmed member: every live entry is newer, so
-            // the front is.
-            s.at(off as usize).or(Some(first))
         } else {
             let idx = s.seqnums.partition_point(|&sn| sn < min_seqnum);
             s.seqnums.get(idx).copied()
@@ -945,7 +927,6 @@ impl<P: Payload> LogService<P> {
                     stream.seqnums = buf;
                 }
             }
-            slot.join(tag, stream.len_total() as u64);
             stream.seqnums.push_back(seqnum);
             // The appending node caches its own record, on every shard
             // whose streams index it.
@@ -953,7 +934,6 @@ impl<P: Payload> LogService<P> {
         }
         inner.slab.push(slot);
         let state = &mut inner.shards[home as usize];
-        state.live += 1;
         state.bytes.add(now, bytes as f64);
         state.counters.log_appends += 1;
         seqnum
@@ -1111,37 +1091,25 @@ impl<P: Payload> LogService<P> {
     fn apply_trim(inner: &mut ServiceInner<P>, scope: &Scope, now: Duration, tag: Tag, upto: SeqNum) {
         let home = inner.shard_of(tag) as usize;
         inner.shards[home].counters.log_trims += 1;
-        if !inner.shards[home].streams.contains_key(&tag) {
+        let Some(stream) = inner.shards[home].streams.get_mut(&tag) else {
             return;
-        }
-        // Cut point: O(1) from the bound record's stored offset when it is
-        // a live member of this stream; binary search otherwise.
-        let cut = {
-            let bound_offset = inner.offset_in_stream(upto, tag);
-            let stream = &inner.shards[home].streams[&tag];
-            match bound_offset {
-                Some(off) => (off as usize + 1).saturating_sub(stream.trimmed),
-                None => stream.seqnums.partition_point(|&sn| sn <= upto),
-            }
         };
+        let cut = stream.seqnums.partition_point(|&sn| sn <= upto);
         // Scratch-backed drain: the trimmed entries and the per-shard
         // freed-bytes tally reuse the service's buffers across trims.
         inner.trim_scratch.clear();
-        {
-            let stream = inner.shards[home].streams.get_mut(&tag).expect("checked above");
-            inner.trim_scratch.extend(stream.seqnums.drain(..cut));
-            stream.trimmed += cut;
-            if stream.seqnums.is_empty() {
-                // A finished instance's step log stays in the index for
-                // its offset count alone; it must not pin a buffer too.
-                // The empty buffer goes to the pool for the next stream
-                // that needs one, or is freed.
-                let buf = std::mem::take(&mut stream.seqnums);
-                if inner.stream_pool.len() < STREAM_POOL_CAP
-                    && (1..=STREAM_POOL_MAX_CAPACITY).contains(&buf.capacity())
-                {
-                    inner.stream_pool.push(buf);
-                }
+        inner.trim_scratch.extend(stream.seqnums.drain(..cut));
+        stream.trimmed += cut;
+        if stream.seqnums.is_empty() {
+            // A finished instance's step log stays in the index for its
+            // offset count alone; it must not pin a buffer too. The empty
+            // buffer goes to the pool for the next stream that needs one,
+            // or is freed.
+            let buf = std::mem::take(&mut stream.seqnums);
+            if inner.stream_pool.len() < STREAM_POOL_CAP
+                && (1..=STREAM_POOL_MAX_CAPACITY).contains(&buf.capacity())
+            {
+                inner.stream_pool.push(buf);
             }
         }
         inner.freed_scratch.clear();
@@ -1156,9 +1124,7 @@ impl<P: Payload> LogService<P> {
             // entry always names a live record (readers, who hold seqnums
             // across sleeps, go through the fallible `fetch` instead).
             if let Some(slot) = inner.slab.release(sn) {
-                let home = slot.home.0 as usize;
-                inner.freed_scratch[home] += slot.bytes;
-                inner.shards[home].live -= 1;
+                inner.freed_scratch[slot.home.0 as usize] += slot.bytes;
             }
         }
         let freed_total: usize = inner.freed_scratch.iter().sum();
@@ -1223,7 +1189,7 @@ impl<P: Payload> LogService<P> {
     /// Live record count, across all shards.
     #[must_use]
     pub fn live_records(&self) -> usize {
-        self.inner.borrow().shards.iter().map(|s| s.live).sum()
+        self.inner.borrow().slab.live_records()
     }
 
     /// Record slots the slab currently keeps allocated, live or dead —
@@ -1345,7 +1311,7 @@ impl<P> std::fmt::Debug for LogService<P> {
             "LogService(shards={}, head={:?}, live={}, streams={})",
             inner.shards.len(),
             inner.slab.head(),
-            inner.shards.iter().map(|s| s.live).sum::<usize>(),
+            inner.slab.live_records(),
             inner.shards.iter().map(|s| s.streams.len()).sum::<usize>(),
         )
     }
@@ -1801,8 +1767,8 @@ mod tests {
         let l = log;
         sim.block_on(async move {
             let a = t("dup_bound");
-            // The bound record itself carries the tag twice: the O(1) cut
-            // derived from its stored offset must cover both copies.
+            // The bound record itself carries the tag twice: the cut must
+            // cover both copies.
             let sn = l.append(N0, vec![a, a], "dd".into()).await;
             l.trim(N0, a, sn).await;
             assert!(l.peek_stream(a).is_empty());
@@ -1883,10 +1849,10 @@ mod tests {
     }
 
     #[test]
-    fn read_bounds_resolve_via_stored_offsets_after_trim() {
-        // Exercises the O(1) bound-resolution paths: bounds that name live,
-        // trimmed, and foreign records must all agree with the definition
-        // (latest ≤ max / earliest ≥ min over the live stream).
+    fn read_bounds_resolve_against_the_live_stream_after_trim() {
+        // Bounds that name live, trimmed, and foreign records must all
+        // agree with the definition (latest ≤ max / earliest ≥ min over
+        // the live stream).
         let (mut sim, log) = setup();
         let l = log;
         sim.block_on(async move {
@@ -1898,15 +1864,14 @@ mod tests {
             // A record of a different stream, interleaved in seqnum order.
             let foreign = l.append(N0, vec![other], "f".into()).await;
             l.trim(N0, a, sns[2]).await;
-            // Live bound: resolves through its stored offset.
+            // Live bound: the bound itself.
             assert_eq!(l.read_prev(N0, a, sns[4]).await.unwrap().seqnum, sns[4]);
             assert_eq!(l.read_next(N0, a, sns[4]).await.unwrap().seqnum, sns[4]);
             // Trimmed bound: read_prev sees nothing at or below it;
             // read_next jumps to the live front.
             assert!(l.read_prev(N0, a, sns[1]).await.is_none());
             assert_eq!(l.read_next(N0, a, sns[1]).await.unwrap().seqnum, sns[3]);
-            // Bound that is a live record of a *different* stream: falls
-            // back to the search path and still answers correctly.
+            // Bound that is a live record of a *different* stream.
             assert_eq!(l.read_prev(N0, a, foreign).await.unwrap().seqnum, sns[5]);
             assert!(l.read_next(N0, a, foreign).await.is_none());
         });

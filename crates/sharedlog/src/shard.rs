@@ -15,13 +15,11 @@
 //!   freed segment is *trimmed by construction*. An old segment left
 //!   mostly dead hands its survivors to a pool, so slab memory follows
 //!   live records, not total appends. The shard keeps only its counts
-//!   (`live`, `bytes`, counters); the slot names its home shard.
-//! - **Membership offsets**: at install time each record learns its absolute
-//!   offset in every sub-stream it joins. `read_prev`/`read_next`/`trim`
-//!   whose bound names a live record resolve positions O(1) from those
-//!   stored offsets instead of re-deriving them by binary search (the
-//!   search remains only as a fallback for bounds that are not records of
-//!   the stream).
+//!   (`bytes`, counters); the slot names its home shard.
+//! - **Stream positions**: a sub-stream's seqnums ascend, so it is its own
+//!   index. `read_prev`/`read_next`/`trim` resolve a bound by one binary
+//!   search of the stream, O(1) for the tail and the front; a record
+//!   stores no offsets of its own.
 //! - **Live-stream refcounts**: each record counts its untrimmed stream
 //!   memberships. `trim` releases one per drained entry and the slab
 //!   reclaims the record exactly when the count hits zero — O(removed)
@@ -142,9 +140,6 @@ pub(crate) struct ShardState {
     /// view change, but worth counting). Per-shard: a degraded storage
     /// group on one shard never taints another's accounting.
     pub(crate) degraded_appends: u64,
-    /// Live records homed on this shard (the records themselves sit in
-    /// the service-wide slab).
-    pub(crate) live: usize,
     /// Sub-streams of the tags routed to this shard.
     pub(crate) streams: FxHashMap<Tag, Stream>,
     pub(crate) bytes: TimeWeightedGauge,
@@ -162,7 +157,6 @@ impl ShardState {
         ShardState {
             failed_replicas: FxHashSet::default(),
             degraded_appends: 0,
-            live: 0,
             streams: FxHashMap::default(),
             bytes: TimeWeightedGauge::new(now),
             counters: OpCounters::default(),

@@ -9,12 +9,14 @@
 //! # One home per record
 //!
 //! A [`RecordSlot`] is all the log keeps of a record: the payload inline,
-//! the home shard, its stream memberships (which *are* its tags) and the
-//! exact set of `(shard, node)` caches holding it. An append therefore
-//! allocates nothing per record, a cache lookup is the slot lookup plus a
-//! bit test, and reclaiming the slot reclaims the payload and every cache
-//! entry in the same move — there is no second structure to purge. Reads
-//! hand out by-value [`LogRecord`](crate::LogRecord) copies.
+//! the home shard, a count of the sub-streams still listing it and the
+//! exact set of `(shard, node)` caches holding it. Where the record sits in
+//! each sub-stream is the stream's business alone: its sorted seqnums
+//! answer every bound by one binary search. An append therefore allocates
+//! nothing per record, a cache lookup is the slot lookup plus a bit test,
+//! and reclaiming the slot reclaims the payload and every cache entry in
+//! the same move — there is no second structure to purge. Reads hand out
+//! by-value [`LogRecord`](crate::LogRecord) copies.
 //!
 //! The holder set is the authority for hit versus miss, so it is exact for
 //! every `NodeId` and every shard: four lanes of sixteen node bits cover
@@ -22,7 +24,7 @@
 //! without leaving the slot; a node id of sixteen or more, or a fifth
 //! shard, goes to a boxed overflow list that is searched linearly. The
 //! slot is sized by measurement (`tests/reclamation.rs` holds
-//! `RecordSlot<StepRecord>` to 192 bytes): a dead slot stays allocated
+//! `RecordSlot<StepRecord>` to 128 bytes): a dead slot stays allocated
 //! until its segment empties or moves, so slot bytes are paid per retained
 //! record.
 //!
@@ -54,7 +56,7 @@
 
 use std::collections::VecDeque;
 
-use hm_common::{NodeId, SeqNum, Tag};
+use hm_common::{NodeId, SeqNum};
 
 use crate::router::ShardId;
 
@@ -64,14 +66,6 @@ use crate::router::ShardId;
 /// one block allocation per this many appends.
 pub const SEG: usize = 4096;
 
-/// Stream memberships stored inline per record (records almost always
-/// carry one to three tags).
-const MEMBER_INLINE: usize = 4;
-
-/// [`RecordSlot::inline_len`] of a record with more than [`MEMBER_INLINE`]
-/// tags: its memberships all live in the overflow block.
-const SPILLED: u8 = u8::MAX;
-
 /// Shards whose holder sets are stored inline per record: one lane per
 /// distinct shard the record is cached through, claimed on first use and
 /// kept for the record's life.
@@ -80,27 +74,25 @@ const LANES: usize = 4;
 /// Node ids below this are one bit of a lane's word. Sixteen rather than
 /// 64: a dead slot stays allocated until its segment empties or moves, so
 /// every slot byte is paid per *retained* record, and wider words push
-/// `RecordSlot<StepRecord>` past 192 bytes.
+/// `RecordSlot<StepRecord>` past 128 bytes.
 const LANE_NODES: u32 = 16;
 
 /// Marks an unclaimed lane. No shard has this id: a topology's shard
 /// count is a `u8`, so ids stop at 254.
 const FREE_LANE: u8 = u8::MAX;
 
-/// What does not fit a slot's inline arrays. One box for both kinds, so
-/// the common slot pays a single null pointer for them.
+/// What does not fit a slot's lanes, boxed so the common slot pays a
+/// single null pointer for it.
 #[derive(Default)]
 struct Overflow {
-    /// Every membership of a [`SPILLED`] record.
-    members: Vec<(Tag, u64)>,
     /// Cache holders `(shard, node)` outside the lanes: a node id at or
     /// past [`LANE_NODES`], or a shard that found every lane claimed.
     holders: Vec<(u8, u32)>,
 }
 
-/// The one home of a live record: its payload, where it sits in each of
-/// its sub-streams, and exactly which nodes cache it through which shard.
-/// The seqnum is the slot's address and the tags are its memberships, so
+/// The one home of a live record: its payload, how many sub-streams still
+/// list it, and exactly which nodes cache it through which shard. The
+/// seqnum is the slot's address and the streams hold its positions, so
 /// neither is stored a second time; dropping the slot drops the record
 /// *and* every cache entry for it.
 pub(crate) struct RecordSlot<P> {
@@ -113,9 +105,6 @@ pub(crate) struct RecordSlot<P> {
     /// Untrimmed stream memberships remaining (duplicate tags counted
     /// once per occurrence). The record is reclaimed when this hits zero.
     live_streams: u16,
-    inline_len: u8,
-    /// `(tag, absolute offset in that stream)`, assigned once at install.
-    inline: [(Tag, u64); MEMBER_INLINE],
     /// The shard each lane tracks, or [`FREE_LANE`]. Claimed in order, so
     /// free lanes always trail the claimed ones.
     lane_shard: [u8; LANES],
@@ -125,60 +114,18 @@ pub(crate) struct RecordSlot<P> {
 }
 
 impl<P> RecordSlot<P> {
-    /// A slot for a record about to [`join`](RecordSlot::join) exactly
-    /// `tags` streams (a spilling record's vector is sized once, here).
+    /// A slot for a record listed in `tags` stream entries (a duplicated
+    /// tag counts once per occurrence).
     pub(crate) fn new(home: ShardId, payload: P, bytes: usize, tags: usize) -> RecordSlot<P> {
-        let spilled = tags > MEMBER_INLINE;
         RecordSlot {
             payload,
             home,
             bytes,
-            live_streams: 0,
-            inline_len: if spilled { SPILLED } else { 0 },
-            inline: [(Tag(0), 0); MEMBER_INLINE],
+            live_streams: u16::try_from(tags).expect("a record carries at most 65535 tags"),
             lane_shard: [FREE_LANE; LANES],
             lane_nodes: [0; LANES],
-            overflow: spilled.then(|| {
-                Box::new(Overflow {
-                    members: Vec::with_capacity(tags),
-                    holders: Vec::new(),
-                })
-            }),
+            overflow: None,
         }
-    }
-
-    /// Notes that the record sits at `offset` of `tag`'s stream.
-    pub(crate) fn join(&mut self, tag: Tag, offset: u64) {
-        self.live_streams = self
-            .live_streams
-            .checked_add(1)
-            .expect("a record carries at most 65535 tags");
-        if self.inline_len == SPILLED {
-            let overflow = self.overflow.as_mut().expect("allocated by `new`");
-            overflow.members.push((tag, offset));
-        } else {
-            self.inline[self.inline_len as usize] = (tag, offset);
-            self.inline_len += 1;
-        }
-    }
-
-    /// The record's stream memberships, in tag order.
-    pub(crate) fn memberships(&self) -> &[(Tag, u64)] {
-        match &self.overflow {
-            Some(overflow) if self.inline_len == SPILLED => &overflow.members,
-            _ => &self.inline[..self.inline_len as usize],
-        }
-    }
-
-    /// The record's *last* offset under `tag` (a record appended with a
-    /// duplicated tag occupies several consecutive offsets; bounds must
-    /// resolve past all of them).
-    pub(crate) fn last_offset_of(&self, tag: Tag) -> Option<u64> {
-        self.memberships()
-            .iter()
-            .rev()
-            .find(|&&(t, _)| t == tag)
-            .map(|&(_, off)| off)
     }
 
     /// Whether `node`'s cache on `shard` holds this record.
@@ -276,6 +223,8 @@ pub(crate) struct RecordSlab<P> {
     pool: Vec<Option<RecordSlot<P>>>,
     /// Reclaimed pool positions, reused before the pool grows.
     free: Vec<u32>,
+    /// Records pushed and not yet reclaimed.
+    live_records: usize,
     next_seqnum: SeqNum,
 }
 
@@ -288,6 +237,7 @@ impl<P> RecordSlab<P> {
             segments: VecDeque::new(),
             pool: Vec::new(),
             free: Vec::new(),
+            live_records: 0,
             next_seqnum: SeqNum(1),
         }
     }
@@ -327,6 +277,7 @@ impl<P> RecordSlab<P> {
         debug_assert_eq!(slots.len(), off, "the shared clock must stay dense");
         slots.push(Some(slot));
         *live += 1;
+        self.live_records += 1;
         self.next_seqnum = seqnum.next();
     }
 
@@ -414,6 +365,7 @@ impl<P> RecordSlab<P> {
             }
         };
         segment.live -= 1;
+        self.live_records -= 1;
         // The segment still being filled is kept even when momentarily
         // empty: the next push lands in it.
         if segment.live == 0 && full {
@@ -432,6 +384,11 @@ impl<P> RecordSlab<P> {
             Slots::Dense(slots) => Some(slots),
             Slots::Moved(_) => None,
         })
+    }
+
+    /// How many records are live.
+    pub(crate) fn live_records(&self) -> usize {
+        self.live_records
     }
 
     /// Every live record's slot, each once, in no particular order.
@@ -464,9 +421,7 @@ mod tests {
     /// reclaims it.
     fn push(slab: &mut RecordSlab<u64>, shard: u8) -> SeqNum {
         let seqnum = slab.head();
-        let mut slot = RecordSlot::new(ShardId(shard), seqnum.0, 8, 1);
-        slot.join(Tag(7), seqnum.0);
-        slab.push(slot);
+        slab.push(RecordSlot::new(ShardId(shard), seqnum.0, 8, 1));
         seqnum
     }
 
@@ -515,7 +470,7 @@ mod tests {
             assert!(slab.release(SeqNum(sn)).is_some());
         }
         assert_eq!(slab.retained(), SEG + 10);
-        assert_eq!(slab.live().count(), SEG);
+        assert_eq!((slab.live().count(), slab.live_records()), (SEG, SEG));
         let next = push(&mut slab, 1);
         assert_eq!(next, SeqNum(n + 1));
         assert_eq!(slab.get(next).unwrap().home, ShardId(1));
@@ -540,19 +495,8 @@ mod tests {
     #[test]
     fn release_reclaims_on_the_last_membership_only() {
         let mut slab = RecordSlab::new();
-        let tags: Vec<Tag> = (0..MEMBER_INLINE as u64 + 2).map(Tag).collect();
-        for joined in [2, tags.len()] {
-            let sn = slab.head();
-            let mut slot = RecordSlot::new(ShardId(0), sn.0, 8, joined);
-            for (offset, &tag) in tags[..joined].iter().enumerate() {
-                slot.join(tag, offset as u64);
-            }
-            // The memberships read back as joined, inline or spilled.
-            let want: Vec<(Tag, u64)> = tags[..joined].iter().copied().zip(0..).collect();
-            assert_eq!(slot.memberships(), want);
-            assert_eq!(slot.last_offset_of(tags[1]), Some(1));
-            assert_eq!(slot.last_offset_of(Tag(99)), None);
-            slab.push(slot);
+        for joined in [2, 6] {
+            let sn = push_joined(&mut slab, joined);
             for _ in 1..joined {
                 assert!(slab.release(sn).is_none(), "memberships remain");
                 assert!(slab.get(sn).is_some());
@@ -565,11 +509,7 @@ mod tests {
     /// Pushes a record that takes `joins` releases to reclaim.
     fn push_joined(slab: &mut RecordSlab<u64>, joins: usize) -> SeqNum {
         let seqnum = slab.head();
-        let mut slot = RecordSlot::new(ShardId(0), seqnum.0, 8, joins);
-        for tag in 0..joins as u64 {
-            slot.join(Tag(tag), seqnum.0);
-        }
-        slab.push(slot);
+        slab.push(RecordSlot::new(ShardId(0), seqnum.0, 8, joins));
         seqnum
     }
 
@@ -716,6 +656,7 @@ mod tests {
         let mut seen: Vec<u64> = slab.live_mut().map(|slot| slot.payload).collect();
         seen.sort_unstable();
         assert_eq!(seen, want);
+        assert_eq!(slab.live_records(), want.len());
         for &sn in newest.iter().flatten() {
             assert_eq!(slab.get(sn).map(|slot| slot.payload), Some(sn.0));
         }

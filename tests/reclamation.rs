@@ -186,13 +186,13 @@ fn log_memory_follows_live_records_that_pin_every_segment() {
 /// pool position until it is reused): its size is host memory per
 /// *retained* record, and retained records stay within two per live
 /// record plus three segments (held above and under `steady_mixed`'s
-/// load below). 192 bytes is what `steady_mixed`'s `peak_rss_mb` was measured
+/// load below). 128 bytes is what `steady_mixed`'s `peak_rss_mb` was measured
 /// with; a field added beside the payload shows here before it shows there.
 #[test]
 fn a_step_record_slot_stays_within_its_measured_size() {
     let (slot, payload) = (LogService::<StepRecord>::SLOT_BYTES, std::mem::size_of::<StepRecord>());
-    assert!(slot <= 192, "{slot} bytes per slot");
-    assert_eq!(slot - payload, 96, "what a slot holds beside its {payload}-byte payload");
+    assert!(slot <= 128, "{slot} bytes per slot");
+    assert_eq!(slot - payload, 32, "what a slot holds beside its {payload}-byte payload");
 }
 
 /// A node id past the lane-tracked range (and one that a wrapping shift
