@@ -45,7 +45,7 @@ pub enum Phase {
     ProtoRead = 3,
     /// Protocol write-op residual.
     ProtoWrite = 4,
-    /// Protocol txn/init/sync/finish/invoke residual.
+    /// Protocol init/sync/finish/invoke residual.
     ProtoTxn = 5,
     /// Append's network trip from the node to the sequencer.
     LogHop = 6,

@@ -139,11 +139,6 @@ struct ClientInner {
     /// accelerator — never consulted for correctness, only to skip
     /// recomputing a deterministic result.
     checkpoints: RefCell<hm_common::FxHashMap<(NodeId, InstanceId, u32), Value>>,
-    /// Memoized transaction-commit validity by commit seqnum. In a real
-    /// deployment this is the shared log's per-record auxiliary data (the
-    /// Tango/Boki pattern); validity is a deterministic function of the
-    /// log prefix, so caching it is sound.
-    txn_validity: RefCell<hm_common::FxHashMap<hm_common::SeqNum, bool>>,
     /// Keys that have received at least one multi-version write; the GC
     /// iterates this, in key order (which is in the run fingerprints),
     /// instead of scanning the whole keyspace.
@@ -302,7 +297,6 @@ impl ClientBuilder {
                 op_latencies: RefCell::new(OpLatencies::default()),
                 recovery: Cell::new(RecoveryStats::default()),
                 checkpoints: RefCell::new(hm_common::FxHashMap::default()),
-                txn_validity: RefCell::new(hm_common::FxHashMap::default()),
                 written_keys: RefCell::default(),
             }),
         }
@@ -544,17 +538,6 @@ impl Client {
     #[must_use]
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.inner.recovery.get()
-    }
-
-    /// Looks up a memoized transaction-commit validity.
-    #[must_use]
-    pub fn txn_validity(&self, commit: hm_common::SeqNum) -> Option<bool> {
-        self.inner.txn_validity.borrow().get(&commit).copied()
-    }
-
-    /// Memoizes a transaction-commit validity.
-    pub fn set_txn_validity(&self, commit: hm_common::SeqNum, valid: bool) {
-        self.inner.txn_validity.borrow_mut().insert(commit, valid);
     }
 
     /// Total bytes currently stored across the log and the state store.

@@ -180,8 +180,9 @@ impl InvocationSpec {
 /// Maps an op-span name to the anatomy phase charged while it runs.
 /// Read-shaped ops charge `ProtoRead`, write-shaped ops `ProtoWrite`, and
 /// everything else (init/sync/finish/invoke/transition bookkeeping)
-/// `ProtoTxn`. Substrate phases (log/store round-trips) nest inside and
-/// take precedence, so these are the protocol *residuals*.
+/// `ProtoTxn`, the reports' `proto_txn` column. Substrate phases
+/// (log/store round-trips) nest inside and take precedence, so these are
+/// the protocol *residuals*.
 fn op_phase(name: &str) -> Phase {
     match name {
         "read" | "read_snapshot" => Phase::ProtoRead,

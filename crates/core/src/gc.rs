@@ -112,26 +112,17 @@ impl GarbageCollector {
         for key in &self.client.written_keys() {
             let tag = key.object_log_tag();
             self.client.log().peek_stream_into(tag, &mut stream);
-            // Latest *effective* record strictly below the watermark — an
-            // aborted transaction commit is invisible to readers, so it
-            // cannot serve as the retained snapshot (condition (a)).
+            // The latest record strictly below the watermark is the marked
+            // one (condition (a)): keep it, delete and trim everything older.
             let below = stream.partition_point(|sn| *sn < watermark);
-            let marked_idx = stream[..below].iter().rposition(|sn| {
-                self.client.log().peek_record(*sn).is_some_and(|rec| {
-                    crate::txn::effective_version(&self.client, &rec.payload, *sn, key).is_some()
-                })
-            });
-            let Some(marked_idx) = marked_idx else {
+            let older = &stream[..below.saturating_sub(1)];
+            let Some(&newest_older) = older.last() else {
                 continue;
             };
-            if marked_idx == 0 {
-                continue; // nothing older than the marked record
-            }
-            // Keep stream[marked_idx]; delete and trim everything before.
-            trims.push((tag, stream[marked_idx - 1]));
-            for sn in &stream[..marked_idx] {
+            trims.push((tag, newest_older));
+            for sn in older {
                 if let Some(rec) = self.client.log().peek_record(*sn) {
-                    if let Some(version) = rec.payload.version_for(key) {
+                    if let Some(version) = rec.payload.object_version() {
                         version_deletes.push((key.clone(), version));
                     }
                 }

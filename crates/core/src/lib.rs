@@ -61,7 +61,6 @@ pub mod history;
 pub mod protocol;
 pub mod record;
 pub mod switching;
-pub mod txn;
 
 mod ops_baseline;
 mod ops_halfmoon;
@@ -79,4 +78,3 @@ pub use history::{Event, EventKind, Recorder};
 pub use protocol::{MatrixOp, ProtocolConfig, ProtocolKind};
 pub use record::{OpRecord, StepRecord};
 pub use switching::{SwitchReport, Switcher};
-pub use txn::{Transaction, TxnOutcome};

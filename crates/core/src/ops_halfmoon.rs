@@ -6,9 +6,11 @@
 //! via conditional appends; what an op writes itself is the effect that
 //! runs when there is nothing to replay, and the tail that follows.
 
-use hm_common::{HmResult, Key, Value, VersionNum, VersionTuple};
+use hm_common::observe::OpCtx;
+use hm_common::{HmError, HmResult, Key, NodeId, SeqNum, Value, VersionNum, VersionTuple};
 use rand::RngExt;
 
+use crate::client::Client;
 use crate::env::Env;
 use crate::history::EventKind;
 use crate::record::OpRecord;
@@ -38,15 +40,7 @@ impl Env {
                 return Ok(value);
             }
         }
-        // Newest effective write at or before the cursor; the seek skips
-        // aborted transaction commits (crate::txn). Committed versions are
-        // always present in the store: Halfmoon-read logs *after* DBWrite
-        // precisely so that exposed versions are available (§4.1), and the
-        // GC only removes versions no live cursor can reach (§4.5). With
-        // no effective write, the immutable base state is returned.
-        let value =
-            crate::txn::read_effective_at(self.client(), &self.octx, self.node, key, cursor)
-                .await?;
+        let value = read_at(self.client(), &self.octx, self.node, key, cursor).await?;
         if checkpointing {
             self.client()
                 .set_checkpoint(self.node, self.id, self.pc(), value.clone());
@@ -159,9 +153,11 @@ impl Env {
             let octx = self.octx.clone();
             let node = self.node;
             let key = key.clone();
-            handles.push(self.client().ctx().spawn(async move {
-                crate::txn::read_effective_at(&client, &octx, node, &key, cursor).await
-            }));
+            handles.push(
+                self.client()
+                    .ctx()
+                    .spawn(async move { read_at(&client, &octx, node, &key, cursor).await }),
+            );
         }
         let mut out = Vec::with_capacity(keys.len());
         for (key, handle) in keys.iter().zip(handles) {
@@ -275,5 +271,33 @@ impl Env {
             applied,
         });
         Ok(())
+    }
+}
+
+/// Figure 5 lines 28–29: the newest write-log record of `key` at or before
+/// `cursor` names the version to fetch. Committed versions are always in
+/// the store: Halfmoon-read logs *after* `DBWrite` precisely so that
+/// exposed versions are available (§4.1), and the GC only removes versions
+/// no live cursor can reach (§4.5). With no record, the immutable base
+/// state is returned. Every round trip is made as `octx`, the caller's
+/// context.
+async fn read_at(
+    client: &Client,
+    octx: &OpCtx,
+    node: NodeId,
+    key: &Key,
+    cursor: SeqNum,
+) -> HmResult<Value> {
+    let record = client
+        .log_as(octx)
+        .read_prev(node, key.object_log_tag(), cursor)
+        .await;
+    match record.and_then(|r| r.payload.object_version()) {
+        Some(version) => client
+            .store_as(octx)
+            .get_version(key, version)
+            .await
+            .ok_or_else(|| HmError::MissingVersion { key: key.clone() }),
+        None => Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null)),
     }
 }

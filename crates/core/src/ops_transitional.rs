@@ -20,7 +20,6 @@ use hm_common::{HmError, HmResult, Key, Value, VersionTuple};
 use crate::env::Env;
 use crate::history::EventKind;
 use crate::record::OpRecord;
-use crate::txn::effective_prev;
 
 impl Env {
     /// Dual read (§5.2): choose the fresher of the single-version and
@@ -41,11 +40,14 @@ impl Env {
                     // Halfmoon-write side: the LATEST row and its version
                     // tuple.
                     let latest = env.store().get_with_version(key).await;
-                    // Halfmoon-read side: the freshest *effective* committed
-                    // record at our cursor (skipping aborted transaction
-                    // commits).
-                    let wrec = effective_prev(env.client(), &env.octx, env.node, key, env.cursor)
-                        .await;
+                    // Halfmoon-read side: the freshest committed record at
+                    // our cursor in the object's write log.
+                    let wrec = env
+                        .client()
+                        .log_as(&env.octx)
+                        .read_prev(env.node, key.object_log_tag(), env.cursor)
+                        .await
+                        .and_then(|r| Some((r.seqnum, r.payload.object_version()?)));
                     let observed = match (latest, wrec) {
                         // Freshness comparison (§5.2): LATEST's version-tuple
                         // cursor vs. the write-log record's seqnum — both are

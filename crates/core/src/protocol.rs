@@ -79,9 +79,9 @@ impl ProtocolKind {
     /// replays them or adopts a peer's (§5.1), and `Env` debug-asserts it
     /// after every op that returns `Ok`. The other fields hold on a
     /// failure-free path: a lost conditional append adds a log read. The
-    /// modes of a switch (§5.2), transactions, reads of `read_only_keys`
-    /// and the init and finish of a deployment running more than one
-    /// protocol are outside the table, and the assert skips them.
+    /// modes of a switch (§5.2), reads of `read_only_keys` and the init and
+    /// finish of a deployment running more than one protocol are outside
+    /// the table, and the assert skips them.
     #[must_use]
     #[rustfmt::skip] // one row per line
     pub const fn logging_row(self, op: MatrixOp, config: &ProtocolConfig) -> OpCounters {

@@ -8,8 +8,6 @@
 //! write-log records are metadata-sized while read-log records carry the
 //! whole read value.
 
-use std::rc::Rc;
-
 use hm_common::{InstanceId, Key, SeqNum, StepNum, Value, VersionNum, VersionTuple};
 use hm_sharedlog::Payload;
 
@@ -69,23 +67,6 @@ pub enum OpRecord {
         /// The observed value.
         data: Value,
     },
-    /// Commit record of an optimistic transaction (the "existing
-    /// transactional APIs" the paper reuses, §4): carries the snapshot
-    /// cursor, the read set, and the (key, version) write set. Appears in
-    /// the step log and in every written object's write log; its validity
-    /// is decided deterministically from the log (first-committer-wins
-    /// within the snapshot window) — see `crate::txn`.
-    TxnCommit {
-        /// The transaction's snapshot cursor (reads resolved here).
-        snapshot: SeqNum,
-        /// Keys the transaction read (validated for conflicts). Refcounted:
-        /// the record is cloned on every replay adoption and validity scan,
-        /// and the sets are immutable once logged.
-        read_set: Rc<[Key]>,
-        /// Keys and pre-installed versions the transaction writes
-        /// (refcounted, immutable once logged).
-        writes: Rc<[(Key, VersionNum)]>,
-    },
     /// Result of a completed child invocation (Figure 5 lines 41–44).
     Invoke {
         /// The deterministic callee instance id.
@@ -142,38 +123,10 @@ pub struct StepRecord {
 }
 
 impl StepRecord {
-    /// True if this record is one of the per-object write-log records
-    /// (Halfmoon-read's commit, the transitional dual commit, or a
-    /// transaction commit).
-    #[must_use]
-    pub fn is_object_write(&self) -> bool {
-        matches!(
-            self.op,
-            OpRecord::WriteCommit { .. }
-                | OpRecord::DualWriteCommit { .. }
-                | OpRecord::TxnCommit { .. }
-        )
-    }
-
-    /// The multi-version number exposed by this record, if it is an
-    /// object-write record. Single-object records ignore `key`; a
-    /// transaction commit returns the version it installed for `key`.
-    #[must_use]
-    pub fn version_for(&self, key: &Key) -> Option<VersionNum> {
-        match &self.op {
-            OpRecord::WriteCommit { version, .. } | OpRecord::DualWriteCommit { version, .. } => {
-                Some(*version)
-            }
-            OpRecord::TxnCommit { writes, .. } => {
-                writes.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-            }
-            _ => None,
-        }
-    }
-
-    /// The multi-version number of a single-object write record (not
-    /// transaction commits, which are per-key — use
-    /// [`StepRecord::version_for`]).
+    /// The multi-version number of an object write-log record
+    /// (Halfmoon-read's commit or the transitional dual commit), the only
+    /// records tagged into an object's write log; `None` for every other
+    /// record.
     #[must_use]
     pub fn object_version(&self) -> Option<VersionNum> {
         match self.op {
@@ -200,15 +153,6 @@ impl Payload for StepRecord {
             OpRecord::BokiWriteCommit => 0,
             OpRecord::DualWriteCommit { key, .. } => key.size_bytes() + 20,
             OpRecord::DualRead { data } => data.size_bytes(),
-            OpRecord::TxnCommit {
-                read_set, writes, ..
-            } => {
-                8 + read_set.iter().map(Key::size_bytes).sum::<usize>()
-                    + writes
-                        .iter()
-                        .map(|(k, _)| k.size_bytes() + 8)
-                        .sum::<usize>()
-            }
             OpRecord::Invoke { result, .. } => 16 + result.size_bytes(),
             OpRecord::Sync => 0,
             OpRecord::Finish { result, .. } => 8 + result.size_bytes(),
@@ -250,17 +194,14 @@ mod tests {
             key: Key::new("k"),
             version: VersionNum(7),
         });
-        assert!(w.is_object_write());
         assert_eq!(w.object_version(), Some(VersionNum(7)));
         let r = rec(OpRecord::Read { data: Value::Null });
-        assert!(!r.is_object_write());
         assert_eq!(r.object_version(), None);
         let d = rec(OpRecord::DualWriteCommit {
             key: Key::new("k"),
             version: VersionNum(9),
             version_tuple: VersionTuple::MIN,
         });
-        assert!(d.is_object_write());
         assert_eq!(d.object_version(), Some(VersionNum(9)));
     }
 }

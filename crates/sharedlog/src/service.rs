@@ -2,7 +2,7 @@
 //!
 //! [`LogService`] keeps the exact call shapes of the pre-sharding
 //! monolith — `append` / `cond_append` / `read_prev` / `read_next` /
-//! `read_stream` / `trim` — so `hm-core`'s Env, protocol ops, txn, and GC
+//! `read_stream` / `trim` — so `hm-core`'s Env, protocol ops and GC
 //! code is oblivious to the topology. Internally every operation:
 //!
 //! 1. routes by tag (`router::shard_for_tag`) to the shard owning the

@@ -10,6 +10,12 @@
 //! streams or never assigned, [`SeqNum::ZERO`] and [`SeqNum::MAX`].
 //! Records carry up to six tags, duplicates included, routed to different
 //! shards.
+//!
+//! Two kinds of step issue several appends at one instant, so that they
+//! share a group-commit batch: plain appends, whose seqnums replayed in
+//! order into the reference must come out the same, and peers racing one
+//! conditional append, of which exactly one wins. A `trim_many` is also
+//! checked while in flight: until its round trip ends, the log is unchanged.
 
 mod ref_log;
 
@@ -17,6 +23,7 @@ use hm_common::latency::LatencyModel;
 use hm_common::{NodeId, SeqNum, Tag};
 use hm_sharedlog::{shard_for_tag, CondAppendOutcome, LogConfig, LogRecord, LogService, Topology};
 use hm_substrate::sim::Sim;
+use hm_substrate::Ctx;
 use ref_log::RefLog;
 
 /// `(shards, batch_max_records)` of every configuration checked.
@@ -96,6 +103,51 @@ fn record(found: Option<LogRecord<String>>) -> Option<(SeqNum, String)> {
     found.map(|r| (r.seqnum, r.payload))
 }
 
+/// Live records and every stream, service against reference.
+fn assert_same_state(l: &LogService<String>, reference: &RefLog, at: &str) {
+    assert_eq!(l.live_records(), reference.live_records(), "{at}");
+    assert_eq!(l.current_bytes(), reference.current_bytes() as f64, "{at}");
+    for tag in TAGS.into_iter().chain([UNUSED]) {
+        assert_eq!(
+            l.peek_stream(tag),
+            reference.live(tag),
+            "stream {tag:?}, {at}"
+        );
+    }
+}
+
+/// An append of a concurrent step: its tags, its payload and, for a
+/// conditional append, the tag and position it is conditioned on.
+type Append = (Vec<Tag>, String, Option<(Tag, usize)>);
+
+/// Issues every append at this instant, each from its own task and node,
+/// and returns their outcomes in issue order.
+async fn concurrently(
+    ctx: &Ctx,
+    l: &LogService<String>,
+    appends: &[Append],
+) -> Vec<CondAppendOutcome> {
+    let handles: Vec<_> = appends
+        .iter()
+        .enumerate()
+        .map(|(i, (tags, payload, cond))| {
+            let (l, tags, payload, cond) = (l.clone(), tags.clone(), payload.clone(), *cond);
+            let node = NodeId(i as u32);
+            ctx.spawn(async move {
+                match cond {
+                    Some((tag, pos)) => l.cond_append(node, tags, payload, tag, pos).await,
+                    None => CondAppendOutcome::Appended(l.append(node, tags, payload).await),
+                }
+            })
+        })
+        .collect();
+    let mut outcomes = Vec::with_capacity(handles.len());
+    for handle in handles {
+        outcomes.push(handle.await);
+    }
+    outcomes
+}
+
 /// Runs one seeded sequence on a fresh log and checks every step.
 fn run(shards: u8, batch: usize, seed: u64) -> Reached {
     let at = format!("{shards} shard(s), batch {batch}, seed {seed}");
@@ -109,12 +161,13 @@ fn run(shards: u8, batch: usize, seed: u64) -> Reached {
         LogService::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
     let mut reference = RefLog::new();
     let mut draw = Draw(seed ^ (u64::from(shards) << 32) ^ batch as u64);
+    let ctx = sim.ctx();
     sim.block_on(async move {
         let mut reached = Reached::default();
         for op in 0..OPS {
             let node = NodeId(draw.below(3) as u32);
             let at = format!("{at}, op {op}");
-            match draw.below(20) {
+            match draw.below(22) {
                 0..=5 => {
                     let (tags, payload) = (draw.tags(), draw.payload(op));
                     let sn = l.append(node, tags.clone(), payload.clone()).await;
@@ -171,10 +224,58 @@ fn run(shards: u8, batch: usize, seed: u64) -> Reached {
                             (tag, draw.bound(&reference, tag))
                         })
                         .collect();
-                    l.trim_many(node, &trims).await;
+                    let in_flight = {
+                        let (l, trims) = (l.clone(), trims.clone());
+                        ctx.spawn(async move { l.trim_many(node, &trims).await })
+                    };
+                    ctx.yield_now().await;
+                    assert_same_state(&l, &reference, &format!("trim_many in flight, {at}"));
+                    in_flight.await;
                     for &(tag, upto) in &trims {
                         reference.trim(tag, upto);
                     }
+                }
+                18 => {
+                    let appends: Vec<_> = (0..2 + draw.below(5))
+                        .map(|i| (draw.tags(), draw.payload(op * 8 + i), None))
+                        .collect();
+                    let outcomes = concurrently(&ctx, &l, &appends).await;
+                    let mut order: Vec<(SeqNum, usize)> = outcomes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, outcome)| match outcome {
+                            CondAppendOutcome::Appended(sn) => (*sn, i),
+                            CondAppendOutcome::Conflict(_) => panic!("{outcome:?}, {at}"),
+                        })
+                        .collect();
+                    order.sort_unstable();
+                    for (sn, i) in order {
+                        let (tags, payload, _) = &appends[i];
+                        let want = reference.append(tags, payload.clone());
+                        assert_eq!(sn, want, "concurrent append {i}, {at}");
+                    }
+                    assert_same_state(&l, &reference, &at);
+                }
+                19 => {
+                    let (tags, payload) = (draw.tags(), draw.payload(op));
+                    let cond_tag = draw.pick(&tags).expect("at least one tag");
+                    let pos = reference.len_total(cond_tag);
+                    let peers = vec![
+                        (tags.clone(), payload.clone(), Some((cond_tag, pos)));
+                        2 + draw.below(3)
+                    ];
+                    let outcomes = concurrently(&ctx, &l, &peers).await;
+                    // The first peer to sequence wins; every later one conflicts with it.
+                    let won = reference.cond_append(&tags, payload.clone(), cond_tag, pos);
+                    let lost = reference.cond_append(&tags, payload, cond_tag, pos);
+                    let wins = outcomes.iter().filter(|&&o| o == won).count();
+                    assert_eq!(wins, 1, "{outcomes:?} against {won:?}, {at}");
+                    assert!(
+                        outcomes.iter().all(|&o| o == won || o == lost),
+                        "{outcomes:?} against {lost:?}, {at}"
+                    );
+                    reached[2] += 1;
+                    reached[3] += outcomes.len() - 1;
                 }
                 _ => {
                     let tag = draw.tag();
@@ -196,15 +297,7 @@ fn run(shards: u8, batch: usize, seed: u64) -> Reached {
         }
         reached[4] += (reference.head().0 - 1) as usize - reference.live_records();
         assert_eq!(l.head_seqnum(), reference.head(), "{at}");
-        assert_eq!(l.live_records(), reference.live_records(), "{at}");
-        assert_eq!(l.current_bytes(), reference.current_bytes() as f64, "{at}");
-        for tag in TAGS.into_iter().chain([UNUSED]) {
-            assert_eq!(
-                l.peek_stream(tag),
-                reference.live(tag),
-                "stream {tag:?}, {at}"
-            );
-        }
+        assert_same_state(&l, &reference, &at);
         reached
     })
 }

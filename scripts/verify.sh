@@ -38,6 +38,9 @@
 # interleaving exhaustively, the unsafe baseline yields a replayable
 # ww-1s counterexample, and sleep-set pruning removes ≥50% of naive
 # interleavings on the hm-read xy-1s headline row.
+# Examples: every examples/*.rs is built in release and run with no
+# arguments, as README tells users to run them; a non-zero exit fails the
+# gate (`cargo test` only compiles them).
 # Benchmark builds: benchmark/ is a workspace of its own that no step above
 # compiles or tests, so a crate change can break it unseen. It is built
 # from a copy (with the crates it depends on symlinked beside it) because
@@ -107,6 +110,15 @@ grep -q "VIOLATION" "$tmp/explore.txt" || {
     echo "model-check smoke FAILED: no unsafe-baseline violation surfaced"
     cat "$tmp/explore.txt"; exit 1; }
 echo "model-check smoke ok: FT protocols exhaustively pass; unsafe counterexample replays"
+
+echo "== examples: each examples/*.rs runs to a zero exit =="
+cargo build --release -q --examples
+for src in examples/*.rs; do
+    name="$(basename "$src" .rs)"
+    "${CARGO_TARGET_DIR:-target}/release/examples/$name" > "$tmp/example_$name.txt" 2>&1 || {
+        echo "example $name exited non-zero"; cat "$tmp/example_$name.txt"; exit 1; }
+done
+echo "examples ok: $(ls examples/*.rs | wc -l) ran"
 
 echo "== benchmark builds: benchmark/ against these crates, from a copy, and its unit tests =="
 tar --exclude=benchmark/target --exclude=benchmark/out -cf - benchmark | tar -C "$tmp" -xf -

@@ -245,103 +245,6 @@ fn consistency_random_concurrent_load() {
     }
 }
 
-/// Random graphs of concurrent transactional transfers with random crash
-/// schedules conserve the total balance and never half-apply — atomicity
-/// and exactly-once, composed.
-#[test]
-fn transactions_conserve_money() {
-    for case in 0u64..24 {
-        let mut g = SmallRng::seed_from_u64(0x7a_3000 ^ case);
-        let transfers: Vec<(u8, u8, i64, u64)> = (0..g.random_range(1usize..8))
-            .map(|_| {
-                (
-                    g.random_range(0u8..4),
-                    g.random_range(0u8..4),
-                    g.random_range(1i64..30),
-                    g.random_range(0u64..8_000),
-                )
-            })
-            .collect();
-        let crash_points = random_crash_points(&mut g, 30, 2);
-        let seed = g.random_range(0u64..1_000_000);
-
-        let mut sim = Sim::new(seed);
-        let client = Client::builder(sim.ctx())
-            .model(LatencyModel::uniform_test_model())
-            .protocol(ProtocolKind::HalfmoonRead)
-            .recorder()
-            .build();
-        let recorder = client.recorder().expect("recorder enabled at build");
-        for k in 0..4 {
-            client.populate(key(k), Value::Int(100));
-        }
-        let ctx = sim.ctx();
-        let mut handles = Vec::new();
-        let mut first_id = None;
-        for (from, to, amount, offset) in transfers {
-            if from == to {
-                continue;
-            }
-            let client = client.clone();
-            let ctx2 = ctx.clone();
-            let id = client.fresh_instance_id();
-            if first_id.is_none() {
-                first_id = Some(id);
-            }
-            handles.push(ctx.spawn(async move {
-                ctx2.sleep(Duration::from_micros(offset)).await;
-                let mut attempt = 0;
-                loop {
-                    let c2 = client.clone();
-                    let once = async {
-                        let mut env = Env::init(&c2, InvocationSpec::new(id, NodeId(0)).attempt(attempt)).await?;
-                        for _ in 0..12 {
-                            let mut txn = env.txn_begin()?;
-                            let a = env.txn_read(&mut txn, &key(from)).await?.as_int().unwrap();
-                            let b = env.txn_read(&mut txn, &key(to)).await?.as_int().unwrap();
-                            if a < amount {
-                                break;
-                            }
-                            env.txn_write(&mut txn, &key(from), Value::Int(a - amount));
-                            env.txn_write(&mut txn, &key(to), Value::Int(b + amount));
-                            if env.txn_commit(txn).await?.committed() {
-                                break;
-                            }
-                            env.sync().await?;
-                        }
-                        env.finish(Value::Null).await
-                    };
-                    match once.await {
-                        Ok(_) => return Ok::<_, hm_common::HmError>(()),
-                        Err(e) if e.is_crash() => {
-                            attempt += 1;
-                            client.ctx().sleep(Duration::from_millis(1)).await;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }));
-        }
-        if let Some(id) = first_id {
-            client.set_fault_plan(FaultPolicy::at(crash_points.iter().map(|p| (id, *p))));
-        }
-        sim.run();
-        for h in handles {
-            h.try_take().expect("transfer completed").unwrap();
-        }
-        let total: i64 = (0..4u8)
-            .map(|k| read_back(&mut sim, &client, k).as_int().unwrap())
-            .sum();
-        assert_eq!(total, 400, "case {case}: money conserved");
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        recorder
-            .check_hm_read_sequential_consistency()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-    }
-}
-
 /// Which proposition a synthetic history satisfies: Halfmoon-read's
 /// versioned writes and cursor reads (4.7), or Halfmoon-write's
 /// conditional writes and store reads (4.8).

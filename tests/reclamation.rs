@@ -588,11 +588,11 @@ fn one_cycle_over_a_large_backlog_costs_a_fixed_number_of_round_trips() {
     );
 }
 
-/// Halfmoon-read under per-attempt crashes, duplicate peers and node
-/// crashes, collected every 50 ms beside the load and once more after it
-/// drains. The collector never looks for a version without a commit, so
-/// one stored under anything but the logged intent (a retry's or a
-/// losing peer's) would be left here: every version in the store must be
+/// Halfmoon-read under per-attempt crashes and node crashes, with and
+/// without duplicate peers, collected every 50 ms beside the load and once
+/// more after it drains. The collector never looks for a version without a
+/// commit, so one stored under anything but the logged intent (a retry's or
+/// a losing peer's) would be left here: every version in the store must be
 /// named by a live commit record in its key's write log.
 #[test]
 fn every_stored_version_is_named_by_a_live_commit_record() {
@@ -600,7 +600,8 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
         objects: 200,
         ..SyntheticOps::default()
     };
-    for seed in 0..8u64 {
+    let runs = [0.3, 0.0].into_iter().flat_map(|dup| (0..8u64).map(move |seed| (dup, seed)));
+    for (duplicate_prob, seed) in runs {
         let mut sim = Sim::new(0x0E1F + seed);
         let plan = FaultPlan::new()
             .instance_faults(FaultPolicy::per_attempt(0.3, 30, u32::MAX))
@@ -618,7 +619,7 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
             .build();
         workload.populate(&client);
         let config = RuntimeConfig {
-            duplicate_prob: 0.3,
+            duplicate_prob,
             ..RuntimeConfig::default()
         };
         let runtime = Runtime::new(client.clone(), config);
@@ -632,9 +633,15 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
             warmup: Duration::ZERO,
             factory: workload.factory(),
         };
-        // The report's errors are not counted: a peer that outlives its
-        // instance's reclamation fails at `Init`, before it can write.
-        sim.block_on(async move { gateway.run_open_loop(spec).await });
+        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+        // With peers, the report's errors are not counted: 17 of the 7,161
+        // requests over the 8 seeds fail. A peer finishes the instance, the
+        // collector reclaims it, and the primary's next retry fails at
+        // `Init`, before it can write. ROADMAP item 3a's lifetime rule must
+        // bring this to zero. Without peers, crash retries fail none.
+        if duplicate_prob == 0.0 {
+            assert_eq!(report.errors, 0, "seed {seed}: requests failed without peers");
+        }
         gc.stop();
         // Let the last peers and the fault schedule play out, then collect.
         sim.run();
@@ -651,7 +658,7 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
         for key in client.written_keys() {
             for sn in log.peek_stream(key.object_log_tag()) {
                 let rec = log.peek_record(sn).expect("a listed record is live");
-                if let Some(version) = rec.payload.version_for(&key) {
+                if let Some(version) = rec.payload.object_version() {
                     assert!(
                         store.peek_version(&key, version).is_some(),
                         "seed {seed}: the commit at {sn:?} names a missing version of {key:?}"
