@@ -106,7 +106,14 @@ fn main() {
                 pruned_pct,
                 format!("{:.0}", r.wall.as_secs_f64() * 1e3),
                 if r.pruned.counterexamples.is_empty() {
-                    format!("pass ({})", if r.pruned.complete { "exhaustive" } else { "capped" })
+                    format!(
+                        "pass ({})",
+                        if r.pruned.complete {
+                            "exhaustive"
+                        } else {
+                            "capped"
+                        }
+                    )
                 } else {
                     format!("VIOLATION x{}", r.pruned.counterexamples.len())
                 },
@@ -116,8 +123,16 @@ fn main() {
     print_table(
         "Systematic exploration (2 nodes, crash budget 1)",
         &[
-            "protocol", "config", "ops", "runs", "pruned-runs", "nodes", "naive-runs",
-            "pruned", "wall ms", "verdict",
+            "protocol",
+            "config",
+            "ops",
+            "runs",
+            "pruned-runs",
+            "nodes",
+            "naive-runs",
+            "pruned",
+            "wall ms",
+            "verdict",
         ],
         &table,
     );

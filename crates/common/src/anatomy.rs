@@ -416,8 +416,7 @@ impl Anatomy {
         inner.e2e_total_ns += u128::from(stamp.total_ns);
         inner.ops += 1;
         if stamp.total_ns > 0 {
-            let err = (stamp.sum_ns() as f64 - stamp.total_ns as f64).abs()
-                / stamp.total_ns as f64;
+            let err = (stamp.sum_ns() as f64 - stamp.total_ns as f64).abs() / stamp.total_ns as f64;
             if err > inner.max_rel_err {
                 inner.max_rel_err = err;
             }
@@ -428,7 +427,11 @@ impl Anatomy {
             inner.rows.pop_front();
             inner.rows_dropped += 1;
         }
-        inner.rows.push_back(StampRow { seq, at: now, stamp });
+        inner.rows.push_back(StampRow {
+            seq,
+            at: now,
+            stamp,
+        });
     }
 
     /// Close `sheet` without recording it (errored or unmeasured requests).

@@ -85,10 +85,7 @@ impl HmError {
     /// its whole node (the runtime retries these).
     #[must_use]
     pub fn is_crash(&self) -> bool {
-        matches!(
-            self,
-            HmError::Crashed { .. } | HmError::NodeCrashed { .. }
-        )
+        matches!(self, HmError::Crashed { .. } | HmError::NodeCrashed { .. })
     }
 }
 

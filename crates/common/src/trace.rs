@@ -717,7 +717,14 @@ mod tests {
     fn spans_pair_into_complete_events() {
         let tr = Tracer::new();
         let trace = tr.new_trace();
-        let a = tr.span_begin(Lane::Node(0), t(1), trace, SpanId::NONE, "attempt", String::new());
+        let a = tr.span_begin(
+            Lane::Node(0),
+            t(1),
+            trace,
+            SpanId::NONE,
+            "attempt",
+            String::new(),
+        );
         let op = tr.span_begin(Lane::Node(0), t(2), trace, a, "read", String::new());
         tr.instant(Lane::Node(0), t(3), trace, op, "cache_hit", String::new());
         tr.span_end(Lane::Node(0), t(4), trace, op);
@@ -728,23 +735,50 @@ mod tests {
         assert!(chrome.contains("\"ph\":\"i\""), "{chrome}");
         assert!(chrome.contains("\"name\":\"node0\""), "{chrome}");
         // read: ts = 2000 µs, dur = 2000 µs.
-        assert!(chrome.contains("\"ts\":2000.000,\"dur\":2000.000"), "{chrome}");
+        assert!(
+            chrome.contains("\"ts\":2000.000,\"dur\":2000.000"),
+            "{chrome}"
+        );
     }
 
     #[test]
     fn chrome_export_labels_processes_and_threads() {
         let tr = Tracer::new();
         let trace = tr.new_trace();
-        let s = tr.span_begin(Lane::Node(3), t(1), trace, SpanId::NONE, "attempt", String::new());
-        tr.instant(Lane::Sequencer(2), t(2), trace, s, "sequenced", String::new());
-        tr.instant(Lane::Storage, t(3), trace, s, "trim_reclaimed", String::new());
+        let s = tr.span_begin(
+            Lane::Node(3),
+            t(1),
+            trace,
+            SpanId::NONE,
+            "attempt",
+            String::new(),
+        );
+        tr.instant(
+            Lane::Sequencer(2),
+            t(2),
+            trace,
+            s,
+            "sequenced",
+            String::new(),
+        );
+        tr.instant(
+            Lane::Storage,
+            t(3),
+            trace,
+            s,
+            "trim_reclaimed",
+            String::new(),
+        );
         tr.instant(Lane::Gateway, t(3), trace, s, "admit", String::new());
         tr.span_end(Lane::Node(3), t(4), trace, s);
         let chrome = tr.export_chrome_json();
         // Every lane group gets a process_name, every lane a thread_name.
         assert!(chrome.contains("\"name\":\"process_name\""), "{chrome}");
         assert!(chrome.contains("\"name\":\"function nodes\""), "{chrome}");
-        assert!(chrome.contains("\"name\":\"shared-log sequencers\""), "{chrome}");
+        assert!(
+            chrome.contains("\"name\":\"shared-log sequencers\""),
+            "{chrome}"
+        );
         assert!(
             chrome.contains("\"name\":\"substrate (storage/gateway/gc)\""),
             "{chrome}"
@@ -761,7 +795,14 @@ mod tests {
         let tr = Tracer::with_capacity(8);
         let trace = tr.new_trace();
         for i in 0..20 {
-            tr.instant(Lane::Node(0), t(i), trace, SpanId::NONE, "tick", String::new());
+            tr.instant(
+                Lane::Node(0),
+                t(i),
+                trace,
+                SpanId::NONE,
+                "tick",
+                String::new(),
+            );
         }
         assert_eq!(tr.events_recorded(), 20);
         assert_eq!(tr.events_dropped(), 12);
@@ -776,26 +817,67 @@ mod tests {
     fn critical_path_counts_substrate_children() {
         let tr = Tracer::new();
         let trace = tr.new_trace();
-        let attempt =
-            tr.span_begin(Lane::Node(1), t(0), trace, SpanId::NONE, "attempt", String::new());
+        let attempt = tr.span_begin(
+            Lane::Node(1),
+            t(0),
+            trace,
+            SpanId::NONE,
+            "attempt",
+            String::new(),
+        );
         let read = tr.span_begin(Lane::Node(1), t(1), trace, attempt, "read", String::new());
-        let lr = tr.span_begin(Lane::Storage, t(1), trace, read, "log_read_prev", String::new());
+        let lr = tr.span_begin(
+            Lane::Storage,
+            t(1),
+            trace,
+            read,
+            "log_read_prev",
+            String::new(),
+        );
         tr.instant(Lane::Node(1), t(1), trace, lr, "cache_miss", String::new());
         tr.span_end(Lane::Storage, t(2), trace, lr);
         let dbr = tr.span_begin(Lane::Storage, t(2), trace, read, "db_read", String::new());
         tr.span_end(Lane::Storage, t(3), trace, dbr);
         tr.span_end(Lane::Node(1), t(3), trace, read);
         let write = tr.span_begin(Lane::Node(1), t(4), trace, attempt, "write", String::new());
-        let ap = tr.span_begin(Lane::Storage, t(4), trace, write, "log_cond_append", String::new());
+        let ap = tr.span_begin(
+            Lane::Storage,
+            t(4),
+            trace,
+            write,
+            "log_cond_append",
+            String::new(),
+        );
         tr.span_end(Lane::Storage, t(5), trace, ap);
-        let lost = tr.span_begin(Lane::Storage, t(5), trace, write, "log_cond_append", String::new());
-        tr.instant(Lane::Sequencer(0), t(5), trace, lost, "cond_conflict", String::new());
+        let lost = tr.span_begin(
+            Lane::Storage,
+            t(5),
+            trace,
+            write,
+            "log_cond_append",
+            String::new(),
+        );
+        tr.instant(
+            Lane::Sequencer(0),
+            t(5),
+            trace,
+            lost,
+            "cond_conflict",
+            String::new(),
+        );
         tr.span_end(Lane::Storage, t(5), trace, lost);
         tr.span_end(Lane::Node(1), t(5), trace, write);
         tr.span_end(Lane::Node(1), t(6), trace, attempt);
         // An unrelated trace must not contaminate the result.
         let other = tr.new_trace();
-        tr.span_begin(Lane::Node(2), t(0), other, SpanId::NONE, "attempt", String::new());
+        tr.span_begin(
+            Lane::Node(2),
+            t(0),
+            other,
+            SpanId::NONE,
+            "attempt",
+            String::new(),
+        );
 
         let ops = tr.critical_path(trace);
         assert_eq!(ops.len(), 2);
@@ -815,8 +897,22 @@ mod tests {
         let run = || {
             let tr = Tracer::new();
             let trace = tr.new_trace();
-            let s = tr.span_begin(Lane::Gateway, t(1), trace, SpanId::NONE, "request", String::new());
-            tr.instant(Lane::Sequencer(0), t(2), trace, s, "sequenced", "sn7".to_string());
+            let s = tr.span_begin(
+                Lane::Gateway,
+                t(1),
+                trace,
+                SpanId::NONE,
+                "request",
+                String::new(),
+            );
+            tr.instant(
+                Lane::Sequencer(0),
+                t(2),
+                trace,
+                s,
+                "sequenced",
+                "sn7".to_string(),
+            );
             tr.span_end(Lane::Gateway, t(3), trace, s);
             tr.export_jsonl()
         };

@@ -42,7 +42,10 @@ fn histogram_quantiles_bounded_error() {
         let exact = samples[rank - 1] as f64 / 1e6;
         let got = h.quantile_ms(q).unwrap();
         let rel = (got - exact).abs() / exact;
-        assert!(rel < 0.03, "case {case}: q={q} exact={exact} got={got} rel={rel}");
+        assert!(
+            rel < 0.03,
+            "case {case}: q={q} exact={exact} got={got} rel={rel}"
+        );
     });
 }
 
@@ -56,7 +59,9 @@ fn histogram_extremes_bracket_mean() {
         let len = rng.random_range(1usize..100);
         let mut h = Histogram::new();
         for _ in 0..len {
-            h.record(Duration::from_nanos(rng.random_range(1_000u64..100_000_000_000)));
+            h.record(Duration::from_nanos(
+                rng.random_range(1_000u64..100_000_000_000),
+            ));
         }
         let lo = h.quantile_ms(0.0).unwrap();
         let mean = h.mean_ms().unwrap();
@@ -193,7 +198,12 @@ fn value_fingerprint_properties() {
 fn gauge_matches_manual_integral() {
     for_cases(0x6a03, 128, |case, rng| {
         let steps: Vec<(u64, f64)> = (0..rng.random_range(1usize..20))
-            .map(|_| (rng.random_range(1u64..1000), rng.random_range(0.0f64..100.0)))
+            .map(|_| {
+                (
+                    rng.random_range(1u64..1000),
+                    rng.random_range(0.0f64..100.0),
+                )
+            })
             .collect();
         let mut g = TimeWeightedGauge::new(Duration::ZERO);
         let mut now = Duration::ZERO;
@@ -210,6 +220,9 @@ fn gauge_matches_manual_integral() {
         integral += level * 0.5;
         let expect = integral / horizon.as_secs_f64();
         let got = g.average(horizon);
-        assert!((got - expect).abs() < 1e-6, "case {case}: got {got} expect {expect}");
+        assert!(
+            (got - expect).abs() < 1e-6,
+            "case {case}: got {got} expect {expect}"
+        );
     });
 }

@@ -142,7 +142,8 @@ fn snapshot_is_idempotent_across_crash_retries() {
             loop {
                 let c2 = c.clone();
                 let once = async {
-                    let mut env = Env::init(&c2, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
+                    let mut env =
+                        Env::init(&c2, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
                     let snap = env.read_snapshot(&keys()).await?;
                     env.finish(Value::Null).await?;
                     Ok::<_, hm_common::HmError>(snap)

@@ -23,7 +23,8 @@ async fn ssf_a(client: Client, id: InstanceId) -> HmResult<Value> {
     let mut attempt = 0;
     loop {
         let once = async {
-            let mut env = Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
+            let mut env =
+                Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
             let x = env.read(&Key::new("X")).await?.as_int().unwrap_or(0);
             env.write(&Key::new("X"), Value::Int(1000 + x)).await?;
             let y = env.read(&Key::new("Y")).await?.as_int().unwrap_or(0);
@@ -46,7 +47,8 @@ async fn ssf_b(client: Client, id: InstanceId) -> HmResult<Value> {
     let mut attempt = 0;
     loop {
         let once = async {
-            let mut env = Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
+            let mut env =
+                Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
             env.write(&Key::new("X"), Value::Int(77)).await?;
             env.write(&Key::new("Y"), Value::Int(88)).await?;
             let x = env.read(&Key::new("X")).await?;

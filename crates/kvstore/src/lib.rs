@@ -551,7 +551,8 @@ mod tests {
         let keys: Vec<Key> = (0..5).map(|i| Key::new(format!("o{i}"))).collect();
         for i in 0..named * 4 / 5 {
             let value = Value::blob(10 + i as usize, 1);
-            s.put_version(&keys[i as usize % 5], VersionNum(i), value).await;
+            s.put_version(&keys[i as usize % 5], VersionNum(i), value)
+                .await;
         }
         (0..named)
             .map(|i| (keys[i as usize % 5].clone(), VersionNum(i)))
@@ -567,7 +568,11 @@ mod tests {
             let batch = stored_versions(&s).await;
             let same = stored_versions(&one).await;
             let (before, start) = (s.counters(), ctx.now());
-            assert_eq!(s.delete_versions(&batch).await, 20, "only stored versions count");
+            assert_eq!(
+                s.delete_versions(&batch).await,
+                20,
+                "only stored versions count"
+            );
             assert_eq!(ctx.now() - start, Time::from_micros(1500), "one db_write");
             assert_eq!(s.counters().db_deletes - before.db_deletes, 25);
             for (key, version) in &same {
@@ -575,7 +580,10 @@ mod tests {
             }
         });
         // The gauge falls by exactly what the single deletes free.
-        assert_eq!(store.current_bytes().to_bits(), singles.current_bytes().to_bits());
+        assert_eq!(
+            store.current_bytes().to_bits(),
+            singles.current_bytes().to_bits()
+        );
         assert_eq!(store.version_count(), 0);
         assert_eq!(store.counters(), singles.counters());
     }
@@ -592,11 +600,17 @@ mod tests {
                 let start = ctx.now();
                 let single = s.delete_version(&item.0, item.1).await;
                 let elapsed = ctx.now() - start;
-                assert_eq!(b.delete_versions(std::slice::from_ref(item)).await, usize::from(single));
+                assert_eq!(
+                    b.delete_versions(std::slice::from_ref(item)).await,
+                    usize::from(single)
+                );
                 assert_eq!(ctx.now() - start - elapsed, elapsed);
             }
         });
-        assert_eq!(store.current_bytes().to_bits(), batched.current_bytes().to_bits());
+        assert_eq!(
+            store.current_bytes().to_bits(),
+            batched.current_bytes().to_bits()
+        );
         assert_eq!(store.counters(), batched.counters());
     }
 
@@ -614,7 +628,11 @@ mod tests {
         let (elapsed, next) = sim.block_on(async move {
             let items = versions_named(&s, 76).await;
             let (before, start) = (s.counters(), ctx.now());
-            assert_eq!(s.delete_versions(&items).await, 60, "only stored versions count");
+            assert_eq!(
+                s.delete_versions(&items).await,
+                60,
+                "only stored versions count"
+            );
             let elapsed = ctx.now() - start;
             assert_eq!(s.counters().db_deletes - before.db_deletes, 76);
             let next = ctx.with_rng(|rng| model.db_write.sample(rng));
@@ -624,7 +642,10 @@ mod tests {
             }
             (elapsed, next)
         });
-        assert_eq!(store.current_bytes().to_bits(), singles.current_bytes().to_bits());
+        assert_eq!(
+            store.current_bytes().to_bits(),
+            singles.current_bytes().to_bits()
+        );
         assert_eq!(store.version_count(), 0);
         assert_eq!(store.counters(), singles.counters());
 
@@ -632,12 +653,20 @@ mod tests {
         let (t, tctx) = (KvStore::new(twin.ctx(), model), twin.ctx());
         let (draws, twin_next) = twin.block_on(async move {
             versions_named(&t, 76).await;
-            let draws: Vec<Time> =
-                (0..4).map(|_| tctx.with_rng(|rng| model.db_write.sample(rng))).collect();
+            let draws: Vec<Time> = (0..4)
+                .map(|_| tctx.with_rng(|rng| model.db_write.sample(rng)))
+                .collect();
             (draws, tctx.with_rng(|rng| model.db_write.sample(rng)))
         });
-        assert_eq!(Some(elapsed), draws.iter().copied().max(), "the slowest of four draws");
-        assert!(draws.iter().any(|d| *d < elapsed), "four distinct draws, not one");
+        assert_eq!(
+            Some(elapsed),
+            draws.iter().copied().max(),
+            "the slowest of four draws"
+        );
+        assert!(
+            draws.iter().any(|d| *d < elapsed),
+            "four distinct draws, not one"
+        );
         assert_eq!(next, twin_next, "exactly four draws were taken");
     }
 

@@ -277,12 +277,14 @@ pub fn audit(client: &Client) -> AuditReport {
     run("read_stability", recorder.check_read_stability());
     run("invoke_stability", recorder.check_invoke_stability());
     run("write_determinism", recorder.check_write_determinism());
-    run("raw_write_uniqueness", recorder.check_raw_write_uniqueness());
+    run(
+        "raw_write_uniqueness",
+        recorder.check_raw_write_uniqueness(),
+    );
     run("monotonic_reads", recorder.check_monotonic_reads());
     run("read_your_writes", recorder.check_read_your_writes());
-    let uniform = client.with_config(|c| {
-        (!c.switching_enabled && c.per_key.is_empty()).then_some(c.default)
-    });
+    let uniform =
+        client.with_config(|c| (!c.switching_enabled && c.per_key.is_empty()).then_some(c.default));
     match uniform {
         Some(ProtocolKind::HalfmoonRead) => run(
             "hm_read_sequential_consistency",

@@ -34,8 +34,8 @@ mod metrics_driver;
 mod runtime;
 
 pub use chaos::{audit, AuditReport, ChaosDriver};
-pub use mc::{explore_config, run_schedule, McConfig, McKey, McOutcome, OpSpec};
 pub use gateway::{Gateway, LoadReport, LoadSpec, RequestFactory};
 pub use gc_driver::GcDriver;
+pub use mc::{explore_config, run_schedule, McConfig, McKey, McOutcome, OpSpec};
 pub use metrics_driver::MetricsDriver;
 pub use runtime::{Runtime, RuntimeConfig, SsfBody, DETECTION_DELAY};

@@ -132,7 +132,10 @@ impl<P> RecordSlot<P> {
     pub(crate) fn cached_by(&self, shard: u8, node: NodeId) -> bool {
         // A lane-sized node id is in the overflow list only when its shard
         // never got a lane (lanes are neither freed nor reassigned).
-        match (self.lane_shard.iter().position(|&s| s == shard), lane_bit(node)) {
+        match (
+            self.lane_shard.iter().position(|&s| s == shard),
+            lane_bit(node),
+        ) {
             (Some(lane), Some(bit)) => self.lane_nodes[lane] & bit != 0,
             _ => self
                 .overflow
@@ -143,7 +146,10 @@ impl<P> RecordSlot<P> {
 
     /// Puts this record into `node`'s cache on `shard`.
     pub(crate) fn cache(&mut self, shard: u8, node: NodeId) {
-        let lane = self.lane_shard.iter().position(|&s| s == shard || s == FREE_LANE);
+        let lane = self
+            .lane_shard
+            .iter()
+            .position(|&s| s == shard || s == FREE_LANE);
         if let (Some(lane), Some(bit)) = (lane, lane_bit(node)) {
             self.lane_shard[lane] = shard;
             self.lane_nodes[lane] |= bit;
@@ -170,7 +176,10 @@ impl<P> RecordSlot<P> {
     /// On how many shards `node` caches this record.
     pub(crate) fn caches_of(&self, node: NodeId) -> usize {
         let in_lanes = lane_bit(node).map_or(0, |bit| {
-            self.lane_nodes.iter().filter(|&&nodes| nodes & bit != 0).count()
+            self.lane_nodes
+                .iter()
+                .filter(|&&nodes| nodes & bit != 0)
+                .count()
         });
         let listed = |o: &Overflow| o.holders.iter().filter(|&&(_, n)| n == node.0).count();
         in_lanes + self.overflow.as_deref().map_or(0, listed)
@@ -259,9 +268,13 @@ impl<P> RecordSlab<P> {
     /// [`RecordSlab::head`], which then advances.
     pub(crate) fn push(&mut self, slot: RecordSlot<P>) {
         let seqnum = self.next_seqnum;
-        let (seg, off) = self.position(seqnum).expect("the head is never below the base");
+        let (seg, off) = self
+            .position(seqnum)
+            .expect("the head is never below the base");
         if seg == self.segments.len() {
-            let slots = self.move_sparse().unwrap_or_else(|| Vec::with_capacity(SEG));
+            let slots = self
+                .move_sparse()
+                .unwrap_or_else(|| Vec::with_capacity(SEG));
             self.segments.push_back(Some(Segment {
                 slots: Slots::Dense(slots),
                 live: 0,
@@ -290,7 +303,9 @@ impl<P> RecordSlab<P> {
         let (pool, free) = (&mut self.pool, &mut self.free);
         let mut spare = None;
         for segment in self.segments.range_mut(..old).flatten() {
-            let Slots::Dense(slots) = &mut segment.slots else { continue };
+            let Slots::Dense(slots) = &mut segment.slots else {
+                continue;
+            };
             if segment.live > MOVE_AT_LIVE {
                 continue;
             }
@@ -380,10 +395,13 @@ impl<P> RecordSlab<P> {
 
     /// The slot blocks of the segments still dense.
     fn dense(&self) -> impl Iterator<Item = &Vec<Option<RecordSlot<P>>>> {
-        self.segments.iter().flatten().filter_map(|s| match &s.slots {
-            Slots::Dense(slots) => Some(slots),
-            Slots::Moved(_) => None,
-        })
+        self.segments
+            .iter()
+            .flatten()
+            .filter_map(|s| match &s.slots {
+                Slots::Dense(slots) => Some(slots),
+                Slots::Moved(_) => None,
+            })
     }
 
     /// How many records are live.
@@ -393,15 +411,22 @@ impl<P> RecordSlab<P> {
 
     /// Every live record's slot, each once, in no particular order.
     pub(crate) fn live(&self) -> impl Iterator<Item = &RecordSlot<P>> {
-        self.dense().flatten().flatten().chain(self.pool.iter().flatten())
+        self.dense()
+            .flatten()
+            .flatten()
+            .chain(self.pool.iter().flatten())
     }
 
     /// Mutable [`RecordSlab::live`].
     pub(crate) fn live_mut(&mut self) -> impl Iterator<Item = &mut RecordSlot<P>> {
-        let dense = self.segments.iter_mut().flatten().filter_map(|s| match &mut s.slots {
-            Slots::Dense(slots) => Some(slots.iter_mut().flatten()),
-            Slots::Moved(_) => None,
-        });
+        let dense = self
+            .segments
+            .iter_mut()
+            .flatten()
+            .filter_map(|s| match &mut s.slots {
+                Slots::Dense(slots) => Some(slots.iter_mut().flatten()),
+                Slots::Moved(_) => None,
+            });
         dense.flatten().chain(self.pool.iter_mut().flatten())
     }
 
@@ -437,7 +462,10 @@ mod tests {
         assert!(slab.get(SeqNum(4)).is_none(), "never assigned");
         assert!(slab.get(SeqNum::MAX).is_none());
         assert_eq!(slab.head(), SeqNum(4));
-        assert_eq!(slab.live().map(|slot| slot.payload).collect::<Vec<_>>(), vec![1, 2, 3]);
+        assert_eq!(
+            slab.live().map(|slot| slot.payload).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
     }
 
     #[test]
@@ -454,7 +482,10 @@ mod tests {
         }
         assert_eq!(slab.retained(), n as usize - SEG);
         assert_eq!(slab.base, 0);
-        assert!(slab.get(SeqNum(SEG as u64 + 1)).is_none(), "freed segment reads as trimmed");
+        assert!(
+            slab.get(SeqNum(SEG as u64 + 1)).is_none(),
+            "freed segment reads as trimmed"
+        );
         assert!(slab.get(SeqNum(1)).is_some());
         // Kill the first: both freed segments leave the deque.
         for sn in 1..=SEG as u64 {
@@ -462,7 +493,10 @@ mod tests {
         }
         assert_eq!(slab.base, 2);
         assert_eq!(slab.segments.len(), 2);
-        assert!(slab.get(SeqNum(1)).is_none(), "below the base reads as trimmed");
+        assert!(
+            slab.get(SeqNum(1)).is_none(),
+            "below the base reads as trimmed"
+        );
         assert!(slab.get_mut(SeqNum(1)).is_none());
         assert!(slab.get(SeqNum(2 * SEG as u64 + 1)).is_some());
         // The filling tail survives going empty, and the clock continues.
@@ -530,7 +564,13 @@ mod tests {
 
     fn is_moved(slab: &RecordSlab<u64>, sn: SeqNum) -> bool {
         let (seg, _) = slab.position(sn).unwrap();
-        matches!(slab.segments[seg], Some(Segment { slots: Slots::Moved(_), .. }))
+        matches!(
+            slab.segments[seg],
+            Some(Segment {
+                slots: Slots::Moved(_),
+                ..
+            })
+        )
     }
 
     #[test]
@@ -552,7 +592,9 @@ mod tests {
         assert!(is_moved(&slab, held) && !is_moved(&slab, young));
         assert_eq!(slab.pool.len(), kept.len());
         assert_eq!(slab.retained(), 2 * SEG + 1 + kept.len());
-        assert!(kept.iter().all(|&sn| slab.get(sn).map(|slot| slot.payload) == Some(sn.0)));
+        assert!(kept
+            .iter()
+            .all(|&sn| slab.get(sn).map(|slot| slot.payload) == Some(sn.0)));
         assert!(slab.get(dead).is_none() && slab.get_mut(dead).is_none());
         // Cache holders moved with their record, and still take updates.
         let slot = slab.get_mut(held).unwrap();
@@ -618,7 +660,9 @@ mod tests {
         assert!(is_moved(&slab, third[0]));
         assert_eq!(slab.pool.len(), pooled);
         assert_eq!(slab.free.len(), pooled - third.len());
-        assert!(third.iter().all(|&sn| slab.get(sn).map(|slot| slot.payload) == Some(sn.0)));
+        assert!(third
+            .iter()
+            .all(|&sn| slab.get(sn).map(|slot| slot.payload) == Some(sn.0)));
     }
 
     /// Keys written with a skew, each key's previous record reclaimed as
@@ -632,21 +676,38 @@ mod tests {
         let mut lcg = 0x2545_F491_4F6C_DD1Du64;
         let (mut live, mut high) = (0, 0);
         for _ in 0..20 * SEG {
-            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             let draw = lcg >> 33;
-            let key = if draw.is_multiple_of(8) { 16 + draw / 8 % (KEYS - 16) } else { draw % 16 };
+            let key = if draw.is_multiple_of(8) {
+                16 + draw / 8 % (KEYS - 16)
+            } else {
+                draw % 16
+            };
             let sn = push(&mut slab, 0);
             match newest[key as usize].replace(sn) {
                 Some(previous) => {
-                    assert_eq!(slab.release(previous).map(|slot| slot.payload), Some(previous.0));
+                    assert_eq!(
+                        slab.release(previous).map(|slot| slot.payload),
+                        Some(previous.0)
+                    );
                 }
                 None => live += 1,
             }
             high = high.max(live);
-            assert!(slab.pool.len() <= high, "pool {} for {high} live at most", slab.pool.len());
+            assert!(
+                slab.pool.len() <= high,
+                "pool {} for {high} live at most",
+                slab.pool.len()
+            );
         }
         assert!(!slab.pool.is_empty(), "old segments moved");
-        assert!(slab.retained() <= 3 * SEG + high, "{} slots held", slab.retained());
+        assert!(
+            slab.retained() <= 3 * SEG + high,
+            "{} slots held",
+            slab.retained()
+        );
         // Every live record is visited once, dense or pooled, by both walks.
         let mut want: Vec<u64> = newest.iter().flatten().map(|sn| sn.0).collect();
         want.sort_unstable();
@@ -672,7 +733,9 @@ mod tests {
         let last_bit = LANE_NODES - 1;
         let nodes = [0, 5, last_bit, LANE_NODES, 64, 70, 200].map(NodeId);
         let held = |slot: &RecordSlot<u64>, shard: u8| -> Vec<u32> {
-            (0..256).filter(|&n| slot.cached_by(shard, NodeId(n))).collect()
+            (0..256)
+                .filter(|&n| slot.cached_by(shard, NodeId(n)))
+                .collect()
         };
         for node in nodes {
             slot.cache(0, node);
@@ -680,7 +743,10 @@ mod tests {
         }
         assert_eq!(held(slot, 0), vec![0, 5, last_bit, LANE_NODES, 64, 70, 200]);
         assert_eq!(held(slot, 1), vec![], "caches are per shard");
-        assert!(nodes.iter().all(|&n| slot.caches_of(n) == 1), "a repeat adds nothing");
+        assert!(
+            nodes.iter().all(|&n| slot.caches_of(n) == 1),
+            "a repeat adds nothing"
+        );
         // 70 is not 70 % 16, nor 70 % 64.
         assert!(!slot.cached_by(0, NodeId(6)) && slot.caches_of(NodeId(6)) == 0);
         // More shards than lanes: the extra ones are tracked all the same.
@@ -696,6 +762,9 @@ mod tests {
         slot.uncache(NodeId(200));
         assert_eq!(held(slot, 0), vec![0, last_bit, LANE_NODES, 64, 70]);
         assert_eq!(held(slot, LANES as u8 + 1), vec![70]);
-        assert_eq!((slot.caches_of(NodeId(5)), slot.caches_of(NodeId(70))), (0, LANES + 2));
+        assert_eq!(
+            (slot.caches_of(NodeId(5)), slot.caches_of(NodeId(70))),
+            (0, LANES + 2)
+        );
     }
 }

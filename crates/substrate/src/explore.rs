@@ -343,7 +343,10 @@ struct Frame {
 
 impl Frame {
     fn current_pick(&self) -> usize {
-        *self.tried.last().expect("blocked frame has no current pick")
+        *self
+            .tried
+            .last()
+            .expect("blocked frame has no current pick")
     }
 
     fn is_slept(&self, alt: Alt) -> bool {
@@ -722,8 +725,9 @@ mod tests {
                 .collect();
             let mut picks = Vec::new();
             loop {
-                let live: Vec<usize> =
-                    (0..queues.len()).filter(|&i| !queues[i].is_empty()).collect();
+                let live: Vec<usize> = (0..queues.len())
+                    .filter(|&i| !queues[i].is_empty())
+                    .collect();
                 if live.is_empty() {
                     break;
                 }

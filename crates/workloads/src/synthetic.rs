@@ -190,8 +190,11 @@ impl Workload for SyntheticOps {
                         acc = acc.wrapping_add(v.size_bytes() as i64);
                     } else {
                         let fp = op.get("fp").and_then(Value::as_int).unwrap_or(0);
-                        env.write(&object_key(obj, objects), Value::blob(value_bytes, fp as u64))
-                            .await?;
+                        env.write(
+                            &object_key(obj, objects),
+                            Value::blob(value_bytes, fp as u64),
+                        )
+                        .await?;
                     }
                 }
                 Ok(Value::Int(acc))

@@ -29,14 +29,24 @@ fn main() {
     let plan = FaultPlan::new()
         .instance_faults(FaultPolicy::random(0.002, 100))
         .node_recovery_delay(Duration::from_millis(400))
-        .seeded_node_crashes(7, 0.35, Duration::from_millis(700), Duration::from_secs(9), 8)
+        .seeded_node_crashes(
+            7,
+            0.35,
+            Duration::from_millis(700),
+            Duration::from_secs(9),
+            8,
+        )
         .fail_replica_at(
             Duration::from_secs(3),
             ShardId(0),
             1,
             Duration::from_secs(2),
         )
-        .stall_sequencer_at(Duration::from_secs(5), ShardId(0), Duration::from_millis(40))
+        .stall_sequencer_at(
+            Duration::from_secs(5),
+            ShardId(0),
+            Duration::from_millis(40),
+        )
         .retry_storm_at(Duration::from_secs(6), 0.5, Duration::from_millis(500));
 
     let client = Client::builder(sim.ctx())

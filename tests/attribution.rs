@@ -166,7 +166,11 @@ fn every_trim_is_background_work_under_its_gc_cycle() {
             trims.insert(field(line, "span"));
         }
         let streams: Vec<&str> = events("I", "trim_reclaimed").collect();
-        assert!(streams.len() > 1000, "{kind}: {} streams trimmed", streams.len());
+        assert!(
+            streams.len() > 1000,
+            "{kind}: {} streams trimmed",
+            streams.len()
+        );
         for line in streams {
             assert!(
                 field(line, "trace") == "0" && trims.contains(field(line, "parent")),

@@ -49,7 +49,10 @@ fn deposit_run(batch: usize, shards: u8) -> (Vec<String>, Value, u64) {
         let mut last = Value::Null;
         for amount in [25i64, 17, -3] {
             let input = Value::map([("amount", Value::Int(amount))]);
-            last = rt.invoke_request("deposit", input).await.expect("exactly once");
+            last = rt
+                .invoke_request("deposit", input)
+                .await
+                .expect("exactly once");
         }
         last
     });
@@ -76,7 +79,10 @@ fn batching_preserves_the_client_visible_history() {
     for (batch, shards) in [(16, 1), (1, 4)] {
         let other = deposit_run(batch, shards);
         let label = format!("batch {batch}, {shards} shards");
-        assert_eq!(plain.0, other.0, "{label}: operation history must not change");
+        assert_eq!(
+            plain.0, other.0,
+            "{label}: operation history must not change"
+        );
         assert_eq!(plain.1, other.1, "{label}");
         assert_eq!(plain.2, other.2, "{label}: append counts must not change");
     }
@@ -104,7 +110,9 @@ fn recovery_counts_records_parked_mid_flush_exactly_once() {
             let rec = StepRecord {
                 instance: id,
                 step: StepNum(i),
-                op: OpRecord::Init { input: Value::Int(i64::from(i)) },
+                op: OpRecord::Init {
+                    input: Value::Int(i64::from(i)),
+                },
             };
             log.append(NodeId(0), vec![tag], rec).await;
         });
@@ -131,7 +139,10 @@ fn recovery_counts_records_parked_mid_flush_exactly_once() {
         stats.replayed_records, 6,
         "3 records per replay — forced-out records counted once, not twice"
     );
-    assert_eq!(stats.pending_flushed, 3, "only the first replay found an open batch");
+    assert_eq!(
+        stats.pending_flushed, 3,
+        "only the first replay found an open batch"
+    );
     let flush = client.log().flush_stats();
     assert_eq!(flush.forced_trigger, 1);
     assert_eq!(flush.records, 3);
@@ -148,8 +159,19 @@ fn batched_chaos_campaign_passes_the_exactly_once_audit() {
     let plan = FaultPlan::new()
         .instance_faults(FaultPolicy::random(0.004, 40))
         .node_recovery_delay(Duration::from_millis(300))
-        .seeded_node_crashes(7, 0.35, Duration::from_millis(700), Duration::from_secs(4), 8)
-        .fail_replica_at(Duration::from_secs(2), ShardId(0), 1, Duration::from_millis(1200));
+        .seeded_node_crashes(
+            7,
+            0.35,
+            Duration::from_millis(700),
+            Duration::from_secs(4),
+            8,
+        )
+        .fail_replica_at(
+            Duration::from_secs(2),
+            ShardId(0),
+            1,
+            Duration::from_millis(1200),
+        );
     let client = Client::builder(sim.ctx())
         .protocol(ProtocolKind::HalfmoonWrite)
         .batching(16)

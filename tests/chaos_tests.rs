@@ -21,14 +21,24 @@ fn campaign(seed: u64) -> FaultPlan {
     FaultPlan::new()
         .instance_faults(FaultPolicy::random(0.004, 60))
         .node_recovery_delay(Duration::from_millis(300))
-        .seeded_node_crashes(seed, 0.4, Duration::from_millis(600), Duration::from_secs(5), 8)
+        .seeded_node_crashes(
+            seed,
+            0.4,
+            Duration::from_millis(600),
+            Duration::from_secs(5),
+            8,
+        )
         .fail_replica_at(
             Duration::from_secs(2),
             ShardId(0),
             1,
             Duration::from_millis(1500),
         )
-        .stall_sequencer_at(Duration::from_secs(3), ShardId(0), Duration::from_millis(30))
+        .stall_sequencer_at(
+            Duration::from_secs(3),
+            ShardId(0),
+            Duration::from_millis(30),
+        )
         .retry_storm_at(Duration::from_millis(3500), 0.4, Duration::from_millis(400))
 }
 
@@ -64,7 +74,12 @@ fn run_campaign(config: ProtocolConfig, seed: u64) -> (AuditReport, u64, u32, St
     assert!(chaos.is_done(), "schedule must fire fully within the run");
     let injected = chaos.injected();
     let instance_crashes = client.faults().injected();
-    (audit(&client), injected, instance_crashes, chaos.events_jsonl())
+    (
+        audit(&client),
+        injected,
+        instance_crashes,
+        chaos.events_jsonl(),
+    )
 }
 
 /// Every fault-tolerant configuration — the three uniform protocols plus

@@ -283,13 +283,8 @@ fn single_shard_topology_matches_default_construction() {
     };
     for kind in [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite] {
         let default_fp = run_fingerprint(2468, &workload, kind);
-        let sharded_fp = run_fingerprint_topology(
-            2468,
-            &workload,
-            kind,
-            None,
-            halfmoon::Topology::sharded(1),
-        );
+        let sharded_fp =
+            run_fingerprint_topology(2468, &workload, kind, None, halfmoon::Topology::sharded(1));
         assert_eq!(
             default_fp, sharded_fp,
             "{kind}: shards=1 must be bit-identical to the default topology"
@@ -330,7 +325,11 @@ fn simultaneous_timers_fire_in_registration_order() {
             (0..64).collect::<Vec<_>>(),
             "same-instant timers must fire in registration order at {d:?}"
         );
-        assert_eq!(a, trace(d), "two runs must produce the same ordering at {d:?}");
+        assert_eq!(
+            a,
+            trace(d),
+            "two runs must produce the same ordering at {d:?}"
+        );
     }
 }
 
@@ -360,7 +359,10 @@ fn batched_runs_are_deterministic() {
         };
         let (fp_a, trace_a) = run();
         let (fp_b, trace_b) = run();
-        assert_eq!(fp_a, fp_b, "{kind}: batch=16 same seed must reproduce exactly");
+        assert_eq!(
+            fp_a, fp_b,
+            "{kind}: batch=16 same seed must reproduce exactly"
+        );
         assert!(!trace_a.is_empty());
         assert_eq!(
             trace_a, trace_b,
@@ -494,7 +496,10 @@ fn batched_chaos_campaign_is_deterministic() {
     };
     let a = run();
     let b = run();
-    assert!(a.2.flushes > 0, "batched campaign must have flushed batches");
+    assert!(
+        a.2.flushes > 0,
+        "batched campaign must have flushed batches"
+    );
     assert_eq!(a, b, "batch=16 chaos campaign must reproduce exactly");
 }
 

@@ -183,7 +183,11 @@ fn scenario_app(
     fmt_counters(&mut out, &counters);
     let _ = writeln!(out, "  log_live_records = {}", client.log().live_records());
     fmt_f64(&mut out, "log_current_bytes", client.log().current_bytes());
-    fmt_f64(&mut out, "store_current_bytes", client.store().current_bytes());
+    fmt_f64(
+        &mut out,
+        "store_current_bytes",
+        client.store().current_bytes(),
+    );
     let _ = writeln!(out, "  now_ns = {}", sim.now().as_nanos());
     out
 }

@@ -65,7 +65,9 @@ fn unsafe_baseline_yields_a_replayable_counterexample() {
         .first()
         .expect("exhaustive search must find the §1 duplicate-update anomaly");
     assert!(
-        cx.violations.iter().any(|v| v.contains("raw_write_uniqueness")),
+        cx.violations
+            .iter()
+            .any(|v| v.contains("raw_write_uniqueness")),
         "expected a duplicate raw write: {:?}",
         cx.violations
     );

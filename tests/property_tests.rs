@@ -54,7 +54,9 @@ fn random_op(rng: &mut SmallRng) -> ProgOp {
 }
 
 fn random_program(rng: &mut SmallRng, max_len: usize) -> Vec<ProgOp> {
-    (0..rng.random_range(1..max_len)).map(|_| random_op(rng)).collect()
+    (0..rng.random_range(1..max_len))
+        .map(|_| random_op(rng))
+        .collect()
 }
 
 fn random_crash_points(rng: &mut SmallRng, max_point: u32, max_count: usize) -> BTreeSet<u32> {
@@ -79,7 +81,8 @@ async fn run_program(
     let mut attempt = 0;
     loop {
         let once = async {
-            let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(0)).attempt(attempt)).await?;
+            let mut env =
+                Env::init(&client, InvocationSpec::new(id, NodeId(0)).attempt(attempt)).await?;
             for (i, op) in program.iter().enumerate() {
                 match op {
                     ProgOp::Read(k) => {

@@ -90,7 +90,9 @@ fn storm_footprint(iterations: u64) -> (usize, usize, usize) {
     }
     sim.run();
     assert_eq!(log.head_seqnum(), SeqNum(WRITERS * iterations + 1));
-    let cached = (0..NODES).map(|n| log.node_cache_len(NodeId(n as u32))).sum();
+    let cached = (0..NODES)
+        .map(|n| log.node_cache_len(NodeId(n as u32)))
+        .sum();
     (log.live_records(), log.retained_records(), cached)
 }
 
@@ -100,7 +102,10 @@ fn log_memory_follows_live_records_not_appends() {
     // lengths (40k and 160k appends against ~16k slots of slack).
     for iterations in [10_000, 40_000] {
         let (live, retained, cached) = storm_footprint(iterations);
-        assert!(live > 0 && live < 1_000, "the storm must plateau: {live} live");
+        assert!(
+            live > 0 && live < 1_000,
+            "the storm must plateau: {live} live"
+        );
         assert!(
             retained <= live + WRITERS as usize * SLAB_SEGMENT_RECORDS,
             "{iterations} iterations: {retained} slab slots retained for {live} live records"
@@ -125,7 +130,12 @@ fn key_tag(key: u64) -> Tag {
 /// sixteen hot ones, so cold records stay live for tens of thousands of
 /// appends, pinning every segment they land in. A cold key already
 /// written must read back its newest record, wherever it is kept now.
-async fn pinning_writer(log: LogService<u64>, w: u64, iterations: u64, written: Rc<Vec<Cell<bool>>>) {
+async fn pinning_writer(
+    log: LogService<u64>,
+    w: u64,
+    iterations: u64,
+    written: Rc<Vec<Cell<bool>>>,
+) {
     let node = NodeId((w % NODES) as u32);
     let mut rng = SmallRng::seed_from_u64(0x9177 + w);
     for i in 0..iterations {
@@ -156,7 +166,8 @@ fn pinned_footprint(iterations: u64) -> (usize, usize) {
             ..LogConfig::default()
         },
     );
-    let written: Rc<Vec<Cell<bool>>> = Rc::new((0..PINNED_KEYS).map(|_| Cell::new(false)).collect());
+    let written: Rc<Vec<Cell<bool>>> =
+        Rc::new((0..PINNED_KEYS).map(|_| Cell::new(false)).collect());
     let ctx = sim.ctx();
     for w in 0..WRITERS {
         ctx.spawn(pinning_writer(log.clone(), w, iterations, written.clone()));
@@ -173,7 +184,10 @@ fn pinned_footprint(iterations: u64) -> (usize, usize) {
 fn log_memory_follows_live_records_that_pin_every_segment() {
     for iterations in [10_000, 40_000] {
         let (live, retained) = pinned_footprint(iterations);
-        assert!(live > 500 && live <= PINNED_KEYS as usize + WRITERS as usize, "{live} live");
+        assert!(
+            live > 500 && live <= PINNED_KEYS as usize + WRITERS as usize,
+            "{live} live"
+        );
         assert!(
             retained <= 2 * live + 3 * SLAB_SEGMENT_RECORDS,
             "{iterations} iterations: {retained} slab slots retained for {live} live records"
@@ -190,9 +204,16 @@ fn log_memory_follows_live_records_that_pin_every_segment() {
 /// with; a field added beside the payload shows here before it shows there.
 #[test]
 fn a_step_record_slot_stays_within_its_measured_size() {
-    let (slot, payload) = (LogService::<StepRecord>::SLOT_BYTES, std::mem::size_of::<StepRecord>());
+    let (slot, payload) = (
+        LogService::<StepRecord>::SLOT_BYTES,
+        std::mem::size_of::<StepRecord>(),
+    );
     assert!(slot <= 128, "{slot} bytes per slot");
-    assert_eq!(slot - payload, 32, "what a slot holds beside its {payload}-byte payload");
+    assert_eq!(
+        slot - payload,
+        32,
+        "what a slot holds beside its {payload}-byte payload"
+    );
 }
 
 /// A node id past the lane-tracked range (and one that a wrapping shift
@@ -200,8 +221,11 @@ fn a_step_record_slot_stays_within_its_measured_size() {
 #[test]
 fn reclaimed_records_leave_the_caches_of_high_numbered_nodes() {
     let mut sim = Sim::new(3);
-    let log: LogService<u64> =
-        LogService::new(sim.ctx(), LatencyModel::uniform_test_model(), LogConfig::default());
+    let log: LogService<u64> = LogService::new(
+        sim.ctx(),
+        LatencyModel::uniform_test_model(),
+        LogConfig::default(),
+    );
     let l = log.clone();
     let (near, high) = (NodeId(2), NodeId(70));
     sim.block_on(async move {
@@ -210,13 +234,20 @@ fn reclaimed_records_leave_the_caches_of_high_numbered_nodes() {
         let second = l.append(high, [tag], 2).await;
         assert_eq!(l.read_prev(high, tag, first).await.unwrap().seqnum, first);
         assert_eq!((l.node_cache_len(near), l.node_cache_len(high)), (1, 2));
-        assert_eq!(l.node_cache_len(NodeId(70 % 64)) + l.node_cache_len(NodeId(70 % 16)), 0);
+        assert_eq!(
+            l.node_cache_len(NodeId(70 % 64)) + l.node_cache_len(NodeId(70 % 16)),
+            0
+        );
         l.trim(near, tag, first).await;
         assert_eq!((l.node_cache_len(near), l.node_cache_len(high)), (0, 1));
         l.trim(near, tag, second).await;
         assert_eq!(l.node_cache_len(high), 0);
     });
-    assert_eq!(log.retained_records(), 2, "the filling segment stays allocated");
+    assert_eq!(
+        log.retained_records(),
+        2,
+        "the filling segment stays allocated"
+    );
 }
 
 /// Every hit/miss decision and every cache size, against a plain set of
@@ -229,9 +260,17 @@ fn reclaimed_records_leave_the_caches_of_high_numbered_nodes() {
 fn cache_hits_and_sizes_match_a_reference_set() {
     const SHARDS: u8 = 4;
     let nodes = [0, 5, 15, 16, 31, 63, 64, 70, 200].map(NodeId);
-    let tags: Vec<Tag> = (0..12).map(|i| Tag::new(TagKind::ObjectLog, 0x0C00 + i)).collect();
+    let tags: Vec<Tag> = (0..12)
+        .map(|i| Tag::new(TagKind::ObjectLog, 0x0C00 + i))
+        .collect();
     let shard = |tag: Tag| shard_for_tag(tag, SHARDS).0;
-    assert_eq!(tags.iter().map(|&t| shard(t)).collect::<FxHashSet<_>>().len(), SHARDS as usize);
+    assert_eq!(
+        tags.iter()
+            .map(|&t| shard(t))
+            .collect::<FxHashSet<_>>()
+            .len(),
+        SHARDS as usize
+    );
 
     for seed in 0..6u64 {
         let mut sim = Sim::new(0xCAC4E + seed);
@@ -260,9 +299,14 @@ fn cache_hits_and_sizes_match_a_reference_set() {
                 let mut target = None;
                 match rng.random_range(0..20u32) {
                     0..=5 => {
-                        let n = if rng.random_range(0..8u32) == 0 { 6 } else { rng.random_range(1..=3) };
-                        let picked: Vec<Tag> =
-                            (0..n).map(|_| tags[rng.random_range(0..tags.len())]).collect();
+                        let n = if rng.random_range(0..8u32) == 0 {
+                            6
+                        } else {
+                            rng.random_range(1..=3)
+                        };
+                        let picked: Vec<Tag> = (0..n)
+                            .map(|_| tags[rng.random_range(0..tags.len())])
+                            .collect();
                         let sn = l.append(node, picked.clone(), step).await;
                         for &t in &picked {
                             cached.insert((shard(t), node, sn));
@@ -326,7 +370,10 @@ fn cache_hits_and_sizes_match_a_reference_set() {
                     Some(sn) if cached.contains(&(shard(tag), node, sn)) => (1, 0),
                     Some(_) => (0, 1),
                 };
-                assert_eq!(decided, expected, "seed {seed} step {step}: {node:?} via {tag:?}");
+                assert_eq!(
+                    decided, expected,
+                    "seed {seed} step {step}: {node:?} via {tag:?}"
+                );
                 if let Some(sn) = target {
                     cached.insert((shard(tag), node, sn));
                 }
@@ -339,7 +386,10 @@ fn cache_hits_and_sizes_match_a_reference_set() {
             let c = l.counters();
             (c.cache_hits, c.cache_misses, reclaimed)
         });
-        assert!(hits > 50 && misses > 50 && reclaimed > 50, "seed {seed}: {hits} hits, {misses} misses, {reclaimed} reclaimed");
+        assert!(
+            hits > 50 && misses > 50 && reclaimed > 50,
+            "seed {seed}: {hits} hits, {misses} misses, {reclaimed} reclaimed"
+        );
     }
 }
 
@@ -352,7 +402,14 @@ fn reads_racing_trims_return_live_records() {
     let hot = Tag::new(TagKind::ObjectLog, 0x0A07);
     let side = Tag::new(TagKind::ObjectLog, 0x0A08);
 
-    async fn reader(ctx: Ctx, log: LogService<u64>, hot: Tag, seed: u64, done: Rc<Cell<bool>>, seen: Rc<Cell<u64>>) {
+    async fn reader(
+        ctx: Ctx,
+        log: LogService<u64>,
+        hot: Tag,
+        seed: u64,
+        done: Rc<Cell<bool>>,
+        seen: Rc<Cell<u64>>,
+    ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let node = NodeId(rng.random_range(0..4));
         let live_now = |sn: SeqNum| log.peek_record(sn).is_some();
@@ -362,21 +419,33 @@ fn reads_racing_trims_return_live_records() {
             match rng.random_range(0..4u32) {
                 0 => {
                     if let Some(r) = log.read_prev(node, hot, SeqNum::MAX).await {
-                        assert!(live_now(r.seqnum), "read_prev(MAX) returned reclaimed {:?}", r.seqnum);
+                        assert!(
+                            live_now(r.seqnum),
+                            "read_prev(MAX) returned reclaimed {:?}",
+                            r.seqnum
+                        );
                         seen.set(seen.get() + 1);
                     }
                 }
                 1 => {
                     if let Some(r) = log.read_prev(node, hot, bound).await {
                         assert!(r.seqnum <= bound);
-                        assert!(live_now(r.seqnum), "read_prev returned reclaimed {:?}", r.seqnum);
+                        assert!(
+                            live_now(r.seqnum),
+                            "read_prev returned reclaimed {:?}",
+                            r.seqnum
+                        );
                         seen.set(seen.get() + 1);
                     }
                 }
                 2 => {
                     if let Some(r) = log.read_next(node, hot, bound).await {
                         assert!(r.seqnum >= bound);
-                        assert!(live_now(r.seqnum), "read_next returned reclaimed {:?}", r.seqnum);
+                        assert!(
+                            live_now(r.seqnum),
+                            "read_next returned reclaimed {:?}",
+                            r.seqnum
+                        );
                         seen.set(seen.get() + 1);
                     }
                 }
@@ -385,13 +454,18 @@ fn reads_racing_trims_return_live_records() {
                     assert_eq!(stats.replayed, records.len() as u64);
                     assert!(records.windows(2).all(|w| w[0].seqnum < w[1].seqnum));
                     for r in &records {
-                        assert!(live_now(r.seqnum), "replay returned reclaimed {:?}", r.seqnum);
+                        assert!(
+                            live_now(r.seqnum),
+                            "replay returned reclaimed {:?}",
+                            r.seqnum
+                        );
                     }
                     seen.set(seen.get() + records.len() as u64);
                 }
             }
             // Desynchronise from the trimmer's rhythm.
-            ctx.sleep(std::time::Duration::from_micros(rng.random_range(0..300))).await;
+            ctx.sleep(std::time::Duration::from_micros(rng.random_range(0..300)))
+                .await;
         }
     }
 
@@ -409,7 +483,14 @@ fn reads_racing_trims_return_live_records() {
         let seen = Rc::new(Cell::new(0u64));
         let ctx = sim.ctx();
         for r in 0..4 {
-            ctx.spawn(reader(ctx.clone(), log.clone(), hot, seed * 16 + r, done.clone(), seen.clone()));
+            ctx.spawn(reader(
+                ctx.clone(),
+                log.clone(),
+                hot,
+                seed * 16 + r,
+                done.clone(),
+                seen.clone(),
+            ));
         }
         // Two appenders keep the stream moving; the trimmer cuts it behind
         // them every few appends, sometimes all the way to the head.
@@ -444,11 +525,16 @@ fn reads_racing_trims_return_live_records() {
                         .unwrap_or(SeqNum::ZERO),
                 };
                 l.trim(NodeId(3), hot, upto).await;
-                c.sleep(std::time::Duration::from_micros(rng.random_range(0..800))).await;
+                c.sleep(std::time::Duration::from_micros(rng.random_range(0..800)))
+                    .await;
             }
         });
         sim.run();
-        assert!(seen.get() > 100, "seed {seed}: readers saw only {} records", seen.get());
+        assert!(
+            seen.get() > 100,
+            "seed {seed}: readers saw only {} records",
+            seen.get()
+        );
         // Whatever the hot stream still lists is live, and nothing else of
         // it is.
         let tail = log.peek_stream(hot);
@@ -503,7 +589,10 @@ fn dropping_a_deployment_drops_its_log() {
     drop(runtime);
     assert!(probe.upgrade().is_some(), "the client still holds the log");
     drop(client);
-    assert!(probe.upgrade().is_none(), "the deployment outlived its last handle");
+    assert!(
+        probe.upgrade().is_none(),
+        "the deployment outlived its last handle"
+    );
 }
 
 #[test]
@@ -552,7 +641,12 @@ fn the_collector_keeps_up_with_a_steady_load() {
     let (_sim, client, gc) = steady_load(5, true);
     let gc = gc.expect("collected");
     gc.stop();
-    assert_eq!(gc.cycles(), 5, "{} of 5 scheduled cycles completed", gc.cycles());
+    assert_eq!(
+        gc.cycles(),
+        5,
+        "{} of 5 scheduled cycles completed",
+        gc.cycles()
+    );
     let versions = client.store().version_count();
     let keys = client.written_keys().len();
     let per_interval = client.store().counters().db_writes as usize / 5;
@@ -580,7 +674,11 @@ fn one_cycle_over_a_large_backlog_costs_a_fixed_number_of_round_trips() {
     let start = sim.now();
     let stats = sim.block_on(async move { collector.collect().await });
     let elapsed = sim.now() - start;
-    assert!(stats.versions_deleted >= 2_500, "{} versions deleted", stats.versions_deleted);
+    assert!(
+        stats.versions_deleted >= 2_500,
+        "{} versions deleted",
+        stats.versions_deleted
+    );
     assert!(
         elapsed <= Duration::from_millis(15),
         "{elapsed:?} to delete {} versions",
@@ -600,7 +698,9 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
         objects: 200,
         ..SyntheticOps::default()
     };
-    let runs = [0.3, 0.0].into_iter().flat_map(|dup| (0..8u64).map(move |seed| (dup, seed)));
+    let runs = [0.3, 0.0]
+        .into_iter()
+        .flat_map(|dup| (0..8u64).map(move |seed| (dup, seed)));
     for (duplicate_prob, seed) in runs {
         let mut sim = Sim::new(0x0E1F + seed);
         let plan = FaultPlan::new()
@@ -640,7 +740,10 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
         // `Init`, before it can write. ROADMAP item 3a's lifetime rule must
         // bring this to zero. Without peers, crash retries fail none.
         if duplicate_prob == 0.0 {
-            assert_eq!(report.errors, 0, "seed {seed}: requests failed without peers");
+            assert_eq!(
+                report.errors, 0,
+                "seed {seed}: requests failed without peers"
+            );
         }
         gc.stop();
         // Let the last peers and the fault schedule play out, then collect.
