@@ -43,6 +43,7 @@ use hm_kvstore::KvStore;
 use hm_sharedlog::{CondAppendOutcome, LogRecord, LogService};
 
 use crate::client::{finish_log_tag, init_log_tag, transition_log_tag, Client, OpKind};
+use crate::faults::Site;
 use crate::history::{Event, EventKind};
 use crate::protocol::{MatrixOp, ProtocolKind};
 use crate::record::{OpRecord, StepRecord};
@@ -268,7 +269,7 @@ impl Env {
             // paid purely because the previous attempt died.
             client.note_recovery(replay);
         }
-        env.maybe_crash().inspect_err(|_| env.op_end())?;
+        env.maybe_crash(Site::Init).inspect_err(|_| env.op_end())?;
         // Figure 5 lines 7–10. The logged input is the authoritative one:
         // an earlier attempt's, or that of a racing peer whose init won.
         let first = env
@@ -402,7 +403,8 @@ impl Env {
     // Fault injection & instrumentation
     // ------------------------------------------------------------------
 
-    /// One crash point: returns `Err(Crashed)` if the fault policy fires.
+    /// One crash point, in the window `site` names: returns
+    /// `Err(Crashed)` if the fault policy fires.
     ///
     /// Crash points are numbered densely per execution attempt, which is
     /// what makes them usable as choice points: under
@@ -410,12 +412,12 @@ impl Env {
     /// checker enumerates *every* crash point within its budget as a
     /// survive/crash branch of the exploration tree (DESIGN.md §18),
     /// rather than sampling them with a seeded coin as the chaos plans do.
-    pub(crate) fn maybe_crash(&mut self) -> HmResult<()> {
+    pub(crate) fn maybe_crash(&mut self, site: Site) -> HmResult<()> {
         self.crash_point += 1;
         if self
             .client
             .faults()
-            .should_crash(self.id, self.crash_point, self.client.ctx())
+            .should_crash(self.id, self.crash_point, site, self.client.ctx())
         {
             Err(HmError::Crashed {
                 point: self.crash_point,
@@ -562,12 +564,20 @@ impl Env {
         result
     }
 
+    /// Resolves `key`'s protocol, takes the op-entry crash point, then
+    /// runs the read the protocol prescribes.
     async fn read_dispatch(&mut self, key: &Key) -> HmResult<Value> {
+        let read_only = self.client.with_config(|c| c.read_only_keys.contains(key));
+        let mode = if read_only {
+            None
+        } else {
+            Some(self.resolve(key).await?)
+        };
+        self.maybe_crash(Site::OpEntry)?;
         // §7 program-analysis hint: reads of immutable objects are
         // inherently idempotent — raw read, no logging, no version lookup,
         // under every protocol.
-        if self.client.with_config(|c| c.read_only_keys.contains(key)) {
-            self.maybe_crash()?;
+        let Some(mode) = mode else {
             let value = self.store().get(key).await.unwrap_or(Value::Null);
             self.record_event(|| EventKind::Read {
                 key: key.clone(),
@@ -576,8 +586,8 @@ impl Env {
                 fresh: true,
             });
             return Ok(value);
-        }
-        match self.resolve(key).await? {
+        };
+        match mode {
             ObjectMode::Plain(ProtocolKind::HalfmoonRead) => self.hmread_read(key).await,
             // Symmetric protocols log reads exactly like Halfmoon-write
             // does; one implementation keeps the comparison honest.
@@ -624,13 +634,17 @@ impl Env {
         result
     }
 
+    /// Resolves `key`'s protocol, takes the op-entry crash point, then
+    /// runs the write the protocol prescribes.
     async fn write_dispatch(&mut self, key: &Key, value: Value) -> HmResult<()> {
         if self.client.with_config(|c| c.read_only_keys.contains(key)) {
             return Err(HmError::config(format!(
                 "attempted write to read-only key {key:?}"
             )));
         }
-        let protocol = match self.resolve(key).await? {
+        let mode = self.resolve(key).await?;
+        self.maybe_crash(Site::OpEntry)?;
+        let protocol = match mode {
             ObjectMode::Transitional { .. } => return self.dual_write(key, value).await,
             // Draining: old-protocol SSFs are gone, so plain target writes
             // are safe (HM-read writes never touch LATEST; HM-write writes
@@ -670,6 +684,8 @@ impl Env {
         }
         if all_hmread {
             self.op_begin("read_snapshot", || format!("{} keys", keys.len()));
+            self.maybe_crash(Site::OpEntry)
+                .inspect_err(|_| self.op_end())?;
             let result = self.hmread_read_snapshot(keys).await;
             self.op_end();
             return result;
@@ -718,7 +734,7 @@ impl Env {
                 .client
                 .invoker()
                 .ok_or_else(|| HmError::config("no invoker registered"))?;
-            self.maybe_crash()?;
+            self.maybe_crash(Site::BeforeEffect)?;
             self.hand_off_to(callee);
             let result = invoker.invoke(callee, func, input).await?;
             self.record_event(|| EventKind::Invoke {
@@ -743,10 +759,10 @@ impl Env {
                         .client
                         .invoker()
                         .ok_or_else(|| HmError::config("no invoker registered"))?;
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::BeforeEffect)?;
                     env.hand_off_to(callee);
                     let result = invoker.invoke(callee, func, input).await?;
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::AfterEffect)?;
                     Ok(OpRecord::Invoke { callee, result })
                 },
             )
@@ -775,7 +791,7 @@ impl Env {
                 [],
                 |op| matches!(op, OpRecord::Sync).then_some(()),
                 async |env: &mut Env| {
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::BeforeAppend)?;
                     Ok(OpRecord::Sync)
                 },
             )
@@ -807,7 +823,7 @@ impl Env {
                     _ => None,
                 },
                 async |env: &mut Env| {
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::BeforeAppend)?;
                     Ok(OpRecord::Finish {
                         init_seqnum: env.init_cursor,
                         result,

@@ -145,7 +145,7 @@ impl GarbageCollector {
             trims.push((finish_log_tag(), upto));
         }
         if !trims.is_empty() {
-            self.client.log_as(&octx).trim_many(self.node, &trims).await;
+            self.client.log_as(&octx).trim_many(&trims).await;
         }
         if let Some(p) = probe {
             p.span_end(&octx, Lane::Gc, self.client.ctx().now());

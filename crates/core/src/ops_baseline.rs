@@ -13,6 +13,7 @@
 use hm_common::{HmResult, Key, Value, VersionTuple};
 
 use crate::env::Env;
+use crate::faults::Site;
 use crate::history::EventKind;
 use crate::record::OpRecord;
 
@@ -25,7 +26,6 @@ impl Env {
     /// tuple ⇒ the conditional update applies at most once) and orders
     /// writes by their logging order.
     pub(crate) async fn boki_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        self.maybe_crash()?;
         let intent = self
             .step(
                 "BokiWriteIntent",
@@ -47,12 +47,12 @@ impl Env {
             [],
             |op| matches!(op, OpRecord::BokiWriteCommit).then_some(()),
             async |env: &mut Env| {
-                env.maybe_crash()?;
+                env.maybe_crash(Site::BeforeEffect)?;
                 applied = env
                     .store()
                     .put_conditional(key, value.clone(), version)
                     .await;
-                env.maybe_crash()?;
+                env.maybe_crash(Site::AfterEffect)?;
                 Ok(OpRecord::BokiWriteCommit)
             },
         )
@@ -68,7 +68,6 @@ impl Env {
 
     /// Unsafe read: the raw operation, no logging, no idempotence.
     pub(crate) async fn unsafe_read(&mut self, key: &Key) -> HmResult<Value> {
-        self.maybe_crash()?;
         let value = self.store().get(key).await.unwrap_or(Value::Null);
         self.record_event(|| EventKind::Read {
             key: key.clone(),
@@ -84,16 +83,15 @@ impl Env {
     /// [`crate::history::Recorder`] raw-write events.
     ///
     /// Note the window: the raw-write event is recorded only *after* the
-    /// second crash point, so a crash between `put` and `record_event`
-    /// leaves the duplicate invisible to this attempt's history. The
-    /// anomaly therefore needs a later crash site — a successor op in the
-    /// same program — to surface, which is why the model checker's
+    /// `AfterEffect` crash point, so a crash between `put` and
+    /// `record_event` leaves the duplicate invisible to this attempt's
+    /// history. The anomaly therefore needs a later crash point — a
+    /// successor op's `OpEntry` — to surface, which is why the model checker's
     /// exhaustive sweep (DESIGN.md §18) finds it on the two-op `ww-1s`
     /// configuration but honestly reports the one-op `wr-1s` as passing.
     pub(crate) async fn unsafe_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        self.maybe_crash()?;
         self.store().put(key, value.clone()).await;
-        self.maybe_crash()?;
+        self.maybe_crash(Site::AfterEffect)?;
         self.record_event(|| EventKind::RawWrite {
             key: key.clone(),
             fp: value.fingerprint(),

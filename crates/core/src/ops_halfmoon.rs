@@ -12,6 +12,7 @@ use rand::RngExt;
 
 use crate::client::Client;
 use crate::env::Env;
+use crate::faults::Site;
 use crate::history::EventKind;
 use crate::record::OpRecord;
 
@@ -24,7 +25,6 @@ impl Env {
     /// object's write log, then fetch the version it points to. Entirely
     /// log-free — the only cost above a raw read is one `logReadPrev`.
     pub(crate) async fn hmread_read(&mut self, key: &Key) -> HmResult<Value> {
-        self.maybe_crash()?;
         let cursor = self.cursor;
         // §7 opportunistic checkpointing: a re-execution on a node that
         // cached this (deterministic) log-free read serves it locally.
@@ -60,7 +60,6 @@ impl Env {
     /// checkpoints progress and publishes the version in the object's
     /// write log.
     pub(crate) async fn hmread_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        self.maybe_crash()?;
         let version = if self.client().with_config(|c| c.deterministic_versions) {
             // §4.1's first variant: the version number is a pure function
             // of (instanceID, step) ("simply concatenating the unique and
@@ -85,12 +84,12 @@ impl Env {
                     _ => None,
                 },
                 async |env: &mut Env| {
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::BeforeEffect)?;
                     // DBWrite (line 21): multi-version put under the fixed
                     // version number. Idempotent — a crash retry rewrites
                     // identical content.
                     env.store().put_version(key, version, value.clone()).await;
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::AfterEffect)?;
                     // Commit (line 22): tagged with the step log *and* the
                     // object's write log; its seqnum is the write's logical
                     // timestamp.
@@ -145,7 +144,6 @@ impl Env {
     /// log-free, because each per-object resolution is exactly a log-free
     /// read at the same deterministic cursor.
     pub(crate) async fn hmread_read_snapshot(&mut self, keys: &[Key]) -> HmResult<Vec<Value>> {
-        self.maybe_crash()?;
         let cursor = self.cursor;
         let mut handles = Vec::with_capacity(keys.len());
         for key in keys {
@@ -183,7 +181,6 @@ impl Env {
     /// Figure 7 `Read` (lines 7–18): recover from the step log if possible,
     /// otherwise read the latest state and log the observed value.
     pub(crate) async fn hmwrite_read(&mut self, key: &Key) -> HmResult<Value> {
-        self.maybe_crash()?;
         // What this attempt saw in the store, and when; stays `None` when
         // the step is replayed (lines 10–12).
         let mut observation = None;
@@ -199,7 +196,7 @@ impl Env {
                     // Line 13: read the latest state.
                     let observed = env.store().get(key).await.unwrap_or(Value::Null);
                     observation = Some((observed.fingerprint(), env.client().ctx().now()));
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::AfterEffect)?;
                     // Lines 14–17: log the result; a losing peer adopts the
                     // winner's observed value so all instances continue
                     // with identical state.
@@ -235,7 +232,6 @@ impl Env {
     /// Figure 7 `Write` (lines 1–5): a purely log-free conditional update
     /// versioned by `(cursorTS, consecutiveW)`.
     pub(crate) async fn hmwrite_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        self.maybe_crash()?;
         // Ordered-write extension (technical report; see DESIGN.md):
         // a consecutive log-free write to a *different* object would be
         // allowed to commute with the previous one under Proposition 4.8.
@@ -254,7 +250,7 @@ impl Env {
         // Lines 2–3: the deterministic version tuple.
         self.consecutive_w += 1;
         let version = VersionTuple::new(self.cursor, self.consecutive_w);
-        self.maybe_crash()?;
+        self.maybe_crash(Site::BeforeEffect)?;
         // Lines 4–5: conditional update, applied only if the stored
         // version is smaller. On a crash retry the tuple is identical, so
         // the update is applied at most once; if a fresher write landed in

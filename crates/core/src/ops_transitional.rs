@@ -18,6 +18,7 @@
 use hm_common::{HmError, HmResult, Key, Value, VersionTuple};
 
 use crate::env::Env;
+use crate::faults::Site;
 use crate::history::EventKind;
 use crate::record::OpRecord;
 
@@ -25,7 +26,6 @@ impl Env {
     /// Dual read (§5.2): choose the fresher of the single-version and
     /// multi-version representations, then log the result.
     pub(crate) async fn dual_read(&mut self, key: &Key) -> HmResult<Value> {
-        self.maybe_crash()?;
         // A logged record is authoritative; only without one are the two
         // representations compared.
         let read = self
@@ -61,7 +61,7 @@ impl Env {
                         (Some((value, _)), None) => value,
                         (None, None) => Value::Null,
                     };
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::AfterEffect)?;
                     Ok(OpRecord::DualRead { data: observed })
                 },
             )
@@ -78,7 +78,6 @@ impl Env {
     /// Dual write (§5.2): intent log → install version → conditional LATEST
     /// update → dual commit record (step log + object write log).
     pub(crate) async fn dual_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        self.maybe_crash()?;
         // Phase 1 — version intent, exactly as in Halfmoon-read.
         let version = self.write_intent().await?;
         // The Halfmoon-write identity of this write. The intent record
@@ -96,18 +95,18 @@ impl Env {
                     _ => None,
                 },
                 async |env: &mut Env| {
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::BeforeEffect)?;
                     // Multi-version side first (same ordering as
                     // Halfmoon-read: the version must exist before its
                     // write-log record is visible).
                     env.store().put_version(key, version, value.clone()).await;
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::BetweenEffects)?;
                     // Single-version side: conditional update, idempotent
                     // by tuple.
                     env.store()
                         .put_conditional(key, value.clone(), version_tuple)
                         .await;
-                    env.maybe_crash()?;
+                    env.maybe_crash(Site::AfterEffect)?;
                     Ok(OpRecord::DualWriteCommit {
                         key: key.clone(),
                         version,

@@ -35,12 +35,6 @@ pub struct RuntimeConfig {
     /// Probability that an invocation spawns a duplicate peer instance
     /// (a falsely-suspected timeout, §4's second race condition).
     pub duplicate_prob: f64,
-    /// §4's race condition modeled faithfully: "if an instance times out
-    /// (but is still live) due to a network error, the runtime may assume
-    /// that this instance has crashed and launch another". When set, any
-    /// attempt still running after this long gets a live peer launched
-    /// against it (once per attempt).
-    pub suspect_timeout: Option<Time>,
 }
 
 impl Default for RuntimeConfig {
@@ -49,7 +43,6 @@ impl Default for RuntimeConfig {
             nodes: 8,
             workers_per_node: 8,
             duplicate_prob: 0.0,
-            suspect_timeout: None,
         }
     }
 }
@@ -356,29 +349,6 @@ impl Runtime {
             octx.enter(|| client.ctx().now(), Phase::Dispatch);
             client.ctx().sleep(hop).await;
             octx.exit(|| client.ctx().now());
-            // Timeout suspicion (§4): if this attempt runs past the
-            // suspect timeout, the runtime assumes it crashed and launches
-            // a live peer — even though the original keeps running. The
-            // conditional-append machinery makes the race harmless. The
-            // attempt's `done` flag exists only while a watchdog is armed.
-            let armed = self.inner.config.get().suspect_timeout;
-            let done = armed.filter(|_| max_attempts > 1).map(|limit| {
-                let done = std::rc::Rc::new(std::cell::Cell::new(false));
-                let rt = self.clone();
-                let body = body.clone();
-                let input = input.clone();
-                let octx = octx.clone();
-                let ctx = client.ctx().clone();
-                let flag = done.clone();
-                client.ctx().spawn(async move {
-                    ctx.sleep(limit).await;
-                    if !flag.get() {
-                        rt.inner.duplicates.set(rt.inner.duplicates.get() + 1);
-                        let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
-                    }
-                });
-                done
-            });
             let once = async {
                 let spec = InvocationSpec::new(id, node)
                     .attempt(attempt)
@@ -399,9 +369,6 @@ impl Runtime {
                 Ok(inner) => inner,
                 Err(_cancelled) => Err(HmError::NodeCrashed { node }),
             };
-            if let Some(done) = done {
-                done.set(true);
-            }
             match result {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_crash() && attempt + 1 < max_attempts => {

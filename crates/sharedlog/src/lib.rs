@@ -78,7 +78,7 @@ mod shard;
 mod slab;
 
 pub use payload::Payload;
-pub use router::{shard_for_tag, GlobalSeqNum, ShardId, Topology};
+pub use router::{shard_for_tag, ShardId, Topology};
 pub use service::{CondAppendOutcome, LogConfig, LogService, ReplayStats};
 pub use shard::{FlushStats, LogRecord, RECORD_META_BYTES};
 pub use slab::SEG as SLAB_SEGMENT_RECORDS;

@@ -15,9 +15,7 @@
 //! and Boki's metalog): every sequencing decision — on any shard — draws
 //! the next value of a single dense counter. Each shard still has its own
 //! sequencer *lane* (its own admission queue, capacity, and trace lane);
-//! only the counter is shared. The composite [`GlobalSeqNum`] carries the
-//! owning shard alongside the globally comparable position. Because the
-//! counter is dense, it doubles as the address of the record: the
+//! only the counter is shared. Because the counter is dense, it doubles as the address of the record: the
 //! service-wide slab (`slab` module) owns the clock and stores the record
 //! drawn at seqnum `n` in slot `n - 1`.
 //!
@@ -35,7 +33,7 @@
 use std::hash::Hasher;
 
 use hm_common::collections::FxHasher;
-use hm_common::{SeqNum, Tag};
+use hm_common::Tag;
 
 /// Identifies one log shard: a sequencer lane plus its replicated storage
 /// group and stream indexes.
@@ -63,32 +61,6 @@ impl Topology {
         Topology {
             shards: shards.max(1),
         }
-    }
-}
-
-/// Composite log position: the owning shard plus the position drawn from
-/// the shared order clock.
-///
-/// Ordering compares only the clock component — `seq` is globally unique
-/// and dense across shards, so it is the paper-visible seqnum; `shard` is
-/// routing metadata.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct GlobalSeqNum {
-    /// Shard whose storage group holds the record.
-    pub shard: ShardId,
-    /// Position in the shared total order.
-    pub seq: SeqNum,
-}
-
-impl PartialOrd for GlobalSeqNum {
-    fn partial_cmp(&self, other: &GlobalSeqNum) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GlobalSeqNum {
-    fn cmp(&self, other: &GlobalSeqNum) -> std::cmp::Ordering {
-        self.seq.cmp(&other.seq)
     }
 }
 
@@ -142,18 +114,5 @@ mod tests {
         for i in 0..64u64 {
             assert_eq!(shard_for_tag(Tag::new(TagKind::StepLog, i), 1), ShardId(0));
         }
-    }
-
-    #[test]
-    fn global_seqnums_order_by_the_shared_clock() {
-        let a = GlobalSeqNum {
-            shard: ShardId(3),
-            seq: SeqNum(5),
-        };
-        let b = GlobalSeqNum {
-            shard: ShardId(0),
-            seq: SeqNum(9),
-        };
-        assert!(a < b, "ordering ignores the shard component");
     }
 }

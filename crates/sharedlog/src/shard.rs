@@ -56,8 +56,7 @@ pub const RECORD_META_BYTES: usize = 32;
 
 /// One record as a read hands it back: a by-value copy of what the log
 /// holds in the record's slab slot (cloning a protocol payload bumps
-/// refcounts). [`LogService::locate`](crate::LogService::locate) names the
-/// home shard of a seqnum.
+/// refcounts).
 #[derive(Clone, Debug)]
 pub struct LogRecord<P> {
     /// Globally unique, monotonically increasing position in the shared

@@ -226,7 +226,7 @@ fn run(shards: u8, batch: usize, seed: u64) -> Reached {
                         .collect();
                     let in_flight = {
                         let (l, trims) = (l.clone(), trims.clone());
-                        ctx.spawn(async move { l.trim_many(node, &trims).await })
+                        ctx.spawn(async move { l.trim_many(&trims).await })
                     };
                     ctx.yield_now().await;
                     assert_same_state(&l, &reference, &format!("trim_many in flight, {at}"));

@@ -15,6 +15,7 @@
 # release builds below (bench_sim_core, explore --assert, the benchmark/
 # rounds) compile that assert out; a wrong table entry that changes a
 # model-check footprint shows there as `model_check` fingerprint drift.
+# Format: `cargo fmt --all -- --check` lists no file.
 # Lints: clippy across all targets with warnings denied.
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).
@@ -63,6 +64,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== format: cargo fmt --all -- --check =="
+cargo fmt --all -- --check
 
 echo "== lints: cargo clippy --all-targets -D warnings (+ hot-path clone lints) =="
 cargo clippy -q --all-targets -- -D warnings \

@@ -282,7 +282,7 @@ fn storage_replica_failure_degrades_but_preserves_correctness() {
         client.log().degraded_appends() > 0,
         "the below-quorum window must have been exercised"
     );
-    assert_eq!(client.log().live_storage_replicas(), 3);
+    assert_eq!(client.log().live_storage_replicas_on(ShardId(0)), 3);
     recorder.check_all_generic().unwrap();
     recorder.check_hm_write_order().unwrap();
 }
