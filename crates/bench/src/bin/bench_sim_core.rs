@@ -14,7 +14,10 @@
 //! - `HM_BENCH_SCALE` (default 1.0): multiplies workload durations; use a
 //!   small value (e.g. 0.05) for a smoke run. A value that is not a
 //!   finite number above zero stops the binary with an error naming it.
-//! - `HM_BENCH_OUT` (default `BENCH_sim_core.json`): output path.
+//! - `HM_BENCH_OUT` (default `BENCH_sim_core.json`): output path. A run
+//!   that writes the default path also appends its component lines, as
+//!   one JSON line, to `BENCH_history.jsonl` beside it: the report is
+//!   overwritten, the history keeps every refresh.
 //! - `--trace-out <path>`: re-run the synthetic Halfmoon-read workload with
 //!   causal tracing attached, assert its work fingerprint matches the
 //!   untraced run (tracing must not perturb the simulation) and that every
@@ -123,8 +126,7 @@ fn traced_twin(scale: f64, path: &str, untraced: u64) -> Timed {
 
 fn main() {
     let scale = hm_bench::scale().unwrap_or_else(|e| exit_usage(&e));
-    let out_path =
-        std::env::var("HM_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim_core.json".to_string());
+    let out_path = std::env::var("HM_BENCH_OUT").ok();
     let opts = CommonOpts::from_env()
         .and_then(|o| o.reject_shape_overrides("bench_sim_core").map(|()| o))
         .unwrap_or_else(|e| exit_usage(&e));
@@ -161,43 +163,60 @@ fn main() {
         total.as_secs_f64() * 1e3
     );
     let _ = writeln!(json, "  \"work_fingerprint\": \"{fp:016x}\",");
-    json.push_str("  \"components\": [\n");
-    for (i, (name, wall, run)) in components.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"name\": \"{name}\", \"wall_ms\": {:.3}, \"polls\": {}, \"peak_timers\": {}, \"fingerprint\": \"{:016x}\"",
-            wall.as_secs_f64() * 1e3,
-            run.polls,
-            run.peak_timers,
-            run.fingerprint,
-        );
-        if !run.alloc.is_empty() {
-            json.push_str(", \"alloc\": {");
-            for (j, p) in run.alloc.iter().enumerate() {
-                let _ = write!(
-                    json,
-                    "{}\"{}\": {{\"ops\": {}, \"allocs_per_op\": {:.3}, \"bytes_per_op\": {:.1}}}",
-                    if j == 0 { "" } else { ", " },
-                    p.name,
-                    p.ops,
-                    p.rate.allocs_per_op,
-                    p.rate.bytes_per_op,
-                );
-            }
-            json.push('}');
-        }
-        let _ = writeln!(
-            json,
-            "}}{}",
-            if i + 1 < components.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ]\n}\n");
-
-    std::fs::write(&out_path, &json).expect("write bench output");
-    println!("{json}");
-    eprintln!(
-        "wrote {out_path} (total {:.1} ms)",
-        total.as_secs_f64() * 1e3
+    let lines: Vec<String> = components.iter().map(component_line).collect();
+    let _ = write!(
+        json,
+        "  \"components\": [\n    {}\n  ]\n}}\n",
+        lines.join(",\n    ")
     );
+
+    let path = out_path.as_deref().unwrap_or("BENCH_sim_core.json");
+    std::fs::write(path, &json).expect("write bench output");
+    if out_path.is_none() {
+        let entry = format!(
+            "{{\"scale\": {scale}, \"total_wall_ms\": {:.3}, \"work_fingerprint\": \"{fp:016x}\", \"components\": [{}]}}\n",
+            total.as_secs_f64() * 1e3,
+            lines.join(", ")
+        );
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(HISTORY)
+            .and_then(|mut f| std::io::Write::write_all(&mut f, entry.as_bytes()))
+            .expect("append bench history");
+    }
+    println!("{json}");
+    eprintln!("wrote {path} (total {:.1} ms)", total.as_secs_f64() * 1e3);
+}
+
+/// Where a default-path run appends its component lines.
+const HISTORY: &str = "BENCH_history.jsonl";
+
+/// One component's JSON object: wall time, what it did, and its
+/// allocation rates if it measured any.
+fn component_line((name, wall, run): &Timed) -> String {
+    let mut line = format!(
+        "{{\"name\": \"{name}\", \"wall_ms\": {:.3}, \"polls\": {}, \"peak_timers\": {}, \"fingerprint\": \"{:016x}\"",
+        wall.as_secs_f64() * 1e3,
+        run.polls,
+        run.peak_timers,
+        run.fingerprint,
+    );
+    if !run.alloc.is_empty() {
+        line.push_str(", \"alloc\": {");
+        for (j, p) in run.alloc.iter().enumerate() {
+            let _ = write!(
+                line,
+                "{}\"{}\": {{\"ops\": {}, \"allocs_per_op\": {:.3}, \"bytes_per_op\": {:.1}}}",
+                if j == 0 { "" } else { ", " },
+                p.name,
+                p.ops,
+                p.rate.allocs_per_op,
+                p.rate.bytes_per_op,
+            );
+        }
+        line.push('}');
+    }
+    line.push('}');
+    line
 }

@@ -55,9 +55,8 @@
 
 use std::cell::{Ref, RefCell};
 use std::collections::hash_map;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
-use hm_common::collections::FxHasher;
 use hm_common::{FxHashMap, InstanceId, Key, SeqNum, Value, VersionTuple};
 use hm_substrate::Time;
 
@@ -182,7 +181,7 @@ fn same_op(a: &Entry, b: &Entry) -> bool {
 
 /// Distinct values, numbered in order of first sight.
 struct Interner<T> {
-    ids: FxHashMap<Mixed<T>, u32>,
+    ids: FxHashMap<T, u32>,
     values: Vec<T>,
 }
 
@@ -197,7 +196,7 @@ impl<T> Default for Interner<T> {
 
 impl<T: Clone + Eq + Hash> Interner<T> {
     fn intern(&mut self, value: &T) -> u32 {
-        match self.ids.entry(Mixed(value.clone())) {
+        match self.ids.entry(value.clone()) {
             hash_map::Entry::Occupied(known) => *known.get(),
             hash_map::Entry::Vacant(new) => {
                 let id = u32::try_from(self.values.len()).expect("fewer than 2^32 distinct values");
@@ -205,22 +204,6 @@ impl<T: Clone + Eq + Hash> Interner<T> {
                 *new.insert(id)
             }
         }
-    }
-}
-
-/// A value whose FxHash has its halves swapped. The table picks a bucket
-/// from a hash's low bits, and FxHash's low bits see only a short key's
-/// first bytes, which one workload's keys share (`o0001234`): hashed as
-/// is, thousands of such keys pile into a few buckets and every lookup
-/// probes a long run. Every byte reaches the high half.
-#[derive(PartialEq, Eq)]
-struct Mixed<T>(T);
-
-impl<T: Hash> Hash for Mixed<T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut fx = FxHasher::default();
-        self.0.hash(&mut fx);
-        state.write_u64(fx.finish().rotate_left(32));
     }
 }
 

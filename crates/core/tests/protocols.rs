@@ -6,16 +6,18 @@
 //! contract `hm-runtime` implements): on an injected crash the SSF is
 //! re-executed with the same instance id until it completes.
 
+use std::cell::Cell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{
-    transition_log_tag, Client, Env, FaultPolicy, GarbageCollector, InvocationSpec, Invoker,
-    LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind, Recorder, Site, StepRecord,
-    Switcher,
+    transition_log_tag, Client, CrashFootprints, Env, FaultPolicy, GarbageCollector,
+    InvocationSpec, Invoker, LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind,
+    Recorder, Site, StepRecord, Switcher,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::{FxHashMap, HmResult, InstanceId, Key, NodeId, StepNum, Value};
+use hm_substrate::explore::{Alt, ChoiceSource};
 use hm_substrate::sim::Sim;
 
 type SsfBody = Rc<dyn for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>>>;
@@ -403,37 +405,99 @@ fn exactly_once_under_single_crash_at_every_point() {
     }
 }
 
-/// Double crashes: every pair of consecutive crash points.
+/// Crashes one instance at the listed crash points, numbered across its
+/// attempts: the first attempt's point `p` is number `p`, and a retry
+/// goes on counting where the crashed attempt stopped. Every other
+/// instance's points pass.
+struct CrashInstance {
+    /// The instance's id, masked by [`WHO`].
+    who: u64,
+    at: Vec<u32>,
+    seen: Cell<u32>,
+}
+
+/// The bits of an instance's id that its crash alternatives' ids carry.
+const WHO: u64 = (1 << 40) - 1;
+
+impl ChoiceSource for CrashInstance {
+    fn choose(&self, _site: &'static str, alts: &[Alt]) -> usize {
+        if alts[0].id & WHO != self.who {
+            return 0;
+        }
+        self.seen.set(self.seen.get() + 1);
+        usize::from(self.at.contains(&self.seen.get()))
+    }
+}
+
+/// The swept body on deployment `name`, its instance crashed at `at`
+/// (numbered as [`CrashInstance`] does), run to completion. Returns the
+/// crash points the instance passed and the result.
+fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, Rc<Recorder>, u32, HmResult<Value>) {
+    let (mut sim, client, recorder) = setup_row(name);
+    populate_xy(&client);
+    let invoker = TestInvoker::install(&client);
+    invoker.register("child", |env, _| {
+        Box::pin(async move { env.read(&Key::new("X")).await })
+    });
+    let id = client.fresh_instance_id();
+    let source = Rc::new(CrashInstance {
+        who: id.0 as u64 & WHO,
+        at,
+        seen: Cell::new(0),
+    });
+    // No budget: a spent one would stop consulting the source, and its
+    // count of points passed.
+    client.set_fault_plan(FaultPolicy::explored(
+        source.clone(),
+        u32::MAX,
+        CrashFootprints::new(),
+    ));
+    let out = sim.block_on(run_to_completion(
+        client.clone(),
+        id,
+        Value::Null,
+        swept_body(),
+    ));
+    (sim, client, recorder, source.seen.get(), out)
+}
+
+/// Double crashes: for every fault-tolerant deployment of `site_table`
+/// and every crash point `first` of the swept body but its last, the
+/// first attempt crashes at `first` and the retry at the next window,
+/// the one the first attempt numbers `first + 1`. The retry replays the
+/// ops logged before the crash and skips their effect windows, so it
+/// numbers that window lower by the points it skipped: a run that
+/// crashes only at `first` measures them. Both crashes must land at the
+/// table's sites, and the final effects must equal a failure-free run's.
 #[test]
 fn exactly_once_under_double_crashes() {
-    for kind in all_protocols() {
-        for first in (1..30u32).step_by(3) {
-            let (mut sim, client, recorder) = setup(kind);
-            populate_xy(&client);
-            let id = client.fresh_instance_id();
-            client.set_fault_plan(FaultPolicy::at([(id, first), (id, first + 1)]));
-            let out = sim
-                .block_on(run_to_completion(
-                    client.clone(),
-                    id,
-                    Value::Null,
-                    canonical_body(),
-                ))
-                .unwrap_or_else(|e| panic!("{kind} points {first},{}: {e}", first + 1));
-            assert_eq!(out, Value::Int(3), "{kind} points {first}..");
-            assert_eq!(
-                read_final(&mut sim, &client, "X"),
-                Value::Int(6),
-                "{kind} {first}"
-            );
-            assert_eq!(
-                read_final(&mut sim, &client, "Y"),
-                Value::Int(11),
-                "{kind} {first}"
-            );
+    for (name, sites) in site_table() {
+        if name == "Unsafe" {
+            continue;
+        }
+        let points = sites.len() as u32;
+        for first in 1..points {
+            let (.., passed, out) = run_crashing(name, vec![first]);
+            out.unwrap_or_else(|e| panic!("{name} point {first}: {e}"));
+            let skipped = points - (passed - first);
+            let second = first + 1 - skipped;
+            let (mut sim, client, recorder, _, out) =
+                run_crashing(name, vec![first, first + second]);
+            let pair = format!("{name} points {first},{}", first + 1);
+            let out = out.unwrap_or_else(|e| panic!("{pair}: {e}"));
+            let policy = client.faults();
+            assert_eq!(policy.injected(), 2, "{pair}");
+            let expected = &sites[first as usize - 1..=first as usize];
+            for site in Site::ALL {
+                let want = expected.iter().filter(|&&s| s == site).count() as u32;
+                assert_eq!(policy.injected_at(site), want, "{pair}: {site:?}");
+            }
+            assert_eq!(out, Value::Int(3), "{pair}");
+            assert_eq!(read_final(&mut sim, &client, "X"), Value::Int(6), "{pair}");
+            assert_eq!(read_final(&mut sim, &client, "Y"), Value::Int(11), "{pair}");
             recorder
                 .check_all_generic()
-                .unwrap_or_else(|e| panic!("{kind} {first}: {e}"));
+                .unwrap_or_else(|e| panic!("{pair}: {e}"));
         }
     }
 }

@@ -149,6 +149,13 @@ impl KvStore {
         scope
     }
 
+    /// Makes room in the latest table for `additional` more objects, so a
+    /// setup that populates them grows the table once, not through every
+    /// rehash on the way.
+    pub fn reserve(&self, additional: usize) {
+        self.inner.borrow_mut().latest.reserve(additional);
+    }
+
     /// Populates an object instantly (experiment setup; takes no simulated
     /// time and is not counted in op metrics).
     pub fn populate(&self, key: Key, value: Value) {

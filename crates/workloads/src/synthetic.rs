@@ -11,7 +11,6 @@
 //! request input so function bodies stay deterministic.
 
 use std::cell::RefCell;
-use std::fmt::{self, Write};
 use std::rc::Rc;
 
 use halfmoon::Client;
@@ -21,31 +20,30 @@ use rand::RngExt;
 
 use crate::Workload;
 
-/// `"o"` and a formatted `i64` are at most 21 bytes.
-#[derive(Default)]
-struct NameBuf {
-    bytes: [u8; 24],
-    len: usize,
-}
-
-impl fmt::Write for NameBuf {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let end = self.len + s.len();
-        self.bytes
-            .get_mut(self.len..end)
-            .ok_or(fmt::Error)?
-            .copy_from_slice(s.as_bytes());
-        self.len = end;
-        Ok(())
-    }
-}
-
+/// Object `i`'s key: `o` and `i` zero-padded to seven digits (8-byte
+/// keys, mirroring the paper's setup), the name `format!("o{i:07}")`
+/// gives. Written backwards into a stack buffer and copied once, into the
+/// key's shared buffer.
 fn obj_key(i: i64) -> Key {
-    // 8-byte keys, mirroring the paper's setup. The name is formatted on
-    // the stack and copied once, into the key's shared buffer.
-    let mut name = NameBuf::default();
-    write!(name, "o{i:07}").expect("the name fits");
-    Key::new(std::str::from_utf8(&name.bytes[..name.len]).expect("whole strs were written"))
+    // `"o"`, a sign and the 19 digits of `i64::MIN`.
+    let mut buf = [b'0'; 21];
+    let mut at = buf.len();
+    let mut rest = i.unsigned_abs();
+    while rest > 0 {
+        at -= 1;
+        buf[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    // Zero padding counts the sign: `format!` pads -5 to `-000005`.
+    let width = if i < 0 { 6 } else { 7 };
+    at = at.min(buf.len() - width);
+    if i < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    at -= 1;
+    buf[at] = b'o';
+    Key::new(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
 thread_local! {
@@ -79,6 +77,7 @@ fn object_key(i: i64, objects: u32) -> Key {
 /// `i`'s value fingerprinted by `i`.
 fn populate_objects(client: &Client, objects: u32, value_bytes: usize) {
     let objects = objects as usize;
+    client.store().reserve(objects);
     OBJECT_KEYS.with_borrow_mut(|keys| {
         keys.reserve(objects.saturating_sub(keys.len()));
         for at in 0..objects {
@@ -234,7 +233,21 @@ mod tests {
 
     #[test]
     fn obj_key_is_the_zero_padded_name() {
-        for i in [0, 42, 9_999_999, 10_000_000, -5, i64::MIN, i64::MAX] {
+        for i in [
+            0,
+            7,
+            42,
+            1_234_567,
+            9_999_999,
+            10_000_000,
+            -1,
+            -5,
+            -999_999,
+            -1_000_000,
+            -10_000_000,
+            i64::MIN,
+            i64::MAX,
+        ] {
             assert_eq!(obj_key(i).as_str(), format!("o{i:07}"));
         }
     }

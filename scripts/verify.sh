@@ -28,6 +28,18 @@
 #   peak_timers must match the committed BENCH_sim_core.json exactly
 #   (wall times are expected to drift; simulated work is not), and every
 #   component line of the committed file must have been compared;
+# - perf gate: two more untraced runs, and each component's median share
+#   of its run's wall time (over the untraced components) across the
+#   three runs must stay below 2x its share in the committed
+#   BENCH_sim_core.json. Shares cancel host speed, so the gate holds on
+#   any host; a single run or an absolute ns/poll bound would flap. Five
+#   runs on a shared 2-core host read 0.49-1.27x the committed ns/poll,
+#   and put each component's max/min share at 1.04-1.34x, except
+#   `recovery` at 2.08x (it fans out over every core, which a shared host
+#   withholds at times): its spread reaches the tolerance, so it is left
+#   out by name. A component of share s trips the gate once it runs
+#   2(1-s)/(1-2s)x slower: about 2x for the small ones, 6.5x for
+#   admission_knee (s = 0.41);
 # - core scaling: Figure 12 panel (a)'s cells through par_map at 2 workers
 #   must be at least 0.65x the parallelism the host delivered during the
 #   same run faster than at one (parallel_scaling's `speedup_2w` against
@@ -101,6 +113,38 @@ if [ "$compared" -ne "$want" ]; then
     exit 1
 fi
 echo "fingerprint drift ok: $compared components match the committed file"
+
+echo "== perf gate: component wall-time shares vs committed BENCH_sim_core.json =="
+for run in 2 3; do
+    HM_BENCH_OUT="$tmp/bench_$run.json" \
+        cargo run --release -q -p hm-bench --bin bench_sim_core >/dev/null 2>"$tmp/bench_$run.err" ||
+        { echo "bench run $run failed"; cat "$tmp/bench_$run.err"; exit 1; }
+done
+python3 - BENCH_sim_core.json "$tmp/bench.json" "$tmp/bench_2.json" "$tmp/bench_3.json" <<'PY'
+import json, statistics, sys
+
+TOLERANCE = 2.0
+LEFT_OUT = {"recovery"}
+
+def shares(path):
+    walls = {c["name"]: c["wall_ms"] for c in json.load(open(path))["components"]
+             if not c["name"].endswith("_traced")}
+    total = sum(walls.values())
+    return {name: wall / total for name, wall in walls.items()}
+
+committed = shares(sys.argv[1])
+runs = [shares(path) for path in sys.argv[2:]]
+slow = []
+for name, share in committed.items():
+    median = statistics.median(run[name] for run in runs)
+    verdict = "left out" if name in LEFT_OUT else "ok" if median < TOLERANCE * share else "SLOWER"
+    print(f"  {name:26} share {share:.4f} committed, {median:.4f} median ({median / share:.2f}x) {verdict}")
+    if verdict == "SLOWER":
+        slow.append(name)
+if slow:
+    sys.exit(f"perf gate FAILED: {', '.join(slow)} took at least {TOLERANCE}x the committed share")
+print(f"perf gate ok: every gated component under {TOLERANCE}x its committed share")
+PY
 
 echo "== core scaling: parallel_scaling sweep =="
 awk '/"parallel_scaling": \{/ { found = 1; match($0, /"cores_delivered": [0-9.]+/); d = substr($0, RSTART + 19, RLENGTH - 19) + 0; match($0, /"speedup_2w": [0-9.]+/); s = substr($0, RSTART + 14, RLENGTH - 14) + 0; f = 0.65 * d; printf "core scaling (%.2f cores delivered): %.2fx at 2 workers, floor %.2fx\n", d, s, f; exit !(d >= 1 && s >= f) } END { if (!found) exit 1 }' "$tmp/bench.json"
