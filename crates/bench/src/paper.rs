@@ -329,7 +329,7 @@ fn table1(scale: f64) -> Figure {
             let record = StepRecord {
                 instance: InstanceId(u128::from(i)),
                 step: StepNum(0),
-                op: OpRecord::Sync,
+                op: OpRecord::Order,
             };
             log.append(NodeId(i % 8), vec![tag], record).await;
             hist.record(ctx.now() - started);

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::ids::{Key, NodeId, SeqNum, StepNum};
+use crate::ids::{Key, NodeId};
 
 /// Result alias used throughout the workspace.
 pub type HmResult<T> = Result<T, HmError>;
@@ -29,15 +29,6 @@ pub enum HmError {
         /// The node that went down.
         node: NodeId,
     },
-    /// A conditional log append lost the race against a peer instance
-    /// (§5.1). Carries the seqnum of the record that won at the expected
-    /// offset so the loser can adopt it.
-    CondAppendConflict {
-        /// Seqnum of the record already at the expected offset.
-        winner: SeqNum,
-        /// The step at which the conflict occurred.
-        step: StepNum,
-    },
     /// A read targeted an object version that does not exist in the store.
     /// Under correct protocol operation this is unreachable (Halfmoon-read
     /// commits versions to the store before exposing them in the log, §4.1);
@@ -46,21 +37,10 @@ pub enum HmError {
         /// The object key.
         key: Key,
     },
-    /// A read targeted a key that has never been written and has no
-    /// initial value.
-    MissingKey {
-        /// The object key.
-        key: Key,
-    },
     /// An invoked function name was not registered with the runtime.
     UnknownFunction {
         /// The requested function name.
         name: String,
-    },
-    /// An SSF body returned a malformed payload (workload-level bug).
-    BadInput {
-        /// Human-readable description.
-        what: String,
     },
     /// The simulation was asked to do something outside its configuration,
     /// e.g. invoking with a protocol the experiment did not set up.
@@ -74,11 +54,6 @@ impl HmError {
     /// Convenience constructor for configuration errors.
     pub fn config(what: impl Into<String>) -> HmError {
         HmError::Config { what: what.into() }
-    }
-
-    /// Convenience constructor for bad-input errors.
-    pub fn bad_input(what: impl Into<String>) -> HmError {
-        HmError::BadInput { what: what.into() }
     }
 
     /// True if this error is an injected crash — of the instance or of
@@ -102,16 +77,8 @@ impl fmt::Display for HmError {
             HmError::NodeCrashed { node } => {
                 write!(f, "function node {node:?} crashed under this attempt")
             }
-            HmError::CondAppendConflict { winner, step } => {
-                write!(
-                    f,
-                    "conditional append conflict at {step:?}; winner {winner:?}"
-                )
-            }
             HmError::MissingVersion { key } => write!(f, "missing object version for {key:?}"),
-            HmError::MissingKey { key } => write!(f, "missing key {key:?}"),
             HmError::UnknownFunction { name } => write!(f, "unknown function {name:?}"),
-            HmError::BadInput { what } => write!(f, "bad input: {what}"),
             HmError::Config { what } => write!(f, "configuration error: {what}"),
         }
     }
@@ -132,12 +99,11 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = HmError::CondAppendConflict {
-            winner: SeqNum(9),
-            step: StepNum(2),
+        let e = HmError::MissingVersion {
+            key: Key::new("acct"),
         };
         let s = e.to_string();
-        assert!(s.contains("sn9"));
-        assert!(s.contains("step2"));
+        assert!(s.contains("missing object version"));
+        assert!(s.contains("acct"));
     }
 }

@@ -31,10 +31,10 @@
 //! | Halfmoon-write / Boki read | Fig. 7 lines 7–18 | reads LATEST (line 13), then the record of lines 14–17 | returns the logged value |
 //! | `invoke` | Fig. 5 lines 31–44 | runs the child, then the record of lines 41–44 | returns the logged result |
 //!
-//! The public operations ([`Env::read`], [`Env::write`], [`Env::invoke`],
-//! [`Env::sync`]) dispatch to the protocol resolved for the target object:
-//! statically configured, or looked up in the transition log when switching
-//! is enabled (§4.7).
+//! The public operations ([`Env::read`], [`Env::write`]) dispatch to the
+//! protocol resolved for the target object: statically configured, or
+//! looked up in the transition log when switching is enabled (§4.7).
+//! [`Env::invoke`] logs its child's result under every logged protocol.
 
 use hm_common::observe::{Lane, OpCtx, Phase};
 use hm_common::trace::SpanId;
@@ -180,13 +180,13 @@ impl InvocationSpec {
 
 /// Maps an op-span name to the anatomy phase charged while it runs.
 /// Read-shaped ops charge `ProtoRead`, write-shaped ops `ProtoWrite`, and
-/// everything else (init/sync/finish/invoke/transition bookkeeping)
+/// everything else (init/finish/invoke/transition bookkeeping)
 /// `ProtoTxn`, the reports' `proto_txn` column. Substrate phases
 /// (log/store round-trips) nest inside and take precedence, so these are
 /// the protocol *residuals*.
 fn op_phase(name: &str) -> Phase {
     match name {
-        "read" | "read_snapshot" => Phase::ProtoRead,
+        "read" => Phase::ProtoRead,
         "write" => Phase::ProtoWrite,
         _ => Phase::ProtoTxn,
     }
@@ -567,26 +567,8 @@ impl Env {
     /// Resolves `key`'s protocol, takes the op-entry crash point, then
     /// runs the read the protocol prescribes.
     async fn read_dispatch(&mut self, key: &Key) -> HmResult<Value> {
-        let read_only = self.client.with_config(|c| c.read_only_keys.contains(key));
-        let mode = if read_only {
-            None
-        } else {
-            Some(self.resolve(key).await?)
-        };
+        let mode = self.resolve(key).await?;
         self.maybe_crash(Site::OpEntry)?;
-        // §7 program-analysis hint: reads of immutable objects are
-        // inherently idempotent — raw read, no logging, no version lookup,
-        // under every protocol.
-        let Some(mode) = mode else {
-            let value = self.store().get(key).await.unwrap_or(Value::Null);
-            self.record_event(|| EventKind::Read {
-                key: key.clone(),
-                fp: value.fingerprint(),
-                logical: self.cursor,
-                fresh: true,
-            });
-            return Ok(value);
-        };
         match mode {
             ObjectMode::Plain(ProtocolKind::HalfmoonRead) => self.hmread_read(key).await,
             // Symmetric protocols log reads exactly like Halfmoon-write
@@ -637,11 +619,6 @@ impl Env {
     /// Resolves `key`'s protocol, takes the op-entry crash point, then
     /// runs the write the protocol prescribes.
     async fn write_dispatch(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        if self.client.with_config(|c| c.read_only_keys.contains(key)) {
-            return Err(HmError::config(format!(
-                "attempted write to read-only key {key:?}"
-            )));
-        }
         let mode = self.resolve(key).await?;
         self.maybe_crash(Site::OpEntry)?;
         let protocol = match mode {
@@ -657,44 +634,6 @@ impl Env {
             ProtocolKind::Boki => self.boki_write(key, value).await,
             ProtocolKind::Unsafe => self.unsafe_write(key, value).await,
         }
-    }
-
-    /// Reads several objects as one consistent snapshot where the protocol
-    /// allows it (§4.1 Remark).
-    ///
-    /// Under Halfmoon-read every constituent read resolves against the
-    /// same cursor timestamp, so the result is a true snapshot of the
-    /// "table" at that logical instant, fetched concurrently and entirely
-    /// log-free. Under the logged protocols (Halfmoon-write, Boki) the
-    /// keys are read sequentially — each read is individually idempotent,
-    /// but the collection is not an atomic snapshot (the paper's
-    /// prototypes have the same limitation for mutable tables).
-    ///
-    /// # Errors
-    /// Propagates injected crashes and substrate errors.
-    pub async fn read_snapshot(&mut self, keys: &[Key]) -> HmResult<Vec<Value>> {
-        // A snapshot is only well-defined when every key resolves to the
-        // same mode; mixed static configs fall back to per-key reads.
-        let mut all_hmread = true;
-        for key in keys {
-            if self.resolve(key).await? != ObjectMode::Plain(ProtocolKind::HalfmoonRead) {
-                all_hmread = false;
-                break;
-            }
-        }
-        if all_hmread {
-            self.op_begin("read_snapshot", || format!("{} keys", keys.len()));
-            self.maybe_crash(Site::OpEntry)
-                .inspect_err(|_| self.op_end())?;
-            let result = self.hmread_read_snapshot(keys).await;
-            self.op_end();
-            return result;
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            out.push(self.read(key).await?);
-        }
-        Ok(out)
     }
 
     /// Invokes a child function, logging the result for idempotence
@@ -775,32 +714,6 @@ impl Env {
         Ok(result)
     }
 
-    /// Appends a sync record, advancing the cursor to the log head — the
-    /// explicit linearizability escape hatch of §4.4.
-    ///
-    /// # Errors
-    /// Propagates injected crashes and substrate errors.
-    pub async fn sync(&mut self) -> HmResult<()> {
-        if self.unlogged {
-            return Ok(());
-        }
-        self.op_begin("sync", String::new);
-        let result = self
-            .step(
-                "Sync",
-                [],
-                |op| matches!(op, OpRecord::Sync).then_some(()),
-                async |env: &mut Env| {
-                    env.maybe_crash(Site::BeforeAppend)?;
-                    Ok(OpRecord::Sync)
-                },
-            )
-            .await
-            .map(|_| ());
-        self.op_end();
-        result
-    }
-
     /// Completes the SSF: appends (or replays) the finish record carrying
     /// the result, and returns the authoritative result (a racing peer's,
     /// if it finished first).
@@ -844,8 +757,8 @@ impl Env {
     /// step `before`, logged exactly the steps its row of the logging
     /// matrix ([`ProtocolKind::logging_row`]) declares, plus the order
     /// row's if `ordered`. An op on `key` is checked under
-    /// `ObjectMode::Plain` on a key that is not read-only; init and finish
-    /// (`key` = `None`) in a deployment running one protocol.
+    /// `ObjectMode::Plain`; init and finish (`key` = `None`) in a
+    /// deployment running one protocol.
     fn debug_assert_row(&self, op: MatrixOp, key: Option<&Key>, before: StepNum, ordered: bool) {
         if !cfg!(debug_assertions) {
             return;
@@ -853,7 +766,6 @@ impl Env {
         self.client.with_config(|c| {
             let protocol = match (key, self.resolved_mode) {
                 (None, _) if c.per_key.is_empty() && !c.switching_enabled => c.default,
-                (Some(key), _) if c.read_only_keys.contains(key) => return,
                 (Some(key), _) if !c.switching_enabled => c.static_protocol(key),
                 (Some(_), Some(ObjectMode::Plain(protocol))) => protocol,
                 _ => return,

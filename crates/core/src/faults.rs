@@ -38,7 +38,7 @@ use rand::{RngExt, SeedableRng};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Site {
     /// Before a read or write does anything, right after its protocol is
-    /// resolved (and before a snapshot read).
+    /// resolved.
     OpEntry,
     /// After init fetched the step log, before the init record.
     Init,
@@ -49,7 +49,7 @@ pub enum Site {
     BetweenEffects,
     /// The effect or observation is done but not yet logged.
     AfterEffect,
-    /// Before a sync or finish record, with nothing else to do.
+    /// Before the finish record, with nothing else to do.
     BeforeAppend,
 }
 

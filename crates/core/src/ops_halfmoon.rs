@@ -6,11 +6,9 @@
 //! via conditional appends; what an op writes itself is the effect that
 //! runs when there is nothing to replay, and the tail that follows.
 
-use hm_common::observe::OpCtx;
-use hm_common::{HmError, HmResult, Key, NodeId, SeqNum, Value, VersionNum, VersionTuple};
+use hm_common::{HmError, HmResult, Key, Value, VersionNum, VersionTuple};
 use rand::RngExt;
 
-use crate::client::Client;
 use crate::env::Env;
 use crate::faults::Site;
 use crate::history::EventKind;
@@ -24,6 +22,13 @@ impl Env {
     /// Figure 5 `Read` (lines 27–29): seek backward from the cursor in the
     /// object's write log, then fetch the version it points to. Entirely
     /// log-free — the only cost above a raw read is one `logReadPrev`.
+    ///
+    /// The newest write-log record at or before the cursor names the
+    /// version (lines 28–29). Committed versions are always in the store:
+    /// Halfmoon-read logs *after* `DBWrite` precisely so that exposed
+    /// versions are available (§4.1), and the GC only removes versions no
+    /// live cursor can reach (§4.5). With no record, the immutable base
+    /// state is returned.
     pub(crate) async fn hmread_read(&mut self, key: &Key) -> HmResult<Value> {
         let cursor = self.cursor;
         // §7 opportunistic checkpointing: a re-execution on a node that
@@ -40,7 +45,18 @@ impl Env {
                 return Ok(value);
             }
         }
-        let value = read_at(self.client(), &self.octx, self.node, key, cursor).await?;
+        let record = self
+            .log()
+            .read_prev(self.node, key.object_log_tag(), cursor)
+            .await;
+        let value = match record.and_then(|r| r.payload.object_version()) {
+            Some(version) => self
+                .store()
+                .get_version(key, version)
+                .await
+                .ok_or_else(|| HmError::MissingVersion { key: key.clone() })?,
+            None => self.store().get(key).await.unwrap_or(Value::Null),
+        };
         if checkpointing {
             self.client()
                 .set_checkpoint(self.node, self.id, self.pc(), value.clone());
@@ -136,44 +152,6 @@ impl Env {
         Ok(intent.value)
     }
 
-    /// Consistent multi-key snapshot read (§4.1 Remark): table-level
-    /// queries under Halfmoon-read first resolve every object's version
-    /// via `logReadPrev` at one cursor timestamp — "this list captures a
-    /// snapshot of the table at a given timestamp" — then fetch the
-    /// versions. All lookups run concurrently and the whole operation is
-    /// log-free, because each per-object resolution is exactly a log-free
-    /// read at the same deterministic cursor.
-    pub(crate) async fn hmread_read_snapshot(&mut self, keys: &[Key]) -> HmResult<Vec<Value>> {
-        let cursor = self.cursor;
-        let mut handles = Vec::with_capacity(keys.len());
-        for key in keys {
-            let client = self.client().clone();
-            let octx = self.octx.clone();
-            let node = self.node;
-            let key = key.clone();
-            handles.push(
-                self.client()
-                    .ctx()
-                    .spawn(async move { read_at(&client, &octx, node, &key, cursor).await }),
-            );
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        for (key, handle) in keys.iter().zip(handles) {
-            let value = handle.await?;
-            // Each constituent read is its own program-counter slot so the
-            // idempotence checkers treat it like a plain read.
-            self.bump_pc();
-            self.record_event(|| EventKind::Read {
-                key: key.clone(),
-                fp: value.fingerprint(),
-                logical: cursor,
-                fresh: true,
-            });
-            out.push(value);
-        }
-        Ok(out)
-    }
-
     // ==================================================================
     // Halfmoon-write (Figure 7): logged reads, log-free writes.
     // ==================================================================
@@ -240,10 +218,10 @@ impl Env {
         let preserve = self.client().with_config(|c| c.preserve_write_order);
         if preserve && self.consecutive_w > 0 && self.last_write_key.as_ref() != Some(key) {
             self.step(
-                "Sync (write ordering)",
+                "Order",
                 [],
-                |op| matches!(op, OpRecord::Sync).then_some(()),
-                async |_: &mut Env| Ok(OpRecord::Sync),
+                |op| matches!(op, OpRecord::Order).then_some(()),
+                async |_: &mut Env| Ok(OpRecord::Order),
             )
             .await?;
         }
@@ -267,33 +245,5 @@ impl Env {
             applied,
         });
         Ok(())
-    }
-}
-
-/// Figure 5 lines 28–29: the newest write-log record of `key` at or before
-/// `cursor` names the version to fetch. Committed versions are always in
-/// the store: Halfmoon-read logs *after* `DBWrite` precisely so that
-/// exposed versions are available (§4.1), and the GC only removes versions
-/// no live cursor can reach (§4.5). With no record, the immutable base
-/// state is returned. Every round trip is made as `octx`, the caller's
-/// context.
-async fn read_at(
-    client: &Client,
-    octx: &OpCtx,
-    node: NodeId,
-    key: &Key,
-    cursor: SeqNum,
-) -> HmResult<Value> {
-    let record = client
-        .log_as(octx)
-        .read_prev(node, key.object_log_tag(), cursor)
-        .await;
-    match record.and_then(|r| r.payload.object_version()) {
-        Some(version) => client
-            .store_as(octx)
-            .get_version(key, version)
-            .await
-            .ok_or_else(|| HmError::MissingVersion { key: key.clone() }),
-        None => Ok(client.store_as(octx).get(key).await.unwrap_or(Value::Null)),
     }
 }

@@ -79,9 +79,9 @@ impl ProtocolKind {
     /// replays them or adopts a peer's (§5.1), and `Env` debug-asserts it
     /// after every op that returns `Ok`. The other fields hold on a
     /// failure-free path: a lost conditional append adds a log read. The
-    /// modes of a switch (§5.2), reads of `read_only_keys` and the init and
-    /// finish of a deployment running more than one protocol are outside
-    /// the table, and the assert skips them.
+    /// modes of a switch (§5.2) and the init and finish of a deployment
+    /// running more than one protocol are outside the table, and the assert
+    /// skips them.
     #[must_use]
     #[rustfmt::skip] // one row per line
     pub const fn logging_row(self, op: MatrixOp, config: &ProtocolConfig) -> OpCounters {
@@ -147,11 +147,6 @@ pub struct ProtocolConfig {
     /// an ordering record between them. Off by default (the paper's default
     /// semantics allow such writes to commute).
     pub preserve_write_order: bool,
-    /// Keys declared immutable by program analysis (§7): "if an object is
-    /// read-only, then all reads to that object are inherently idempotent",
-    /// so they bypass logging and version lookup entirely — under every
-    /// protocol. Writing a read-only key is a configuration error.
-    pub read_only_keys: hm_common::FxHashSet<Key>,
     /// §7's recovery optimization: opportunistically checkpoint the
     /// results of log-free operations on the function node, fully
     /// asynchronously (no log appends, no synchronization). A re-execution
@@ -178,7 +173,6 @@ impl ProtocolConfig {
             per_key: hm_common::FxHashMap::default(),
             switching_enabled: false,
             preserve_write_order: false,
-            read_only_keys: hm_common::FxHashSet::default(),
             opportunistic_checkpoints: false,
             deterministic_versions: false,
         }

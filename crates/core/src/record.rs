@@ -74,9 +74,10 @@ pub enum OpRecord {
         /// The child's returned value.
         result: Value,
     },
-    /// Explicit sync record: advances the cursor to the log head for
-    /// linearizable operations (§4.4 remark).
-    Sync,
+    /// Order record: appended between consecutive log-free writes to
+    /// different objects under `preserve_write_order` (§4.4's extension),
+    /// so the second write's cursor follows the first.
+    Order,
     /// SSF completion marker, scanned by the GC for condition (b) (§4.5).
     /// Carries the init record's seqnum so the GC can pair init/finish
     /// without a join, and the SSF's result so a retry racing a completed
@@ -154,7 +155,7 @@ impl Payload for StepRecord {
             OpRecord::DualWriteCommit { key, .. } => key.size_bytes() + 20,
             OpRecord::DualRead { data } => data.size_bytes(),
             OpRecord::Invoke { result, .. } => 16 + result.size_bytes(),
-            OpRecord::Sync => 0,
+            OpRecord::Order => 0,
             OpRecord::Finish { result, .. } => 8 + result.size_bytes(),
             OpRecord::TransitionBegin { .. } => 2,
             OpRecord::TransitionEnd { .. } => 1,

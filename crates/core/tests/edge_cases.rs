@@ -14,22 +14,22 @@ use hm_substrate::sim::Sim;
 const NODE: NodeId = NodeId(0);
 
 fn setup(kind: ProtocolKind) -> (Sim, Client) {
+    setup_with(ProtocolConfig::uniform(kind))
+}
+
+fn setup_with(config: ProtocolConfig) -> (Sim, Client) {
     let sim = Sim::new(0xed6e);
-    let client = Client::new(
-        sim.ctx(),
-        LatencyModel::uniform_test_model(),
-        ProtocolConfig::uniform(kind),
-    );
+    let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
     (sim, client)
 }
 
-/// One operation of a scripted SSF body, all on key X.
+/// One operation of a scripted SSF body, on key X unless it names Y.
 #[derive(Clone, Copy)]
 enum Op {
     Read,
     Write,
+    WriteY,
     Invoke,
-    Sync,
 }
 
 /// A body that performs *different* logged operations on its retry is a
@@ -38,35 +38,51 @@ enum Op {
 /// corrupt state, and name the record variant the retry expected.
 #[test]
 fn non_deterministic_body_is_detected() {
-    use Op::{Invoke, Read, Sync, Write};
-    // (protocol, crash point of the first attempt, its body, the retry's
-    // body, the variant the retry expects where the log says otherwise).
-    // Point 5 is after the first read is logged; point 3 is after a
-    // write's intent record. `finish` follows every body.
+    use Op::{Invoke, Read, Write, WriteY};
+    use ProtocolKind::{Boki, HalfmoonWrite};
+    // (configuration, crash point of the first attempt, its body, the
+    // retry's body, the variant the retry expects where the log says
+    // otherwise). Point 5 is after the first read is logged; point 3 is
+    // after a write's intent record; point 6 is after a Halfmoon-write
+    // body's write and read, the read's record logged. `finish` follows
+    // every body.
     type Row = (
-        ProtocolKind,
+        ProtocolConfig,
         u32,
         &'static [Op],
         &'static [Op],
         &'static str,
     );
+    let uniform = ProtocolConfig::uniform;
     let rows: [Row; 5] = [
         (
-            ProtocolKind::HalfmoonWrite,
+            uniform(HalfmoonWrite),
             5,
             &[Read, Read],
             &[Invoke],
             "Invoke",
         ),
-        (ProtocolKind::Boki, 5, &[Read, Read], &[Invoke], "Invoke"),
-        (ProtocolKind::HalfmoonRead, 3, &[Write], &[Sync], "Sync"),
+        (uniform(Boki), 5, &[Read, Read], &[Invoke], "Invoke"),
+        // The retry's second log-free write, to another key, appends the
+        // order record (§4.4's extension) where the log holds the `Read`.
+        (
+            ProtocolConfig {
+                preserve_write_order: true,
+                ..uniform(HalfmoonWrite)
+            },
+            6,
+            &[Write, Read],
+            &[Write, WriteY],
+            "Order",
+        ),
         // A write→read swap: an intent where a `Read` is expected.
-        (ProtocolKind::Boki, 3, &[Write], &[Read], "Read"),
+        (uniform(Boki), 3, &[Write], &[Read], "Read"),
         // `finish` reached one op early.
-        (ProtocolKind::HalfmoonWrite, 5, &[Read, Read], &[], "Finish"),
+        (uniform(HalfmoonWrite), 5, &[Read, Read], &[], "Finish"),
     ];
-    for (kind, crash_at, first, retry, want) in rows {
-        let (mut sim, client) = setup(kind);
+    for (config, crash_at, first, retry, want) in rows {
+        let kind = config.default;
+        let (mut sim, client) = setup_with(config);
         let x = Key::new("X");
         client.populate(x.clone(), Value::Int(0));
         let id = client.fresh_instance_id();
@@ -82,8 +98,8 @@ fn non_deterministic_body_is_detected() {
                         match op {
                             Read => drop(env.read(&x).await?),
                             Write => env.write(&x, Value::Int(1)).await?,
+                            WriteY => env.write(&Key::new("Y"), Value::Int(1)).await?,
                             Invoke => drop(env.invoke("nope", Value::Null).await?),
-                            Sync => env.sync().await?,
                         }
                     }
                     env.finish(Value::Null).await
@@ -160,7 +176,6 @@ fn unsafe_mode_never_touches_the_log() {
         let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await.unwrap();
         env.read(&Key::new("U")).await.unwrap();
         env.write(&Key::new("U"), Value::Int(2)).await.unwrap();
-        env.sync().await.unwrap();
         env.finish(Value::Null).await.unwrap();
     });
     assert_eq!(client.log().counters().log_appends, 0);

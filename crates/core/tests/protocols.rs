@@ -1152,37 +1152,6 @@ fn ordered_write_extension_costs_one_log_between_dependent_writes() {
     );
 }
 
-/// Explicit sync gives linearizable reads: a fresh SSF that syncs sees the
-/// newest committed write even under Halfmoon-read.
-#[test]
-fn sync_provides_linearizable_reads() {
-    let (mut sim, client, _recorder) = setup(ProtocolKind::HalfmoonRead);
-    client.populate(Key::new("L"), Value::Int(0));
-    // Writer completes.
-    let w = client.fresh_instance_id();
-    let writer: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.write(&Key::new("L"), Value::Int(42)).await?;
-            Ok(Value::Null)
-        })
-    });
-    sim.block_on(run_to_completion(client.clone(), w, Value::Null, writer))
-        .unwrap();
-    // A reader that syncs first must observe it.
-    let r = client.fresh_instance_id();
-    let reader: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.sync().await?;
-            let v = env.read(&Key::new("L")).await?;
-            Ok(v)
-        })
-    });
-    let out = sim
-        .block_on(run_to_completion(client, r, Value::Null, reader))
-        .unwrap();
-    assert_eq!(out, Value::Int(42));
-}
-
 /// Init advances the cursor to the log head: SSFs started after an
 /// operation completes see its effects (§4.4's boundary property).
 #[test]

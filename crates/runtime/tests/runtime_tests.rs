@@ -269,7 +269,7 @@ fn gc_driver_reclaims_periodically() {
             rt.invoke_request("w", Value::Int(i)).await.unwrap();
         }
     });
-    sim.run_for(Duration::from_secs(1));
+    sim.run_until(sim.now() + Duration::from_secs(1));
     assert!(work.is_finished());
     assert!(driver.cycles() >= 8, "cycles {}", driver.cycles());
     let totals = driver.totals();
@@ -281,7 +281,7 @@ fn gc_driver_reclaims_periodically() {
     assert_eq!(client.store().version_count(), 1);
     driver.stop();
     let cycles = driver.cycles();
-    sim.run_for(Duration::from_secs(1));
+    sim.run_until(sim.now() + Duration::from_secs(1));
     assert_eq!(driver.cycles(), cycles, "driver stopped");
 }
 

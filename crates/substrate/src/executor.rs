@@ -352,12 +352,6 @@ impl Sim {
         }
     }
 
-    /// Advances the simulation by `d` from the current virtual time.
-    pub fn run_for(&mut self, d: Time) {
-        let deadline = self.inner.now.get() + d;
-        self.run_until(deadline);
-    }
-
     /// Spawns `fut` and runs the simulation until it completes, returning
     /// its output. Unlike [`Sim::run`], this stops as soon as the future
     /// finishes — background tasks with unbounded timer chains (periodic

@@ -28,6 +28,12 @@
 #   peak_timers must match the committed BENCH_sim_core.json exactly
 #   (wall times are expected to drift; simulated work is not), and every
 #   component line of the committed file must have been compared;
+# - figure drift: every hm_bench::paper figure printed at 5 % duration
+#   (`HM_BENCH_SCALE=0.05 cargo bench -p hm-bench --bench paper`) must
+#   match tests/golden/paper_figures.txt byte for byte. Every figure is
+#   seeded, so only a change to simulated behavior moves a line; the
+#   fingerprints above reach only `recovery` and Figure 12 (a), and
+#   paper_claims.rs asserts shapes with slack;
 # - perf gate: two more untraced runs, and each component's median share
 #   of its run's wall time (over the untraced components) across the
 #   three runs must stay below 2x its share in the committed
@@ -113,6 +119,14 @@ if [ "$compared" -ne "$want" ]; then
     exit 1
 fi
 echo "fingerprint drift ok: $compared components match the committed file"
+
+echo "== figure drift: paper figures at 5 % duration vs tests/golden/paper_figures.txt =="
+HM_BENCH_SCALE=0.05 cargo bench -q -p hm-bench --bench paper > "$tmp/paper_figures.txt"
+if ! diff tests/golden/paper_figures.txt "$tmp/paper_figures.txt"; then
+    echo "figure DRIFT: regenerate if intended and name the moved figures in CHANGES.md"
+    exit 1
+fi
+echo "figure drift ok: $(wc -l < "$tmp/paper_figures.txt") lines match the golden file"
 
 echo "== perf gate: component wall-time shares vs committed BENCH_sim_core.json =="
 for run in 2 3; do

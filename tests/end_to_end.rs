@@ -287,49 +287,6 @@ fn storage_replica_failure_degrades_but_preserves_correctness() {
     recorder.check_hm_write_order().unwrap();
 }
 
-/// §7 read-only optimization: declared-immutable keys are read raw with
-/// zero logging under every protocol, and writes to them are rejected.
-#[test]
-fn read_only_keys_bypass_logging() {
-    for kind in [
-        ProtocolKind::HalfmoonRead,
-        ProtocolKind::HalfmoonWrite,
-        ProtocolKind::Boki,
-    ] {
-        let mut sim = Sim::new(0xe2e6);
-        let mut config = ProtocolConfig::uniform(kind);
-        config.read_only_keys.insert(hm_common::Key::new("const"));
-        let client = Client::new(sim.ctx(), LatencyModel::calibrated(), config);
-        client.populate(hm_common::Key::new("const"), hm_common::Value::Int(7));
-        let c2 = client.clone();
-        let (value, appends_during_reads, write_err) = sim
-            .block_on(async move {
-                let id = c2.fresh_instance_id();
-                let mut env =
-                    halfmoon::Env::init(&c2, halfmoon::InvocationSpec::new(id, NodeId(0))).await?;
-                let before = c2.log().counters().log_appends;
-                let mut v = hm_common::Value::Null;
-                for _ in 0..5 {
-                    v = env.read(&hm_common::Key::new("const")).await?;
-                }
-                let appends = c2.log().counters().log_appends - before;
-                let write_err = env
-                    .write(&hm_common::Key::new("const"), hm_common::Value::Int(9))
-                    .await
-                    .is_err();
-                env.finish(hm_common::Value::Null).await?;
-                Ok::<_, hm_common::HmError>((v, appends, write_err))
-            })
-            .unwrap();
-        assert_eq!(value, hm_common::Value::Int(7), "{kind}");
-        assert_eq!(
-            appends_during_reads, 0,
-            "{kind}: read-only reads log nothing"
-        );
-        assert!(write_err, "{kind}: writes to read-only keys are rejected");
-    }
-}
-
 /// The series `MetricsRegistry::series_json` exported: its column names
 /// and, per row, the virtual time in ns and the values.
 fn parse_series(json: &str) -> (Vec<String>, Vec<(u128, Vec<f64>)>) {
