@@ -39,6 +39,9 @@ pub struct LoadReport {
     pub completed: u64,
     /// Requests that returned an error.
     pub errors: u64,
+    /// Requests still in flight when the drain's grace period ran out:
+    /// neither completed nor errored, and left running.
+    pub unfinished: u64,
     /// Largest observed request queue depth at the admission semaphore.
     pub peak_queue: usize,
     /// Log appends sequenced by each shard during the measured window
@@ -69,7 +72,8 @@ impl Gateway {
     }
 
     /// Runs an open-loop experiment and waits for in-flight requests to
-    /// drain (up to a grace period) before reporting.
+    /// drain (up to a 30 s grace period) before reporting; measured requests
+    /// the grace cuts off count as [`LoadReport::unfinished`].
     pub async fn run_open_loop(&self, spec: LoadSpec) -> LoadReport {
         let ctx = self.runtime.client().ctx().clone();
         let report = Rc::new(RefCell::new(LoadReport::default()));
@@ -102,7 +106,7 @@ impl Gateway {
             let in_flight = in_flight.clone();
             let ctx2 = ctx.clone();
             in_flight.set(in_flight.get() + 1);
-            ctx.spawn(async move {
+            ctx.spawn_detached(async move {
                 let started = ctx2.now();
                 let queue = runtime.queued_requests();
                 if queue > report.borrow().peak_queue {
@@ -146,6 +150,7 @@ impl Gateway {
             ctx.sleep(Time::from_millis(10)).await;
         }
         let mut report = report.borrow().clone();
+        report.unfinished = report.generated - report.completed - report.errors;
         let end = self.runtime.client().log().shard_appends();
         report.per_shard_appends = match appends_at_measure {
             Some(base) => end

@@ -241,6 +241,10 @@ impl Runtime {
     /// when the gateway opened it) and keeps accruing there while the
     /// request queues for a worker slot — the queueing delay the admission
     /// knee produces. Once a slot is held it switches to `Dispatch`.
+    ///
+    /// The execution is boxed only once the slot is held, so a queued
+    /// request's future holds its arguments and its place in the queue, not
+    /// the execution's state: under overload thousands of requests queue.
     pub async fn invoke_request_under(
         &self,
         func: &str,
@@ -250,7 +254,7 @@ impl Runtime {
         let _slot = self.inner.workers.acquire().await;
         let id = self.inner.client.fresh_instance_id();
         octx.switch(|| self.inner.client.ctx().now(), Phase::Dispatch);
-        self.execute_under(id, func, input, octx).await
+        Box::pin(self.execute_under(id, func, input, octx)).await
     }
 
     /// Executes `func` as instance `id` to completion: dispatch hop,

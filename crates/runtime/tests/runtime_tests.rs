@@ -208,11 +208,34 @@ fn gateway_open_loop_reports_latency_and_throughput() {
     };
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
     assert!(report.generated > 800, "generated {}", report.generated);
-    assert_eq!(report.errors, 0);
+    assert_eq!((report.errors, report.unfinished), (0, 0));
     assert!(report.completed as f64 >= report.generated as f64 * 0.99);
     let median = report.latency.median_ms().unwrap();
     // Test model: read 1ms + write 1.7ms + log 1ms + hop 0.2ms + compute.
     assert!(median > 2.0 && median < 20.0, "median {median}");
+}
+
+#[test]
+fn requests_outliving_the_drain_grace_count_as_unfinished() {
+    let (mut sim, _client, runtime) = setup(ProtocolKind::HalfmoonWrite, RuntimeConfig::default());
+    runtime.register("stuck", |env, _| {
+        Box::pin(async move {
+            env.client().ctx().sleep(Duration::from_secs(60)).await;
+            Ok(Value::Null)
+        })
+    });
+    let gateway = Gateway::new(runtime);
+    let spec = LoadSpec {
+        rate_per_sec: 100.0,
+        duration: Duration::from_secs(1),
+        warmup: Duration::from_millis(200),
+        factory: Rc::new(|_, _| ("stuck".to_string(), Value::Null)),
+    };
+    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+    assert!(report.generated > 50, "generated {}", report.generated);
+    assert_eq!((report.completed, report.errors), (0, 0));
+    assert_eq!(report.unfinished, report.generated);
+    assert_eq!(report.latency.count(), 0);
 }
 
 #[test]
@@ -321,4 +344,17 @@ fn live_peer_racing_a_slow_attempt_is_exactly_once() {
         v
     });
     assert_eq!(v, Value::Int(1));
+}
+
+/// A request queued for a worker slot holds its arguments and its place in
+/// the admission queue, not the execution's state: under overload thousands
+/// of requests queue at once, so whatever this future holds is paid per
+/// queued request. The execution is boxed once the slot is held.
+#[test]
+fn a_queued_request_future_stays_small() {
+    let (_sim, _client, runtime) = setup(ProtocolKind::HalfmoonRead, RuntimeConfig::default());
+    let queued = runtime.invoke_request("f", Value::Null);
+    let size = std::mem::size_of_val(&queued);
+    println!("invoke_request future: {size} B");
+    assert!(size <= 512, "invoke_request future is {size} B");
 }

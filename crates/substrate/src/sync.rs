@@ -14,8 +14,9 @@
 //!
 //! The ordering guarantees (FIFO semaphore grants, registration-order gate
 //! release and group cancellation) are part of the contract, and so is the
-//! memory bound: a wait list holds at most one entry per live waiter, owned
-//! and released by the waiting future. `tests/sync_contracts.rs` is the
+//! memory bound: a wait list or semaphore queue holds at most one entry per
+//! live waiter, owned and released by the waiting future, and a waiter costs
+//! its entry and no allocation of its own. `tests/sync_contracts.rs` is the
 //! executable spec.
 
 use std::cell::RefCell;
@@ -29,16 +30,41 @@ use std::task::{Context, Poll, Waker};
 // Semaphore
 // ---------------------------------------------------------------------------
 
-struct GrantSlot {
+/// One acquirer's entry in the semaphore's queue. `ticket` numbers
+/// arrivals, so the queue is sorted by it and an acquirer finds its own
+/// entry by binary search.
+struct Waiter {
+    ticket: u64,
     granted: bool,
     waker: Option<Waker>,
 }
 
 struct SemState {
     permits: usize,
-    /// One slot per live waiter, in arrival order: an acquiring future
-    /// dropped before its grant takes its slot out with it.
-    waiters: VecDeque<Rc<RefCell<GrantSlot>>>,
+    /// One entry per live acquirer that had to queue, in arrival order:
+    /// first the `granted` ones whose acquirer has not observed its grant
+    /// yet (grants go FIFO, so they form a prefix), then the ones still
+    /// waiting. The acquiring future takes its entry out when it observes
+    /// its grant or is dropped, so the queue never outgrows the acquirers
+    /// alive, and a steady queue reuses its buffer without allocating.
+    waiters: VecDeque<Waiter>,
+    granted: usize,
+    next_ticket: u64,
+}
+
+impl SemState {
+    /// Acquirers still waiting for a grant.
+    fn waiting(&self) -> usize {
+        self.waiters.len() - self.granted
+    }
+
+    /// Index of the entry `ticket` names; its holder is alive, so it is
+    /// there.
+    fn position(&self, ticket: u64) -> usize {
+        self.waiters
+            .binary_search_by_key(&ticket, |w| w.ticket)
+            .expect("a live acquirer's entry stays queued")
+    }
 }
 
 /// A counting semaphore with FIFO fairness.
@@ -59,6 +85,8 @@ impl Semaphore {
             state: Rc::new(RefCell::new(SemState {
                 permits,
                 waiters: VecDeque::new(),
+                granted: 0,
+                next_ticket: 0,
             })),
         }
     }
@@ -72,6 +100,14 @@ impl Semaphore {
     /// Number of tasks waiting for a permit (queue depth under load).
     #[must_use]
     pub fn queue_len(&self) -> usize {
+        self.state.borrow().waiting()
+    }
+
+    /// Entries in the waiter queue: every acquirer that had to queue, until
+    /// it observes its grant or is dropped — at most one per live acquirer
+    /// (test/introspection helper; the mirror of [`Gate::waiters`]).
+    #[must_use]
+    pub fn entries(&self) -> usize {
         self.state.borrow().waiters.len()
     }
 
@@ -79,19 +115,24 @@ impl Semaphore {
     pub fn acquire(&self) -> Acquire {
         Acquire {
             sem: self.clone(),
-            slot: None,
+            ticket: None,
         }
     }
 
+    /// Grants the permit to the first waiting acquirer, or returns it to
+    /// the pool if nobody waits.
     fn release_one(&self) {
         let mut st = self.state.borrow_mut();
-        let Some(first) = st.waiters.pop_front() else {
+        let first = st.granted;
+        let Some(waiter) = st.waiters.get_mut(first) else {
             st.permits += 1;
             return;
         };
-        let mut slot = first.borrow_mut();
-        slot.granted = true;
-        if let Some(waker) = slot.waker.take() {
+        waiter.granted = true;
+        let waker = waiter.waker.take();
+        st.granted += 1;
+        drop(st);
+        if let Some(waker) = waker {
             waker.wake();
         }
     }
@@ -108,59 +149,65 @@ impl std::fmt::Debug for Semaphore {
     }
 }
 
-/// Future returned by [`Semaphore::acquire`].
+/// Future returned by [`Semaphore::acquire`]. Queued, it holds the ticket
+/// of its one entry in the semaphore's queue.
 pub struct Acquire {
     sem: Semaphore,
-    slot: Option<Rc<RefCell<GrantSlot>>>,
+    ticket: Option<u64>,
 }
 
 impl Future for Acquire {
     type Output = SemaphoreGuard;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(slot) = &self.slot {
-            let mut s = slot.borrow_mut();
-            if s.granted {
-                drop(s);
-                self.slot = None;
+        let this = &mut *self;
+        let mut st = this.sem.state.borrow_mut();
+        if let Some(ticket) = this.ticket {
+            let i = st.position(ticket);
+            if i < st.granted {
+                st.waiters.remove(i);
+                st.granted -= 1;
+                drop(st);
+                this.ticket = None;
                 return Poll::Ready(SemaphoreGuard {
-                    sem: self.sem.clone(),
+                    sem: this.sem.clone(),
                 });
             }
-            s.waker = Some(cx.waker().clone());
+            st.waiters[i].waker = Some(cx.waker().clone());
             return Poll::Pending;
         }
-        let mut st = self.sem.state.borrow_mut();
-        if st.permits > 0 && st.waiters.is_empty() {
+        if st.permits > 0 && st.waiting() == 0 {
             st.permits -= 1;
             drop(st);
-            Poll::Ready(SemaphoreGuard {
-                sem: self.sem.clone(),
-            })
-        } else {
-            let slot = Rc::new(RefCell::new(GrantSlot {
-                granted: false,
-                waker: Some(cx.waker().clone()),
-            }));
-            st.waiters.push_back(slot.clone());
-            drop(st);
-            self.slot = Some(slot);
-            Poll::Pending
+            return Poll::Ready(SemaphoreGuard {
+                sem: this.sem.clone(),
+            });
         }
+        let ticket = st.next_ticket;
+        st.next_ticket += 1;
+        st.waiters.push_back(Waiter {
+            ticket,
+            granted: false,
+            waker: Some(cx.waker().clone()),
+        });
+        this.ticket = Some(ticket);
+        Poll::Pending
     }
 }
 
 impl Drop for Acquire {
     fn drop(&mut self) {
-        let Some(slot) = self.slot.take() else { return };
-        if slot.borrow().granted {
-            // Granted but never observed: give the permit back.
+        let Some(ticket) = self.ticket.take() else {
+            return;
+        };
+        let mut st = self.sem.state.borrow_mut();
+        let i = st.position(ticket);
+        st.waiters.remove(i);
+        if i < st.granted {
+            // Granted but never observed: pass the permit on.
+            st.granted -= 1;
+            drop(st);
             self.sem.release_one();
-        } else {
-            let mut st = self.sem.state.borrow_mut();
-            if let Some(i) = st.waiters.iter().position(|w| Rc::ptr_eq(w, &slot)) {
-                st.waiters.remove(i);
-            }
         }
     }
 }

@@ -13,11 +13,15 @@
 //! - `Gate`: one `open()` releases every waiter, in registration order.
 //! - `TaskGroup`: one `cancel()` wakes every live member exactly once, in
 //!   first-registration order, across `reset()` rounds.
-//! - Wait lists (`TaskGroup`, `Gate`): at most one registration per live
-//!   waiter — however often it is polled — and none for a waiter that
-//!   completed or was dropped. The bound comes from ownership; the executor's
-//!   `Waker::will_wake` is only a fast path (pinned here too: a task's waker
-//!   recognises its own clone and no other task's).
+//! - Wait lists (`TaskGroup`, `Gate`) and the `Semaphore`'s queue: at most
+//!   one entry per live waiter — however often it is polled — and none for a
+//!   waiter that completed or was dropped. A `Semaphore` waiter dropped
+//!   before its grant leaves the queue (`queue_len()` stays exact and the
+//!   rest keep their FIFO order); one dropped after its grant but before
+//!   observing it passes the permit to the next waiter in order. The bound
+//!   comes from ownership; the executor's `Waker::will_wake` is only a fast
+//!   path (pinned here too: a task's waker recognises its own clone and no
+//!   other task's).
 
 use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};
@@ -28,7 +32,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 use hm_substrate::sim::Sim;
-use hm_substrate::sync::{Cancelled, Gate, Semaphore, TaskGroup};
+use hm_substrate::sync::{Acquire, Cancelled, Gate, Semaphore, SemaphoreGuard, TaskGroup};
 use hm_substrate::Ctx;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -133,6 +137,192 @@ fn semaphore_grants_fifo() {
             "exceeded the concurrency bound \
              (iter {iter}: peak {peak} > permits {permits})"
         );
+    }
+}
+
+/// Polls a semaphore acquirer by hand under a no-op waker.
+fn poll_acquire(acq: &mut Acquire) -> Poll<SemaphoreGuard> {
+    Pin::new(acq).poll(&mut Context::from_waker(Waker::noop()))
+}
+
+/// A permit `sem` has free, taken at once.
+fn granted_now(sem: &Semaphore) -> SemaphoreGuard {
+    match poll_acquire(&mut sem.acquire()) {
+        Poll::Ready(guard) => guard,
+        Poll::Pending => panic!("a free permit is granted at once"),
+    }
+}
+
+/// `permits` guards taken at once from a fresh semaphore, and `n` acquirers
+/// queued behind them in index order.
+fn queued_behind(permits: usize, n: u32) -> (Semaphore, Vec<SemaphoreGuard>, Vec<Option<Acquire>>) {
+    let sem = Semaphore::new(permits);
+    let held = (0..permits).map(|_| granted_now(&sem)).collect();
+    let mut waiters: Vec<_> = (0..n).map(|_| Some(sem.acquire())).collect();
+    for w in waiters.iter_mut().flatten() {
+        assert!(poll_acquire(w).is_pending());
+    }
+    assert_eq!(sem.queue_len(), n as usize);
+    (sem, held, waiters)
+}
+
+/// Waiters dropped mid-queue leave it: after each drop `queue_len()` counts
+/// exactly the rest, and releasing the held permits one at a time grants
+/// the rest in arrival order — whatever order the survivors are polled in.
+#[test]
+fn semaphore_dropped_waiters_keep_fifo_and_count() {
+    for iter in 0..ITERS {
+        let mut shape = SmallRng::seed_from_u64(0x5d70_0000 + iter);
+        let permits = shape.random_range(1..4usize);
+        let n = shape.random_range(2..24u32);
+        let (sem, mut held, mut waiters) = queued_behind(permits, n);
+        let mut live: Vec<u32> = (0..n).collect();
+        for i in 0..n {
+            if shape.random_range(0..3u32) == 0 {
+                waiters[i as usize] = None;
+                live.retain(|&w| w != i);
+                assert_eq!(
+                    sem.queue_len(),
+                    live.len(),
+                    "iter {iter}: after dropping {i}"
+                );
+            }
+        }
+        let mut granted = Vec::new();
+        while !held.is_empty() {
+            held.remove(0);
+            // Poll the survivors newest first: only the oldest may be granted.
+            let ready: Vec<u32> = (0..n)
+                .rev()
+                .filter_map(|i| {
+                    let w = waiters[i as usize].as_mut()?;
+                    let Poll::Ready(guard) = poll_acquire(w) else {
+                        return None;
+                    };
+                    waiters[i as usize] = None;
+                    held.push(guard);
+                    Some(i)
+                })
+                .collect();
+            assert!(
+                ready.len() <= 1,
+                "iter {iter}: one release granted {ready:?}"
+            );
+            granted.extend(ready);
+            let left = live.len() - granted.len();
+            assert_eq!(sem.queue_len(), left, "iter {iter}: after {granted:?}");
+        }
+        assert_eq!(granted, live, "iter {iter}: grants out of arrival order");
+        assert_eq!(
+            (sem.entries(), sem.available()),
+            (0, permits),
+            "iter {iter}"
+        );
+    }
+}
+
+/// A waiter granted a permit but dropped before it observes the grant
+/// passes the permit on to the next waiter in arrival order. Each waiter's
+/// waker logs its index, so the wake log is the grant order; a seeded
+/// subset of the waiters is dropped unobserved, the rest take their guard
+/// and release it.
+#[test]
+fn semaphore_unobserved_grant_passes_to_the_next_waiter() {
+    for iter in 0..ITERS {
+        let mut shape = SmallRng::seed_from_u64(0x9a55_0000 + iter);
+        let n = shape.random_range(2..24u32);
+        let sem = Semaphore::new(1);
+        let held = granted_now(&sem);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let waiters: Vec<Acquire> = (0..n)
+            .map(|i| {
+                let waker = Waker::from(Arc::new(LoggingWake {
+                    id: i,
+                    log: log.clone(),
+                }));
+                let mut w = sem.acquire();
+                assert!(Pin::new(&mut w)
+                    .poll(&mut Context::from_waker(&waker))
+                    .is_pending());
+                w
+            })
+            .collect();
+        drop(held);
+        for (i, mut w) in (0..n).zip(waiters) {
+            // Waiter `i` holds the grant and has not observed it.
+            let granted: Vec<u32> = (0..=i).collect();
+            assert_eq!(*log.lock().unwrap(), granted, "iter {iter}");
+            assert_eq!(sem.queue_len(), (n - i - 1) as usize, "iter {iter}");
+            if shape.random_range(0..2u32) == 0 {
+                drop(w);
+            } else {
+                let Poll::Ready(guard) = poll_acquire(&mut w) else {
+                    panic!("iter {iter}: waiter {i} was woken but not granted");
+                };
+                assert_eq!(*log.lock().unwrap(), granted, "iter {iter}: held");
+                drop(guard);
+            }
+        }
+        assert_eq!(log.lock().unwrap().len(), n as usize, "iter {iter}");
+        assert_eq!((sem.entries(), sem.available()), (0, 1), "iter {iter}");
+    }
+}
+
+/// Seeded churn of arrivals, re-polls, drops and releases: after every
+/// step the queue holds no more entries than live acquirers, and
+/// `queue_len()` never exceeds the entries; once everything is dropped the
+/// queue is empty and every permit is back.
+#[test]
+fn semaphore_churn_keeps_one_entry_per_acquirer() {
+    for iter in 0..ITERS {
+        let mut shape = SmallRng::seed_from_u64(0xc4e2_0000 + iter);
+        let permits = shape.random_range(1..4usize);
+        let sem = Semaphore::new(permits);
+        let mut acquirers: Vec<Acquire> = Vec::new();
+        let mut guards: Vec<SemaphoreGuard> = Vec::new();
+        for step in 0..400 {
+            match shape.random_range(0..8u32) {
+                // A new acquirer polls once: granted at once or queued.
+                0..=2 => {
+                    let mut acq = sem.acquire();
+                    match poll_acquire(&mut acq) {
+                        Poll::Ready(guard) => guards.push(guard),
+                        Poll::Pending => acquirers.push(acq),
+                    }
+                }
+                // A live acquirer is polled again, observing any grant.
+                3 | 4 if !acquirers.is_empty() => {
+                    let i = shape.random_range(0..acquirers.len());
+                    if let Poll::Ready(guard) = poll_acquire(&mut acquirers[i]) {
+                        acquirers.remove(i);
+                        guards.push(guard);
+                    }
+                }
+                // A live acquirer is dropped, granted or not.
+                5 if !acquirers.is_empty() => {
+                    let i = shape.random_range(0..acquirers.len());
+                    acquirers.remove(i);
+                }
+                // A held guard is released.
+                6 | 7 if !guards.is_empty() => {
+                    let i = shape.random_range(0..guards.len());
+                    guards.remove(i);
+                }
+                _ => {}
+            }
+            assert!(
+                sem.entries() <= acquirers.len(),
+                "iter {iter} step {step}: {} entries for {} live acquirers",
+                sem.entries(),
+                acquirers.len()
+            );
+            assert!(sem.queue_len() <= sem.entries(), "iter {iter} step {step}");
+            assert!(guards.len() <= permits, "iter {iter} step {step}");
+        }
+        acquirers.clear();
+        guards.clear();
+        assert_eq!((sem.entries(), sem.queue_len()), (0, 0), "iter {iter}");
+        assert_eq!(sem.available(), permits, "iter {iter}");
     }
 }
 

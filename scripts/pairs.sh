@@ -10,12 +10,15 @@
 # <BENCHMARK.json's run_seconds> --trace 0` on the two alternately, the
 # order flipped each pair. Prints every pair, and per host metric each
 # side's median and quartiles and the change's win count (every host
-# metric is lower-better; ties count for neither), then every virtual and
-# count metric that is not identical across all runs of both sides: one
-# that moved between the sides with its parent and change values, one
-# that disagrees among one side's own runs (nondeterminism) with that
-# side's values. Exits non-zero if any metric was not identical or a
-# run's output check failed.
+# metric is lower-better; ties count for neither), flagged UNRESOLVED when
+# the parent's own spread (its IQR) exceeds the metric's BENCHMARK.json
+# bound times its median, unless every change run beats every parent run:
+# such a median delta is neither a gain nor a regression. Then every
+# virtual and count metric that is not identical across all runs of both
+# sides: one that moved between the sides with its parent and change
+# values, one that disagrees among one side's own runs (nondeterminism)
+# with that side's values. Exits non-zero if any metric was not identical
+# or a run's output check failed.
 #
 # The change side is a copy of benchmark/ with the crates symlinked beside
 # it, so uncommitted edits are measured and benchmark/Cargo.lock, which an
@@ -42,6 +45,7 @@ tmp, workload, pairs, seed, ref = sys.argv[1], sys.argv[2], int(sys.argv[3]), sy
 spec = json.load(open("BENCHMARK.json"))
 seconds = str(spec["run_seconds"])
 host = ["host_us_per_op", "setup_s", "peak_rss_mb", "allocs_per_op"]
+bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 runs = {"parent": [], "change": []}
 
 def run(side):
@@ -75,9 +79,12 @@ def summary(side, name):
 
 for name in host:
     (p, p1, p3), (c, c1, c3) = summary("parent", name), summary("change", name)
+    apart = max(r[name] for r in runs["change"]) < min(r[name] for r in runs["parent"])
+    unresolved = p3 - p1 > bound[name] * p and not apart
     print(f"  {name:16s} parent {p:.4f} [{p1:.4f} {p3:.4f}]  change {c:.4f} [{c1:.4f} {c3:.4f}]  "
           f"{(c - p) / p:+.2%} of parent, parent IQR {p3 - p1:.4f}, "
-          f"change ahead in {wins[name]} of {pairs} pairs ({losses[name]} behind)")
+          f"change ahead in {wins[name]} of {pairs} pairs ({losses[name]} behind)"
+          + (f"  UNRESOLVED: parent IQR > {bound[name]:.0%} bound x median" if unresolved else ""))
 def seen(side, name):
     return sorted({r[name] for r in runs[side]})
 
