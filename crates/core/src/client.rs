@@ -103,7 +103,7 @@ hm_common::op_counters! {
         /// Records the recovery reads found still parked in an open
         /// group-commit batch and force-flushed before replaying. These are
         /// a *subset* of `replayed_records`, never an addition — the
-        /// mid-flush double-count fixed in DESIGN.md §14. Zero while
+        /// mid-flush double-count fixed in DESIGN.md §12. Zero while
         /// batching is off.
         pending_flushed,
     }
@@ -143,12 +143,34 @@ struct ClientInner {
     /// iterates this, in key order (which is in the run fingerprints),
     /// instead of scanning the whole keyspace.
     written_keys: RefCell<BTreeSet<Key>>,
+    /// Live [`InstanceHold`]s per instance; an instance with any is never
+    /// collected (see `gc`'s condition (b)).
+    holds: RefCell<hm_common::FxHashMap<InstanceId, u32>>,
 }
 
 /// Shared deployment handle. Cheap to clone.
 #[derive(Clone)]
 pub struct Client {
     inner: Rc<ClientInner>,
+}
+
+/// Keeps an instance from being collected while an attempt of it may
+/// still run: from [`Client::hold`] until dropped.
+#[must_use = "the hold ends when the guard is dropped"]
+pub struct InstanceHold {
+    client: Client,
+    id: InstanceId,
+}
+
+impl Drop for InstanceHold {
+    fn drop(&mut self) {
+        let mut holds = self.client.inner.holds.borrow_mut();
+        let count = holds.get_mut(&self.id).expect("a live hold is counted");
+        *count -= 1;
+        if *count == 0 {
+            holds.remove(&self.id);
+        }
+    }
 }
 
 /// Fluent deployment construction: `Client::builder(ctx)` with optional
@@ -256,7 +278,7 @@ impl ClientBuilder {
     /// Enables group-commit batching in the logging layer: each shard's
     /// sequencer coalesces up to `max_records` concurrent appends into one
     /// ordering decision and one replicated storage write, flushing early
-    /// 200 µs of virtual time after a batch's first member (DESIGN.md §14).
+    /// 200 µs of virtual time after a batch's first member (DESIGN.md §12).
     /// `max_records <= 1` keeps the default unbatched path, bit for bit.
     #[must_use]
     pub fn batching(mut self, max_records: usize) -> ClientBuilder {
@@ -298,6 +320,7 @@ impl ClientBuilder {
                 recovery: Cell::new(RecoveryStats::default()),
                 checkpoints: RefCell::new(hm_common::FxHashMap::default()),
                 written_keys: RefCell::default(),
+                holds: RefCell::default(),
             }),
         }
     }
@@ -450,6 +473,24 @@ impl Client {
     #[must_use]
     pub fn written_keys(&self) -> Vec<Key> {
         self.inner.written_keys.borrow().iter().cloned().collect()
+    }
+
+    /// Holds `id` against collection until the guard drops. The runtime
+    /// holds an instance while a §5.1 peer of it exists and from an
+    /// attempt's first crash until its retries end: the windows in which a
+    /// finished instance can still see another attempt run.
+    pub fn hold(&self, id: InstanceId) -> InstanceHold {
+        *self.inner.holds.borrow_mut().entry(id).or_insert(0) += 1;
+        InstanceHold {
+            client: self.clone(),
+            id,
+        }
+    }
+
+    /// Whether any [`InstanceHold`] on `id` is live.
+    #[must_use]
+    pub fn is_held(&self, id: InstanceId) -> bool {
+        self.inner.holds.borrow().contains_key(&id)
     }
 
     /// Populates base state in the store and tells the recorder about it.

@@ -4,8 +4,13 @@
 //!
 //! 1. Scan the global init and finish streams and compute the **watermark**
 //!    `t`: the largest seqnum such that every SSF whose init record
-//!    precedes `t` has finished. This is exactly condition (b): any SSF
-//!    still running (or yet to start) has an initial cursor ≥ `t`.
+//!    precedes `t` has finished and is not held. This is condition (b):
+//!    any SSF still running (or yet to start) has an initial cursor ≥ `t`.
+//!    A finish record alone does not prove that no attempt of the SSF can
+//!    still run: a §5.1 peer may have finished it while the primary
+//!    retries, or a crashed attempt's retry may be about to start. The
+//!    runtime holds the SSF ([`Client::hold`]) in those windows, so the
+//!    watermark stops at its init until the last attempt returns.
 //! 2. For every finished SSF below the watermark: drop its checkpoints
 //!    and trim its step log. Read-log records (Halfmoon-write) live only
 //!    in step logs, so their lifetime equals the SSF's, as §4.5 states.
@@ -89,9 +94,8 @@ impl GarbageCollector {
             .collect();
         let watermark = inits
             .iter()
-            .map(|r| r.seqnum)
-            .find(|sn| !finished.contains(sn))
-            .unwrap_or_else(|| self.client.log().head_seqnum());
+            .find(|r| !finished.contains(&r.seqnum) || self.client.is_held(r.payload.instance))
+            .map_or_else(|| self.client.log().head_seqnum(), |r| r.seqnum);
         stats.watermark = watermark;
 
         // Step 2: reclaim finished SSFs below the watermark.

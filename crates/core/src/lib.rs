@@ -67,7 +67,7 @@ mod ops_halfmoon;
 mod ops_transitional;
 
 pub use client::{
-    finish_log_tag, init_log_tag, transition_log_tag, Client, ClientBuilder, Invoker,
+    finish_log_tag, init_log_tag, transition_log_tag, Client, ClientBuilder, InstanceHold, Invoker,
     LocalBoxFuture, RecoveryStats,
 };
 pub use env::{Env, InvocationSpec, ObjectMode};

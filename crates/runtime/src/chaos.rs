@@ -251,7 +251,7 @@ impl std::fmt::Display for AuditReport {
 /// silent pass.
 ///
 /// Beyond seeded chaos campaigns, this auditor is also the oracle for the
-/// systematic model checker ([`crate::mc`], DESIGN.md §18): every
+/// systematic model checker ([`crate::mc`], DESIGN.md §17): every
 /// exhaustively explored interleaving ends in an `audit` call, so the
 /// "verified over all interleavings" claims in EXPERIMENTS.md are claims
 /// about exactly these checks.

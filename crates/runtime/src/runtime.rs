@@ -307,6 +307,10 @@ impl Runtime {
             && client
                 .ctx()
                 .with_rng(|rng| hm_common::dist::bernoulli(rng, duplicate_prob));
+        // While a peer exists, the collector must not reclaim the instance
+        // under either side: the primary and the peer each hold it until
+        // their attempts return.
+        let _primary_hold = duplicate.then(|| client.hold(id));
         if duplicate {
             self.inner.duplicates.set(self.inner.duplicates.get() + 1);
             let rt = self.clone();
@@ -314,12 +318,14 @@ impl Runtime {
             let input = input.clone();
             let octx = octx.clone();
             let ctx = client.ctx().clone();
-            client.ctx().spawn(async move {
+            let hold = client.hold(id);
+            client.ctx().spawn_detached(async move {
                 ctx.sleep(DUPLICATE_DELAY).await;
                 // The peer's result and errors are ignored; the primary's
                 // retry loop guarantees completion. The peer recovers the
                 // authoritative input from the primary's init record.
                 let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
+                drop(hold);
             });
         }
         let result = self
@@ -343,6 +349,9 @@ impl Runtime {
     ) -> HmResult<Value> {
         let client = &self.inner.client;
         let mut attempt = 0;
+        // Taken at the first crash: a retry may still run after a peer or
+        // an earlier attempt's finish record made the instance look done.
+        let mut crash_hold = None;
         loop {
             self.inner.invocations.set(self.inner.invocations.get() + 1);
             let node = self.pick_node();
@@ -376,6 +385,7 @@ impl Runtime {
             match result {
                 Ok(v) => return Ok(v),
                 Err(e) if e.is_crash() && attempt + 1 < max_attempts => {
+                    crash_hold.get_or_insert_with(|| client.hold(id));
                     attempt += 1;
                     self.inner.retries.set(self.inner.retries.get() + 1);
                     // The crash tore down the attempt mid-phase; the

@@ -47,7 +47,8 @@
 //! one replicated storage write persist a whole batch, which occupies a
 //! contiguous run of the shared clock. [`FlushStats`] reports the achieved
 //! batch sizes and flush triggers. The default (1) keeps the unbatched
-//! path, bit for bit — see the `service` module docs and DESIGN.md §14.
+//! path, bit for bit — see the `service::group_commit` module docs and
+//! DESIGN.md §12.
 //!
 //! ```
 //! use hm_common::{ids::TagKind, latency::LatencyModel, NodeId, SeqNum, Tag};

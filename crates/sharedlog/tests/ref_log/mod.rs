@@ -156,6 +156,11 @@ impl RefLog {
         self.streams.get(&tag).map_or(0, |s| s.entries.len())
     }
 
+    /// Whether the record at `sn` is not yet reclaimed.
+    pub fn is_live(&self, sn: SeqNum) -> bool {
+        self.records.contains_key(&sn)
+    }
+
     /// Records not yet reclaimed.
     pub fn live_records(&self) -> usize {
         self.records.len()

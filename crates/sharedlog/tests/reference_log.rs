@@ -16,6 +16,9 @@
 //! order into the reference must come out the same, and peers racing one
 //! conditional append, of which exactly one wins. A `trim_many` is also
 //! checked while in flight: until its round trip ends, the log is unchanged.
+//! And reads race trims: a point or stream read whose round trip straddles
+//! a `trim_many` landing must answer as the log stood before the trim or
+//! after it (a stream read: before it, less the records it reclaimed).
 
 mod ref_log;
 
@@ -23,7 +26,7 @@ use hm_common::latency::LatencyModel;
 use hm_common::{NodeId, SeqNum, Tag};
 use hm_sharedlog::{shard_for_tag, CondAppendOutcome, LogConfig, LogRecord, LogService, Topology};
 use hm_substrate::sim::Sim;
-use hm_substrate::Ctx;
+use hm_substrate::{Ctx, Time};
 use ref_log::RefLog;
 
 /// `(shards, batch_max_records)` of every configuration checked.
@@ -167,7 +170,7 @@ fn run(shards: u8, batch: usize, seed: u64) -> Reached {
         for op in 0..OPS {
             let node = NodeId(draw.below(3) as u32);
             let at = format!("{at}, op {op}");
-            match draw.below(22) {
+            match draw.below(23) {
                 0..=5 => {
                     let (tags, payload) = (draw.tags(), draw.payload(op));
                     let sn = l.append(node, tags.clone(), payload.clone()).await;
@@ -276,6 +279,65 @@ fn run(shards: u8, batch: usize, seed: u64) -> Reached {
                     );
                     reached[2] += 1;
                     reached[3] += outcomes.len() - 1;
+                }
+                20 => {
+                    // The trim lands one append round trip (1 ms) after it
+                    // is issued; the read, issued 0.95 ms in, picks before
+                    // it and fetches after it.
+                    let (tag, kind) = (draw.tag(), draw.below(3));
+                    let bound = draw.bound(&reference, tag);
+                    let trims: Vec<(Tag, SeqNum)> = (0..1 + draw.below(3))
+                        .map(|i| {
+                            let other = if i == 0 { tag } else { draw.tag() };
+                            (other, draw.bound(&reference, other))
+                        })
+                        .collect();
+                    let point = |reference: &RefLog| match kind {
+                        0 => reference.read_prev(tag, bound),
+                        _ => reference.read_next(tag, bound),
+                    };
+                    let (before, stream) = (point(&reference), reference.replay(tag).0);
+                    let trim = {
+                        let (l, trims) = (l.clone(), trims.clone());
+                        ctx.spawn(async move { l.trim_many(&trims).await })
+                    };
+                    let (l2, ctx2) = (l.clone(), ctx.clone());
+                    let read = ctx.spawn(async move {
+                        ctx2.sleep(Time::from_micros(950)).await;
+                        match kind {
+                            0 => record(l2.read_prev(node, tag, bound).await)
+                                .into_iter()
+                                .collect(),
+                            1 => record(l2.read_next(node, tag, bound).await)
+                                .into_iter()
+                                .collect(),
+                            _ => l2
+                                .read_stream(node, tag)
+                                .await
+                                .into_iter()
+                                .map(|r| (r.seqnum, r.payload))
+                                .collect::<Vec<_>>(),
+                        }
+                    });
+                    let got = read.await;
+                    trim.await;
+                    for &(tag, upto) in &trims {
+                        reference.trim(tag, upto);
+                    }
+                    let at = format!("read {kind} of {tag:?} at {bound:?} racing {trims:?}, {at}");
+                    if kind == 2 {
+                        let want: Vec<_> = stream
+                            .into_iter()
+                            .filter(|(sn, _)| reference.is_live(*sn))
+                            .collect();
+                        assert_eq!(got, want, "{at}");
+                    } else {
+                        let after = point(&reference);
+                        assert!(
+                            got.first() == before.as_ref() || got.first() == after.as_ref(),
+                            "{got:?} against {before:?} or {after:?}, {at}"
+                        );
+                    }
                 }
                 _ => {
                     let tag = draw.tag();

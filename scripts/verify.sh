@@ -15,6 +15,11 @@
 # release builds below (bench_sim_core, explore --assert, the benchmark/
 # rounds) compile that assert out; a wrong table entry that changes a
 # model-check footprint shows there as `model_check` fingerprint drift.
+# Collector soak: the `#[ignore]`d chaos test, in release. The chaos
+# campaign (crashes, node crashes, a replica outage, a sequencer stall)
+# with a collector every 500 ms and peers on 10 % of invocations, over 64
+# seeds for each fault-tolerant protocol and a switching deployment: every
+# run passes the exactly-once audit with no failed or unfinished request.
 # Format: `cargo fmt --all -- --check` lists no file.
 # Lints: clippy across all targets with warnings denied.
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
@@ -82,6 +87,9 @@ cargo build --release
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== collector soak: cargo test --release -q --test chaos_tests -- --ignored =="
+cargo test --release -q --test chaos_tests -- --ignored
 
 echo "== format: cargo fmt --all -- --check =="
 cargo fmt --all -- --check

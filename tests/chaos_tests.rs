@@ -1,14 +1,22 @@
-//! Chaos-engine integration tests: seeded multi-fault campaigns must leave
-//! every fault-tolerant protocol exactly-once (the post-campaign auditor
-//! passes), the unsafe baseline must demonstrably fail the same audit, and
-//! a campaign's injection journal must be byte-identical across runs.
+//! Chaos-engine integration tests: seeded multi-fault campaigns, with the
+//! collector running beside the load, must leave every fault-tolerant
+//! protocol exactly-once (the post-campaign auditor passes) with no failed
+//! or unfinished request, the unsafe baseline must demonstrably fail the
+//! same audit, and a campaign's injection journal must be byte-identical
+//! across runs.
+//!
+//! `collector_soak_with_peers` is the long form: `#[ignore]`d here, run in
+//! release by `scripts/verify.sh`
+//! (`cargo test --release -q --test chaos_tests -- --ignored`).
 
 use std::time::Duration;
 
 use halfmoon::{Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId};
 use hm_common::latency::LatencyModel;
+use hm_common::NodeId;
 use hm_runtime::chaos::{audit, AuditReport, ChaosDriver};
-use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::{Gateway, GcDriver, LoadReport, LoadSpec, Runtime, RuntimeConfig};
+use hm_substrate::par_map;
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::Workload;
@@ -42,9 +50,19 @@ fn campaign(seed: u64) -> FaultPlan {
         .retry_storm_at(Duration::from_millis(3500), 0.4, Duration::from_millis(400))
 }
 
-/// Runs `config` under the seeded campaign and returns the audit verdict
-/// plus the injection counts (infrastructure, instance-level).
-fn run_campaign(config: ProtocolConfig, seed: u64) -> (AuditReport, u64, u32, String) {
+/// What one campaign run leaves: the audit verdict, the load report, the
+/// injection counts (infrastructure, instance-level) and the journal.
+struct Campaign {
+    verdict: AuditReport,
+    report: LoadReport,
+    injected: u64,
+    instance_crashes: u32,
+    journal: String,
+}
+
+/// Runs `config` under the seeded campaign, peers launched with
+/// `duplicate_prob` and a `GcDriver` collecting every 500 ms.
+fn run_campaign(config: ProtocolConfig, seed: u64, duplicate_prob: f64) -> Campaign {
     let mut sim = Sim::new(0xc4a0 ^ seed);
     let client = Client::builder(sim.ctx())
         .model(LatencyModel::calibrated())
@@ -59,9 +77,14 @@ fn run_campaign(config: ProtocolConfig, seed: u64) -> (AuditReport, u64, u32, St
         read_ratio: 0.5,
     };
     workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
+    let config = RuntimeConfig {
+        duplicate_prob,
+        ..RuntimeConfig::default()
+    };
+    let runtime = Runtime::new(client.clone(), config);
     workload.register(&runtime);
     let chaos = ChaosDriver::start(&runtime);
+    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_millis(500));
     let gateway = Gateway::new(runtime);
     let spec = LoadSpec {
         rate_per_sec: 150.0,
@@ -70,55 +93,86 @@ fn run_campaign(config: ProtocolConfig, seed: u64) -> (AuditReport, u64, u32, St
         factory: workload.factory(),
     };
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+    gc.stop();
     assert!(report.completed > 300, "campaign load barely ran");
     assert!(chaos.is_done(), "schedule must fire fully within the run");
-    let injected = chaos.injected();
-    let instance_crashes = client.faults().injected();
-    (
-        audit(&client),
-        injected,
-        instance_crashes,
-        chaos.events_jsonl(),
-    )
+    Campaign {
+        verdict: audit(&client),
+        report,
+        injected: chaos.injected(),
+        instance_crashes: client.faults().injected(),
+        journal: chaos.events_jsonl(),
+    }
 }
 
 /// Every fault-tolerant configuration — the three uniform protocols plus
-/// a switching (transitional) deployment — survives seeded multi-fault
-/// campaigns with its exactly-once audit intact, and the campaigns
-/// actually bite (both infrastructure and instance faults fire).
+/// a switching (transitional) deployment — over `seeds`: each campaign
+/// bites (both infrastructure and instance faults fire, and §5 recovery
+/// replays the log), its exactly-once audit passes, and no request fails
+/// or is left unfinished.
+fn assert_fault_tolerant(seeds: &[u64], duplicate_prob: f64) {
+    // A `ProtocolConfig` is not `Sync`: each run builds its own from a
+    // protocol and whether it switches.
+    let configs = [
+        (ProtocolKind::Boki, false),
+        (ProtocolKind::HalfmoonRead, false),
+        (ProtocolKind::HalfmoonWrite, false),
+        (ProtocolKind::HalfmoonWrite, true),
+    ];
+    let runs: Vec<_> = configs
+        .into_iter()
+        .flat_map(|config| seeds.iter().map(move |&seed| (config, seed)))
+        .collect();
+    par_map(&runs, 2, |&((kind, switching), seed)| {
+        let mut config = ProtocolConfig::uniform(kind);
+        config.switching_enabled = switching;
+        let label = if switching {
+            "switching".to_string()
+        } else {
+            kind.to_string()
+        };
+        let run = run_campaign(config, seed, duplicate_prob);
+        let at = format!("{label}/seed {seed}");
+        assert!(
+            run.injected > 0 && run.instance_crashes > 0,
+            "{at}: campaign injected nothing (infra {}, instance {})",
+            run.injected,
+            run.instance_crashes
+        );
+        assert!(
+            run.verdict.passed(),
+            "{at}: exactly-once audit failed: {}",
+            run.verdict
+        );
+        let recovery = run.verdict.recovery;
+        assert!(
+            recovery.attempts > 0 && recovery.replayed_records > 0,
+            "{at}: §5 recovery must have replayed the log: {recovery:?}"
+        );
+        let (errors, unfinished) = (run.report.errors, run.report.unfinished);
+        assert_eq!(
+            (errors, unfinished),
+            (0, 0),
+            "{at}: failed, unfinished requests"
+        );
+    });
+}
+
+/// The campaigns at the tier-1 budget. The retry storm launches peers, and
+/// the collector runs beside them.
 #[test]
 fn fault_tolerant_protocols_pass_the_auditor_under_chaos() {
-    let mut configs: Vec<(String, ProtocolConfig)> = [
-        ProtocolKind::Boki,
-        ProtocolKind::HalfmoonRead,
-        ProtocolKind::HalfmoonWrite,
-    ]
-    .into_iter()
-    .map(|k| (k.to_string(), ProtocolConfig::uniform(k)))
-    .collect();
-    let mut switching = ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite);
-    switching.switching_enabled = true;
-    configs.push(("switching".to_string(), switching));
+    let seeds: Vec<u64> = (0..16).chain([42]).collect();
+    assert_fault_tolerant(&seeds, 0.0);
+}
 
-    for (label, config) in configs {
-        for seed in [11, 42] {
-            let (verdict, injected, instance_crashes, _) = run_campaign(config.clone(), seed);
-            assert!(
-                injected > 0 && instance_crashes > 0,
-                "{label}/seed {seed}: campaign injected nothing \
-                 (infra {injected}, instance {instance_crashes})"
-            );
-            assert!(
-                verdict.passed(),
-                "{label}/seed {seed}: exactly-once audit failed: {verdict}"
-            );
-            assert!(
-                verdict.recovery.attempts > 0 && verdict.recovery.replayed_records > 0,
-                "{label}/seed {seed}: §5 recovery must have replayed the log: {:?}",
-                verdict.recovery
-            );
-        }
-    }
+/// The collector soak: peers on 10 % of invocations throughout, 64 seeds
+/// per configuration.
+#[test]
+#[ignore = "a release-build soak; scripts/verify.sh runs it"]
+fn collector_soak_with_peers() {
+    let seeds: Vec<u64> = (0..64).collect();
+    assert_fault_tolerant(&seeds, 0.1);
 }
 
 /// The same campaigns catch the §1 anomaly: the unsafe baseline re-applies
@@ -128,8 +182,11 @@ fn fault_tolerant_protocols_pass_the_auditor_under_chaos() {
 fn unsafe_baseline_fails_the_auditor_under_chaos() {
     let mut failures = 0;
     for seed in [11, 42, 99] {
-        let (verdict, _, instance_crashes, _) =
-            run_campaign(ProtocolConfig::uniform(ProtocolKind::Unsafe), seed);
+        let Campaign {
+            verdict,
+            instance_crashes,
+            ..
+        } = run_campaign(ProtocolConfig::uniform(ProtocolKind::Unsafe), seed, 0.0);
         assert!(instance_crashes > 0, "seed {seed}: no crashes injected");
         if !verdict.passed() {
             assert!(
@@ -228,9 +285,8 @@ fn failed_audit_dumps_the_flight_recorder() {
 #[test]
 fn campaign_journal_is_byte_identical_across_runs() {
     let run = || {
-        let (verdict, injected, _, journal) =
-            run_campaign(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead), 7);
-        (format!("{verdict}"), injected, journal)
+        let run = run_campaign(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead), 7, 0.0);
+        (format!("{}", run.verdict), run.injected, run.journal)
     };
     let (verdict_a, injected_a, journal_a) = run();
     let (verdict_b, injected_b, journal_b) = run();
@@ -241,6 +297,6 @@ fn campaign_journal_is_byte_identical_across_runs() {
     assert_eq!(verdict_a, verdict_b, "audits of identical runs must agree");
     // Different seed, different campaign: the journal must actually
     // depend on the schedule, not be a constant.
-    let (_, _, _, other) = run_campaign(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead), 8);
-    assert_ne!(journal_a, other, "seed must shape the journal");
+    let other = run_campaign(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead), 8, 0.0);
+    assert_ne!(journal_a, other.journal, "seed must shape the journal");
 }
