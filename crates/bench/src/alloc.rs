@@ -1,6 +1,6 @@
 //! Counting global allocator for the allocation-budget benchmarks.
 //!
-//! The zero-copy hot-path work (DESIGN.md §14) is only provable with an
+//! The zero-copy hot-path work (DESIGN.md §11) is only provable with an
 //! allocator-level oracle: wall time on a loaded CI box is too noisy to
 //! catch a reintroduced per-op clone, but *allocations per operation* is a
 //! deterministic function of the code path for a seeded simulation. This

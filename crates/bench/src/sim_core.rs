@@ -880,7 +880,7 @@ fn cores_delivered() -> f64 {
     (2.0 * one.as_secs_f64() / two.as_secs_f64().max(f64::MIN_POSITIVE)).clamp(1.0, 2.0)
 }
 
-/// Systematic model checking (DESIGN.md §17): exhausts every schedule ×
+/// Systematic model checking (DESIGN.md §13): exhausts every schedule ×
 /// crash placement of the smallest 2-node configuration for all four
 /// protocols, plus the unsafe baseline's counterexample configuration and
 /// the sleep-set headline configuration, timing the enumerations.

@@ -7,7 +7,7 @@
 //! replica, the node cache, and any replayer. [`SharedBytes`] gives the
 //! simulation the same ownership model: one heap buffer behind a refcount,
 //! with O(1) clone and O(1) subslicing, so `Payload::clone` on a
-//! value-carrying record is a pointer bump end to end (DESIGN.md §14).
+//! value-carrying record is a pointer bump end to end (DESIGN.md §10).
 //!
 //! Single-threaded by design, like every shared structure in the
 //! simulation: the backing refcount is [`Rc`], the in-process analog of the

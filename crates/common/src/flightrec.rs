@@ -15,7 +15,7 @@
 //! deployment's [`crate::observe::Probe`]) passes the tracer and anatomy
 //! it holds.
 //!
-//! The model-checking harness (DESIGN.md §17) notes each explored run's
+//! The model-checking harness (DESIGN.md §13) notes each explored run's
 //! serialized schedule into the incident log before auditing, so a
 //! violation dump carries its own replay recipe (`mc_schedule`) alongside
 //! the trace window.

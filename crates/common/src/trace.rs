@@ -1,6 +1,6 @@
 //! Deterministic causal tracing.
 //!
-//! The simulator's experiments (DESIGN.md §11) reason about *why* each
+//! The simulator's experiments (DESIGN.md §12) reason about *why* each
 //! protocol wins: which log/store round-trips sit on the critical path of
 //! an invocation, where queueing accumulates, what the GC trims. End-of-run
 //! aggregates cannot answer those questions, so this module provides a

@@ -20,7 +20,7 @@ use crate::bytes::SharedBytes;
 /// pass serialized bytes by reference. Cloning a `Value` is therefore O(1)
 /// for *all* variants — strings and byte buffers included — so the
 /// `Payload: Clone` contract on log records is a pointer bump end to end
-/// (DESIGN.md §14). Logical equality and accounting are unaffected.
+/// (DESIGN.md §10). Logical equality and accounting are unaffected.
 #[derive(Clone, PartialEq, Default)]
 pub enum Value {
     /// Absent / null.

@@ -102,8 +102,8 @@ hm_common::op_counters! {
         trimmed_skipped,
         /// Records the recovery reads found still parked in an open
         /// group-commit batch and force-flushed before replaying. These are
-        /// a *subset* of `replayed_records`, never an addition — the
-        /// mid-flush double-count fixed in DESIGN.md §12. Zero while
+        /// a *subset* of `replayed_records`, never an addition, so a record
+        /// a crash left mid-flush counts once (DESIGN.md §10). Zero while
         /// batching is off.
         pending_flushed,
     }
@@ -278,7 +278,7 @@ impl ClientBuilder {
     /// Enables group-commit batching in the logging layer: each shard's
     /// sequencer coalesces up to `max_records` concurrent appends into one
     /// ordering decision and one replicated storage write, flushing early
-    /// 200 µs of virtual time after a batch's first member (DESIGN.md §12).
+    /// 200 µs of virtual time after a batch's first member (DESIGN.md §10).
     /// `max_records <= 1` keeps the default unbatched path, bit for bit.
     #[must_use]
     pub fn batching(mut self, max_records: usize) -> ClientBuilder {
@@ -429,9 +429,8 @@ impl Client {
         self.inner.faults.borrow().clone()
     }
 
-    /// Replaces the fault plan. First-class (not a legacy shim): campaigns
-    /// that target instance ids drawn after construction have to install
-    /// their plan late.
+    /// Replaces the fault plan: campaigns that target instance ids drawn
+    /// after construction have to install their plan late.
     pub fn set_fault_plan(&self, plan: impl Into<FaultPlan>) {
         *self.inner.faults.borrow_mut() = Rc::new(plan.into());
     }
@@ -442,8 +441,8 @@ impl Client {
         self.inner.invoker.borrow().clone()
     }
 
-    /// Registers the runtime's invoker. Inherently post-construction (the
-    /// runtime is built around the client), so not a deprecated shim.
+    /// Registers the runtime's invoker. It comes after construction
+    /// because the runtime is built around the client.
     pub fn register_invoker(&self, invoker: Rc<dyn Invoker>) {
         *self.inner.invoker.borrow_mut() = Some(invoker);
     }

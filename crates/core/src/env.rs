@@ -410,7 +410,7 @@ impl Env {
     /// what makes them usable as choice points: under
     /// [`FaultPolicy::explored`](crate::FaultPolicy::explored) the model
     /// checker enumerates *every* crash point within its budget as a
-    /// survive/crash branch of the exploration tree (DESIGN.md §17),
+    /// survive/crash branch of the exploration tree (DESIGN.md §13),
     /// rather than sampling them with a seeded coin as the chaos plans do.
     pub(crate) fn maybe_crash(&mut self, site: Site) -> HmResult<()> {
         self.crash_point += 1;

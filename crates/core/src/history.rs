@@ -45,7 +45,7 @@
 //! order and log (seqnum/timestamp) order, never the wall-clock
 //! interleaving of commuting operations on disjoint keys. This is a
 //! soundness requirement of the model checker's sleep-set pruning
-//! (DESIGN.md §17) — two executions that differ only by swapping
+//! (DESIGN.md §13) — two executions that differ only by swapping
 //! independent adjacent actions must receive the same verdict, so the
 //! explorer may run just one of them. Sorting by the instance id's value
 //! rather than its intern index keeps the verdict *and* the message of

@@ -87,7 +87,7 @@ impl Env {
     /// `record_event` leaves the duplicate invisible to this attempt's
     /// history. The anomaly therefore needs a later crash point — a
     /// successor op's `OpEntry` — to surface, which is why the model checker's
-    /// exhaustive sweep (DESIGN.md §17) finds it on the two-op `ww-1s`
+    /// exhaustive sweep (DESIGN.md §13) finds it on the two-op `ww-1s`
     /// configuration but honestly reports the one-op `wr-1s` as passing.
     pub(crate) async fn unsafe_write(&mut self, key: &Key, value: Value) -> HmResult<()> {
         self.store().put(key, value.clone()).await;

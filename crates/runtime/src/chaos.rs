@@ -243,7 +243,7 @@ impl std::fmt::Display for AuditReport {
 /// only.
 ///
 /// The checks share one program-order sort of the history's entry
-/// indices and never copy the history (DESIGN.md §8): a 100k-event audit
+/// indices and never copy the history (DESIGN.md §13): a 100k-event audit
 /// allocates about 8 bytes per event.
 ///
 /// The client must have been built with `.recorder()`; auditing an
@@ -251,7 +251,7 @@ impl std::fmt::Display for AuditReport {
 /// silent pass.
 ///
 /// Beyond seeded chaos campaigns, this auditor is also the oracle for the
-/// systematic model checker ([`crate::mc`], DESIGN.md §17): every
+/// systematic model checker ([`crate::mc`], DESIGN.md §13): every
 /// exhaustively explored interleaving ends in an `audit` call, so the
 /// "verified over all interleavings" claims in EXPERIMENTS.md are claims
 /// about exactly these checks.

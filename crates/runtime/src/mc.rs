@@ -21,7 +21,7 @@
 //!
 //! Driving the choices from [`Explorer`] therefore explores *all*
 //! schedules of a configuration; the oracle for each completed run is the
-//! PR-5 exactly-once auditor ([`crate::chaos::audit`]), which checks the
+//! exactly-once auditor ([`crate::chaos::audit`]), which checks the
 //! generic §2 idempotence invariants plus the per-protocol §4.4
 //! propositions. Any violating schedule comes back as a replayable
 //! [`Schedule`] (also dumped through the flight recorder), and

@@ -375,9 +375,9 @@ impl Runtime {
             // The attempt runs inside its node's failure domain: if a chaos
             // campaign kills the node, the attempt (and its `Env`, read
             // cache references, timers) is dropped at the crash instant and
-            // surfaces as a retryable `NodeCrashed`. Never-cancelled groups
-            // poll the inner future directly — scheduling is bit-identical
-            // to the pre-chaos runtime.
+            // surfaces as a retryable `NodeCrashed`. A group that is never
+            // cancelled polls the inner future directly, so scheduling is
+            // the bare future's.
             let result = match self.inner.nodes[node.0 as usize].group.run(once).await {
                 Ok(inner) => inner,
                 Err(_cancelled) => Err(HmError::NodeCrashed { node }),

@@ -28,8 +28,8 @@
 //! and the facade (`service`) routes every Figure-3 call to the owning
 //! shard. Seqnums come from a clock shared by all shards, so they stay
 //! globally comparable — see the `router` module docs for why the
-//! protocols need that. The default topology is a single shard, which is
-//! behaviorally identical to the pre-sharding monolith.
+//! protocols need that. The default topology is a single shard, whose
+//! one sequencer lane orders every append.
 //!
 //! # Simulation model
 //!
@@ -48,7 +48,7 @@
 //! contiguous run of the shared clock. [`FlushStats`] reports the achieved
 //! batch sizes and flush triggers. The default (1) keeps the unbatched
 //! path, bit for bit — see the `service::group_commit` module docs and
-//! DESIGN.md §12.
+//! DESIGN.md §10.
 //!
 //! ```
 //! use hm_common::{ids::TagKind, latency::LatencyModel, NodeId, SeqNum, Tag};

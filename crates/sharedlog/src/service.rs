@@ -1,9 +1,9 @@
 //! The routed log facade: Figure 3's API over one or more shards.
 //!
-//! [`LogService`] keeps the exact call shapes of the pre-sharding
-//! monolith — `append` / `cond_append` / `read_prev` / `read_next` /
-//! `read_stream` / `trim` — so `hm-core`'s Env, protocol ops and GC
-//! code is oblivious to the topology. Internally every operation:
+//! [`LogService`]'s calls — `append` / `cond_append` / `read_prev` /
+//! `read_next` / `read_stream` / `trim` — take no shard, so `hm-core`'s
+//! Env, protocol ops and GC code is oblivious to the topology. Internally
+//! every operation:
 //!
 //! 1. routes by tag (`router::shard_for_tag`) to the shard owning the
 //!    sub-stream,
@@ -93,8 +93,8 @@ pub struct ReplayStats {
     pub trimmed: u64,
     /// Records that were still parked in the home shard's open batch when
     /// the replay began, and which this call force-flushed before reading.
-    /// Always a subset of the records counted by `replayed` (never an
-    /// addition to it) — the double-count a crash mid-flush used to cause.
+    /// Always a subset of the records counted by `replayed`, never an
+    /// addition to it, so a record a crash left mid-flush counts once.
     /// Zero when batching is off.
     pub pending_flushed: u64,
 }
@@ -105,15 +105,15 @@ pub struct LogConfig {
     /// Shard count.
     pub topology: Topology,
     /// Appends per second one shard's sequencer can order. `None` models
-    /// an ideal (infinitely fast) sequencer — the pre-sharding behavior,
-    /// where ordering adds no queueing delay. Set it to see a sequencer
+    /// an ideal (infinitely fast) sequencer, where ordering adds no
+    /// queueing delay, sleep or timer. Set it to see a sequencer
     /// saturate: appends beyond the capacity queue FIFO at the lane and
     /// pay the backlog as extra latency.
     pub sequencer_capacity: Option<f64>,
     /// Group-commit batch size: how many appends a shard's sequencer
     /// coalesces into one admission + one replicated storage round-trip.
-    /// `1` (the default) disables batching entirely — the append path is
-    /// the exact pre-batching code, bit-identical RNG draws and all.
+    /// `1` (the default) disables batching entirely: no append reaches the
+    /// batcher, so no batch timer, spawn or flush draw is added.
     /// Values above 1 enable the per-shard batcher described in the
     /// `group_commit` module docs: a batch flushes when it reaches this
     /// size or 200 µs after its first member arrived, whichever comes

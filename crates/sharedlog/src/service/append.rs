@@ -52,8 +52,8 @@ impl<P: Payload> LogService<P> {
     /// ordering decision books `1/capacity` of lane time. Uncapped lanes
     /// (the default) book zero service time, so absent an injected
     /// [`LogService::stall_sequencer`] the lane is never in the future
-    /// and admission is instant — no sleep, no timer, interleaving-
-    /// identical to the pre-sharding code.
+    /// and admission is instant: no sleep, no timer, no draw, so an
+    /// uncapped lane leaves every interleaving as it is.
     pub(super) async fn sequencer_admission(&self, shard: u8) {
         let service = match self.config.sequencer_capacity {
             Some(capacity) => {

@@ -1,7 +1,7 @@
 //! Group-commit batching (`batch_max_records > 1`).
 //!
 //! Each shard's sequencer optionally coalesces appends into batches
-//! (DESIGN.md §12). An append still races to the sequencer on its own —
+//! (DESIGN.md §10). An append still races to the sequencer on its own —
 //! drawing its usual latency sample and sleeping the to-sequencer share —
 //! but on arrival it *joins the shard's open batch* instead of paying
 //! admission alone. The batch flushes when it holds
@@ -21,8 +21,8 @@
 //! owned by the sequencer, so a client crashing mid-flush never strands
 //! its batch peers.
 //!
-//! With `batch_max_records <= 1` (the default) none of this code runs and
-//! the append path is the pre-batching code, bit for bit. The rest of the
+//! With `batch_max_records <= 1` (the default) none of this code runs: an
+//! append passes the lane alone and pays its own storage sleep. The rest of the
 //! service reaches this module only through `append_batched` (from
 //! `append_on`), `force_flush` (from `replay_stream`) and the two
 //! accessors at the end.

@@ -406,7 +406,7 @@ fn batch_of_one_reduces_to_the_unbatched_path_bit_identically() {
     };
     let unbatched = run(1);
     let batched_sequential = run(64);
-    // batch=1 is the literal pre-batching code; batch=64 over a purely
+    // batch=1 never reaches the batcher; batch=64 over a purely
     // sequential workload flushes every record alone via the deadline,
     // so virtual time differs only by the deadline waits — but counters
     // and seqnums must match exactly.

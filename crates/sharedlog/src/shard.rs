@@ -128,9 +128,9 @@ impl FlushStats {
     }
 }
 
-/// Mutable state of one shard: everything the pre-sharding `LogInner`
-/// held, minus the records, their caches and the clock (shared, in the
-/// slab).
+/// Mutable state of one shard: its streams, replicas, gauges and
+/// sequencer lane. The records, their caches and the clock are shared by
+/// every shard, in the slab.
 pub(crate) struct ShardState {
     /// Storage replicas currently down (by index `0..REPLICAS_PER_SHARD`).
     pub(crate) failed_replicas: FxHashSet<u32>,

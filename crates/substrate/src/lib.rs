@@ -44,7 +44,7 @@
 //!
 //! The ready queue is FIFO, simultaneous timers fire in registration order,
 //! and all randomness flows from one seeded RNG per executor, so equal seeds
-//! give bit-identical runs (DESIGN.md §16; the bench fingerprints pin it).
+//! give bit-identical runs (DESIGN.md §9; the bench fingerprints pin it).
 //! That is load-bearing beyond reproducible benches: the model checker
 //! replays a counterexample by rerunning the same seed with the same
 //! serialized decision vector.

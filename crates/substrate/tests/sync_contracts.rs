@@ -9,10 +9,14 @@
 //! Contracts under test (the ones that depend on the executor's wakeup
 //! order):
 //! - `Semaphore`: permits are granted in strict arrival (FIFO) order, and
-//!   the configured concurrency bound is never exceeded.
-//! - `Gate`: one `open()` releases every waiter, in registration order.
+//!   the configured concurrency bound is never exceeded but is reached
+//!   once enough acquirers overlap.
+//! - `Gate`: one `open()` releases every waiter at that instant, in
+//!   registration order; `open()` is idempotent and level-triggered.
 //! - `TaskGroup`: one `cancel()` wakes every live member exactly once, in
-//!   first-registration order, across `reset()` rounds.
+//!   first-registration order, across `reset()` rounds, and drops each
+//!   member's future at the cancel instant. A cancelled group resolves
+//!   new `run` and `cancelled` futures at once.
 //! - Wait lists (`TaskGroup`, `Gate`) and the `Semaphore`'s queue: at most
 //!   one entry per live waiter — however often it is polled — and none for a
 //!   waiter that completed or was dropped. A `Semaphore` waiter dropped
@@ -20,8 +24,8 @@
 //!   rest keep their FIFO order); one dropped after its grant but before
 //!   observing it passes the permit to the next waiter in order. The bound
 //!   comes from ownership; the executor's `Waker::will_wake` is only a fast
-//!   path (pinned here too: a task's waker recognises its own clone and no
-//!   other task's).
+//!   path (pinned here too: a task's waker recognises its own clone and
+//!   the waker of its later polls, and no other task's).
 
 use std::cell::{Cell, RefCell};
 use std::future::{poll_fn, Future};
@@ -90,11 +94,13 @@ async fn semaphore_fifo_property(
 }
 
 /// Gate broadcast: `n` waiters register at distinct instants; one
-/// `open()` after the last registration must release all of them, in
-/// registration order.
+/// `open()` after the last registration must release all of them at the
+/// open instant, in registration order. A second `open()` is a no-op, and
+/// a wait on the open gate resolves without time passing.
 async fn gate_release_property(ctx: Ctx, n: u32) -> Vec<u32> {
     let gate = Gate::new();
     let order = Rc::new(RefCell::new(Vec::new()));
+    let open_at = STAGGER * n + STAGGER;
     let mut handles = Vec::new();
     for i in 0..n {
         let ctx2 = ctx.clone();
@@ -103,16 +109,22 @@ async fn gate_release_property(ctx: Ctx, n: u32) -> Vec<u32> {
         handles.push(ctx.spawn(async move {
             ctx2.sleep(STAGGER * i).await;
             gate.wait().await;
+            assert_eq!(ctx2.now(), open_at, "waiter {i} released late");
             order.borrow_mut().push(i);
         }));
     }
     // Open strictly after every waiter has parked.
-    ctx.sleep(STAGGER * n + STAGGER).await;
+    ctx.sleep(open_at).await;
     assert_eq!(gate.waiters(), n as usize, "all waiters parked before open");
+    assert!(!gate.is_open());
     gate.open();
+    gate.open();
+    assert!(gate.is_open());
     for h in handles {
         h.await;
     }
+    gate.wait().await;
+    assert_eq!(ctx.now(), open_at, "an open gate must not wait");
     let got = order.borrow().clone();
     got
 }
@@ -137,6 +149,15 @@ fn semaphore_grants_fifo() {
             "exceeded the concurrency bound \
              (iter {iter}: peak {peak} > permits {permits})"
         );
+        // The first `permits` arrivals overlap once a hold outlasts their
+        // stagger, and then the bound is reached.
+        if hold > STAGGER * (permits as u32 - 1) {
+            assert_eq!(
+                peak,
+                permits.min(n as usize),
+                "left a permit idle (iter {iter}: n={n} permits={permits})"
+            );
+        }
     }
 }
 
@@ -402,7 +423,9 @@ async fn completed_members_property(ctx: Ctx, n: u32) -> (usize, usize) {
 }
 
 /// (c) An unfinished waiter dropped mid-wait frees its slot: returns the
-/// (parked, after-drop) counts for `RunCancellable`, `CancelledFut`, `GateWait`.
+/// (parked, after-drop) counts for `RunCancellable` and the `LatchWait`s of
+/// `TaskGroup::cancelled` and `Gate::wait`. Once the event is raised, a
+/// waiter that arrives after it resolves at its first poll.
 async fn dropped_waiters_property() -> [(usize, usize); 3] {
     let group = TaskGroup::new();
     let gate = Gate::new();
@@ -435,6 +458,12 @@ async fn dropped_waiters_property() -> [(usize, usize); 3] {
     gate.open();
     assert!(poll_once(&mut bystander).await.is_ready());
     assert!(poll_once(&mut gate_bystander).await.is_ready());
+    // Level-triggered: latecomers do not park, and new work is rejected.
+    assert!(group.is_cancelled());
+    assert!(poll_once(&mut group.cancelled()).await.is_ready());
+    assert!(poll_once(&mut gate.wait()).await.is_ready());
+    let late = poll_once(&mut group.run(std::future::ready(()))).await;
+    assert_eq!(late, Poll::Ready(Err(Cancelled)));
     [
         (run_parked - 1, run_after - 1),
         (cancelled_parked - 1, cancelled_after - 1),
@@ -453,10 +482,21 @@ enum Role {
     Finishes,
 }
 
+/// Records the virtual instant it is dropped at (none if the `Sim` is
+/// already gone).
+struct DropClock(Ctx, Rc<Cell<Option<Duration>>>);
+
+impl Drop for DropClock {
+    fn drop(&mut self) {
+        self.1.set(self.0.try_now());
+    }
+}
+
 /// (d) + (e): two rounds on one group. In each, members arrive at distinct
 /// instants and take a seeded role; one `cancel()` after the last arrival
-/// must resume exactly the live ones, in arrival order, and leave the group
-/// empty; `reset()` then re-arms it, so round two runs on reused slots.
+/// must resume exactly the live ones, in arrival order, with each one's
+/// future dropped at the cancel instant, and leave the group empty;
+/// `reset()` then re-arms it, so round two runs on reused slots.
 /// Returns, per round, (resume order, expected order).
 async fn cancel_order_property(ctx: Ctx, roles: [Vec<Role>; 2]) -> Vec<(Vec<u32>, Vec<u32>)> {
     let group = TaskGroup::new();
@@ -464,13 +504,17 @@ async fn cancel_order_property(ctx: Ctx, roles: [Vec<Role>; 2]) -> Vec<(Vec<u32>
     for roles in roles {
         let n = roles.len() as u32;
         let order = Rc::new(RefCell::new(Vec::new()));
+        let cancel_at = ctx.now() + STAGGER * n + STAGGER;
         let mut handles = Vec::new();
         for (i, role) in (0..n).zip(roles.iter().copied()) {
             let (ctx2, group, order) = (ctx.clone(), group.clone(), order.clone());
             handles.push(ctx.spawn(async move {
                 ctx2.sleep(STAGGER * i).await;
                 let ctx3 = ctx2.clone();
+                let dropped_at = Rc::new(Cell::new(None));
+                let clock = DropClock(ctx2.clone(), dropped_at.clone());
                 let body = async move {
+                    let _clock = clock;
                     match role {
                         Role::Parked => ctx3.sleep(Duration::from_secs(3600)).await,
                         Role::Repolled => {
@@ -483,13 +527,18 @@ async fn cancel_order_property(ctx: Ctx, roles: [Vec<Role>; 2]) -> Vec<(Vec<u32>
                     }
                 };
                 if group.run(body).await == Err(Cancelled) {
+                    assert_eq!(
+                        dropped_at.get(),
+                        Some(cancel_at),
+                        "member {i} torn down late"
+                    );
                     order.borrow_mut().push(i);
                 }
             }));
         }
         // Cancel strictly after every member has parked (and the
         // finishers have finished).
-        ctx.sleep(STAGGER * n + STAGGER).await;
+        ctx.sleep_until(cancel_at).await;
         let live: Vec<u32> = (0..n)
             .filter(|&i| roles[i as usize] != Role::Finishes)
             .collect();
@@ -508,6 +557,7 @@ async fn cancel_order_property(ctx: Ctx, roles: [Vec<Role>; 2]) -> Vec<(Vec<u32>
             "a cancelled group holds no registration"
         );
         group.reset();
+        assert!(!group.is_cancelled(), "reset re-arms the group");
         rounds.push((order.borrow().clone(), live));
     }
     rounds
@@ -551,14 +601,21 @@ async fn cancel_then_reset_property(ctx: Ctx) -> (bool, Result<(), Cancelled>) {
     (repolled, member.await)
 }
 
-/// The executor's wakers: (own clone matches, another task's matches).
-async fn waker_identity_property(ctx: Ctx) -> (bool, bool) {
+/// The executor's wakers: (own clone matches, the same task's waker at a
+/// later poll matches, another task's matches).
+async fn waker_identity_property(ctx: Ctx) -> (bool, bool, bool) {
     let other = ctx
         .spawn(poll_fn(|cx| Poll::Ready(cx.waker().clone())))
         .await;
+    let first = poll_fn(|cx| Poll::Ready(cx.waker().clone())).await;
+    ctx.sleep(STAGGER).await;
     poll_fn(move |cx| {
         let mine = cx.waker();
-        Poll::Ready((mine.will_wake(&mine.clone()), mine.will_wake(&other)))
+        Poll::Ready((
+            mine.will_wake(&mine.clone()),
+            mine.will_wake(&first),
+            mine.will_wake(&other),
+        ))
     })
     .await
 }
@@ -612,8 +669,9 @@ fn reset_hides_an_unobserved_cancel() {
 
 #[test]
 fn a_waker_matches_its_own_clone_only() {
-    let (own, other) = run(0, waker_identity_property);
+    let (own, later, other) = run(0, waker_identity_property);
     assert!(own, "a task's waker must will_wake its own clone");
+    assert!(later, "one task, two polls: same waker");
     assert!(!other, "a task's waker must not will_wake another task's");
 }
 

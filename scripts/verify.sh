@@ -21,6 +21,11 @@
 # seeds for each fault-tolerant protocol and a switching deployment: every
 # run passes the exactly-once audit with no failed or unfinished request.
 # Format: `cargo fmt --all -- --check` lists no file.
+# DESIGN.md: every `DESIGN.md §N` reference in the code, tests, scripts,
+# examples and the current-state docs (README, EXPERIMENTS, ROADMAP,
+# DESIGN) must name an existing top-level section; CHANGES.md is history
+# and keeps the numbers of its day. DESIGN.md may have at most 13
+# top-level (`## `) sections: a change that adds a section removes one.
 # Lints: clippy across all targets with warnings denied.
 # Docs: rustdoc across the workspace with warnings denied (hm-sharedlog
 # and hm-core additionally deny missing_docs at the crate level).
@@ -93,6 +98,25 @@ cargo test --release -q --test chaos_tests -- --ignored
 
 echo "== format: cargo fmt --all -- --check =="
 cargo fmt --all -- --check
+
+echo "== DESIGN.md: section references and section count =="
+sections=$(grep -c '^## ' DESIGN.md)
+if [ "$sections" -gt 13 ]; then
+    echo "DESIGN.md has $sections top-level sections, more than 13: merge one away"
+    exit 1
+fi
+# A reference may break across a line and its comment leader.
+dangling=$(grep -rlZ 'DESIGN\.md' crates tests src examples scripts \
+        README.md EXPERIMENTS.md ROADMAP.md DESIGN.md |
+    xargs -0 perl -0777 -ne '
+        BEGIN { open my $d, "<", "DESIGN.md" or die; my $t = <$d>; $have{$1} = 1 while $t =~ /^## (\d+)\. /mg }
+        while (/DESIGN\.md`?(?:\s|\/\/[\/!]?|#)*§\s?(\d+)/g) { print "$ARGV: §$1\n" unless $have{$1} }')
+if [ -n "$dangling" ]; then
+    echo "DESIGN.md references to sections that do not exist:"
+    echo "$dangling"
+    exit 1
+fi
+echo "DESIGN.md ok: $sections sections, every §N reference resolves"
 
 echo "== lints: cargo clippy --all-targets -D warnings (+ hot-path clone lints) =="
 cargo clippy -q --all-targets -- -D warnings \

@@ -1,8 +1,8 @@
 //! # halfmoon-suite
 //!
-//! Umbrella crate of the Halfmoon (SOSP '23) reproduction: re-exports every
-//! workspace crate, hosts the runnable `examples/` and the cross-crate
-//! integration tests in `tests/`.
+//! Root package of the Halfmoon (SOSP '23) reproduction: it hosts the
+//! runnable `examples/` and the cross-crate integration tests in `tests/`,
+//! which name each workspace crate directly.
 //!
 //! Start with the [`halfmoon`] crate docs for the protocols, or run:
 //!
@@ -13,11 +13,3 @@
 //! cargo run --example fault_injection
 //! cargo run --example protocol_advisor
 //! ```
-
-pub use halfmoon;
-pub use hm_common;
-pub use hm_kvstore;
-pub use hm_runtime;
-pub use hm_sharedlog;
-pub use hm_substrate;
-pub use hm_workloads;

@@ -1,9 +1,10 @@
 //! Chaos-engine integration tests: seeded multi-fault campaigns, with the
 //! collector running beside the load, must leave every fault-tolerant
 //! protocol exactly-once (the post-campaign auditor passes) with no failed
-//! or unfinished request, the unsafe baseline must demonstrably fail the
-//! same audit, and a campaign's injection journal must be byte-identical
-//! across runs.
+//! or unfinished request, on an unsharded unbatched log and on sharded,
+//! batched ones; the unsafe baseline must demonstrably fail the same
+//! audit, and a campaign's injection journal must be byte-identical across
+//! runs.
 //!
 //! `collector_soak_with_peers` is the long form: `#[ignore]`d here, run in
 //! release by `scripts/verify.sh`
@@ -11,7 +12,7 @@
 
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId};
+use halfmoon::{Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Topology};
 use hm_common::latency::LatencyModel;
 use hm_common::NodeId;
 use hm_runtime::chaos::{audit, AuditReport, ChaosDriver};
@@ -50,6 +51,12 @@ fn campaign(seed: u64) -> FaultPlan {
         .retry_storm_at(Duration::from_millis(3500), 0.4, Duration::from_millis(400))
 }
 
+/// A log layout: (shards, group-commit batch size).
+type Layout = (u8, usize);
+
+/// The default construction: one shard, no batching.
+const UNSHARDED: Layout = (1, 1);
+
 /// What one campaign run leaves: the audit verdict, the load report, the
 /// injection counts (infrastructure, instance-level) and the journal.
 struct Campaign {
@@ -60,13 +67,21 @@ struct Campaign {
     journal: String,
 }
 
-/// Runs `config` under the seeded campaign, peers launched with
-/// `duplicate_prob` and a `GcDriver` collecting every 500 ms.
-fn run_campaign(config: ProtocolConfig, seed: u64, duplicate_prob: f64) -> Campaign {
+/// Runs `config` on a log laid out as `(shards, batch)` under the seeded
+/// campaign, peers launched with `duplicate_prob` and a `GcDriver`
+/// collecting every 500 ms.
+fn run_campaign(
+    config: ProtocolConfig,
+    (shards, batch): Layout,
+    seed: u64,
+    duplicate_prob: f64,
+) -> Campaign {
     let mut sim = Sim::new(0xc4a0 ^ seed);
     let client = Client::builder(sim.ctx())
         .model(LatencyModel::calibrated())
         .protocol_config(config)
+        .topology(Topology::sharded(shards))
+        .batching(batch)
         .recorder()
         .faults(campaign(seed))
         .build();
@@ -106,11 +121,11 @@ fn run_campaign(config: ProtocolConfig, seed: u64, duplicate_prob: f64) -> Campa
 }
 
 /// Every fault-tolerant configuration — the three uniform protocols plus
-/// a switching (transitional) deployment — over `seeds`: each campaign
-/// bites (both infrastructure and instance faults fire, and §5 recovery
-/// replays the log), its exactly-once audit passes, and no request fails
-/// or is left unfinished.
-fn assert_fault_tolerant(seeds: &[u64], duplicate_prob: f64) {
+/// a switching (transitional) deployment — on every layout, over `seeds`:
+/// each campaign bites (both infrastructure and instance faults fire, and
+/// §5 recovery replays the log), its exactly-once audit passes, and no
+/// request fails or is left unfinished.
+fn assert_fault_tolerant(layouts: &[Layout], seeds: &[u64], duplicate_prob: f64) {
     // A `ProtocolConfig` is not `Sync`: each run builds its own from a
     // protocol and whether it switches.
     let configs = [
@@ -119,11 +134,12 @@ fn assert_fault_tolerant(seeds: &[u64], duplicate_prob: f64) {
         (ProtocolKind::HalfmoonWrite, false),
         (ProtocolKind::HalfmoonWrite, true),
     ];
-    let runs: Vec<_> = configs
-        .into_iter()
-        .flat_map(|config| seeds.iter().map(move |&seed| (config, seed)))
+    let runs: Vec<_> = layouts
+        .iter()
+        .flat_map(|&layout| configs.map(|config| (layout, config)))
+        .flat_map(|run| seeds.iter().map(move |&seed| (run, seed)))
         .collect();
-    par_map(&runs, 2, |&((kind, switching), seed)| {
+    par_map(&runs, 2, |&((layout, (kind, switching)), seed)| {
         let mut config = ProtocolConfig::uniform(kind);
         config.switching_enabled = switching;
         let label = if switching {
@@ -131,8 +147,9 @@ fn assert_fault_tolerant(seeds: &[u64], duplicate_prob: f64) {
         } else {
             kind.to_string()
         };
-        let run = run_campaign(config, seed, duplicate_prob);
-        let at = format!("{label}/seed {seed}");
+        let run = run_campaign(config, layout, seed, duplicate_prob);
+        let (shards, batch) = layout;
+        let at = format!("{label}/{shards} shards/batch {batch}/seed {seed}");
         assert!(
             run.injected > 0 && run.instance_crashes > 0,
             "{at}: campaign injected nothing (infra {}, instance {})",
@@ -158,21 +175,22 @@ fn assert_fault_tolerant(seeds: &[u64], duplicate_prob: f64) {
     });
 }
 
-/// The campaigns at the tier-1 budget. The retry storm launches peers, and
-/// the collector runs beside them.
+/// The campaigns at the tier-1 budget, unsharded and on 4 shards batching
+/// 16. The retry storm launches peers, and the collector runs beside them.
 #[test]
 fn fault_tolerant_protocols_pass_the_auditor_under_chaos() {
     let seeds: Vec<u64> = (0..16).chain([42]).collect();
-    assert_fault_tolerant(&seeds, 0.0);
+    assert_fault_tolerant(&[UNSHARDED, (4, 16)], &seeds, 0.0);
 }
 
 /// The collector soak: peers on 10 % of invocations throughout, 64 seeds
-/// per configuration.
+/// per configuration, on each combination of 1 or 4 shards and batch 1 or
+/// 16.
 #[test]
 #[ignore = "a release-build soak; scripts/verify.sh runs it"]
 fn collector_soak_with_peers() {
     let seeds: Vec<u64> = (0..64).collect();
-    assert_fault_tolerant(&seeds, 0.1);
+    assert_fault_tolerant(&[UNSHARDED, (1, 16), (4, 1), (4, 16)], &seeds, 0.1);
 }
 
 /// The same campaigns catch the §1 anomaly: the unsafe baseline re-applies
@@ -186,7 +204,12 @@ fn unsafe_baseline_fails_the_auditor_under_chaos() {
             verdict,
             instance_crashes,
             ..
-        } = run_campaign(ProtocolConfig::uniform(ProtocolKind::Unsafe), seed, 0.0);
+        } = run_campaign(
+            ProtocolConfig::uniform(ProtocolKind::Unsafe),
+            UNSHARDED,
+            seed,
+            0.0,
+        );
         assert!(instance_crashes > 0, "seed {seed}: no crashes injected");
         if !verdict.passed() {
             assert!(
@@ -285,7 +308,12 @@ fn failed_audit_dumps_the_flight_recorder() {
 #[test]
 fn campaign_journal_is_byte_identical_across_runs() {
     let run = || {
-        let run = run_campaign(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead), 7, 0.0);
+        let run = run_campaign(
+            ProtocolConfig::uniform(ProtocolKind::HalfmoonRead),
+            UNSHARDED,
+            7,
+            0.0,
+        );
         (format!("{}", run.verdict), run.injected, run.journal)
     };
     let (verdict_a, injected_a, journal_a) = run();
@@ -297,6 +325,11 @@ fn campaign_journal_is_byte_identical_across_runs() {
     assert_eq!(verdict_a, verdict_b, "audits of identical runs must agree");
     // Different seed, different campaign: the journal must actually
     // depend on the schedule, not be a constant.
-    let other = run_campaign(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead), 8, 0.0);
+    let other = run_campaign(
+        ProtocolConfig::uniform(ProtocolKind::HalfmoonRead),
+        UNSHARDED,
+        8,
+        0.0,
+    );
     assert_ne!(journal_a, other.journal, "seed must shape the journal");
 }

@@ -755,7 +755,7 @@ fn virtual_time_is_free() {
 /// A model-checking counterexample is a *replayable artifact*: the
 /// schedule recorded from an exploring run, re-executed through
 /// `run_schedule`, reproduces the exact violating history — byte for
-/// byte, run after run. This is the DESIGN.md §17 claim that makes a violation a
+/// byte, run after run. This is the DESIGN.md §13 claim that makes a violation a
 /// deterministic repro rather than a flaky observation.
 #[test]
 fn model_check_counterexamples_replay_byte_identically() {

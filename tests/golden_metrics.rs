@@ -2,10 +2,9 @@
 //!
 //! These tests pin the *simulated results* of representative workloads —
 //! op counters, latency percentiles (bit-exact f64), storage gauges, final
-//! virtual time — against a committed snapshot recorded before the
-//! executor/shared-log performance rewrite. Any divergence means the
-//! rewrite changed simulated behavior, which is forbidden: the overhaul
-//! must be a pure wall-clock optimization.
+//! virtual time — against a committed snapshot. Any divergence means a
+//! change moved simulated behavior; a change that only speeds up the
+//! executor or the shared log must leave every line as it is.
 //!
 //! To re-record after an *intentional* behavior change:
 //! `HM_BLESS_GOLDEN=1 cargo test -q --test golden_metrics` and commit the

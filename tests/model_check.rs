@@ -1,4 +1,4 @@
-//! Systematic model checking of the §4.4 propositions (DESIGN.md §17).
+//! Systematic model checking of the §4.4 propositions (DESIGN.md §13).
 //!
 //! These tests run the explorer end to end over the small 2-node
 //! configurations: every scheduling order × every crash placement within

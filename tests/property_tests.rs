@@ -18,7 +18,7 @@
 //!   planted into chosen instances. Each kind of violation must be
 //!   reported by its own checker, and every checker's verdict, message
 //!   included, must survive any reshuffle of the instances' interleaving
-//!   in recording order (the trace-invariance DESIGN.md §17 relies on).
+//!   in recording order (the trace-invariance DESIGN.md §13 relies on).
 //!
 //! The environment has no proptest, so each property runs as a seeded-RNG
 //! case loop: all inputs derive from a fixed base seed plus the case index,

@@ -394,9 +394,9 @@ fn cache_hits_and_sizes_match_a_reference_set() {
 }
 
 /// Readers on every read call of one stream while another task trims it
-/// every few appends. A read picks its record, sleeps, then fetches it: a
-/// trim landing in that sleep used to hit an `expect`. Every record handed
-/// back must be live when it is.
+/// every few appends. A read picks its record, sleeps, then fetches it, so
+/// a trim can land in that sleep and reclaim the pick; the read must
+/// re-resolve, not fail. Every record handed back must be live when it is.
 #[test]
 fn reads_racing_trims_return_live_records() {
     let hot = Tag::new(TagKind::ObjectLog, 0x0A07);
