@@ -38,4 +38,4 @@ pub use gateway::{Gateway, LoadReport, LoadSpec, RequestFactory};
 pub use gc_driver::GcDriver;
 pub use mc::{explore_config, run_schedule, McConfig, McKey, McOutcome, OpSpec};
 pub use metrics_driver::MetricsDriver;
-pub use runtime::{Runtime, RuntimeConfig, SsfBody, DETECTION_DELAY};
+pub use runtime::{Runtime, RuntimeConfig, DETECTION_DELAY};

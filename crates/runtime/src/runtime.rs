@@ -10,9 +10,16 @@ use hm_common::{FxHashMap, HmError, HmResult, InstanceId, NodeId, Value};
 use hm_substrate::sync::{Semaphore, TaskGroup};
 use hm_substrate::Time;
 
-/// A registered function body. Bodies must be deterministic: given the same
-/// `Env` state and input they must issue the same operation sequence (§2).
-pub type SsfBody = Rc<dyn for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>>>;
+/// What the registry holds per function: builds one execution of it (span,
+/// §5.1 peer, attempts) as a single boxed future that owns its state.
+type Start =
+    Box<dyn Fn(Runtime, InstanceId, Value, OpCtx) -> LocalBoxFuture<'static, HmResult<Value>>>;
+
+/// A registered function: its name (the invocation span's label) and body.
+struct Function<B> {
+    name: String,
+    body: B,
+}
 
 /// Delay between a crash and the re-execution of the SSF (failure
 /// detection + scheduling).
@@ -60,7 +67,7 @@ struct RuntimeInner {
     /// In a `Cell` so chaos campaigns can retune knobs (retry storms bump
     /// `duplicate_prob`) mid-run.
     config: Cell<RuntimeConfig>,
-    registry: RefCell<FxHashMap<String, SsfBody>>,
+    registry: RefCell<FxHashMap<String, Start>>,
     /// Admission control: bounds concurrently running top-level requests.
     workers: Semaphore,
     /// Per-node failure domains, indexed by `NodeId`.
@@ -133,16 +140,31 @@ impl Runtime {
         self.inner.config.set(config);
     }
 
-    /// Registers a function body under `name`.
+    /// Registers a function body under `name`, replacing any earlier one.
+    ///
+    /// Bodies must be deterministic: given the same `Env` state and input
+    /// they must issue the same operation sequence (§2), because a
+    /// re-execution after a crash, or a §5.1 peer, matches its operations
+    /// to the logged steps by position.
+    ///
+    /// An execution is one heap block: the body's future runs inline in
+    /// it, inside the retry loop and the invocation's span.
     pub fn register(
         &self,
         name: &str,
-        body: impl for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>> + 'static,
+        body: impl AsyncFn(&mut Env, Value) -> HmResult<Value> + 'static,
     ) {
+        let function = Rc::new(Function {
+            name: name.to_string(),
+            body,
+        });
+        let start: Start = Box::new(move |rt, id, input, octx| {
+            Box::pin(rt.execute_under(function.clone(), id, input, octx))
+        });
         self.inner
             .registry
             .borrow_mut()
-            .insert(name.to_string(), Rc::new(body));
+            .insert(name.to_string(), start);
     }
 
     /// Total function executions started (including retries and peers).
@@ -254,37 +276,51 @@ impl Runtime {
         let _slot = self.inner.workers.acquire().await;
         let id = self.inner.client.fresh_instance_id();
         octx.switch(|| self.inner.client.ctx().now(), Phase::Dispatch);
-        Box::pin(self.execute_under(id, func, input, octx)).await
+        self.start(id, func, input, octx)?.await
     }
 
     /// Executes `func` as instance `id` to completion: dispatch hop,
     /// optional duplicate peer, crash detection and re-execution. The
     /// context is the one a parent's `Env::invoke` left for `id`, if any.
     pub async fn execute(&self, id: InstanceId, func: &str, input: Value) -> HmResult<Value> {
-        let octx = self
-            .inner
-            .client
-            .probe()
-            .map_or_else(OpCtx::default, |p| p.take(id.0));
-        self.execute_under(id, func, input, octx).await
+        let octx = self.handed_off(id);
+        self.start(id, func, input, octx)?.await
     }
 
-    async fn execute_under(
+    /// The context a parent's `Env::invoke` left for `id` (none if the
+    /// deployment is unobserved or nothing was handed off).
+    fn handed_off(&self, id: InstanceId) -> OpCtx {
+        self.inner
+            .client
+            .probe()
+            .map_or_else(OpCtx::default, |p| p.take(id.0))
+    }
+
+    /// Looks `func` up and builds its execution as `id`, unpolled.
+    fn start(
         &self,
         id: InstanceId,
         func: &str,
         input: Value,
         octx: OpCtx,
-    ) -> HmResult<Value> {
-        let body = self
-            .inner
-            .registry
-            .borrow()
-            .get(func)
-            .cloned()
-            .ok_or_else(|| HmError::UnknownFunction {
-                name: func.to_string(),
-            })?;
+    ) -> HmResult<LocalBoxFuture<'static, HmResult<Value>>> {
+        let registry = self.inner.registry.borrow();
+        let start = registry.get(func).ok_or_else(|| HmError::UnknownFunction {
+            name: func.to_string(),
+        })?;
+        Ok(start(self.clone(), id, input, octx))
+    }
+
+    async fn execute_under<B>(
+        self,
+        function: Rc<Function<B>>,
+        id: InstanceId,
+        input: Value,
+        octx: OpCtx,
+    ) -> HmResult<Value>
+    where
+        B: AsyncFn(&mut Env, Value) -> HmResult<Value> + 'static,
+    {
         let client = &self.inner.client;
         // An instance on a trace (traced request or traced parent invoke)
         // gets an "invocation" span covering all attempts and peers, which
@@ -296,7 +332,7 @@ impl Runtime {
                 Lane::Gateway,
                 client.ctx().now(),
                 "invocation",
-                || func.to_string(),
+                || function.name.clone(),
             ),
             _ => octx,
         };
@@ -314,7 +350,7 @@ impl Runtime {
         if duplicate {
             self.inner.duplicates.set(self.inner.duplicates.get() + 1);
             let rt = self.clone();
-            let body = body.clone();
+            let function = function.clone();
             let input = input.clone();
             let octx = octx.clone();
             let ctx = client.ctx().clone();
@@ -324,12 +360,12 @@ impl Runtime {
                 // The peer's result and errors are ignored; the primary's
                 // retry loop guarantees completion. The peer recovers the
                 // authoritative input from the primary's init record.
-                let _ = rt.run_attempts(id, &body, input, 1, &octx).await;
+                let _ = rt.run_attempts(id, &function.body, input, 1, &octx).await;
                 drop(hold);
             });
         }
         let result = self
-            .run_attempts(id, &body, input, MAX_ATTEMPTS, &octx)
+            .run_attempts(id, &function.body, input, MAX_ATTEMPTS, &octx)
             .await;
         if let Some(p) = client.probe() {
             p.span_end(&octx, Lane::Gateway, client.ctx().now());
@@ -337,16 +373,19 @@ impl Runtime {
         result
     }
 
-    async fn run_attempts(
+    async fn run_attempts<B>(
         &self,
         id: InstanceId,
-        body: &SsfBody,
+        body: &B,
         input: Value,
         max_attempts: u32,
         // The invocation's context. Peers and retries share its sheet —
         // the phase clock partitions wall time regardless of who stamps.
         octx: &OpCtx,
-    ) -> HmResult<Value> {
+    ) -> HmResult<Value>
+    where
+        B: AsyncFn(&mut Env, Value) -> HmResult<Value>,
+    {
         let client = &self.inner.client;
         let mut attempt = 0;
         // Taken at the first crash: a retry may still run after a peer or
@@ -421,9 +460,12 @@ impl Invoker for ChildInvoker {
         // Child invocations do not re-enter admission control: the parent
         // already holds a request slot, and nesting would deadlock a
         // saturated pool. They still pay dispatch and full retry handling.
+        // `Env::invoke` hands its context off just before this call, so it
+        // is taken here and the callee's execution box is the future itself.
         let rt = Runtime { inner };
-        let func = func.to_string();
-        Box::pin(async move { rt.execute(callee, &func, input).await })
+        let octx = rt.handed_off(callee);
+        rt.start(callee, func, input, octx)
+            .unwrap_or_else(|e| Box::pin(std::future::ready(Err(e))))
     }
 }
 

@@ -23,13 +23,11 @@ fn setup(kind: ProtocolKind, config: RuntimeConfig) -> (Sim, Client, Runtime) {
 }
 
 fn register_counter(runtime: &Runtime) {
-    runtime.register("bump", |env, _input| {
-        Box::pin(async move {
-            let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
-            env.compute().await;
-            env.write(&Key::new("C"), Value::Int(c + 1)).await?;
-            Ok(Value::Int(c + 1))
-        })
+    runtime.register("bump", async move |env, _input| {
+        let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
+        env.compute().await;
+        env.write(&Key::new("C"), Value::Int(c + 1)).await?;
+        Ok(Value::Int(c + 1))
     });
 }
 
@@ -62,12 +60,10 @@ fn workflow_children_are_dispatched_through_runtime() {
     let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonRead, RuntimeConfig::default());
     client.populate(Key::new("C"), Value::Int(10));
     register_counter(&runtime);
-    runtime.register("parent", |env, _input| {
-        Box::pin(async move {
-            let a = env.invoke("bump", Value::Null).await?;
-            let b = env.invoke("bump", Value::Null).await?;
-            Ok(Value::list(vec![a, b]))
-        })
+    runtime.register("parent", async move |env, _input| {
+        let a = env.invoke("bump", Value::Null).await?;
+        let b = env.invoke("bump", Value::Null).await?;
+        Ok(Value::list(vec![a, b]))
     });
     let rt = runtime.clone();
     let out = sim
@@ -88,11 +84,9 @@ fn admission_control_bounds_concurrency() {
     let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonWrite, config);
     client.populate(Key::new("C"), Value::Int(0));
     // A slow function holding its slot for 50ms.
-    runtime.register("slow", |env, _| {
-        Box::pin(async move {
-            env.client().ctx().sleep(Duration::from_millis(50)).await;
-            Ok(Value::Null)
-        })
+    runtime.register("slow", async move |env, _| {
+        env.client().ctx().sleep(Duration::from_millis(50)).await;
+        Ok(Value::Null)
     });
     let ctx = sim.ctx();
     let started = ctx.now();
@@ -186,13 +180,11 @@ fn gateway_open_loop_reports_latency_and_throughput() {
     for k in 0..16 {
         client.populate(Key::new(format!("k{k}")), Value::Int(0));
     }
-    runtime.register("rw", |env, input| {
-        Box::pin(async move {
-            let key = Key::new(input.as_str().unwrap_or("k0").to_string());
-            let v = env.read(&key).await?.as_int().unwrap_or(0);
-            env.write(&key, Value::Int(v + 1)).await?;
-            Ok(Value::Null)
-        })
+    runtime.register("rw", async move |env, input| {
+        let key = Key::new(input.as_str().unwrap_or("k0").to_string());
+        let v = env.read(&key).await?.as_int().unwrap_or(0);
+        env.write(&key, Value::Int(v + 1)).await?;
+        Ok(Value::Null)
     });
     let gateway = Gateway::new(runtime);
     let spec = LoadSpec {
@@ -218,11 +210,9 @@ fn gateway_open_loop_reports_latency_and_throughput() {
 #[test]
 fn requests_outliving_the_drain_grace_count_as_unfinished() {
     let (mut sim, _client, runtime) = setup(ProtocolKind::HalfmoonWrite, RuntimeConfig::default());
-    runtime.register("stuck", |env, _| {
-        Box::pin(async move {
-            env.client().ctx().sleep(Duration::from_secs(60)).await;
-            Ok(Value::Null)
-        })
+    runtime.register("stuck", async move |env, _| {
+        env.client().ctx().sleep(Duration::from_secs(60)).await;
+        Ok(Value::Null)
     });
     let gateway = Gateway::new(runtime);
     let spec = LoadSpec {
@@ -249,12 +239,10 @@ fn saturation_raises_latency() {
     let measure = |rate: f64| {
         let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonWrite, config);
         client.populate(Key::new("k"), Value::Int(0));
-        runtime.register("rw", |env, _| {
-            Box::pin(async move {
-                let v = env.read(&Key::new("k")).await?.as_int().unwrap_or(0);
-                env.write(&Key::new("k"), Value::Int(v + 1)).await?;
-                Ok(Value::Null)
-            })
+        runtime.register("rw", async move |env, _| {
+            let v = env.read(&Key::new("k")).await?.as_int().unwrap_or(0);
+            env.write(&Key::new("k"), Value::Int(v + 1)).await?;
+            Ok(Value::Null)
         });
         let gateway = Gateway::new(runtime);
         let spec = LoadSpec {
@@ -278,11 +266,9 @@ fn saturation_raises_latency() {
 fn gc_driver_reclaims_periodically() {
     let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonRead, RuntimeConfig::default());
     client.populate(Key::new("K"), Value::Int(0));
-    runtime.register("w", |env, input| {
-        Box::pin(async move {
-            env.write(&Key::new("K"), input).await?;
-            Ok(Value::Null)
-        })
+    runtime.register("w", async move |env, input| {
+        env.write(&Key::new("K"), input).await?;
+        Ok(Value::Null)
     });
     let driver = GcDriver::start(client.clone(), NodeId(7), Duration::from_millis(100));
     let ctx = sim.ctx();
@@ -319,13 +305,11 @@ fn live_peer_racing_a_slow_attempt_is_exactly_once() {
     };
     let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonRead, config);
     client.populate(Key::new("C"), Value::Int(0));
-    runtime.register("slow-bump", |env, _| {
-        Box::pin(async move {
-            let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
-            env.client().ctx().sleep(Duration::from_millis(40)).await;
-            env.write(&Key::new("C"), Value::Int(c + 1)).await?;
-            Ok(Value::Int(c + 1))
-        })
+    runtime.register("slow-bump", async move |env, _| {
+        let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
+        env.client().ctx().sleep(Duration::from_millis(40)).await;
+        env.write(&Key::new("C"), Value::Int(c + 1)).await?;
+        Ok(Value::Int(c + 1))
     });
     let rt = runtime.clone();
     let out = sim.block_on(async move { rt.invoke_request("slow-bump", Value::Null).await });

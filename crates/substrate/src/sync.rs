@@ -512,9 +512,10 @@ impl std::error::Error for Cancelled {}
 /// the simulation's equivalent of the node's process dying with all in-flight
 /// work. [`TaskGroup::reset`] re-arms the group when the domain recovers.
 ///
-/// The wrapper polls the inner future directly on the same task: when the
-/// group is never cancelled, scheduling is bit-identical to running the
-/// future bare (no extra tasks, timers, or RNG draws).
+/// The wrapper holds the inner future inline and polls it in place on the
+/// same task: when the group is never cancelled, scheduling is
+/// bit-identical to running the future bare (no extra tasks, timers, RNG
+/// draws or allocations).
 ///
 /// A member costs the group one registration while it is parked and nothing
 /// once it has completed or been dropped, so a long-lived group's footprint
@@ -576,12 +577,12 @@ impl TaskGroup {
     }
 
     /// Runs `fut` under the group: yields `Ok(output)` on completion, or
-    /// `Err(Cancelled)` — dropping `fut` mid-flight — if the group is
-    /// cancelled first.
+    /// `Err(Cancelled)` — dropping `fut` in place mid-flight — if the group
+    /// is cancelled first.
     pub fn run<F: Future>(&self, fut: F) -> RunCancellable<F> {
         RunCancellable {
             group: self.clone(),
-            fut: Some(Box::pin(fut)),
+            fut: Some(fut),
             ticket: None,
         }
     }
@@ -609,17 +610,18 @@ impl std::fmt::Debug for TaskGroup {
     }
 }
 
-/// Future returned by [`TaskGroup::run`].
+/// Future returned by [`TaskGroup::run`]. It is `Unpin` exactly when the
+/// member is.
 pub struct RunCancellable<F: Future> {
     group: TaskGroup,
-    fut: Option<Pin<Box<F>>>,
+    fut: Option<F>,
     ticket: Option<Ticket>,
 }
 
 impl<F: Future> RunCancellable<F> {
-    /// Drops the inner future and gives the registration back. Called at
-    /// the completion or cancellation instant — teardown does not wait for
-    /// the wrapper to be dropped — and again, harmlessly, on drop.
+    /// Drops the inner future in place and gives the registration back.
+    /// Called at the completion or cancellation instant — teardown does not
+    /// wait for the wrapper to be dropped — and again, harmlessly, on drop.
     fn finish(&mut self) {
         self.fut = None;
         self.group
@@ -633,22 +635,26 @@ impl<F: Future> RunCancellable<F> {
 impl<F: Future> Future for RunCancellable<F> {
     type Output = Result<F::Output, Cancelled>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if self.group.is_cancelled() {
-            self.finish();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        // SAFETY: `fut` is the only structurally pinned field. It is never
+        // moved: it is polled through the pin below and dropped in place by
+        // `finish` (assigning `None`), here and in `Drop`. Every other field
+        // is `Unpin`, and the type has no `Unpin` impl of its own.
+        let this = unsafe { self.get_unchecked_mut() };
+        if this.group.is_cancelled() {
+            this.finish();
             return Poll::Ready(Err(Cancelled));
         }
-        let fut = self
-            .fut
-            .as_mut()
+        // SAFETY: see above.
+        let fut = unsafe { Pin::new_unchecked(&mut this.fut) }
+            .as_pin_mut()
             .expect("RunCancellable polled after completion");
-        match fut.as_mut().poll(cx) {
+        match fut.poll(cx) {
             Poll::Ready(v) => {
-                self.finish();
+                this.finish();
                 Poll::Ready(Ok(v))
             }
             Poll::Pending => {
-                let this = &mut *self;
                 let mut st = this.group.state.borrow_mut();
                 st.waiters.park(&mut this.ticket, cx.waker());
                 Poll::Pending
@@ -881,114 +887,5 @@ mod tests {
         }
         sim.run();
         assert!(released.get(), "live waiter must still be released");
-    }
-
-    #[test]
-    fn task_group_runs_to_completion_when_not_cancelled() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let group = TaskGroup::new();
-        let ctx2 = ctx;
-        let got = sim.block_on(async move {
-            group
-                .run(async move {
-                    ctx2.sleep(Duration::from_millis(3)).await;
-                    7u32
-                })
-                .await
-        });
-        assert_eq!(got, Ok(7));
-    }
-
-    #[test]
-    fn task_group_cancel_tears_down_inflight_work() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let group = TaskGroup::new();
-        // Guard that records when the inner future is dropped.
-        struct DropFlag(Rc<Cell<bool>>);
-        impl Drop for DropFlag {
-            fn drop(&mut self) {
-                self.0.set(true);
-            }
-        }
-        let dropped = Rc::new(Cell::new(false));
-        let cancel_at = Rc::new(Cell::new(Duration::ZERO));
-        {
-            let group = group.clone();
-            let ctx2 = ctx.clone();
-            let cancel_at = cancel_at.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(5)).await;
-                cancel_at.set(ctx2.now());
-                group.cancel();
-            });
-        }
-        let ctx2 = ctx;
-        let flag = DropFlag(dropped.clone());
-        let got = sim.block_on({
-            let group = group;
-            async move {
-                group
-                    .run(async move {
-                        let _flag = flag;
-                        ctx2.sleep(Duration::from_secs(60)).await;
-                        1u32
-                    })
-                    .await
-            }
-        });
-        assert_eq!(got, Err(Cancelled));
-        assert!(dropped.get(), "inner future must be dropped on cancel");
-        assert_eq!(cancel_at.get(), Duration::from_millis(5));
-        // Virtual time must not run out the 60s sleep.
-        assert!(sim.now() < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn task_group_reset_rearms() {
-        let mut sim = Sim::new(1);
-        let group = TaskGroup::new();
-        group.cancel();
-        assert!(group.is_cancelled());
-        let g = group.clone();
-        let got = sim.block_on(async move { g.run(async { 1u32 }).await });
-        assert_eq!(got, Err(Cancelled), "cancelled group rejects new work");
-        group.reset();
-        assert!(!group.is_cancelled());
-        let g = group;
-        let got = sim.block_on(async move { g.run(async { 2u32 }).await });
-        assert_eq!(got, Ok(2));
-    }
-
-    #[test]
-    fn task_group_cancelled_future_is_level_triggered() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let group = TaskGroup::new();
-        let observed = Rc::new(Cell::new(Duration::MAX));
-        {
-            let group = group.clone();
-            let observed = observed.clone();
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                group.cancelled().await;
-                observed.set(ctx2.now());
-            });
-        }
-        {
-            let group = group.clone();
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(2)).await;
-                group.cancel();
-            });
-        }
-        sim.run();
-        assert_eq!(observed.get(), Duration::from_millis(2));
-        // Already-cancelled group resolves immediately.
-        let g = group;
-        let mut sim2 = Sim::new(2);
-        sim2.block_on(async move { g.cancelled().await });
     }
 }

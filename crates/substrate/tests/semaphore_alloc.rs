@@ -1,9 +1,13 @@
-//! A queued `Semaphore` acquirer costs its queue entry and no allocation of
-//! its own: parking `n` acquirers behind one held permit and serving them
-//! all allocates only as the queue's buffer grows, O(log n) times.
+//! Waiting costs a wait-list entry and no allocation of its own:
+//! - a queued `Semaphore` acquirer: parking `n` acquirers behind one held
+//!   permit and serving them all allocates only as the queue's buffer grows;
+//! - a `TaskGroup` member: `run` holds the member inline, so `n` members
+//!   that park and then complete, or that one `cancel` tears down, allocate
+//!   only as the group's wait list grows.
 //!
-//! One test in its own binary, so the counting allocator sees no other
-//! test's work; it counts only on the thread that enables it.
+//! Each costs O(log n) allocations. One test in its own binary, so the
+//! counting allocator sees no other test's work; it counts only on the
+//! thread that enables it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -11,7 +15,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
-use hm_substrate::sync::{Acquire, Semaphore};
+use hm_substrate::sync::{Acquire, Cancelled, RunCancellable, Semaphore, TaskGroup};
 
 struct Counting;
 
@@ -59,13 +63,15 @@ fn allocs_in(f: impl FnOnce()) -> u64 {
     ALLOCS.with(Cell::get)
 }
 
-fn poll(acq: &mut Acquire) -> Poll<hm_substrate::sync::SemaphoreGuard> {
-    Pin::new(acq).poll(&mut Context::from_waker(Waker::noop()))
+const N: usize = 1_000;
+
+fn poll<F: Future + Unpin>(fut: &mut F) -> Poll<F::Output> {
+    Pin::new(fut).poll(&mut Context::from_waker(Waker::noop()))
 }
 
-#[test]
-fn queued_acquirers_allocate_only_for_queue_growth() {
-    const N: usize = 1_000;
+/// Allocations to queue `N` acquirers behind one held permit and serve them
+/// all in order.
+fn queued_acquirers_allocs() -> u64 {
     let sem = Semaphore::new(1);
     let Poll::Ready(held) = poll(&mut sem.acquire()) else {
         panic!("a free permit is granted at once");
@@ -88,11 +94,58 @@ fn queued_acquirers_allocate_only_for_queue_growth() {
         }
     });
     assert_eq!((sem.entries(), sem.available()), (0, 1));
+    allocs
+}
+
+/// A group member: pending at its first poll, ready at the next.
+struct ParkOnce(bool);
+
+impl Future for ParkOnce {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<()> {
+        if self.0 {
+            return Poll::Ready(());
+        }
+        self.0 = true;
+        Poll::Pending
+    }
+}
+
+/// Allocations for `N` members of one group to join it and park, then to
+/// run to completion, or (`cancel`) to be torn down by one `cancel`.
+fn group_members_allocs(cancel: bool) -> u64 {
+    let group = TaskGroup::new();
+    let mut members: Vec<RunCancellable<ParkOnce>> = Vec::with_capacity(N);
+    let allocs = allocs_in(|| {
+        for _ in 0..N {
+            let mut member = group.run(ParkOnce(false));
+            assert!(poll(&mut member).is_pending());
+            members.push(member);
+        }
+        assert_eq!(group.members(), N);
+        if cancel {
+            group.cancel();
+        }
+        for member in &mut members {
+            let expect = if cancel { Err(Cancelled) } else { Ok(()) };
+            assert_eq!(poll(member), Poll::Ready(expect));
+        }
+    });
+    assert_eq!(group.members(), 0);
+    allocs
+}
+
+#[test]
+fn queued_acquirers_allocate_only_for_queue_growth() {
     // A doubling buffer reaches N entries in about log2(N) growths.
     let bound = 2 * u64::from(N.ilog2() + 1);
-    println!("{N} queued acquirers: {allocs} allocations (bound {bound})");
-    assert!(
-        allocs <= bound,
-        "{allocs} allocations for {N} queued acquirers"
-    );
+    for (what, allocs) in [
+        ("queued acquirers", queued_acquirers_allocs()),
+        ("completed group members", group_members_allocs(false)),
+        ("cancelled group members", group_members_allocs(true)),
+    ] {
+        println!("{N} {what}: {allocs} allocations (bound {bound})");
+        assert!(allocs <= bound, "{allocs} allocations for {N} {what}");
+    }
 }

@@ -57,147 +57,121 @@ impl Workload for Movie {
     }
 
     fn register(&self, runtime: &Runtime) {
-        runtime.register("movie.unique_id", |env, input| {
-            Box::pin(async move {
-                env.compute().await;
-                // The id is carried in the input (gateway-sampled) to keep
-                // the body deterministic.
-                Ok(input.get("review_id").cloned().unwrap_or(Value::Int(0)))
-            })
+        runtime.register("movie.unique_id", async move |env, input| {
+            env.compute().await;
+            // The id is carried in the input (gateway-sampled) to keep
+            // the body deterministic.
+            Ok(input.get("review_id").cloned().unwrap_or(Value::Int(0)))
         });
-        runtime.register("movie.text", |env, input| {
-            Box::pin(async move {
-                env.compute().await;
-                Ok(input.get("text").cloned().unwrap_or(Value::Null))
-            })
+        runtime.register("movie.text", async move |env, input| {
+            env.compute().await;
+            Ok(input.get("text").cloned().unwrap_or(Value::Null))
         });
-        runtime.register("movie.user_lookup", |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let record = env.read(&Key::new(format!("muser:{user}"))).await?;
-                Ok(record)
-            })
+        runtime.register("movie.user_lookup", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let record = env.read(&Key::new(format!("muser:{user}"))).await?;
+            Ok(record)
         });
-        runtime.register("movie.movie_id", |env, input| {
-            Box::pin(async move {
-                let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
-                let record = env.read(&Key::new(format!("title:{movie}"))).await?;
-                env.compute().await;
-                Ok(record)
-            })
+        runtime.register("movie.movie_id", async move |env, input| {
+            let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
+            let record = env.read(&Key::new(format!("title:{movie}"))).await?;
+            env.compute().await;
+            Ok(record)
         });
-        runtime.register("movie.rating", |env, input| {
-            Box::pin(async move {
-                let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
-                let stars = input.get("stars").and_then(Value::as_int).unwrap_or(3);
-                let key = Key::new(format!("movie:{movie}:rating"));
-                let current = env.read(&key).await?;
-                // A missing rating (Null) reads as zero stars from zero votes.
-                let sum = current.get("sum").and_then(Value::as_int).unwrap_or(0);
-                let count = current.get("count").and_then(Value::as_int).unwrap_or(0);
-                env.write(
-                    &key,
-                    Value::map([
-                        ("sum", Value::Int(sum + stars)),
-                        ("count", Value::Int(count + 1)),
-                    ]),
-                )
+        runtime.register("movie.rating", async move |env, input| {
+            let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
+            let stars = input.get("stars").and_then(Value::as_int).unwrap_or(3);
+            let key = Key::new(format!("movie:{movie}:rating"));
+            let current = env.read(&key).await?;
+            // A missing rating (Null) reads as zero stars from zero votes.
+            let sum = current.get("sum").and_then(Value::as_int).unwrap_or(0);
+            let count = current.get("count").and_then(Value::as_int).unwrap_or(0);
+            env.write(
+                &key,
+                Value::map([
+                    ("sum", Value::Int(sum + stars)),
+                    ("count", Value::Int(count + 1)),
+                ]),
+            )
+            .await?;
+            Ok(Value::Null)
+        });
+        runtime.register("movie.store_review", async move |env, input| {
+            let review_id = input.get("review_id").and_then(Value::as_int).unwrap_or(0);
+            env.write(&Key::new(format!("review:{review_id}")), input.clone())
                 .await?;
-                Ok(Value::Null)
-            })
+            Ok(Value::Int(review_id))
         });
-        runtime.register("movie.store_review", |env, input| {
-            Box::pin(async move {
-                let review_id = input.get("review_id").and_then(Value::as_int).unwrap_or(0);
-                env.write(&Key::new(format!("review:{review_id}")), input.clone())
-                    .await?;
-                Ok(Value::Int(review_id))
-            })
+        runtime.register("movie.user_reviews", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let review_id = input.get("review_id").and_then(Value::as_int).unwrap_or(0);
+            let key = Key::new(format!("muser:{user}:reviews"));
+            let mut list = env.read(&key).await?.as_list().unwrap_or(&[]).to_vec();
+            list.push(Value::Int(review_id));
+            // Bounded list, like the real service's capped timelines.
+            if list.len() > 16 {
+                list.remove(0);
+            }
+            env.write(&key, Value::list(list)).await?;
+            Ok(Value::Null)
         });
-        runtime.register("movie.user_reviews", |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let review_id = input.get("review_id").and_then(Value::as_int).unwrap_or(0);
-                let key = Key::new(format!("muser:{user}:reviews"));
-                let mut list = env.read(&key).await?.as_list().unwrap_or(&[]).to_vec();
-                list.push(Value::Int(review_id));
-                // Bounded list, like the real service's capped timelines.
-                if list.len() > 16 {
-                    list.remove(0);
-                }
-                env.write(&key, Value::list(list)).await?;
-                Ok(Value::Null)
-            })
-        });
-        runtime.register("movie.movie_reviews", |env, input| {
-            Box::pin(async move {
-                let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
-                let review_id = input.get("review_id").and_then(Value::as_int).unwrap_or(0);
-                let key = Key::new(format!("movie:{movie}:reviews"));
-                let mut list = env.read(&key).await?.as_list().unwrap_or(&[]).to_vec();
-                list.push(Value::Int(review_id));
-                if list.len() > 16 {
-                    list.remove(0);
-                }
-                env.write(&key, Value::list(list)).await?;
-                Ok(Value::Null)
-            })
+        runtime.register("movie.movie_reviews", async move |env, input| {
+            let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
+            let review_id = input.get("review_id").and_then(Value::as_int).unwrap_or(0);
+            let key = Key::new(format!("movie:{movie}:reviews"));
+            let mut list = env.read(&key).await?.as_list().unwrap_or(&[]).to_vec();
+            list.push(Value::Int(review_id));
+            if list.len() > 16 {
+                list.remove(0);
+            }
+            env.write(&key, Value::list(list)).await?;
+            Ok(Value::Null)
         });
         // Entry: the compose pipeline.
-        runtime.register("movie.compose", |env, input| {
-            Box::pin(async move {
-                let review_id = env.invoke("movie.unique_id", input.clone()).await?;
-                env.invoke("movie.text", input.clone()).await?;
-                env.invoke("movie.user_lookup", input.clone()).await?;
-                env.invoke("movie.movie_id", input.clone()).await?;
-                env.invoke("movie.store_review", input.clone()).await?;
-                env.invoke("movie.rating", input.clone()).await?;
-                env.invoke("movie.user_reviews", input.clone()).await?;
-                env.invoke("movie.movie_reviews", input).await?;
-                Ok(review_id)
-            })
+        runtime.register("movie.compose", async move |env, input| {
+            let review_id = env.invoke("movie.unique_id", input.clone()).await?;
+            env.invoke("movie.text", input.clone()).await?;
+            env.invoke("movie.user_lookup", input.clone()).await?;
+            env.invoke("movie.movie_id", input.clone()).await?;
+            env.invoke("movie.store_review", input.clone()).await?;
+            env.invoke("movie.rating", input.clone()).await?;
+            env.invoke("movie.user_reviews", input.clone()).await?;
+            env.invoke("movie.movie_reviews", input).await?;
+            Ok(review_id)
         });
-        runtime.register("movie.movie_info", |env, input| {
-            Box::pin(async move {
-                let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
-                let info = env.read(&Key::new(format!("movie:{movie}:info"))).await?;
-                Ok(info)
-            })
+        runtime.register("movie.movie_info", async move |env, input| {
+            let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
+            let info = env.read(&Key::new(format!("movie:{movie}:info"))).await?;
+            Ok(info)
         });
-        runtime.register("movie.read_reviews", |env, input| {
-            Box::pin(async move {
-                let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
-                let ids = env
-                    .read(&Key::new(format!("movie:{movie}:reviews")))
-                    .await?;
-                let mut reviews = Vec::new();
-                // Read up to three most recent review bodies.
-                for id in ids.as_list().unwrap_or(&[]).iter().rev().take(3) {
-                    if let Some(id) = id.as_int() {
-                        reviews.push(env.read(&Key::new(format!("review:{id}"))).await?);
-                    }
+        runtime.register("movie.read_reviews", async move |env, input| {
+            let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
+            let ids = env
+                .read(&Key::new(format!("movie:{movie}:reviews")))
+                .await?;
+            let mut reviews = Vec::new();
+            // Read up to three most recent review bodies.
+            for id in ids.as_list().unwrap_or(&[]).iter().rev().take(3) {
+                if let Some(id) = id.as_int() {
+                    reviews.push(env.read(&Key::new(format!("review:{id}"))).await?);
                 }
-                Ok(Value::list(reviews))
-            })
+            }
+            Ok(Value::list(reviews))
         });
         // Entry: a movie page = info + rating + reviews.
-        runtime.register("movie.page", |env, input| {
-            Box::pin(async move {
-                let info = env.invoke("movie.movie_info", input.clone()).await?;
-                let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
-                let rating = env.read(&Key::new(format!("movie:{movie}:rating"))).await?;
-                let reviews = env.invoke("movie.read_reviews", input).await?;
-                Ok(Value::list(vec![info, rating, reviews]))
-            })
+        runtime.register("movie.page", async move |env, input| {
+            let info = env.invoke("movie.movie_info", input.clone()).await?;
+            let movie = input.get("movie").and_then(Value::as_int).unwrap_or(0);
+            let rating = env.read(&Key::new(format!("movie:{movie}:rating"))).await?;
+            let reviews = env.invoke("movie.read_reviews", input).await?;
+            Ok(Value::list(vec![info, rating, reviews]))
         });
         // Entry: login check.
-        runtime.register("movie.login", |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let record = env.read(&Key::new(format!("muser:{user}"))).await?;
-                env.compute().await;
-                Ok(Value::Bool(!record.is_null()))
-            })
+        runtime.register("movie.login", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let record = env.read(&Key::new(format!("muser:{user}"))).await?;
+            env.compute().await;
+            Ok(Value::Bool(!record.is_null()))
         });
     }
 

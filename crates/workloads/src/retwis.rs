@@ -49,88 +49,80 @@ impl Workload for Retwis {
 
     fn register(&self, runtime: &Runtime) {
         let cap = self.timeline_cap;
-        runtime.register("retwis.post", move |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let tweet_id = input.get("tweet_id").and_then(Value::as_int).unwrap_or(0);
-                // Store the tweet body.
-                env.write(&Key::new(format!("tweet:{tweet_id}")), input.clone())
-                    .await?;
-                // Push onto the author's post list.
-                let posts_key = Key::new(format!("ruser:{user}:posts"));
-                let mut posts = env
-                    .read(&posts_key)
-                    .await?
-                    .as_list()
-                    .unwrap_or(&[])
-                    .to_vec();
-                posts.push(Value::Int(tweet_id));
-                if posts.len() > cap {
-                    posts.remove(0);
-                }
-                env.write(&posts_key, Value::list(posts)).await?;
-                // Push onto the public timeline.
-                let tl_key = Key::new("timeline:public");
-                let mut tl = env.read(&tl_key).await?.as_list().unwrap_or(&[]).to_vec();
-                tl.push(Value::Int(tweet_id));
-                if tl.len() > cap {
-                    tl.remove(0);
-                }
-                env.write(&tl_key, Value::list(tl)).await?;
-                Ok(Value::Int(tweet_id))
-            })
+        runtime.register("retwis.post", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let tweet_id = input.get("tweet_id").and_then(Value::as_int).unwrap_or(0);
+            // Store the tweet body.
+            env.write(&Key::new(format!("tweet:{tweet_id}")), input.clone())
+                .await?;
+            // Push onto the author's post list.
+            let posts_key = Key::new(format!("ruser:{user}:posts"));
+            let mut posts = env
+                .read(&posts_key)
+                .await?
+                .as_list()
+                .unwrap_or(&[])
+                .to_vec();
+            posts.push(Value::Int(tweet_id));
+            if posts.len() > cap {
+                posts.remove(0);
+            }
+            env.write(&posts_key, Value::list(posts)).await?;
+            // Push onto the public timeline.
+            let tl_key = Key::new("timeline:public");
+            let mut tl = env.read(&tl_key).await?.as_list().unwrap_or(&[]).to_vec();
+            tl.push(Value::Int(tweet_id));
+            if tl.len() > cap {
+                tl.remove(0);
+            }
+            env.write(&tl_key, Value::list(tl)).await?;
+            Ok(Value::Int(tweet_id))
         });
-        runtime.register("retwis.timeline", |env, _input| {
-            Box::pin(async move {
-                let ids = env.read(&Key::new("timeline:public")).await?;
-                let mut tweets = Vec::new();
-                for id in ids.as_list().unwrap_or(&[]).iter().rev().take(5) {
-                    if let Some(id) = id.as_int() {
-                        tweets.push(env.read(&Key::new(format!("tweet:{id}"))).await?);
-                    }
+        runtime.register("retwis.timeline", async move |env, _input| {
+            let ids = env.read(&Key::new("timeline:public")).await?;
+            let mut tweets = Vec::new();
+            for id in ids.as_list().unwrap_or(&[]).iter().rev().take(5) {
+                if let Some(id) = id.as_int() {
+                    tweets.push(env.read(&Key::new(format!("tweet:{id}"))).await?);
                 }
-                env.compute().await;
-                Ok(Value::list(tweets))
-            })
+            }
+            env.compute().await;
+            Ok(Value::list(tweets))
         });
-        runtime.register("retwis.follow", |env, input| {
-            Box::pin(async move {
-                let follower = input.get("follower").and_then(Value::as_int).unwrap_or(0);
-                let followee = input.get("followee").and_then(Value::as_int).unwrap_or(0);
-                let fkey = Key::new(format!("ruser:{follower}:following"));
-                let mut following = env.read(&fkey).await?.as_list().unwrap_or(&[]).to_vec();
-                if !following.contains(&Value::Int(followee)) {
-                    following.push(Value::Int(followee));
-                    if following.len() > 64 {
-                        following.remove(0);
-                    }
+        runtime.register("retwis.follow", async move |env, input| {
+            let follower = input.get("follower").and_then(Value::as_int).unwrap_or(0);
+            let followee = input.get("followee").and_then(Value::as_int).unwrap_or(0);
+            let fkey = Key::new(format!("ruser:{follower}:following"));
+            let mut following = env.read(&fkey).await?.as_list().unwrap_or(&[]).to_vec();
+            if !following.contains(&Value::Int(followee)) {
+                following.push(Value::Int(followee));
+                if following.len() > 64 {
+                    following.remove(0);
                 }
-                env.write(&fkey, Value::list(following)).await?;
-                let gkey = Key::new(format!("ruser:{followee}:followers"));
-                let mut followers = env.read(&gkey).await?.as_list().unwrap_or(&[]).to_vec();
-                if !followers.contains(&Value::Int(follower)) {
-                    followers.push(Value::Int(follower));
-                    if followers.len() > 64 {
-                        followers.remove(0);
-                    }
+            }
+            env.write(&fkey, Value::list(following)).await?;
+            let gkey = Key::new(format!("ruser:{followee}:followers"));
+            let mut followers = env.read(&gkey).await?.as_list().unwrap_or(&[]).to_vec();
+            if !followers.contains(&Value::Int(follower)) {
+                followers.push(Value::Int(follower));
+                if followers.len() > 64 {
+                    followers.remove(0);
                 }
-                env.write(&gkey, Value::list(followers)).await?;
-                Ok(Value::Null)
-            })
+            }
+            env.write(&gkey, Value::list(followers)).await?;
+            Ok(Value::Null)
         });
-        runtime.register("retwis.profile", |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let profile = env.read(&Key::new(format!("ruser:{user}"))).await?;
-                let posts = env.read(&Key::new(format!("ruser:{user}:posts"))).await?;
-                let mut bodies = Vec::new();
-                for id in posts.as_list().unwrap_or(&[]).iter().rev().take(3) {
-                    if let Some(id) = id.as_int() {
-                        bodies.push(env.read(&Key::new(format!("tweet:{id}"))).await?);
-                    }
+        runtime.register("retwis.profile", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let profile = env.read(&Key::new(format!("ruser:{user}"))).await?;
+            let posts = env.read(&Key::new(format!("ruser:{user}:posts"))).await?;
+            let mut bodies = Vec::new();
+            for id in posts.as_list().unwrap_or(&[]).iter().rev().take(3) {
+                if let Some(id) = id.as_int() {
+                    bodies.push(env.read(&Key::new(format!("tweet:{id}"))).await?);
                 }
-                Ok(Value::list(vec![profile, Value::list(bodies)]))
-            })
+            }
+            Ok(Value::list(vec![profile, Value::list(bodies)]))
         });
     }
 

@@ -111,16 +111,14 @@ impl Workload for MicroRw {
 
     fn register(&self, runtime: &Runtime) {
         let (objects, value_bytes) = (self.objects, self.value_bytes);
-        runtime.register("micro.rw", move |env, input| {
-            Box::pin(async move {
-                let r = input.get("read_obj").and_then(Value::as_int).unwrap_or(0);
-                let w = input.get("write_obj").and_then(Value::as_int).unwrap_or(0);
-                let fp = input.get("fp").and_then(Value::as_int).unwrap_or(0);
-                let _ = env.read(&object_key(r, objects)).await?;
-                env.write(&object_key(w, objects), Value::blob(value_bytes, fp as u64))
-                    .await?;
-                Ok(Value::Null)
-            })
+        runtime.register("micro.rw", async move |env, input| {
+            let r = input.get("read_obj").and_then(Value::as_int).unwrap_or(0);
+            let w = input.get("write_obj").and_then(Value::as_int).unwrap_or(0);
+            let fp = input.get("fp").and_then(Value::as_int).unwrap_or(0);
+            let _ = env.read(&object_key(r, objects)).await?;
+            env.write(&object_key(w, objects), Value::blob(value_bytes, fp as u64))
+                .await?;
+            Ok(Value::Null)
         });
     }
 
@@ -174,30 +172,28 @@ impl Workload for SyntheticOps {
 
     fn register(&self, runtime: &Runtime) {
         let (objects, value_bytes) = (self.objects, self.value_bytes);
-        runtime.register("synthetic.ops", move |env, input| {
-            Box::pin(async move {
-                let ops = input.get("ops").and_then(Value::as_list).unwrap_or(&[]);
-                let mut acc = 0i64;
-                for op in ops {
-                    let obj = op.get("obj").and_then(Value::as_int).unwrap_or(0);
-                    let is_read = op
-                        .get("read")
-                        .and_then(|v| v.as_int().map(|i| i != 0))
-                        .unwrap_or(true);
-                    if is_read {
-                        let v = env.read(&object_key(obj, objects)).await?;
-                        acc = acc.wrapping_add(v.size_bytes() as i64);
-                    } else {
-                        let fp = op.get("fp").and_then(Value::as_int).unwrap_or(0);
-                        env.write(
-                            &object_key(obj, objects),
-                            Value::blob(value_bytes, fp as u64),
-                        )
-                        .await?;
-                    }
+        runtime.register("synthetic.ops", async move |env, input| {
+            let ops = input.get("ops").and_then(Value::as_list).unwrap_or(&[]);
+            let mut acc = 0i64;
+            for op in ops {
+                let obj = op.get("obj").and_then(Value::as_int).unwrap_or(0);
+                let is_read = op
+                    .get("read")
+                    .and_then(|v| v.as_int().map(|i| i != 0))
+                    .unwrap_or(true);
+                if is_read {
+                    let v = env.read(&object_key(obj, objects)).await?;
+                    acc = acc.wrapping_add(v.size_bytes() as i64);
+                } else {
+                    let fp = op.get("fp").and_then(Value::as_int).unwrap_or(0);
+                    env.write(
+                        &object_key(obj, objects),
+                        Value::blob(value_bytes, fp as u64),
+                    )
+                    .await?;
                 }
-                Ok(Value::Int(acc))
-            })
+            }
+            Ok(Value::Int(acc))
         });
     }
 

@@ -56,119 +56,99 @@ impl Workload for Travel {
 
     fn register(&self, runtime: &Runtime) {
         // Leaf: nearby hotels for a location cell.
-        runtime.register("travel.geo", |env, input| {
-            Box::pin(async move {
-                let cell = input.get("cell").and_then(Value::as_int).unwrap_or(0);
-                let candidates = env.read(&Key::new(format!("geo:{cell}"))).await?;
-                env.compute().await;
-                Ok(candidates)
-            })
+        runtime.register("travel.geo", async move |env, input| {
+            let cell = input.get("cell").and_then(Value::as_int).unwrap_or(0);
+            let candidates = env.read(&Key::new(format!("geo:{cell}"))).await?;
+            env.compute().await;
+            Ok(candidates)
         });
         // Leaf: rates for up to three candidate hotels.
-        runtime.register("travel.rate", |env, input| {
-            Box::pin(async move {
-                let mut rates = Vec::new();
-                for h in input.get("hotels").and_then(Value::as_list).unwrap_or(&[]) {
-                    if let Some(h) = h.as_int() {
-                        rates.push(env.read(&hotel_key("rate", h)).await?);
-                    }
+        runtime.register("travel.rate", async move |env, input| {
+            let mut rates = Vec::new();
+            for h in input.get("hotels").and_then(Value::as_list).unwrap_or(&[]) {
+                if let Some(h) = h.as_int() {
+                    rates.push(env.read(&hotel_key("rate", h)).await?);
                 }
-                env.compute().await;
-                Ok(Value::list(rates))
-            })
+            }
+            env.compute().await;
+            Ok(Value::list(rates))
         });
         // Leaf: hotel profiles.
-        runtime.register("travel.profile", |env, input| {
-            Box::pin(async move {
-                let mut profiles = Vec::new();
-                for h in input.get("hotels").and_then(Value::as_list).unwrap_or(&[]) {
-                    if let Some(h) = h.as_int() {
-                        profiles.push(env.read(&hotel_key("profile", h)).await?);
-                    }
+        runtime.register("travel.profile", async move |env, input| {
+            let mut profiles = Vec::new();
+            for h in input.get("hotels").and_then(Value::as_list).unwrap_or(&[]) {
+                if let Some(h) = h.as_int() {
+                    profiles.push(env.read(&hotel_key("profile", h)).await?);
                 }
-                Ok(Value::list(profiles))
-            })
+            }
+            Ok(Value::list(profiles))
         });
         // Entry: search = geo → rate → profile.
-        runtime.register("travel.search", |env, input| {
-            Box::pin(async move {
-                let candidates = env.invoke("travel.geo", input.clone()).await?;
-                let hotels = Value::map([("hotels", candidates)]);
-                let rates = env.invoke("travel.rate", hotels.clone()).await?;
-                let profiles = env.invoke("travel.profile", hotels).await?;
-                Ok(Value::list(vec![rates, profiles]))
-            })
+        runtime.register("travel.search", async move |env, input| {
+            let candidates = env.invoke("travel.geo", input.clone()).await?;
+            let hotels = Value::map([("hotels", candidates)]);
+            let rates = env.invoke("travel.rate", hotels.clone()).await?;
+            let profiles = env.invoke("travel.profile", hotels).await?;
+            Ok(Value::list(vec![rates, profiles]))
         });
         // Entry: recommendations by rating.
-        runtime.register("travel.recommend", |env, input| {
-            Box::pin(async move {
-                let cell = input.get("cell").and_then(Value::as_int).unwrap_or(0);
-                let candidates = env
-                    .invoke("travel.geo", Value::map([("cell", Value::Int(cell))]))
-                    .await?;
-                let mut best = Value::Null;
-                for h in candidates.as_list().unwrap_or(&[]) {
-                    if let Some(h) = h.as_int() {
-                        best = env.read(&hotel_key("rating", h)).await?;
-                    }
+        runtime.register("travel.recommend", async move |env, input| {
+            let cell = input.get("cell").and_then(Value::as_int).unwrap_or(0);
+            let candidates = env
+                .invoke("travel.geo", Value::map([("cell", Value::Int(cell))]))
+                .await?;
+            let mut best = Value::Null;
+            for h in candidates.as_list().unwrap_or(&[]) {
+                if let Some(h) = h.as_int() {
+                    best = env.read(&hotel_key("rating", h)).await?;
                 }
-                env.compute().await;
-                Ok(best)
-            })
+            }
+            env.compute().await;
+            Ok(best)
         });
         // Leaf: user lookup.
-        runtime.register("travel.user", |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let record = env.read(&Key::new(format!("user:{user}"))).await?;
-                env.compute().await;
-                Ok(record)
-            })
+        runtime.register("travel.user", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let record = env.read(&Key::new(format!("user:{user}"))).await?;
+            env.compute().await;
+            Ok(record)
         });
         // Leaf: availability check.
-        runtime.register("travel.availability", |env, input| {
-            Box::pin(async move {
-                let hotel = input.get("hotel").and_then(Value::as_int).unwrap_or(0);
-                let avail = env.read(&hotel_key("availability", hotel)).await?;
-                Ok(avail)
-            })
+        runtime.register("travel.availability", async move |env, input| {
+            let hotel = input.get("hotel").and_then(Value::as_int).unwrap_or(0);
+            let avail = env.read(&hotel_key("availability", hotel)).await?;
+            Ok(avail)
         });
         // Leaf: write the order record.
-        runtime.register("travel.order", |env, input| {
-            Box::pin(async move {
-                let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
-                let hotel = input.get("hotel").and_then(Value::as_int).unwrap_or(0);
-                let order_id = input.get("order_id").and_then(Value::as_int).unwrap_or(0);
-                env.write(
-                    &Key::new(format!("order:{order_id}")),
-                    Value::map([("user", Value::Int(user)), ("hotel", Value::Int(hotel))]),
-                )
-                .await?;
-                Ok(Value::Int(order_id))
-            })
+        runtime.register("travel.order", async move |env, input| {
+            let user = input.get("user").and_then(Value::as_int).unwrap_or(0);
+            let hotel = input.get("hotel").and_then(Value::as_int).unwrap_or(0);
+            let order_id = input.get("order_id").and_then(Value::as_int).unwrap_or(0);
+            env.write(
+                &Key::new(format!("order:{order_id}")),
+                Value::map([("user", Value::Int(user)), ("hotel", Value::Int(hotel))]),
+            )
+            .await?;
+            Ok(Value::Int(order_id))
         });
         // Leaf: decrement stock (read + write).
-        runtime.register("travel.update_stock", |env, input| {
-            Box::pin(async move {
-                let hotel = input.get("hotel").and_then(Value::as_int).unwrap_or(0);
-                let key = hotel_key("availability", hotel);
-                let rooms = env.read(&key).await?.as_int().unwrap_or(0);
-                env.write(&key, Value::Int((rooms - 1).max(0))).await?;
-                Ok(Value::Int(rooms - 1))
-            })
+        runtime.register("travel.update_stock", async move |env, input| {
+            let hotel = input.get("hotel").and_then(Value::as_int).unwrap_or(0);
+            let key = hotel_key("availability", hotel);
+            let rooms = env.read(&key).await?.as_int().unwrap_or(0);
+            env.write(&key, Value::Int((rooms - 1).max(0))).await?;
+            Ok(Value::Int(rooms - 1))
         });
         // Entry: reserve = user → availability → order → update_stock.
-        runtime.register("travel.reserve", |env, input| {
-            Box::pin(async move {
-                env.invoke("travel.user", input.clone()).await?;
-                let avail = env.invoke("travel.availability", input.clone()).await?;
-                if avail.as_int().unwrap_or(0) <= 0 {
-                    return Ok(Value::Bool(false));
-                }
-                env.invoke("travel.order", input.clone()).await?;
-                env.invoke("travel.update_stock", input).await?;
-                Ok(Value::Bool(true))
-            })
+        runtime.register("travel.reserve", async move |env, input| {
+            env.invoke("travel.user", input.clone()).await?;
+            let avail = env.invoke("travel.availability", input.clone()).await?;
+            if avail.as_int().unwrap_or(0) <= 0 {
+                return Ok(Value::Bool(false));
+            }
+            env.invoke("travel.order", input.clone()).await?;
+            env.invoke("travel.update_stock", input).await?;
+            Ok(Value::Bool(true))
         });
     }
 

@@ -61,15 +61,13 @@ fn main() {
     // 3. A runtime with 8 function nodes, and one registered function:
     //    a read-modify-write that must never double-apply.
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    runtime.register("deposit", |env, input| {
-        Box::pin(async move {
-            let amount = input.get("amount").and_then(Value::as_int).unwrap_or(0);
-            let balance = env.read(&Key::new("balance")).await?.as_int().unwrap_or(0);
-            env.compute().await;
-            env.write(&Key::new("balance"), Value::Int(balance + amount))
-                .await?;
-            Ok(Value::Int(balance + amount))
-        })
+    runtime.register("deposit", async move |env, input| {
+        let amount = input.get("amount").and_then(Value::as_int).unwrap_or(0);
+        let balance = env.read(&Key::new("balance")).await?.as_int().unwrap_or(0);
+        env.compute().await;
+        env.write(&Key::new("balance"), Value::Int(balance + amount))
+            .await?;
+        Ok(Value::Int(balance + amount))
     });
 
     // 4. Fire the request.

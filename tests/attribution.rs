@@ -48,7 +48,7 @@ fn a_bystanders_store_time_is_not_charged_to_idle_requests() {
         client.populate(Key::new(format!("k{i}")), Value::Int(i));
     }
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    runtime.register("idle", |_env, _input| Box::pin(async { Ok(Value::Null) }));
+    runtime.register("idle", async |_env, _input| Ok(Value::Null));
     sim.ctx().spawn(async move {
         let id = client.fresh_instance_id();
         let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(7))).await?;

@@ -34,15 +34,13 @@ fn deposit_run(batch: usize, shards: u8) -> (Vec<String>, Value, u64) {
         .build();
     client.populate(Key::new("balance"), Value::Int(100));
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    runtime.register("deposit", |env, input| {
-        Box::pin(async move {
-            let amount = input.get("amount").and_then(Value::as_int).unwrap_or(0);
-            let balance = env.read(&Key::new("balance")).await?.as_int().unwrap_or(0);
-            env.compute().await;
-            env.write(&Key::new("balance"), Value::Int(balance + amount))
-                .await?;
-            Ok(Value::Int(balance + amount))
-        })
+    runtime.register("deposit", async move |env, input| {
+        let amount = input.get("amount").and_then(Value::as_int).unwrap_or(0);
+        let balance = env.read(&Key::new("balance")).await?.as_int().unwrap_or(0);
+        env.compute().await;
+        env.write(&Key::new("balance"), Value::Int(balance + amount))
+            .await?;
+        Ok(Value::Int(balance + amount))
     });
     let rt = runtime;
     let result = sim.block_on(async move {

@@ -41,16 +41,14 @@ fn trace_requests(
     client.populate(Key::new("X"), Value::Int(1));
     client.populate(Key::new("Y"), Value::Int(2));
     let rt = Runtime::new(client.clone(), rt_config);
-    rt.register("program", |env, _input| {
-        Box::pin(async move {
-            for (op, key) in PROGRAM {
-                match op {
-                    Read => drop(env.read(&Key::new(key)).await?),
-                    _ => env.write(&Key::new(key), Value::Int(3)).await?,
-                }
+    rt.register("program", async move |env, _input| {
+        for (op, key) in PROGRAM {
+            match op {
+                Read => drop(env.read(&Key::new(key)).await?),
+                _ => env.write(&Key::new(key), Value::Int(3)).await?,
             }
-            Ok(Value::Null)
-        })
+        }
+        Ok(Value::Null)
     });
     let counters = |c: &Client| c.log().counters().merged(&c.store().counters());
     let before = counters(&client);

@@ -557,15 +557,13 @@ fn deployment() -> (Sim, Client, Runtime) {
         .build();
     client.populate(Key::new("C"), Value::Int(0));
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    runtime.register("bump", |env, _input| {
-        Box::pin(async move {
-            let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("C"), Value::Int(c + 1)).await?;
-            Ok(Value::Int(c + 1))
-        })
+    runtime.register("bump", async move |env, _input| {
+        let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
+        env.write(&Key::new("C"), Value::Int(c + 1)).await?;
+        Ok(Value::Int(c + 1))
     });
-    runtime.register("parent", |env, _input| {
-        Box::pin(async move { env.invoke("bump", Value::Null).await })
+    runtime.register("parent", async move |env, _input| {
+        env.invoke("bump", Value::Null).await
     });
     (sim, client, runtime)
 }
