@@ -9,15 +9,27 @@
 //! call — it does not perturb what it measures), plus a snapshot/delta API
 //! so a bench can charge a phase's churn to a specific component.
 //!
-//! Install it in a binary with:
+//! Install it in a binary and bracket the measured phase with
+//! [`AllocSnapshot::take`] / [`AllocSnapshot::since`]:
 //!
-//! ```ignore
+//! ```
+//! use std::hint::black_box;
+//!
+//! use hm_bench::alloc::{AllocSnapshot, CountingAlloc};
+//!
 //! #[global_allocator]
-//! static ALLOC: hm_bench::alloc::CountingAlloc = hm_bench::alloc::CountingAlloc;
+//! static ALLOC: CountingAlloc = CountingAlloc;
+//!
+//! fn main() {
+//!     let before = AllocSnapshot::take();
+//!     let v: Vec<u64> = black_box(Vec::with_capacity(16));
+//!     let delta = AllocSnapshot::take().since(&before);
+//!     assert!(delta.allocs >= 1 && delta.bytes >= 128, "{delta:?}");
+//!     drop(v);
+//! }
 //! ```
 //!
-//! and bracket the measured phase with [`AllocSnapshot::take`] /
-//! [`AllocSnapshot::since`]. Only allocations and reallocation *growth* are
+//! Only allocations and reallocation *growth* are
 //! counted; frees are tracked separately so leak-shaped regressions are
 //! visible too. `realloc` charges just the grown bytes (shrinks charge
 //! nothing): growing a `Vec` in place is not new memory pressure, which is

@@ -9,8 +9,8 @@
 //! - An [`OpCtx`] is the attribution context: the trace, the span the next
 //!   observation nests under, and the request's phase sheet. The default
 //!   context is background work: trace 0, no parent, charging no request.
-//! - A [`Probe`] exists once per deployment. It owns the optional sinks,
-//!   **one** context cell and **one** hand-off map.
+//! - A [`Probe`] exists once per deployment. It owns the optional sinks
+//!   and **one** context cell.
 //! - A [`Scope`] is what a site holds between [`Probe::begin`] and
 //!   [`Scope::end`]: the span it opened and the sheet it charges. Without a
 //!   probe a site holds [`Scope::NONE`] and every call on it is one `Option`
@@ -21,22 +21,18 @@
 //! By value wherever the caller holds it: the gateway makes one per request
 //! ([`Probe::request`]) and passes it to the runtime, which passes it to
 //! every attempt ([`Probe::attempt`]) and clones it into the peers it
-//! spawns; an `Env` holds its own, and the GC one per cycle.
+//! spawns; an `Env` holds its own, and the GC one per cycle. A child
+//! invocation's context is an argument too: `Env::invoke` passes its op's
+//! context to `Invoker::invoke`, and the runtime starts the child under it.
 //!
-//! Two hand-offs cannot carry an argument, and each is a put followed by a
-//! take within one task poll, so no other task can run in between:
-//!
-//! - *caller → log or store.* The call shapes `append(node, tags, payload)`
-//!   and `get(key)` are fixed, so the caller arms the cell ([`Probe::arm`],
-//!   reached only through `Client::log_as` / `store_as`, which an `Env`
-//!   uses for every access) and the callee's [`Probe::begin`] **takes** it
-//!   before its first `await`. A call nobody armed for (the switch
-//!   coordinator's, a test's) is background work; a stale context cannot be
-//!   picked up.
-//! - *`Env::invoke` → `Invoker` → the child's `execute`.* The `Invoker`
-//!   trait carries an instance id, so the parent leaves the child's context
-//!   under the callee id ([`Probe::hand_off`]) and the runtime takes it on
-//!   arrival ([`Probe::take`]). The map holds an entry only across that call.
+//! One hand-off cannot carry an argument, *caller → log or store*: the call
+//! shapes `append(node, tags, payload)` and `get(key)` are fixed, so the
+//! caller arms the cell ([`Probe::arm`], reached only through
+//! `Client::log_as` / `store_as`, which an `Env` uses for every access) and
+//! the callee's [`Probe::begin`] **takes** it before its first `await`. The
+//! put and the take fall within one task poll, so no other task can run in
+//! between. A call nobody armed for (the switch coordinator's, a test's) is
+//! background work; a stale context cannot be picked up.
 //!
 //! # What a site calls
 //!
@@ -59,7 +55,6 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crate::anatomy::{Anatomy, PhaseSheet};
-use crate::collections::FxHashMap;
 use crate::flightrec::{FlightRecorder, RECOVERY_BUDGET};
 use crate::trace::{SpanId, TraceId, Tracer};
 
@@ -104,8 +99,8 @@ impl OpCtx {
     }
 }
 
-/// The deployment's observation handle: the sinks, the context cell and the
-/// hand-off map. See the module docs.
+/// The deployment's observation handle: the sinks and the context cell. See
+/// the module docs.
 pub struct Probe {
     tracer: Option<Rc<Tracer>>,
     anatomy: Option<Rc<Anatomy>>,
@@ -113,9 +108,6 @@ pub struct Probe {
     /// Context of the log or store call about to start; `None` once that
     /// call has taken it.
     armed: RefCell<Option<OpCtx>>,
-    /// Contexts on their way from a parent's invoke to the child's
-    /// `execute`, by callee instance id.
-    handoffs: RefCell<FxHashMap<u128, OpCtx>>,
 }
 
 impl Probe {
@@ -134,7 +126,6 @@ impl Probe {
             anatomy,
             flightrec,
             armed: RefCell::default(),
-            handoffs: RefCell::default(),
         }))
     }
 
@@ -274,23 +265,6 @@ impl Probe {
         if let (Some(t), true) = (&self.tracer, octx.parent != SpanId::NONE) {
             t.span_end(lane, now, octx.trace, octx.parent);
         }
-    }
-
-    /// Leaves `octx` for the runtime that is about to execute instance `id`.
-    pub fn hand_off(&self, id: u128, octx: OpCtx) {
-        self.handoffs.borrow_mut().insert(id, octx);
-    }
-
-    /// Takes the context left for instance `id`; background if none was.
-    #[must_use]
-    pub fn take(&self, id: u128) -> OpCtx {
-        self.handoffs.borrow_mut().remove(&id).unwrap_or_default()
-    }
-
-    /// Contexts handed off and not yet taken (zero between task polls).
-    #[must_use]
-    pub fn pending_handoffs(&self) -> usize {
-        self.handoffs.borrow().len()
     }
 
     /// Notes an incident in the flight recorder's ring.
@@ -449,16 +423,5 @@ mod tests {
         assert_eq!(recovery, 5_000_000);
         let retries = tracer.export_jsonl().matches("\"crash_retry\"").count();
         assert_eq!(retries, RECOVERY_BUDGET as usize);
-    }
-
-    #[test]
-    fn hand_off_is_emptied_by_take() {
-        let probe = Probe::new(Some(Tracer::new()), None, None).unwrap();
-        let parent = probe.request(t(0), String::new);
-        probe.hand_off(42, parent.clone());
-        assert_eq!(probe.pending_handoffs(), 1);
-        assert_eq!(probe.take(42).parent, parent.parent);
-        assert_eq!(probe.pending_handoffs(), 0);
-        assert_eq!(probe.take(42).trace, TraceId::NONE, "taken once");
     }
 }

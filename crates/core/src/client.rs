@@ -75,12 +75,15 @@ pub fn transition_log_tag() -> Tag {
 /// itself via [`Client::register_invoker`].
 pub trait Invoker {
     /// Runs `func(input)` as instance `callee` to completion — including
-    /// crash detection and re-execution — and returns its result.
+    /// crash detection and re-execution — and returns its result. `octx`
+    /// is the caller's context, passed in: the callee's observations join
+    /// its trace under the invoking op and charge its request.
     fn invoke(
         &self,
         callee: InstanceId,
         func: &str,
         input: Value,
+        octx: OpCtx,
     ) -> LocalBoxFuture<'static, HmResult<Value>>;
 }
 

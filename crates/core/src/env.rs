@@ -36,6 +36,8 @@
 //! looked up in the transition log when switching is enabled (§4.7).
 //! [`Env::invoke`] logs its child's result under every logged protocol.
 
+use std::future::Future;
+
 use hm_common::observe::{Lane, OpCtx, Phase};
 use hm_common::trace::SpanId;
 use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, SeqNum, StepNum, Tag, TagSet, Value};
@@ -215,20 +217,50 @@ impl Env {
     /// # Errors
     /// Propagates injected crashes and substrate errors.
     pub async fn init(client: &Client, spec: InvocationSpec) -> HmResult<Env> {
+        let mut env = Env::new(client, spec);
+        env.start().await?;
+        Ok(env)
+    }
+
+    /// One execution attempt, Figure 5 said once: [`Env::init`], then
+    /// `body` on the authoritative input, then [`Env::finish`] with the
+    /// body's result. A crash anywhere returns `Err(Crashed)`; the caller
+    /// re-executes under the same instance id (a later `spec.attempt`)
+    /// until an attempt returns.
+    ///
+    /// # Errors
+    /// Propagates injected crashes, the body's errors and substrate errors.
+    pub fn run<'a>(
+        client: &Client,
+        spec: InvocationSpec,
+        body: impl AsyncFnOnce(&mut Env, Value) -> HmResult<Value> + 'a,
+    ) -> impl Future<Output = HmResult<Value>> + 'a {
+        // Not an `async fn`: its future would keep `spec` for its whole
+        // life beside the `Env` made from it (64 B more per execution).
+        // `new` has no effect but the move; all the work starts at the
+        // first poll.
+        let mut env = Env::new(client, spec);
+        async move {
+            env.start().await?;
+            let input = env.input.clone();
+            let out = body(&mut env, input).await?;
+            env.finish(out).await
+        }
+    }
+
+    /// The attempt `spec` names, not yet started.
+    fn new(client: &Client, spec: InvocationSpec) -> Env {
         let InvocationSpec {
             id,
             node,
             attempt,
             input,
-            mut octx,
+            octx,
         } = spec;
         let unlogged = client.with_config(|c| {
             c.default == ProtocolKind::Unsafe && c.per_key.is_empty() && !c.switching_enabled
         });
-        if let Some(probe) = client.probe() {
-            octx = probe.attempt(octx, Lane::Node(node.0), client.ctx().now(), attempt);
-        }
-        let mut env = Env {
+        Env {
             client: client.clone(),
             id,
             node,
@@ -245,34 +277,45 @@ impl Env {
             resolved_mode: None,
             unlogged,
             input,
-            attempt_span: octx.parent,
             octx,
-        };
-        if unlogged {
-            return Ok(env);
+            attempt_span: SpanId::NONE,
         }
-        env.op_begin("init", String::new);
+    }
+
+    /// [`Env::init`]'s work on an attempt made by `new`: opens its span,
+    /// then the step-log fetch and the init record.
+    async fn start(&mut self) -> HmResult<()> {
+        let (node, attempt) = (self.node, self.attempt);
+        if let Some(probe) = self.client.probe() {
+            let octx = std::mem::take(&mut self.octx);
+            self.octx = probe.attempt(octx, Lane::Node(node.0), self.client.ctx().now(), attempt);
+            self.attempt_span = self.octx.parent;
+        }
+        if self.unlogged {
+            return Ok(());
+        }
+        self.op_begin("init", String::new);
         let replaying = attempt > 0;
         if replaying {
             // §5 recovery: the whole step-log re-fetch is charged to the
             // (opaque) Replay phase — nested log-read stamps are swallowed
             // so the waterfall shows replay cost as one line.
-            env.octx.enter(|| client.ctx().now(), Phase::Replay);
+            self.octx.enter(|| self.client.ctx().now(), Phase::Replay);
         }
-        let (prior, replay) = env.log().replay_stream(node, id.step_log_tag()).await;
+        let tag = self.id.step_log_tag();
+        let (prior, replay) = self.log().replay_stream(node, tag).await;
         if replaying {
-            env.octx.exit(|| client.ctx().now());
-        }
-        env.prior = prior;
-        if attempt > 0 {
+            self.octx.exit(|| self.client.ctx().now());
             // §5 recovery metering: everything this fetch returned is work
             // paid purely because the previous attempt died.
-            client.note_recovery(replay);
+            self.client.note_recovery(replay);
         }
-        env.maybe_crash(Site::Init).inspect_err(|_| env.op_end())?;
+        self.prior = prior;
+        self.maybe_crash(Site::Init)
+            .inspect_err(|_| self.op_end())?;
         // Figure 5 lines 7–10. The logged input is the authoritative one:
         // an earlier attempt's, or that of a racing peer whose init won.
-        let first = env
+        let first = self
             .step(
                 "Init",
                 [init_log_tag()],
@@ -287,19 +330,12 @@ impl Env {
                 },
             )
             .await
-            .inspect_err(|_| env.op_end())?;
-        env.input = first.value;
-        env.init_cursor = first.seqnum;
-        env.op_end();
-        env.debug_assert_row(MatrixOp::Init, None, StepNum(0), false);
-        Ok(env)
-    }
-
-    /// The authoritative invocation input (recovered from the init record
-    /// on re-execution; see Figure 5 lines 7–10).
-    #[must_use]
-    pub fn input(&self) -> &Value {
-        &self.input
+            .inspect_err(|_| self.op_end())?;
+        self.input = first.value;
+        self.init_cursor = first.seqnum;
+        self.op_end();
+        self.debug_assert_row(MatrixOp::Init, None, StepNum(0), false);
+        Ok(())
     }
 
     /// The shared client handle.
@@ -654,16 +690,6 @@ impl Env {
         result
     }
 
-    /// Leaves this attempt's context for the runtime about to execute
-    /// `callee`: its attempts join this trace under the invoke op and
-    /// charge this request's sheet. The `invoker.invoke` call must follow
-    /// directly.
-    fn hand_off_to(&self, callee: InstanceId) {
-        if let Some(probe) = self.client.probe() {
-            probe.hand_off(callee.0, self.octx.clone());
-        }
-    }
-
     async fn invoke_dispatch(&mut self, func: &str, input: Value) -> HmResult<Value> {
         if self.unlogged {
             // Unsafe baseline: fire and hope. Fresh random callee id per
@@ -674,8 +700,9 @@ impl Env {
                 .invoker()
                 .ok_or_else(|| HmError::config("no invoker registered"))?;
             self.maybe_crash(Site::BeforeEffect)?;
-            self.hand_off_to(callee);
-            let result = invoker.invoke(callee, func, input).await?;
+            let result = invoker
+                .invoke(callee, func, input, self.octx.clone())
+                .await?;
             self.record_event(|| EventKind::Invoke {
                 callee,
                 fp: result.fingerprint(),
@@ -699,8 +726,11 @@ impl Env {
                         .invoker()
                         .ok_or_else(|| HmError::config("no invoker registered"))?;
                     env.maybe_crash(Site::BeforeEffect)?;
-                    env.hand_off_to(callee);
-                    let result = invoker.invoke(callee, func, input).await?;
+                    // The callee's attempts join this trace under the
+                    // invoke op and charge this request's sheet.
+                    let result = invoker
+                        .invoke(callee, func, input, env.octx.clone())
+                        .await?;
                     env.maybe_crash(Site::AfterEffect)?;
                     Ok(OpRecord::Invoke { callee, result })
                 },

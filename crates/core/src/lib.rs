@@ -41,10 +41,13 @@
 //! let out = sim.block_on({
 //!     let client = client.clone();
 //!     async move {
-//!         let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(0))).await?;
-//!         let v = env.read(&Key::new("greeting")).await?;
-//!         env.write(&Key::new("greeting"), Value::str("hello, world")).await?;
-//!         env.finish(v).await
+//!         let spec = InvocationSpec::new(id, NodeId(0));
+//!         Env::run(&client, spec, async |env: &mut Env, _input| {
+//!             let v = env.read(&Key::new("greeting")).await?;
+//!             env.write(&Key::new("greeting"), Value::str("hello, world")).await?;
+//!             Ok(v)
+//!         })
+//!         .await
 //!     }
 //! });
 //! assert_eq!(out.unwrap(), Value::str("hello"));

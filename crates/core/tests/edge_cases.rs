@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolConfig, ProtocolKind, Site};
 use hm_common::latency::LatencyModel;
-use hm_common::{HmError, Key, NodeId, Value};
+use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, Value};
 use hm_substrate::sim::Sim;
 
 const NODE: NodeId = NodeId(0);
@@ -21,6 +21,23 @@ fn setup_with(config: ProtocolConfig) -> (Sim, Client) {
     let sim = Sim::new(0xed6e);
     let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
     (sim, client)
+}
+
+/// Runs one SSF to completion on `NODE`, re-executing it at once on
+/// injected crashes.
+async fn run_ssf(
+    client: Client,
+    id: InstanceId,
+    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
+) -> HmResult<Value> {
+    let mut attempt = 0;
+    loop {
+        let spec = InvocationSpec::new(id, NODE).attempt(attempt);
+        match Env::run(&client, spec, &body).await {
+            Err(e) if e.is_crash() => attempt += 1,
+            done => return done,
+        }
+    }
 }
 
 /// One operation of a scripted SSF body, on key X unless it names Y.
@@ -87,30 +104,18 @@ fn non_deterministic_body_is_detected() {
         client.populate(x.clone(), Value::Int(0));
         let id = client.fresh_instance_id();
         client.set_fault_plan(FaultPolicy::at([(id, crash_at)]));
-        let c2 = client.clone();
-        let result = sim.block_on(async move {
-            let mut attempt = 0;
-            loop {
-                let once = async {
-                    let mut env =
-                        Env::init(&c2, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-                    for op in if attempt == 0 { first } else { retry } {
-                        match op {
-                            Read => drop(env.read(&x).await?),
-                            Write => env.write(&x, Value::Int(1)).await?,
-                            WriteY => env.write(&Key::new("Y"), Value::Int(1)).await?,
-                            Invoke => drop(env.invoke("nope", Value::Null).await?),
-                        }
-                    }
-                    env.finish(Value::Null).await
-                };
-                match once.await {
-                    Ok(v) => return Ok(v),
-                    Err(e) if e.is_crash() => attempt += 1,
-                    Err(e) => return Err(e),
+        let body = async move |env: &mut Env, _| {
+            for op in if env.attempt == 0 { first } else { retry } {
+                match op {
+                    Read => drop(env.read(&x).await?),
+                    Write => env.write(&x, Value::Int(1)).await?,
+                    WriteY => env.write(&Key::new("Y"), Value::Int(1)).await?,
+                    Invoke => drop(env.invoke("nope", Value::Null).await?),
                 }
             }
-        });
+            Ok(Value::Null)
+        };
+        let result = sim.block_on(run_ssf(client.clone(), id, body));
         match result {
             Err(HmError::Config { what }) => assert!(
                 what.contains("non-deterministic")
@@ -134,12 +139,9 @@ fn missing_key_reads_null() {
     ] {
         let (mut sim, client) = setup(kind);
         let id = client.fresh_instance_id();
-        let c2 = client.clone();
-        let v = sim.block_on(async move {
-            let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await?;
-            let v = env.read(&Key::new("ghost")).await?;
-            env.finish(v).await
-        });
+        let v = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
+            env.read(&Key::new("ghost")).await
+        }));
         assert_eq!(v.unwrap(), Value::Null, "{kind}");
     }
 }
@@ -154,13 +156,10 @@ fn write_then_read_fresh_key() {
     ] {
         let (mut sim, client) = setup(kind);
         let id = client.fresh_instance_id();
-        let c2 = client.clone();
-        let v = sim.block_on(async move {
-            let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await?;
+        let v = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
             env.write(&Key::new("fresh"), Value::Int(11)).await?;
-            let v = env.read(&Key::new("fresh")).await?;
-            env.finish(v).await
-        });
+            env.read(&Key::new("fresh")).await
+        }));
         assert_eq!(v.unwrap(), Value::Int(11), "{kind}");
     }
 }
@@ -171,13 +170,12 @@ fn unsafe_mode_never_touches_the_log() {
     let (mut sim, client) = setup(ProtocolKind::Unsafe);
     client.populate(Key::new("U"), Value::Int(1));
     let id = client.fresh_instance_id();
-    let c2 = client.clone();
-    sim.block_on(async move {
-        let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await.unwrap();
-        env.read(&Key::new("U")).await.unwrap();
-        env.write(&Key::new("U"), Value::Int(2)).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-    });
+    sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
+        env.read(&Key::new("U")).await?;
+        env.write(&Key::new("U"), Value::Int(2)).await?;
+        Ok(Value::Null)
+    }))
+    .unwrap();
     assert_eq!(client.log().counters().log_appends, 0);
     assert_eq!(client.log().counters().log_reads, 0);
     assert_eq!(client.log().live_records(), 0);
@@ -188,11 +186,9 @@ fn unsafe_mode_never_touches_the_log() {
 fn invoke_without_invoker_errors() {
     let (mut sim, client) = setup(ProtocolKind::HalfmoonRead);
     let id = client.fresh_instance_id();
-    let c2 = client;
-    let out = sim.block_on(async move {
-        let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await?;
+    let out = sim.block_on(run_ssf(client, id, async |env: &mut Env, _| {
         env.invoke("anything", Value::Null).await
-    });
+    }));
     assert!(matches!(out, Err(HmError::Config { .. })), "{out:?}");
 }
 
@@ -209,21 +205,14 @@ fn per_key_protocol_mix() {
     client.populate(Key::new("hot-write"), Value::Int(0));
     client.populate(Key::new("hot-read"), Value::Int(0));
     let id = client.fresh_instance_id();
-    let c2 = client.clone();
-    sim.block_on(async move {
-        let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await.unwrap();
-        env.write(&Key::new("hot-write"), Value::Int(1))
-            .await
-            .unwrap();
-        env.write(&Key::new("hot-read"), Value::Int(2))
-            .await
-            .unwrap();
-        let a = env.read(&Key::new("hot-write")).await.unwrap();
-        let b = env.read(&Key::new("hot-read")).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-        assert_eq!(a, Value::Int(1));
-        assert_eq!(b, Value::Int(2));
-    });
+    sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
+        env.write(&Key::new("hot-write"), Value::Int(1)).await?;
+        env.write(&Key::new("hot-read"), Value::Int(2)).await?;
+        assert_eq!(env.read(&Key::new("hot-write")).await?, Value::Int(1));
+        assert_eq!(env.read(&Key::new("hot-read")).await?, Value::Int(2));
+        Ok(Value::Null)
+    }))
+    .unwrap();
     // The HM-write key stayed single-version; the HM-read key is versioned.
     assert_eq!(
         client.store().peek(&Key::new("hot-write")),
@@ -246,11 +235,13 @@ fn peer_recovers_input_from_init_record() {
     let ctx = sim.ctx();
     let body = |input_observed: Rc<Cell<i64>>| {
         move |client: Client, id, input: Value| async move {
-            let mut env = Env::init(&client, InvocationSpec::new(id, NODE).input(input)).await?;
-            input_observed.set(env.input().as_int().unwrap_or(-1));
-            let v = env.input().clone();
-            env.write(&Key::new("I"), v).await?;
-            env.finish(Value::Null).await
+            let spec = InvocationSpec::new(id, NODE).input(input);
+            Env::run(&client, spec, async |env: &mut Env, input: Value| {
+                input_observed.set(input.as_int().unwrap_or(-1));
+                env.write(&Key::new("I"), input).await?;
+                Ok(Value::Null)
+            })
+            .await
         }
     };
     let primary_seen = Rc::new(Cell::new(0));
@@ -290,38 +281,18 @@ fn deterministic_versions_exactly_once_under_crashes() {
         client.populate(Key::new("DV"), Value::Int(3));
         let id = client.fresh_instance_id();
         client.set_fault_plan(FaultPolicy::at([(id, point)]));
-        let c2 = client.clone();
-        let out = sim.block_on(async move {
-            let mut attempt = 0;
-            loop {
-                let c3 = c2.clone();
-                let once = async {
-                    let mut env =
-                        Env::init(&c3, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-                    let v = env.read(&Key::new("DV")).await?.as_int().unwrap_or(0);
-                    env.write(&Key::new("DV"), Value::Int(v * 2)).await?;
-                    env.finish(Value::Int(v)).await
-                };
-                match once.await {
-                    Ok(v) => return Ok::<_, HmError>(v),
-                    Err(e) if e.is_crash() => attempt += 1,
-                    Err(e) => return Err(e),
-                }
-            }
-        });
+        let out = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
+            let v = env.read(&Key::new("DV")).await?.as_int().unwrap_or(0);
+            env.write(&Key::new("DV"), Value::Int(v * 2)).await?;
+            Ok(Value::Int(v))
+        }));
         assert_eq!(out.unwrap(), Value::Int(3), "point {point}");
         // Exactly one committed version of the doubled value.
-        let c2 = client.clone();
         let id2 = client.fresh_instance_id();
-        let v = sim.block_on(async move {
-            let mut env = Env::init(&c2, InvocationSpec::new(id2, NODE))
-                .await
-                .unwrap();
-            let v = env.read(&Key::new("DV")).await.unwrap();
-            env.finish(Value::Null).await.unwrap();
-            v
-        });
-        assert_eq!(v, Value::Int(6), "point {point}");
+        let v = sim.block_on(run_ssf(client.clone(), id2, async |env: &mut Env, _| {
+            env.read(&Key::new("DV")).await
+        }));
+        assert_eq!(v.unwrap(), Value::Int(6), "point {point}");
     }
 }
 
@@ -339,28 +310,14 @@ fn checkpoints_accelerate_retries_without_changing_results() {
         let id = client.fresh_instance_id();
         // Crash late, before finish, so the retry replays every read.
         client.set_fault_plan(FaultPolicy::at([(id, 9)]));
-        let c2 = client.clone();
-        let out = sim.block_on(async move {
-            let mut attempt = 0;
-            loop {
-                let c3 = c2.clone();
-                let once = async {
-                    let mut env =
-                        Env::init(&c3, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-                    let mut acc = 0i64;
-                    for _ in 0..4 {
-                        acc += env.read(&Key::new("cp")).await?.as_int().unwrap_or(0);
-                    }
-                    env.write(&Key::new("cp"), Value::Int(acc)).await?;
-                    env.finish(Value::Int(acc)).await
-                };
-                match once.await {
-                    Ok(v) => return Ok::<_, HmError>(v),
-                    Err(e) if e.is_crash() => attempt += 1,
-                    Err(e) => return Err(e),
-                }
+        let out = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
+            let mut acc = 0i64;
+            for _ in 0..4 {
+                acc += env.read(&Key::new("cp")).await?.as_int().unwrap_or(0);
             }
-        });
+            env.write(&Key::new("cp"), Value::Int(acc)).await?;
+            Ok(Value::Int(acc))
+        }));
         assert_eq!(client.faults().injected_at(Site::BeforeAppend), 1);
         let reads = client.store().counters().db_reads + client.log().counters().log_reads;
         (out.unwrap(), reads)
@@ -390,15 +347,12 @@ fn checkpoints_do_not_leak_across_nodes() {
         let mut attempt = 0;
         loop {
             // Retry lands on a different node each attempt.
-            let node = NodeId(attempt);
-            let c3 = c2.clone();
-            let once = async {
-                let mut env =
-                    Env::init(&c3, InvocationSpec::new(id, node).attempt(attempt)).await?;
+            let spec = InvocationSpec::new(id, NodeId(attempt)).attempt(attempt);
+            let once = Env::run(&c2, spec, async |env: &mut Env, _| {
                 let v = env.read(&Key::new("cp")).await?;
                 env.write(&Key::new("cp"), Value::Int(10)).await?;
-                env.finish(v).await
-            };
+                Ok(v)
+            });
             match once.await {
                 Ok(v) => return Ok::<_, HmError>(v),
                 Err(e) if e.is_crash() => attempt += 1,
@@ -429,11 +383,17 @@ fn dropping_the_sim_mid_attempt_does_not_panic_in_env_drop() {
     let id = client.fresh_instance_id();
     let ctx = sim.ctx();
     ctx.spawn(async move {
-        let mut env = Env::init(&client, InvocationSpec::new(id, NODE)).await?;
-        for _ in 0..100 {
-            env.read(&Key::new("X")).await?;
-        }
-        env.finish(Value::Null).await
+        Env::run(
+            &client,
+            InvocationSpec::new(id, NODE),
+            async |env: &mut Env, _| {
+                for _ in 0..100 {
+                    env.read(&Key::new("X")).await?;
+                }
+                Ok(Value::Null)
+            },
+        )
+        .await
     });
     sim.run_until(Duration::from_millis(5));
     drop(sim);

@@ -6,7 +6,7 @@
 //! contract `hm-runtime` implements): on an injected crash the SSF is
 //! re-executed with the same instance id until it completes.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -16,11 +16,10 @@ use halfmoon::{
     Recorder, Site, StepRecord, Switcher,
 };
 use hm_common::latency::LatencyModel;
-use hm_common::{FxHashMap, HmResult, InstanceId, Key, NodeId, StepNum, Value};
+use hm_common::observe::OpCtx;
+use hm_common::{FxHashMap, HmError, HmResult, InstanceId, Key, NodeId, StepNum, Value};
 use hm_substrate::explore::{Alt, ChoiceSource};
 use hm_substrate::sim::Sim;
-
-type SsfBody = Rc<dyn for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>>>;
 
 const NODE: NodeId = NodeId(0);
 
@@ -41,7 +40,7 @@ async fn run_to_completion(
     client: Client,
     id: InstanceId,
     input: Value,
-    body: SsfBody,
+    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
 ) -> HmResult<Value> {
     retry_from(0, client, id, input, body).await
 }
@@ -53,10 +52,13 @@ async fn retry_from(
     client: Client,
     id: InstanceId,
     input: Value,
-    body: SsfBody,
+    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
 ) -> HmResult<Value> {
     loop {
-        match run_attempt(&client, id, attempt, &input, &body).await {
+        let spec = InvocationSpec::new(id, NODE)
+            .attempt(attempt)
+            .input(input.clone());
+        match Env::run(&client, spec, &body).await {
             Err(e) if e.is_crash() => {
                 attempt += 1;
                 assert!(attempt < 200, "unbounded retry loop");
@@ -67,34 +69,22 @@ async fn retry_from(
     }
 }
 
-/// One execution attempt: init, the body, finish.
-async fn run_attempt(
-    client: &Client,
-    id: InstanceId,
-    attempt: u32,
-    input: &Value,
-    body: &SsfBody,
-) -> HmResult<Value> {
-    let spec = InvocationSpec::new(id, NODE)
-        .attempt(attempt)
-        .input(input.clone());
-    let mut env = Env::init(client, spec).await?;
-    let out = body(&mut env, input.clone()).await?;
-    env.finish(out).await
-}
+/// What the test invoker holds per function: runs it to completion as
+/// the given instance, as one boxed future.
+type Start = Box<dyn Fn(Client, InstanceId, Value) -> LocalBoxFuture<'static, HmResult<Value>>>;
 
 /// Test invoker: a function registry driving children through the same
 /// retry loop.
 struct TestInvoker {
-    client: std::cell::RefCell<Option<Client>>,
-    funcs: std::cell::RefCell<FxHashMap<String, SsfBody>>,
+    client: Client,
+    funcs: RefCell<FxHashMap<String, Start>>,
 }
 
 impl TestInvoker {
     fn install(client: &Client) -> Rc<TestInvoker> {
         let inv = Rc::new(TestInvoker {
-            client: std::cell::RefCell::new(Some(client.clone())),
-            funcs: std::cell::RefCell::default(),
+            client: client.clone(),
+            funcs: RefCell::default(),
         });
         client.register_invoker(inv.clone());
         inv
@@ -103,11 +93,12 @@ impl TestInvoker {
     fn register(
         &self,
         name: &str,
-        body: impl for<'a> Fn(&'a mut Env, Value) -> LocalBoxFuture<'a, HmResult<Value>> + 'static,
+        body: impl AsyncFn(&mut Env, Value) -> HmResult<Value> + Clone + 'static,
     ) {
-        self.funcs
-            .borrow_mut()
-            .insert(name.to_string(), Rc::new(body));
+        let start: Start = Box::new(move |client, id, input| {
+            Box::pin(run_to_completion(client, id, input, body.clone()))
+        });
+        self.funcs.borrow_mut().insert(name.to_string(), start);
     }
 }
 
@@ -117,40 +108,31 @@ impl Invoker for TestInvoker {
         callee: InstanceId,
         func: &str,
         input: Value,
+        _octx: OpCtx,
     ) -> LocalBoxFuture<'static, HmResult<Value>> {
-        let client = self.client.borrow().clone().expect("client installed");
-        let body = self.funcs.borrow().get(func).cloned();
-        Box::pin(async move {
-            let body = body.ok_or(hm_common::HmError::UnknownFunction {
-                name: "unregistered".to_string(),
-            })?;
-            run_to_completion(client, callee, input, body).await
-        })
+        match self.funcs.borrow().get(func) {
+            Some(start) => start(self.client.clone(), callee, input),
+            None => Box::pin(std::future::ready(Err(HmError::UnknownFunction {
+                name: func.to_string(),
+            }))),
+        }
     }
 }
 
 /// The canonical body: read X, double it, write X, read Y, write Y+1.
-fn canonical_body() -> SsfBody {
-    Rc::new(|env, _input| {
-        Box::pin(async move {
-            let x = env.read(&Key::new("X")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("X"), Value::Int(x * 2)).await?;
-            let y = env.read(&Key::new("Y")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("Y"), Value::Int(y + 1)).await?;
-            Ok(Value::Int(x))
-        })
-    })
+async fn canonical(env: &mut Env, _input: Value) -> HmResult<Value> {
+    let x = env.read(&Key::new("X")).await?.as_int().unwrap_or(0);
+    env.write(&Key::new("X"), Value::Int(x * 2)).await?;
+    let y = env.read(&Key::new("Y")).await?.as_int().unwrap_or(0);
+    env.write(&Key::new("Y"), Value::Int(y + 1)).await?;
+    Ok(Value::Int(x))
 }
 
 /// The canonical body, then one invoke of `child` (whose result it drops).
-fn swept_body() -> SsfBody {
-    Rc::new(|env, input| {
-        Box::pin(async move {
-            let out = canonical_body()(env, input).await?;
-            env.invoke("child", Value::Null).await?;
-            Ok(out)
-        })
-    })
+async fn swept(env: &mut Env, input: Value) -> HmResult<Value> {
+    let out = canonical(env, input).await?;
+    env.invoke("child", Value::Null).await?;
+    Ok(out)
 }
 
 fn populate_xy(client: &Client) {
@@ -181,7 +163,7 @@ fn failure_free_execution_all_protocols() {
                 client.clone(),
                 id,
                 Value::Null,
-                canonical_body(),
+                canonical,
             ))
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert_eq!(out, Value::Int(3), "{kind}");
@@ -198,17 +180,11 @@ fn failure_free_execution_all_protocols() {
 
 /// Reads the final value of a key the way the configured protocol would.
 fn read_final(sim: &mut Sim, client: &Client, key: &str) -> Value {
-    let client2 = client.clone();
     let key = Key::new(key);
-    sim.block_on(async move {
-        let id = client2.fresh_instance_id();
-        let mut env = Env::init(&client2, InvocationSpec::new(id, NODE))
-            .await
-            .unwrap();
-        let v = env.read(&key).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-        v
-    })
+    let id = client.fresh_instance_id();
+    let read = async move |env: &mut Env, _| env.read(&key).await;
+    sim.block_on(run_to_completion(client.clone(), id, Value::Null, read))
+        .unwrap()
 }
 
 // ---------------------------------------------------------------------
@@ -338,18 +314,18 @@ fn exactly_once_under_single_crash_at_every_point() {
             let (mut sim, client, recorder) = setup_row(name);
             populate_xy(&client);
             let invoker = TestInvoker::install(&client);
-            invoker.register("child", |env, _| {
-                Box::pin(async move { env.read(&Key::new("X")).await })
+            invoker.register("child", async |env: &mut Env, _| {
+                env.read(&Key::new("X")).await
             });
             let id = client.fresh_instance_id();
             client.set_fault_plan(FaultPolicy::at([(id, point)]));
             let policy = client.faults();
-            let (c, body) = (client.clone(), swept_body());
+            let c = client.clone();
             let (first_ops, out) = sim.block_on(async move {
-                let first = run_attempt(&c, id, 0, &Value::Null, &body).await;
+                let first = Env::run(&c, InvocationSpec::new(id, NODE), swept).await;
                 let first_ops = store_ops(&c);
                 let out = match first {
-                    Err(e) if e.is_crash() => retry_from(1, c, id, Value::Null, body).await,
+                    Err(e) if e.is_crash() => retry_from(1, c, id, Value::Null, swept).await,
                     done => done,
                 };
                 (first_ops, out)
@@ -436,8 +412,8 @@ fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, Rc<Recorder>, u32, Hm
     let (mut sim, client, recorder) = setup_row(name);
     populate_xy(&client);
     let invoker = TestInvoker::install(&client);
-    invoker.register("child", |env, _| {
-        Box::pin(async move { env.read(&Key::new("X")).await })
+    invoker.register("child", async |env: &mut Env, _| {
+        env.read(&Key::new("X")).await
     });
     let id = client.fresh_instance_id();
     let source = Rc::new(CrashInstance {
@@ -452,12 +428,7 @@ fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, Rc<Recorder>, u32, Hm
         u32::MAX,
         CrashFootprints::new(),
     ));
-    let out = sim.block_on(run_to_completion(
-        client.clone(),
-        id,
-        Value::Null,
-        swept_body(),
-    ));
+    let out = sim.block_on(run_to_completion(client.clone(), id, Value::Null, swept));
     (sim, client, recorder, source.seen.get(), out)
 }
 
@@ -508,13 +479,11 @@ fn exactly_once_under_double_crashes() {
 #[test]
 fn unsafe_baseline_duplicates_effects_under_crash() {
     // Read-modify-write counter.
-    let body: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("C"), Value::Int(c + 1)).await?;
-            Ok(Value::Null)
-        })
-    });
+    let body = async |env: &mut Env, _| {
+        let c = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
+        env.write(&Key::new("C"), Value::Int(c + 1)).await?;
+        Ok(Value::Null)
+    };
     // Point 3 is the write's `AfterEffect` (1 and 2 are the two ops'
     // entries); no crash at all is point 0.
     for (point, want) in [(3, 2), (0, 1)] {
@@ -522,13 +491,8 @@ fn unsafe_baseline_duplicates_effects_under_crash() {
         client.populate(Key::new("C"), Value::Int(0));
         let id = client.fresh_instance_id();
         client.set_fault_plan(FaultPolicy::at([(id, point)]));
-        sim.block_on(run_to_completion(
-            client.clone(),
-            id,
-            Value::Null,
-            body.clone(),
-        ))
-        .unwrap();
+        sim.block_on(run_to_completion(client.clone(), id, Value::Null, body))
+            .unwrap();
         let crashed = client.faults().injected_at(Site::AfterEffect);
         assert_eq!(crashed, u32::from(point != 0), "point {point}");
         assert_eq!(
@@ -557,7 +521,7 @@ fn peer_instances_resolve_to_single_execution() {
             client.clone(),
             id,
             Value::Null,
-            canonical_body(),
+            canonical,
         ));
         let h2 = {
             let client = client.clone();
@@ -565,7 +529,7 @@ fn peer_instances_resolve_to_single_execution() {
             ctx.spawn(async move {
                 // Peer starts slightly later, mid-flight of the first.
                 ctx2.sleep(Duration::from_micros(1800)).await;
-                run_to_completion(client, id, Value::Null, canonical_body()).await
+                run_to_completion(client, id, Value::Null, canonical).await
             })
         };
         sim.run();
@@ -594,14 +558,14 @@ fn crashed_instance_retry_races_live_peer() {
                 client.clone(),
                 id,
                 Value::Null,
-                canonical_body(),
+                canonical,
             ));
             let h2 = {
                 let client = client.clone();
                 let ctx2 = ctx.clone();
                 ctx.spawn(async move {
                     ctx2.sleep(Duration::from_millis(1)).await;
-                    run_to_completion(client, id, Value::Null, canonical_body()).await
+                    run_to_completion(client, id, Value::Null, canonical).await
                 })
             };
             sim.run();
@@ -633,27 +597,18 @@ fn figure4_reads_are_stable_against_later_writes() {
     let f2 = client.fresh_instance_id();
     // F2 reads X, crashes, meanwhile F3 writes X, then F2 re-executes.
     client.set_fault_plan(FaultPolicy::at([(f2, 3)])); // before finish
-    let body: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            let x = env.read(&Key::new("X")).await?;
-            Ok(x)
-        })
-    });
+    let body = async |env: &mut Env, _| {
+        let x = env.read(&Key::new("X")).await?;
+        Ok(x)
+    };
     let ctx = sim.ctx();
-    let h2 = ctx.spawn(run_to_completion(
-        client.clone(),
-        f2,
-        Value::Null,
-        body.clone(),
-    ));
+    let h2 = ctx.spawn(run_to_completion(client.clone(), f2, Value::Null, body));
     // F3 writes X concurrently (while F2 is crashed/retrying).
     let f3 = client.fresh_instance_id();
-    let writer: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.write(&Key::new("X"), Value::Int(999)).await?;
-            Ok(Value::Null)
-        })
-    });
+    let writer = async |env: &mut Env, _| {
+        env.write(&Key::new("X"), Value::Int(999)).await?;
+        Ok(Value::Null)
+    };
     let h3 = {
         let client = client.clone();
         let ctx2 = ctx.clone();
@@ -684,14 +639,12 @@ fn figure6_stale_writes_are_reordered() {
 
     // F2 runs first: writes X with a fresh cursor, reads Y, writes Z.
     let f2 = client.fresh_instance_id();
-    let body2: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.read(&Key::new("Y")).await?; // advance cursor
-            env.write(&Key::new("X"), Value::str("F2")).await?;
-            env.write(&Key::new("Z"), Value::str("F2")).await?;
-            Ok(Value::Null)
-        })
-    });
+    let body2 = async |env: &mut Env, _| {
+        env.read(&Key::new("Y")).await?; // advance cursor
+        env.write(&Key::new("X"), Value::str("F2")).await?;
+        env.write(&Key::new("Z"), Value::str("F2")).await?;
+        Ok(Value::Null)
+    };
     let out = sim.block_on(run_to_completion(client.clone(), f2, Value::Null, body2));
     out.unwrap();
 
@@ -700,14 +653,12 @@ fn figure6_stale_writes_are_reordered() {
     // *larger* than F2's (it initialized later), so it wins X. Then it
     // reads Y (advancing further) and overwrites Z.
     let f1 = client.fresh_instance_id();
-    let body1: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.write(&Key::new("X"), Value::str("F1")).await?;
-            env.read(&Key::new("Y")).await?;
-            env.write(&Key::new("Z"), Value::str("F1")).await?;
-            Ok(Value::Null)
-        })
-    });
+    let body1 = async |env: &mut Env, _| {
+        env.write(&Key::new("X"), Value::str("F1")).await?;
+        env.read(&Key::new("Y")).await?;
+        env.write(&Key::new("Z"), Value::str("F1")).await?;
+        Ok(Value::Null)
+    };
     sim.block_on(run_to_completion(client.clone(), f1, Value::Null, body1))
         .unwrap();
     assert_eq!(client.store().peek(&Key::new("X")), Some(Value::str("F1")));
@@ -720,19 +671,15 @@ fn figure6_stale_writes_are_reordered() {
     let f3 = client.fresh_instance_id();
     let f4 = client.fresh_instance_id();
     let ctx = sim.ctx();
-    let slow: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.client().ctx().sleep(Duration::from_millis(50)).await; // stall
-            env.write(&Key::new("X"), Value::str("stale")).await?;
-            Ok(Value::Null)
-        })
-    });
-    let fast: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.write(&Key::new("X"), Value::str("fresh")).await?;
-            Ok(Value::Null)
-        })
-    });
+    let slow = async |env: &mut Env, _| {
+        env.client().ctx().sleep(Duration::from_millis(50)).await; // stall
+        env.write(&Key::new("X"), Value::str("stale")).await?;
+        Ok(Value::Null)
+    };
+    let fast = async |env: &mut Env, _| {
+        env.write(&Key::new("X"), Value::str("fresh")).await?;
+        Ok(Value::Null)
+    };
     let h3 = ctx.spawn(run_to_completion(client.clone(), f3, Value::Null, slow));
     let h4 = {
         let client = client.clone();
@@ -762,19 +709,15 @@ fn workflow_invocation_is_exactly_once_under_crashes() {
             let (mut sim, client, recorder) = setup(kind);
             client.populate(Key::new("counter"), Value::Int(0));
             let invoker = TestInvoker::install(&client);
-            invoker.register("increment", |env, _input| {
-                Box::pin(async move {
-                    let c = env.read(&Key::new("counter")).await?.as_int().unwrap_or(0);
-                    env.write(&Key::new("counter"), Value::Int(c + 1)).await?;
-                    Ok(Value::Int(c + 1))
-                })
+            invoker.register("increment", async |env: &mut Env, _input| {
+                let c = env.read(&Key::new("counter")).await?.as_int().unwrap_or(0);
+                env.write(&Key::new("counter"), Value::Int(c + 1)).await?;
+                Ok(Value::Int(c + 1))
             });
-            let parent: SsfBody = Rc::new(|env, _| {
-                Box::pin(async move {
-                    let r = env.invoke("increment", Value::Null).await?;
-                    Ok(r)
-                })
-            });
+            let parent = async |env: &mut Env, _| {
+                let r = env.invoke("increment", Value::Null).await?;
+                Ok(r)
+            };
             let id = client.fresh_instance_id();
             client.set_fault_plan(FaultPolicy::at([(id, point)]));
             let out = sim
@@ -798,25 +741,19 @@ fn nested_workflow_chain() {
     let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonRead);
     client.populate(Key::new("a"), Value::Int(1));
     let invoker = TestInvoker::install(&client);
-    invoker.register("leaf", |env, input| {
-        Box::pin(async move {
-            let base = env.read(&Key::new("a")).await?.as_int().unwrap_or(0);
-            Ok(Value::Int(base + input.as_int().unwrap_or(0)))
-        })
+    invoker.register("leaf", async |env: &mut Env, input| {
+        let base = env.read(&Key::new("a")).await?.as_int().unwrap_or(0);
+        Ok(Value::Int(base + input.as_int().unwrap_or(0)))
     });
-    invoker.register("mid", |env, input| {
-        Box::pin(async move {
-            let r = env.invoke("leaf", input).await?;
-            Ok(Value::Int(r.as_int().unwrap() * 10))
-        })
+    invoker.register("mid", async |env: &mut Env, input| {
+        let r = env.invoke("leaf", input).await?;
+        Ok(Value::Int(r.as_int().unwrap() * 10))
     });
-    let root: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            let r = env.invoke("mid", Value::Int(5)).await?;
-            env.write(&Key::new("a"), r.clone()).await?;
-            Ok(r)
-        })
-    });
+    let root = async |env: &mut Env, _| {
+        let r = env.invoke("mid", Value::Int(5)).await?;
+        env.write(&Key::new("a"), r.clone()).await?;
+        Ok(r)
+    };
     let id = client.fresh_instance_id();
     let out = sim
         .block_on(run_to_completion(client, id, Value::Null, root))
@@ -837,12 +774,10 @@ fn gc_reclaims_finished_ssfs_and_old_versions() {
     // Run several writers sequentially, accumulating versions.
     for i in 0..5 {
         let id = client.fresh_instance_id();
-        let body: SsfBody = Rc::new(move |env, _| {
-            Box::pin(async move {
-                env.write(&Key::new("K"), Value::Int(i)).await?;
-                Ok(Value::Null)
-            })
-        });
+        let body = async move |env: &mut Env, _| {
+            env.write(&Key::new("K"), Value::Int(i)).await?;
+            Ok(Value::Null)
+        };
         sim.block_on(run_to_completion(client.clone(), id, Value::Null, body))
             .unwrap();
     }
@@ -872,13 +807,11 @@ fn gc_never_collects_versions_a_live_reader_may_see() {
     let ctx = sim.ctx();
     // A slow reader initializes, then stalls before reading.
     let reader = client.fresh_instance_id();
-    let slow_reader: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.client().ctx().sleep(Duration::from_millis(200)).await;
-            let v = env.read(&Key::new("K")).await?;
-            Ok(v)
-        })
-    });
+    let slow_reader = async |env: &mut Env, _| {
+        env.client().ctx().sleep(Duration::from_millis(200)).await;
+        let v = env.read(&Key::new("K")).await?;
+        Ok(v)
+    };
     let h_reader = ctx.spawn(run_to_completion(
         client.clone(),
         reader,
@@ -893,12 +826,10 @@ fn gc_never_collects_versions_a_live_reader_may_see() {
             ctx2.sleep(Duration::from_millis(10)).await;
             for i in 0..3 {
                 let id = client.fresh_instance_id();
-                let body: SsfBody = Rc::new(move |env, _| {
-                    Box::pin(async move {
-                        env.write(&Key::new("K"), Value::Int(100 + i)).await?;
-                        Ok(Value::Null)
-                    })
-                });
+                let body = async move |env: &mut Env, _| {
+                    env.write(&Key::new("K"), Value::Int(100 + i)).await?;
+                    Ok(Value::Null)
+                };
                 run_to_completion(client.clone(), id, Value::Null, body)
                     .await
                     .unwrap();
@@ -953,13 +884,11 @@ fn switch_under_concurrent_load_preserves_consistency() {
             handles.push(ctx.spawn(async move {
                 ctx2.sleep(Duration::from_millis(u64::from(i) * 3)).await;
                 let id = client.fresh_instance_id();
-                let body: SsfBody = Rc::new(move |env, _| {
-                    Box::pin(async move {
-                        let v = env.read(&Key::new("S")).await?.as_int().unwrap_or(0);
-                        env.write(&Key::new("S"), Value::Int(v + 1)).await?;
-                        Ok(Value::Int(v))
-                    })
-                });
+                let body = async move |env: &mut Env, _| {
+                    let v = env.read(&Key::new("S")).await?.as_int().unwrap_or(0);
+                    env.write(&Key::new("S"), Value::Int(v + 1)).await?;
+                    Ok(Value::Int(v))
+                };
                 run_to_completion(client, id, Value::Null, body).await
             }));
         }
@@ -1046,17 +975,15 @@ fn hm_read_sequential_consistency_under_random_load_and_crashes() {
         handles.push(ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(i * 700)).await;
             let id = client.fresh_instance_id();
-            let body: SsfBody = Rc::new(move |env, _| {
-                Box::pin(async move {
-                    // Pseudo-random but deterministic op mix per SSF.
-                    let k1 = Key::new(format!("k{}", i % 4));
-                    let k2 = Key::new(format!("k{}", (i / 4) % 4));
-                    let v = env.read(&k1).await?.as_int().unwrap_or(0);
-                    env.write(&k2, Value::Int(v + i as i64)).await?;
-                    let w = env.read(&k2).await?;
-                    Ok(w)
-                })
-            });
+            let body = async move |env: &mut Env, _| {
+                // Pseudo-random but deterministic op mix per SSF.
+                let k1 = Key::new(format!("k{}", i % 4));
+                let k2 = Key::new(format!("k{}", (i / 4) % 4));
+                let v = env.read(&k1).await?.as_int().unwrap_or(0);
+                env.write(&k2, Value::Int(v + i as i64)).await?;
+                let w = env.read(&k2).await?;
+                Ok(w)
+            };
             run_to_completion(client, id, Value::Null, body).await
         }));
     }
@@ -1089,16 +1016,14 @@ fn hm_write_effective_order_under_random_load_and_crashes() {
         handles.push(ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(i * 700)).await;
             let id = client.fresh_instance_id();
-            let body: SsfBody = Rc::new(move |env, _| {
-                Box::pin(async move {
-                    let k1 = Key::new(format!("k{}", i % 4));
-                    let k2 = Key::new(format!("k{}", (i / 4) % 4));
-                    let v = env.read(&k1).await?.as_int().unwrap_or(0);
-                    env.write(&k2, Value::Int(v + i as i64)).await?;
-                    env.write(&k1, Value::Int(v)).await?;
-                    Ok(Value::Null)
-                })
-            });
+            let body = async move |env: &mut Env, _| {
+                let k1 = Key::new(format!("k{}", i % 4));
+                let k2 = Key::new(format!("k{}", (i / 4) % 4));
+                let v = env.read(&k1).await?.as_int().unwrap_or(0);
+                env.write(&k2, Value::Int(v + i as i64)).await?;
+                env.write(&k1, Value::Int(v)).await?;
+                Ok(Value::Null)
+            };
             run_to_completion(client, id, Value::Null, body).await
         }));
     }
@@ -1126,14 +1051,12 @@ fn ordered_write_extension_costs_one_log_between_dependent_writes() {
         client.populate(Key::new("A"), Value::Int(0));
         client.populate(Key::new("B"), Value::Int(0));
         let id = client.fresh_instance_id();
-        let body: SsfBody = Rc::new(|env, _| {
-            Box::pin(async move {
-                env.write(&Key::new("A"), Value::Int(1)).await?;
-                env.write(&Key::new("B"), Value::Int(2)).await?; // different key
-                env.write(&Key::new("B"), Value::Int(3)).await?; // same key: free
-                Ok(Value::Null)
-            })
-        });
+        let body = async |env: &mut Env, _| {
+            env.write(&Key::new("A"), Value::Int(1)).await?;
+            env.write(&Key::new("B"), Value::Int(2)).await?; // different key
+            env.write(&Key::new("B"), Value::Int(3)).await?; // same key: free
+            Ok(Value::Null)
+        };
         sim.block_on(run_to_completion(client.clone(), id, Value::Null, body))
             .unwrap();
         client.log().counters().log_appends
@@ -1160,12 +1083,10 @@ fn real_time_visibility_at_ssf_boundaries() {
         let (mut sim, client, _recorder) = setup(kind);
         client.populate(Key::new("B"), Value::Int(0));
         let w = client.fresh_instance_id();
-        let writer: SsfBody = Rc::new(|env, _| {
-            Box::pin(async move {
-                env.write(&Key::new("B"), Value::Int(7)).await?;
-                Ok(Value::Null)
-            })
-        });
+        let writer = async |env: &mut Env, _| {
+            env.write(&Key::new("B"), Value::Int(7)).await?;
+            Ok(Value::Null)
+        };
         sim.block_on(run_to_completion(client.clone(), w, Value::Null, writer))
             .unwrap();
         assert_eq!(read_final(&mut sim, &client, "B"), Value::Int(7), "{kind}");
@@ -1191,16 +1112,17 @@ fn figure8_ordered_extension_prevents_commuting() {
         let ctx = sim.ctx();
         // F1: inits early (stale cursor), stalls, then writes Y and X.
         let f1 = client.fresh_instance_id();
-        let h1 = {
-            let client = client.clone();
-            ctx.spawn(async move {
-                let mut env = Env::init(&client, InvocationSpec::new(f1, NODE)).await?;
+        let h1 = ctx.spawn(run_to_completion(
+            client.clone(),
+            f1,
+            Value::Null,
+            async |env: &mut Env, _| {
                 env.client().ctx().sleep(Duration::from_millis(50)).await;
                 env.write(&Key::new("Y"), Value::str("F1")).await?;
                 env.write(&Key::new("X"), Value::str("F1")).await?;
-                env.finish(Value::Null).await
-            })
-        };
+                Ok(Value::Null)
+            },
+        ));
         // F2: inits after F1 (fresher cursor) and writes X immediately.
         let f2 = client.fresh_instance_id();
         let h2 = {
@@ -1208,9 +1130,11 @@ fn figure8_ordered_extension_prevents_commuting() {
             let ctx2 = ctx.clone();
             ctx.spawn(async move {
                 ctx2.sleep(Duration::from_millis(10)).await;
-                let mut env = Env::init(&client, InvocationSpec::new(f2, NODE)).await?;
-                env.write(&Key::new("X"), Value::str("F2")).await?;
-                env.finish(Value::Null).await
+                let write = async |env: &mut Env, _| {
+                    env.write(&Key::new("X"), Value::str("F2")).await?;
+                    Ok(Value::Null)
+                };
+                run_to_completion(client, f2, Value::Null, write).await
             })
         };
         sim.run();

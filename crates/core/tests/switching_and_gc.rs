@@ -14,9 +14,6 @@ use hm_substrate::sim::Sim;
 
 const NODE: NodeId = NodeId(0);
 
-type SsfBody =
-    Rc<dyn for<'a> Fn(&'a mut Env, Value) -> halfmoon::LocalBoxFuture<'a, HmResult<Value>>>;
-
 fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client, Rc<Recorder>) {
     let sim = Sim::new(0x56c);
     let mut config = ProtocolConfig::uniform(kind);
@@ -30,16 +27,15 @@ fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client, Rc<Recorder>) {
     (sim, client, recorder)
 }
 
-async fn run_ssf(client: Client, id: InstanceId, body: SsfBody) -> HmResult<Value> {
+async fn run_ssf(
+    client: Client,
+    id: InstanceId,
+    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
+) -> HmResult<Value> {
     let mut attempt = 0;
     loop {
-        let once = async {
-            let mut env =
-                Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-            let out = body(&mut env, Value::Null).await?;
-            env.finish(out).await
-        };
-        match once.await {
+        let spec = InvocationSpec::new(id, NODE).attempt(attempt);
+        match Env::run(&client, spec, &body).await {
             Ok(v) => return Ok(v),
             Err(e) if e.is_crash() => {
                 attempt += 1;
@@ -50,17 +46,15 @@ async fn run_ssf(client: Client, id: InstanceId, body: SsfBody) -> HmResult<Valu
     }
 }
 
-fn writer(key: &'static str, val: i64) -> SsfBody {
-    Rc::new(move |env, _| {
-        Box::pin(async move {
-            env.write(&Key::new(key), Value::Int(val)).await?;
-            Ok(Value::Null)
-        })
-    })
+fn writer(key: &'static str, val: i64) -> impl AsyncFn(&mut Env, Value) -> HmResult<Value> {
+    async move |env: &mut Env, _| {
+        env.write(&Key::new(key), Value::Int(val)).await?;
+        Ok(Value::Null)
+    }
 }
 
-fn reader(key: &'static str) -> SsfBody {
-    Rc::new(move |env, _| Box::pin(async move { env.read(&Key::new(key)).await }))
+fn reader(key: &'static str) -> impl AsyncFn(&mut Env, Value) -> HmResult<Value> {
+    async move |env: &mut Env, _| env.read(&Key::new(key)).await
 }
 
 // ---------------------------------------------------------------------
@@ -142,15 +136,13 @@ fn retry_spanning_a_switch_resolves_consistently() {
     // retry happens post-switch.
     client.set_fault_plan(FaultPolicy::at([(id, 4)]));
     let ctx = sim.ctx();
-    let body: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            let v = env.read(&Key::new("S")).await?.as_int().unwrap_or(0);
-            // Stall so the switch overlaps the crash/retry window.
-            env.client().ctx().sleep(Duration::from_millis(80)).await;
-            env.write(&Key::new("S"), Value::Int(v * 10)).await?;
-            Ok(Value::Int(v))
-        })
-    });
+    let body = async |env: &mut Env, _| {
+        let v = env.read(&Key::new("S")).await?.as_int().unwrap_or(0);
+        // Stall so the switch overlaps the crash/retry window.
+        env.client().ctx().sleep(Duration::from_millis(80)).await;
+        env.write(&Key::new("S"), Value::Int(v * 10)).await?;
+        Ok(Value::Int(v))
+    };
     let h = ctx.spawn(run_ssf(client.clone(), id, body));
     let sw = {
         let client = client.clone();
@@ -183,18 +175,16 @@ fn old_ssf_keeps_old_protocol_during_switch() {
     client.populate(Key::new("O"), Value::Int(1));
     let ctx = sim.ctx();
     let slow = client.fresh_instance_id();
-    let slow_body: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            env.client().ctx().sleep(Duration::from_millis(100)).await;
-            // This read resolves against the transition log bounded by the
-            // SSF's *initial* cursor: still Halfmoon-write (logged read).
-            let before = env.client().log().counters().log_appends;
-            let v = env.read(&Key::new("O")).await?;
-            let after = env.client().log().counters().log_appends;
-            assert!(after > before, "old-protocol read must be logged");
-            Ok(v)
-        })
-    });
+    let slow_body = async |env: &mut Env, _| {
+        env.client().ctx().sleep(Duration::from_millis(100)).await;
+        // This read resolves against the transition log bounded by the
+        // SSF's *initial* cursor: still Halfmoon-write (logged read).
+        let before = env.client().log().counters().log_appends;
+        let v = env.read(&Key::new("O")).await?;
+        let after = env.client().log().counters().log_appends;
+        assert!(after > before, "old-protocol read must be logged");
+        Ok(v)
+    };
     let h = ctx.spawn(run_ssf(client.clone(), slow, slow_body));
     let sw = {
         let client = client;
@@ -284,22 +274,17 @@ fn gc_preserves_state_of_crashed_unfinished_ssf() {
     client.populate(Key::new("C"), Value::Int(7));
     let id = client.fresh_instance_id();
     client.set_fault_plan(FaultPolicy::at([(id, 6)]));
-    let body: SsfBody = Rc::new(|env, _| {
-        Box::pin(async move {
-            let v = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("C"), Value::Int(v + 1)).await?;
-            Ok(Value::Null)
-        })
-    });
+    let body = async |env: &mut Env, _| {
+        let v = env.read(&Key::new("C")).await?.as_int().unwrap_or(0);
+        env.write(&Key::new("C"), Value::Int(v + 1)).await?;
+        Ok(Value::Null)
+    };
     // First attempt only — it will crash at point 6, after the write,
     // before its finish record.
     let c2 = client.clone();
-    let body2 = body.clone();
-    let attempt = sim.ctx().spawn(async move {
-        let mut env = Env::init(&c2, InvocationSpec::new(id, NODE)).await?;
-        let out = body2(&mut env, Value::Null).await?;
-        env.finish(out).await
-    });
+    let attempt = sim
+        .ctx()
+        .spawn(async move { Env::run(&c2, InvocationSpec::new(id, NODE), body).await });
     sim.run();
     let crashed = attempt.try_take().expect("attempt resolved");
     assert!(matches!(crashed, Err(e) if e.is_crash()));
@@ -366,14 +351,12 @@ fn gc_hammer_with_live_traffic() {
         handles.push(ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(i * 400)).await;
             let id = client.fresh_instance_id();
-            let body: SsfBody = Rc::new(move |env, _| {
-                Box::pin(async move {
-                    let k = Key::new(format!("h{}", i % 4));
-                    let v = env.read(&k).await?.as_int().unwrap_or(0);
-                    env.write(&k, Value::Int(v + 1)).await?;
-                    env.read(&k).await
-                })
-            });
+            let body = async move |env: &mut Env, _| {
+                let k = Key::new(format!("h{}", i % 4));
+                let v = env.read(&k).await?.as_int().unwrap_or(0);
+                env.write(&k, Value::Int(v + 1)).await?;
+                env.read(&k).await
+            };
             run_ssf(client, id, body).await
         }));
     }

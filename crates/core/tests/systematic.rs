@@ -18,20 +18,16 @@ use hm_substrate::sim::Sim;
 
 const NODE: NodeId = NodeId(0);
 
-/// SSF A: read X, write X (tagged value), read Y, write Y.
-async fn ssf_a(client: Client, id: InstanceId) -> HmResult<Value> {
+/// Runs one SSF to completion, re-executing it on injected crashes.
+async fn run_ssf(
+    client: Client,
+    id: InstanceId,
+    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
+) -> HmResult<Value> {
     let mut attempt = 0;
     loop {
-        let once = async {
-            let mut env =
-                Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-            let x = env.read(&Key::new("X")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("X"), Value::Int(1000 + x)).await?;
-            let y = env.read(&Key::new("Y")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("Y"), Value::Int(2000 + y)).await?;
-            env.finish(Value::Int(x)).await
-        };
-        match once.await {
+        let spec = InvocationSpec::new(id, NODE).attempt(attempt);
+        match Env::run(&client, spec, &body).await {
             Ok(v) => return Ok(v),
             Err(e) if e.is_crash() => {
                 attempt += 1;
@@ -42,27 +38,20 @@ async fn ssf_a(client: Client, id: InstanceId) -> HmResult<Value> {
     }
 }
 
+/// SSF A: read X, write X (tagged value), read Y, write Y.
+async fn ssf_a(env: &mut Env, _input: Value) -> HmResult<Value> {
+    let x = env.read(&Key::new("X")).await?.as_int().unwrap_or(0);
+    env.write(&Key::new("X"), Value::Int(1000 + x)).await?;
+    let y = env.read(&Key::new("Y")).await?.as_int().unwrap_or(0);
+    env.write(&Key::new("Y"), Value::Int(2000 + y)).await?;
+    Ok(Value::Int(x))
+}
+
 /// SSF B: write X, write Y, read X.
-async fn ssf_b(client: Client, id: InstanceId) -> HmResult<Value> {
-    let mut attempt = 0;
-    loop {
-        let once = async {
-            let mut env =
-                Env::init(&client, InvocationSpec::new(id, NODE).attempt(attempt)).await?;
-            env.write(&Key::new("X"), Value::Int(77)).await?;
-            env.write(&Key::new("Y"), Value::Int(88)).await?;
-            let x = env.read(&Key::new("X")).await?;
-            env.finish(x).await
-        };
-        match once.await {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_crash() => {
-                attempt += 1;
-                client.ctx().sleep(Duration::from_micros(700)).await;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+async fn ssf_b(env: &mut Env, _input: Value) -> HmResult<Value> {
+    env.write(&Key::new("X"), Value::Int(77)).await?;
+    env.write(&Key::new("Y"), Value::Int(88)).await?;
+    env.read(&Key::new("X")).await
 }
 
 fn explore(kind: ProtocolKind, crash_point: Option<u32>, offset_us: u64) {
@@ -81,13 +70,13 @@ fn explore(kind: ProtocolKind, crash_point: Option<u32>, offset_us: u64) {
         client.set_fault_plan(FaultPolicy::at([(a, point)]));
     }
     let ctx = sim.ctx();
-    let ha = ctx.spawn(ssf_a(client.clone(), a));
+    let ha = ctx.spawn(run_ssf(client.clone(), a, ssf_a));
     let hb = {
         let client = client;
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(offset_us)).await;
-            ssf_b(client, b).await
+            run_ssf(client, b, ssf_b).await
         })
     };
     sim.run();

@@ -378,9 +378,10 @@ impl TurnGate {
 // The harness proper.
 // ---------------------------------------------------------------------
 
-/// One SSF: the standard crash-retry driver (same shape as the runtime's
-/// retry loop and the systematic offset-sweep tests), with a turn taken
-/// before `init`, before every op, and before `finish`.
+/// One SSF: the standard crash-retry driver around [`Env::run`] (as the
+/// runtime's retry loop and the systematic offset-sweep tests drive it),
+/// with a turn taken before `init`, before every op, and, at the end of
+/// the body, before `finish`.
 async fn actor(
     gate: TurnGate,
     client: Client,
@@ -398,10 +399,9 @@ async fn actor(
     };
     let mut attempt = 0;
     loop {
-        let once = async {
-            turn(frame(MatrixOp::Init)).await;
-            let mut env =
-                Env::init(&client, InvocationSpec::new(id, node).attempt(attempt)).await?;
+        turn(frame(MatrixOp::Init)).await;
+        let spec = InvocationSpec::new(id, node).attempt(attempt);
+        let once = Env::run(&client, spec, async |env: &mut Env, _| {
             for (step, op) in program.iter().enumerate() {
                 turn(client.with_config(|c| op.footprint(c, me))).await;
                 match op {
@@ -415,8 +415,8 @@ async fn actor(
                 }
             }
             turn(frame(MatrixOp::Finish)).await;
-            env.finish(Value::Int(me as i64)).await
-        };
+            Ok(Value::Int(me as i64))
+        });
         match once.await {
             Ok(_) => break,
             Err(e) if e.is_crash() => {
@@ -565,20 +565,17 @@ pub fn run_schedule(config: &McConfig, schedule: &Schedule) -> McOutcome {
 /// Exhaustively explores `config`: every scheduling order × every crash
 /// placement within the budget (× the optional stall injection), with
 /// sleep-set pruning on or off and the root frontier spread over
-/// `workers` threads, capped at the host's cores (1 ⇒ sequential).
-/// Statistics and counterexamples are identical at every worker count.
+/// `workers` threads, capped at the host's cores (1 ⇒ the calling
+/// thread). Statistics and counterexamples are identical at every worker
+/// count.
 #[must_use]
 pub fn explore_config(config: &McConfig, pruning: bool, workers: usize) -> ExploreStats {
-    let explorer = Explorer::new().pruning(pruning);
-    let run = |chooser: &DfsChooser| {
-        let outcome = run_once(config, &(Rc::new(chooser.clone()) as Rc<dyn ChoiceSource>));
-        RunReport::new(outcome.violations)
-    };
-    if workers <= 1 {
-        explorer.explore(run)
-    } else {
-        explorer.explore_parallel(workers, run)
-    }
+    Explorer::new()
+        .pruning(pruning)
+        .explore_parallel(workers, |chooser: &DfsChooser| {
+            let outcome = run_once(config, &(Rc::new(chooser.clone()) as Rc<dyn ChoiceSource>));
+            RunReport::new(outcome.violations)
+        })
 }
 
 #[cfg(test)]

@@ -281,19 +281,9 @@ impl Runtime {
 
     /// Executes `func` as instance `id` to completion: dispatch hop,
     /// optional duplicate peer, crash detection and re-execution. The
-    /// context is the one a parent's `Env::invoke` left for `id`, if any.
+    /// execution is background work: a traced attempt roots its own trace.
     pub async fn execute(&self, id: InstanceId, func: &str, input: Value) -> HmResult<Value> {
-        let octx = self.handed_off(id);
-        self.start(id, func, input, octx)?.await
-    }
-
-    /// The context a parent's `Env::invoke` left for `id` (none if the
-    /// deployment is unobserved or nothing was handed off).
-    fn handed_off(&self, id: InstanceId) -> OpCtx {
-        self.inner
-            .client
-            .probe()
-            .map_or_else(OpCtx::default, |p| p.take(id.0))
+        self.start(id, func, input, OpCtx::default())?.await
     }
 
     /// Looks `func` up and builds its execution as `id`, unpolled.
@@ -401,16 +391,11 @@ impl Runtime {
             octx.enter(|| client.ctx().now(), Phase::Dispatch);
             client.ctx().sleep(hop).await;
             octx.exit(|| client.ctx().now());
-            let once = async {
-                let spec = InvocationSpec::new(id, node)
-                    .attempt(attempt)
-                    .input(input.clone())
-                    .under(octx.clone());
-                let mut env = Env::init(client, spec).await?;
-                let authoritative = env.input().clone();
-                let out = body(&mut env, authoritative).await?;
-                env.finish(out).await
-            };
+            let spec = InvocationSpec::new(id, node)
+                .attempt(attempt)
+                .input(input.clone())
+                .under(octx.clone());
+            let once = Env::run(client, spec, body);
             // The attempt runs inside its node's failure domain: if a chaos
             // campaign kills the node, the attempt (and its `Env`, read
             // cache references, timers) is dropped at the crash instant and
@@ -451,6 +436,7 @@ impl Invoker for ChildInvoker {
         callee: InstanceId,
         func: &str,
         input: Value,
+        octx: OpCtx,
     ) -> LocalBoxFuture<'static, HmResult<Value>> {
         let Some(inner) = self.0.upgrade() else {
             return Box::pin(std::future::ready(Err(HmError::config(
@@ -460,10 +446,8 @@ impl Invoker for ChildInvoker {
         // Child invocations do not re-enter admission control: the parent
         // already holds a request slot, and nesting would deadlock a
         // saturated pool. They still pay dispatch and full retry handling.
-        // `Env::invoke` hands its context off just before this call, so it
-        // is taken here and the callee's execution box is the future itself.
+        // The callee's execution box is the future itself.
         let rt = Runtime { inner };
-        let octx = rt.handed_off(callee);
         rt.start(callee, func, input, octx)
             .unwrap_or_else(|e| Box::pin(std::future::ready(Err(e))))
     }

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPolicy, ProtocolKind};
+use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind};
 use hm_common::latency::LatencyModel;
 use hm_common::{Key, NodeId, Value};
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
@@ -20,6 +20,19 @@ fn setup(kind: ProtocolKind, config: RuntimeConfig) -> (Sim, Client, Runtime) {
         .build();
     let runtime = Runtime::new(client.clone(), config);
     (sim, client, runtime)
+}
+
+/// Reads `key` back through the deployment's protocol, as one SSF.
+fn read_back(sim: &mut Sim, client: Client, key: &'static str) -> Value {
+    let id = client.fresh_instance_id();
+    sim.block_on(async move {
+        let spec = InvocationSpec::new(id, NodeId(0));
+        Env::run(&client, spec, async |env: &mut Env, _| {
+            env.read(&Key::new(key)).await
+        })
+        .await
+    })
+    .unwrap()
 }
 
 fn register_counter(runtime: &Runtime) {
@@ -161,17 +174,7 @@ fn duplicate_peers_do_not_duplicate_effects() {
     assert!(runtime.duplicates() >= 1);
     recorder.check_all_generic().unwrap();
     // Re-read through the protocol: the counter was bumped exactly once.
-    let client2 = client;
-    let v = sim.block_on(async move {
-        let id = client2.fresh_instance_id();
-        let mut env = halfmoon::Env::init(&client2, halfmoon::InvocationSpec::new(id, NodeId(0)))
-            .await
-            .unwrap();
-        let v = env.read(&Key::new("C")).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-        v
-    });
-    assert_eq!(v, Value::Int(1));
+    assert_eq!(read_back(&mut sim, client, "C"), Value::Int(1));
 }
 
 #[test]
@@ -317,17 +320,7 @@ fn live_peer_racing_a_slow_attempt_is_exactly_once() {
     assert_eq!(out.unwrap(), Value::Int(1));
     assert_eq!(runtime.duplicates(), 1, "one peer per request");
     // Exactly one increment despite primary + live peer.
-    let client2 = client;
-    let v = sim.block_on(async move {
-        let id = client2.fresh_instance_id();
-        let mut env = halfmoon::Env::init(&client2, halfmoon::InvocationSpec::new(id, NodeId(0)))
-            .await
-            .unwrap();
-        let v = env.read(&Key::new("C")).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-        v
-    });
-    assert_eq!(v, Value::Int(1));
+    assert_eq!(read_back(&mut sim, client, "C"), Value::Int(1));
 }
 
 /// A request queued for a worker slot holds its arguments and its place in

@@ -14,10 +14,10 @@
 //! (Godefroid's partial-order reduction): each alternative carries a
 //! resource-footprint bitmask, disjoint footprints mean the actions
 //! commute, and schedules that only reorder commuting actions are pruned
-//! instead of re-executed. [`Explorer::explore_parallel`] additionally
-//! maps the root-level branches over worker threads with [`par_map`] —
-//! sleep sets are path-local, so the split search visits exactly the same
-//! tree at every worker count.
+//! instead of re-executed. [`Explorer::explore_parallel`] maps the
+//! root-level branches over worker threads with [`par_map`] (at one worker,
+//! on the calling thread) — sleep sets are path-local, so the split search
+//! visits exactly the same tree at every worker count.
 //!
 //! ```
 //! use hm_substrate::explore::{Alt, ChoiceSource, Explorer, RunReport};
@@ -33,12 +33,12 @@
 //!     }
 //!     RunReport::default()
 //! };
-//! let stats = Explorer::new().explore(|c| run(c));
+//! let stats = Explorer::new().explore_parallel(1, |c| run(c));
 //! assert_eq!((stats.runs, stats.aborted), (1, 1));
 //! assert!(stats.complete && stats.counterexamples.is_empty());
 //!
 //! // Without pruning the same program needs both interleavings.
-//! let naive = Explorer::new().pruning(false).explore(|c| run(c));
+//! let naive = Explorer::new().pruning(false).explore_parallel(1, |c| run(c));
 //! assert_eq!((naive.runs, naive.aborted), (2, 0));
 //! ```
 
@@ -548,14 +548,6 @@ impl Explorer {
         self
     }
 
-    /// Explores the whole tree on the current thread.
-    pub fn explore<F>(&self, mut run: F) -> ExploreStats
-    where
-        F: FnMut(&DfsChooser) -> RunReport,
-    {
-        self.drive(Vec::new(), &mut run)
-    }
-
     /// Explores with the root-level branches mapped over `workers` threads
     /// by [`par_map`] and merged in branch order. Sleep sets are path-local
     /// (each branch's pruning depends only on its position among its root
@@ -613,7 +605,7 @@ impl Explorer {
                 pinned: true,
                 blocked: false,
             }];
-            self.drive(seed, &mut |c: &DfsChooser| run(c))
+            self.drive(seed, &run)
         });
         let mut stats = ExploreStats {
             // The shared root node, discovered once by the probe.
@@ -630,10 +622,7 @@ impl Explorer {
         stats
     }
 
-    fn drive<F>(&self, seed: Vec<Frame>, run: &mut F) -> ExploreStats
-    where
-        F: FnMut(&DfsChooser) -> RunReport,
-    {
+    fn drive(&self, seed: Vec<Frame>, run: &impl Fn(&DfsChooser) -> RunReport) -> ExploreStats {
         let mut stats = ExploreStats {
             complete: true,
             ..ExploreStats::default()
@@ -755,12 +744,12 @@ mod tests {
         // one Mazurkiewicz trace.
         let actions = [actor(0, 1), actor(1, 1), actor(2, 1)];
         let t = toy(&actions, None);
-        let naive = Explorer::new().pruning(false).explore(|c| t(c));
+        let naive = Explorer::new().pruning(false).explore_parallel(1, |c| t(c));
         assert_eq!(naive.runs, 6);
         assert_eq!(naive.aborted, 0);
         assert!(naive.complete);
 
-        let pruned = Explorer::new().explore(|c| t(c));
+        let pruned = Explorer::new().explore_parallel(1, |c| t(c));
         assert_eq!(pruned.runs, 1, "one representative per trace");
         assert!(pruned.executions() < naive.runs);
         assert!(pruned.complete);
@@ -772,7 +761,7 @@ mod tests {
         // Two actors racing on the same resource: both orders matter.
         let actions = [vec![Alt::new(0, 0b1)], vec![Alt::new(1, 0b1)]];
         let t = toy(&actions, None);
-        let pruned = Explorer::new().explore(|c| t(c));
+        let pruned = Explorer::new().explore_parallel(1, |c| t(c));
         assert_eq!((pruned.runs, pruned.aborted, pruned.slept), (2, 0, 0));
     }
 
@@ -787,8 +776,8 @@ mod tests {
         ];
         for violating in [&[1u32, 0, 0, 2][..], &[0, 1, 0, 2], &[0, 0, 1, 2]] {
             let t = toy(&actions, Some(violating));
-            let naive = Explorer::new().pruning(false).explore(|c| t(c));
-            let pruned = Explorer::new().explore(|c| t(c));
+            let naive = Explorer::new().pruning(false).explore_parallel(1, |c| t(c));
+            let pruned = Explorer::new().explore_parallel(1, |c| t(c));
             // Naive finds the exact schedule; pruning may visit a
             // commuting representative instead, but must flag *a*
             // violation iff one exists.
@@ -823,10 +812,6 @@ mod tests {
                 base.counterexamples.first().map(|c| c.schedule.clone()),
             );
         }
-        // And the parallel search agrees with the sequential one.
-        let seq = Explorer::new().explore(|c| t(c));
-        assert_eq!((base.runs, base.aborted), (seq.runs, seq.aborted));
-        assert_eq!(base.nodes, seq.nodes);
     }
 
     /// The harness's own panic message reaches the caller at any worker
@@ -855,7 +840,7 @@ mod tests {
     fn schedules_replay_and_round_trip() {
         let actions = [actor(0, 2), vec![Alt::new(1, 0b1)]];
         let t = toy(&actions, Some(&[1, 0, 0]));
-        let stats = Explorer::new().pruning(false).explore(|c| t(c));
+        let stats = Explorer::new().pruning(false).explore_parallel(1, |c| t(c));
         let cx = &stats.counterexamples[0];
         // Round-trip through the string form.
         let text = cx.schedule.to_string();

@@ -802,90 +802,4 @@ mod tests {
         })
         .await;
     }
-
-    #[test]
-    fn gate_releases_all_waiters_in_registration_order() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let gate = Gate::new();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..5u32 {
-            let gate = gate.clone();
-            let order = order.clone();
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                // Stagger registration so the queue order is unambiguous.
-                ctx2.sleep(Duration::from_millis(u64::from(i))).await;
-                gate.wait().await;
-                order.borrow_mut().push(i);
-            });
-        }
-        {
-            let gate = gate;
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(10)).await;
-                assert_eq!(gate.waiters(), 5);
-                gate.open();
-            });
-        }
-        sim.run();
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3, 4]);
-        assert_eq!(
-            sim.now(),
-            Duration::from_millis(10),
-            "waiters release at the open instant"
-        );
-    }
-
-    #[test]
-    fn gate_is_level_triggered_and_idempotent() {
-        let mut sim = Sim::new(1);
-        let gate = Gate::new();
-        assert!(!gate.is_open());
-        gate.open();
-        gate.open();
-        assert!(gate.is_open());
-        let g = gate;
-        sim.block_on(async move { g.wait().await });
-        assert_eq!(sim.now(), Duration::ZERO, "open gate must not wait");
-    }
-
-    #[test]
-    fn gate_tolerates_dropped_waiters() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let gate = Gate::new();
-        // A waiter that registers, then is torn down before the open.
-        let group = TaskGroup::new();
-        {
-            let gate = gate.clone();
-            let group = group.clone();
-            ctx.spawn(async move {
-                let _ = group.run(gate.wait()).await;
-            });
-        }
-        let released = Rc::new(Cell::new(false));
-        {
-            let gate = gate.clone();
-            let released = released.clone();
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(1)).await;
-                gate.wait().await;
-                released.set(true);
-            });
-        }
-        {
-            let gate = gate;
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(2)).await;
-                group.cancel();
-                gate.open();
-            });
-        }
-        sim.run();
-        assert!(released.get(), "live waiter must still be released");
-    }
 }

@@ -424,8 +424,9 @@ async fn completed_members_property(ctx: Ctx, n: u32) -> (usize, usize) {
 
 /// (c) An unfinished waiter dropped mid-wait frees its slot: returns the
 /// (parked, after-drop) counts for `RunCancellable` and the `LatchWait`s of
-/// `TaskGroup::cancelled` and `Gate::wait`. Once the event is raised, a
-/// waiter that arrives after it resolves at its first poll.
+/// `TaskGroup::cancelled` and `Gate::wait`. The waiters parked around a
+/// dropped one still hear the event. Once the event is raised, a waiter
+/// that arrives after it resolves at its first poll.
 async fn dropped_waiters_property() -> [(usize, usize); 3] {
     let group = TaskGroup::new();
     let gate = Gate::new();
@@ -452,12 +453,16 @@ async fn dropped_waiters_property() -> [(usize, usize); 3] {
     let wait_parked = gate.waiters();
     drop(wait);
     let wait_after = gate.waiters();
+    // A waiter parked after the dropped one.
+    let mut gate_latecomer = gate.wait();
+    assert!(poll_once(&mut gate_latecomer).await.is_pending());
 
-    // The bystanders still hear the event.
+    // The bystanders and the latecomer still hear the event.
     group.cancel();
     gate.open();
     assert!(poll_once(&mut bystander).await.is_ready());
     assert!(poll_once(&mut gate_bystander).await.is_ready());
+    assert!(poll_once(&mut gate_latecomer).await.is_ready());
     // Level-triggered: latecomers do not park, and new work is rejected.
     assert!(group.is_cancelled());
     assert!(poll_once(&mut group.cancelled()).await.is_ready());

@@ -12,7 +12,7 @@ use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind};
 use hm_common::{HmResult, Key, NodeId, Value};
 use hm_substrate::sim::Sim;
 
-async fn increment(env: &mut Env) -> HmResult<Value> {
+async fn increment(env: &mut Env, _input: Value) -> HmResult<Value> {
     let c = env.read(&Key::new("counter")).await?.as_int().unwrap_or(0);
     env.write(&Key::new("counter"), Value::Int(c + 1)).await?;
     Ok(Value::Int(c + 1))
@@ -31,13 +31,8 @@ fn run(kind: ProtocolKind, crash_point: u32) -> (i64, u32) {
         // The platform's retry loop: re-execute until the SSF completes.
         let mut attempt = 0;
         loop {
-            let once = async {
-                let spec = InvocationSpec::new(id, NodeId(0)).attempt(attempt);
-                let mut env = Env::init(&client2, spec).await?;
-                let out = increment(&mut env).await?;
-                env.finish(out).await
-            };
-            match once.await {
+            let spec = InvocationSpec::new(id, NodeId(0)).attempt(attempt);
+            match Env::run(&client2, spec, increment).await {
                 Ok(_) => break,
                 Err(e) if e.is_crash() => attempt += 1,
                 Err(e) => panic!("{e}"),
@@ -46,16 +41,15 @@ fn run(kind: ProtocolKind, crash_point: u32) -> (i64, u32) {
     });
     // Read the counter back through the same protocol.
     let client2 = client.clone();
+    let id = client.fresh_instance_id();
     let v = sim.block_on(async move {
-        let id = client2.fresh_instance_id();
-        let mut env = Env::init(&client2, InvocationSpec::new(id, NodeId(0)))
-            .await
-            .unwrap();
-        let v = env.read(&Key::new("counter")).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-        v
+        let spec = InvocationSpec::new(id, NodeId(0));
+        Env::run(&client2, spec, async |env: &mut Env, _| {
+            env.read(&Key::new("counter")).await
+        })
+        .await
     });
-    (v.as_int().unwrap(), client.faults().injected())
+    (v.unwrap().as_int().unwrap(), client.faults().injected())
 }
 
 fn main() {

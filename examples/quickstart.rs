@@ -103,10 +103,10 @@ fn main() {
     let balance = sim.block_on(async move {
         let id = client2.fresh_instance_id();
         let spec = halfmoon::InvocationSpec::new(id, hm_common::NodeId(0));
-        let mut env = halfmoon::Env::init(&client2, spec).await?;
-        let v = env.read(&Key::new("balance")).await?;
-        env.finish(Value::Null).await?;
-        Ok::<_, hm_common::HmError>(v)
+        halfmoon::Env::run(&client2, spec, async |env: &mut halfmoon::Env, _| {
+            env.read(&Key::new("balance")).await
+        })
+        .await
     });
     let balance = balance.unwrap();
     println!("final balance:        {balance:?} (exactly 125)");

@@ -1,7 +1,7 @@
 //! Observations land on the request that made them (`hm_common::observe`):
 //! phase time is charged to the sheet of the request that spent it, spans
-//! nest under the op that issued them, background work stays on trace 0,
-//! and nothing is left behind in the hand-off map.
+//! nest under the op that issued them (a child invocation under its
+//! parent's `invoke`), and background work stays on trace 0.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -50,12 +50,14 @@ fn a_bystanders_store_time_is_not_charged_to_idle_requests() {
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
     runtime.register("idle", async |_env, _input| Ok(Value::Null));
     sim.ctx().spawn(async move {
-        let id = client.fresh_instance_id();
-        let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(7))).await?;
-        for i in 0..2000 {
-            env.read(&Key::new(format!("k{}", i % 50))).await?;
-        }
-        env.finish(Value::Null).await
+        let spec = InvocationSpec::new(client.fresh_instance_id(), NodeId(7));
+        Env::run(&client, spec, async |env: &mut Env, _| {
+            for i in 0..2000 {
+                env.read(&Key::new(format!("k{}", i % 50))).await?;
+            }
+            Ok(Value::Null)
+        })
+        .await
     });
     let gateway = Gateway::new(runtime);
     let spec = LoadSpec {
@@ -255,24 +257,32 @@ fn a_stalled_sequencer_is_charged_to_the_sequencer_phase() {
     assert_eq!(sequencer_ns(FaultPlan::new()), 0);
 }
 
-/// A child invocation's context crosses the `Invoker` boundary through the
-/// probe's hand-off map, which holds it only for that call.
+/// A child invocation's context crosses the `Invoker` boundary as an
+/// argument: under crashes and §5.1 peers, every child's `invocation` span
+/// nests under the `invoke` op that issued it, on the parent's trace, and
+/// no attempt roots a trace of its own beside the requests.
 #[test]
-fn the_hand_off_map_is_empty_after_a_child_invoking_run() {
+fn a_childs_invocation_nests_under_its_parents_invoke() {
     let workload = Travel {
         hotels: 20,
         users: 30,
     };
     let mut sim = Sim::new(777);
+    let tracer = Tracer::with_capacity(1 << 20);
+    let anatomy = Anatomy::new();
     let client = Client::builder(sim.ctx())
         .faults(FaultPolicy::random(0.004, 200))
-        .tracer(Tracer::new())
-        .anatomy(Anatomy::new())
+        .tracer(tracer.clone())
+        .anatomy(anatomy.clone())
         .build();
     workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
+    let config = RuntimeConfig {
+        duplicate_prob: 0.05,
+        ..RuntimeConfig::default()
+    };
+    let runtime = Runtime::new(client, config);
     workload.register(&runtime);
-    let gateway = Gateway::new(runtime);
+    let gateway = Gateway::new(runtime.clone());
     let spec = LoadSpec {
         rate_per_sec: 300.0,
         duration: Duration::from_secs(2),
@@ -281,6 +291,31 @@ fn the_hand_off_map_is_empty_after_a_child_invoking_run() {
     };
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
     assert!(report.completed > 400, "{report:?}");
-    let probe = client.probe().expect("observers attached");
-    assert_eq!(probe.pending_handoffs(), 0);
+    assert!(runtime.retries() > 0 && runtime.duplicates() > 0);
+    assert_eq!(anatomy.ops(), report.completed);
+    assert_eq!(tracer.events_dropped(), 0);
+    let jsonl = tracer.export_jsonl();
+    let begins = || jsonl.lines().filter(|l| field(l, "ph") == "B");
+    // span id → (name, trace)
+    let spans: FxHashMap<&str, (&str, &str)> = begins()
+        .map(|l| (field(l, "span"), (field(l, "name"), field(l, "trace"))))
+        .collect();
+    let requests: FxHashSet<&str> = begins()
+        .filter(|l| field(l, "name") == "request")
+        .map(|l| field(l, "trace"))
+        .collect();
+    let mut children = 0;
+    for line in begins() {
+        match field(line, "name") {
+            "invocation" => {
+                let (parent, trace) = spans[field(line, "parent")];
+                assert!(parent == "request" || parent == "invoke", "{line}");
+                assert_eq!(trace, field(line, "trace"), "{line}");
+                children += usize::from(parent == "invoke");
+            }
+            "attempt" => assert!(requests.contains(field(line, "trace")), "{line}"),
+            _ => {}
+        }
+    }
+    assert!(children > 1000, "{children} child invocations");
 }

@@ -80,9 +80,8 @@ async fn run_program(
 ) -> HmResult<()> {
     let mut attempt = 0;
     loop {
-        let once = async {
-            let mut env =
-                Env::init(&client, InvocationSpec::new(id, NodeId(0)).attempt(attempt)).await?;
+        let spec = InvocationSpec::new(id, NodeId(0)).attempt(attempt);
+        let once = Env::run(&client, spec, async |env: &mut Env, _| {
             for (i, op) in program.iter().enumerate() {
                 match op {
                     ProgOp::Read(k) => {
@@ -94,11 +93,10 @@ async fn run_program(
                     }
                 }
             }
-            env.finish(Value::Null).await?;
-            Ok::<(), hm_common::HmError>(())
-        };
+            Ok(Value::Null)
+        });
         match once.await {
-            Ok(()) => return Ok(()),
+            Ok(_) => return Ok(()),
             Err(e) if e.is_crash() => {
                 attempt += 1;
                 client.ctx().sleep(Duration::from_millis(1)).await;
@@ -122,14 +120,13 @@ fn oracle_final(program: &[ProgOp], tag: i64) -> FxHashMap<u8, i64> {
 fn read_back(sim: &mut Sim, client: &Client, k: u8) -> Value {
     let client = client.clone();
     sim.block_on(async move {
-        let id = client.fresh_instance_id();
-        let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(0)))
-            .await
-            .unwrap();
-        let v = env.read(&key(k)).await.unwrap();
-        env.finish(Value::Null).await.unwrap();
-        v
+        let spec = InvocationSpec::new(client.fresh_instance_id(), NodeId(0));
+        Env::run(&client, spec, async |env: &mut Env, _| {
+            env.read(&key(k)).await
+        })
+        .await
     })
+    .unwrap()
 }
 
 #[test]

@@ -599,8 +599,11 @@ fn child_invoke_after_the_runtime_is_gone_is_a_config_error() {
     drop(runtime);
     let id = client.fresh_instance_id();
     let out = sim.block_on(async move {
-        let mut env = Env::init(&client, InvocationSpec::new(id, NodeId(0))).await?;
-        env.invoke("bump", Value::Null).await
+        let spec = InvocationSpec::new(id, NodeId(0));
+        Env::run(&client, spec, async |env: &mut Env, _| {
+            env.invoke("bump", Value::Null).await
+        })
+        .await
     });
     assert!(matches!(out, Err(HmError::Config { .. })), "{out:?}");
 }
