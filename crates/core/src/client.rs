@@ -33,19 +33,11 @@ use hm_substrate::Ctx;
 
 use crate::faults::{FaultPlan, FaultPolicy};
 use crate::history::Recorder;
-use crate::protocol::{ProtocolConfig, ProtocolKind};
+use crate::protocol::{MatrixOp, ProtocolConfig, ProtocolKind};
 use crate::record::StepRecord;
 
 /// Boxed local future, the return type of [`Invoker::invoke`].
 pub type LocalBoxFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
-
-/// Which operation a latency sample belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum OpKind {
-    Read,
-    Write,
-    Invoke,
-}
 
 /// Global sub-stream of init records, scanned by the GC and the switch
 /// coordinator (§4.5, §4.7).
@@ -514,14 +506,17 @@ impl Client {
         InstanceId((u128::from(a) << 64) | u128::from(b))
     }
 
-    /// Records an operation latency sample (called by `Env`).
-    pub(crate) fn record_op_latency(&self, op: OpKind, latency: std::time::Duration) {
+    /// Records a latency sample of a read, write or invoke (called by
+    /// `Env`); other ops have no histogram.
+    pub(crate) fn record_op_latency(&self, op: MatrixOp, latency: std::time::Duration) {
         let mut stats = self.inner.op_latencies.borrow_mut();
-        match op {
-            OpKind::Read => stats.read.record(latency),
-            OpKind::Write => stats.write.record(latency),
-            OpKind::Invoke => stats.invoke.record(latency),
-        }
+        let histogram = match op {
+            MatrixOp::Read => &mut stats.read,
+            MatrixOp::Write => &mut stats.write,
+            MatrixOp::Invoke => &mut stats.invoke,
+            MatrixOp::Init | MatrixOp::Order | MatrixOp::Finish => return,
+        };
+        histogram.record(latency);
     }
 
     /// Snapshot of the per-operation latency histograms.

@@ -35,6 +35,8 @@
 //! protocol resolved for the target object: statically configured, or
 //! looked up in the transition log when switching is enabled (§4.7).
 //! [`Env::invoke`] logs its child's result under every logged protocol.
+//! Each op, init's logged part and finish included, runs inside `Env::op`,
+//! its one frame: span, phase, logging-row check and latency sample.
 
 use std::future::Future;
 
@@ -44,7 +46,7 @@ use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, SeqNum, StepNum, Tag
 use hm_kvstore::KvStore;
 use hm_sharedlog::{CondAppendOutcome, LogRecord, LogService};
 
-use crate::client::{finish_log_tag, init_log_tag, transition_log_tag, Client, OpKind};
+use crate::client::{finish_log_tag, init_log_tag, transition_log_tag, Client};
 use crate::faults::Site;
 use crate::history::{Event, EventKind};
 use crate::protocol::{MatrixOp, ProtocolKind};
@@ -180,20 +182,6 @@ impl InvocationSpec {
     }
 }
 
-/// Maps an op-span name to the anatomy phase charged while it runs.
-/// Read-shaped ops charge `ProtoRead`, write-shaped ops `ProtoWrite`, and
-/// everything else (init/finish/invoke/transition bookkeeping)
-/// `ProtoTxn`, the reports' `proto_txn` column. Substrate phases
-/// (log/store round-trips) nest inside and take precedence, so these are
-/// the protocol *residuals*.
-fn op_phase(name: &str) -> Phase {
-    match name {
-        "read" => Phase::ProtoRead,
-        "write" => Phase::ProtoWrite,
-        _ => Phase::ProtoTxn,
-    }
-}
-
 /// What one [`Env::step`] resolved to.
 pub(crate) struct Step<T> {
     /// What the op's `pick` read out of the record.
@@ -294,48 +282,47 @@ impl Env {
         if self.unlogged {
             return Ok(());
         }
-        self.op_begin("init", String::new);
-        let replaying = attempt > 0;
-        if replaying {
-            // §5 recovery: the whole step-log re-fetch is charged to the
-            // (opaque) Replay phase — nested log-read stamps are swallowed
-            // so the waterfall shows replay cost as one line.
-            self.octx.enter(|| self.client.ctx().now(), Phase::Replay);
-        }
-        let tag = self.id.step_log_tag();
-        let (prior, replay) = self.log().replay_stream(node, tag).await;
-        if replaying {
-            self.octx.exit(|| self.client.ctx().now());
-            // §5 recovery metering: everything this fetch returned is work
-            // paid purely because the previous attempt died.
-            self.client.note_recovery(replay);
-        }
-        self.prior = prior;
-        self.maybe_crash(Site::Init)
-            .inspect_err(|_| self.op_end())?;
-        // Figure 5 lines 7–10. The logged input is the authoritative one:
-        // an earlier attempt's, or that of a racing peer whose init won.
-        let first = self
-            .step(
-                "Init",
-                [init_log_tag()],
-                |op| match op {
-                    OpRecord::Init { input } => Some(input.clone()),
-                    _ => None,
-                },
-                async |env: &mut Env| {
-                    Ok(OpRecord::Init {
-                        input: env.input.clone(),
-                    })
-                },
-            )
-            .await
-            .inspect_err(|_| self.op_end())?;
-        self.input = first.value;
-        self.init_cursor = first.seqnum;
-        self.op_end();
-        self.debug_assert_row(MatrixOp::Init, None, StepNum(0), false);
-        Ok(())
+        self.op(MatrixOp::Init, None, String::new, async |env: &mut Env| {
+            let replaying = attempt > 0;
+            if replaying {
+                // §5 recovery: the whole step-log re-fetch is charged to the
+                // (opaque) Replay phase — nested log-read stamps are
+                // swallowed so the waterfall shows replay cost as one line.
+                env.octx.enter(|| env.client.ctx().now(), Phase::Replay);
+            }
+            let tag = env.id.step_log_tag();
+            let (prior, replay) = env.log().replay_stream(node, tag).await;
+            if replaying {
+                env.octx.exit(|| env.client.ctx().now());
+                // §5 recovery metering: everything this fetch returned is
+                // work paid purely because the previous attempt died.
+                env.client.note_recovery(replay);
+            }
+            env.prior = prior;
+            env.maybe_crash(Site::Init)?;
+            // Figure 5 lines 7–10. The logged input is the authoritative
+            // one: an earlier attempt's, or that of a racing peer whose
+            // init won.
+            let first = env
+                .step(
+                    "Init",
+                    [init_log_tag()],
+                    |op| match op {
+                        OpRecord::Init { input } => Some(input.clone()),
+                        _ => None,
+                    },
+                    async |env: &mut Env| {
+                        Ok(OpRecord::Init {
+                            input: env.input.clone(),
+                        })
+                    },
+                )
+                .await?;
+            env.input = first.value;
+            env.init_cursor = first.seqnum;
+            Ok(())
+        })
+        .await
     }
 
     /// The shared client handle.
@@ -490,11 +477,6 @@ impl Env {
         });
     }
 
-    /// Advances the program counter; called at the top of each public op.
-    pub(crate) fn bump_pc(&mut self) {
-        self.pc += 1;
-    }
-
     /// The current program counter (op index within the body).
     pub(crate) fn pc(&self) -> u32 {
         self.pc
@@ -504,26 +486,76 @@ impl Env {
     // Observation (all no-ops when the deployment has no probe)
     // ------------------------------------------------------------------
 
-    /// Opens an op: a span under the attempt's, which becomes the parent of
-    /// the log and store calls made until [`Env::op_end`], charging the
-    /// op's residual phase. Ops do not nest. The detail string is built
-    /// only when tracing.
-    pub(crate) fn op_begin(&mut self, name: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(probe) = self.client.probe() {
-            let now = self.client.ctx().now();
-            let attempt = std::mem::take(&mut self.octx);
-            self.octx = probe.span_under(attempt, Lane::Node(self.node.0), now, name, detail);
-            self.octx.enter(|| now, op_phase(name));
-        }
-    }
-
-    /// Closes the open op; the attempt span is the parent again.
-    pub(crate) fn op_end(&mut self) {
-        if let Some(probe) = self.client.probe() {
-            let now = self.client.ctx().now();
-            probe.span_end(&self.octx, Lane::Node(self.node.0), now);
-            self.octx.exit(|| now);
-            self.octx.parent = self.attempt_span;
+    /// One `Env` op's frame, said once for init's logged part, `read`,
+    /// `write`, `invoke` and `finish`:
+    ///
+    /// - a body op (read, write, invoke) advances the program counter;
+    /// - the op's span opens under the attempt's and charges the op's
+    ///   phase ([`MatrixOp::phase`]); it is the parent of the log and store
+    ///   calls `body` makes;
+    /// - the span closes on every exit, crashes and errors included, and
+    ///   the attempt span is the parent again;
+    /// - on `Ok` only, debug builds check the steps the op logged against
+    ///   its row of the logging matrix ([`Env::debug_assert_row`]) and a
+    ///   body op's latency is sampled.
+    ///
+    /// Ops do not nest. `key` is the object a read or write acts on, and
+    /// its `Debug` form the span's detail; an op on no object takes the
+    /// detail `detail` builds. Details are built only when tracing.
+    ///
+    /// Not an `async fn`, and neither are `read`, `write` and `invoke`,
+    /// which return its future: an `async fn` keeps a second copy of its
+    /// arguments beside its state, 176 B more in every execution box.
+    #[allow(clippy::manual_async_fn)] // the copy said above
+    fn op<'e, 'k, T, D, B>(
+        &'e mut self,
+        op: MatrixOp,
+        key: Option<&'k Key>,
+        detail: D,
+        body: B,
+    ) -> impl Future<Output = HmResult<T>> + use<'e, 'k, T, D, B>
+    where
+        D: FnOnce() -> String,
+        B: AsyncFnOnce(&mut Env) -> HmResult<T>,
+    {
+        async move {
+            let started = match op {
+                MatrixOp::Init | MatrixOp::Finish => None,
+                _ => {
+                    self.pc += 1;
+                    Some(self.client.ctx().now())
+                }
+            };
+            let before = self.step;
+            // Whether the order row applies: a write that follows a
+            // log-free write to another key.
+            let ordered = cfg!(debug_assertions)
+                && op == MatrixOp::Write
+                && self.consecutive_w > 0
+                && self.last_write_key.as_ref() != key;
+            if let Some(probe) = self.client.probe() {
+                let now = self.client.ctx().now();
+                let attempt = std::mem::take(&mut self.octx);
+                let lane = Lane::Node(self.node.0);
+                let detail = || key.map_or_else(detail, |key| format!("{key:?}"));
+                self.octx = probe.span_under(attempt, lane, now, op.name(), detail);
+                self.octx.enter(|| now, op.phase());
+            }
+            let result = body(self).await;
+            if let Some(probe) = self.client.probe() {
+                let now = self.client.ctx().now();
+                probe.span_end(&self.octx, Lane::Node(self.node.0), now);
+                self.octx.exit(|| now);
+                self.octx.parent = self.attempt_span;
+            }
+            if result.is_ok() {
+                self.debug_assert_row(op, key, before, ordered);
+                if let Some(started) = started {
+                    let latency = self.client.ctx().now() - started;
+                    self.client.record_op_latency(op, latency);
+                }
+            }
+            result
         }
     }
 
@@ -582,94 +614,84 @@ impl Env {
     // Public SSF API
     // ------------------------------------------------------------------
 
-    /// Reads `key` under the resolved protocol.
+    /// Reads `key` under the resolved protocol: resolves `key`'s
+    /// protocol, takes the op-entry crash point, then runs the read the
+    /// protocol prescribes.
     ///
     /// # Errors
     /// Propagates injected crashes and substrate errors.
-    pub async fn read(&mut self, key: &Key) -> HmResult<Value> {
-        self.bump_pc();
-        let (started, before) = (self.client.ctx().now(), self.step);
-        self.op_begin("read", || format!("{key:?}"));
-        let result = self.read_dispatch(key).await;
-        self.op_end();
-        if result.is_ok() {
-            self.debug_assert_row(MatrixOp::Read, Some(key), before, false);
-            self.client
-                .record_op_latency(OpKind::Read, self.client.ctx().now() - started);
-        }
-        result
+    pub fn read<'e, 'k>(
+        &'e mut self,
+        key: &'k Key,
+    ) -> impl Future<Output = HmResult<Value>> + use<'e, 'k> {
+        self.op(
+            MatrixOp::Read,
+            Some(key),
+            String::new,
+            async |env: &mut Env| {
+                let mode = env.resolve(key).await?;
+                env.maybe_crash(Site::OpEntry)?;
+                match mode {
+                    ObjectMode::Plain(ProtocolKind::HalfmoonRead) => env.hmread_read(key).await,
+                    // Symmetric protocols log reads exactly like Halfmoon-write
+                    // does; one implementation keeps the comparison honest.
+                    ObjectMode::Plain(ProtocolKind::HalfmoonWrite | ProtocolKind::Boki)
+                    | ObjectMode::Draining {
+                        to: ProtocolKind::Boki,
+                    } => env.hmwrite_read(key).await,
+                    ObjectMode::Plain(ProtocolKind::Unsafe)
+                    | ObjectMode::Draining {
+                        to: ProtocolKind::Unsafe,
+                    } => env.unsafe_read(key).await,
+                    // During the switch, reads are logged dual reads (§5.2) —
+                    // and also throughout the draining window: toward
+                    // Halfmoon-read because transitional writers may still
+                    // mutate LATEST rows, and toward Halfmoon-write because
+                    // LATEST rows are being reconciled with the multi-version
+                    // state in the background.
+                    ObjectMode::Transitional { .. }
+                    | ObjectMode::Draining {
+                        to: ProtocolKind::HalfmoonRead | ProtocolKind::HalfmoonWrite,
+                    } => env.dual_read(key).await,
+                }
+            },
+        )
     }
 
-    /// Resolves `key`'s protocol, takes the op-entry crash point, then
-    /// runs the read the protocol prescribes.
-    async fn read_dispatch(&mut self, key: &Key) -> HmResult<Value> {
-        let mode = self.resolve(key).await?;
-        self.maybe_crash(Site::OpEntry)?;
-        match mode {
-            ObjectMode::Plain(ProtocolKind::HalfmoonRead) => self.hmread_read(key).await,
-            // Symmetric protocols log reads exactly like Halfmoon-write
-            // does; one implementation keeps the comparison honest.
-            ObjectMode::Plain(ProtocolKind::HalfmoonWrite | ProtocolKind::Boki)
-            | ObjectMode::Draining {
-                to: ProtocolKind::Boki,
-            } => self.hmwrite_read(key).await,
-            ObjectMode::Plain(ProtocolKind::Unsafe)
-            | ObjectMode::Draining {
-                to: ProtocolKind::Unsafe,
-            } => self.unsafe_read(key).await,
-            // During the switch, reads are logged dual reads (§5.2) — and
-            // also throughout the draining window: toward Halfmoon-read
-            // because transitional writers may still mutate LATEST rows,
-            // and toward Halfmoon-write because LATEST rows are being
-            // reconciled with the multi-version state in the background.
-            ObjectMode::Transitional { .. }
-            | ObjectMode::Draining {
-                to: ProtocolKind::HalfmoonRead | ProtocolKind::HalfmoonWrite,
-            } => self.dual_read(key).await,
-        }
-    }
-
-    /// Writes `value` to `key` under the resolved protocol.
+    /// Writes `value` to `key` under the resolved protocol: resolves
+    /// `key`'s protocol, takes the op-entry crash point, then runs the
+    /// write the protocol prescribes.
     ///
     /// # Errors
     /// Propagates injected crashes and substrate errors.
-    pub async fn write(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        self.bump_pc();
-        let (started, before) = (self.client.ctx().now(), self.step);
-        // Whether the order row applies: this write follows a log-free
-        // write to another key.
-        let ordered = cfg!(debug_assertions)
-            && self.consecutive_w > 0
-            && self.last_write_key.as_ref() != Some(key);
-        self.op_begin("write", || format!("{key:?}"));
-        let result = self.write_dispatch(key, value).await;
-        self.op_end();
-        if result.is_ok() {
-            self.debug_assert_row(MatrixOp::Write, Some(key), before, ordered);
-            self.client
-                .record_op_latency(OpKind::Write, self.client.ctx().now() - started);
-        }
-        result
-    }
-
-    /// Resolves `key`'s protocol, takes the op-entry crash point, then
-    /// runs the write the protocol prescribes.
-    async fn write_dispatch(&mut self, key: &Key, value: Value) -> HmResult<()> {
-        let mode = self.resolve(key).await?;
-        self.maybe_crash(Site::OpEntry)?;
-        let protocol = match mode {
-            ObjectMode::Transitional { .. } => return self.dual_write(key, value).await,
-            // Draining: old-protocol SSFs are gone, so plain target writes
-            // are safe (HM-read writes never touch LATEST; HM-write writes
-            // are ordered against transitional writers by version tuples).
-            ObjectMode::Plain(protocol) | ObjectMode::Draining { to: protocol } => protocol,
-        };
-        match protocol {
-            ProtocolKind::HalfmoonRead => self.hmread_write(key, value).await,
-            ProtocolKind::HalfmoonWrite => self.hmwrite_write(key, value).await,
-            ProtocolKind::Boki => self.boki_write(key, value).await,
-            ProtocolKind::Unsafe => self.unsafe_write(key, value).await,
-        }
+    pub fn write<'e, 'k>(
+        &'e mut self,
+        key: &'k Key,
+        value: Value,
+    ) -> impl Future<Output = HmResult<()>> + use<'e, 'k> {
+        self.op(
+            MatrixOp::Write,
+            Some(key),
+            String::new,
+            async |env: &mut Env| {
+                let mode = env.resolve(key).await?;
+                env.maybe_crash(Site::OpEntry)?;
+                let protocol = match mode {
+                    ObjectMode::Transitional { .. } => return env.dual_write(key, value).await,
+                    // Draining: old-protocol SSFs are gone, so plain target
+                    // writes are safe (HM-read writes never touch LATEST;
+                    // HM-write writes are ordered against transitional writers
+                    // by version tuples).
+                    ObjectMode::Plain(protocol) | ObjectMode::Draining { to: protocol } => protocol,
+                };
+                match protocol {
+                    ProtocolKind::HalfmoonRead => env.hmread_write(key, value).await,
+                    ProtocolKind::HalfmoonWrite => env.hmwrite_write(key, value).await,
+                    ProtocolKind::Boki => env.boki_write(key, value).await,
+                    ProtocolKind::Unsafe => env.unsafe_write(key, value).await,
+                }
+            },
+        )
     }
 
     /// Invokes a child function, logging the result for idempotence
@@ -677,71 +699,66 @@ impl Env {
     ///
     /// # Errors
     /// Propagates injected crashes, child failures, and substrate errors.
-    pub async fn invoke(&mut self, func: &str, input: Value) -> HmResult<Value> {
-        self.bump_pc();
-        let started = self.client.ctx().now();
-        self.op_begin("invoke", || func.to_string());
-        let result = self.invoke_dispatch(func, input).await;
-        self.op_end();
-        if result.is_ok() {
-            self.client
-                .record_op_latency(OpKind::Invoke, self.client.ctx().now() - started);
-        }
-        result
-    }
-
-    async fn invoke_dispatch(&mut self, func: &str, input: Value) -> HmResult<Value> {
-        if self.unlogged {
-            // Unsafe baseline: fire and hope. Fresh random callee id per
-            // attempt — duplicated side effects on retry are the point.
-            let callee = self.client.fresh_instance_id();
-            let invoker = self
-                .client
-                .invoker()
-                .ok_or_else(|| HmError::config("no invoker registered"))?;
-            self.maybe_crash(Site::BeforeEffect)?;
-            let result = invoker
-                .invoke(callee, func, input, self.octx.clone())
+    pub fn invoke<'e, 'f>(
+        &'e mut self,
+        func: &'f str,
+        input: Value,
+    ) -> impl Future<Output = HmResult<Value>> + use<'e, 'f> {
+        let detail = move || func.to_string();
+        self.op(MatrixOp::Invoke, None, detail, async |env: &mut Env| {
+            if env.unlogged {
+                // Unsafe baseline: fire and hope. Fresh random callee id per
+                // attempt — duplicated side effects on retry are the point.
+                let callee = env.client.fresh_instance_id();
+                let invoker = env
+                    .client
+                    .invoker()
+                    .ok_or_else(|| HmError::config("no invoker registered"))?;
+                env.maybe_crash(Site::BeforeEffect)?;
+                let result = invoker
+                    .invoke(callee, func, input, env.octx.clone())
+                    .await?;
+                env.record_event(|| EventKind::Invoke {
+                    callee,
+                    fp: result.fingerprint(),
+                });
+                return Ok(result);
+            }
+            let step = env
+                .step(
+                    "Invoke",
+                    [],
+                    |op| match op {
+                        OpRecord::Invoke { callee, result } => Some((*callee, result.clone())),
+                        _ => None,
+                    },
+                    async |env: &mut Env| {
+                        // Deterministic callee id: a pure function of our id
+                        // and step (Figure 5's getUUID; see DESIGN.md on
+                        // this choice).
+                        let callee = env.id.child(env.step);
+                        let invoker = env
+                            .client
+                            .invoker()
+                            .ok_or_else(|| HmError::config("no invoker registered"))?;
+                        env.maybe_crash(Site::BeforeEffect)?;
+                        // The callee's attempts join this trace under the
+                        // invoke op and charge this request's sheet.
+                        let result = invoker
+                            .invoke(callee, func, input, env.octx.clone())
+                            .await?;
+                        env.maybe_crash(Site::AfterEffect)?;
+                        Ok(OpRecord::Invoke { callee, result })
+                    },
+                )
                 .await?;
-            self.record_event(|| EventKind::Invoke {
+            let (callee, result) = step.value;
+            env.record_event(|| EventKind::Invoke {
                 callee,
                 fp: result.fingerprint(),
             });
-            return Ok(result);
-        }
-        let step = self
-            .step(
-                "Invoke",
-                [],
-                |op| match op {
-                    OpRecord::Invoke { callee, result } => Some((*callee, result.clone())),
-                    _ => None,
-                },
-                async |env: &mut Env| {
-                    // Deterministic callee id: a pure function of our id and
-                    // step (Figure 5's getUUID; see DESIGN.md on this choice).
-                    let callee = env.id.child(env.step);
-                    let invoker = env
-                        .client
-                        .invoker()
-                        .ok_or_else(|| HmError::config("no invoker registered"))?;
-                    env.maybe_crash(Site::BeforeEffect)?;
-                    // The callee's attempts join this trace under the
-                    // invoke op and charge this request's sheet.
-                    let result = invoker
-                        .invoke(callee, func, input, env.octx.clone())
-                        .await?;
-                    env.maybe_crash(Site::AfterEffect)?;
-                    Ok(OpRecord::Invoke { callee, result })
-                },
-            )
-            .await?;
-        let (callee, result) = step.value;
-        self.record_event(|| EventKind::Invoke {
-            callee,
-            fp: result.fingerprint(),
-        });
-        Ok(result)
+            Ok(result)
+        })
     }
 
     /// Completes the SSF: appends (or replays) the finish record carrying
@@ -755,39 +772,42 @@ impl Env {
             self.end_attempt();
             return Ok(result);
         }
-        self.op_begin("finish", String::new);
-        let before = self.step;
         let out = self
-            .step(
-                "Finish",
-                [finish_log_tag()],
-                |op| match op {
-                    OpRecord::Finish { result, .. } => Some(result.clone()),
-                    _ => None,
-                },
+            .op(
+                MatrixOp::Finish,
+                None,
+                String::new,
                 async |env: &mut Env| {
-                    env.maybe_crash(Site::BeforeAppend)?;
-                    Ok(OpRecord::Finish {
-                        init_seqnum: env.init_cursor,
-                        result,
-                    })
+                    let step = env
+                        .step(
+                            "Finish",
+                            [finish_log_tag()],
+                            |op| match op {
+                                OpRecord::Finish { result, .. } => Some(result.clone()),
+                                _ => None,
+                            },
+                            async |env: &mut Env| {
+                                env.maybe_crash(Site::BeforeAppend)?;
+                                Ok(OpRecord::Finish {
+                                    init_seqnum: env.init_cursor,
+                                    result,
+                                })
+                            },
+                        )
+                        .await?;
+                    Ok(step.value)
                 },
             )
-            .await
-            .map(|step| step.value);
-        self.op_end();
-        if out.is_ok() {
-            self.debug_assert_row(MatrixOp::Finish, None, before, false);
-            self.end_attempt();
-        }
-        out
+            .await?;
+        self.end_attempt();
+        Ok(out)
     }
 
     /// Debug builds: asserts that the op that just returned `Ok`, begun at
     /// step `before`, logged exactly the steps its row of the logging
     /// matrix ([`ProtocolKind::logging_row`]) declares, plus the order
     /// row's if `ordered`. An op on `key` is checked under
-    /// `ObjectMode::Plain`; init and finish (`key` = `None`) in a
+    /// `ObjectMode::Plain`; init, invoke and finish (`key` = `None`) in a
     /// deployment running one protocol.
     fn debug_assert_row(&self, op: MatrixOp, key: Option<&Key>, before: StepNum, ordered: bool) {
         if !cfg!(debug_assertions) {

@@ -1,6 +1,7 @@
 //! Protocol identities, the §4 logging matrix and static configuration.
 
 use hm_common::metrics::OpCounters;
+use hm_common::observe::Phase;
 use hm_common::Key;
 
 /// The fault-tolerance protocol governing accesses to an object.
@@ -61,19 +62,21 @@ impl ProtocolKind {
     /// `ProtocolConfig::uniform`'s defaults are the paper's prototype. Log
     /// appends per op:
     ///
-    /// | protocol | init | read | write | order | finish |
-    /// |----------|------|------|-------|-------|--------|
-    /// | Halfmoon-read (§4.1) | 1 | 0 | 2; 1 with `deterministic_versions` | 0 | 1 |
-    /// | Halfmoon-write (§4.2) | 1 | 1 | 0 | 0; 1 with `preserve_write_order` | 1 |
-    /// | Boki (§6.1) | 1 | 1 | 2 | 0 | 1 |
-    /// | Unsafe (§6) | 0 | 0 | 0 | 0 | 0 |
+    /// | protocol | init | read | write | order | invoke | finish |
+    /// |----------|------|------|-------|-------|--------|--------|
+    /// | Halfmoon-read (§4.1) | 1 | 0 | 2; 1 with `deterministic_versions` | 0 | 1 | 1 |
+    /// | Halfmoon-write (§4.2) | 1 | 1 | 0 | 0; 1 with `preserve_write_order` | 1 | 1 |
+    /// | Boki (§6.1) | 1 | 1 | 2 | 0 | 1 | 1 |
+    /// | Unsafe (§6) | 0 | 0 | 0 | 0 | 0 | 0 |
     ///
     /// Init also fetches the step log (one log read). A Halfmoon-read read
     /// is one `logReadPrev` and one versioned fetch; every other read is
     /// one store read. A write is one store write: a multi-version put
     /// under Halfmoon-read, a raw put under Unsafe, a conditional update
     /// otherwise. The order row is the record a log-free write appends
-    /// when it follows one to another key (§4.4's extension).
+    /// when it follows one to another key (§4.4's extension). An invoke's
+    /// record is the child's result (Figure 5 lines 41–44); the child's
+    /// own ops are rows of the child.
     ///
     /// `log_appends` counts the steps an op logs, whether it appends them,
     /// replays them or adopts a peer's (§5.1), and `Env` debug-asserts it
@@ -85,14 +88,14 @@ impl ProtocolKind {
     #[must_use]
     #[rustfmt::skip] // one row per line
     pub const fn logging_row(self, op: MatrixOp, config: &ProtocolConfig) -> OpCounters {
-        use MatrixOp::{Finish, Init, Order, Read, Write};
+        use MatrixOp::{Finish, Init, Invoke, Order, Read, Write};
         use ProtocolKind::{Boki, HalfmoonRead, HalfmoonWrite, Unsafe};
         const ZERO: OpCounters = OpCounters::ZERO;
         let (single, ordered) = (config.deterministic_versions, config.preserve_write_order);
         match (self, op) {
-            (Unsafe, Init | Order | Finish) | (HalfmoonRead | Boki, Order) => ZERO,
+            (Unsafe, Init | Order | Invoke | Finish) | (HalfmoonRead | Boki, Order) => ZERO,
             (_, Init) => OpCounters { log_appends: 1, log_reads: 1, ..ZERO },
-            (_, Finish) => OpCounters { log_appends: 1, ..ZERO },
+            (_, Invoke | Finish) => OpCounters { log_appends: 1, ..ZERO },
             (HalfmoonRead, Read) => OpCounters { log_reads: 1, db_reads: 1, ..ZERO },
             (HalfmoonWrite | Boki, Read) => OpCounters { log_appends: 1, db_reads: 1, ..ZERO },
             (Unsafe, Read) => OpCounters { db_reads: 1, ..ZERO },
@@ -105,7 +108,9 @@ impl ProtocolKind {
     }
 }
 
-/// An op of the logging matrix ([`ProtocolKind::logging_row`]).
+/// An op of the logging matrix ([`ProtocolKind::logging_row`]). Every
+/// variant but `Order` is one `Env` op and names its span, its anatomy
+/// phase and, for `Read`, `Write` and `Invoke`, its latency histogram.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MatrixOp {
     /// `Env::init`'s init record (Figure 5 lines 7–10).
@@ -114,10 +119,42 @@ pub enum MatrixOp {
     Read,
     /// `Env::write`, without the order record.
     Write,
-    /// The order record between log-free writes to different keys.
+    /// The order record between log-free writes to different keys: a
+    /// sub-step of `Write`, with no span or histogram of its own.
     Order,
+    /// `Env::invoke`'s record of the child's result (Figure 5 lines 31–44).
+    Invoke,
     /// `Env::finish`'s finish record.
     Finish,
+}
+
+impl MatrixOp {
+    /// The op's span name (`order`, a part of a write, opens none).
+    #[must_use]
+    pub const fn name(self) -> &'static str {
+        match self {
+            MatrixOp::Init => "init",
+            MatrixOp::Read => "read",
+            MatrixOp::Write => "write",
+            MatrixOp::Order => "order",
+            MatrixOp::Invoke => "invoke",
+            MatrixOp::Finish => "finish",
+        }
+    }
+
+    /// The anatomy phase charged while the op runs: `ProtoRead` for a
+    /// read, `ProtoWrite` for a write, and `ProtoTxn` (the reports'
+    /// `proto_txn` column) for init, invoke and finish. Substrate phases
+    /// (log and store round trips) nest inside and take precedence, so
+    /// these are the protocol *residuals*.
+    #[must_use]
+    pub const fn phase(self) -> Phase {
+        match self {
+            MatrixOp::Read => Phase::ProtoRead,
+            MatrixOp::Write | MatrixOp::Order => Phase::ProtoWrite,
+            MatrixOp::Init | MatrixOp::Invoke | MatrixOp::Finish => Phase::ProtoTxn,
+        }
+    }
 }
 
 impl std::fmt::Display for ProtocolKind {

@@ -8,10 +8,15 @@ use std::time::Duration;
 
 use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolConfig, ProtocolKind, Site};
 use hm_common::latency::LatencyModel;
-use hm_common::{HmError, HmResult, InstanceId, Key, NodeId, Value};
+use hm_common::{HmError, Key, NodeId, Value};
 use hm_substrate::sim::Sim;
 
-const NODE: NodeId = NodeId(0);
+mod common;
+
+use common::{run_ssf, spec};
+
+/// Crashed attempts are retried at once.
+const RETRY: Option<Duration> = None;
 
 fn setup(kind: ProtocolKind) -> (Sim, Client) {
     setup_with(ProtocolConfig::uniform(kind))
@@ -21,23 +26,6 @@ fn setup_with(config: ProtocolConfig) -> (Sim, Client) {
     let sim = Sim::new(0xed6e);
     let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
     (sim, client)
-}
-
-/// Runs one SSF to completion on `NODE`, re-executing it at once on
-/// injected crashes.
-async fn run_ssf(
-    client: Client,
-    id: InstanceId,
-    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
-) -> HmResult<Value> {
-    let mut attempt = 0;
-    loop {
-        let spec = InvocationSpec::new(id, NODE).attempt(attempt);
-        match Env::run(&client, spec, &body).await {
-            Err(e) if e.is_crash() => attempt += 1,
-            done => return done,
-        }
-    }
 }
 
 /// One operation of a scripted SSF body, on key X unless it names Y.
@@ -115,7 +103,7 @@ fn non_deterministic_body_is_detected() {
             }
             Ok(Value::Null)
         };
-        let result = sim.block_on(run_ssf(client.clone(), id, body));
+        let result = sim.block_on(run_ssf(client.clone(), spec(id), RETRY, body));
         match result {
             Err(HmError::Config { what }) => assert!(
                 what.contains("non-deterministic")
@@ -139,9 +127,12 @@ fn missing_key_reads_null() {
     ] {
         let (mut sim, client) = setup(kind);
         let id = client.fresh_instance_id();
-        let v = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
-            env.read(&Key::new("ghost")).await
-        }));
+        let v = sim.block_on(run_ssf(
+            client.clone(),
+            spec(id),
+            RETRY,
+            async |env: &mut Env, _| env.read(&Key::new("ghost")).await,
+        ));
         assert_eq!(v.unwrap(), Value::Null, "{kind}");
     }
 }
@@ -156,10 +147,15 @@ fn write_then_read_fresh_key() {
     ] {
         let (mut sim, client) = setup(kind);
         let id = client.fresh_instance_id();
-        let v = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
-            env.write(&Key::new("fresh"), Value::Int(11)).await?;
-            env.read(&Key::new("fresh")).await
-        }));
+        let v = sim.block_on(run_ssf(
+            client.clone(),
+            spec(id),
+            RETRY,
+            async |env: &mut Env, _| {
+                env.write(&Key::new("fresh"), Value::Int(11)).await?;
+                env.read(&Key::new("fresh")).await
+            },
+        ));
         assert_eq!(v.unwrap(), Value::Int(11), "{kind}");
     }
 }
@@ -170,11 +166,16 @@ fn unsafe_mode_never_touches_the_log() {
     let (mut sim, client) = setup(ProtocolKind::Unsafe);
     client.populate(Key::new("U"), Value::Int(1));
     let id = client.fresh_instance_id();
-    sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
-        env.read(&Key::new("U")).await?;
-        env.write(&Key::new("U"), Value::Int(2)).await?;
-        Ok(Value::Null)
-    }))
+    sim.block_on(run_ssf(
+        client.clone(),
+        spec(id),
+        RETRY,
+        async |env: &mut Env, _| {
+            env.read(&Key::new("U")).await?;
+            env.write(&Key::new("U"), Value::Int(2)).await?;
+            Ok(Value::Null)
+        },
+    ))
     .unwrap();
     assert_eq!(client.log().counters().log_appends, 0);
     assert_eq!(client.log().counters().log_reads, 0);
@@ -186,9 +187,12 @@ fn unsafe_mode_never_touches_the_log() {
 fn invoke_without_invoker_errors() {
     let (mut sim, client) = setup(ProtocolKind::HalfmoonRead);
     let id = client.fresh_instance_id();
-    let out = sim.block_on(run_ssf(client, id, async |env: &mut Env, _| {
-        env.invoke("anything", Value::Null).await
-    }));
+    let out = sim.block_on(run_ssf(
+        client,
+        spec(id),
+        RETRY,
+        async |env: &mut Env, _| env.invoke("anything", Value::Null).await,
+    ));
     assert!(matches!(out, Err(HmError::Config { .. })), "{out:?}");
 }
 
@@ -205,13 +209,18 @@ fn per_key_protocol_mix() {
     client.populate(Key::new("hot-write"), Value::Int(0));
     client.populate(Key::new("hot-read"), Value::Int(0));
     let id = client.fresh_instance_id();
-    sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
-        env.write(&Key::new("hot-write"), Value::Int(1)).await?;
-        env.write(&Key::new("hot-read"), Value::Int(2)).await?;
-        assert_eq!(env.read(&Key::new("hot-write")).await?, Value::Int(1));
-        assert_eq!(env.read(&Key::new("hot-read")).await?, Value::Int(2));
-        Ok(Value::Null)
-    }))
+    sim.block_on(run_ssf(
+        client.clone(),
+        spec(id),
+        RETRY,
+        async |env: &mut Env, _| {
+            env.write(&Key::new("hot-write"), Value::Int(1)).await?;
+            env.write(&Key::new("hot-read"), Value::Int(2)).await?;
+            assert_eq!(env.read(&Key::new("hot-write")).await?, Value::Int(1));
+            assert_eq!(env.read(&Key::new("hot-read")).await?, Value::Int(2));
+            Ok(Value::Null)
+        },
+    ))
     .unwrap();
     // The HM-write key stayed single-version; the HM-read key is versioned.
     assert_eq!(
@@ -235,7 +244,7 @@ fn peer_recovers_input_from_init_record() {
     let ctx = sim.ctx();
     let body = |input_observed: Rc<Cell<i64>>| {
         move |client: Client, id, input: Value| async move {
-            let spec = InvocationSpec::new(id, NODE).input(input);
+            let spec = spec(id).input(input);
             Env::run(&client, spec, async |env: &mut Env, input: Value| {
                 input_observed.set(input.as_int().unwrap_or(-1));
                 env.write(&Key::new("I"), input).await?;
@@ -281,17 +290,25 @@ fn deterministic_versions_exactly_once_under_crashes() {
         client.populate(Key::new("DV"), Value::Int(3));
         let id = client.fresh_instance_id();
         client.set_fault_plan(FaultPolicy::at([(id, point)]));
-        let out = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
-            let v = env.read(&Key::new("DV")).await?.as_int().unwrap_or(0);
-            env.write(&Key::new("DV"), Value::Int(v * 2)).await?;
-            Ok(Value::Int(v))
-        }));
+        let out = sim.block_on(run_ssf(
+            client.clone(),
+            spec(id),
+            RETRY,
+            async |env: &mut Env, _| {
+                let v = env.read(&Key::new("DV")).await?.as_int().unwrap_or(0);
+                env.write(&Key::new("DV"), Value::Int(v * 2)).await?;
+                Ok(Value::Int(v))
+            },
+        ));
         assert_eq!(out.unwrap(), Value::Int(3), "point {point}");
         // Exactly one committed version of the doubled value.
         let id2 = client.fresh_instance_id();
-        let v = sim.block_on(run_ssf(client.clone(), id2, async |env: &mut Env, _| {
-            env.read(&Key::new("DV")).await
-        }));
+        let v = sim.block_on(run_ssf(
+            client.clone(),
+            spec(id2),
+            RETRY,
+            async |env: &mut Env, _| env.read(&Key::new("DV")).await,
+        ));
         assert_eq!(v.unwrap(), Value::Int(6), "point {point}");
     }
 }
@@ -310,14 +327,19 @@ fn checkpoints_accelerate_retries_without_changing_results() {
         let id = client.fresh_instance_id();
         // Crash late, before finish, so the retry replays every read.
         client.set_fault_plan(FaultPolicy::at([(id, 9)]));
-        let out = sim.block_on(run_ssf(client.clone(), id, async |env: &mut Env, _| {
-            let mut acc = 0i64;
-            for _ in 0..4 {
-                acc += env.read(&Key::new("cp")).await?.as_int().unwrap_or(0);
-            }
-            env.write(&Key::new("cp"), Value::Int(acc)).await?;
-            Ok(Value::Int(acc))
-        }));
+        let out = sim.block_on(run_ssf(
+            client.clone(),
+            spec(id),
+            RETRY,
+            async |env: &mut Env, _| {
+                let mut acc = 0i64;
+                for _ in 0..4 {
+                    acc += env.read(&Key::new("cp")).await?.as_int().unwrap_or(0);
+                }
+                env.write(&Key::new("cp"), Value::Int(acc)).await?;
+                Ok(Value::Int(acc))
+            },
+        ));
         assert_eq!(client.faults().injected_at(Site::BeforeAppend), 1);
         let reads = client.store().counters().db_reads + client.log().counters().log_reads;
         (out.unwrap(), reads)
@@ -383,16 +405,12 @@ fn dropping_the_sim_mid_attempt_does_not_panic_in_env_drop() {
     let id = client.fresh_instance_id();
     let ctx = sim.ctx();
     ctx.spawn(async move {
-        Env::run(
-            &client,
-            InvocationSpec::new(id, NODE),
-            async |env: &mut Env, _| {
-                for _ in 0..100 {
-                    env.read(&Key::new("X")).await?;
-                }
-                Ok(Value::Null)
-            },
-        )
+        Env::run(&client, spec(id), async |env: &mut Env, _| {
+            for _ in 0..100 {
+                env.read(&Key::new("X")).await?;
+            }
+            Ok(Value::Null)
+        })
         .await
     });
     sim.run_until(Duration::from_millis(5));

@@ -11,17 +11,22 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{
-    transition_log_tag, Client, CrashFootprints, Env, FaultPolicy, GarbageCollector,
-    InvocationSpec, Invoker, LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind,
-    Recorder, Site, StepRecord, Switcher,
+    transition_log_tag, Client, CrashFootprints, Env, FaultPolicy, GarbageCollector, Invoker,
+    LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind, Recorder, Site, StepRecord,
+    Switcher,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::observe::OpCtx;
-use hm_common::{FxHashMap, HmError, HmResult, InstanceId, Key, NodeId, StepNum, Value};
+use hm_common::{FxHashMap, HmError, HmResult, InstanceId, Key, StepNum, Value};
 use hm_substrate::explore::{Alt, ChoiceSource};
 use hm_substrate::sim::Sim;
 
-const NODE: NodeId = NodeId(0);
+mod common;
+
+use common::{run_ssf, spec, NODE};
+
+/// Delay between an attempt's crash and its retry.
+const RETRY: Option<Duration> = Some(Duration::from_millis(2));
 
 fn setup(kind: ProtocolKind) -> (Sim, Client, Rc<Recorder>) {
     let sim = Sim::new(0xda7a);
@@ -32,41 +37,6 @@ fn setup(kind: ProtocolKind) -> (Sim, Client, Rc<Recorder>) {
         .build();
     let recorder = client.recorder().expect("recorder enabled at build");
     (sim, client, recorder)
-}
-
-/// Runs one SSF to completion, re-executing on injected crashes — the
-/// retry contract every serverless platform provides (§3).
-async fn run_to_completion(
-    client: Client,
-    id: InstanceId,
-    input: Value,
-    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
-) -> HmResult<Value> {
-    retry_from(0, client, id, input, body).await
-}
-
-/// Runs attempts `attempt`, `attempt + 1`, … of one SSF until one
-/// completes.
-async fn retry_from(
-    mut attempt: u32,
-    client: Client,
-    id: InstanceId,
-    input: Value,
-    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
-) -> HmResult<Value> {
-    loop {
-        let spec = InvocationSpec::new(id, NODE)
-            .attempt(attempt)
-            .input(input.clone());
-        match Env::run(&client, spec, &body).await {
-            Err(e) if e.is_crash() => {
-                attempt += 1;
-                assert!(attempt < 200, "unbounded retry loop");
-                client.ctx().sleep(Duration::from_millis(2)).await;
-            }
-            done => return done,
-        }
-    }
 }
 
 /// What the test invoker holds per function: runs it to completion as
@@ -96,7 +66,7 @@ impl TestInvoker {
         body: impl AsyncFn(&mut Env, Value) -> HmResult<Value> + Clone + 'static,
     ) {
         let start: Start = Box::new(move |client, id, input| {
-            Box::pin(run_to_completion(client, id, input, body.clone()))
+            Box::pin(run_ssf(client, spec(id).input(input), RETRY, body.clone()))
         });
         self.funcs.borrow_mut().insert(name.to_string(), start);
     }
@@ -159,12 +129,7 @@ fn failure_free_execution_all_protocols() {
         populate_xy(&client);
         let id = client.fresh_instance_id();
         let out = sim
-            .block_on(run_to_completion(
-                client.clone(),
-                id,
-                Value::Null,
-                canonical,
-            ))
+            .block_on(run_ssf(client.clone(), spec(id), RETRY, canonical))
             .unwrap_or_else(|e| panic!("{kind}: {e}"));
         assert_eq!(out, Value::Int(3), "{kind}");
         // Effects applied exactly once.
@@ -183,7 +148,7 @@ fn read_final(sim: &mut Sim, client: &Client, key: &str) -> Value {
     let key = Key::new(key);
     let id = client.fresh_instance_id();
     let read = async move |env: &mut Env, _| env.read(&key).await;
-    sim.block_on(run_to_completion(client.clone(), id, Value::Null, read))
+    sim.block_on(run_ssf(client.clone(), spec(id), RETRY, read))
         .unwrap()
 }
 
@@ -322,10 +287,10 @@ fn exactly_once_under_single_crash_at_every_point() {
             let policy = client.faults();
             let c = client.clone();
             let (first_ops, out) = sim.block_on(async move {
-                let first = Env::run(&c, InvocationSpec::new(id, NODE), swept).await;
+                let first = Env::run(&c, spec(id), swept).await;
                 let first_ops = store_ops(&c);
                 let out = match first {
-                    Err(e) if e.is_crash() => retry_from(1, c, id, Value::Null, swept).await,
+                    Err(e) if e.is_crash() => run_ssf(c, spec(id).attempt(1), RETRY, swept).await,
                     done => done,
                 };
                 (first_ops, out)
@@ -428,7 +393,7 @@ fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, Rc<Recorder>, u32, Hm
         u32::MAX,
         CrashFootprints::new(),
     ));
-    let out = sim.block_on(run_to_completion(client.clone(), id, Value::Null, swept));
+    let out = sim.block_on(run_ssf(client.clone(), spec(id), RETRY, swept));
     (sim, client, recorder, source.seen.get(), out)
 }
 
@@ -491,7 +456,7 @@ fn unsafe_baseline_duplicates_effects_under_crash() {
         client.populate(Key::new("C"), Value::Int(0));
         let id = client.fresh_instance_id();
         client.set_fault_plan(FaultPolicy::at([(id, point)]));
-        sim.block_on(run_to_completion(client.clone(), id, Value::Null, body))
+        sim.block_on(run_ssf(client.clone(), spec(id), RETRY, body))
             .unwrap();
         let crashed = client.faults().injected_at(Site::AfterEffect);
         assert_eq!(crashed, u32::from(point != 0), "point {point}");
@@ -517,19 +482,14 @@ fn peer_instances_resolve_to_single_execution() {
         populate_xy(&client);
         let id = client.fresh_instance_id();
         let ctx = sim.ctx();
-        let h1 = ctx.spawn(run_to_completion(
-            client.clone(),
-            id,
-            Value::Null,
-            canonical,
-        ));
+        let h1 = ctx.spawn(run_ssf(client.clone(), spec(id), RETRY, canonical));
         let h2 = {
             let client = client.clone();
             let ctx2 = ctx.clone();
             ctx.spawn(async move {
                 // Peer starts slightly later, mid-flight of the first.
                 ctx2.sleep(Duration::from_micros(1800)).await;
-                run_to_completion(client, id, Value::Null, canonical).await
+                run_ssf(client, spec(id), RETRY, canonical).await
             })
         };
         sim.run();
@@ -554,18 +514,13 @@ fn crashed_instance_retry_races_live_peer() {
             let id = client.fresh_instance_id();
             client.set_fault_plan(FaultPolicy::at([(id, point)]));
             let ctx = sim.ctx();
-            let h1 = ctx.spawn(run_to_completion(
-                client.clone(),
-                id,
-                Value::Null,
-                canonical,
-            ));
+            let h1 = ctx.spawn(run_ssf(client.clone(), spec(id), RETRY, canonical));
             let h2 = {
                 let client = client.clone();
                 let ctx2 = ctx.clone();
                 ctx.spawn(async move {
                     ctx2.sleep(Duration::from_millis(1)).await;
-                    run_to_completion(client, id, Value::Null, canonical).await
+                    run_ssf(client, spec(id), RETRY, canonical).await
                 })
             };
             sim.run();
@@ -602,7 +557,7 @@ fn figure4_reads_are_stable_against_later_writes() {
         Ok(x)
     };
     let ctx = sim.ctx();
-    let h2 = ctx.spawn(run_to_completion(client.clone(), f2, Value::Null, body));
+    let h2 = ctx.spawn(run_ssf(client.clone(), spec(f2), RETRY, body));
     // F3 writes X concurrently (while F2 is crashed/retrying).
     let f3 = client.fresh_instance_id();
     let writer = async |env: &mut Env, _| {
@@ -614,7 +569,7 @@ fn figure4_reads_are_stable_against_later_writes() {
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(100)).await;
-            run_to_completion(client, f3, Value::Null, writer).await
+            run_ssf(client, spec(f3), RETRY, writer).await
         })
     };
     sim.run();
@@ -645,7 +600,7 @@ fn figure6_stale_writes_are_reordered() {
         env.write(&Key::new("Z"), Value::str("F2")).await?;
         Ok(Value::Null)
     };
-    let out = sim.block_on(run_to_completion(client.clone(), f2, Value::Null, body2));
+    let out = sim.block_on(run_ssf(client.clone(), spec(f2), RETRY, body2));
     out.unwrap();
 
     // F1 starts *after* F2 in real time, but performs its write to X
@@ -659,7 +614,7 @@ fn figure6_stale_writes_are_reordered() {
         env.write(&Key::new("Z"), Value::str("F1")).await?;
         Ok(Value::Null)
     };
-    sim.block_on(run_to_completion(client.clone(), f1, Value::Null, body1))
+    sim.block_on(run_ssf(client.clone(), spec(f1), RETRY, body1))
         .unwrap();
     assert_eq!(client.store().peek(&Key::new("X")), Some(Value::str("F1")));
     assert_eq!(client.store().peek(&Key::new("Z")), Some(Value::str("F1")));
@@ -680,13 +635,13 @@ fn figure6_stale_writes_are_reordered() {
         env.write(&Key::new("X"), Value::str("fresh")).await?;
         Ok(Value::Null)
     };
-    let h3 = ctx.spawn(run_to_completion(client.clone(), f3, Value::Null, slow));
+    let h3 = ctx.spawn(run_ssf(client.clone(), spec(f3), RETRY, slow));
     let h4 = {
         let client = client.clone();
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
             ctx2.sleep(Duration::from_millis(10)).await; // init after f3
-            run_to_completion(client, f4, Value::Null, fast).await
+            run_ssf(client, spec(f4), RETRY, fast).await
         })
     };
     sim.run();
@@ -721,7 +676,7 @@ fn workflow_invocation_is_exactly_once_under_crashes() {
             let id = client.fresh_instance_id();
             client.set_fault_plan(FaultPolicy::at([(id, point)]));
             let out = sim
-                .block_on(run_to_completion(client.clone(), id, Value::Null, parent))
+                .block_on(run_ssf(client.clone(), spec(id), RETRY, parent))
                 .unwrap_or_else(|e| panic!("{kind} point {point}: {e}"));
             assert_eq!(out, Value::Int(1), "{kind} point {point}");
             assert_eq!(
@@ -756,7 +711,7 @@ fn nested_workflow_chain() {
     };
     let id = client.fresh_instance_id();
     let out = sim
-        .block_on(run_to_completion(client, id, Value::Null, root))
+        .block_on(run_ssf(client, spec(id), RETRY, root))
         .unwrap();
     assert_eq!(out, Value::Int(60));
     recorder.check_all_generic().unwrap();
@@ -778,7 +733,7 @@ fn gc_reclaims_finished_ssfs_and_old_versions() {
             env.write(&Key::new("K"), Value::Int(i)).await?;
             Ok(Value::Null)
         };
-        sim.block_on(run_to_completion(client.clone(), id, Value::Null, body))
+        sim.block_on(run_ssf(client.clone(), spec(id), RETRY, body))
             .unwrap();
     }
     assert_eq!(client.store().version_count(), 5);
@@ -812,12 +767,7 @@ fn gc_never_collects_versions_a_live_reader_may_see() {
         let v = env.read(&Key::new("K")).await?;
         Ok(v)
     };
-    let h_reader = ctx.spawn(run_to_completion(
-        client.clone(),
-        reader,
-        Value::Null,
-        slow_reader,
-    ));
+    let h_reader = ctx.spawn(run_ssf(client.clone(), spec(reader), RETRY, slow_reader));
     // Writers update K while the reader stalls; then the GC runs.
     let h_rest = {
         let client = client.clone();
@@ -830,7 +780,7 @@ fn gc_never_collects_versions_a_live_reader_may_see() {
                     env.write(&Key::new("K"), Value::Int(100 + i)).await?;
                     Ok(Value::Null)
                 };
-                run_to_completion(client.clone(), id, Value::Null, body)
+                run_ssf(client.clone(), spec(id), RETRY, body)
                     .await
                     .unwrap();
             }
@@ -889,7 +839,7 @@ fn switch_under_concurrent_load_preserves_consistency() {
                     env.write(&Key::new("S"), Value::Int(v + 1)).await?;
                     Ok(Value::Int(v))
                 };
-                run_to_completion(client, id, Value::Null, body).await
+                run_ssf(client, spec(id), RETRY, body).await
             }));
         }
         // Trigger the switch mid-stream.
@@ -984,7 +934,7 @@ fn hm_read_sequential_consistency_under_random_load_and_crashes() {
                 let w = env.read(&k2).await?;
                 Ok(w)
             };
-            run_to_completion(client, id, Value::Null, body).await
+            run_ssf(client, spec(id), RETRY, body).await
         }));
     }
     sim.run();
@@ -1024,7 +974,7 @@ fn hm_write_effective_order_under_random_load_and_crashes() {
                 env.write(&k1, Value::Int(v)).await?;
                 Ok(Value::Null)
             };
-            run_to_completion(client, id, Value::Null, body).await
+            run_ssf(client, spec(id), RETRY, body).await
         }));
     }
     sim.run();
@@ -1057,7 +1007,7 @@ fn ordered_write_extension_costs_one_log_between_dependent_writes() {
             env.write(&Key::new("B"), Value::Int(3)).await?; // same key: free
             Ok(Value::Null)
         };
-        sim.block_on(run_to_completion(client.clone(), id, Value::Null, body))
+        sim.block_on(run_ssf(client.clone(), spec(id), RETRY, body))
             .unwrap();
         client.log().counters().log_appends
     };
@@ -1087,7 +1037,7 @@ fn real_time_visibility_at_ssf_boundaries() {
             env.write(&Key::new("B"), Value::Int(7)).await?;
             Ok(Value::Null)
         };
-        sim.block_on(run_to_completion(client.clone(), w, Value::Null, writer))
+        sim.block_on(run_ssf(client.clone(), spec(w), RETRY, writer))
             .unwrap();
         assert_eq!(read_final(&mut sim, &client, "B"), Value::Int(7), "{kind}");
     }
@@ -1112,10 +1062,10 @@ fn figure8_ordered_extension_prevents_commuting() {
         let ctx = sim.ctx();
         // F1: inits early (stale cursor), stalls, then writes Y and X.
         let f1 = client.fresh_instance_id();
-        let h1 = ctx.spawn(run_to_completion(
+        let h1 = ctx.spawn(run_ssf(
             client.clone(),
-            f1,
-            Value::Null,
+            spec(f1),
+            RETRY,
             async |env: &mut Env, _| {
                 env.client().ctx().sleep(Duration::from_millis(50)).await;
                 env.write(&Key::new("Y"), Value::str("F1")).await?;
@@ -1134,7 +1084,7 @@ fn figure8_ordered_extension_prevents_commuting() {
                     env.write(&Key::new("X"), Value::str("F2")).await?;
                     Ok(Value::Null)
                 };
-                run_to_completion(client, f2, Value::Null, write).await
+                run_ssf(client, spec(f2), RETRY, write).await
             })
         };
         sim.run();

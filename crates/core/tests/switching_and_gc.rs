@@ -5,14 +5,19 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{
-    Client, Env, FaultPolicy, GarbageCollector, InvocationSpec, ProtocolConfig, ProtocolKind,
-    Recorder, Site, Switcher,
+    Client, Env, FaultPolicy, GarbageCollector, ProtocolConfig, ProtocolKind, Recorder, Site,
+    Switcher,
 };
 use hm_common::latency::LatencyModel;
-use hm_common::{HmResult, InstanceId, Key, NodeId, Value};
+use hm_common::{HmResult, Key, Value};
 use hm_substrate::sim::Sim;
 
-const NODE: NodeId = NodeId(0);
+mod common;
+
+use common::{run_ssf, spec, NODE};
+
+/// Delay between an attempt's crash and its retry.
+const RETRY: Option<Duration> = Some(Duration::from_millis(1));
 
 fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client, Rc<Recorder>) {
     let sim = Sim::new(0x56c);
@@ -25,25 +30,6 @@ fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client, Rc<Recorder>) {
         .build();
     let recorder = client.recorder().expect("recorder enabled at build");
     (sim, client, recorder)
-}
-
-async fn run_ssf(
-    client: Client,
-    id: InstanceId,
-    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
-) -> HmResult<Value> {
-    let mut attempt = 0;
-    loop {
-        let spec = InvocationSpec::new(id, NODE).attempt(attempt);
-        match Env::run(&client, spec, &body).await {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_crash() => {
-                attempt += 1;
-                client.ctx().sleep(Duration::from_millis(1)).await;
-            }
-            Err(e) => return Err(e),
-        }
-    }
 }
 
 fn writer(key: &'static str, val: i64) -> impl AsyncFn(&mut Env, Value) -> HmResult<Value> {
@@ -72,7 +58,7 @@ fn data_survives_switch_in_both_directions() {
         client.populate(Key::new("D"), Value::Int(1));
         // Write under the old protocol.
         let w = client.fresh_instance_id();
-        sim.block_on(run_ssf(client.clone(), w, writer("D", 42)))
+        sim.block_on(run_ssf(client.clone(), spec(w), RETRY, writer("D", 42)))
             .unwrap();
         // Switch.
         let switcher = Switcher::new(client.clone(), NODE);
@@ -81,7 +67,7 @@ fn data_survives_switch_in_both_directions() {
         // Read under the new protocol.
         let r = client.fresh_instance_id();
         let seen = sim
-            .block_on(run_ssf(client.clone(), r, reader("D")))
+            .block_on(run_ssf(client.clone(), spec(r), RETRY, reader("D")))
             .unwrap();
         assert_eq!(seen, Value::Int(42), "{from} -> {to}");
         recorder
@@ -99,24 +85,39 @@ fn double_switch_round_trip() {
     let switcher = Switcher::new(client.clone(), NODE);
     let c = client;
     sim.block_on(async move {
-        run_ssf(c.clone(), c.fresh_instance_id(), writer("D", 1))
-            .await
-            .unwrap();
+        run_ssf(
+            c.clone(),
+            spec(c.fresh_instance_id()),
+            RETRY,
+            writer("D", 1),
+        )
+        .await
+        .unwrap();
         switcher
             .switch_to(ProtocolKind::HalfmoonRead)
             .await
             .unwrap();
-        run_ssf(c.clone(), c.fresh_instance_id(), writer("D", 2))
-            .await
-            .unwrap();
+        run_ssf(
+            c.clone(),
+            spec(c.fresh_instance_id()),
+            RETRY,
+            writer("D", 2),
+        )
+        .await
+        .unwrap();
         switcher
             .switch_to(ProtocolKind::HalfmoonWrite)
             .await
             .unwrap();
-        run_ssf(c.clone(), c.fresh_instance_id(), writer("D", 3))
-            .await
-            .unwrap();
-        let seen = run_ssf(c.clone(), c.fresh_instance_id(), reader("D"))
+        run_ssf(
+            c.clone(),
+            spec(c.fresh_instance_id()),
+            RETRY,
+            writer("D", 3),
+        )
+        .await
+        .unwrap();
+        let seen = run_ssf(c.clone(), spec(c.fresh_instance_id()), RETRY, reader("D"))
             .await
             .unwrap();
         assert_eq!(seen, Value::Int(3));
@@ -143,7 +144,7 @@ fn retry_spanning_a_switch_resolves_consistently() {
         env.write(&Key::new("S"), Value::Int(v * 10)).await?;
         Ok(Value::Int(v))
     };
-    let h = ctx.spawn(run_ssf(client.clone(), id, body));
+    let h = ctx.spawn(run_ssf(client.clone(), spec(id), RETRY, body));
     let sw = {
         let client = client.clone();
         let ctx2 = ctx.clone();
@@ -162,7 +163,12 @@ fn retry_spanning_a_switch_resolves_consistently() {
     // Effect applied exactly once despite the crash spanning the switch.
     let c = client;
     let seen = sim
-        .block_on(run_ssf(c.clone(), c.fresh_instance_id(), reader("S")))
+        .block_on(run_ssf(
+            c.clone(),
+            spec(c.fresh_instance_id()),
+            RETRY,
+            reader("S"),
+        ))
         .unwrap();
     assert_eq!(seen, Value::Int(50));
 }
@@ -185,7 +191,7 @@ fn old_ssf_keeps_old_protocol_during_switch() {
         assert!(after > before, "old-protocol read must be logged");
         Ok(v)
     };
-    let h = ctx.spawn(run_ssf(client.clone(), slow, slow_body));
+    let h = ctx.spawn(run_ssf(client.clone(), spec(slow), RETRY, slow_body));
     let sw = {
         let client = client;
         let ctx2 = ctx.clone();
@@ -210,15 +216,20 @@ fn switch_from_boki_to_halfmoon() {
     client.populate(Key::new("B"), Value::Int(9));
     let c = client;
     sim.block_on(async move {
-        run_ssf(c.clone(), c.fresh_instance_id(), writer("B", 10))
-            .await
-            .unwrap();
+        run_ssf(
+            c.clone(),
+            spec(c.fresh_instance_id()),
+            RETRY,
+            writer("B", 10),
+        )
+        .await
+        .unwrap();
         let switcher = Switcher::new(c.clone(), NODE);
         switcher
             .switch_to(ProtocolKind::HalfmoonRead)
             .await
             .unwrap();
-        let seen = run_ssf(c.clone(), c.fresh_instance_id(), reader("B"))
+        let seen = run_ssf(c.clone(), spec(c.fresh_instance_id()), RETRY, reader("B"))
             .await
             .unwrap();
         assert_eq!(seen, Value::Int(10));
@@ -253,9 +264,14 @@ fn gc_is_idempotent() {
     let c = client;
     sim.block_on(async move {
         for i in 0..4 {
-            run_ssf(c.clone(), c.fresh_instance_id(), writer("G", i))
-                .await
-                .unwrap();
+            run_ssf(
+                c.clone(),
+                spec(c.fresh_instance_id()),
+                RETRY,
+                writer("G", i),
+            )
+            .await
+            .unwrap();
         }
         let gc = GarbageCollector::new(c.clone(), NODE);
         let first = gc.collect().await;
@@ -284,7 +300,7 @@ fn gc_preserves_state_of_crashed_unfinished_ssf() {
     let c2 = client.clone();
     let attempt = sim
         .ctx()
-        .spawn(async move { Env::run(&c2, InvocationSpec::new(id, NODE), body).await });
+        .spawn(async move { Env::run(&c2, spec(id), body).await });
     sim.run();
     let crashed = attempt.try_take().expect("attempt resolved");
     assert!(matches!(crashed, Err(e) if e.is_crash()));
@@ -303,11 +319,17 @@ fn gc_preserves_state_of_crashed_unfinished_ssf() {
         step_records_before
     );
     // The retry completes correctly from the preserved log.
-    sim.block_on(run_ssf(client.clone(), id, body)).unwrap();
+    sim.block_on(run_ssf(client.clone(), spec(id), RETRY, body))
+        .unwrap();
     recorder.check_all_generic().unwrap();
     let c = client;
     let seen = sim
-        .block_on(run_ssf(c.clone(), c.fresh_instance_id(), reader("C")))
+        .block_on(run_ssf(
+            c.clone(),
+            spec(c.fresh_instance_id()),
+            RETRY,
+            reader("C"),
+        ))
         .unwrap();
     assert_eq!(seen, Value::Int(8), "exactly one increment");
 }
@@ -321,7 +343,7 @@ fn gc_reclaims_read_logs_of_finished_hmwrite_ssfs() {
     let c = client;
     sim.block_on(async move {
         for _ in 0..5 {
-            run_ssf(c.clone(), c.fresh_instance_id(), reader("R"))
+            run_ssf(c.clone(), spec(c.fresh_instance_id()), RETRY, reader("R"))
                 .await
                 .unwrap();
         }
@@ -357,7 +379,7 @@ fn gc_hammer_with_live_traffic() {
                 env.write(&k, Value::Int(v + 1)).await?;
                 env.read(&k).await
             };
-            run_ssf(client, id, body).await
+            run_ssf(client, spec(id), RETRY, body).await
         }));
     }
     // Aggressive GC every 2ms, concurrent with the traffic.

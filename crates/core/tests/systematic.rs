@@ -11,32 +11,17 @@
 
 use std::time::Duration;
 
-use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind};
+use halfmoon::{Client, Env, FaultPolicy, ProtocolKind};
 use hm_common::latency::LatencyModel;
-use hm_common::{HmResult, InstanceId, Key, NodeId, Value};
+use hm_common::{HmResult, InstanceId, Key, Value};
 use hm_substrate::sim::Sim;
 
-const NODE: NodeId = NodeId(0);
+mod common;
 
-/// Runs one SSF to completion, re-executing it on injected crashes.
-async fn run_ssf(
-    client: Client,
-    id: InstanceId,
-    body: impl AsyncFn(&mut Env, Value) -> HmResult<Value>,
-) -> HmResult<Value> {
-    let mut attempt = 0;
-    loop {
-        let spec = InvocationSpec::new(id, NODE).attempt(attempt);
-        match Env::run(&client, spec, &body).await {
-            Ok(v) => return Ok(v),
-            Err(e) if e.is_crash() => {
-                attempt += 1;
-                client.ctx().sleep(Duration::from_micros(700)).await;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
+use common::{run_ssf, spec};
+
+/// Delay between an attempt's crash and its retry.
+const RETRY: Option<Duration> = Some(Duration::from_micros(700));
 
 /// SSF A: read X, write X (tagged value), read Y, write Y.
 async fn ssf_a(env: &mut Env, _input: Value) -> HmResult<Value> {
@@ -70,13 +55,13 @@ fn explore(kind: ProtocolKind, crash_point: Option<u32>, offset_us: u64) {
         client.set_fault_plan(FaultPolicy::at([(a, point)]));
     }
     let ctx = sim.ctx();
-    let ha = ctx.spawn(run_ssf(client.clone(), a, ssf_a));
+    let ha = ctx.spawn(run_ssf(client.clone(), spec(a), RETRY, ssf_a));
     let hb = {
         let client = client;
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(offset_us)).await;
-            run_ssf(client, b, ssf_b).await
+            run_ssf(client, spec(b), RETRY, ssf_b).await
         })
     };
     sim.run();

@@ -6,10 +6,11 @@
 //! - [`ChaosDriver`] — walks the plan's time-sorted schedule on the virtual
 //!   clock and injects each [`FaultEvent`] against the runtime and its
 //!   substrates: whole-node crashes (§5 recovery), storage replica
-//!   outages, sequencer stalls, gateway retry storms. Every injection is
-//!   journaled with its fire time; [`ChaosDriver::events_jsonl`] exports
-//!   the journal deterministically, so two runs of the same seeded
-//!   campaign produce byte-identical traces.
+//!   outages, sequencer stalls, gateway retry storms. The schedule fires
+//!   in order, so the faults injected so far are its prefix;
+//!   [`ChaosDriver::events_jsonl`] exports that prefix deterministically,
+//!   so two runs of the same seeded campaign produce byte-identical
+//!   traces.
 //! - [`audit`] — the post-campaign exactly-once auditor: replays the
 //!   deployment's [`Recorder`] history through every applicable
 //!   consistency checker (generic idempotence plus the protocol-specific
@@ -26,7 +27,7 @@
 //! [`Recorder`]: halfmoon::Recorder
 //! [`FaultPlan`]: halfmoon::FaultPlan
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
@@ -34,11 +35,11 @@ use halfmoon::{Client, FaultEvent, ProtocolKind, RecoveryStats, ScheduledFault};
 
 use crate::runtime::Runtime;
 
-/// Handle to a running chaos campaign.
+/// Handle to a running chaos campaign: the plan's time-sorted schedule and
+/// how many of its faults have fired.
 pub struct ChaosDriver {
-    injected: Rc<Cell<u64>>,
-    done: Rc<Cell<bool>>,
-    journal: Rc<RefCell<Vec<ScheduledFault>>>,
+    schedule: Rc<[ScheduledFault]>,
+    injected: Rc<Cell<usize>>,
 }
 
 impl ChaosDriver {
@@ -48,28 +49,19 @@ impl ChaosDriver {
     /// deployment is free.
     #[must_use]
     pub fn start(runtime: &Runtime) -> ChaosDriver {
-        let injected = Rc::new(Cell::new(0u64));
-        let done = Rc::new(Cell::new(false));
-        let journal = Rc::new(RefCell::new(Vec::new()));
-        let schedule = runtime.client().fault_plan().schedule();
-        if schedule.is_empty() {
-            done.set(true);
-            return ChaosDriver {
-                injected,
-                done,
-                journal,
-            };
+        let driver = ChaosDriver {
+            schedule: runtime.client().fault_plan().schedule().into(),
+            injected: Rc::new(Cell::new(0)),
+        };
+        if driver.schedule.is_empty() {
+            return driver;
         }
+        let (schedule, injected) = (driver.schedule.clone(), driver.injected.clone());
         let rt = runtime.clone();
         let ctx = runtime.client().ctx().clone();
-        let driver = ChaosDriver {
-            injected: injected.clone(),
-            done: done.clone(),
-            journal: journal.clone(),
-        };
         ctx.clone().spawn(async move {
             let baseline_duplicate_prob = rt.config().duplicate_prob;
-            for fault in schedule {
+            for &fault in schedule.iter() {
                 ctx.sleep_until(fault.at).await;
                 match fault.event {
                     FaultEvent::NodeCrash { node } => rt.crash_node(node),
@@ -103,9 +95,7 @@ impl ChaosDriver {
                 if let Some(p) = rt.client().probe() {
                     p.note(ctx.now(), "fault_injected", || format!("{:?}", fault.event));
                 }
-                journal.borrow_mut().push(fault);
             }
-            done.set(true);
         });
         driver
     }
@@ -113,28 +103,33 @@ impl ChaosDriver {
     /// Faults injected so far.
     #[must_use]
     pub fn injected(&self) -> u64 {
-        self.injected.get()
+        self.injected.get() as u64
     }
 
     /// True once the whole schedule has fired.
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.done.get()
+        self.injected.get() == self.schedule.len()
     }
 
-    /// The injected faults in fire order (the journal so far).
+    /// The schedule's faults that have fired, in fire order.
+    fn fired(&self) -> &[ScheduledFault] {
+        &self.schedule[..self.injected.get()]
+    }
+
+    /// The injected faults in fire order.
     #[must_use]
     pub fn events(&self) -> Vec<ScheduledFault> {
-        self.journal.borrow().clone()
+        self.fired().to_vec()
     }
 
-    /// Serializes the injection journal as JSONL, one event per line.
+    /// Serializes the injected faults as JSONL, one event per line.
     /// Fully determined by the schedule: byte-identical across runs of the
     /// same campaign.
     #[must_use]
     pub fn events_jsonl(&self) -> String {
         let mut out = String::new();
-        for fault in self.journal.borrow().iter() {
+        for fault in self.fired() {
             let _ = write!(out, "{{\"at_ns\":{}", fault.at.as_nanos());
             match fault.event {
                 FaultEvent::NodeCrash { node } => {

