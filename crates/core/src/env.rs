@@ -81,10 +81,9 @@ pub struct Env {
     pub attempt: u32,
     /// `cursorTS`: seqnum of the latest logged operation (§4).
     pub cursor: SeqNum,
-    /// Index of the next logged step (`env.step`).
+    /// Index of the next logged step (`env.step`), and so the offset of
+    /// its record in the step-log stream.
     pub step: StepNum,
-    /// Offset of the next record in the step-log stream.
-    pos: usize,
     /// Step-log records fetched at init (`env.stepLogs`).
     prior: Vec<LogRecord<StepRecord>>,
     /// Consecutive log-free writes since the last logged op (Figure 7).
@@ -104,10 +103,6 @@ pub struct Env {
     /// True when the whole deployment runs the unsafe baseline: no init,
     /// finish, or operation logging at all.
     unlogged: bool,
-    /// The invocation input: recovered from the init log record when one
-    /// exists (Figure 5 logs the input precisely so re-executions and peer
-    /// instances agree on it), otherwise the caller-supplied value.
-    input: Value,
     /// Where this attempt's observations belong: its trace, the span now
     /// on the critical path (the open op's, else the attempt's) and the
     /// request's phase sheet. Armed on every log and store access.
@@ -205,8 +200,8 @@ impl Env {
     /// # Errors
     /// Propagates injected crashes and substrate errors.
     pub async fn init(client: &Client, spec: InvocationSpec) -> HmResult<Env> {
-        let mut env = Env::new(client, spec);
-        env.start().await?;
+        let (mut env, input) = Env::new(client, spec);
+        env.start(&input).await?;
         Ok(env)
     }
 
@@ -227,17 +222,16 @@ impl Env {
         // life beside the `Env` made from it (64 B more per execution).
         // `new` has no effect but the move; all the work starts at the
         // first poll.
-        let mut env = Env::new(client, spec);
+        let (mut env, input) = Env::new(client, spec);
         async move {
-            env.start().await?;
-            let input = env.input.clone();
+            let input = env.start(&input).await?;
             let out = body(&mut env, input).await?;
             env.finish(out).await
         }
     }
 
-    /// The attempt `spec` names, not yet started.
-    fn new(client: &Client, spec: InvocationSpec) -> Env {
+    /// The attempt `spec` names, not yet started, and the caller's input.
+    fn new(client: &Client, spec: InvocationSpec) -> (Env, Value) {
         let InvocationSpec {
             id,
             node,
@@ -248,14 +242,13 @@ impl Env {
         let unlogged = client.with_config(|c| {
             c.default == ProtocolKind::Unsafe && c.per_key.is_empty() && !c.switching_enabled
         });
-        Env {
+        let env = Env {
             client: client.clone(),
             id,
             node,
             attempt,
             cursor: SeqNum::ZERO,
             step: StepNum(0),
-            pos: 0,
             prior: Vec::new(),
             consecutive_w: 0,
             last_write_key: None,
@@ -264,15 +257,18 @@ impl Env {
             init_cursor: SeqNum::ZERO,
             resolved_mode: None,
             unlogged,
-            input,
             octx,
             attempt_span: SpanId::NONE,
-        }
+        };
+        (env, input)
     }
 
     /// [`Env::init`]'s work on an attempt made by `new`: opens its span,
-    /// then the step-log fetch and the init record.
-    async fn start(&mut self) -> HmResult<()> {
+    /// then the step-log fetch and the init record. Returns the
+    /// authoritative input: the one logged in the init record when one
+    /// exists (Figure 5 logs the input precisely so re-executions and peer
+    /// instances agree on it), otherwise the caller's `input`.
+    async fn start(&mut self, input: &Value) -> HmResult<Value> {
         let (node, attempt) = (self.node, self.attempt);
         if let Some(probe) = self.client.probe() {
             let octx = std::mem::take(&mut self.octx);
@@ -280,7 +276,7 @@ impl Env {
             self.attempt_span = self.octx.parent;
         }
         if self.unlogged {
-            return Ok(());
+            return Ok(input.clone());
         }
         self.op(MatrixOp::Init, None, String::new, async |env: &mut Env| {
             let replaying = attempt > 0;
@@ -311,16 +307,15 @@ impl Env {
                         OpRecord::Init { input } => Some(input.clone()),
                         _ => None,
                     },
-                    async |env: &mut Env| {
+                    async |_: &mut Env| {
                         Ok(OpRecord::Init {
-                            input: env.input.clone(),
+                            input: input.clone(),
                         })
                     },
                 )
                 .await?;
-            env.input = first.value;
             env.init_cursor = first.seqnum;
-            Ok(())
+            Ok(first.value)
         })
         .await
     }
@@ -357,7 +352,7 @@ impl Env {
     /// `extra_tags` (beside the step-log tag) are read only when appending.
     ///
     /// This is the only code that reads `prior`, appends to the step log,
-    /// or moves `pos` / `step` / `cursor`.
+    /// or moves `step` / `cursor`.
     pub(crate) async fn step<T>(
         &mut self,
         want: &str,
@@ -366,7 +361,8 @@ impl Env {
         fresh: impl AsyncFnOnce(&mut Env) -> HmResult<OpRecord>,
     ) -> HmResult<Step<T>> {
         let appended;
-        let (record, replayed) = if let Some(prior) = self.prior.get(self.pos) {
+        let pos = self.step.0 as usize;
+        let (record, replayed) = if let Some(prior) = self.prior.get(pos) {
             // Fig. 5 lines 16–18 / Fig. 7 lines 10–12: already logged.
             (prior, true)
         } else {
@@ -382,7 +378,7 @@ impl Env {
             };
             let outcome = self
                 .log()
-                .cond_append(self.node, tags, rec, step_tag, self.pos)
+                .cond_append(self.node, tags, rec, step_tag, pos)
                 .await;
             appended = match outcome {
                 CondAppendOutcome::Appended(sn) => self
@@ -410,7 +406,6 @@ impl Env {
             ))
         })?;
         let seqnum = record.seqnum;
-        self.pos += 1;
         self.step = self.step.next();
         self.cursor = seqnum;
         self.consecutive_w = 0;
@@ -853,8 +848,8 @@ impl std::fmt::Debug for Env {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "Env({:?} attempt={} step={:?} cursor={:?} pos={})",
-            self.id, self.attempt, self.step, self.cursor, self.pos
+            "Env({:?} attempt={} step={:?} cursor={:?})",
+            self.id, self.attempt, self.step, self.cursor
         )
     }
 }

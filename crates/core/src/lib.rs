@@ -21,8 +21,9 @@
 //!
 //! The crate also implements the §4.5 garbage collector, the §4.6 protocol
 //! advisor, the §4.7/§5.2 pauseless switching mechanism, the §5.1
-//! conditional-append conflict resolution, and history checkers for the
-//! §4.4 consistency propositions.
+//! conditional-append conflict resolution, and the exactly-once auditor
+//! ([`audit`]) that checks recorded histories against the §4.4
+//! consistency propositions.
 //!
 //! # Quick start
 //!
@@ -76,7 +77,7 @@ pub use client::{
 pub use env::{Env, InvocationSpec, ObjectMode};
 pub use faults::{CrashFootprints, FaultEvent, FaultPlan, FaultPolicy, ScheduledFault, Site};
 pub use gc::{GarbageCollector, GcStats};
-pub use history::{Event, EventKind, Recorder};
+pub use history::{audit, AuditReport, Event, EventKind, Recorder};
 pub use hm_sharedlog::{FlushStats, ReplayStats, ShardId, Topology};
 pub use protocol::{MatrixOp, ProtocolConfig, ProtocolKind};
 pub use record::{OpRecord, StepRecord};

@@ -7,12 +7,12 @@
 //! re-executed with the same instance id until it completes.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use halfmoon::{
-    transition_log_tag, Client, CrashFootprints, Env, FaultPolicy, GarbageCollector, Invoker,
-    LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind, Recorder, Site, StepRecord,
+    audit, transition_log_tag, Client, CrashFootprints, Env, FaultPolicy, GarbageCollector,
+    Invoker, LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind, Site, StepRecord,
     Switcher,
 };
 use hm_common::latency::LatencyModel;
@@ -28,15 +28,27 @@ use common::{run_ssf, spec, NODE};
 /// Delay between an attempt's crash and its retry.
 const RETRY: Option<Duration> = Some(Duration::from_millis(2));
 
-fn setup(kind: ProtocolKind) -> (Sim, Client, Rc<Recorder>) {
-    let sim = Sim::new(0xda7a);
+/// A recorded deployment of `config` on the test latency model.
+fn deploy(seed: u64, config: ProtocolConfig) -> (Sim, Client) {
+    let sim = Sim::new(seed);
     let client = Client::builder(sim.ctx())
         .model(LatencyModel::uniform_test_model())
-        .protocol(kind)
+        .protocol_config(config)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
-    (sim, client, recorder)
+    (sim, client)
+}
+
+fn setup(kind: ProtocolKind) -> (Sim, Client) {
+    deploy(0xda7a, ProtocolConfig::uniform(kind))
+}
+
+/// `kind`, with switching enabled.
+fn switching(kind: ProtocolKind) -> ProtocolConfig {
+    ProtocolConfig {
+        switching_enabled: true,
+        ..ProtocolConfig::uniform(kind)
+    }
 }
 
 /// What the test invoker holds per function: runs it to completion as
@@ -44,11 +56,16 @@ fn setup(kind: ProtocolKind) -> (Sim, Client, Rc<Recorder>) {
 type Start = Box<dyn Fn(Client, InstanceId, Value) -> LocalBoxFuture<'static, HmResult<Value>>>;
 
 /// Test invoker: a function registry driving children through the same
-/// retry loop.
+/// retry loop. It holds the client, so the client holds it weakly (as the
+/// runtime's `ChildInvoker` does), through [`Installed`]: the test owns
+/// it, and both are freed with the deployment.
 struct TestInvoker {
     client: Client,
     funcs: RefCell<FxHashMap<String, Start>>,
 }
+
+/// The client's handle on an installed [`TestInvoker`].
+struct Installed(Weak<TestInvoker>);
 
 impl TestInvoker {
     fn install(client: &Client) -> Rc<TestInvoker> {
@@ -56,7 +73,7 @@ impl TestInvoker {
             client: client.clone(),
             funcs: RefCell::default(),
         });
-        client.register_invoker(inv.clone());
+        client.register_invoker(Rc::new(Installed(Rc::downgrade(&inv))));
         inv
     }
 
@@ -72,7 +89,7 @@ impl TestInvoker {
     }
 }
 
-impl Invoker for TestInvoker {
+impl Invoker for Installed {
     fn invoke(
         &self,
         callee: InstanceId,
@@ -80,13 +97,34 @@ impl Invoker for TestInvoker {
         input: Value,
         _octx: OpCtx,
     ) -> LocalBoxFuture<'static, HmResult<Value>> {
-        match self.funcs.borrow().get(func) {
-            Some(start) => start(self.client.clone(), callee, input),
+        let Some(inv) = self.0.upgrade() else {
+            return Box::pin(std::future::ready(Err(HmError::config(
+                "the test invoker was dropped",
+            ))));
+        };
+        let funcs = inv.funcs.borrow();
+        match funcs.get(func) {
+            Some(start) => start(inv.client.clone(), callee, input),
             None => Box::pin(std::future::ready(Err(HmError::UnknownFunction {
                 name: func.to_string(),
             }))),
         }
     }
+}
+
+/// An installed invoker does not outlive its deployment: the client holds
+/// it only weakly, so dropping the sim, the client and the test's handle
+/// frees it.
+#[test]
+fn an_installed_test_invoker_is_freed_with_its_deployment() {
+    let (sim, client) = setup(ProtocolKind::HalfmoonRead);
+    let invoker = TestInvoker::install(&client);
+    let weak = Rc::downgrade(&invoker);
+    drop((sim, client, invoker));
+    assert!(
+        weak.upgrade().is_none(),
+        "the client keeps its test invoker alive"
+    );
 }
 
 /// The canonical body: read X, double it, write X, read Y, write Y+1.
@@ -125,7 +163,7 @@ fn all_protocols() -> [ProtocolKind; 3] {
 #[test]
 fn failure_free_execution_all_protocols() {
     for kind in all_protocols() {
-        let (mut sim, client, recorder) = setup(kind);
+        let (mut sim, client) = setup(kind);
         populate_xy(&client);
         let id = client.fresh_instance_id();
         let out = sim
@@ -137,9 +175,7 @@ fn failure_free_execution_all_protocols() {
         let y = read_final(&mut sim, &client, "Y");
         assert_eq!(x, Value::Int(6), "{kind}");
         assert_eq!(y, Value::Int(11), "{kind}");
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        audit(&client).assert_passed(kind);
     }
 }
 
@@ -150,6 +186,64 @@ fn read_final(sim: &mut Sim, client: &Client, key: &str) -> Value {
     let read = async move |env: &mut Env, _| env.read(&key).await;
     sim.block_on(run_ssf(client.clone(), spec(id), RETRY, read))
         .unwrap()
+}
+
+// ---------------------------------------------------------------------
+// The auditor
+// ---------------------------------------------------------------------
+
+/// `audit` runs the six generic checks on every recorded deployment, then
+/// the §4.4 proposition of a uniform Halfmoon one: Boki, Unsafe, per-key
+/// mixes and switching deployments get the generic checks only. Auditing
+/// an unrecorded deployment is a `setup:` violation, not a pass.
+#[test]
+fn audit_runs_the_checks_of_its_deployment() {
+    use ProtocolKind::*;
+    const GENERIC: [&str; 6] = [
+        "read_stability",
+        "invoke_stability",
+        "write_determinism",
+        "raw_write_uniqueness",
+        "monotonic_reads",
+        "read_your_writes",
+    ];
+    let per_key = |default, key_kind| {
+        let mut config = ProtocolConfig::uniform(default);
+        config.per_key.insert(Key::new("X"), key_kind);
+        config
+    };
+    let deployments = [
+        (
+            "Halfmoon-read",
+            ProtocolConfig::uniform(HalfmoonRead),
+            Some("hm_read_sequential_consistency"),
+        ),
+        (
+            "Halfmoon-write",
+            ProtocolConfig::uniform(HalfmoonWrite),
+            Some("hm_write_order"),
+        ),
+        ("Boki", ProtocolConfig::uniform(Boki), None),
+        ("Unsafe", ProtocolConfig::uniform(Unsafe), None),
+        ("read, X write", per_key(HalfmoonRead, HalfmoonWrite), None),
+        ("write, X read", per_key(HalfmoonWrite, HalfmoonRead), None),
+        ("switching read", switching(HalfmoonRead), None),
+        ("switching write", switching(HalfmoonWrite), None),
+    ];
+    for (name, config, proposition) in deployments {
+        let (_sim, client) = deploy(1, config);
+        let report = audit(&client);
+        let want: Vec<&str> = GENERIC.into_iter().chain(proposition).collect();
+        assert_eq!(report.checks, want, "{name}");
+        assert!(report.passed(), "{name}: {report}");
+    }
+    let sim = Sim::new(1);
+    let report = audit(&Client::builder(sim.ctx()).build());
+    assert!(report.checks.is_empty(), "{report:?}");
+    assert!(
+        matches!(report.violations.as_slice(), [v] if v.starts_with("setup: ")),
+        "{report:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -215,7 +309,7 @@ fn site_table() -> [(&'static str, Vec<Site>); 5] {
 /// A deployment of `site_table`'s row `name`. The transitional one is a
 /// Halfmoon-write deployment whose transition log holds a BEGIN, so
 /// every SSF initialized after it runs dual reads and writes.
-fn setup_row(name: &str) -> (Sim, Client, Rc<Recorder>) {
+fn setup_row(name: &str) -> (Sim, Client) {
     let kind = match name {
         "Halfmoon-read" => ProtocolKind::HalfmoonRead,
         "Boki" => ProtocolKind::Boki,
@@ -225,15 +319,7 @@ fn setup_row(name: &str) -> (Sim, Client, Rc<Recorder>) {
     if name != "transitional" {
         return setup(kind);
     }
-    let mut sim = Sim::new(0xda7a);
-    let mut config = ProtocolConfig::uniform(kind);
-    config.switching_enabled = true;
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::uniform_test_model())
-        .protocol_config(config)
-        .recorder()
-        .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
+    let (mut sim, client) = deploy(0xda7a, switching(kind));
     let log = client.log().clone();
     let begin = StepRecord {
         instance: InstanceId(u128::MAX),
@@ -244,7 +330,7 @@ fn setup_row(name: &str) -> (Sim, Client, Rc<Recorder>) {
         },
     };
     sim.block_on(async move { log.append(NODE, vec![transition_log_tag()], begin).await });
-    (sim, client, recorder)
+    (sim, client)
 }
 
 /// Store operations issued so far (reads, writes, conditional writes):
@@ -276,7 +362,7 @@ fn exactly_once_under_single_crash_at_every_point() {
         // `n` (entry `n - 1`), then those of a fault-free run.
         let mut ops = Vec::new();
         for point in 1..=sites.len() as u32 + 1 {
-            let (mut sim, client, recorder) = setup_row(name);
+            let (mut sim, client) = setup_row(name);
             populate_xy(&client);
             let invoker = TestInvoker::install(&client);
             invoker.register("child", async |env: &mut Env, _| {
@@ -324,9 +410,7 @@ fn exactly_once_under_single_crash_at_every_point() {
                 Value::Int(11),
                 "{name} point {point}: Y duplicated or lost"
             );
-            recorder
-                .check_all_generic()
-                .unwrap_or_else(|e| panic!("{name} point {point}: {e}"));
+            audit(&client).assert_passed(format_args!("{name} point {point}"));
         }
         for (i, site) in sites.iter().enumerate() {
             let point = i + 1;
@@ -373,8 +457,8 @@ impl ChoiceSource for CrashInstance {
 /// The swept body on deployment `name`, its instance crashed at `at`
 /// (numbered as [`CrashInstance`] does), run to completion. Returns the
 /// crash points the instance passed and the result.
-fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, Rc<Recorder>, u32, HmResult<Value>) {
-    let (mut sim, client, recorder) = setup_row(name);
+fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, u32, HmResult<Value>) {
+    let (mut sim, client) = setup_row(name);
     populate_xy(&client);
     let invoker = TestInvoker::install(&client);
     invoker.register("child", async |env: &mut Env, _| {
@@ -394,7 +478,7 @@ fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, Rc<Recorder>, u32, Hm
         CrashFootprints::new(),
     ));
     let out = sim.block_on(run_ssf(client.clone(), spec(id), RETRY, swept));
-    (sim, client, recorder, source.seen.get(), out)
+    (sim, client, source.seen.get(), out)
 }
 
 /// Double crashes: for every fault-tolerant deployment of `site_table`
@@ -417,8 +501,7 @@ fn exactly_once_under_double_crashes() {
             out.unwrap_or_else(|e| panic!("{name} point {first}: {e}"));
             let skipped = points - (passed - first);
             let second = first + 1 - skipped;
-            let (mut sim, client, recorder, _, out) =
-                run_crashing(name, vec![first, first + second]);
+            let (mut sim, client, _, out) = run_crashing(name, vec![first, first + second]);
             let pair = format!("{name} points {first},{}", first + 1);
             let out = out.unwrap_or_else(|e| panic!("{pair}: {e}"));
             let policy = client.faults();
@@ -431,9 +514,7 @@ fn exactly_once_under_double_crashes() {
             assert_eq!(out, Value::Int(3), "{pair}");
             assert_eq!(read_final(&mut sim, &client, "X"), Value::Int(6), "{pair}");
             assert_eq!(read_final(&mut sim, &client, "Y"), Value::Int(11), "{pair}");
-            recorder
-                .check_all_generic()
-                .unwrap_or_else(|e| panic!("{pair}: {e}"));
+            audit(&client).assert_passed(pair);
         }
     }
 }
@@ -452,7 +533,7 @@ fn unsafe_baseline_duplicates_effects_under_crash() {
     // Point 3 is the write's `AfterEffect` (1 and 2 are the two ops'
     // entries); no crash at all is point 0.
     for (point, want) in [(3, 2), (0, 1)] {
-        let (mut sim, client, _recorder) = setup(ProtocolKind::Unsafe);
+        let (mut sim, client) = setup(ProtocolKind::Unsafe);
         client.populate(Key::new("C"), Value::Int(0));
         let id = client.fresh_instance_id();
         client.set_fault_plan(FaultPolicy::at([(id, point)]));
@@ -478,7 +559,7 @@ fn unsafe_baseline_duplicates_effects_under_crash() {
 #[test]
 fn peer_instances_resolve_to_single_execution() {
     for kind in all_protocols() {
-        let (mut sim, client, recorder) = setup(kind);
+        let (mut sim, client) = setup(kind);
         populate_xy(&client);
         let id = client.fresh_instance_id();
         let ctx = sim.ctx();
@@ -497,9 +578,7 @@ fn peer_instances_resolve_to_single_execution() {
         let r2 = h2.try_take().expect("peer 2 finished").unwrap();
         assert_eq!(r1, r2, "{kind}: peers must return identical results");
         assert_eq!(read_final(&mut sim, &client, "Y"), Value::Int(11), "{kind}");
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("{kind}: {e}"));
+        audit(&client).assert_passed(kind);
     }
 }
 
@@ -509,7 +588,7 @@ fn peer_instances_resolve_to_single_execution() {
 fn crashed_instance_retry_races_live_peer() {
     for kind in all_protocols() {
         for point in [2u32, 5, 8, 11] {
-            let (mut sim, client, recorder) = setup(kind);
+            let (mut sim, client) = setup(kind);
             populate_xy(&client);
             let id = client.fresh_instance_id();
             client.set_fault_plan(FaultPolicy::at([(id, point)]));
@@ -532,9 +611,7 @@ fn crashed_instance_retry_races_live_peer() {
                 Value::Int(11),
                 "{kind} point {point}"
             );
-            recorder
-                .check_all_generic()
-                .unwrap_or_else(|e| panic!("{kind} {point}: {e}"));
+            audit(&client).assert_passed(format_args!("{kind} {point}"));
         }
     }
 }
@@ -547,7 +624,7 @@ fn crashed_instance_retry_races_live_peer() {
 /// its original cursor and must *not* observe writes that landed after it.
 #[test]
 fn figure4_reads_are_stable_against_later_writes() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonRead);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead);
     client.populate(Key::new("X"), Value::Int(100)); // F1's write at t0
     let f2 = client.fresh_instance_id();
     // F2 reads X, crashes, meanwhile F3 writes X, then F2 re-executes.
@@ -579,15 +656,14 @@ fn figure4_reads_are_stable_against_later_writes() {
     // though 999 was the latest value during its re-execution.
     assert_eq!(seen, Value::Int(100));
     assert_eq!(client.faults().injected_at(Site::BeforeAppend), 1);
-    recorder.check_read_stability().unwrap();
-    recorder.check_hm_read_sequential_consistency().unwrap();
+    audit(&client).assert_passed("figure4 reads are stable against later writes");
 }
 
 /// Figure 6: under Halfmoon-write, a stale write (old cursor) must not
 /// overwrite a fresher write; a post-read write must.
 #[test]
 fn figure6_stale_writes_are_reordered() {
-    let (mut sim, client, _recorder) = setup(ProtocolKind::HalfmoonWrite);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonWrite);
     client.populate(Key::new("X"), Value::Int(0));
     client.populate(Key::new("Z"), Value::Int(0));
     client.populate(Key::new("Y"), Value::Int(7));
@@ -661,7 +737,7 @@ fn figure6_stale_writes_are_reordered() {
 fn workflow_invocation_is_exactly_once_under_crashes() {
     for kind in all_protocols() {
         for point in 1..14u32 {
-            let (mut sim, client, recorder) = setup(kind);
+            let (mut sim, client) = setup(kind);
             client.populate(Key::new("counter"), Value::Int(0));
             let invoker = TestInvoker::install(&client);
             invoker.register("increment", async |env: &mut Env, _input| {
@@ -684,16 +760,14 @@ fn workflow_invocation_is_exactly_once_under_crashes() {
                 Value::Int(1),
                 "{kind} point {point}: child effect duplicated"
             );
-            recorder
-                .check_all_generic()
-                .unwrap_or_else(|e| panic!("{kind} {point}: {e}"));
+            audit(&client).assert_passed(format_args!("{kind} {point}"));
         }
     }
 }
 
 #[test]
 fn nested_workflow_chain() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonRead);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead);
     client.populate(Key::new("a"), Value::Int(1));
     let invoker = TestInvoker::install(&client);
     invoker.register("leaf", async |env: &mut Env, input| {
@@ -711,11 +785,10 @@ fn nested_workflow_chain() {
     };
     let id = client.fresh_instance_id();
     let out = sim
-        .block_on(run_ssf(client, spec(id), RETRY, root))
+        .block_on(run_ssf(client.clone(), spec(id), RETRY, root))
         .unwrap();
     assert_eq!(out, Value::Int(60));
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_read_sequential_consistency().unwrap();
+    audit(&client).assert_passed("nested workflow chain");
 }
 
 // ---------------------------------------------------------------------
@@ -724,7 +797,7 @@ fn nested_workflow_chain() {
 
 #[test]
 fn gc_reclaims_finished_ssfs_and_old_versions() {
-    let (mut sim, client, _recorder) = setup(ProtocolKind::HalfmoonRead);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead);
     client.populate(Key::new("K"), Value::Int(0));
     // Run several writers sequentially, accumulating versions.
     for i in 0..5 {
@@ -757,7 +830,7 @@ fn gc_reclaims_finished_ssfs_and_old_versions() {
 
 #[test]
 fn gc_never_collects_versions_a_live_reader_may_see() {
-    let (mut sim, client, _recorder) = setup(ProtocolKind::HalfmoonRead);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead);
     client.populate(Key::new("K"), Value::Int(0));
     let ctx = sim.ctx();
     // A slow reader initializes, then stalls before reading.
@@ -815,15 +888,7 @@ fn switch_under_concurrent_load_preserves_consistency() {
         (ProtocolKind::HalfmoonWrite, ProtocolKind::HalfmoonRead),
         (ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite),
     ] {
-        let mut sim = Sim::new(0x5717c4);
-        let mut config = ProtocolConfig::uniform(from);
-        config.switching_enabled = true;
-        let client = Client::builder(sim.ctx())
-            .model(LatencyModel::uniform_test_model())
-            .protocol_config(config)
-            .recorder()
-            .build();
-        let recorder = client.recorder().expect("recorder enabled at build");
+        let (mut sim, client) = deploy(0x5717c4, switching(from));
         client.populate(Key::new("S"), Value::Int(0));
         let ctx = sim.ctx();
         // Open-loop writers/readers spanning the switch.
@@ -859,9 +924,7 @@ fn switch_under_concurrent_load_preserves_consistency() {
         for h in handles {
             h.try_take().expect("ssf completed").unwrap();
         }
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("{from}->{to}: {e}"));
+        audit(&client).assert_passed(format_args!("{from}->{to}"));
         // New SSFs resolve to the target protocol and still see the data.
         let v = read_final(&mut sim, &client, "S");
         // 30 read-modify-write SSFs overlapped arbitrarily; the counter is
@@ -906,13 +969,10 @@ fn switch_is_idempotent_and_rejects_unsafe() {
 
 #[test]
 fn hm_read_sequential_consistency_under_random_load_and_crashes() {
-    let mut sim = Sim::new(0xc0ffee);
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::uniform_test_model())
-        .protocol(ProtocolKind::HalfmoonRead)
-        .recorder()
-        .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
+    let (mut sim, client) = deploy(
+        0xc0ffee,
+        ProtocolConfig::uniform(ProtocolKind::HalfmoonRead),
+    );
     for k in 0..4 {
         client.populate(Key::new(format!("k{k}")), Value::Int(0));
     }
@@ -941,19 +1001,12 @@ fn hm_read_sequential_consistency_under_random_load_and_crashes() {
     for h in handles {
         h.try_take().expect("ssf completed").unwrap();
     }
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_read_sequential_consistency().unwrap();
+    audit(&client).assert_passed("hm read sequential consistency under random load and crashes");
 }
 
 #[test]
 fn hm_write_effective_order_under_random_load_and_crashes() {
-    let mut sim = Sim::new(0xbeef);
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::uniform_test_model())
-        .protocol(ProtocolKind::HalfmoonWrite)
-        .recorder()
-        .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
+    let (mut sim, client) = deploy(0xbeef, ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite));
     for k in 0..4 {
         client.populate(Key::new(format!("k{k}")), Value::Int(0));
     }
@@ -981,8 +1034,7 @@ fn hm_write_effective_order_under_random_load_and_crashes() {
     for h in handles {
         h.try_take().expect("ssf completed").unwrap();
     }
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_write_order().unwrap();
+    audit(&client).assert_passed("hm write effective order under random load and crashes");
 }
 
 // ---------------------------------------------------------------------
@@ -1030,7 +1082,7 @@ fn ordered_write_extension_costs_one_log_between_dependent_writes() {
 #[test]
 fn real_time_visibility_at_ssf_boundaries() {
     for kind in all_protocols() {
-        let (mut sim, client, _recorder) = setup(kind);
+        let (mut sim, client) = setup(kind);
         client.populate(Key::new("B"), Value::Int(0));
         let w = client.fresh_instance_id();
         let writer = async |env: &mut Env, _| {

@@ -1,12 +1,10 @@
 //! Focused tests of the switching state machine (§4.7/§5.2) and garbage
 //! collector (§4.5) beyond the happy paths covered in `protocols.rs`.
 
-use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{
-    Client, Env, FaultPolicy, GarbageCollector, ProtocolConfig, ProtocolKind, Recorder, Site,
-    Switcher,
+    audit, Client, Env, FaultPolicy, GarbageCollector, ProtocolConfig, ProtocolKind, Site, Switcher,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::{HmResult, Key, Value};
@@ -19,7 +17,7 @@ use common::{run_ssf, spec, NODE};
 /// Delay between an attempt's crash and its retry.
 const RETRY: Option<Duration> = Some(Duration::from_millis(1));
 
-fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client, Rc<Recorder>) {
+fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client) {
     let sim = Sim::new(0x56c);
     let mut config = ProtocolConfig::uniform(kind);
     config.switching_enabled = switching;
@@ -28,8 +26,7 @@ fn setup(kind: ProtocolKind, switching: bool) -> (Sim, Client, Rc<Recorder>) {
         .protocol_config(config)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
-    (sim, client, recorder)
+    (sim, client)
 }
 
 fn writer(key: &'static str, val: i64) -> impl AsyncFn(&mut Env, Value) -> HmResult<Value> {
@@ -54,7 +51,7 @@ fn data_survives_switch_in_both_directions() {
         (ProtocolKind::HalfmoonWrite, ProtocolKind::HalfmoonRead),
         (ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite),
     ] {
-        let (mut sim, client, recorder) = setup(from, true);
+        let (mut sim, client) = setup(from, true);
         client.populate(Key::new("D"), Value::Int(1));
         // Write under the old protocol.
         let w = client.fresh_instance_id();
@@ -70,9 +67,7 @@ fn data_survives_switch_in_both_directions() {
             .block_on(run_ssf(client.clone(), spec(r), RETRY, reader("D")))
             .unwrap();
         assert_eq!(seen, Value::Int(42), "{from} -> {to}");
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("{from}->{to}: {e}"));
+        audit(&client).assert_passed(format_args!("{from}->{to}"));
     }
 }
 
@@ -80,10 +75,10 @@ fn data_survives_switch_in_both_directions() {
 /// visible.
 #[test]
 fn double_switch_round_trip() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonWrite, true);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonWrite, true);
     client.populate(Key::new("D"), Value::Int(0));
     let switcher = Switcher::new(client.clone(), NODE);
-    let c = client;
+    let c = client.clone();
     sim.block_on(async move {
         run_ssf(
             c.clone(),
@@ -122,7 +117,7 @@ fn double_switch_round_trip() {
             .unwrap();
         assert_eq!(seen, Value::Int(3));
     });
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("double switch round trip");
 }
 
 /// An SSF that initialized before BEGIN and is retried *after* BEGIN must
@@ -130,7 +125,7 @@ fn double_switch_round_trip() {
 /// switch, §4.7: resolution is bounded by the initial cursor).
 #[test]
 fn retry_spanning_a_switch_resolves_consistently() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonWrite, true);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonWrite, true);
     client.populate(Key::new("S"), Value::Int(5));
     let id = client.fresh_instance_id();
     // Crash at the write's entry (point 4), after the read, so the
@@ -159,7 +154,7 @@ fn retry_spanning_a_switch_resolves_consistently() {
     h.try_take().expect("ssf finished").unwrap();
     sw.try_take().expect("switch finished").unwrap();
     assert_eq!(client.faults().injected_at(Site::OpEntry), 1);
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("retry spanning a switch resolves consistently");
     // Effect applied exactly once despite the crash spanning the switch.
     let c = client;
     let seen = sim
@@ -177,7 +172,7 @@ fn retry_spanning_a_switch_resolves_consistently() {
 /// before BEGIN never sees the new protocol even if it reads late.
 #[test]
 fn old_ssf_keeps_old_protocol_during_switch() {
-    let (mut sim, client, _recorder) = setup(ProtocolKind::HalfmoonWrite, true);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonWrite, true);
     client.populate(Key::new("O"), Value::Int(1));
     let ctx = sim.ctx();
     let slow = client.fresh_instance_id();
@@ -212,9 +207,9 @@ fn old_ssf_keeps_old_protocol_during_switch() {
 /// Boki → Halfmoon-read switching works too (the mechanism is generic).
 #[test]
 fn switch_from_boki_to_halfmoon() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::Boki, true);
+    let (mut sim, client) = setup(ProtocolKind::Boki, true);
     client.populate(Key::new("B"), Value::Int(9));
-    let c = client;
+    let c = client.clone();
     sim.block_on(async move {
         run_ssf(
             c.clone(),
@@ -238,7 +233,7 @@ fn switch_from_boki_to_halfmoon() {
             ProtocolKind::HalfmoonRead
         );
     });
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("switch from boki to halfmoon");
 }
 
 // ---------------------------------------------------------------------
@@ -248,7 +243,7 @@ fn switch_from_boki_to_halfmoon() {
 /// An empty deployment GC cycle is a no-op with a head watermark.
 #[test]
 fn gc_on_empty_deployment() {
-    let (mut sim, client, _r) = setup(ProtocolKind::HalfmoonRead, false);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead, false);
     let gc = GarbageCollector::new(client, NODE);
     let stats = sim.block_on(async move { gc.collect().await });
     assert_eq!(stats.instances_reclaimed, 0);
@@ -259,7 +254,7 @@ fn gc_on_empty_deployment() {
 /// state reclaims nothing further.
 #[test]
 fn gc_is_idempotent() {
-    let (mut sim, client, _r) = setup(ProtocolKind::HalfmoonRead, false);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead, false);
     client.populate(Key::new("G"), Value::Int(0));
     let c = client;
     sim.block_on(async move {
@@ -286,7 +281,7 @@ fn gc_is_idempotent() {
 /// yet retried — its records are needed for replay.
 #[test]
 fn gc_preserves_state_of_crashed_unfinished_ssf() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonRead, false);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead, false);
     client.populate(Key::new("C"), Value::Int(7));
     let id = client.fresh_instance_id();
     client.set_fault_plan(FaultPolicy::at([(id, 6)]));
@@ -321,7 +316,7 @@ fn gc_preserves_state_of_crashed_unfinished_ssf() {
     // The retry completes correctly from the preserved log.
     sim.block_on(run_ssf(client.clone(), spec(id), RETRY, body))
         .unwrap();
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("gc preserves state of crashed unfinished ssf");
     let c = client;
     let seen = sim
         .block_on(run_ssf(
@@ -338,7 +333,7 @@ fn gc_preserves_state_of_crashed_unfinished_ssf() {
 /// finished and collected, the step log is fully reclaimed.
 #[test]
 fn gc_reclaims_read_logs_of_finished_hmwrite_ssfs() {
-    let (mut sim, client, _r) = setup(ProtocolKind::HalfmoonWrite, false);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonWrite, false);
     client.populate(Key::new("R"), Value::blob(256, 1));
     let c = client;
     sim.block_on(async move {
@@ -361,7 +356,7 @@ fn gc_reclaims_read_logs_of_finished_hmwrite_ssfs() {
 /// `MissingVersion` surfaced) — hammer test.
 #[test]
 fn gc_hammer_with_live_traffic() {
-    let (mut sim, client, recorder) = setup(ProtocolKind::HalfmoonRead, false);
+    let (mut sim, client) = setup(ProtocolKind::HalfmoonRead, false);
     for k in 0..4 {
         client.populate(Key::new(format!("h{k}")), Value::Int(0));
     }
@@ -384,7 +379,7 @@ fn gc_hammer_with_live_traffic() {
     }
     // Aggressive GC every 2ms, concurrent with the traffic.
     let gc_handle = {
-        let client = client;
+        let client = client.clone();
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
             let gc = GarbageCollector::new(client, NODE);
@@ -406,6 +401,5 @@ fn gc_hammer_with_live_traffic() {
         gc_handle.try_take().expect("gc ran") > 0,
         "GC reclaimed under load"
     );
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_read_sequential_consistency().unwrap();
+    audit(&client).assert_passed("gc hammer with live traffic");
 }

@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use halfmoon::{Client, Env, FaultPolicy, ProtocolKind};
+use halfmoon::{audit, Client, Env, FaultPolicy, ProtocolKind};
 use hm_common::latency::LatencyModel;
 use hm_common::{HmResult, InstanceId, Key, Value};
 use hm_substrate::sim::Sim;
@@ -46,7 +46,6 @@ fn explore(kind: ProtocolKind, crash_point: Option<u32>, offset_us: u64) {
         .protocol(kind)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     client.populate(Key::new("X"), Value::Int(1));
     client.populate(Key::new("Y"), Value::Int(2));
     let a = InstanceId(0xa);
@@ -57,7 +56,7 @@ fn explore(kind: ProtocolKind, crash_point: Option<u32>, offset_us: u64) {
     let ctx = sim.ctx();
     let ha = ctx.spawn(run_ssf(client.clone(), spec(a), RETRY, ssf_a));
     let hb = {
-        let client = client;
+        let client = client.clone();
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
             ctx2.sleep(Duration::from_micros(offset_us)).await;
@@ -72,18 +71,7 @@ fn explore(kind: ProtocolKind, crash_point: Option<u32>, offset_us: u64) {
     hb.try_take()
         .unwrap_or_else(|| panic!("{label}: B stalled"))
         .unwrap();
-    recorder
-        .check_all_generic()
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
-    match kind {
-        ProtocolKind::HalfmoonRead => recorder
-            .check_hm_read_sequential_consistency()
-            .unwrap_or_else(|e| panic!("{label}: {e}")),
-        ProtocolKind::HalfmoonWrite => recorder
-            .check_hm_write_order()
-            .unwrap_or_else(|e| panic!("{label}: {e}")),
-        _ => {}
-    }
+    audit(&client).assert_passed(label);
 }
 
 /// Failure-free sweep: 80 offset alignments per protocol. With constant

@@ -1,24 +1,19 @@
-//! Chaos engine: compiles a [`FaultPlan`]'s schedule into sim events and
-//! audits the surviving history for exactly-once semantics.
+//! Chaos engine: [`ChaosDriver`] compiles a [`FaultPlan`]'s schedule into
+//! sim events. It walks the plan's time-sorted schedule on the virtual
+//! clock and injects each [`FaultEvent`] against the runtime and its
+//! substrates: whole-node crashes (§5 recovery), storage replica outages,
+//! sequencer stalls, gateway retry storms. The schedule fires in order, so
+//! the faults injected so far are its prefix; [`ChaosDriver::events_jsonl`]
+//! exports that prefix deterministically, so two runs of the same seeded
+//! campaign produce byte-identical traces.
 //!
-//! The engine has two halves:
-//!
-//! - [`ChaosDriver`] — walks the plan's time-sorted schedule on the virtual
-//!   clock and injects each [`FaultEvent`] against the runtime and its
-//!   substrates: whole-node crashes (§5 recovery), storage replica
-//!   outages, sequencer stalls, gateway retry storms. The schedule fires
-//!   in order, so the faults injected so far are its prefix;
-//!   [`ChaosDriver::events_jsonl`] exports that prefix deterministically,
-//!   so two runs of the same seeded campaign produce byte-identical
-//!   traces.
-//! - [`audit`] — the post-campaign exactly-once auditor: replays the
-//!   deployment's [`Recorder`] history through every applicable
-//!   consistency checker (generic idempotence plus the protocol-specific
-//!   §4.4 propositions) and folds in the §5 recovery meters. The audit
-//!   is oblivious to log batching by design — group commit must never
-//!   change client-visible effects, and `tests/batching.rs` runs a
-//!   seeded campaign over a batched log through this same auditor to
-//!   pin that.
+//! The surviving history is then judged by [`halfmoon::audit`], the one
+//! exactly-once auditor, which lives beside the [`Recorder`]: the generic
+//! idempotence checks plus the deployment's §4.4 proposition, with the
+//! §5 recovery meters folded in. The audit is oblivious to log batching
+//! by design — group commit must never change client-visible effects,
+//! and `tests/batching.rs` runs a seeded campaign over a batched log
+//! through this same auditor to pin that.
 //!
 //! A client built without faults never starts a driver and never pays for
 //! one: the plan is empty, no task is spawned, and the runtime's task
@@ -31,7 +26,7 @@ use std::cell::Cell;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use halfmoon::{Client, FaultEvent, ProtocolKind, RecoveryStats, ScheduledFault};
+use halfmoon::{FaultEvent, ScheduledFault};
 
 use crate::runtime::Runtime;
 
@@ -186,124 +181,5 @@ impl std::fmt::Debug for ChaosDriver {
             self.injected(),
             self.is_done()
         )
-    }
-}
-
-/// What the post-campaign auditor concluded.
-#[derive(Debug)]
-pub struct AuditReport {
-    /// History events examined.
-    pub events: usize,
-    /// Checks that ran, in order.
-    pub checks: Vec<&'static str>,
-    /// Violations found, as `"check: description"` lines.
-    pub violations: Vec<String>,
-    /// The deployment's cumulative §5 recovery meters.
-    pub recovery: RecoveryStats,
-}
-
-impl AuditReport {
-    /// True when every check passed.
-    #[must_use]
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-impl std::fmt::Display for AuditReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.passed() {
-            write!(
-                f,
-                "audit PASSED: {} events, {} checks, {} recovery attempts replayed {} records",
-                self.events,
-                self.checks.len(),
-                self.recovery.attempts,
-                self.recovery.replayed_records
-            )
-        } else {
-            write!(f, "audit FAILED: {}", self.violations.join("; "))
-        }
-    }
-}
-
-/// Audits a deployment's recorded history for exactly-once execution.
-///
-/// Runs every protocol-independent idempotence check (read/invoke/write
-/// stability, raw-write uniqueness, monotonic reads, read-your-writes),
-/// then the §4.4 proposition matching the deployment's protocol when it
-/// runs one uniformly: Proposition 4.7 sequential consistency for
-/// Halfmoon-read, the Proposition 4.8 effective order for Halfmoon-write.
-/// Mixed, switching, and baseline configurations get the generic checks
-/// only.
-///
-/// The checks share one program-order sort of the history's entry
-/// indices and never copy the history (DESIGN.md §13): a 100k-event audit
-/// allocates about 8 bytes per event.
-///
-/// The client must have been built with `.recorder()`; auditing an
-/// unrecorded deployment is itself reported as a violation rather than a
-/// silent pass.
-///
-/// Beyond seeded chaos campaigns, this auditor is also the oracle for the
-/// systematic model checker ([`crate::mc`], DESIGN.md §13): every
-/// exhaustively explored interleaving ends in an `audit` call, so the
-/// "verified over all interleavings" claims in EXPERIMENTS.md are claims
-/// about exactly these checks.
-#[must_use]
-pub fn audit(client: &Client) -> AuditReport {
-    let recovery = client.recovery_stats();
-    let Some(recorder) = client.recorder() else {
-        return AuditReport {
-            events: 0,
-            checks: Vec::new(),
-            violations: vec!["setup: no recorder attached; nothing to audit".to_string()],
-            recovery,
-        };
-    };
-    let mut checks = Vec::new();
-    let mut violations = Vec::new();
-    let mut run = |name: &'static str, result: Result<(), String>| {
-        checks.push(name);
-        if let Err(msg) = result {
-            violations.push(format!("{name}: {msg}"));
-        }
-    };
-    run("read_stability", recorder.check_read_stability());
-    run("invoke_stability", recorder.check_invoke_stability());
-    run("write_determinism", recorder.check_write_determinism());
-    run(
-        "raw_write_uniqueness",
-        recorder.check_raw_write_uniqueness(),
-    );
-    run("monotonic_reads", recorder.check_monotonic_reads());
-    run("read_your_writes", recorder.check_read_your_writes());
-    let uniform =
-        client.with_config(|c| (!c.switching_enabled && c.per_key.is_empty()).then_some(c.default));
-    match uniform {
-        Some(ProtocolKind::HalfmoonRead) => run(
-            "hm_read_sequential_consistency",
-            recorder.check_hm_read_sequential_consistency(),
-        ),
-        Some(ProtocolKind::HalfmoonWrite) => {
-            run("hm_write_order", recorder.check_hm_write_order());
-        }
-        _ => {}
-    }
-    // A failed audit is the flight recorder's primary trigger: dump the
-    // black box (recent trace events, phase stamps, incident ring) so the
-    // violating run leaves forensics behind, not just a message.
-    if !violations.is_empty() {
-        if let Some(p) = client.probe() {
-            p.trigger(client.ctx().now(), "audit_violation", || {
-                violations.join("; ")
-            });
-        }
-    }
-    AuditReport {
-        events: recorder.len(),
-        checks,
-        violations,
-        recovery,
     }
 }

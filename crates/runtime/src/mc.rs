@@ -21,7 +21,7 @@
 //!
 //! Driving the choices from [`Explorer`] therefore explores *all*
 //! schedules of a configuration; the oracle for each completed run is the
-//! exactly-once auditor ([`crate::chaos::audit`]), which checks the
+//! exactly-once auditor ([`halfmoon::audit`]), which checks the
 //! generic §2 idempotence invariants plus the per-protocol §4.4
 //! propositions. Any violating schedule comes back as a replayable
 //! [`Schedule`] (also dumped through the flight recorder), and
@@ -49,7 +49,7 @@ use std::task::{Poll, Waker};
 use std::time::Duration;
 
 use halfmoon::{
-    Client, CrashFootprints, Env, FaultPolicy, InvocationSpec, MatrixOp, ProtocolConfig,
+    audit, Client, CrashFootprints, Env, FaultPolicy, InvocationSpec, MatrixOp, ProtocolConfig,
     ProtocolKind, Topology,
 };
 use hm_common::flightrec::FlightRecorder;
@@ -61,8 +61,6 @@ use hm_substrate::explore::{
     Alt, ChoiceSource, DfsChooser, ExploreStats, Explorer, RunReport, Schedule, ScriptedChoices,
 };
 use hm_substrate::sim::Sim;
-
-use crate::chaos::audit;
 
 /// Footprint bit for key `X`.
 pub const FP_KEY_X: u64 = 1 << 0;

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, Env, FaultPolicy, InvocationSpec, ProtocolKind};
+use halfmoon::{audit, Client, Env, FaultPolicy, InvocationSpec, ProtocolKind};
 use hm_common::latency::LatencyModel;
 use hm_common::{Key, NodeId, Value};
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
@@ -120,7 +120,6 @@ fn admission_control_bounds_concurrency() {
 #[test]
 fn crash_retries_preserve_exactly_once_under_load() {
     let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonWrite, RuntimeConfig::default());
-    let recorder = client.recorder().expect("recorder enabled at build");
     client.populate(Key::new("C"), Value::Int(0));
     client.set_fault_plan(FaultPolicy::random(0.03, 200));
     register_counter(&runtime);
@@ -142,8 +141,7 @@ fn crash_retries_preserve_exactly_once_under_load() {
         runtime.retries() > 0,
         "expected some injected crashes to trigger retries"
     );
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_write_order().unwrap();
+    audit(&client).assert_passed("crash retries preserve exactly once under load");
     // Counter increments are read-modify-write races (not transactions),
     // but the value must be in range and the store must be consistent.
     let c = client
@@ -162,7 +160,6 @@ fn duplicate_peers_do_not_duplicate_effects() {
         ..RuntimeConfig::default()
     };
     let (mut sim, client, runtime) = setup(ProtocolKind::HalfmoonRead, config);
-    let recorder = client.recorder().expect("recorder enabled at build");
     client.populate(Key::new("C"), Value::Int(0));
     register_counter(&runtime);
     let rt = runtime.clone();
@@ -172,7 +169,7 @@ fn duplicate_peers_do_not_duplicate_effects() {
     sim.run(); // let the peer drain
     assert_eq!(out, Value::Int(1));
     assert!(runtime.duplicates() >= 1);
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("duplicate peers do not duplicate effects");
     // Re-read through the protocol: the counter was bumped exactly once.
     assert_eq!(read_back(&mut sim, client, "C"), Value::Int(1));
 }

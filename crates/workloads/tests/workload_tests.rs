@@ -1,10 +1,9 @@
 //! Workload smoke and consistency tests: each application runs under every
 //! protocol, with and without crash injection, and its invariants hold.
 
-use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPolicy, ProtocolKind, Recorder};
+use halfmoon::{audit, Client, FaultPolicy, ProtocolKind};
 use hm_common::latency::LatencyModel;
 use hm_common::Value;
 use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
@@ -21,14 +20,13 @@ fn run_workload(
     crash_prob: f64,
     rate: f64,
     secs: u64,
-) -> (hm_runtime::LoadReport, Rc<Recorder>, Client) {
+) -> (hm_runtime::LoadReport, Client) {
     let mut sim = Sim::new(0x77_u64 + u64::from(kind.code()));
     let client = Client::builder(sim.ctx())
         .model(LatencyModel::uniform_test_model())
         .protocol(kind)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     workload.populate(&client);
     if crash_prob > 0.0 {
         client.set_fault_plan(FaultPolicy::random(crash_prob, 500));
@@ -43,7 +41,7 @@ fn run_workload(
         factory: workload.factory(),
     };
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    (report, recorder, client)
+    (report, client)
 }
 
 fn workloads() -> Vec<Box<dyn Workload>> {
@@ -83,7 +81,7 @@ fn every_workload_runs_failure_free_under_every_protocol() {
             ProtocolKind::HalfmoonWrite,
             ProtocolKind::Boki,
         ] {
-            let (report, recorder, _client) = run_workload(workload.as_ref(), kind, 0.0, 80.0, 3);
+            let (report, client) = run_workload(workload.as_ref(), kind, 0.0, 80.0, 3);
             assert_eq!(report.errors, 0, "{} under {kind}", workload.name());
             assert!(
                 report.completed > 100,
@@ -91,9 +89,7 @@ fn every_workload_runs_failure_free_under_every_protocol() {
                 workload.name(),
                 report.completed
             );
-            recorder
-                .check_all_generic()
-                .unwrap_or_else(|e| panic!("{} under {kind}: {e}", workload.name()));
+            audit(&client).assert_passed(format_args!("{} under {kind}", workload.name()));
         }
     }
 }
@@ -106,11 +102,9 @@ fn every_workload_survives_crash_injection() {
             ProtocolKind::HalfmoonWrite,
             ProtocolKind::Boki,
         ] {
-            let (report, recorder, _client) = run_workload(workload.as_ref(), kind, 0.005, 60.0, 3);
+            let (report, client) = run_workload(workload.as_ref(), kind, 0.005, 60.0, 3);
             assert_eq!(report.errors, 0, "{} under {kind}", workload.name());
-            recorder
-                .check_all_generic()
-                .unwrap_or_else(|e| panic!("{} under {kind}: {e}", workload.name()));
+            audit(&client).assert_passed(format_args!("{} under {kind}", workload.name()));
         }
     }
 }
@@ -118,8 +112,7 @@ fn every_workload_survives_crash_injection() {
 #[test]
 fn unsafe_baseline_also_runs_the_workloads() {
     for workload in workloads() {
-        let (report, _recorder, _client) =
-            run_workload(workload.as_ref(), ProtocolKind::Unsafe, 0.0, 80.0, 2);
+        let (report, _client) = run_workload(workload.as_ref(), ProtocolKind::Unsafe, 0.0, 80.0, 2);
         assert_eq!(report.errors, 0, "{}", workload.name());
         assert!(report.completed > 50, "{}", workload.name());
     }
@@ -133,8 +126,8 @@ fn hm_read_is_faster_than_boki_on_read_intensive_workloads() {
         hotels: 40,
         users: 50,
     };
-    let (hm, _, _) = run_workload(&travel, ProtocolKind::HalfmoonRead, 0.0, 80.0, 4);
-    let (boki, _, _) = run_workload(&travel, ProtocolKind::Boki, 0.0, 80.0, 4);
+    let (hm, _) = run_workload(&travel, ProtocolKind::HalfmoonRead, 0.0, 80.0, 4);
+    let (boki, _) = run_workload(&travel, ProtocolKind::Boki, 0.0, 80.0, 4);
     let hm_med = hm.latency.median_ms().unwrap();
     let boki_med = boki.latency.median_ms().unwrap();
     assert!(
@@ -150,10 +143,9 @@ fn retwis_timeline_is_capped_and_consistent() {
         tweet_bytes: 100,
         timeline_cap: 5,
     };
-    let (report, recorder, client) =
-        run_workload(&retwis, ProtocolKind::HalfmoonWrite, 0.0, 100.0, 3);
+    let (report, client) = run_workload(&retwis, ProtocolKind::HalfmoonWrite, 0.0, 100.0, 3);
     assert_eq!(report.errors, 0);
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("retwis timeline is capped and consistent");
     let tl = client
         .store()
         .peek(&hm_common::Key::new("timeline:public"))
@@ -168,7 +160,7 @@ fn movie_ratings_accumulate() {
         users: 10,
         review_bytes: 64,
     };
-    let (report, _, client) = run_workload(&movie, ProtocolKind::HalfmoonWrite, 0.0, 120.0, 3);
+    let (report, client) = run_workload(&movie, ProtocolKind::HalfmoonWrite, 0.0, 120.0, 3);
     assert_eq!(report.errors, 0);
     // At least one movie accumulated rating entries.
     let mut total = 0i64;

@@ -12,8 +12,8 @@
 
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPlan, FaultPolicy, ProtocolKind, ShardId};
-use hm_runtime::chaos::{audit, ChaosDriver};
+use halfmoon::{audit, Client, FaultPlan, FaultPolicy, ProtocolKind, ShardId};
+use hm_runtime::chaos::ChaosDriver;
 use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::travel::Travel;
@@ -96,5 +96,5 @@ fn main() {
     // Proposition 4.7 sequential-consistency check for Halfmoon-read.
     let verdict = audit(&client);
     println!("{verdict}");
-    assert!(verdict.passed(), "{verdict}");
+    verdict.assert_passed("chaos campaign");
 }

@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use halfmoon::ProtocolKind;
+use halfmoon::{audit, ProtocolKind};
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::travel::Travel;
@@ -18,7 +18,6 @@ fn run(kind: ProtocolKind) -> (f64, f64, u64) {
         .protocol(kind)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     let workload = Travel::default();
     workload.populate(&client);
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
@@ -38,9 +37,7 @@ fn run(kind: ProtocolKind) -> (f64, f64, u64) {
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
     gc.stop();
     // The consistency invariants hold under real application logic too.
-    recorder
-        .check_all_generic()
-        .expect("idempotence invariants");
+    audit(&client).assert_passed(kind);
     let appends = client.log().counters().log_appends;
     (
         report.latency.median_ms().unwrap_or(f64::NAN),

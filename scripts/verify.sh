@@ -6,9 +6,11 @@
 # manifest's `default-members` make `cargo test -q` run every crate's
 # tests, not only the root package's; among them the allocation budgets
 # (tests/request_alloc_budget.rs), shard- and batch-invariant client
-# histories (tests/batching.rs), the chaos auditor
-# (tests/chaos_tests.rs) and the paper's headline shapes: every figure of
-# hm_bench::paper at 5 % duration (crates/bench/tests/paper_claims.rs).
+# histories (tests/batching.rs), the chaos campaigns (tests/chaos_tests.rs)
+# and the paper's headline shapes: every figure of hm_bench::paper at 5 %
+# duration (crates/bench/tests/paper_claims.rs). Every test, example and
+# the model checker judge a recorded history through the one exactly-once
+# oracle, `halfmoon::audit` (or `Recorder::audit` on a bare history).
 # The suite is a debug build, so it also enforces the §4 logging matrix:
 # `Env` debug-asserts every op's logged steps against
 # `ProtocolKind::logging_row`, in every test that runs a protocol. The
@@ -73,7 +75,9 @@
 # Benchmark builds: benchmark/ is a workspace of its own that no step above
 # compiles or tests, so a crate change can break it unseen. It is built
 # from a copy (with the crates it depends on symlinked beside it) because
-# an in-place build rewrites benchmark/Cargo.lock, and its unit tests
+# an in-place build rewrites benchmark/Cargo.lock; the build is also the
+# check that hm_runtime's re-export of the auditor still serves
+# benchmark/src/apps.rs. Its unit tests
 # (round.rs, spans.rs, util.rs) run on that copy. Its end-to-end runs leave every
 # observer off, so one short round each of steady_mixed, crash_recovery and
 # log_storm then runs with all four observers attached (a tenth of its

@@ -8,11 +8,11 @@
 use std::time::Duration;
 
 use halfmoon::{
-    Client, FaultPlan, FaultPolicy, OpRecord, ProtocolKind, ShardId, StepRecord, Topology,
+    audit, Client, FaultPlan, FaultPolicy, OpRecord, ProtocolKind, ShardId, StepRecord, Topology,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::{Key, NodeId, StepNum, Value};
-use hm_runtime::chaos::{audit, ChaosDriver};
+use hm_runtime::chaos::ChaosDriver;
 use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::{sim::Sim, Time};
 use hm_workloads::synthetic::SyntheticOps;
@@ -202,9 +202,5 @@ fn batched_chaos_campaign_passes_the_exactly_once_audit() {
         flush.records >= flush.flushes,
         "every flush carries at least one record"
     );
-    let verdict = audit(&client);
-    assert!(
-        verdict.passed(),
-        "batched chaos campaign must stay exactly-once: {verdict:?}"
-    );
+    audit(&client).assert_passed("batched chaos campaign");
 }

@@ -12,10 +12,13 @@
 
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Topology};
+use halfmoon::{
+    audit, AuditReport, Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId,
+    Topology,
+};
 use hm_common::latency::LatencyModel;
 use hm_common::NodeId;
-use hm_runtime::chaos::{audit, AuditReport, ChaosDriver};
+use hm_runtime::chaos::ChaosDriver;
 use hm_runtime::{Gateway, GcDriver, LoadReport, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::par_map;
 use hm_substrate::sim::Sim;
@@ -156,11 +159,7 @@ fn assert_fault_tolerant(layouts: &[Layout], seeds: &[u64], duplicate_prob: f64)
             run.injected,
             run.instance_crashes
         );
-        assert!(
-            run.verdict.passed(),
-            "{at}: exactly-once audit failed: {}",
-            run.verdict
-        );
+        run.verdict.assert_passed(&at);
         let recovery = run.verdict.recovery;
         assert!(
             recovery.attempts > 0 && recovery.replayed_records > 0,

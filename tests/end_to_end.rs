@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Switcher};
+use halfmoon::{audit, Client, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Switcher};
 use hm_common::latency::LatencyModel;
 use hm_common::NodeId;
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
@@ -22,7 +22,6 @@ fn travel_with_crashes_duplicates_and_gc() {
         .protocol(ProtocolKind::HalfmoonRead)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     client.set_fault_plan(FaultPolicy::random(0.002, 300));
     let workload = Travel {
         hotels: 40,
@@ -35,7 +34,7 @@ fn travel_with_crashes_duplicates_and_gc() {
     };
     let runtime = Runtime::new(client.clone(), rt_config);
     workload.register(&runtime);
-    let gc = GcDriver::start(client, NodeId(0), Duration::from_secs(2));
+    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(2));
     let gateway = Gateway::new(runtime.clone());
     let spec = LoadSpec {
         rate_per_sec: 150.0,
@@ -57,8 +56,7 @@ fn travel_with_crashes_duplicates_and_gc() {
         gc.totals().instances_reclaimed > 500,
         "GC reclaimed finished SSFs"
     );
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_read_sequential_consistency().unwrap();
+    audit(&client).assert_passed("travel with crashes duplicates and gc");
 }
 
 #[test]
@@ -69,7 +67,6 @@ fn retwis_under_halfmoon_write_with_crashes() {
         .protocol(ProtocolKind::HalfmoonWrite)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     client.set_fault_plan(FaultPolicy::random(0.002, 300));
     let workload = Retwis {
         users: 50,
@@ -79,7 +76,7 @@ fn retwis_under_halfmoon_write_with_crashes() {
     workload.populate(&client);
     let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
     workload.register(&runtime);
-    let gc = GcDriver::start(client, NodeId(0), Duration::from_secs(2));
+    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(2));
     let gateway = Gateway::new(runtime);
     let spec = LoadSpec {
         rate_per_sec: 150.0,
@@ -90,8 +87,7 @@ fn retwis_under_halfmoon_write_with_crashes() {
     let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
     gc.stop();
     assert_eq!(report.errors, 0);
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_write_order().unwrap();
+    audit(&client).assert_passed("retwis under halfmoon write with crashes");
 }
 
 #[test]
@@ -105,7 +101,6 @@ fn switching_under_load_with_crashes_end_to_end() {
         .recorder()
         .faults(FaultPolicy::random(0.001, 100))
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     let workload = SyntheticOps {
         objects: 500,
         value_bytes: 256,
@@ -129,7 +124,7 @@ fn switching_under_load_with_crashes_end_to_end() {
             .spawn(async move { gateway.run_open_loop(spec).await })
     };
     let switches = {
-        let client = client;
+        let client = client.clone();
         let ctx = sim.ctx();
         let ctx2 = ctx.clone();
         ctx.spawn(async move {
@@ -165,7 +160,7 @@ fn switching_under_load_with_crashes_end_to_end() {
         "delay {:?}",
         b.switching_delay()
     );
-    recorder.check_all_generic().unwrap();
+    audit(&client).assert_passed("switching under load with crashes end to end");
 }
 
 #[test]
@@ -234,7 +229,6 @@ fn storage_replica_failure_degrades_but_preserves_correctness() {
         .protocol(ProtocolKind::HalfmoonWrite)
         .recorder()
         .build();
-    let recorder = client.recorder().expect("recorder enabled at build");
     client.set_fault_plan(FaultPolicy::random(0.002, 100));
     let workload = SyntheticOps {
         objects: 300,
@@ -283,8 +277,7 @@ fn storage_replica_failure_degrades_but_preserves_correctness() {
         "the below-quorum window must have been exercised"
     );
     assert_eq!(client.log().live_storage_replicas_on(ShardId(0)), 3);
-    recorder.check_all_generic().unwrap();
-    recorder.check_hm_write_order().unwrap();
+    audit(&client).assert_passed("storage replica failure degrades but preserves correctness");
 }
 
 /// The series `MetricsRegistry::series_json` exported: its column names

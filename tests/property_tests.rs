@@ -6,19 +6,20 @@
 //!   straight-line program (reads/writes over a small keyspace) is run with
 //!   a randomly chosen crash schedule under each fault-tolerant protocol;
 //!   the final state read back through the protocol must equal a pure
-//!   oracle interpretation of the program, and every idempotence invariant
-//!   must hold.
+//!   oracle interpretation of the program, and the history must pass
+//!   `audit`.
 //! - `consistency_random_concurrent_load`: several random programs run
-//!   concurrently with random start offsets and crash points; Proposition
-//!   4.7 (Halfmoon-read) / 4.8 (Halfmoon-write) checkers must accept the
-//!   resulting histories.
+//!   concurrently with random start offsets and crash points; `audit`,
+//!   Proposition 4.7 (Halfmoon-read) / 4.8 (Halfmoon-write) included, must
+//!   accept the resulting histories.
 //! - `audit_reports_each_planted_violation_by_its_checker` and
 //!   `audit_verdicts_do_not_depend_on_recording_order`: seeded synthetic
-//!   histories that pass every check of their proposition, with violations
-//!   planted into chosen instances. Each kind of violation must be
-//!   reported by its own checker, and every checker's verdict, message
-//!   included, must survive any reshuffle of the instances' interleaving
-//!   in recording order (the trace-invariance DESIGN.md §13 relies on).
+//!   histories that pass `Recorder::audit` under their proposition, with
+//!   violations planted into chosen instances. Each kind of violation must
+//!   be reported under its own check's name, and every check's verdict,
+//!   message included, must survive any reshuffle of the instances'
+//!   interleaving in recording order (the trace-invariance DESIGN.md §13
+//!   relies on).
 //!
 //! The environment has no proptest, so each property runs as a seeded-RNG
 //! case loop: all inputs derive from a fixed base seed plus the case index,
@@ -29,7 +30,8 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use halfmoon::{
-    Client, Env, Event, EventKind, FaultPolicy, InvocationSpec, ProtocolKind, Recorder,
+    audit, AuditReport, Client, Env, Event, EventKind, FaultPolicy, InvocationSpec, ProtocolKind,
+    Recorder,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::{FxHashMap, HmResult, InstanceId, Key, NodeId, SeqNum, Value, VersionTuple};
@@ -148,7 +150,6 @@ fn exactly_once_random_programs_and_crashes() {
             .protocol(kind)
             .recorder()
             .build();
-        let recorder = client.recorder().expect("recorder enabled at build");
         for k in 0..4 {
             client.populate(key(k), Value::Int(-(i64::from(k))));
         }
@@ -169,14 +170,7 @@ fn exactly_once_random_programs_and_crashes() {
                 .map_or(Value::Int(-(i64::from(k))), |v| Value::Int(*v));
             assert_eq!(got, want, "case {case}: key {k} under {kind}");
         }
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        if kind == ProtocolKind::HalfmoonRead {
-            recorder
-                .check_hm_read_sequential_consistency()
-                .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        }
+        audit(&client).assert_passed(format_args!("case {case}"));
     }
 }
 
@@ -202,7 +196,6 @@ fn consistency_random_concurrent_load() {
             .protocol(kind)
             .recorder()
             .build();
-        let recorder = client.recorder().expect("recorder enabled at build");
         for k in 0..4 {
             client.populate(key(k), Value::Int(-(i64::from(k))));
         }
@@ -231,17 +224,7 @@ fn consistency_random_concurrent_load() {
         for h in handles {
             h.try_take().expect("program completed").unwrap();
         }
-        recorder
-            .check_all_generic()
-            .unwrap_or_else(|e| panic!("case {case}: {e}"));
-        match kind {
-            ProtocolKind::HalfmoonRead => recorder
-                .check_hm_read_sequential_consistency()
-                .unwrap_or_else(|e| panic!("case {case}: {e}")),
-            _ => recorder
-                .check_hm_write_order()
-                .unwrap_or_else(|e| panic!("case {case}: {e}")),
-        }
+        audit(&client).assert_passed(format_args!("case {case}"));
     }
 }
 
@@ -252,6 +235,16 @@ fn consistency_random_concurrent_load() {
 enum Flavour {
     HmRead,
     HmWrite,
+}
+
+impl Flavour {
+    /// The protocol whose uniform deployment records this flavour.
+    fn protocol(self) -> ProtocolKind {
+        match self {
+            Flavour::HmRead => ProtocolKind::HalfmoonRead,
+            Flavour::HmWrite => ProtocolKind::HalfmoonWrite,
+        }
+    }
 }
 
 /// A violation planted into one instance's history, on a key of its own.
@@ -290,42 +283,20 @@ impl Plant {
         }
     }
 
-    /// The checker that must report it.
-    fn checker(self) -> &'static str {
+    /// The checks that report it, in the audit's order, its own first. A
+    /// conditional write applied twice also applies a version that does
+    /// not increase, which Proposition 4.8's order rejects.
+    fn reported_by(self) -> &'static [&'static str] {
         match self {
-            Plant::DivergentReplayedRead => "read_stability",
-            Plant::CommitDrift | Plant::DoubleAppliedCondWrite => "write_determinism",
-            Plant::DuplicatedRawWrite => "raw_write_uniqueness",
-            Plant::BackwardsRead => "monotonic_reads",
-            Plant::ReadBehindOwnWrite => "read_your_writes",
-            Plant::StaleRead48 => "hm_write_order",
-            Plant::FutureRead47 => "hm_read_sequential_consistency",
+            Plant::DivergentReplayedRead => &["read_stability"],
+            Plant::CommitDrift => &["write_determinism"],
+            Plant::DoubleAppliedCondWrite => &["write_determinism", "hm_write_order"],
+            Plant::DuplicatedRawWrite => &["raw_write_uniqueness"],
+            Plant::BackwardsRead => &["monotonic_reads"],
+            Plant::ReadBehindOwnWrite => &["read_your_writes"],
+            Plant::StaleRead48 => &["hm_write_order"],
+            Plant::FutureRead47 => &["hm_read_sequential_consistency"],
         }
-    }
-}
-
-type Check = fn(&Recorder) -> Result<(), String>;
-
-const CHECKERS: [(&str, Check); 8] = [
-    ("read_stability", Recorder::check_read_stability),
-    ("invoke_stability", Recorder::check_invoke_stability),
-    ("write_determinism", Recorder::check_write_determinism),
-    ("raw_write_uniqueness", Recorder::check_raw_write_uniqueness),
-    ("monotonic_reads", Recorder::check_monotonic_reads),
-    ("read_your_writes", Recorder::check_read_your_writes),
-    (
-        "hm_read_sequential_consistency",
-        Recorder::check_hm_read_sequential_consistency,
-    ),
-    ("hm_write_order", Recorder::check_hm_write_order),
-];
-
-/// Whether `checker` judges histories of `flavour`.
-fn applies(checker: &str, flavour: Flavour) -> bool {
-    match checker {
-        "hm_read_sequential_consistency" => flavour == Flavour::HmRead,
-        "hm_write_order" => flavour == Flavour::HmWrite,
-        _ => true,
     }
 }
 
@@ -333,8 +304,9 @@ fn applies(checker: &str, flavour: Flavour) -> bool {
 /// for the programs, `pk4..pk7` for up to four plants.
 const SYNTH_BASE: Value = Value::Int(0);
 
-/// Every checker's verdict on `events` recorded in the given order.
-fn verdicts(events: &[Event]) -> Vec<(&'static str, Result<(), String>)> {
+/// [`Recorder::audit`]'s report on `events`, recorded in the given order,
+/// as the history of a uniform `uniform` deployment.
+fn audited(events: &[Event], uniform: ProtocolKind) -> AuditReport {
     let recorder = Recorder::new();
     for k in 0..8u8 {
         recorder.set_base(&key(k), &SYNTH_BASE);
@@ -342,10 +314,7 @@ fn verdicts(events: &[Event]) -> Vec<(&'static str, Result<(), String>)> {
     for e in events {
         recorder.record(e.clone());
     }
-    CHECKERS
-        .iter()
-        .map(|&(name, check)| (name, check(&recorder)))
-        .collect()
+    recorder.audit(Some(uniform))
 }
 
 /// A seeded history that satisfies every check of its flavour: random
@@ -668,8 +637,9 @@ fn replayed(kind: EventKind) -> Option<EventKind> {
     }
 }
 
-/// Each planted violation kind is reported by its own checker, naming a
-/// planted instance, in histories whose clean form passes every check of
+/// Each planted violation kind is reported by [`Recorder::audit`] under
+/// exactly the checks [`Plant::reported_by`] names, its own naming a
+/// planted instance, in histories whose clean form passes the audit of
 /// their flavour.
 #[test]
 fn audit_reports_each_planted_violation_by_its_checker() {
@@ -682,21 +652,24 @@ fn audit_reports_each_planted_violation_by_its_checker() {
                 Flavour::HmWrite
             });
             let mut h = SynthHistory::new(seed, flavour);
-            for (name, verdict) in verdicts(&h.events) {
-                if applies(name, flavour) {
-                    assert_eq!(
-                        verdict,
-                        Ok(()),
-                        "seed {seed:#x}: clean {flavour:?} history, {name}"
-                    );
-                }
-            }
+            let clean = audited(&h.events, flavour.protocol());
+            assert!(
+                clean.passed(),
+                "seed {seed:#x}: clean {flavour:?} history: {clean}"
+            );
             let planted = [h.plant(plant, 0), h.plant(plant, 1)];
-            let (_, verdict) = verdicts(&h.events)
-                .into_iter()
-                .find(|(name, _)| *name == plant.checker())
-                .expect("a checker of that name");
-            let msg = verdict.expect_err(&format!("seed {seed:#x}: {plant:?} went unreported"));
+            let report = audited(&h.events, flavour.protocol());
+            let checks: Vec<&str> = report
+                .violations
+                .iter()
+                .filter_map(|v| v.split(':').next())
+                .collect();
+            assert_eq!(
+                checks,
+                plant.reported_by(),
+                "seed {seed:#x}: {plant:?} reported as {report}"
+            );
+            let msg = &report.violations[0];
             assert!(
                 planted.iter().any(|id| msg.contains(&format!("{id:?}"))),
                 "seed {seed:#x}: {plant:?} reported as {msg}"
@@ -705,11 +678,16 @@ fn audit_reports_each_planted_violation_by_its_checker() {
     }
 }
 
-/// Every checker's verdict, message included, is the same however the
+/// Every check's verdict, message included, is the same however the
 /// instances' events interleave in recording order, on histories with at
-/// least two planted violations of one kind (and up to two more).
+/// least two planted violations of one kind (and up to two more): the
+/// audit under either proposition runs every check.
 #[test]
 fn audit_verdicts_do_not_depend_on_recording_order() {
+    let verdicts = |events: &[Event]| {
+        [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite]
+            .map(|uniform| audited(events, uniform).violations)
+    };
     for case in 0..24u64 {
         let seed = 0x5e7_0000 + case;
         let flavour = if case % 2 == 0 {
@@ -727,7 +705,7 @@ fn audit_verdicts_do_not_depend_on_recording_order() {
         }
         let want = verdicts(&h.events);
         assert!(
-            want.iter().any(|(_, v)| v.is_err()),
+            want.iter().any(|v| !v.is_empty()),
             "seed {seed:#x}: nothing reported"
         );
         for round in 0..8 {
