@@ -5,7 +5,10 @@
 //! - [`FaultPolicy`] — *instance* crash points: decides whether one SSF
 //!   execution attempt dies at a given crash point, each of which sits in
 //!   one of the §4 windows named by [`Site`]. Consulted by
-//!   `Env::maybe_crash` on the protocol hot path.
+//!   `Env::maybe_crash` on the protocol hot path. Under
+//!   [`FaultPolicy::explored`] each crash point is a choice of a model
+//!   checker's source; which actions a crash commutes with (its
+//!   footprint) is the checker's to decide, not this crate's.
 //! - [`FaultPlan`] — the whole campaign: an instance policy plus a
 //!   declarative schedule of infrastructure faults ([`FaultEvent`]) at
 //!   virtual times — whole-function-node crashes (§5 recovery), storage
@@ -101,12 +104,9 @@ enum FaultMode {
     /// Delegate every crash point to a systematic [`ChoiceSource`]
     /// (`hm_substrate::explore`): each `maybe_crash` call becomes an
     /// explicit binary {survive, crash} choice node, so an explorer
-    /// enumerates *all* crash placements instead of sampling them. The
-    /// shared [`CrashFootprints`] table supplies the footprint both
-    /// alternatives carry (the effects of the interrupted/continuing op).
+    /// enumerates *all* crash placements instead of sampling them.
     Explored {
         source: Rc<dyn ChoiceSource>,
-        footprints: Rc<CrashFootprints>,
     },
 }
 
@@ -123,46 +123,8 @@ impl fmt::Debug for FaultMode {
                 .field("prob", prob)
                 .field("max_point", max_point)
                 .finish_non_exhaustive(),
-            FaultMode::Explored { footprints, .. } => f
-                .debug_struct("Explored")
-                .field("footprints", footprints)
-                .finish_non_exhaustive(),
+            FaultMode::Explored { .. } => f.debug_struct("Explored").finish_non_exhaustive(),
         }
-    }
-}
-
-/// Shared table of the resource footprint each instance's *next* crash
-/// choice should carry, updated by a model-checking harness as the
-/// instance moves from op to op. The footprint feeds the explorer's
-/// independence relation: a crash alternative with footprint `fp` only
-/// wakes sleeping actions whose footprints overlap `fp`. Instances with
-/// no entry default to `u64::MAX` — dependent on everything, which is
-/// always sound (it just forfeits pruning).
-#[derive(Debug, Default)]
-pub struct CrashFootprints {
-    map: RefCell<FxHashMap<InstanceId, u64>>,
-}
-
-impl CrashFootprints {
-    /// A fresh, empty table behind a shared handle.
-    #[must_use]
-    pub fn new() -> Rc<CrashFootprints> {
-        Rc::new(CrashFootprints::default())
-    }
-
-    /// Sets `instance`'s current crash-choice footprint.
-    pub fn set(&self, instance: InstanceId, footprint: u64) {
-        self.map.borrow_mut().insert(instance, footprint);
-    }
-
-    /// The current footprint for `instance` (`u64::MAX` if never set).
-    #[must_use]
-    pub fn get(&self, instance: InstanceId) -> u64 {
-        self.map
-            .borrow()
-            .get(&instance)
-            .copied()
-            .unwrap_or(u64::MAX)
     }
 }
 
@@ -224,16 +186,13 @@ impl FaultPolicy {
     /// tree nodes. With `budget == 0` the policy is consulted never and
     /// the run explores pure scheduling nondeterminism.
     ///
-    /// Both alternatives carry the instance's current [`CrashFootprints`]
-    /// entry; the harness updates the table as the instance enters each
-    /// op so the independence relation sees the op actually at risk.
+    /// Both alternatives carry footprint `u64::MAX`, dependent on every
+    /// action, which is always sound; a harness that knows the op at
+    /// risk narrows it by wrapping `source` (`hm_runtime::mc` gives a
+    /// crash the footprint of the running actor's turn).
     #[must_use]
-    pub fn explored(
-        source: Rc<dyn ChoiceSource>,
-        budget: u32,
-        footprints: Rc<CrashFootprints>,
-    ) -> FaultPolicy {
-        FaultPolicy::new(FaultMode::Explored { source, footprints }, budget)
+    pub fn explored(source: Rc<dyn ChoiceSource>, budget: u32) -> FaultPolicy {
+        FaultPolicy::new(FaultMode::Explored { source }, budget)
     }
 
     /// Crash exactly once at each listed `(instance, crash point)` pair.
@@ -280,12 +239,11 @@ impl FaultPolicy {
                     _ => false,
                 }
             }
-            FaultMode::Explored { source, footprints } => {
-                let fp = footprints.get(instance);
+            FaultMode::Explored { source } => {
                 let who = instance.0 as u64 & (SURVIVE_TAG - 1);
                 let alts = [
-                    Alt::new(SURVIVE_TAG | who, fp),
-                    Alt::new(CRASH_TAG | who, fp),
+                    Alt::new(SURVIVE_TAG | who, u64::MAX),
+                    Alt::new(CRASH_TAG | who, u64::MAX),
                 ];
                 source.choose("crash", &alts) == 1
             }

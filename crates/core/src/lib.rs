@@ -75,7 +75,7 @@ pub use client::{
     LocalBoxFuture, RecoveryStats,
 };
 pub use env::{Env, InvocationSpec, ObjectMode};
-pub use faults::{CrashFootprints, FaultEvent, FaultPlan, FaultPolicy, ScheduledFault, Site};
+pub use faults::{FaultEvent, FaultPlan, FaultPolicy, ScheduledFault, Site};
 pub use gc::{GarbageCollector, GcStats};
 pub use history::{audit, AuditReport, Event, EventKind, Recorder};
 pub use hm_sharedlog::{FlushStats, ReplayStats, ShardId, Topology};

@@ -278,41 +278,6 @@ fn peer_recovers_input_from_init_record() {
     assert_eq!(client.store().peek(&Key::new("I")), Some(Value::Int(42)));
 }
 
-/// Deterministic-version Halfmoon-read survives the same crash sweep as
-/// the default double-logging variant.
-#[test]
-fn deterministic_versions_exactly_once_under_crashes() {
-    for point in 1..20u32 {
-        let mut sim = Sim::new(0xed6e);
-        let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonRead);
-        config.deterministic_versions = true;
-        let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
-        client.populate(Key::new("DV"), Value::Int(3));
-        let id = client.fresh_instance_id();
-        client.set_fault_plan(FaultPolicy::at([(id, point)]));
-        let out = sim.block_on(run_ssf(
-            client.clone(),
-            spec(id),
-            RETRY,
-            async |env: &mut Env, _| {
-                let v = env.read(&Key::new("DV")).await?.as_int().unwrap_or(0);
-                env.write(&Key::new("DV"), Value::Int(v * 2)).await?;
-                Ok(Value::Int(v))
-            },
-        ));
-        assert_eq!(out.unwrap(), Value::Int(3), "point {point}");
-        // Exactly one committed version of the doubled value.
-        let id2 = client.fresh_instance_id();
-        let v = sim.block_on(run_ssf(
-            client.clone(),
-            spec(id2),
-            RETRY,
-            async |env: &mut Env, _| env.read(&Key::new("DV")).await,
-        ));
-        assert_eq!(v.unwrap(), Value::Int(6), "point {point}");
-    }
-}
-
 /// §7 opportunistic checkpointing: a retry on the same node serves its
 /// log-free reads from the node-local checkpoint (no log read, no store
 /// read), with identical results.

@@ -11,9 +11,8 @@ use std::rc::{Rc, Weak};
 use std::time::Duration;
 
 use halfmoon::{
-    audit, transition_log_tag, Client, CrashFootprints, Env, FaultPolicy, GarbageCollector,
-    Invoker, LocalBoxFuture, MatrixOp, OpRecord, ProtocolConfig, ProtocolKind, Site, StepRecord,
-    Switcher,
+    audit, transition_log_tag, Client, Env, FaultPolicy, GarbageCollector, Invoker, LocalBoxFuture,
+    MatrixOp, OpRecord, ProtocolConfig, ProtocolKind, Site, StepRecord, Switcher,
 };
 use hm_common::latency::LatencyModel;
 use hm_common::observe::OpCtx;
@@ -136,11 +135,16 @@ async fn canonical(env: &mut Env, _input: Value) -> HmResult<Value> {
     Ok(Value::Int(x))
 }
 
-/// The canonical body, then one invoke of `child` (whose result it drops).
+/// The canonical body, then one invoke of `child`; returns the sum of
+/// both results.
 async fn swept(env: &mut Env, input: Value) -> HmResult<Value> {
-    let out = canonical(env, input).await?;
-    env.invoke("child", Value::Null).await?;
-    Ok(out)
+    let x = canonical(env, input).await?.as_int().unwrap_or(0);
+    let z = env
+        .invoke("child", Value::Null)
+        .await?
+        .as_int()
+        .unwrap_or(0);
+    Ok(Value::Int(x + z))
 }
 
 fn populate_xy(client: &Client) {
@@ -251,23 +255,26 @@ fn audit_runs_the_checks_of_its_deployment() {
 // ---------------------------------------------------------------------
 
 /// The site of every crash point of the swept body (the canonical body,
-/// then one invoke), per deployment: the four protocols, and
-/// Halfmoon-write switching to Halfmoon-read, whose reads and writes are
-/// all dual (§5.2). Point `n` of a row is its `n`-th entry; each line is
-/// one op: init, read X, write X, read Y, write Y, invoke, finish.
+/// then one invoke), per deployment: the four protocols, Halfmoon-read
+/// with deterministic versions (§4.1), and Halfmoon-write switching to
+/// Halfmoon-read, whose reads and writes are all dual (§5.2). Point `n`
+/// of a row is its `n`-th entry; each line is one op: init, read X,
+/// write X, read Y, write Y, invoke, finish.
 #[rustfmt::skip]
-fn site_table() -> [(&'static str, Vec<Site>); 5] {
+fn site_table() -> [(&'static str, Vec<Site>); 6] {
     use Site::*;
+    let halfmoon_read = vec![
+        Init,
+        OpEntry,
+        OpEntry, BeforeEffect, AfterEffect,
+        OpEntry,
+        OpEntry, BeforeEffect, AfterEffect,
+        BeforeEffect, AfterEffect,
+        BeforeAppend,
+    ];
     [
-        ("Halfmoon-read", vec![
-            Init,
-            OpEntry,
-            OpEntry, BeforeEffect, AfterEffect,
-            OpEntry,
-            OpEntry, BeforeEffect, AfterEffect,
-            BeforeEffect, AfterEffect,
-            BeforeAppend,
-        ]),
+        ("Halfmoon-read", halfmoon_read.clone()),
+        ("Halfmoon-read dv", halfmoon_read),
         ("Halfmoon-write", vec![
             Init,
             OpEntry, AfterEffect,
@@ -306,31 +313,61 @@ fn site_table() -> [(&'static str, Vec<Site>); 5] {
     ]
 }
 
-/// A deployment of `site_table`'s row `name`. The transitional one is a
-/// Halfmoon-write deployment whose transition log holds a BEGIN, so
-/// every SSF initialized after it runs dual reads and writes.
-fn setup_row(name: &str) -> (Sim, Client) {
-    let kind = match name {
-        "Halfmoon-read" => ProtocolKind::HalfmoonRead,
-        "Boki" => ProtocolKind::Boki,
-        "Unsafe" => ProtocolKind::Unsafe,
-        _ => ProtocolKind::HalfmoonWrite,
+/// A deployment of `site_table`'s row `name`, X and Y populated, with a
+/// test invoker whose `child` reads Z, writes Z+1 and returns it. The
+/// transitional one is a Halfmoon-write deployment whose transition log
+/// holds a BEGIN, so every SSF initialized after it runs dual reads and
+/// writes.
+fn setup_row(name: &str) -> (Sim, Client, Rc<TestInvoker>) {
+    let (mut sim, client) = match name {
+        "Halfmoon-read" => setup(ProtocolKind::HalfmoonRead),
+        "Halfmoon-read dv" => deploy(
+            0xda7a,
+            ProtocolConfig {
+                deterministic_versions: true,
+                ..ProtocolConfig::uniform(ProtocolKind::HalfmoonRead)
+            },
+        ),
+        "Boki" => setup(ProtocolKind::Boki),
+        "Unsafe" => setup(ProtocolKind::Unsafe),
+        "transitional" => deploy(0xda7a, switching(ProtocolKind::HalfmoonWrite)),
+        _ => setup(ProtocolKind::HalfmoonWrite),
     };
-    if name != "transitional" {
-        return setup(kind);
+    if name == "transitional" {
+        let log = client.log().clone();
+        let begin = StepRecord {
+            instance: InstanceId(u128::MAX),
+            step: StepNum(0),
+            op: OpRecord::TransitionBegin {
+                from: ProtocolKind::HalfmoonWrite,
+                to: ProtocolKind::HalfmoonRead,
+            },
+        };
+        sim.block_on(async move { log.append(NODE, vec![transition_log_tag()], begin).await });
     }
-    let (mut sim, client) = deploy(0xda7a, switching(kind));
-    let log = client.log().clone();
-    let begin = StepRecord {
-        instance: InstanceId(u128::MAX),
-        step: StepNum(0),
-        op: OpRecord::TransitionBegin {
-            from: kind,
-            to: ProtocolKind::HalfmoonRead,
-        },
-    };
-    sim.block_on(async move { log.append(NODE, vec![transition_log_tag()], begin).await });
-    (sim, client)
+    populate_xy(&client);
+    let invoker = TestInvoker::install(&client);
+    invoker.register("child", async |env: &mut Env, _| {
+        let z = env.read(&Key::new("Z")).await?.as_int().unwrap_or(0);
+        env.write(&Key::new("Z"), Value::Int(z + 1)).await?;
+        Ok(Value::Int(z + 1))
+    });
+    (sim, client, invoker)
+}
+
+/// The swept body ran exactly once on a fault-tolerant deployment: its
+/// result (the canonical one plus the child's), X and Y as after one
+/// run, the child's effect applied once, and the audit passes.
+fn assert_swept_once(sim: &mut Sim, client: &Client, out: &Value, context: &str) {
+    assert_eq!(out, &Value::Int(4), "{context}: wrong result");
+    for (key, want) in [("X", 6), ("Y", 11), ("Z", 1)] {
+        assert_eq!(
+            read_final(sim, client, key),
+            Value::Int(want),
+            "{context}: {key} duplicated or lost"
+        );
+    }
+    audit(client).assert_passed(context);
 }
 
 /// Store operations issued so far (reads, writes, conditional writes):
@@ -346,8 +383,8 @@ fn store_ops(client: &Client) -> u64 {
 /// `BeforeEffect` or `BetweenEffects` point must have a store operation
 /// (the child's read, for an invoke) before the next point, and an
 /// `AfterEffect` or `BetweenEffects` point one since the previous point.
-/// Under the fault-tolerant deployments the final effects must also equal
-/// a failure-free run's and every idempotence invariant must hold.
+/// Under the fault-tolerant deployments the run must also be exactly once
+/// (`assert_swept_once`).
 #[test]
 fn exactly_once_under_single_crash_at_every_point() {
     let table = site_table();
@@ -362,12 +399,7 @@ fn exactly_once_under_single_crash_at_every_point() {
         // `n` (entry `n - 1`), then those of a fault-free run.
         let mut ops = Vec::new();
         for point in 1..=sites.len() as u32 + 1 {
-            let (mut sim, client) = setup_row(name);
-            populate_xy(&client);
-            let invoker = TestInvoker::install(&client);
-            invoker.register("child", async |env: &mut Env, _| {
-                env.read(&Key::new("X")).await
-            });
+            let (mut sim, client, _invoker) = setup_row(name);
             let id = client.fresh_instance_id();
             client.set_fault_plan(FaultPolicy::at([(id, point)]));
             let policy = client.faults();
@@ -397,20 +429,7 @@ fn exactly_once_under_single_crash_at_every_point() {
             if name == "Unsafe" {
                 continue;
             }
-            assert_eq!(out, Value::Int(3), "{name} point {point}: wrong result");
-            let x = read_final(&mut sim, &client, "X");
-            let y = read_final(&mut sim, &client, "Y");
-            assert_eq!(
-                x,
-                Value::Int(6),
-                "{name} point {point}: X duplicated or lost"
-            );
-            assert_eq!(
-                y,
-                Value::Int(11),
-                "{name} point {point}: Y duplicated or lost"
-            );
-            audit(&client).assert_passed(format_args!("{name} point {point}"));
+            assert_swept_once(&mut sim, &client, &out, &format!("{name} point {point}"));
         }
         for (i, site) in sites.iter().enumerate() {
             let point = i + 1;
@@ -458,12 +477,7 @@ impl ChoiceSource for CrashInstance {
 /// (numbered as [`CrashInstance`] does), run to completion. Returns the
 /// crash points the instance passed and the result.
 fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, u32, HmResult<Value>) {
-    let (mut sim, client) = setup_row(name);
-    populate_xy(&client);
-    let invoker = TestInvoker::install(&client);
-    invoker.register("child", async |env: &mut Env, _| {
-        env.read(&Key::new("X")).await
-    });
+    let (mut sim, client, _invoker) = setup_row(name);
     let id = client.fresh_instance_id();
     let source = Rc::new(CrashInstance {
         who: id.0 as u64 & WHO,
@@ -472,11 +486,7 @@ fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, u32, HmResult<Value>)
     });
     // No budget: a spent one would stop consulting the source, and its
     // count of points passed.
-    client.set_fault_plan(FaultPolicy::explored(
-        source.clone(),
-        u32::MAX,
-        CrashFootprints::new(),
-    ));
+    client.set_fault_plan(FaultPolicy::explored(source.clone(), u32::MAX));
     let out = sim.block_on(run_ssf(client.clone(), spec(id), RETRY, swept));
     (sim, client, source.seen.get(), out)
 }
@@ -488,7 +498,7 @@ fn run_crashing(name: &str, at: Vec<u32>) -> (Sim, Client, u32, HmResult<Value>)
 /// ops logged before the crash and skips their effect windows, so it
 /// numbers that window lower by the points it skipped: a run that
 /// crashes only at `first` measures them. Both crashes must land at the
-/// table's sites, and the final effects must equal a failure-free run's.
+/// table's sites, and the run must be exactly once (`assert_swept_once`).
 #[test]
 fn exactly_once_under_double_crashes() {
     for (name, sites) in site_table() {
@@ -511,10 +521,7 @@ fn exactly_once_under_double_crashes() {
                 let want = expected.iter().filter(|&&s| s == site).count() as u32;
                 assert_eq!(policy.injected_at(site), want, "{pair}: {site:?}");
             }
-            assert_eq!(out, Value::Int(3), "{pair}");
-            assert_eq!(read_final(&mut sim, &client, "X"), Value::Int(6), "{pair}");
-            assert_eq!(read_final(&mut sim, &client, "Y"), Value::Int(11), "{pair}");
-            audit(&client).assert_passed(pair);
+            assert_swept_once(&mut sim, &client, &out, &pair);
         }
     }
 }
@@ -732,38 +739,6 @@ fn figure6_stale_writes_are_reordered() {
 // ---------------------------------------------------------------------
 // Workflows (Invoke)
 // ---------------------------------------------------------------------
-
-#[test]
-fn workflow_invocation_is_exactly_once_under_crashes() {
-    for kind in all_protocols() {
-        for point in 1..14u32 {
-            let (mut sim, client) = setup(kind);
-            client.populate(Key::new("counter"), Value::Int(0));
-            let invoker = TestInvoker::install(&client);
-            invoker.register("increment", async |env: &mut Env, _input| {
-                let c = env.read(&Key::new("counter")).await?.as_int().unwrap_or(0);
-                env.write(&Key::new("counter"), Value::Int(c + 1)).await?;
-                Ok(Value::Int(c + 1))
-            });
-            let parent = async |env: &mut Env, _| {
-                let r = env.invoke("increment", Value::Null).await?;
-                Ok(r)
-            };
-            let id = client.fresh_instance_id();
-            client.set_fault_plan(FaultPolicy::at([(id, point)]));
-            let out = sim
-                .block_on(run_ssf(client.clone(), spec(id), RETRY, parent))
-                .unwrap_or_else(|e| panic!("{kind} point {point}: {e}"));
-            assert_eq!(out, Value::Int(1), "{kind} point {point}");
-            assert_eq!(
-                read_final(&mut sim, &client, "counter"),
-                Value::Int(1),
-                "{kind} point {point}: child effect duplicated"
-            );
-            audit(&client).assert_passed(format_args!("{kind} {point}"));
-        }
-    }
-}
 
 #[test]
 fn nested_workflow_chain() {

@@ -15,7 +15,10 @@
 //! - **Crashes**: [`halfmoon::FaultPolicy::explored`] turns every crash
 //!   point, whatever its [`halfmoon::Site`], into a binary {survive,
 //!   crash} choice (site `"crash"`), budgeted per run — crash *placement*
-//!   is exhaustively enumerated over the §4 windows.
+//!   is exhaustively enumerated over the §4 windows. The policy consults
+//!   the explorer through a wrapper that gives each crash choice the
+//!   footprint of the turn the running actor holds (one actor runs at a
+//!   time, so that turn's op is the one at risk).
 //! - **Stalls**: optionally, one sequencer-stall injection is offered as
 //!   an extra scheduling alternative.
 //!
@@ -49,8 +52,8 @@ use std::task::{Poll, Waker};
 use std::time::Duration;
 
 use halfmoon::{
-    audit, Client, CrashFootprints, Env, FaultPolicy, InvocationSpec, MatrixOp, ProtocolConfig,
-    ProtocolKind, Topology,
+    audit, Client, Env, FaultPolicy, InvocationSpec, MatrixOp, ProtocolConfig, ProtocolKind,
+    Topology,
 };
 use hm_common::flightrec::FlightRecorder;
 use hm_common::latency::LatencyModel;
@@ -345,6 +348,19 @@ impl TurnGate {
         }
     }
 
+    /// The footprint of the turn an actor holds: the one live actor not
+    /// parked, since the coordinator grants a turn only once every other
+    /// live actor is parked. `u64::MAX` (dependent on everything) when no
+    /// single actor is, as before the first grant.
+    fn held(&self) -> u64 {
+        let g = self.inner.borrow();
+        let mut running = g.slots.iter().filter(|s| !s.parked && !s.done);
+        match (running.next(), running.next()) {
+            (Some(slot), None) => slot.fp,
+            _ => u64::MAX,
+        }
+    }
+
     /// Resolves when every live actor is parked (returning their ids in
     /// index order) or all actors are done (returning empty).
     async fn all_parked(&self) -> Vec<usize> {
@@ -372,6 +388,23 @@ impl TurnGate {
     }
 }
 
+/// The explorer as the crash policy consults it: a crash choice's
+/// alternatives carry the footprint of the turn the running actor holds
+/// (every crash point is passed inside a turn) in place of the policy's
+/// `u64::MAX`.
+struct TurnFootprints {
+    source: Rc<dyn ChoiceSource>,
+    gate: TurnGate,
+}
+
+impl ChoiceSource for TurnFootprints {
+    fn choose(&self, site: &'static str, alts: &[Alt]) -> usize {
+        let fp = self.gate.held();
+        let alts: Vec<Alt> = alts.iter().map(|a| Alt::new(a.id, fp)).collect();
+        self.source.choose(site, &alts)
+    }
+}
+
 // ---------------------------------------------------------------------
 // The harness proper.
 // ---------------------------------------------------------------------
@@ -383,25 +416,20 @@ impl TurnGate {
 async fn actor(
     gate: TurnGate,
     client: Client,
-    footprints: Rc<CrashFootprints>,
     me: usize,
     id: InstanceId,
     node: NodeId,
     program: Vec<OpSpec>,
 ) {
     let frame = |op| client.with_config(|c| frame_footprint(c.default.logging_row(op, c), me));
-    // One footprint per turn: the scheduler's and the crash choices'.
-    let turn = async |fp: u64| {
-        gate.turn(me, fp).await;
-        footprints.set(id, fp);
-    };
     let mut attempt = 0;
     loop {
-        turn(frame(MatrixOp::Init)).await;
+        gate.turn(me, frame(MatrixOp::Init)).await;
         let spec = InvocationSpec::new(id, node).attempt(attempt);
         let once = Env::run(&client, spec, async |env: &mut Env, _| {
             for (step, op) in program.iter().enumerate() {
-                turn(client.with_config(|c| op.footprint(c, me))).await;
+                gate.turn(me, client.with_config(|c| op.footprint(c, me)))
+                    .await;
                 match op {
                     OpSpec::Read(k) => {
                         env.read(&k.key()).await?;
@@ -412,7 +440,7 @@ async fn actor(
                     }
                 }
             }
-            turn(frame(MatrixOp::Finish)).await;
+            gate.turn(me, frame(MatrixOp::Finish)).await;
             Ok(Value::Int(me as i64))
         });
         match once.await {
@@ -470,12 +498,17 @@ async fn coordinate(
     }
 }
 
-/// Executes one run of `config` with every choice resolved by `source`.
+/// Executes one run of `config` with every choice resolved by `source`,
+/// and returns the oracle's violations (driver failures plus audit
+/// complaints, none for a pruned run), the deployment and its flight
+/// recorder.
 ///
 /// This *is* a normal sim run — fixed seed, deterministic executor — so
-/// the same `(seed, schedule)` pair always produces the same
-/// [`McOutcome::history`], byte for byte.
-pub fn run_once(config: &McConfig, source: &Rc<dyn ChoiceSource>) -> McOutcome {
+/// the same `(seed, schedule)` pair always records the same history.
+fn run_once(
+    config: &McConfig,
+    source: &Rc<dyn ChoiceSource>,
+) -> (Vec<String>, Client, Rc<FlightRecorder>) {
     let mut sim = Sim::new(config.seed);
     let ctx = sim.ctx();
     let fr = FlightRecorder::new();
@@ -490,32 +523,23 @@ pub fn run_once(config: &McConfig, source: &Rc<dyn ChoiceSource>) -> McOutcome {
     let client = builder.build();
     client.populate(Key::new("X"), Value::Int(1));
     client.populate(Key::new("Y"), Value::Int(2));
-    let footprints = CrashFootprints::new();
-    client.set_fault_plan(FaultPolicy::explored(
-        source.clone(),
-        config.crashes,
-        footprints.clone(),
-    ));
-
     let gate = TurnGate::new(2);
-    ctx.spawn_detached(actor(
-        gate.clone(),
-        client.clone(),
-        footprints.clone(),
-        0,
-        InstanceId(0xa),
-        NodeId(0),
-        config.a.clone(),
-    ));
-    ctx.spawn_detached(actor(
-        gate.clone(),
-        client.clone(),
-        footprints,
-        1,
-        InstanceId(0xb),
-        NodeId(1),
-        config.b.clone(),
-    ));
+    let crashes = TurnFootprints {
+        source: source.clone(),
+        gate: gate.clone(),
+    };
+    client.set_fault_plan(FaultPolicy::explored(Rc::new(crashes), config.crashes));
+
+    for (me, program) in [&config.a, &config.b].into_iter().enumerate() {
+        ctx.spawn_detached(actor(
+            gate.clone(),
+            client.clone(),
+            me,
+            InstanceId(0xa + me as u128),
+            NodeId(me as u32),
+            program.clone(),
+        ));
+    }
     sim.block_on(coordinate(
         gate.clone(),
         source.clone(),
@@ -524,8 +548,7 @@ pub fn run_once(config: &McConfig, source: &Rc<dyn ChoiceSource>) -> McOutcome {
     ));
 
     let mut violations = gate.errors();
-    let aborted = source.pruned();
-    if !aborted {
+    if !source.pruned() {
         // Note the replayable schedule *before* the audit so a violation
         // dump carries it in the incident ring.
         fr.note(
@@ -533,31 +556,28 @@ pub fn run_once(config: &McConfig, source: &Rc<dyn ChoiceSource>) -> McOutcome {
             "mc_schedule",
             format!("seed={:#x} picks={}", config.seed, source.taken()),
         );
-        let report = audit(&client);
-        violations.extend(report.violations);
+        violations.extend(audit(&client).violations);
     }
-    let history: String = client.recorder().map_or_else(String::new, |r| {
-        let lines: Vec<String> = r.events().iter().map(|e| format!("{e:?}")).collect();
-        lines.join("\n")
-    });
-    let events = client.recorder().map_or(0, |r| r.len());
+    (violations, client, fr)
+}
+
+/// Replays a recorded [`Schedule`] against `config` as a plain sim run:
+/// the same `(seed, schedule)` pair always produces the same
+/// [`McOutcome::history`], byte for byte.
+#[must_use]
+pub fn run_schedule(config: &McConfig, schedule: &Schedule) -> McOutcome {
+    let source: Rc<dyn ChoiceSource> = Rc::new(ScriptedChoices::new(schedule));
+    let (violations, client, fr) = run_once(config, &source);
+    let recorder = client.recorder().expect("the harness records");
+    let lines: Vec<String> = recorder.events().iter().map(|e| format!("{e:?}")).collect();
     McOutcome {
         violations,
         schedule: source.taken(),
-        history,
-        events,
-        aborted,
+        history: lines.join("\n"),
+        events: recorder.len(),
+        aborted: source.pruned(),
         flight_dump: fr.last_dump(),
     }
-}
-
-/// Replays a recorded [`Schedule`] against `config` as a plain sim run.
-#[must_use]
-pub fn run_schedule(config: &McConfig, schedule: &Schedule) -> McOutcome {
-    run_once(
-        config,
-        &(Rc::new(ScriptedChoices::new(schedule)) as Rc<dyn ChoiceSource>),
-    )
 }
 
 /// Exhaustively explores `config`: every scheduling order × every crash
@@ -571,8 +591,9 @@ pub fn explore_config(config: &McConfig, pruning: bool, workers: usize) -> Explo
     Explorer::new()
         .pruning(pruning)
         .explore_parallel(workers, |chooser: &DfsChooser| {
-            let outcome = run_once(config, &(Rc::new(chooser.clone()) as Rc<dyn ChoiceSource>));
-            RunReport::new(outcome.violations)
+            let (violations, ..) =
+                run_once(config, &(Rc::new(chooser.clone()) as Rc<dyn ChoiceSource>));
+            RunReport::new(violations)
         })
 }
 

@@ -16,7 +16,9 @@
 # `ProtocolKind::logging_row`, in every test that runs a protocol. The
 # release builds below (bench_sim_core, explore --assert, the benchmark/
 # rounds) compile that assert out; a wrong table entry that changes a
-# model-check footprint shows there as `model_check` fingerprint drift.
+# model-check footprint shows there as `model_check` fingerprint drift,
+# and tier-1 fails too: tests/model_check.rs pins the (runs, aborted,
+# nodes) size of two explored trees.
 # Collector soak: the `#[ignore]`d chaos test, in release. The chaos
 # campaign (crashes, node crashes, a replica outage, a sequencer stall)
 # with a collector every 500 ms and peers on 10 % of invocations, over 64

@@ -48,6 +48,11 @@ fn ft_protocols_pass_every_interleaving_of_the_ww_race() {
             "{kind:?} violated the propositions: {:?}",
             stats.counterexamples[0].violations
         );
+        if kind == ProtocolKind::HalfmoonWrite {
+            // The tree's size pins the footprints of its choices.
+            let size = (stats.runs, stats.aborted, stats.nodes);
+            assert_eq!(size, (555, 53, 1797), "{kind:?}: (runs, aborted, nodes)");
+        }
     }
 }
 
@@ -115,6 +120,10 @@ fn pruning_preserves_the_verdict() {
     let naive = explore_config(&cfg, false, 1);
     assert!(pruned.counterexamples.is_empty());
     assert!(naive.counterexamples.is_empty());
+    // The pruned tree's size pins the footprints of its choices: a crash
+    // choice dependent on everything prunes less.
+    let size = (pruned.runs, pruned.aborted, pruned.nodes);
+    assert_eq!(size, (706, 188, 3461), "(runs, aborted, nodes)");
     assert!(
         pruned.executions() * 2 <= naive.executions(),
         "sleep sets must prune >= 50% of naive interleavings on disjoint \
