@@ -3,8 +3,8 @@
 //! Every table and figure of the paper's evaluation is a function in
 //! [`paper`] returning a value; the `paper` bench target (`harness =
 //! false`) prints them and `tests/paper_claims.rs` asserts their shapes.
-//! Every open-loop run goes through [`run_app`]. `EXPERIMENTS.md` records
-//! paper-vs-measured.
+//! Every open-loop run goes through [`hm_workloads::run_app`], the one
+//! open-loop harness. `EXPERIMENTS.md` records paper-vs-measured.
 //!
 //! The `bench_sim_core` binary instead times the simulator itself; its
 //! components live in [`sim_core`].
@@ -16,14 +16,6 @@ pub mod alloc;
 pub mod cli;
 pub mod paper;
 pub mod sim_core;
-
-use std::cell::Cell;
-use std::rc::Rc;
-
-use halfmoon::{Client, ClientBuilder};
-use hm_runtime::{Gateway, GcDriver, LoadReport, LoadSpec, Runtime, RuntimeConfig};
-use hm_substrate::{sim::Sim, Time};
-use hm_workloads::Workload;
 
 /// Smallest duration scale a run accepts; smaller requests clamp up to it.
 const MIN_SCALE: f64 = 0.05;
@@ -43,89 +35,6 @@ fn parse_scale(raw: &str) -> Result<f64, String> {
     match raw.parse::<f64>() {
         Ok(s) if s.is_finite() && s > 0.0 => Ok(s.max(MIN_SCALE)),
         _ => Err(format!("HM_BENCH_SCALE={raw:?} is not a finite number > 0")),
-    }
-}
-
-/// Experiment parameters for one workload run.
-pub struct AppRun {
-    /// RNG seed.
-    pub seed: u64,
-    /// Open-loop arrival rate.
-    pub rate: f64,
-    /// Measured window.
-    pub duration: Time,
-    /// Warmup window.
-    pub warmup: Time,
-    /// Runtime topology.
-    pub rt_config: RuntimeConfig,
-    /// GC interval (None disables GC).
-    pub gc_interval: Option<Time>,
-}
-
-/// Results of one workload run, including storage gauges.
-pub struct AppRunOutput {
-    /// Gateway report (latency histogram, counts).
-    pub report: LoadReport,
-    /// Time-averaged log bytes over the measured window.
-    pub avg_log_bytes: f64,
-    /// Time-averaged store bytes over the measured window.
-    pub avg_store_bytes: f64,
-    /// Per-operation latencies accumulated by the client.
-    pub op_latencies: halfmoon::client::OpLatencies,
-    /// Log appends over the measured window.
-    pub log_appends: u64,
-    /// Future polls the run's executor drove.
-    pub polls: u64,
-    /// Most timers the run's executor held pending at once.
-    pub peak_timers: usize,
-}
-
-/// Runs one workload experiment end to end. The deployment is what
-/// `client` makes of a fresh [`Client::builder`] (protocol, protocol
-/// config, fault plan, tracer); the calibrated latency model and one log
-/// shard are the builder's defaults.
-#[must_use]
-pub fn run_app(
-    workload: &dyn Workload,
-    params: &AppRun,
-    client: impl FnOnce(ClientBuilder) -> ClientBuilder,
-) -> AppRunOutput {
-    let mut sim = Sim::new(params.seed);
-    let client = client(Client::builder(sim.ctx())).build();
-    let runtime = Runtime::new(client.clone(), params.rt_config);
-    workload.populate(&client);
-    workload.register(&runtime);
-    let gc = params
-        .gc_interval
-        .map(|interval| GcDriver::start(client.clone(), hm_common::NodeId(0), interval));
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: params.rate,
-        duration: params.duration,
-        warmup: params.warmup,
-        factory: workload.factory(),
-    };
-    // Reset measurement windows at the end of warmup.
-    let appends_at_warmup = Rc::new(Cell::new(0u64));
-    let (at_warmup, windowed, warmup) = (appends_at_warmup.clone(), client.clone(), params.warmup);
-    sim.ctx().spawn(async move {
-        windowed.ctx().sleep(warmup).await;
-        windowed.log().reset_storage_window();
-        windowed.store().reset_storage_window();
-        at_warmup.set(windowed.log().counters().log_appends);
-    });
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    if let Some(gc) = gc {
-        gc.stop();
-    }
-    AppRunOutput {
-        report,
-        avg_log_bytes: client.log().average_bytes(),
-        avg_store_bytes: client.store().average_bytes(),
-        op_latencies: client.op_latencies(),
-        log_appends: client.log().counters().log_appends - appends_at_warmup.get(),
-        polls: sim.poll_count(),
-        peak_timers: sim.peak_timers(),
     }
 }
 

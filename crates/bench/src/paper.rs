@@ -7,7 +7,8 @@
 //! with [`print()`]; `tests/paper_claims.rs` runs them at reduced scale and
 //! asserts the paper's headline shapes on the same values.
 //!
-//! Every open-loop run goes through [`run_app`]. Two bodies keep their own
+//! Every open-loop run goes through [`run_app`], the one open-loop harness
+//! (beside the [`Workload`] trait it drives). Two bodies keep their own
 //! drivers: Table 1's raw-append histogram drives a [`LogService`]
 //! directly, and Figure 14 switches protocols under a phase-alternating
 //! generator, which is not an open-loop run.
@@ -36,9 +37,9 @@ use hm_workloads::movie::Movie;
 use hm_workloads::retwis::Retwis;
 use hm_workloads::synthetic::{MicroRw, SyntheticOps};
 use hm_workloads::travel::Travel;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, Workload};
 
-use crate::{print_table, run_app, AppRun};
+use crate::print_table;
 
 /// One table or figure: its panels, then summary notes.
 pub struct Figure {
@@ -337,8 +338,10 @@ fn table1(scale: f64) -> Figure {
         hist
     });
     let params = open_loop(scale, 0x7ab1e2, 100.0, [120.0, 5.0, 10.0]);
-    let out = run_app(&MicroRw::default(), &params, |b| b.protocol(Boki));
-    let hists = [&log, &out.op_latencies.read, &out.op_latencies.write];
+    let ops = run_app(&MicroRw::default(), &params, |b| b.protocol(Boki))
+        .client
+        .op_latencies();
+    let hists = [&log, &ops.read, &ops.write];
     let columns = ["Log", "Read", "Write"];
     let measured = Panel::new("Table 1 (measured): latency (ms)", "", columns, 2)
         .row("median", hists.map(|h| ms(h.median_ms())))
@@ -364,7 +367,9 @@ fn table1(scale: f64) -> Figure {
 fn fig10(scale: f64) -> Figure {
     let params = open_loop(scale, 0xf1610, 100.0, [120.0, 5.0, 10.0]);
     let runs = par_map(&SYSTEMS, ALL_CORES, |&kind| {
-        run_app(&MicroRw::default(), &params, |b| b.protocol(kind)).op_latencies
+        run_app(&MicroRw::default(), &params, |b| b.protocol(kind))
+            .client
+            .op_latencies()
     });
     let panel = |title: &str, op: fn(&OpLatencies) -> &Histogram| {
         let columns = ["median (ms)", "p99 (ms)", "overhead vs raw (%)"];
@@ -530,7 +535,7 @@ pub fn fig12_cells(scale: f64, panels: &[(usize, f64, &str)], workers: usize) ->
             let windows = [(gc * 5.0).max(60.0), gc.max(10.0), gc];
             let params = open_loop(scale, 0xf1612, 100.0, windows);
             let out = run_app(&workload, &params, |b| b.protocol(kind));
-            (out.avg_log_bytes + out.avg_store_bytes) / 1e6
+            (out.client.log().average_bytes() + out.client.store().average_bytes()) / 1e6
         },
     )
 }
@@ -621,7 +626,7 @@ fn switching_run(rate: f64) -> (Panel, [f64; 2]) {
     let mut sim = Sim::new(0xf1614);
     let mut config = ProtocolConfig::uniform(HalfmoonWrite);
     config.switching_enabled = true;
-    let client = Client::new(sim.ctx(), LatencyModel::calibrated(), config);
+    let client = Client::builder(sim.ctx()).protocol_config(config).build();
     // Two request slots per node put 600 req/s close to saturation (the
     // paper's workload saturates around 800 req/s), which is what makes
     // draining the write-heavy phase visibly slower there.
@@ -814,7 +819,7 @@ fn ablations(scale: f64) -> Figure {
         let predicted = predicted_appends(&workload, &config);
         let out = run_app(&workload, &params, |b| b.protocol_config(config));
         [
-            ms(out.op_latencies.write.median_ms()),
+            ms(out.client.op_latencies().write.median_ms()),
             ms(out.report.latency.median_ms()),
             out.log_appends as f64 / out.report.completed.max(1) as f64,
             predicted,

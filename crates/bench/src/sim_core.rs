@@ -33,17 +33,18 @@ use hm_substrate::sim::Sim;
 use hm_substrate::{Ctx, JoinHandle};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
+use hm_workloads::{run_app, AppRun};
 
 use crate::alloc::{AllocRate, AllocSnapshot};
-use crate::{run_app, AppRun, AppRunOutput};
 
 /// What one component did.
 pub struct Run {
     /// Simulated-result fingerprint; must be identical across builds.
     pub fingerprint: u64,
-    /// Future polls driven by the component's executors. 0 where no `Sim`
-    /// is in reach: `app`, `recovery` and `parallel_scaling` leave theirs
-    /// inside [`run_app`], and each model-checker run owns its own.
+    /// Future polls driven by the component's executors. 0 for `app`,
+    /// whose baseline records only its timer peak; for `recovery` and
+    /// `parallel_scaling`, whose runs are a figure's cells; and for
+    /// `model_check`, whose runs each own their executor.
     pub polls: u64,
     /// Most timers any of the component's executors held pending at once
     /// (`Sim::peak_timers`): the depth the timer heap is sized against.
@@ -82,12 +83,6 @@ impl Run {
     fn count(&mut self, sim: &Sim) {
         self.polls += sim.poll_count();
         self.peak_timers = self.peak_timers.max(sim.peak_timers());
-    }
-
-    /// [`Run::count`] for an executor that [`run_app`] kept.
-    fn count_app(&mut self, out: &AppRunOutput) {
-        self.polls += out.polls;
-        self.peak_timers = self.peak_timers.max(out.peak_timers);
     }
 }
 
@@ -420,18 +415,18 @@ pub fn app(kind: ProtocolKind, travel: bool, scale: f64, tracer: Option<Rc<Trace
     fp = mix(fp, out.report.generated);
     fp = mix(fp, out.report.errors);
     fp = mix(fp, out.log_appends);
-    fp = mix(fp, out.avg_log_bytes.to_bits());
+    fp = mix(fp, out.client.log().average_bytes().to_bits());
     fp = mix(fp, out.report.latency.median_ms().unwrap_or(0.0).to_bits());
     Run {
-        peak_timers: out.peak_timers,
+        peak_timers: out.sim.peak_timers(),
         ..Run::new(fp)
     }
 }
 
 /// The §7 recovery figure, `paper::figure("recovery")`, at 5 % of
 /// `scale`: every value of its panel goes into the fingerprint. The
-/// figure's shape asserts are `paper_claims.rs`'s; its runs go through
-/// [`run_app`], which keeps their executors, so `polls` and
+/// figure's shape asserts are `paper_claims.rs`'s; its runs are the
+/// figure's cells, whose executors stay inside it, so `polls` and
 /// `peak_timers` are 0.
 #[must_use]
 pub fn recovery(scale: f64) -> Run {
@@ -689,7 +684,7 @@ pub fn admission_knee(scale: f64) -> Run {
     // long a request holds its worker slot.
     let mut run = Run::new(0);
     let probe = run_point(300.0, (1.0 * scale).max(0.3), None);
-    run.count_app(&probe);
+    run.count(&probe.sim);
     let probe_mean_ms = (probe.report.latency.mean_ms()).expect("the probe completes requests");
     let rt = RuntimeConfig::default();
     let slots = rt.nodes * rt.workers_per_node;
@@ -709,7 +704,7 @@ pub fn admission_knee(scale: f64) -> Run {
         let rate = knee_rate * ratio;
         let anatomy = Anatomy::new();
         let out = run_point(rate, secs, Some(anatomy.clone()));
-        run.count_app(&out);
+        run.count(&out.sim);
         let report = &out.report;
         if (ratio - 1.0).abs() < f64::EPSILON {
             // Observer neutrality: the same point without anatomy must do
@@ -721,10 +716,11 @@ pub fn admission_knee(scale: f64) -> Run {
                 "anatomy perturbed the simulation at the knee point"
             );
             assert_eq!(
-                plain.polls, out.polls,
+                plain.sim.poll_count(),
+                out.sim.poll_count(),
                 "anatomy changed the executor schedule at the knee point"
             );
-            run.count_app(&plain);
+            run.count(&plain.sim);
         }
         let ops = anatomy.ops();
         assert!(ops > 0, "load point {rate} completed no measured ops");

@@ -280,22 +280,6 @@ impl PhaseSheet {
     pub fn is_open(&self) -> bool {
         self.inner.borrow().open
     }
-
-    /// Snapshot the accruals so far without closing the sheet (flight
-    /// recorder dumps want in-flight state).
-    pub fn snapshot(&self, now: Duration) -> Stamp {
-        let inner = self.inner.borrow();
-        let mut acc = inner.acc;
-        if inner.open {
-            if let Some(&top) = inner.stack.last() {
-                acc[top.index()] += ns(now).saturating_sub(inner.last_ns);
-            }
-        }
-        Stamp {
-            phase_ns: acc,
-            total_ns: ns(now).saturating_sub(inner.opened_ns),
-        }
-    }
 }
 
 /// One completed op's stamp, retained in a bounded ring for the flight

@@ -341,17 +341,6 @@ impl Client {
         }
     }
 
-    /// Builds a deployment: fresh single-shard log and store on the given
-    /// simulation. Convenience for [`Client::builder`] with an explicit
-    /// model and protocol config.
-    #[must_use]
-    pub fn new(ctx: Ctx, model: LatencyModel, config: ProtocolConfig) -> Client {
-        Client::builder(ctx)
-            .model(model)
-            .protocol_config(config)
-            .build()
-    }
-
     /// The simulation context.
     #[must_use]
     pub fn ctx(&self) -> &Ctx {
@@ -599,7 +588,6 @@ mod tests {
     use hm_substrate::sim::Sim;
 
     use crate::faults::Site;
-    use crate::protocol::{ProtocolConfig, ProtocolKind};
 
     use super::*;
 
@@ -638,11 +626,9 @@ mod tests {
     #[test]
     fn client_bookkeeping() {
         let sim = Sim::new(1);
-        let client = Client::new(
-            sim.ctx(),
-            LatencyModel::uniform_test_model(),
-            ProtocolConfig::uniform(ProtocolKind::HalfmoonRead),
-        );
+        let client = Client::builder(sim.ctx())
+            .model(LatencyModel::uniform_test_model())
+            .build();
         client.note_written_key(&Key::new("b"));
         client.note_written_key(&Key::new("a"));
         client.note_written_key(&Key::new("a"));

@@ -499,13 +499,6 @@ impl FaultPlan {
         events.sort_by_key(|e| e.at);
         events
     }
-
-    /// True when the plan injects nothing at all (the default for every
-    /// client built without faults — the zero-cost-disabled path).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty() && matches!(self.instance.mode, FaultMode::None)
-    }
 }
 
 impl From<FaultPolicy> for FaultPlan {
@@ -572,15 +565,5 @@ mod tests {
                 .any(|e| matches!(e.event, FaultEvent::NodeCrash { .. })),
             "p=0.5 over 16 intervals should fire at least once"
         );
-    }
-
-    #[test]
-    fn empty_plan_reports_empty() {
-        assert!(FaultPlan::new().is_empty());
-        assert!(FaultPlan::from(FaultPolicy::none()).is_empty());
-        assert!(!FaultPlan::from(FaultPolicy::random(0.1, 5)).is_empty());
-        assert!(!FaultPlan::new()
-            .stall_sequencer_at(Duration::ZERO, ShardId(0), Duration::from_millis(1))
-            .is_empty());
     }
 }

@@ -24,7 +24,10 @@ fn setup(kind: ProtocolKind) -> (Sim, Client) {
 
 fn setup_with(config: ProtocolConfig) -> (Sim, Client) {
     let sim = Sim::new(0xed6e);
-    let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+    let client = Client::builder(sim.ctx())
+        .model(LatencyModel::uniform_test_model())
+        .protocol_config(config)
+        .build();
     (sim, client)
 }
 
@@ -205,7 +208,10 @@ fn per_key_protocol_mix() {
     config
         .per_key
         .insert(Key::new("hot-write"), ProtocolKind::HalfmoonWrite);
-    let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+    let client = Client::builder(sim.ctx())
+        .model(LatencyModel::uniform_test_model())
+        .protocol_config(config)
+        .build();
     client.populate(Key::new("hot-write"), Value::Int(0));
     client.populate(Key::new("hot-read"), Value::Int(0));
     let id = client.fresh_instance_id();
@@ -287,7 +293,10 @@ fn checkpoints_accelerate_retries_without_changing_results() {
         let mut sim = Sim::new(0xc4ec);
         let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonRead);
         config.opportunistic_checkpoints = checkpointing;
-        let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+        let client = Client::builder(sim.ctx())
+            .model(LatencyModel::uniform_test_model())
+            .protocol_config(config)
+            .build();
         client.populate(Key::new("cp"), Value::Int(5));
         let id = client.fresh_instance_id();
         // Crash late, before finish, so the retry replays every read.
@@ -325,7 +334,10 @@ fn checkpoints_do_not_leak_across_nodes() {
     let mut sim = Sim::new(0xc4ed);
     let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonRead);
     config.opportunistic_checkpoints = true;
-    let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+    let client = Client::builder(sim.ctx())
+        .model(LatencyModel::uniform_test_model())
+        .protocol_config(config)
+        .build();
     client.populate(Key::new("cp"), Value::Int(1));
     let id = client.fresh_instance_id();
     client.set_fault_plan(FaultPolicy::at([(id, 5)]));

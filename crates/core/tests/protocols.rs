@@ -915,7 +915,10 @@ fn switch_is_idempotent_and_rejects_unsafe() {
     let mut sim = Sim::new(7);
     let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite);
     config.switching_enabled = true;
-    let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+    let client = Client::builder(sim.ctx())
+        .model(LatencyModel::uniform_test_model())
+        .protocol_config(config)
+        .build();
     let switcher = Switcher::new(client.clone(), NODE);
     let client2 = client;
     sim.block_on(async move {
@@ -1024,7 +1027,10 @@ fn ordered_write_extension_costs_one_log_between_dependent_writes() {
         let mut sim = Sim::new(5);
         let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite);
         config.preserve_write_order = preserve;
-        let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+        let client = Client::builder(sim.ctx())
+            .model(LatencyModel::uniform_test_model())
+            .protocol_config(config)
+            .build();
         client.populate(Key::new("A"), Value::Int(0));
         client.populate(Key::new("B"), Value::Int(0));
         let id = client.fresh_instance_id();
@@ -1083,7 +1089,10 @@ fn figure8_ordered_extension_prevents_commuting() {
         let mut sim = Sim::new(0xf18);
         let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite);
         config.preserve_write_order = preserve;
-        let client = Client::new(sim.ctx(), LatencyModel::uniform_test_model(), config);
+        let client = Client::builder(sim.ctx())
+            .model(LatencyModel::uniform_test_model())
+            .protocol_config(config)
+            .build();
         client.populate(Key::new("X"), Value::Int(0));
         client.populate(Key::new("Y"), Value::Int(0));
         let ctx = sim.ctx();

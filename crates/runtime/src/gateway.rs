@@ -50,14 +50,6 @@ pub struct LoadReport {
     pub per_shard_appends: Vec<u64>,
 }
 
-impl LoadReport {
-    /// Completed requests per second over the measured window.
-    #[must_use]
-    pub fn throughput(&self, window: Time) -> f64 {
-        self.completed as f64 / window.as_secs_f64().max(f64::MIN_POSITIVE)
-    }
-}
-
 /// The function gateway: generates Poisson arrivals and fans them into the
 /// runtime, recording end-to-end latency.
 pub struct Gateway {

@@ -264,8 +264,6 @@ pub struct McOutcome {
     pub history: String,
     /// Number of history events recorded.
     pub events: usize,
-    /// True when the run was cut short as sleep-set redundant.
-    pub aborted: bool,
     /// The flight-recorder dump, if the audit triggered one.
     pub flight_dump: Option<String>,
 }
@@ -575,7 +573,6 @@ pub fn run_schedule(config: &McConfig, schedule: &Schedule) -> McOutcome {
         schedule: source.taken(),
         history: lines.join("\n"),
         events: recorder.len(),
-        aborted: source.pruned(),
         flight_dump: fr.last_dump(),
     }
 }

@@ -6,13 +6,12 @@ use std::time::Duration;
 use halfmoon::{audit, Client, FaultPolicy, ProtocolKind};
 use hm_common::latency::LatencyModel;
 use hm_common::Value;
-use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
-use hm_substrate::sim::Sim;
+use hm_runtime::RuntimeConfig;
 use hm_workloads::movie::Movie;
 use hm_workloads::retwis::Retwis;
 use hm_workloads::synthetic::{MicroRw, SyntheticOps};
 use hm_workloads::travel::Travel;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, Workload};
 
 fn run_workload(
     workload: &dyn Workload,
@@ -21,27 +20,26 @@ fn run_workload(
     rate: f64,
     secs: u64,
 ) -> (hm_runtime::LoadReport, Client) {
-    let mut sim = Sim::new(0x77_u64 + u64::from(kind.code()));
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::uniform_test_model())
-        .protocol(kind)
-        .recorder()
-        .build();
-    workload.populate(&client);
-    if crash_prob > 0.0 {
-        client.set_fault_plan(FaultPolicy::random(crash_prob, 500));
-    }
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: rate,
+    let params = AppRun {
+        seed: 0x77_u64 + u64::from(kind.code()),
+        rate,
         duration: Duration::from_secs(secs),
         warmup: Duration::from_millis(500),
-        factory: workload.factory(),
+        rt_config: RuntimeConfig::default(),
+        gc_interval: None,
     };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    (report, client)
+    let out = run_app(workload, &params, |b| {
+        let b = b
+            .model(LatencyModel::uniform_test_model())
+            .protocol(kind)
+            .recorder();
+        if crash_prob > 0.0 {
+            b.faults(FaultPolicy::random(crash_prob, 500))
+        } else {
+            b
+        }
+    });
+    (out.report, out.client)
 }
 
 fn workloads() -> Vec<Box<dyn Workload>> {

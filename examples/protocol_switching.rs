@@ -42,7 +42,10 @@ fn main() {
     let mut sim = Sim::new(7);
     let mut config = ProtocolConfig::uniform(ProtocolKind::HalfmoonWrite);
     config.switching_enabled = true;
-    let client = halfmoon::Client::new(sim.ctx(), LatencyModel::calibrated(), config);
+    let client = halfmoon::Client::builder(sim.ctx())
+        .model(LatencyModel::calibrated())
+        .protocol_config(config)
+        .build();
     let write_heavy = SyntheticOps {
         read_ratio: 0.2,
         objects: 1000,

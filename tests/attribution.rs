@@ -12,12 +12,11 @@ use halfmoon::{
 use hm_common::anatomy::{Anatomy, Phase};
 use hm_common::trace::Tracer;
 use hm_common::{FxHashMap, FxHashSet, Key, NodeId, Value};
-use hm_runtime::chaos::ChaosDriver;
-use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun};
 
 const FT_PROTOCOLS: [ProtocolKind; 3] = [
     ProtocolKind::HalfmoonRead,
@@ -73,6 +72,18 @@ fn a_bystanders_store_time_is_not_charged_to_idle_requests() {
     assert_eq!(anatomy.max_rel_err(), 0.0);
 }
 
+/// `secs` of open-loop load at `rate` with no warmup and no collector.
+fn open_loop(seed: u64, rate: f64, secs: u64, rt_config: RuntimeConfig) -> AppRun {
+    AppRun {
+        seed,
+        rate,
+        duration: Duration::from_secs(secs),
+        warmup: Duration::ZERO,
+        rt_config,
+        gc_interval: None,
+    }
+}
+
 struct Observed {
     tracer: Rc<Tracer>,
     anatomy: Rc<Anatomy>,
@@ -86,30 +97,21 @@ fn crashy_synthetic_run(kind: ProtocolKind, topology: Topology, batch: usize) ->
         objects: 200,
         ..SyntheticOps::default()
     };
-    let mut sim = Sim::new(424_242);
     let tracer = Tracer::with_capacity(1 << 20);
     let anatomy = Anatomy::new();
-    let client = Client::builder(sim.ctx())
-        .protocol(kind)
-        .topology(topology)
-        .batching(batch)
-        .faults(FaultPolicy::random(0.004, 200))
-        .tracer(tracer.clone())
-        .anatomy(anatomy.clone())
-        .build();
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gc = GcDriver::start(client, NodeId(0), Duration::from_millis(500));
-    let gateway = Gateway::new(runtime.clone());
-    let spec = LoadSpec {
-        rate_per_sec: 500.0,
-        duration: Duration::from_secs(3),
-        warmup: Duration::ZERO,
-        factory: workload.factory(),
+    let params = AppRun {
+        gc_interval: Some(Duration::from_millis(500)),
+        ..open_loop(424_242, 500.0, 3, RuntimeConfig::default())
     };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    gc.stop();
+    let out = run_app(&workload, &params, |b| {
+        b.protocol(kind)
+            .topology(topology)
+            .batching(batch)
+            .faults(FaultPolicy::random(0.004, 200))
+            .tracer(tracer.clone())
+            .anatomy(anatomy.clone())
+    });
+    let report = out.report;
     assert_eq!(report.errors, 0);
     assert_eq!(report.completed, report.generated);
     assert_eq!(anatomy.ops(), report.completed);
@@ -117,7 +119,7 @@ fn crashy_synthetic_run(kind: ProtocolKind, topology: Topology, batch: usize) ->
     Observed {
         tracer,
         anatomy,
-        retries: runtime.retries(),
+        retries: out.runtime.retries(),
     }
 }
 
@@ -221,25 +223,14 @@ fn a_stalled_sequencer_is_charged_to_the_sequencer_phase() {
         ..SyntheticOps::default()
     };
     let sequencer_ns = |plan: FaultPlan| {
-        let mut sim = Sim::new(4_711);
         let anatomy = Anatomy::new();
-        let client = Client::builder(sim.ctx())
-            .protocol(ProtocolKind::HalfmoonRead)
-            .faults(plan)
-            .anatomy(anatomy.clone())
-            .build();
-        workload.populate(&client);
-        let runtime = Runtime::new(client, RuntimeConfig::default());
-        workload.register(&runtime);
-        let _chaos = ChaosDriver::start(&runtime);
-        let gateway = Gateway::new(runtime);
-        let spec = LoadSpec {
-            rate_per_sec: 300.0,
-            duration: Duration::from_secs(1),
-            warmup: Duration::ZERO,
-            factory: workload.factory(),
-        };
-        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+        let params = open_loop(4_711, 300.0, 1, RuntimeConfig::default());
+        let report = run_app(&workload, &params, |b| {
+            b.protocol(ProtocolKind::HalfmoonRead)
+                .faults(plan)
+                .anatomy(anatomy.clone())
+        })
+        .report;
         assert_eq!(anatomy.ops(), report.completed);
         assert!(anatomy.max_rel_err() <= 0.01, "{}", anatomy.max_rel_err());
         let totals = anatomy.phase_totals_ns();
@@ -267,29 +258,18 @@ fn a_childs_invocation_nests_under_its_parents_invoke() {
         hotels: 20,
         users: 30,
     };
-    let mut sim = Sim::new(777);
     let tracer = Tracer::with_capacity(1 << 20);
     let anatomy = Anatomy::new();
-    let client = Client::builder(sim.ctx())
-        .faults(FaultPolicy::random(0.004, 200))
-        .tracer(tracer.clone())
-        .anatomy(anatomy.clone())
-        .build();
-    workload.populate(&client);
     let config = RuntimeConfig {
         duplicate_prob: 0.05,
         ..RuntimeConfig::default()
     };
-    let runtime = Runtime::new(client, config);
-    workload.register(&runtime);
-    let gateway = Gateway::new(runtime.clone());
-    let spec = LoadSpec {
-        rate_per_sec: 300.0,
-        duration: Duration::from_secs(2),
-        warmup: Duration::ZERO,
-        factory: workload.factory(),
-    };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+    let out = run_app(&workload, &open_loop(777, 300.0, 2, config), |b| {
+        b.faults(FaultPolicy::random(0.004, 200))
+            .tracer(tracer.clone())
+            .anatomy(anatomy.clone())
+    });
+    let (report, runtime) = (&out.report, &out.runtime);
     assert!(report.completed > 400, "{report:?}");
     assert!(runtime.retries() > 0 && runtime.duplicates() > 0);
     assert_eq!(anatomy.ops(), report.completed);

@@ -12,11 +12,10 @@ use halfmoon::{
 };
 use hm_common::latency::LatencyModel;
 use hm_common::{Key, NodeId, StepNum, Value};
-use hm_runtime::chaos::ChaosDriver;
-use hm_runtime::{Gateway, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::{Runtime, RuntimeConfig};
 use hm_substrate::{sim::Sim, Time};
 use hm_workloads::synthetic::SyntheticOps;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, AppRunOutput};
 
 /// Runs the quickstart-style crash-and-retry deposit sequence at the
 /// given batch size and shard count and returns the client-visible face
@@ -153,7 +152,6 @@ fn recovery_counts_records_parked_mid_flush_exactly_once() {
 /// duplicated or lost effects.
 #[test]
 fn batched_chaos_campaign_passes_the_exactly_once_audit() {
-    let mut sim = Sim::new(0xbb06);
     let plan = FaultPlan::new()
         .instance_faults(FaultPolicy::random(0.004, 40))
         .node_recovery_delay(Duration::from_millis(300))
@@ -170,30 +168,31 @@ fn batched_chaos_campaign_passes_the_exactly_once_audit() {
             1,
             Duration::from_millis(1200),
         );
-    let client = Client::builder(sim.ctx())
-        .protocol(ProtocolKind::HalfmoonWrite)
-        .batching(16)
-        .recorder()
-        .faults(plan)
-        .build();
     let workload = SyntheticOps {
         objects: 150,
         value_bytes: 64,
         ops_per_request: 6,
         read_ratio: 0.5,
     };
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let chaos = ChaosDriver::start(&runtime);
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: 150.0,
+    let params = AppRun {
+        seed: 0xbb06,
+        rate: 150.0,
         duration: Duration::from_secs(5),
         warmup: Duration::from_millis(500),
-        factory: workload.factory(),
+        rt_config: RuntimeConfig::default(),
+        gc_interval: None,
     };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+    let AppRunOutput {
+        client,
+        chaos,
+        report,
+        ..
+    } = run_app(&workload, &params, |b| {
+        b.protocol(ProtocolKind::HalfmoonWrite)
+            .batching(16)
+            .recorder()
+            .faults(plan)
+    });
     assert!(report.completed > 200, "campaign load barely ran");
     assert!(chaos.injected() > 0, "the campaign must actually bite");
     let flush = client.log().flush_stats();

@@ -13,17 +13,12 @@
 use std::time::Duration;
 
 use halfmoon::{
-    audit, AuditReport, Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId,
-    Topology,
+    audit, AuditReport, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Topology,
 };
-use hm_common::latency::LatencyModel;
-use hm_common::NodeId;
-use hm_runtime::chaos::ChaosDriver;
-use hm_runtime::{Gateway, GcDriver, LoadReport, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::{LoadReport, RuntimeConfig};
 use hm_substrate::par_map;
-use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, AppRunOutput};
 
 /// A seeded campaign: random instance crash points plus a Bernoulli
 /// node-crash process, a replica outage, a sequencer stall, and a retry
@@ -54,6 +49,27 @@ fn campaign(seed: u64) -> FaultPlan {
         .retry_storm_at(Duration::from_millis(3500), 0.4, Duration::from_millis(400))
 }
 
+/// The campaigns' workload: the six-op 50/50 function over 200 objects.
+const WORKLOAD: SyntheticOps = SyntheticOps {
+    objects: 200,
+    value_bytes: 64,
+    ops_per_request: 6,
+    read_ratio: 0.5,
+};
+
+/// 6 s of open-loop load at 150 req/s after a 500 ms warmup, with no
+/// collector.
+fn campaign_load(seed: u64, rt_config: RuntimeConfig) -> AppRun {
+    AppRun {
+        seed: 0xc4a0 ^ seed,
+        rate: 150.0,
+        duration: Duration::from_secs(6),
+        warmup: Duration::from_millis(500),
+        rt_config,
+        gc_interval: None,
+    }
+}
+
 /// A log layout: (shards, group-commit batch size).
 type Layout = (u8, usize);
 
@@ -79,39 +95,26 @@ fn run_campaign(
     seed: u64,
     duplicate_prob: f64,
 ) -> Campaign {
-    let mut sim = Sim::new(0xc4a0 ^ seed);
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::calibrated())
-        .protocol_config(config)
-        .topology(Topology::sharded(shards))
-        .batching(batch)
-        .recorder()
-        .faults(campaign(seed))
-        .build();
-    let workload = SyntheticOps {
-        objects: 200,
-        value_bytes: 64,
-        ops_per_request: 6,
-        read_ratio: 0.5,
-    };
-    workload.populate(&client);
-    let config = RuntimeConfig {
+    let rt_config = RuntimeConfig {
         duplicate_prob,
         ..RuntimeConfig::default()
     };
-    let runtime = Runtime::new(client.clone(), config);
-    workload.register(&runtime);
-    let chaos = ChaosDriver::start(&runtime);
-    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_millis(500));
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: 150.0,
-        duration: Duration::from_secs(6),
-        warmup: Duration::from_millis(500),
-        factory: workload.factory(),
+    let params = AppRun {
+        gc_interval: Some(Duration::from_millis(500)),
+        ..campaign_load(seed, rt_config)
     };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    gc.stop();
+    let AppRunOutput {
+        client,
+        chaos,
+        report,
+        ..
+    } = run_app(&WORKLOAD, &params, |b| {
+        b.protocol_config(config)
+            .topology(Topology::sharded(shards))
+            .batching(batch)
+            .recorder()
+            .faults(campaign(seed))
+    });
     assert!(report.completed > 300, "campaign load barely ran");
     assert!(chaos.is_done(), "schedule must fire fully within the run");
     Campaign {
@@ -236,37 +239,20 @@ fn unsafe_baseline_fails_the_auditor_under_chaos() {
 #[test]
 fn failed_audit_dumps_the_flight_recorder() {
     let run = |seed: u64| {
-        let mut sim = Sim::new(0xc4a0 ^ seed);
         let fr = hm_common::flightrec::FlightRecorder::new();
-        let client = Client::builder(sim.ctx())
-            .model(LatencyModel::calibrated())
-            .protocol_config(ProtocolConfig::uniform(ProtocolKind::Unsafe))
-            .recorder()
-            .anatomy(hm_common::anatomy::Anatomy::new())
-            .flight_recorder(fr.clone())
-            .faults(campaign(seed))
-            .build();
-        let workload = SyntheticOps {
-            objects: 200,
-            value_bytes: 64,
-            ops_per_request: 6,
-            read_ratio: 0.5,
-        };
-        workload.populate(&client);
-        let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-        workload.register(&runtime);
-        let chaos = ChaosDriver::start(&runtime);
-        let gateway = Gateway::new(runtime);
-        let spec = LoadSpec {
-            rate_per_sec: 150.0,
-            duration: Duration::from_secs(6),
-            warmup: Duration::from_millis(500),
-            factory: workload.factory(),
-        };
-        let _ = sim.block_on(async move { gateway.run_open_loop(spec).await });
-        assert!(chaos.is_done(), "schedule must fire fully within the run");
-        let verdict = audit(&client);
-        (verdict, fr)
+        let params = campaign_load(seed, RuntimeConfig::default());
+        let out = run_app(&WORKLOAD, &params, |b| {
+            b.protocol(ProtocolKind::Unsafe)
+                .recorder()
+                .anatomy(hm_common::anatomy::Anatomy::new())
+                .flight_recorder(fr.clone())
+                .faults(campaign(seed))
+        });
+        assert!(
+            out.chaos.is_done(),
+            "schedule must fire fully within the run"
+        );
+        (audit(&out.client), fr)
     };
     // The unsafe baseline fails the audit for at least one of these seeds
     // (pinned by `unsafe_baseline_fails_the_auditor_under_chaos`); the

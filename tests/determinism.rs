@@ -3,8 +3,8 @@
 //! repository exactly reproducible.
 //!
 //! The fan-out matrix at the bottom extends the property to `par_map`: a
-//! seeded run inside it is byte-identical to `Sim::new(seed)` on the same
-//! workload (fingerprints, trace JSONL, anatomy JSONL, the chaos campaign's
+//! seeded run inside it is byte-identical to the same run on the caller's
+//! thread (fingerprints, trace JSONL, anatomy JSONL, the chaos campaign's
 //! journal) at every worker count, on the caller's thread or a spawned one,
 //! and rerun-identical from the same seed, and four seeded log slices
 //! produce the same results at every worker count.
@@ -12,103 +12,64 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use halfmoon::{Client, FaultPolicy, ProtocolConfig, ProtocolKind};
+use halfmoon::{ClientBuilder, FaultPlan, FaultPolicy, ProtocolKind, ShardId};
 use hm_common::latency::LatencyModel;
 use hm_common::metrics::OpCounters;
-use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::RuntimeConfig;
 use hm_substrate::sim::Sim;
 use hm_substrate::{par_map, Ctx};
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, AppRunOutput, Workload};
 
 /// Everything a run can disagree on: completion count, the *full*
 /// [`OpCounters`] of both the shared log and the backing store (every
 /// counter field, not a summary), and a latency/bytes digest.
 type RunFingerprint = (u64, OpCounters, OpCounters, String);
 
-fn run_fingerprint(seed: u64, workload: &dyn Workload, kind: ProtocolKind) -> RunFingerprint {
-    run_fingerprint_traced(seed, workload, kind, None)
-}
-
-fn run_fingerprint_traced(
-    seed: u64,
-    workload: &dyn Workload,
-    kind: ProtocolKind,
-    tracer: Option<Rc<hm_common::trace::Tracer>>,
-) -> RunFingerprint {
-    run_fingerprint_topology(seed, workload, kind, tracer, halfmoon::Topology::default())
-}
-
-fn run_fingerprint_topology(
-    seed: u64,
-    workload: &dyn Workload,
-    kind: ProtocolKind,
-    tracer: Option<Rc<hm_common::trace::Tracer>>,
-    topology: halfmoon::Topology,
-) -> RunFingerprint {
-    run_fingerprint_batched(seed, workload, kind, tracer, topology, 1)
-}
-
-fn run_fingerprint_batched(
-    seed: u64,
-    workload: &dyn Workload,
-    kind: ProtocolKind,
-    tracer: Option<Rc<hm_common::trace::Tracer>>,
-    topology: halfmoon::Topology,
-    batch: usize,
-) -> RunFingerprint {
-    run_fingerprint_anatomy(seed, workload, kind, tracer, topology, batch, None)
-}
-
-fn run_fingerprint_anatomy(
-    seed: u64,
-    workload: &dyn Workload,
-    kind: ProtocolKind,
-    tracer: Option<Rc<hm_common::trace::Tracer>>,
-    topology: halfmoon::Topology,
-    batch: usize,
-    anatomy: Option<Rc<hm_common::anatomy::Anatomy>>,
-) -> RunFingerprint {
-    let mut sim = Sim::new(seed);
-    let mut builder = Client::builder(sim.ctx())
-        .model(LatencyModel::calibrated())
-        .protocol_config(ProtocolConfig::uniform(kind))
-        .topology(topology)
-        .batching(batch)
-        .faults(FaultPolicy::random(0.002, 100));
-    if let Some(tracer) = tracer {
-        builder = builder.tracer(tracer);
-    }
-    if let Some(anatomy) = anatomy {
-        builder = builder.anatomy(anatomy);
-    }
-    let client = builder.build();
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gc = GcDriver::start(client.clone(), hm_common::NodeId(0), Duration::from_secs(1));
-    let gateway = Gateway::new(runtime.clone());
-    let spec = LoadSpec {
-        rate_per_sec: 120.0,
-        duration: Duration::from_secs(4),
+/// `secs` of open-loop load after a 500 ms warmup, at `rate`, collected
+/// every second when `gc` is set.
+fn open_loop(seed: u64, rate: f64, secs: u64, gc: bool) -> AppRun {
+    AppRun {
+        seed,
+        rate,
+        duration: Duration::from_secs(secs),
         warmup: Duration::from_millis(500),
-        factory: workload.factory(),
-    };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    gc.stop();
+        rt_config: RuntimeConfig::default(),
+        gc_interval: gc.then_some(Duration::from_secs(1)),
+    }
+}
+
+/// What a finished run's fingerprint reads off its handles.
+fn fingerprint(out: &AppRunOutput) -> RunFingerprint {
+    let (client, latency) = (&out.client, &out.report.latency);
     (
-        report.completed,
+        out.report.completed,
         client.log().counters(),
         client.store().counters(),
         format!(
             "{:?}/{:?}/{}/{}",
-            report.latency.median_ms(),
-            report.latency.p99_ms(),
-            runtime.retries(),
+            latency.median_ms(),
+            latency.p99_ms(),
+            out.runtime.retries(),
             client.store().current_bytes(),
         ),
     )
+}
+
+/// `workload` at 120 req/s for 4 s under `kind` with random crash points
+/// and GC; `deploy` adds the rest of the deployment (tracer, anatomy,
+/// topology, group commit).
+fn run_fingerprint(
+    seed: u64,
+    workload: &dyn Workload,
+    kind: ProtocolKind,
+    deploy: impl FnOnce(ClientBuilder) -> ClientBuilder,
+) -> RunFingerprint {
+    let out = run_app(workload, &open_loop(seed, 120.0, 4, true), |b| {
+        deploy(b.protocol(kind).faults(FaultPolicy::random(0.002, 100)))
+    });
+    fingerprint(&out)
 }
 
 #[test]
@@ -122,8 +83,8 @@ fn identical_seeds_identical_runs() {
         ProtocolKind::HalfmoonWrite,
         ProtocolKind::Boki,
     ] {
-        let a = run_fingerprint(1234, &workload, kind);
-        let b = run_fingerprint(1234, &workload, kind);
+        let a = run_fingerprint(1234, &workload, kind, |b| b);
+        let b = run_fingerprint(1234, &workload, kind, |b| b);
         assert_eq!(a, b, "{kind}: same seed must reproduce exactly");
     }
 }
@@ -134,8 +95,8 @@ fn different_seeds_different_runs() {
         objects: 300,
         ..SyntheticOps::default()
     };
-    let a = run_fingerprint(1, &workload, ProtocolKind::HalfmoonRead);
-    let b = run_fingerprint(2, &workload, ProtocolKind::HalfmoonRead);
+    let a = run_fingerprint(1, &workload, ProtocolKind::HalfmoonRead, |b| b);
+    let b = run_fingerprint(2, &workload, ProtocolKind::HalfmoonRead, |b| b);
     assert_ne!(a.3, b.3, "different seeds should visibly diverge");
 }
 
@@ -150,9 +111,9 @@ fn tracing_does_not_perturb_the_simulation() {
         ..SyntheticOps::default()
     };
     for kind in [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite] {
-        let plain = run_fingerprint(4242, &workload, kind);
+        let plain = run_fingerprint(4242, &workload, kind, |b| b);
         let tracer = hm_common::trace::Tracer::new();
-        let traced = run_fingerprint_traced(4242, &workload, kind, Some(tracer.clone()));
+        let traced = run_fingerprint(4242, &workload, kind, |b| b.tracer(tracer.clone()));
         assert_eq!(plain, traced, "{kind}: tracing changed the simulation");
         assert!(tracer.events_recorded() > 0, "{kind}: trace is empty");
     }
@@ -169,12 +130,9 @@ fn identical_seeds_identical_traces() {
     };
     let export = || {
         let tracer = hm_common::trace::Tracer::new();
-        let _ = run_fingerprint_traced(
-            9001,
-            &workload,
-            ProtocolKind::HalfmoonRead,
-            Some(tracer.clone()),
-        );
+        let _ = run_fingerprint(9001, &workload, ProtocolKind::HalfmoonRead, |b| {
+            b.tracer(tracer.clone())
+        });
         tracer.export_jsonl()
     };
     let a = export();
@@ -195,18 +153,10 @@ fn anatomy_is_neutral_and_deterministic() {
         ..SyntheticOps::default()
     };
     for kind in [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite] {
-        let plain = run_fingerprint(5353, &workload, kind);
+        let plain = run_fingerprint(5353, &workload, kind, |b| b);
         let instrumented = || {
             let anatomy = hm_common::anatomy::Anatomy::new();
-            let fp = run_fingerprint_anatomy(
-                5353,
-                &workload,
-                kind,
-                None,
-                halfmoon::Topology::default(),
-                1,
-                Some(anatomy.clone()),
-            );
+            let fp = run_fingerprint(5353, &workload, kind, |b| b.anatomy(anatomy.clone()));
             (fp, anatomy)
         };
         let (fp_a, anatomy_a) = instrumented();
@@ -235,8 +185,8 @@ fn workflow_heavy_runs_are_deterministic() {
         hotels: 20,
         users: 30,
     };
-    let a = run_fingerprint(777, &workload, ProtocolKind::HalfmoonRead);
-    let b = run_fingerprint(777, &workload, ProtocolKind::HalfmoonRead);
+    let a = run_fingerprint(777, &workload, ProtocolKind::HalfmoonRead, |b| b);
+    let b = run_fingerprint(777, &workload, ProtocolKind::HalfmoonRead, |b| b);
     assert_eq!(a, b);
 }
 
@@ -252,13 +202,10 @@ fn sharded_topology_runs_are_deterministic() {
     };
     let run = || {
         let tracer = hm_common::trace::Tracer::new();
-        let fp = run_fingerprint_topology(
-            3131,
-            &workload,
-            ProtocolKind::HalfmoonRead,
-            Some(tracer.clone()),
-            halfmoon::Topology::sharded(4),
-        );
+        let fp = run_fingerprint(3131, &workload, ProtocolKind::HalfmoonRead, |b| {
+            b.tracer(tracer.clone())
+                .topology(halfmoon::Topology::sharded(4))
+        });
         (fp, tracer.export_jsonl())
     };
     let (fp_a, trace_a) = run();
@@ -273,7 +220,7 @@ fn sharded_topology_runs_are_deterministic() {
 
 /// `Topology::sharded(1)` is not merely equivalent to the default
 /// single-shard deployment — it is the *same code path*, so its run
-/// fingerprint matches [`Client::new`]'s bit-for-bit. This pins the
+/// fingerprint matches the default construction's bit-for-bit. This pins the
 /// refactor's central promise: sharding is invisible until asked for.
 #[test]
 fn single_shard_topology_matches_default_construction() {
@@ -282,9 +229,10 @@ fn single_shard_topology_matches_default_construction() {
         ..SyntheticOps::default()
     };
     for kind in [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite] {
-        let default_fp = run_fingerprint(2468, &workload, kind);
-        let sharded_fp =
-            run_fingerprint_topology(2468, &workload, kind, None, halfmoon::Topology::sharded(1));
+        let default_fp = run_fingerprint(2468, &workload, kind, |b| b);
+        let sharded_fp = run_fingerprint(2468, &workload, kind, |b| {
+            b.topology(halfmoon::Topology::sharded(1))
+        });
         assert_eq!(
             default_fp, sharded_fp,
             "{kind}: shards=1 must be bit-identical to the default topology"
@@ -347,14 +295,9 @@ fn batched_runs_are_deterministic() {
     for kind in [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite] {
         let run = || {
             let tracer = hm_common::trace::Tracer::new();
-            let fp = run_fingerprint_batched(
-                6161,
-                &workload,
-                kind,
-                Some(tracer.clone()),
-                halfmoon::Topology::default(),
-                16,
-            );
+            let fp = run_fingerprint(6161, &workload, kind, |b| {
+                b.tracer(tracer.clone()).batching(16)
+            });
             (fp, tracer.export_jsonl())
         };
         let (fp_a, trace_a) = run();
@@ -383,15 +326,8 @@ fn batch_of_one_matches_default_construction() {
         ..SyntheticOps::default()
     };
     for kind in [ProtocolKind::HalfmoonRead, ProtocolKind::HalfmoonWrite] {
-        let default_fp = run_fingerprint(1357, &workload, kind);
-        let batched_fp = run_fingerprint_batched(
-            1357,
-            &workload,
-            kind,
-            None,
-            halfmoon::Topology::default(),
-            1,
-        );
+        let default_fp = run_fingerprint(1357, &workload, kind, |b| b);
+        let batched_fp = run_fingerprint(1357, &workload, kind, |b| b.batching(1));
         assert_eq!(
             default_fp, batched_fp,
             "{kind}: batch=1 must be bit-identical to the default deployment"
@@ -415,14 +351,10 @@ fn arena_recycling_is_invisible_to_determinism() {
     };
     let run = || {
         let tracer = hm_common::trace::Tracer::new();
-        let fp = run_fingerprint_batched(
-            0xA2E7A,
-            &workload,
-            ProtocolKind::HalfmoonWrite,
-            Some(tracer.clone()),
-            halfmoon::Topology::default(),
-            4, // small batches: every few appends claims + recycles a batch
-        );
+        // Small batches: every few appends claims and recycles a batch.
+        let fp = run_fingerprint(0xA2E7A, &workload, ProtocolKind::HalfmoonWrite, |b| {
+            b.tracer(tracer.clone()).batching(4)
+        });
         (fp, tracer.export_jsonl())
     };
     let (fp_a, trace_a) = run();
@@ -442,11 +374,7 @@ fn arena_recycling_is_invisible_to_determinism() {
 /// reproduced schedule.
 #[test]
 fn batched_chaos_campaign_is_deterministic() {
-    use halfmoon::{FaultPlan, ShardId};
-    use hm_runtime::chaos::ChaosDriver;
-
     let run = || {
-        let mut sim = Sim::new(0xBA7C);
         let plan = FaultPlan::new()
             .instance_faults(FaultPolicy::random(0.004, 60))
             .node_recovery_delay(Duration::from_millis(300))
@@ -463,35 +391,22 @@ fn batched_chaos_campaign_is_deterministic() {
                 1,
                 Duration::from_millis(1500),
             );
-        let client = Client::builder(sim.ctx())
-            .model(LatencyModel::calibrated())
-            .protocol_config(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead))
-            .batching(16)
-            .faults(plan)
-            .build();
         let workload = SyntheticOps {
             objects: 200,
             ..SyntheticOps::default()
         };
-        workload.populate(&client);
-        let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-        workload.register(&runtime);
-        let chaos = ChaosDriver::start(&runtime);
-        let gateway = Gateway::new(runtime);
-        let spec = LoadSpec {
-            rate_per_sec: 150.0,
-            duration: Duration::from_secs(5),
-            warmup: Duration::from_millis(500),
-            factory: workload.factory(),
-        };
-        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-        assert!(chaos.injected() > 0, "campaign must actually bite");
+        let out = run_app(&workload, &open_loop(0xBA7C, 150.0, 5, false), |b| {
+            b.protocol(ProtocolKind::HalfmoonRead)
+                .batching(16)
+                .faults(plan)
+        });
+        assert!(out.chaos.injected() > 0, "campaign must actually bite");
         (
-            report.completed,
-            client.log().counters(),
-            client.log().flush_stats(),
-            client.recovery_stats(),
-            chaos.events_jsonl(),
+            out.report.completed,
+            out.client.log().counters(),
+            out.client.log().flush_stats(),
+            out.client.recovery_stats(),
+            out.chaos.events_jsonl(),
         )
     };
     let a = run();
@@ -512,15 +427,14 @@ where
     sim.block_on(body(sim.ctx()))
 }
 
-/// Runs `body` on a `Sim` at `seed` twice inside one `par_map` over
-/// `workers` threads, so that at two or more workers (and cores) one of the
-/// runs is on a spawned thread. Both must equal [`on_sim`] byte for byte.
-fn in_par_map<R, Fut>(seed: u64, workers: usize, body: impl Fn(Ctx) -> Fut + Sync) -> R
+/// Runs `run(seed)` twice inside one `par_map` over `workers` threads, so
+/// that at two or more workers (and cores) one of the runs is on a spawned
+/// thread. The two must agree byte for byte.
+fn in_par_map<R>(seed: u64, workers: usize, run: impl Fn(u64) -> R + Sync) -> R
 where
-    R: Send + PartialEq + std::fmt::Debug + 'static,
-    Fut: std::future::Future<Output = R> + 'static,
+    R: Send + PartialEq + std::fmt::Debug,
 {
-    let mut runs = par_map(&[seed, seed], workers, |&seed| on_sim(seed, &body));
+    let mut runs = par_map(&[seed, seed], workers, |&seed| run(seed));
     let second = runs.pop().expect("two runs");
     let first = runs.pop().expect("two runs");
     assert_eq!(
@@ -530,68 +444,43 @@ where
     first
 }
 
-/// The standard instrumented workload on `ctx`: returns the run fingerprint
-/// plus the byte-exact trace and anatomy JSONL exports.
-async fn instrumented_run(ctx: Ctx, kind: ProtocolKind) -> (RunFingerprint, String, String) {
+/// The standard instrumented workload at `seed`: returns the run
+/// fingerprint plus the byte-exact trace and anatomy JSONL exports.
+fn instrumented_run(seed: u64, kind: ProtocolKind) -> (RunFingerprint, String, String) {
     let workload = SyntheticOps {
         objects: 200,
         ..SyntheticOps::default()
     };
     let tracer = hm_common::trace::Tracer::new();
     let anatomy = hm_common::anatomy::Anatomy::new();
-    let client = Client::builder(ctx)
-        .model(LatencyModel::calibrated())
-        .protocol_config(ProtocolConfig::uniform(kind))
-        .batching(1)
-        .faults(FaultPolicy::random(0.002, 100))
-        .tracer(tracer.clone())
-        .anatomy(anatomy.clone())
-        .build();
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gc = GcDriver::start(client.clone(), hm_common::NodeId(0), Duration::from_secs(1));
-    let gateway = Gateway::new(runtime.clone());
-    let spec = LoadSpec {
-        rate_per_sec: 120.0,
-        duration: Duration::from_secs(2),
-        warmup: Duration::from_millis(500),
-        factory: workload.factory(),
-    };
-    let report = gateway.run_open_loop(spec).await;
-    gc.stop();
-    let fp = (
-        report.completed,
-        client.log().counters(),
-        client.store().counters(),
-        format!(
-            "{:?}/{:?}/{}/{}",
-            report.latency.median_ms(),
-            report.latency.p99_ms(),
-            runtime.retries(),
-            client.store().current_bytes(),
-        ),
-    );
-    (fp, tracer.export_jsonl(), anatomy.rows_jsonl())
+    let out = run_app(&workload, &open_loop(seed, 120.0, 2, true), |b| {
+        b.protocol(kind)
+            .faults(FaultPolicy::random(0.002, 100))
+            .tracer(tracer.clone())
+            .anatomy(anatomy.clone())
+    });
+    (
+        fingerprint(&out),
+        tracer.export_jsonl(),
+        anatomy.rows_jsonl(),
+    )
 }
 
-/// A seeded run inside `par_map` is not merely equivalent to a bare
-/// `Sim`, it is one, on whichever thread it lands: the full fingerprint
+/// A seeded run inside `par_map` is not merely equivalent to the same run
+/// on the caller's thread, it is one, wherever it lands: the full fingerprint
 /// AND the trace/anatomy JSONL exports are byte-identical, whatever the
 /// worker count on offer.
 #[test]
 fn par_map_run_is_bit_identical_to_sim() {
-    let sim = on_sim(0xD17, |ctx| {
-        instrumented_run(ctx, ProtocolKind::HalfmoonRead)
-    });
+    let sim = instrumented_run(0xD17, ProtocolKind::HalfmoonRead);
     assert!(!sim.1.is_empty() && !sim.2.is_empty(), "exports are empty");
     for workers in [1usize, 2, 4] {
-        let par = in_par_map(0xD17, workers, |ctx| {
-            instrumented_run(ctx, ProtocolKind::HalfmoonRead)
+        let par = in_par_map(0xD17, workers, |seed| {
+            instrumented_run(seed, ProtocolKind::HalfmoonRead)
         });
         assert_eq!(
             sim, par,
-            "a run inside par_map at workers={workers} diverged from a bare Sim"
+            "a run inside par_map at workers={workers} diverged from the caller's run"
         );
     }
 }
@@ -602,8 +491,8 @@ fn par_map_run_is_bit_identical_to_sim() {
 fn fan_out_reruns_are_identical() {
     for workers in [2usize, 4] {
         let run = || {
-            in_par_map(0xE23, workers, |ctx| {
-                instrumented_run(ctx, ProtocolKind::HalfmoonWrite)
+            in_par_map(0xE23, workers, |seed| {
+                instrumented_run(seed, ProtocolKind::HalfmoonWrite)
             })
         };
         assert_eq!(run(), run(), "workers={workers}: rerun diverged");
@@ -658,16 +547,13 @@ fn partitioned_log_slices_are_worker_count_invariant() {
 }
 
 /// The seeded chaos campaign — crashes, a replica outage, retry storms,
-/// recovery-forced flushes — reproduces byte-for-byte inside `par_map`: a
-/// bare `Sim`, the runs inside `par_map` at 1, 2 and 4 workers, and a rerun
+/// recovery-forced flushes — reproduces byte-for-byte inside `par_map`: the
+/// caller's run, the runs inside `par_map` at 1, 2 and 4 workers, and a rerun
 /// all agree on counters, flush stats, recovery stats, and the chaos
 /// injection journal.
 #[test]
 fn chaos_campaign_is_worker_count_invariant() {
-    use halfmoon::{FaultPlan, ShardId};
-    use hm_runtime::chaos::ChaosDriver;
-
-    async fn campaign(ctx: Ctx) -> impl PartialEq + std::fmt::Debug + Send {
+    fn campaign(seed: u64) -> impl PartialEq + std::fmt::Debug + Send {
         let plan = FaultPlan::new()
             .instance_faults(FaultPolicy::random(0.004, 60))
             .node_recovery_delay(Duration::from_millis(300))
@@ -684,38 +570,25 @@ fn chaos_campaign_is_worker_count_invariant() {
                 1,
                 Duration::from_millis(1000),
             );
-        let client = Client::builder(ctx)
-            .model(LatencyModel::calibrated())
-            .protocol_config(ProtocolConfig::uniform(ProtocolKind::HalfmoonRead))
-            .batching(16)
-            .faults(plan)
-            .build();
         let workload = SyntheticOps {
             objects: 200,
             ..SyntheticOps::default()
         };
-        workload.populate(&client);
-        let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-        workload.register(&runtime);
-        let chaos = ChaosDriver::start(&runtime);
-        let gateway = Gateway::new(runtime);
-        let spec = LoadSpec {
-            rate_per_sec: 150.0,
-            duration: Duration::from_secs(3),
-            warmup: Duration::from_millis(500),
-            factory: workload.factory(),
-        };
-        let report = gateway.run_open_loop(spec).await;
-        assert!(chaos.injected() > 0, "campaign must actually bite");
+        let out = run_app(&workload, &open_loop(seed, 150.0, 3, false), |b| {
+            b.protocol(ProtocolKind::HalfmoonRead)
+                .batching(16)
+                .faults(plan)
+        });
+        assert!(out.chaos.injected() > 0, "campaign must actually bite");
         (
-            report.completed,
-            client.log().counters(),
-            client.log().flush_stats(),
-            client.recovery_stats(),
-            chaos.events_jsonl(),
+            out.report.completed,
+            out.client.log().counters(),
+            out.client.log().flush_stats(),
+            out.client.recovery_stats(),
+            out.chaos.events_jsonl(),
         )
     }
-    let sim = on_sim(0xBA7C, campaign);
+    let sim = campaign(0xBA7C);
     for workers in [1usize, 2, 4] {
         assert_eq!(
             sim,

@@ -4,7 +4,9 @@
 
 use std::time::Duration;
 
-use halfmoon::{audit, Client, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Switcher};
+use halfmoon::{
+    audit, Client, FaultPlan, FaultPolicy, ProtocolConfig, ProtocolKind, ShardId, Switcher,
+};
 use hm_common::latency::LatencyModel;
 use hm_common::NodeId;
 use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
@@ -12,38 +14,38 @@ use hm_substrate::sim::Sim;
 use hm_workloads::retwis::Retwis;
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, Workload};
+
+/// `secs` of open-loop load at 150 req/s after a 1 s warmup.
+fn open_loop(seed: u64, secs: u64, rt_config: RuntimeConfig, gc: Option<Duration>) -> AppRun {
+    AppRun {
+        seed,
+        rate: 150.0,
+        duration: Duration::from_secs(secs),
+        warmup: Duration::from_secs(1),
+        rt_config,
+        gc_interval: gc,
+    }
+}
 
 #[test]
 fn travel_with_crashes_duplicates_and_gc() {
-    let mut sim = Sim::new(0xe2e1);
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::calibrated())
-        .protocol(ProtocolKind::HalfmoonRead)
-        .recorder()
-        .build();
-    client.set_fault_plan(FaultPolicy::random(0.002, 300));
     let workload = Travel {
         hotels: 40,
         users: 60,
     };
-    workload.populate(&client);
     let rt_config = RuntimeConfig {
         duplicate_prob: 0.05,
         ..RuntimeConfig::default()
     };
-    let runtime = Runtime::new(client.clone(), rt_config);
-    workload.register(&runtime);
-    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(2));
-    let gateway = Gateway::new(runtime.clone());
-    let spec = LoadSpec {
-        rate_per_sec: 150.0,
-        duration: Duration::from_secs(10),
-        warmup: Duration::from_secs(1),
-        factory: workload.factory(),
-    };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    gc.stop();
+    let params = open_loop(0xe2e1, 10, rt_config, Some(Duration::from_secs(2)));
+    let out = run_app(&workload, &params, |b| {
+        b.protocol(ProtocolKind::HalfmoonRead)
+            .recorder()
+            .faults(FaultPolicy::random(0.002, 300))
+    });
+    let (report, runtime) = (&out.report, &out.runtime);
+    let gc = out.gc.as_ref().expect("collected");
     assert_eq!(report.errors, 0);
     assert!(report.completed > 1000, "completed {}", report.completed);
     assert!(runtime.retries() > 0, "crash injection should have fired");
@@ -56,38 +58,29 @@ fn travel_with_crashes_duplicates_and_gc() {
         gc.totals().instances_reclaimed > 500,
         "GC reclaimed finished SSFs"
     );
-    audit(&client).assert_passed("travel with crashes duplicates and gc");
+    audit(&out.client).assert_passed("travel with crashes duplicates and gc");
 }
 
 #[test]
 fn retwis_under_halfmoon_write_with_crashes() {
-    let mut sim = Sim::new(0xe2e2);
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::calibrated())
-        .protocol(ProtocolKind::HalfmoonWrite)
-        .recorder()
-        .build();
-    client.set_fault_plan(FaultPolicy::random(0.002, 300));
     let workload = Retwis {
         users: 50,
         tweet_bytes: 140,
         timeline_cap: 8,
     };
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(2));
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: 150.0,
-        duration: Duration::from_secs(8),
-        warmup: Duration::from_secs(1),
-        factory: workload.factory(),
-    };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    gc.stop();
-    assert_eq!(report.errors, 0);
-    audit(&client).assert_passed("retwis under halfmoon write with crashes");
+    let params = open_loop(
+        0xe2e2,
+        8,
+        RuntimeConfig::default(),
+        Some(Duration::from_secs(2)),
+    );
+    let out = run_app(&workload, &params, |b| {
+        b.protocol(ProtocolKind::HalfmoonWrite)
+            .recorder()
+            .faults(FaultPolicy::random(0.002, 300))
+    });
+    assert_eq!(out.report.errors, 0);
+    audit(&out.client).assert_passed("retwis under halfmoon write with crashes");
 }
 
 #[test]
@@ -166,11 +159,9 @@ fn switching_under_load_with_crashes_end_to_end() {
 #[test]
 fn storage_stays_bounded_with_gc_over_long_run() {
     let mut sim = Sim::new(0xe2e4);
-    let client = Client::new(
-        sim.ctx(),
-        LatencyModel::calibrated(),
-        ProtocolConfig::uniform(ProtocolKind::HalfmoonRead),
-    );
+    let client = Client::builder(sim.ctx())
+        .protocol(ProtocolKind::HalfmoonRead)
+        .build();
     let workload = SyntheticOps {
         objects: 200,
         value_bytes: 256,
@@ -223,50 +214,42 @@ fn storage_stays_bounded_with_gc_over_long_run() {
 /// during the outage, and exactly-once semantics are unaffected.
 #[test]
 fn storage_replica_failure_degrades_but_preserves_correctness() {
-    let mut sim = Sim::new(0xe2e5);
-    let client = Client::builder(sim.ctx())
-        .model(LatencyModel::calibrated())
-        .protocol(ProtocolKind::HalfmoonWrite)
-        .recorder()
-        .build();
-    client.set_fault_plan(FaultPolicy::random(0.002, 100));
     let workload = SyntheticOps {
         objects: 300,
         value_bytes: 256,
         ops_per_request: 6,
         read_ratio: 0.6,
     };
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gateway = Gateway::new(runtime);
-    let load = {
-        let spec = LoadSpec {
-            rate_per_sec: 120.0,
-            duration: Duration::from_secs(9),
-            warmup: Duration::from_millis(500),
-            factory: workload.factory(),
-        };
-        sim.ctx()
-            .spawn(async move { gateway.run_open_loop(spec).await })
+    // Replica 0 of shard 0 fails at t=3s, replica 1 at t=4s; both recover
+    // at t=6s.
+    let plan = FaultPlan::new()
+        .instance_faults(FaultPolicy::random(0.002, 100))
+        .fail_replica_at(
+            Duration::from_secs(3),
+            ShardId(0),
+            0,
+            Duration::from_secs(3),
+        )
+        .fail_replica_at(
+            Duration::from_secs(4),
+            ShardId(0),
+            1,
+            Duration::from_secs(2),
+        );
+    let params = AppRun {
+        seed: 0xe2e5,
+        rate: 120.0,
+        duration: Duration::from_secs(9),
+        warmup: Duration::from_millis(500),
+        rt_config: RuntimeConfig::default(),
+        gc_interval: None,
     };
-    // Fail a replica at t=3s, a second at t=4s, recover both at t=6s.
-    {
-        let client = client.clone();
-        let ctx = sim.ctx();
-        let ctx2 = ctx.clone();
-        ctx.spawn(async move {
-            ctx2.sleep(Duration::from_secs(3)).await;
-            client.log().fail_storage_replica_on(ShardId(0), 0);
-            ctx2.sleep(Duration::from_secs(1)).await;
-            client.log().fail_storage_replica_on(ShardId(0), 1);
-            ctx2.sleep(Duration::from_secs(2)).await;
-            client.log().recover_storage_replica_on(ShardId(0), 0);
-            client.log().recover_storage_replica_on(ShardId(0), 1);
-        });
-    }
-    sim.run_until(Duration::from_secs(45));
-    let report = load.try_take().expect("load completed");
+    let out = run_app(&workload, &params, |b| {
+        b.protocol(ProtocolKind::HalfmoonWrite)
+            .recorder()
+            .faults(plan)
+    });
+    let (report, client) = (&out.report, &out.client);
     assert_eq!(
         report.errors, 0,
         "availability preserved through the outage"
@@ -277,7 +260,7 @@ fn storage_replica_failure_degrades_but_preserves_correctness() {
         "the below-quorum window must have been exercised"
     );
     assert_eq!(client.log().live_storage_replicas_on(ShardId(0)), 3);
-    audit(&client).assert_passed("storage replica failure degrades but preserves correctness");
+    audit(client).assert_passed("storage replica failure degrades but preserves correctness");
 }
 
 /// The series `MetricsRegistry::series_json` exported: its column names
@@ -313,11 +296,9 @@ fn parse_series(json: &str) -> (Vec<String>, Vec<(u128, Vec<f64>)>) {
 #[test]
 fn metrics_driver_samples_substrate_counters() {
     let mut sim = Sim::new(0xe2e7);
-    let client = Client::new(
-        sim.ctx(),
-        LatencyModel::calibrated(),
-        ProtocolConfig::uniform(ProtocolKind::HalfmoonRead),
-    );
+    let client = Client::builder(sim.ctx())
+        .protocol(ProtocolKind::HalfmoonRead)
+        .build();
     let workload = SyntheticOps {
         objects: 100,
         ..SyntheticOps::default()

@@ -18,17 +18,17 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
-use halfmoon::{Client, ProtocolConfig, ProtocolKind};
+use halfmoon::ProtocolKind;
 use hm_common::ids::TagKind;
 use hm_common::latency::LatencyModel;
 use hm_common::metrics::{Histogram, OpCounters};
 use hm_common::{NodeId, SeqNum, Tag};
-use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::RuntimeConfig;
 use hm_sharedlog::{CondAppendOutcome, LogConfig, LogService};
 use hm_substrate::sim::Sim;
 use hm_workloads::synthetic::SyntheticOps;
 use hm_workloads::travel::Travel;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, AppRunOutput, Workload};
 
 const GOLDEN_PATH: &str = "tests/golden/sim_core_metrics.txt";
 
@@ -134,8 +134,8 @@ fn scenario_log_micro_with(config: LogConfig) -> String {
     out
 }
 
-/// Full-stack application run through the gateway (mirrors the bench
-/// harness, scaled down for test budgets).
+/// Full-stack application run through the open-loop harness, scaled down
+/// for test budgets.
 fn scenario_app(
     name: &str,
     kind: ProtocolKind,
@@ -145,27 +145,20 @@ fn scenario_app(
     secs: f64,
     gc: bool,
 ) -> String {
-    let mut sim = Sim::new(seed);
-    let client = Client::new(
-        sim.ctx(),
-        LatencyModel::calibrated(),
-        ProtocolConfig::uniform(kind),
-    );
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.populate(&client);
-    workload.register(&runtime);
-    let gc_driver = gc.then(|| GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(1)));
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: rate,
+    let params = AppRun {
+        seed,
+        rate,
         duration: Duration::from_secs_f64(secs),
         warmup: Duration::from_secs_f64(0.5),
-        factory: workload.factory(),
+        rt_config: RuntimeConfig::default(),
+        gc_interval: gc.then_some(Duration::from_secs(1)),
     };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    if let Some(gc) = gc_driver {
-        gc.stop();
-    }
+    let AppRunOutput {
+        sim,
+        client,
+        report,
+        ..
+    } = run_app(workload, &params, |b| b.protocol(kind));
     let mut out = format!("[{name}]\n");
     let _ = writeln!(out, "  generated = {}", report.generated);
     let _ = writeln!(out, "  completed = {}", report.completed);

@@ -78,7 +78,6 @@ fn unsafe_baseline_yields_a_replayable_counterexample() {
     );
     let replay = run_schedule(&cfg, &cx.schedule);
     assert_eq!(replay.violations, cx.violations);
-    assert!(!replay.aborted);
     // The violating run dumped its flight-recorder ring, and the dump
     // carries the replayable schedule.
     let dump = replay.flight_dump.expect("violation must trigger a dump");

@@ -16,13 +16,12 @@ use hm_common::ids::TagKind;
 use hm_common::latency::LatencyModel;
 use hm_common::trace::Tracer;
 use hm_common::{FxHashMap, FxHashSet, HmError, Key, NodeId, SeqNum, Tag, Value};
-use hm_runtime::chaos::ChaosDriver;
-use hm_runtime::{Gateway, GcDriver, LoadSpec, Runtime, RuntimeConfig};
+use hm_runtime::{Runtime, RuntimeConfig};
 use hm_sharedlog::{shard_for_tag, LogConfig, LogService, Topology, SLAB_SEGMENT_RECORDS};
 use hm_substrate::sim::Sim;
 use hm_substrate::Ctx;
 use hm_workloads::synthetic::SyntheticOps;
-use hm_workloads::Workload;
+use hm_workloads::{run_app, AppRun, AppRunOutput};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -610,26 +609,20 @@ fn child_invoke_after_the_runtime_is_gone_is_a_config_error() {
 
 /// `steady_mixed`'s deployment: the ten-op 50/50 function on Halfmoon-read
 /// at 1 000 req/s for `seconds`, collected every second if `gc` is set.
-fn steady_load(seconds: u64, gc: bool) -> (Sim, Client, Option<GcDriver>) {
-    let workload = SyntheticOps::default();
-    let mut sim = Sim::new(20_230_923);
-    let client = Client::builder(sim.ctx())
-        .protocol(ProtocolKind::HalfmoonRead)
-        .build();
-    workload.populate(&client);
-    let runtime = Runtime::new(client.clone(), RuntimeConfig::default());
-    workload.register(&runtime);
-    let gc = gc.then(|| GcDriver::start(client.clone(), NodeId(0), Duration::from_secs(1)));
-    let gateway = Gateway::new(runtime);
-    let spec = LoadSpec {
-        rate_per_sec: 1000.0,
+fn steady_load(seconds: u64, gc: bool) -> AppRunOutput {
+    let params = AppRun {
+        seed: 20_230_923,
+        rate: 1000.0,
         duration: Duration::from_secs(seconds),
         warmup: Duration::ZERO,
-        factory: workload.factory(),
+        rt_config: RuntimeConfig::default(),
+        gc_interval: gc.then_some(Duration::from_secs(1)),
     };
-    let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
-    assert_eq!(report.errors, 0);
-    (sim, client, gc)
+    let out = run_app(&SyntheticOps::default(), &params, |b| {
+        b.protocol(ProtocolKind::HalfmoonRead)
+    });
+    assert_eq!(out.report.errors, 0);
+    out
 }
 
 /// Every scheduled cycle of a 5 s load finishes inside its interval. A
@@ -639,9 +632,8 @@ fn steady_load(seconds: u64, gc: bool) -> (Sim, Client, Option<GcDriver>) {
 /// the end.
 #[test]
 fn the_collector_keeps_up_with_a_steady_load() {
-    let (_sim, client, gc) = steady_load(5, true);
+    let AppRunOutput { client, gc, .. } = steady_load(5, true);
     let gc = gc.expect("collected");
-    gc.stop();
     assert_eq!(
         gc.cycles(),
         5,
@@ -670,7 +662,9 @@ fn the_collector_keeps_up_with_a_steady_load() {
 /// round trips, where one batch after another would take over 100 ms.
 #[test]
 fn one_cycle_over_a_large_backlog_costs_a_fixed_number_of_round_trips() {
-    let (mut sim, client, _) = steady_load(3, false);
+    let AppRunOutput {
+        mut sim, client, ..
+    } = steady_load(3, false);
     let collector = GarbageCollector::new(client, NodeId(0));
     let start = sim.now();
     let stats = sim.block_on(async move { collector.collect().await });
@@ -704,7 +698,6 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
         .into_iter()
         .flat_map(|dup| (0..8u64).map(move |seed| (dup, seed)));
     for (duplicate_prob, seed) in runs {
-        let mut sim = Sim::new(0x0E1F + seed);
         let plan = FaultPlan::new()
             .instance_faults(FaultPolicy::per_attempt(0.3, 30, u32::MAX))
             .node_recovery_delay(Duration::from_millis(200))
@@ -715,34 +708,34 @@ fn every_stored_version_is_named_by_a_live_commit_record() {
                 Duration::from_secs(3),
                 8,
             );
-        let client = Client::builder(sim.ctx())
-            .protocol(ProtocolKind::HalfmoonRead)
-            .faults(plan)
-            .build();
-        workload.populate(&client);
-        let config = RuntimeConfig {
-            duplicate_prob,
-            ..RuntimeConfig::default()
-        };
-        let runtime = Runtime::new(client.clone(), config);
-        workload.register(&runtime);
-        let _chaos = ChaosDriver::start(&runtime);
-        let gc = GcDriver::start(client.clone(), NodeId(0), Duration::from_millis(50));
-        let gateway = Gateway::new(runtime.clone());
-        let spec = LoadSpec {
-            rate_per_sec: 300.0,
+        let params = AppRun {
+            seed: 0x0E1F + seed,
+            rate: 300.0,
             duration: Duration::from_secs(3),
             warmup: Duration::ZERO,
-            factory: workload.factory(),
+            rt_config: RuntimeConfig {
+                duplicate_prob,
+                ..RuntimeConfig::default()
+            },
+            gc_interval: Some(Duration::from_millis(50)),
         };
-        let report = sim.block_on(async move { gateway.run_open_loop(spec).await });
+        let AppRunOutput {
+            mut sim,
+            client,
+            runtime,
+            gc,
+            report,
+            ..
+        } = run_app(&workload, &params, |b| {
+            b.protocol(ProtocolKind::HalfmoonRead).faults(plan)
+        });
+        let gc = gc.expect("collected");
         // A peer can finish the instance while the primary retries; the
         // runtime's hold keeps the collector off it until both return.
         assert_eq!(
             report.errors, 0,
             "seed {seed}, duplicate_prob {duplicate_prob}: requests failed"
         );
-        gc.stop();
         // Let the last peers and the fault schedule play out, then collect.
         sim.run();
         let collector = GarbageCollector::new(client.clone(), NodeId(0));
